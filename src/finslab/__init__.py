@@ -14,18 +14,18 @@ from .connection import (ChristoffelField, ConnectionFrame, SprayValue,
                          horizontal_gradient, jacobi_matrix, jacobi_operator,
                          spray, spray_coefficients, vertical_gradient)
 from .curves import DiscreteCurve, Reparametrization
-from .dsl import (MetricDefinition, TangentSample, admissible, builtin_metric,
+from .dsl import (MetricDefinition, TangentSample, builtin_metric,
                   builtin_names, dump_metric_file, load_metric_file,
                   parse_expression, parse_metric, pretty, sample_admissible,
                   validate_homogeneity)
 from .errors import (ConfigError, DomainExit, EvaluationDomainError,
                      ExpressionError, FinslabError, InadmissibleSample,
-                     NoAdmissibleSample, NoConvergence, PositivityFailure,
-                     SingularMetric, TransversalityFailure)
+                     IncompatiblePair, NoAdmissibleSample, NoConvergence,
+                     PositivityFailure, SingularMetric, TransversalityFailure)
 from .geodesics import (energy, integrate_geodesic, lightlike_defect,
                         pregeodesic_residual, project_to_lightcone,
                         reparametrize_conformal)
-from .jets import Jet, JetSpace, extract_derivative, jet_space, seed
+from .jets import Jet, JetSpace, jet_space, seed
 from .tensors import (CartanTensor, FundamentalTensor, cartan_tensor,
                       fundamental_tensor, inverse_metric, legendre)
 from .variational import (CurveGeometry, FocalPoint, JacobiSolution,

@@ -28,8 +28,9 @@ from .dsl import MetricDefinition, TangentSample
 from .errors import ConfigError, FinslabError
 from .experiments import great_circle_patch
 from .geodesics import (integrate_geodesic, pregeodesic_residual,
-                        project_to_lightcone, reparametrize_conformal)
-from .tensors import cartan_tensor, fundamental_tensor, legendre
+                        probe_vector, project_to_lightcone,
+                        reparametrize_conformal)
+from .tensors import cartan_tensor, fundamental_tensor
 from .variational import (CurveGeometry, SubmanifoldPatch, VariationField,
                           energy_derivative_fd, find_focal_points,
                           first_variation, second_variation,
@@ -181,10 +182,7 @@ def _metric(cfg: Config, key: str = "metric", required: bool = True
 
 def _lightlike_start(m: MetricDefinition, x0, v0) -> TangentSample:
     sample = TangentSample(x0, v0)
-    ell = legendre(m, sample)
-    w = np.zeros(sample.dim)
-    w[int(np.argmax(np.abs(ell)))] = 1.0
-    return project_to_lightcone(m, sample, w)
+    return project_to_lightcone(m, sample, probe_vector(m, sample))
 
 
 # --------------------------------------------------------------------------

@@ -15,8 +15,9 @@ import numpy as np
 
 from .dsl import (Div, MetricDefinition, Mul, Num, TangentSample, pretty,
                   sample_admissible)
-from .errors import (NoConvergence, PositivityFailure, TransversalityFailure)
-from .geodesics import LIGHTLIKE_TOL, project_to_lightcone
+from .errors import (IncompatiblePair, NoConvergence, PositivityFailure,
+                     TransversalityFailure)
+from .geodesics import LIGHTLIKE_TOL, probe_vector, project_to_lightcone
 from .tensors import fundamental_tensor, legendre
 
 __all__ = [
@@ -37,11 +38,11 @@ class ConformalPair:
 
     def __post_init__(self):
         if self.L1.dim != self.L2.dim:
-            raise ValueError("metrics of a pair must share the dimension")
+            raise IncompatiblePair("metrics of a pair must share the dimension")
         d1 = frozenset(pretty(p) for p in self.L1.domain)
         d2 = frozenset(pretty(p) for p in self.L2.domain)
         if d1 != d2:
-            raise ValueError(
+            raise IncompatiblePair(
                 f"metrics of a pair must share the domain predicates: {d1} vs {d2}")
 
 
@@ -65,17 +66,6 @@ class CoincidenceReport:
     records: list[ConeSampleRecord] = field(default_factory=list)
 
 
-def _probe_vector(m: MetricDefinition, v: TangentSample) -> np.ndarray:
-    """Basis vector with the largest Legendre pairing |g_v(v, e_i)|."""
-    ell = legendre(m, v)
-    i = int(np.argmax(np.abs(ell)))
-    if abs(ell[i]) <= 1e-12 * max(1.0, float(v.y @ v.y)):
-        raise TransversalityFailure("no basis vector pairs with the sample")
-    w = np.zeros(v.dim)
-    w[i] = 1.0
-    return w
-
-
 def lightcones_coincide(pair: ConformalPair, tol: float = COINCIDENCE_TOL
                         ) -> CoincidenceReport:
     """Sample each metric's lightcone and measure the other metric there.
@@ -94,7 +84,7 @@ def lightcones_coincide(pair: ConformalPair, tol: float = COINCIDENCE_TOL
         hits = 0
         for v in sample_admissible(source, rng, count=pair.sample_budget):
             try:
-                w = _probe_vector(source, v)
+                w = probe_vector(source, v)
                 vstar = project_to_lightcone(source, v, w, tol=1e-13)
             except (NoConvergence, TransversalityFailure):
                 failures += 1
@@ -132,7 +122,7 @@ def anisotropy_factor(pair: ConformalPair, v: TangentSample, w="auto") -> float:
     if abs(l1) > LIGHTLIKE_TOL * scale:
         return pair.L2.value_at(v) / l1
     if isinstance(w, str) and w == "auto":
-        w = _probe_vector(pair.L1, v)
+        w = probe_vector(pair.L1, v)
     w = np.asarray(w, dtype=float)
     p1 = float(legendre(pair.L1, v) @ w)
     if abs(p1) <= 1e-12 * scale:

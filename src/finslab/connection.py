@@ -28,7 +28,7 @@ from .curves import DiscreteCurve, spline_derivative
 from .dsl import MetricDefinition, TangentSample
 from .errors import GridMismatch, InadmissibleSample, SingularMetric
 from .jets import Jet, jet_space
-from .tensors import DEGENERACY_TOL, fundamental_tensor
+from .tensors import DEGENERACY_TOL, fundamental_tensor, inverse_metric
 
 __all__ = [
     "SprayValue", "ChristoffelField", "ConnectionFrame",
@@ -73,22 +73,6 @@ def _jet_matrix_inverse(A: list[list[Jet]]) -> list[list[Jet]]:
 
 def _values(jet_table) -> np.ndarray:
     return np.array([[e.value for e in row] for row in jet_table])
-
-
-def _unit(nvars: int, *slots: int) -> tuple[int, ...]:
-    alpha = [0] * nvars
-    for s in slots:
-        alpha[s] += 1
-    return tuple(alpha)
-
-
-def _first(L: Jet, slot: int) -> float:
-    return float(L.c[L.space.index_of[_unit(L.space.nvars, slot)]])
-
-
-def _second(L: Jet, a: int, b: int) -> float:
-    coeff = float(L.c[L.space.index_of[_unit(L.space.nvars, a, b)]])
-    return 2.0 * coeff if a == b else coeff
 
 
 # --------------------------------------------------------------------------
@@ -362,16 +346,10 @@ def spray_coefficients(m: MetricDefinition, x: np.ndarray, y: np.ndarray) -> np.
     y = np.asarray(y, dtype=float)
     n = y.size
     L = m.jet(TangentSample(x, y), 2)
-    g = np.empty((n, n))
-    A = np.empty((n, n))
-    b = np.empty(n)
-    for l in range(n):
-        b[l] = _first(L, l)
-        for k in range(n):
-            A[l, k] = _second(L, n + l, k)
-        for j in range(l, n):
-            g[l, j] = g[j, l] = 0.5 * _second(L, n + l, n + j)
-    from .tensors import inverse_metric
+    b = L.partials(1)[:n]
+    hess = L.partials(2)
+    A = hess[n:, :n]
+    g = 0.5 * hess[n:, n:]
     return 0.25 * (inverse_metric(g) @ (A @ y - b))
 
 
@@ -422,20 +400,17 @@ def covariant_derivative_along(curve: DiscreteCurve, U, X, m: MetricDefinition,
     return out
 
 
-def _scalar_partials(f: MetricDefinition, v: TangentSample) -> tuple[np.ndarray, np.ndarray]:
-    jet = f.jet(v, 2)
-    n = v.dim
-    dx = np.array([jet.derivative(tuple(1 if k == i else 0 for k in range(2 * n)))
-                   for i in range(n)])
-    dy = np.array([jet.derivative(tuple(1 if k == n + i else 0 for k in range(2 * n)))
-                   for i in range(n)])
-    return dx, dy
+def _scalar_partials(jet: Jet) -> tuple[np.ndarray, np.ndarray]:
+    """(d/dx, d/dy) of a scalar jet over the 2n chart and fiber variables."""
+    grad = jet.partials(1)
+    n = grad.size // 2
+    return grad[:n], grad[n:]
 
 
 def horizontal_derivative(f: MetricDefinition, X, v: TangentSample,
                           m: MetricDefinition) -> float:
     """Connection derivative of an anisotropic scalar along the direction X."""
-    dx, dy = _scalar_partials(f, v)
+    dx, dy = _scalar_partials(f.jet(v, 2))
     N = ConnectionFrame(m, v, order=3).nonlinear()
     delta = dx - N.T @ dy
     return float(delta @ np.asarray(X, dtype=float))
@@ -444,9 +419,8 @@ def horizontal_derivative(f: MetricDefinition, X, v: TangentSample,
 def vertical_gradient(f: MetricDefinition, v: TangentSample,
                       m: MetricDefinition) -> np.ndarray:
     """Solves g_v(grad, .) = fiber differential of f at v."""
-    _, dy = _scalar_partials(f, v)
+    _, dy = _scalar_partials(f.jet(v, 2))
     g = fundamental_tensor(m, v).matrix
-    from .tensors import inverse_metric
     return inverse_metric(g) @ dy
 
 
@@ -454,7 +428,6 @@ def horizontal_gradient(f: MetricDefinition, v: TangentSample,
                         m: MetricDefinition) -> np.ndarray:
     """Solves g_v(grad, .) = horizontal differential of f at v."""
     frame = ConnectionFrame(m, v, order=3)
-    dx, dy = _scalar_partials(f, v)
+    dx, dy = _scalar_partials(f.jet(v, 2))
     delta = dx - frame.nonlinear().T @ dy
-    from .tensors import inverse_metric
     return inverse_metric(frame.g()) @ delta

@@ -59,16 +59,6 @@ class DiscreteCurve:
     def acceleration(self, t):
         return self._vel_spline.derivative()(t)
 
-    # --- construction helpers ----------------------------------------------
-
-    @staticmethod
-    def from_functions(x_fn, v_fn, a_fn, grid) -> "DiscreteCurve":
-        grid = np.asarray(grid, dtype=float)
-        xs = np.array([x_fn(t) for t in grid], dtype=float)
-        vs = np.array([v_fn(t) for t in grid], dtype=float)
-        accs = np.array([a_fn(t) for t in grid], dtype=float)
-        return DiscreteCurve(grid, xs, vs, accs)
-
     # --- exports -------------------------------------------------------------
 
     def to_csv(self, path) -> None:

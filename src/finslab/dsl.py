@@ -38,7 +38,7 @@ from .errors import EvaluationDomainError, ExpressionError, NoAdmissibleSample
 __all__ = [
     "Expr", "Num", "Var", "Neg", "Add", "Sub", "Mul", "Div", "Pow", "Func",
     "TangentSample", "MetricDefinition", "HomogeneityReport",
-    "parse_expression", "parse_metric", "pretty", "evaluate", "admissible",
+    "parse_expression", "parse_metric", "pretty", "evaluate",
     "validate_homogeneity", "sample_admissible", "builtin_metric",
     "builtin_names", "parse_metric_file", "load_metric_file",
     "dump_metric_file",
@@ -452,10 +452,6 @@ def parse_metric(source: str, n: int, degree: int = 2,
     preds = tuple(parse_expression(p, n) for p in domain)
     return MetricDefinition(name=name, dim=n, degree=degree, body=body,
                             domain=preds, sample_box=sample_box)
-
-
-def admissible(m: MetricDefinition, sample: TangentSample) -> bool:
-    return m.admissible(sample)
 
 
 # --------------------------------------------------------------------------

@@ -68,5 +68,9 @@ class ReparametrizationRangeError(FinslabError):
         self.reachable = reachable
 
 
+class IncompatiblePair(FinslabError, ValueError):
+    """The two metrics of a conformal pair differ in dimension or domain."""
+
+
 class ConfigError(FinslabError):
     """Bad experiment configuration (missing file, unknown key, bad value)."""

@@ -13,15 +13,17 @@ import math
 import numpy as np
 from scipy.integrate import simpson
 
-from .connection import ConnectionFrame, spray_coefficients
+from .connection import ConnectionFrame, _scalar_partials, spray_coefficients
 from .curves import DiscreteCurve, Reparametrization
 from .dsl import MetricDefinition, TangentSample
 from .errors import (DomainExit, InadmissibleSample, NoConvergence,
                      ReparametrizationRangeError, TransversalityFailure)
+from .tensors import legendre
 
 __all__ = [
-    "LIGHTLIKE_TOL", "integrate_geodesic", "project_to_lightcone", "energy",
-    "reparametrize_conformal", "pregeodesic_residual", "lightlike_defect",
+    "LIGHTLIKE_TOL", "rk4_step", "integrate_geodesic", "probe_vector",
+    "project_to_lightcone", "energy", "reparametrize_conformal",
+    "pregeodesic_residual", "lightlike_defect", "check_lightlike",
     "factor_values", "factor_rate",
 ]
 
@@ -47,27 +49,36 @@ def factor_values(lam, curve: DiscreteCurve) -> np.ndarray:
                      for x, y in zip(curve.positions, curve.velocities)])
 
 
+def _chain_rates(lam, positions, velocities, accelerations) -> np.ndarray:
+    """d/dt of the factor at curve samples (x, xdot, xddot), by the chain rule."""
+    out = np.zeros(len(positions))
+    if isinstance(lam, MetricDefinition):
+        for k, (x, y, a) in enumerate(zip(positions, velocities, accelerations)):
+            dx, dy = _scalar_partials(lam.jet(TangentSample(x, y), 2))
+            out[k] = dx @ y + dy @ a
+    return out
+
+
 def factor_rate(lam, curve: DiscreteCurve) -> np.ndarray:
     """d/dt of the factor along the curve, by the chain rule through the
     stored accelerations (exact given the node data)."""
-    npts = curve.grid.size
-    out = np.zeros(npts)
-    if lam is None or not isinstance(lam, MetricDefinition):
-        return out
-    n = curve.dim
-    for k in range(npts):
-        jet = lam.jet(TangentSample(curve.positions[k], curve.velocities[k]), 2)
-        dx = np.array([jet.derivative(tuple(1 if q == i else 0 for q in range(2 * n)))
-                       for i in range(n)])
-        dy = np.array([jet.derivative(tuple(1 if q == n + i else 0 for q in range(2 * n)))
-                       for i in range(n)])
-        out[k] = dx @ curve.velocities[k] + dy @ curve.accelerations[k]
-    return out
+    return _chain_rates(lam, curve.positions, curve.velocities, curve.accelerations)
 
 
 # --------------------------------------------------------------------------
 # integration
 # --------------------------------------------------------------------------
+
+def rk4_step(f, t: float, s, h: float, k1=None):
+    """One classical RK4 step of s' = f(t, s); pass k1 = f(t, s) when the
+    caller already has it."""
+    if k1 is None:
+        k1 = f(t, s)
+    k2 = f(t + 0.5 * h, s + 0.5 * h * k1)
+    k3 = f(t + 0.5 * h, s + 0.5 * h * k2)
+    k4 = f(t + h, s + h * k3)
+    return s + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+
 
 def _rhs(m: MetricDefinition, x: np.ndarray, y: np.ndarray, t: float) -> np.ndarray:
     if not m.admissible(TangentSample(x, y)):
@@ -99,19 +110,14 @@ def integrate_geodesic(m: MetricDefinition, x0, v0, t_span: tuple[float, float],
     if not m.admissible(TangentSample(xs[0], ys[0])):
         raise InadmissibleSample("initial data is outside the metric domain")
     accs[0] = _rhs(m, xs[0], ys[0], t0)
+
+    def f(t, s):   # s = (x, y)
+        return np.array([s[1], _rhs(m, s[0], s[1], t)])
+
     for k in range(steps):
         t = t0 + k * h
-        x, y = xs[k], ys[k]
-        a1 = accs[k]
-        k1x, k1y = y, a1
-        k2x = y + 0.5 * h * k1y
-        k2y = _rhs(m, x + 0.5 * h * k1x, k2x, t + 0.5 * h)
-        k3x = y + 0.5 * h * k2y
-        k3y = _rhs(m, x + 0.5 * h * k2x, k3x, t + 0.5 * h)
-        k4x = y + h * k3y
-        k4y = _rhs(m, x + h * k3x, k4x, t + h)
-        xs[k + 1] = x + (h / 6.0) * (k1x + 2 * k2x + 2 * k3x + k4x)
-        ys[k + 1] = y + (h / 6.0) * (k1y + 2 * k2y + 2 * k3y + k4y)
+        xs[k + 1], ys[k + 1] = rk4_step(f, t, np.array([xs[k], ys[k]]), h,
+                                        k1=np.array([ys[k], accs[k]]))
         accs[k + 1] = _rhs(m, xs[k + 1], ys[k + 1], t + h)
     grid = t0 + h * np.arange(steps + 1)
     grid[-1] = t1
@@ -122,12 +128,21 @@ def integrate_geodesic(m: MetricDefinition, x0, v0, t_span: tuple[float, float],
 # lightcone projection
 # --------------------------------------------------------------------------
 
+def probe_vector(m: MetricDefinition, v: TangentSample) -> np.ndarray:
+    """Basis vector with the largest Legendre pairing |g_v(v, e_i)|: the
+    transversal direction along which the cone is reached."""
+    ell = legendre(m, v)
+    i = int(np.argmax(np.abs(ell)))
+    if abs(ell[i]) <= 1e-12 * max(1.0, float(v.y @ v.y)):
+        raise TransversalityFailure("no basis vector pairs with the sample")
+    w = np.zeros(v.dim)
+    w[i] = 1.0
+    return w
+
+
 def _value_and_slope(m: MetricDefinition, x, y, w) -> tuple[float, float]:
     jet = m.jet(TangentSample(x, y), 2)
-    n = y.size
-    grad = np.array([jet.derivative(tuple(1 if q == n + i else 0 for q in range(2 * n)))
-                     for i in range(n)])
-    return jet.value, float(grad @ w)
+    return jet.value, float(_scalar_partials(jet)[1] @ w)
 
 
 def project_to_lightcone(m: MetricDefinition, v: TangentSample, w,
@@ -154,7 +169,7 @@ def project_to_lightcone(m: MetricDefinition, v: TangentSample, w,
         if abs(value) <= tol * scale:
             return TangentSample(v.x, y)
         if slope == 0.0:
-            raise NoConvergence("lightcone projection hit  a critical point")
+            raise NoConvergence("lightcone projection hit a critical point")
         step = -value / slope
         for _ in range(60):
             candidate = v.y + (delta + step) * w
@@ -175,6 +190,13 @@ def lightlike_defect(curve: DiscreteCurve, m: MetricDefinition) -> float:
     for x, y in zip(curve.positions, curve.velocities):
         worst = max(worst, abs(m.value(x, y)) / max(1.0, float(y @ y)))
     return worst
+
+
+def check_lightlike(curve: DiscreteCurve, m: MetricDefinition) -> None:
+    """ValueError unless the lightlike defect stays within LIGHTLIKE_TOL."""
+    defect = lightlike_defect(curve, m)
+    if defect > LIGHTLIKE_TOL:
+        raise ValueError(f"curve is not lightlike: normalized |L| reaches {defect:.3e}")
 
 
 # --------------------------------------------------------------------------
@@ -211,24 +233,6 @@ def pregeodesic_residual(curve: DiscreteCurve, m: MetricDefinition, lam=None) ->
 # conformal reparametrization
 # --------------------------------------------------------------------------
 
-def _phi_rhs(lam, curve: DiscreteCurve, phi: float, mu: float,
-             lo: float, hi: float, clamp: bool) -> float:
-    if not clamp and (phi < lo - 1e-12 or phi > hi + 1e-12):
-        raise ReparametrizationRangeError(
-            f"parameter map left [{lo!r}, {hi!r}] near mu={mu!r}",
-            reachable=(lo, hi))
-    t = min(max(phi, lo), hi)
-    return _factor_value(lam, curve.position(t), curve.velocity(t))
-
-
-def _phi_step(lam, curve, phi, mu, h, lo, hi, clamp=False) -> float:
-    k1 = _phi_rhs(lam, curve, phi, mu, lo, hi, clamp)
-    k2 = _phi_rhs(lam, curve, phi + 0.5 * h * k1, mu + 0.5 * h, lo, hi, clamp)
-    k3 = _phi_rhs(lam, curve, phi + 0.5 * h * k2, mu + 0.5 * h, lo, hi, clamp)
-    k4 = _phi_rhs(lam, curve, phi + h * k3, mu + h, lo, hi, clamp)
-    return phi + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-
-
 def reparametrize_conformal(curve: DiscreteCurve, lam, m: MetricDefinition | None = None,
                             mu_span: tuple[float, float] | None = None,
                             step: float | None = None,
@@ -245,11 +249,20 @@ def reparametrize_conformal(curve: DiscreteCurve, lam, m: MetricDefinition | Non
     if require_lightlike:
         if m is None:
             raise ValueError("a base metric is needed to check the lightlike precondition")
-        defect = lightlike_defect(curve, m)
-        if defect > LIGHTLIKE_TOL:
-            raise ValueError(
-                f"curve is not lightlike: normalized |L| reaches {defect:.3e}")
+        check_lightlike(curve, m)
     lo, hi = curve.t0, curve.t1
+
+    def rate(mu: float, phi: float, clamp: bool = True) -> float:
+        if not clamp and (phi < lo - 1e-12 or phi > hi + 1e-12):
+            raise ReparametrizationRangeError(
+                f"parameter map left [{lo!r}, {hi!r}] near mu={mu!r}",
+                reachable=(lo, hi))
+        t = min(max(phi, lo), hi)
+        return _factor_value(lam, curve.position(t), curve.velocity(t))
+
+    def strict_rate(mu: float, phi: float) -> float:
+        return rate(mu, phi, clamp=False)
+
     h = step if step is not None else curve.step
     mus = [curve.t0 if mu_span is None else float(mu_span[0])]
     phis = [lo]
@@ -259,12 +272,12 @@ def reparametrize_conformal(curve: DiscreteCurve, lam, m: MetricDefinition | Non
         h = (mu1 - mu0) / steps
         for k in range(steps):
             mu = mu0 + k * h
-            phis.append(_phi_step(lam, curve, phis[-1], mu, h, lo, hi))
+            phis.append(rk4_step(strict_rate, mu, phis[-1], h))
             mus.append(mu + h if k < steps - 1 else mu1)
     else:
         while True:
             mu, phi = mus[-1], phis[-1]
-            nxt = _phi_step(lam, curve, phi, mu, h, lo, hi, clamp=True)
+            nxt = rk4_step(rate, mu, phi, h)
             if nxt < hi - 1e-13:
                 mus.append(mu + h)
                 phis.append(nxt)
@@ -273,21 +286,19 @@ def reparametrize_conformal(curve: DiscreteCurve, lam, m: MetricDefinition | Non
             lo_h, hi_h = 0.0, h
             for _ in range(80):
                 mid = 0.5 * (lo_h + hi_h)
-                if _phi_step(lam, curve, phi, mu, mid, lo, hi, clamp=True) < hi:
+                if rk4_step(rate, mu, phi, mid) < hi:
                     lo_h = mid
                 else:
                     hi_h = mid
             final = 0.5 * (lo_h + hi_h)
             if final > 1e-13 * max(1.0, h):
                 mus.append(mu + final)
-                phis.append(min(_phi_step(lam, curve, phi, mu, final, lo, hi,
-                                          clamp=True), hi))
+                phis.append(min(rk4_step(rate, mu, phi, final), hi))
             phis[-1] = hi
             break
     mus = np.asarray(mus)
     phis = np.asarray(phis)
-    phidots = np.array([_phi_rhs(lam, curve, p, mu, lo, hi, clamp=True)
-                        for p, mu in zip(phis, mus)])
+    phidots = np.array([rate(mu, p) for p, mu in zip(phis, mus)])
     rep = Reparametrization(mus, phis, phidots)
 
     positions = curve.position(phis)
@@ -295,24 +306,9 @@ def reparametrize_conformal(curve: DiscreteCurve, lam, m: MetricDefinition | Non
     base_acc = curve.acceleration(phis)
     velocities = phidots[:, None] * base_vel
     # second derivative of the factor map via the chain rule; exact node data
-    lam_rate = np.array([
-        _chain_rate(lam, curve, t) for t in phis
-    ])
-    phiddots = lam_rate * phidots
+    phiddots = _chain_rates(lam, positions, base_vel, base_acc) * phidots
     accelerations = (phiddots[:, None] * base_vel
                      + (phidots ** 2)[:, None] * base_acc)
     out = DiscreteCurve(mus, positions, velocities, accelerations)
     return rep, out
 
-
-def _chain_rate(lam, curve: DiscreteCurve, t: float) -> float:
-    if lam is None or not isinstance(lam, MetricDefinition):
-        return 0.0
-    n = curve.dim
-    x, y, a = curve.position(t), curve.velocity(t), curve.acceleration(t)
-    jet = lam.jet(TangentSample(x, y), 2)
-    dx = np.array([jet.derivative(tuple(1 if q == i else 0 for q in range(2 * n)))
-                   for i in range(n)])
-    dy = np.array([jet.derivative(tuple(1 if q == n + i else 0 for q in range(2 * n)))
-                   for i in range(n)])
-    return float(dx @ y + dy @ a)

@@ -51,7 +51,7 @@ class JetSpace:
 
     __slots__ = (
         "nvars", "order", "indices", "index_of", "degrees",
-        "_sizes_by_degree", "_mul_plan", "_diff_plans",
+        "_sizes_by_degree", "_mul_plan", "_diff_plans", "_partial_slots",
     )
 
     def __init__(self, nvars: int, order: int):
@@ -70,6 +70,7 @@ class JetSpace:
         self._sizes_by_degree = np.cumsum(sizes)
         self._mul_plan = None
         self._diff_plans = {}
+        self._partial_slots = {}
 
     @property
     def size(self) -> int:
@@ -113,6 +114,28 @@ class JetSpace:
             self._diff_plans[var] = plan
         return plan
 
+    def partial_slots(self, degree: int):
+        """Arrays (index, factor), each of shape (nvars,)*degree: entry
+        [v1, ..., vd] holds the coefficient index of the multi-index alpha
+        with one count per listed variable, and alpha!.  Built on first use.
+        """
+        slots = self._partial_slots.get(degree)
+        if slots is None:
+            if not 1 <= degree <= self.order:
+                raise ValueError(
+                    f"partial degree must be in [1, {self.order}], got {degree}")
+            shape = (self.nvars,) * degree
+            index = np.empty(shape, dtype=np.intp)
+            factor = np.empty(shape)
+            for slot in np.ndindex(*shape):
+                alpha = [0] * self.nvars
+                for v in slot:
+                    alpha[v] += 1
+                index[slot] = self.index_of[tuple(alpha)]
+                factor[slot] = math.prod(math.factorial(a) for a in alpha)
+            slots = self._partial_slots[degree] = (index, factor)
+        return slots
+
 
 @lru_cache(maxsize=None)
 def jet_space(nvars: int, order: int) -> JetSpace:
@@ -143,8 +166,7 @@ class Jet:
         c = np.zeros(space.size)
         c[0] = value
         if space.order >= 1:
-            unit = tuple(1 if i == var else 0 for i in range(space.nvars))
-            c[space.index_of[unit]] = 1.0
+            c[space.partial_slots(1)[0][var]] = 1.0
         return Jet(space, c)
 
     # basic queries --------------------------------------------------------
@@ -178,6 +200,12 @@ class Jet:
         for a in alpha:
             fac *= math.factorial(a)
         return float(self.c[self.space.index_of[alpha]]) * fac
+
+    def partials(self, degree: int) -> np.ndarray:
+        """All true partials of one total degree as an (nvars,)*degree array:
+        entry [v1, ..., vd] is d^d f / dv1 ... dvd."""
+        index, factor = self.space.partial_slots(degree)
+        return self.c[index] * factor
 
     def diff(self, var: int) -> "Jet":
         """The jet of the partial derivative d/dx_var, one order lower."""
@@ -383,7 +411,3 @@ def seed(x, y=None, order: int | None = None) -> tuple[list[Jet], list[Jet]]:
     ys = [Jet.variable(space, n + i, float(y[i])) for i in range(n)]
     return xs, ys
 
-
-def extract_derivative(jet: Jet, alpha) -> float:
-    """Mixed partial of the jet for a multi-index over all 2n variables."""
-    return jet.derivative(alpha)

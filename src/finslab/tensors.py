@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import jets
 from .dsl import MetricDefinition, TangentSample
 from .errors import InadmissibleSample, SingularMetric
 
@@ -22,13 +21,6 @@ DEGENERACY_TOL = 1e-12
 def _require_admissible(m: MetricDefinition, v: TangentSample) -> None:
     if not m.admissible(v):
         raise InadmissibleSample(f"sample {v!r} is outside the domain of {m.name!r}")
-
-
-def _fiber_index(n: int, *ys: int) -> tuple[int, ...]:
-    alpha = [0] * (2 * n)
-    for i in ys:
-        alpha[n + i] += 1
-    return tuple(alpha)
 
 
 @dataclass(frozen=True)
@@ -53,42 +45,25 @@ class CartanTensor:
         return float(np.einsum("ijk,i,j,k", self.array, u, w, z))
 
 
-def fundamental_tensor_from_jet(L_jet: jets.Jet, n: int) -> np.ndarray:
-    g = np.empty((n, n))
-    for i in range(n):
-        for j in range(i, n):
-            g[i, j] = g[j, i] = 0.5 * L_jet.derivative(_fiber_index(n, i, j))
-    return g
-
-
 def fundamental_tensor(m: MetricDefinition, v: TangentSample) -> FundamentalTensor:
     """g_ij = (1/2) d^2 L / dy^i dy^j at the sample."""
     _require_admissible(m, v)
-    return FundamentalTensor(fundamental_tensor_from_jet(m.jet(v, 2), v.dim), v)
+    n = v.dim
+    return FundamentalTensor(0.5 * m.jet(v, 2).partials(2)[n:, n:], v)
 
 
 def cartan_tensor(m: MetricDefinition, v: TangentSample) -> CartanTensor:
     """C_ijk = (1/4) d^3 L / dy^i dy^j dy^k at the sample."""
     _require_admissible(m, v)
-    L_jet = m.jet(v, 3)
     n = v.dim
-    C = np.empty((n, n, n))
-    for i in range(n):
-        for j in range(i, n):
-            for k in range(j, n):
-                val = 0.25 * L_jet.derivative(_fiber_index(n, i, j, k))
-                for perm in ((i, j, k), (i, k, j), (j, i, k),
-                             (j, k, i), (k, i, j), (k, j, i)):
-                    C[perm] = val
-    return CartanTensor(C, v)
+    return CartanTensor(0.25 * m.jet(v, 3).partials(3)[n:, n:, n:], v)
 
 
 def legendre(m: MetricDefinition, v: TangentSample) -> np.ndarray:
     """The covector g_v(v, .), computed as half the fiber gradient."""
     _require_admissible(m, v)
-    L_jet = m.jet(v, 2)
     n = v.dim
-    return np.array([0.5 * L_jet.derivative(_fiber_index(n, i)) for i in range(n)])
+    return 0.5 * m.jet(v, 2).partials(1)[n:]
 
 
 def inverse_metric(g: FundamentalTensor | np.ndarray) -> np.ndarray:

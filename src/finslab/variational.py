@@ -22,12 +22,12 @@ from scipy.integrate import cumulative_simpson, simpson
 from scipy.interpolate import CubicHermiteSpline
 from scipy.linalg import null_space
 
-from .connection import ConnectionFrame
+from .connection import ConnectionFrame, _scalar_partials
 from .curves import DiscreteCurve, Reparametrization, spline_derivative
 from .dsl import MetricDefinition, TangentSample, parse_expression, evaluate
 from .errors import FinslabError, GridMismatch, InadmissibleSample
-from .geodesics import (LIGHTLIKE_TOL, factor_rate, factor_values,
-                        lightlike_defect, reparametrize_conformal)
+from .geodesics import (check_lightlike, factor_rate, factor_values,
+                        reparametrize_conformal, rk4_step)
 
 __all__ = [
     "SubmanifoldPatch", "VariationField", "JacobiSolution", "FocalPoint",
@@ -250,23 +250,14 @@ class CurveGeometry:
             self._tables["lam_rate"] = tab
         return tab
 
-    def _factor_partials(self, k: int) -> tuple[np.ndarray, np.ndarray]:
-        n = self.n
-        jet = self.lam.jet(
-            TangentSample(self.curve.positions[k], self.curve.velocities[k]), 2)
-        dx = np.array([jet.derivative(tuple(1 if q == i else 0 for q in range(2 * n)))
-                       for i in range(n)])
-        dy = np.array([jet.derivative(tuple(1 if q == n + i else 0 for q in range(2 * n)))
-                       for i in range(n)])
-        return dx, dy
-
     def _build_gradients(self) -> None:
         gh = np.zeros((self.npts, self.n))
         gv = np.zeros((self.npts, self.n))
         if isinstance(self.lam, MetricDefinition):
             for k in range(self.npts):
                 fr = self.frame(k)
-                dx, dy = self._factor_partials(k)
+                dx, dy = _scalar_partials(self.lam.jet(
+                    TangentSample(self.curve.positions[k], self.curve.velocities[k]), 2))
                 ginv = fr.ginv()
                 gv[k] = ginv @ dy
                 gh[k] = ginv @ (dx - fr.nonlinear().T @ dy)
@@ -311,12 +302,6 @@ class CurveGeometry:
         return self.cov(X, X_dot)
 
 
-def _require_lightlike(curve: DiscreteCurve, m: MetricDefinition) -> None:
-    defect = lightlike_defect(curve, m)
-    if defect > LIGHTLIKE_TOL:
-        raise ValueError(f"curve is not lightlike: normalized |L| reaches {defect:.3e}")
-
-
 # --------------------------------------------------------------------------
 # first and second variation of the scaled energy
 # --------------------------------------------------------------------------
@@ -328,7 +313,7 @@ def first_variation(curve: DiscreteCurve, W: VariationField, lam,
 
     Valid for lightlike base curves: integral of g(W, -D(factor*vel)) plus
     the boundary pairing factor * g(vel, W)."""
-    _require_lightlike(curve, m)
+    check_lightlike(curve, m)
     ctx = geometry or CurveGeometry(curve, m, lam)
     if W.values.shape != curve.positions.shape:
         raise GridMismatch("variation field must match the curve grid")
@@ -348,7 +333,7 @@ def second_variation(curve: DiscreteCurve, W: VariationField, lam,
     Requires the curve to satisfy the scaled geodesic equation; the result
     uses the transverse acceleration samples of W for the boundary term
     (absent samples mean a geodesic-transversal variation, a = 0)."""
-    _require_lightlike(curve, m)
+    check_lightlike(curve, m)
     ctx = geometry or CurveGeometry(curve, m, lam)
     lam_v = ctx.lam_values
     Wv = W.values
@@ -524,7 +509,7 @@ def index_form(curve: DiscreteCurve, V: VariationField, W: VariationField,
                geometry: CurveGeometry | None = None) -> float:
     """Symmetric bilinear form whose kernel (on endpoint-constrained fields)
     is the space of endpoint-respecting Jacobi fields of the scaled metric."""
-    _require_lightlike(curve, m)
+    check_lightlike(curve, m)
     ctx = geometry or CurveGeometry(curve, m, lam)
     lam_v = ctx.lam_values
     vel = curve.velocities
@@ -588,35 +573,32 @@ def integrate_jacobi_basis(curve: DiscreteCurve, m: MetricDefinition,
         _geodesic_spot_check(curve, m)
     grid = curve.grid
     n = curve.dim
-    J = np.asarray(J0, dtype=float).reshape(n, -1).copy()
-    K = np.asarray(K0, dtype=float).reshape(n, -1).copy()
+    J = np.asarray(J0, dtype=float).reshape(n, -1)
+    K = np.asarray(K0, dtype=float).reshape(n, -1)
     nf = J.shape[1]
     npts = grid.size
     Js = np.empty((npts, n, nf))
     Ks = np.empty((npts, n, nf))
     Jdots = np.empty((npts, n, nf))
 
-    def rhs(t, J, K):
+    def rhs(t, S):   # S = (J, K)
+        J, K = S
         x = curve.position(t)
         y = curve.velocity(t)
         fr = ConnectionFrame(m, TangentSample(x, y), order=4)
         gamma_y = np.einsum("kij,j->ki", fr.christoffel(), y)
-        J_dot = K - gamma_y @ J
-        K_dot = fr.jacobi_matrix() @ J - gamma_y @ K
-        return J_dot, K_dot
+        return np.array([K - gamma_y @ J, fr.jacobi_matrix() @ J - gamma_y @ K])
 
-    Js[0], Ks[0] = J, K
-    Jdots[0] = rhs(grid[0], J, K)[0]
+    S = np.array([J, K])
+    dS = rhs(grid[0], S)
+    Js[0], Ks[0] = S
+    Jdots[0] = dS[0]
     for idx in range(npts - 1):
         t, h = grid[idx], grid[idx + 1] - grid[idx]
-        j1, k1 = rhs(t, J, K)
-        j2, k2 = rhs(t + 0.5 * h, J + 0.5 * h * j1, K + 0.5 * h * k1)
-        j3, k3 = rhs(t + 0.5 * h, J + 0.5 * h * j2, K + 0.5 * h * k2)
-        j4, k4 = rhs(t + h, J + h * j3, K + h * k3)
-        J = J + (h / 6.0) * (j1 + 2 * j2 + 2 * j3 + j4)
-        K = K + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        Js[idx + 1], Ks[idx + 1] = J, K
-        Jdots[idx + 1] = rhs(grid[idx + 1], J, K)[0]
+        S = rk4_step(rhs, t, S, h, k1=dS)
+        dS = rhs(grid[idx + 1], S)
+        Js[idx + 1], Ks[idx + 1] = S
+        Jdots[idx + 1] = dS[0]
     return [JacobiSolution(grid, Js[:, :, f], Ks[:, :, f], Jdots[:, :, f])
             for f in range(nf)]
 

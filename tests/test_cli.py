@@ -76,6 +76,17 @@ metric2 = bogoslovsky2
     assert "missing.metric" in err
 
 
+def test_exit_code_two_on_lightcone_pair_with_different_domains(tmp_path, capsys):
+    cfg = write_config(tmp_path, """
+[metric]
+metric = minkowski2
+metric2 = bogoslovsky2
+""")
+    assert cli.main(["lightcone", "--config", cfg]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+
+
 def test_exit_code_two_on_missing_config(capsys):
     assert cli.main(["tensors", "--config", "/nonexistent/x.ini"]) == 2
 

@@ -168,3 +168,18 @@ def test_mixed_order_arithmetic_truncates():
     low = ys[0].truncated(2)
     out = low * ys[0]
     assert out.order == 2
+
+
+@pytest.mark.parametrize("nvars", [2, 4, 6])
+def test_partials_table_matches_the_derivative_oracle(nvars):
+    rng = np.random.default_rng(nvars)
+    for order in range(1, jets.MAX_ORDER + 1):
+        space = jets.jet_space(nvars, order)
+        jet = jets.Jet(space, rng.standard_normal(space.size))
+        for degree in range(1, order + 1):
+            table = jet.partials(degree)
+            assert table.shape == (nvars,) * degree
+            for slot in np.ndindex(*table.shape):
+                assert table[slot] == jet.derivative(np.bincount(slot, minlength=nvars))
+        with pytest.raises(ValueError):
+            jet.partials(order + 1)
