@@ -30,7 +30,7 @@ from .experiments import great_circle_patch
 from .geodesics import (integrate_geodesic, pregeodesic_residual,
                         probe_vector, project_to_lightcone,
                         reparametrize_conformal)
-from .tensors import cartan_tensor, fundamental_tensor
+from .tensors import cartan_tensor, fundamental_tensor, inverse_metric
 from .variational import (CurveGeometry, SubmanifoldPatch, VariationField,
                           energy_derivative_fd, find_focal_points,
                           first_variation, second_variation,
@@ -180,6 +180,35 @@ def _metric(cfg: Config, key: str = "metric", required: bool = True
     return resolve_metric(value, cfg)
 
 
+def _curve_inputs(cfg: Config, m: MetricDefinition, step: float,
+                  t1: float | None = None):
+    """x0, v0, t0, t1 and step of a curve run, checked before integrating;
+    `step` and `t1` are the defaults (t1 is required when None)."""
+    x0 = cfg.get_vector("metric", "x0", required=True)
+    v0 = cfg.get_vector("metric", "v0", required=True)
+    t0 = cfg.get_float("run", "t0", default=0.0)
+    t1 = cfg.get_float("run", "t1", default=t1, required=t1 is None)
+    h = cfg.get_float("run", "step", default=step)
+    for bad, problem in (
+            (not np.all(np.isfinite(np.r_[x0, v0, t0, t1, h])),
+             "x0, v0, t0, t1 and step must be finite"),
+            (x0.size != m.dim or v0.size != m.dim,
+             f"x0 and v0 need {m.dim} entries for {m.name!r}"),
+            (not np.any(v0), "v0 must be nonzero"),
+            (not h > 0.0, f"step must be positive, got {h!r}"),
+            (not t1 > t0, f"need t1 > t0, got t0={t0!r} t1={t1!r}")):
+        if bad:
+            raise ConfigError(f"{cfg.path}: {problem}")
+    return x0, v0, t0, t1, h
+
+
+def _sample_count(cfg: Config, default: int) -> int:
+    count = cfg.get_int("run", "samples", default=default)
+    if count < 1:
+        raise ConfigError(f"{cfg.path}: samples must be at least 1, got {count}")
+    return count
+
+
 def _lightlike_start(m: MetricDefinition, x0, v0) -> TangentSample:
     sample = TangentSample(x0, v0)
     return project_to_lightcone(m, sample, probe_vector(m, sample))
@@ -191,11 +220,12 @@ def _lightlike_start(m: MetricDefinition, x0, v0) -> TangentSample:
 
 def run_tensors(cfg: Config, seed: int, report: Report) -> None:
     m = _metric(cfg)
-    samples = cfg.get_int("run", "samples", default=100)
+    samples = _sample_count(cfg, 100)
     rng = np.random.default_rng(seed)
     worst_gvv = worst_homog = worst_cartan_v = worst_cartan_scale = 0.0
     for v in dsl.sample_admissible(m, rng, count=samples):
         g = fundamental_tensor(m, v)
+        inverse_metric(g)   # SingularMetric on a degenerate metric
         L = m.value_at(v)
         worst_gvv = max(worst_gvv, abs(g.pair(v.y, v.y) - L) / max(1.0, abs(L)))
         g2 = fundamental_tensor(m, v.scaled(2.0))
@@ -214,11 +244,7 @@ def run_tensors(cfg: Config, seed: int, report: Report) -> None:
 
 def run_geodesic(cfg: Config, seed: int, report: Report) -> None:
     m = _metric(cfg)
-    x0 = cfg.get_vector("metric", "x0", required=True)
-    v0 = cfg.get_vector("metric", "v0", required=True)
-    t0 = cfg.get_float("run", "t0", default=0.0)
-    t1 = cfg.get_float("run", "t1", required=True)
-    h = cfg.get_float("run", "step", default=1e-3)
+    x0, v0, t0, t1, h = _curve_inputs(cfg, m, step=1e-3)
     tol = cfg.get_float("run", "tol", default=1e-8)
     curve = integrate_geodesic(m, x0, v0, (t0, t1), h)
     L0 = m.value(x0, v0)
@@ -231,7 +257,7 @@ def run_geodesic(cfg: Config, seed: int, report: Report) -> None:
 def run_lightcone(cfg: Config, seed: int, report: Report) -> None:
     m1 = _metric(cfg, "metric")
     m2 = _metric(cfg, "metric2")
-    budget = cfg.get_int("run", "samples", default=64)
+    budget = _sample_count(cfg, 64)
     tol = cfg.get_float("run", "tol", default=1e-8)
     pair = ConformalPair(m1, m2, sample_budget=budget, seed=seed)
     rep = lightcones_coincide(pair, tol=tol)
@@ -243,11 +269,7 @@ def run_lightcone(cfg: Config, seed: int, report: Report) -> None:
 def run_conformal_pregeodesic(cfg: Config, seed: int, report: Report) -> None:
     m = _metric(cfg)
     lam = _metric(cfg, "lambda")
-    x0 = cfg.get_vector("metric", "x0", required=True)
-    v0 = cfg.get_vector("metric", "v0", required=True)
-    t0 = cfg.get_float("run", "t0", default=0.0)
-    t1 = cfg.get_float("run", "t1", required=True)
-    h = cfg.get_float("run", "step", default=1e-3)
+    x0, v0, t0, t1, h = _curve_inputs(cfg, m, step=1e-3)
     tol = cfg.get_float("run", "tol", default=1e-6)
     start = _lightlike_start(m, x0, v0)
     scaled, _ = scale_metric(m, lam, sample_budget=8, seed=seed)
@@ -268,16 +290,13 @@ def run_conformal_pregeodesic(cfg: Config, seed: int, report: Report) -> None:
 def run_variation(cfg: Config, seed: int, report: Report) -> None:
     m = _metric(cfg)
     lam = _metric(cfg, "lambda", required=False)
-    x0 = cfg.get_vector("metric", "x0", required=True)
-    v0 = cfg.get_vector("metric", "v0", required=True)
-    t1 = cfg.get_float("run", "t1", default=1.0)
-    h = cfg.get_float("run", "step", default=2e-3)
-    count = cfg.get_int("run", "samples", default=3)
+    x0, v0, t0, t1, h = _curve_inputs(cfg, m, step=2e-3, t1=1.0)
+    count = _sample_count(cfg, 3)
     start = _lightlike_start(m, x0, v0)
     metric_for_curve = m
     if lam is not None:
         metric_for_curve, _ = scale_metric(m, lam, sample_budget=8, seed=seed)
-    curve = integrate_geodesic(metric_for_curve, start.x, start.y, (0.0, t1), h)
+    curve = integrate_geodesic(metric_for_curve, start.x, start.y, (t0, t1), h)
     rng = np.random.default_rng(seed)
     geom = CurveGeometry(curve, m, lam)
     span = curve.t1 - curve.t0
@@ -289,7 +308,7 @@ def run_variation(cfg: Config, seed: int, report: Report) -> None:
             tau = (t - curve.t0) / span
             return np.sin(np.pi * tau) * c1 + tau * (1.0 - tau) * c2
 
-        W = VariationField.affine(curve, m, shape)
+        W = VariationField.affine(curve, m, shape, geometry=geom)
         e1 = first_variation(curve, W, lam, m, geometry=geom)
         fd1 = energy_derivative_fd(curve, W, lam, m, order=1)
         report.check(f"first-variation-match-{j}", e1 - fd1, 1e-6)
@@ -307,6 +326,8 @@ def _patch_from_config(cfg: Config, x0, v0) -> SubmanifoldPatch:
             rho = float(patch_kind.split(":", 1)[1])
         except ValueError:
             raise ConfigError(f"bad circle patch spec {patch_kind!r}")
+        if not 0.0 < rho < np.pi:
+            raise ConfigError(f"circle patch radius must lie in (0, pi), got {rho!r}")
         return great_circle_patch(x0, v0, rho)
     raise ConfigError(f"unknown patch spec {patch_kind!r} (use point or circle:<rho>)")
 
@@ -328,12 +349,9 @@ def _parse_expected(cfg: Config) -> list[tuple[float, int]]:
 
 def run_focal(cfg: Config, seed: int, report: Report) -> None:
     m = _metric(cfg)
-    x0 = cfg.get_vector("metric", "x0", required=True)
-    v0 = cfg.get_vector("metric", "v0", required=True)
-    t1 = cfg.get_float("run", "t1", required=True)
-    h = cfg.get_float("run", "step", default=5e-3)
+    x0, v0, t0, t1, h = _curve_inputs(cfg, m, step=5e-3)
     tol = cfg.get_float("run", "tol", default=1e-5)
-    curve = integrate_geodesic(m, x0, v0, (0.0, t1), h)
+    curve = integrate_geodesic(m, x0, v0, (t0, t1), h)
     patch = _patch_from_config(cfg, x0, v0)
     found = find_focal_points(curve, patch, m)
     expected = _parse_expected(cfg)
@@ -349,15 +367,12 @@ def run_focal(cfg: Config, seed: int, report: Report) -> None:
 def run_focal_correspondence(cfg: Config, seed: int, report: Report) -> None:
     m = _metric(cfg)
     lam = _metric(cfg, "lambda")
-    x0 = cfg.get_vector("metric", "x0", required=True)
-    v0 = cfg.get_vector("metric", "v0", required=True)
-    t1 = cfg.get_float("run", "t1", required=True)
-    h = cfg.get_float("run", "step", default=5e-3)
+    x0, v0, t0, t1, h = _curve_inputs(cfg, m, step=5e-3)
     tol = cfg.get_float("run", "tol", default=1e-4)
     start = _lightlike_start(m, x0, v0)
     scaled, _ = scale_metric(m, lam, sample_budget=8, seed=seed)
     v_scaled = start.y / lam.value_at(start)
-    curve = integrate_geodesic(scaled, start.x, v_scaled, (0.0, t1), h)
+    curve = integrate_geodesic(scaled, start.x, v_scaled, (t0, t1), h)
     patch = _patch_from_config(cfg, start.x, start.y)
     corr = verify_focal_correspondence(curve, patch, lam, m, scaled=scaled,
                                        tolerance=tol)
@@ -422,10 +437,7 @@ def main(argv=None) -> int:
         cfg = load_config(args.config)
         report = run_experiment(args.experiment, cfg, seed=args.seed,
                                 overrides={"step": args.step, "tol": args.tol})
-    except (ConfigError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FinslabError as exc:
+    except (FinslabError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     sys.stdout.write(report.records())

@@ -100,8 +100,8 @@ class ConnectionFrame:
     """All connection data derived from one jet of the metric at one sample.
 
     Lazy: each derived quantity is computed on first access and cached for
-    the lifetime of the frame.  Frames are cheap to build and not shared
-    between samples.
+    the lifetime of the frame.  Along a curve, `variational.CurveGeometry`
+    owns the frames and builds one per distinct sample.
     """
 
     def __init__(self, m: MetricDefinition, v: TangentSample, order: int = 4):

@@ -317,9 +317,12 @@ def _as_derivs(j: Jet, fn) -> Jet:
 
 
 def exp(u):
+    try:
+        e = math.exp(u.value if isinstance(u, Jet) else u)
+    except OverflowError:
+        raise EvaluationDomainError(f"exp overflows at {u!r}") from None
     if not isinstance(u, Jet):
-        return math.exp(u)
-    e = math.exp(u.value)
+        return e
     return _as_derivs(u, lambda u0, k: [e / math.factorial(m) for m in range(k + 1)])
 
 

@@ -4,8 +4,9 @@ and the transfer of Jacobi fields between conformally related metrics.
 Everything here is expressed through the connection of ONE base metric; the
 scaled metric never needs its own connection.  Along a fixed curve all
 pointwise geometry (fundamental tensor, Christoffel symbols, Jacobi operator,
-factor gradients) is assembled once into a `CurveGeometry` table and reused
-by the quadrature-based formulas.
+factor gradients) comes from one `CurveGeometry`, one frame per distinct
+sample, shared by the quadrature formulas, variation fields and the Jacobi
+integrator; geodesic checks read the spray, as Gamma(v)(v, v) = 2G(x, v).
 
 Curvature terms of the form g(R(vel, V)W, vel) are evaluated through the
 Jacobi operator using its g-self-adjointness, g(R(vel,V)W, vel) = -g(AV, W)
@@ -16,6 +17,7 @@ with A the operator of D^2 J = A J; the full curvature tensor route exists in
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 from scipy.integrate import cumulative_simpson, simpson
@@ -25,9 +27,9 @@ from scipy.linalg import null_space
 from .connection import ConnectionFrame, _scalar_partials
 from .curves import DiscreteCurve, Reparametrization, spline_derivative
 from .dsl import MetricDefinition, TangentSample, parse_expression, evaluate
-from .errors import FinslabError, GridMismatch, InadmissibleSample
-from .geodesics import (check_lightlike, factor_rate, factor_values,
-                        reparametrize_conformal, rk4_step)
+from .errors import FinslabError, GridMismatch
+from .geodesics import (_pregeodesic_defects, check_lightlike, factor_rate,
+                        factor_values, reparametrize_conformal, rk4_step)
 
 __all__ = [
     "SubmanifoldPatch", "VariationField", "JacobiSolution", "FocalPoint",
@@ -158,16 +160,15 @@ class VariationField:
         return VariationField(vals, acc)
 
     @staticmethod
-    def affine(curve: DiscreteCurve, m: MetricDefinition, fn) -> "VariationField":
+    def affine(curve: DiscreteCurve, m: MetricDefinition, fn,
+               geometry: CurveGeometry | None = None) -> "VariationField":
         """Field for the chart-affine variation x(t) + s*W(t); its transverse
         acceleration is Gamma(vel)(W, W) since the chart second s-derivative
         vanishes."""
+        ctx = geometry or CurveGeometry(curve, m)
         vals = np.array([fn(t) for t in curve.grid], dtype=float)
-        acc = np.empty_like(vals)
-        for k in range(curve.grid.size):
-            sample = TangentSample(curve.positions[k], curve.velocities[k])
-            gamma = ConnectionFrame(m, sample, order=3).christoffel()
-            acc[k] = np.einsum("kij,i,j->k", gamma, vals[k], vals[k])
+        acc = np.array([np.einsum("kij,i,j->k", gamma, w, w)
+                        for gamma, w in zip(ctx.gamma, vals)])
         return VariationField(vals, acc)
 
 
@@ -187,11 +188,11 @@ class JacobiSolution:
 # --------------------------------------------------------------------------
 
 class CurveGeometry:
-    """Per-node geometry of a base metric referenced at the curve velocity.
-
-    Builds one order-4 frame per node on demand and exposes the fundamental
-    tensor, Christoffel symbols, Jacobi operator, and (when a factor is
-    given) its values, time derivative, and horizontal/vertical gradients.
+    """Geometry of a base metric referenced at the curve velocity, and the
+    one owner of connection frames along the curve: `frame_at` builds one
+    order-4 frame per distinct sample (x, y), shared by the node tables
+    (fundamental tensor, Christoffel symbols, Jacobi operator, and for a
+    given factor its values, rate and gradients) and the Jacobi RK stages.
     """
 
     def __init__(self, curve: DiscreteCurve, m: MetricDefinition, lam=None):
@@ -200,81 +201,58 @@ class CurveGeometry:
         self.lam = lam
         self.npts = curve.grid.size
         self.n = curve.dim
-        self._frames: list[ConnectionFrame | None] = [None] * self.npts
-        self._tables: dict[str, np.ndarray] = {}
+        self._frames: dict[bytes, ConnectionFrame] = {}
 
-    def frame(self, k: int) -> ConnectionFrame:
-        fr = self._frames[k]
+    def frame_at(self, x: np.ndarray, y: np.ndarray) -> ConnectionFrame:
+        key = x.tobytes() + y.tobytes()
+        fr = self._frames.get(key)
         if fr is None:
-            sample = TangentSample(self.curve.positions[k], self.curve.velocities[k])
-            if not self.m.admissible(sample):
-                raise InadmissibleSample(
-                    f"curve leaves the domain of {self.m.name!r} "
-                    f"at t={self.curve.grid[k]!r}")
-            fr = ConnectionFrame(self.m, sample, order=4)
-            self._frames[k] = fr
+            fr = self._frames[key] = ConnectionFrame(self.m, TangentSample(x, y), order=4)
         return fr
 
-    def _table(self, key: str, build) -> np.ndarray:
-        tab = self._tables.get(key)
-        if tab is None:
-            tab = np.array([build(k) for k in range(self.npts)])
-            self._tables[key] = tab
-        return tab
+    def frame(self, k: int) -> ConnectionFrame:
+        return self.frame_at(self.curve.positions[k], self.curve.velocities[k])
 
-    @property
+    @cached_property
     def g(self) -> np.ndarray:
-        return self._table("g", lambda k: self.frame(k).g())
+        return np.array([self.frame(k).g() for k in range(self.npts)])
 
-    @property
+    @cached_property
     def gamma(self) -> np.ndarray:
-        return self._table("gamma", lambda k: self.frame(k).christoffel())
+        return np.array([self.frame(k).christoffel() for k in range(self.npts)])
 
-    @property
+    @cached_property
     def jacobi(self) -> np.ndarray:
-        return self._table("jacobi", lambda k: self.frame(k).jacobi_matrix())
+        return np.array([self.frame(k).jacobi_matrix() for k in range(self.npts)])
 
-    @property
+    @cached_property
     def lam_values(self) -> np.ndarray:
-        tab = self._tables.get("lam_values")
-        if tab is None:
-            tab = factor_values(self.lam, self.curve)
-            self._tables["lam_values"] = tab
-        return tab
+        return factor_values(self.lam, self.curve)
 
-    @property
+    @cached_property
     def lam_rate(self) -> np.ndarray:
-        tab = self._tables.get("lam_rate")
-        if tab is None:
-            tab = factor_rate(self.lam, self.curve)
-            self._tables["lam_rate"] = tab
-        return tab
+        return factor_rate(self.lam, self.curve)
 
-    def _build_gradients(self) -> None:
+    @cached_property
+    def _gradients(self) -> tuple[np.ndarray, np.ndarray]:
         gh = np.zeros((self.npts, self.n))
         gv = np.zeros((self.npts, self.n))
         if isinstance(self.lam, MetricDefinition):
             for k in range(self.npts):
                 fr = self.frame(k)
-                dx, dy = _scalar_partials(self.lam.jet(
-                    TangentSample(self.curve.positions[k], self.curve.velocities[k]), 2))
+                dx, dy = _scalar_partials(self.lam.jet(fr.sample, 2))
                 ginv = fr.ginv()
                 gv[k] = ginv @ dy
                 gh[k] = ginv @ (dx - fr.nonlinear().T @ dy)
-        self._tables["grad_h"] = gh
-        self._tables["grad_v"] = gv
+        return gh, gv
 
     @property
     def grad_h(self) -> np.ndarray:
-        if "grad_h" not in self._tables:
-            self._build_gradients()
-        return self._tables["grad_h"]
+        return self._gradients[0]
 
     @property
     def grad_v(self) -> np.ndarray:
-        if "grad_v" not in self._tables:
-            self._build_gradients()
-        return self._tables["grad_v"]
+        return self._gradients[1]
 
     # -- field calculus ------------------------------------------------------
 
@@ -549,11 +527,7 @@ def _check_endpoint_tangency(patch, *vectors) -> None:
 def _geodesic_spot_check(curve: DiscreteCurve, m: MetricDefinition,
                          tol: float = 1e-4) -> None:
     idx = np.linspace(0, curve.grid.size - 1, 5).astype(int)
-    for k in idx:
-        sample = TangentSample(curve.positions[k], curve.velocities[k])
-        gamma = ConnectionFrame(m, sample, order=3).christoffel()
-        dv = curve.accelerations[k] + np.einsum(
-            "kij,i,j->k", gamma, curve.velocities[k], curve.velocities[k])
+    for k, dv in zip(idx, _pregeodesic_defects(curve, m, None, idx)):
         scale = max(1.0, float(curve.velocities[k] @ curve.velocities[k]))
         if np.linalg.norm(dv) > tol * scale:
             raise ValueError(
@@ -566,11 +540,14 @@ def integrate_jacobi_basis(curve: DiscreteCurve, m: MetricDefinition,
                            validate: bool = True) -> list[JacobiSolution]:
     """RK4 integration of D^2 J = A J for several initial pairs at once.
 
-    J0, K0 are (n, nfields); the connection frames at each RK stage are
-    shared between all fields.  Returns one solution record per column.
+    J0, K0 are (n, nfields); every RK stage reads its frame from one
+    `CurveGeometry`, so all fields share it, both midpoint stages share one
+    frame and the last stage shares the next node's.  Returns one solution
+    record per column.
     """
     if validate:
         _geodesic_spot_check(curve, m)
+    geom = CurveGeometry(curve, m)
     grid = curve.grid
     n = curve.dim
     J = np.asarray(J0, dtype=float).reshape(n, -1)
@@ -583,9 +560,8 @@ def integrate_jacobi_basis(curve: DiscreteCurve, m: MetricDefinition,
 
     def rhs(t, S):   # S = (J, K)
         J, K = S
-        x = curve.position(t)
         y = curve.velocity(t)
-        fr = ConnectionFrame(m, TangentSample(x, y), order=4)
+        fr = geom.frame_at(curve.position(t), y)
         gamma_y = np.einsum("kij,j->ki", fr.christoffel(), y)
         return np.array([K - gamma_y @ J, fr.jacobi_matrix() @ J - gamma_y @ K])
 

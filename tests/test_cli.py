@@ -200,3 +200,75 @@ def test_unknown_experiment_is_a_usage_error(tmp_path):
     cfg = write_config(tmp_path, TENSORS_CFG)
     with pytest.raises(SystemExit):
         cli.main(["frobnicate", "--config", cfg])
+
+
+def assert_single_error_line(capsys, *fragments):
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: "), captured.err
+    assert captured.out == ""
+    for fragment in fragments:
+        assert fragment in err[0]
+
+
+CURVE_CFG = """
+[metric]
+metric = einstein-static
+lambda = theta-weight
+x0 = {x0}
+v0 = {v0}
+patch = point
+
+[run]
+seed = 1
+t1 = {t1}
+step = {step}
+"""
+CURVE_INPUTS = {"x0": "0, 1.5707963267948966, 0", "v0": "1, 0, 1",
+                "t1": "1.0", "step": "1e-2"}
+
+
+@pytest.mark.parametrize("experiment", ["geodesic", "conformal-pregeodesic",
+                                        "variation", "focal",
+                                        "focal-correspondence"])
+@pytest.mark.parametrize("key,value", [
+    ("step", "0"), ("step", "nan"), ("t1", "-1"), ("v0", "0, 0, 0"),
+    ("x0", "0, 1.5707963267948966"), ("x0", "nan, 1.5707963267948966, 0")])
+def test_exit_code_two_on_bad_curve_inputs(tmp_path, capsys, experiment, key, value):
+    cfg = write_config(tmp_path, CURVE_CFG.format(**{**CURVE_INPUTS, key: value}))
+    assert cli.main([experiment, "--config", cfg]) == 2
+    assert_single_error_line(capsys)
+
+
+@pytest.mark.parametrize("experiment,extra", [
+    ("tensors", ""), ("lightcone", "metric2 = minkowski2-cone\n"),
+    ("variation", "x0 = 0, 1.5707963267948966, 0\nv0 = 1, 0, 1\n")],
+    ids=["tensors", "lightcone", "variation"])
+def test_exit_code_two_on_non_positive_sample_count(tmp_path, capsys, experiment, extra):
+    metric = "minkowski2-cone" if experiment == "lightcone" else "einstein-static"
+    cfg = write_config(tmp_path, f"[metric]\nmetric = {metric}\n{extra}"
+                                 "[run]\nsamples = -5\n")
+    assert cli.main([experiment, "--config", cfg]) == 2
+    assert_single_error_line(capsys, "samples")
+
+
+@pytest.mark.parametrize("rho", ["0", "-0.5", "3.2", "nan"])
+def test_exit_code_two_on_circle_radius_outside_the_sphere_range(tmp_path, capsys, rho):
+    cfg = write_config(tmp_path, CURVE_CFG.format(**CURVE_INPUTS).replace(
+        "patch = point", f"patch = circle:{rho}"))
+    assert cli.main(["focal", "--config", cfg]) == 2
+    assert_single_error_line(capsys, "radius")
+
+
+def test_exit_code_two_on_degenerate_metric_in_tensors(tmp_path, capsys):
+    (tmp_path / "flat.metric").write_text("name=flat\ndim=2\ndegree=2\ny0*y1*0\n")
+    cfg = write_config(tmp_path, "[metric]\nmetric = flat.metric\n[run]\nsamples = 5\n")
+    assert cli.main(["tensors", "--config", cfg]) == 2
+    assert_single_error_line(capsys, "degenerate")
+
+
+def test_exit_code_two_on_exp_overflow(tmp_path, capsys):
+    (tmp_path / "steep.metric").write_text("dim=2\nexp(1000*y0) + y1^2\n")
+    cfg = write_config(tmp_path, "[metric]\nmetric = steep.metric\n[run]\nsamples = 5\n")
+    assert cli.main(["tensors", "--config", cfg]) == 2
+    assert_single_error_line(capsys, "exp overflows")

@@ -310,3 +310,17 @@ def test_horizontal_derivative_is_extension_independent(einstein, theta_weight):
             values.append((plus - minus) / (2 * fd) - float(dy @ nabla_XV))
         assert abs(values[0] - values[1]) <= 1e-6
         assert abs(direct - values[0]) <= 1e-6
+
+
+def test_christoffel_contraction_along_the_reference_is_twice_the_spray(
+        einstein, scaled_einstein):
+    """Gamma(y)(y, y) = 2G(x, y) for the Chern connection (Bao, Chern & Shen,
+    GTM 200): the frame-free geodesic residuals rest on this identity."""
+    metrics = [dsl.builtin_metric("warped-quadratic"),
+               dsl.builtin_metric("bogoslovsky2-warped"), einstein, scaled_einstein]
+    rng = np.random.default_rng(21)
+    for m in metrics:
+        for v in dsl.sample_admissible(m, rng, count=20):
+            lhs = np.einsum("kij,i,j->k", connection.christoffel(m, v).gamma, v.y, v.y)
+            rhs = 2.0 * connection.spray_coefficients(m, v.x, v.y)
+            assert np.linalg.norm(lhs - rhs) <= 1e-10 * np.linalg.norm(rhs), m.name

@@ -4,8 +4,8 @@ focal detection, and the conformal transfer of Jacobi data."""
 import numpy as np
 import pytest
 
-from finslab import (conformal, dsl, experiments, geodesics, tensors,
-                     variational)
+from finslab import (conformal, connection, dsl, experiments, geodesics,
+                     tensors, variational)
 from finslab.curves import DiscreteCurve
 from finslab.errors import FinslabError
 from conftest import lightlike_start
@@ -499,3 +499,36 @@ def test_focal_correspondence_with_nontrivial_parameter_map(
     assert pair.base_multiplicity == pair.scaled_multiplicity == 1
     assert abs(pair.scaled_parameter - np.pi) > 1e-3   # genuinely reparametrized
     assert pair.pairing_error <= 1e-4
+
+
+def test_one_connection_frame_per_distinct_sample(einstein, monkeypatch):
+    built = []
+    plain_init = connection.ConnectionFrame.__init__
+
+    def init(self, m, v, order=4):
+        plain_init(self, m, v, order)
+        built.append((v.x.tobytes(), v.y.tobytes()))
+
+    monkeypatch.setattr(connection.ConnectionFrame, "__init__", init)
+    steps = 10
+    curve = geodesics.integrate_geodesic(
+        einstein, [0, np.pi / 2, 0], [1, 0.2, 0.9], (0, 0.5), 0.5 / steps)
+    variational.integrate_jacobi(curve, einstein, np.zeros(3), [0, 1, 0])
+    # one frame per node and one per step midpoint
+    assert len(built) == len(set(built)) == 2 * steps + 1
+
+    built.clear()
+    geodesics.pregeodesic_residual(curve, einstein)
+    assert built == []
+
+    geom = variational.CurveGeometry(curve, einstein)
+    assert geom.gamma.shape == (curve.grid.size, 3, 3, 3)
+    at_nodes = list(built)
+
+    def shape(t):
+        return [0.0, np.sin(t), t]
+
+    W = variational.VariationField.affine(curve, einstein, shape, geometry=geom)
+    assert built == at_nodes
+    plain = variational.VariationField.affine(curve, einstein, shape)
+    assert np.array_equal(W.values, plain.values) and np.array_equal(W.accel, plain.accel)
