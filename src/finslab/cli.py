@@ -181,12 +181,11 @@ def _metric(cfg: Config, key: str = "metric", required: bool = True
 
 
 def _curve_inputs(cfg: Config, m: MetricDefinition, step: float,
-                  t1: float | None = None):
-    """x0, v0, t0, t1 and step of a curve run, checked before integrating;
+                  t1: float | None = None, t0: float = 0.0):
+    """x0, v0, t1 and step of a curve run from t0, checked before integrating;
     `step` and `t1` are the defaults (t1 is required when None)."""
     x0 = cfg.get_vector("metric", "x0", required=True)
     v0 = cfg.get_vector("metric", "v0", required=True)
-    t0 = cfg.get_float("run", "t0", default=0.0)
     t1 = cfg.get_float("run", "t1", default=t1, required=t1 is None)
     h = cfg.get_float("run", "step", default=step)
     for bad, problem in (
@@ -199,7 +198,7 @@ def _curve_inputs(cfg: Config, m: MetricDefinition, step: float,
             (not t1 > t0, f"need t1 > t0, got t0={t0!r} t1={t1!r}")):
         if bad:
             raise ConfigError(f"{cfg.path}: {problem}")
-    return x0, v0, t0, t1, h
+    return x0, v0, t1, h
 
 
 def _sample_count(cfg: Config, default: int) -> int:
@@ -244,7 +243,8 @@ def run_tensors(cfg: Config, seed: int, report: Report) -> None:
 
 def run_geodesic(cfg: Config, seed: int, report: Report) -> None:
     m = _metric(cfg)
-    x0, v0, t0, t1, h = _curve_inputs(cfg, m, step=1e-3)
+    t0 = cfg.get_float("run", "t0", default=0.0)
+    x0, v0, t1, h = _curve_inputs(cfg, m, step=1e-3, t0=t0)
     tol = cfg.get_float("run", "tol", default=1e-8)
     curve = integrate_geodesic(m, x0, v0, (t0, t1), h)
     L0 = m.value(x0, v0)
@@ -269,7 +269,8 @@ def run_lightcone(cfg: Config, seed: int, report: Report) -> None:
 def run_conformal_pregeodesic(cfg: Config, seed: int, report: Report) -> None:
     m = _metric(cfg)
     lam = _metric(cfg, "lambda")
-    x0, v0, t0, t1, h = _curve_inputs(cfg, m, step=1e-3)
+    t0 = cfg.get_float("run", "t0", default=0.0)
+    x0, v0, t1, h = _curve_inputs(cfg, m, step=1e-3, t0=t0)
     tol = cfg.get_float("run", "tol", default=1e-6)
     start = _lightlike_start(m, x0, v0)
     scaled, _ = scale_metric(m, lam, sample_budget=8, seed=seed)
@@ -290,13 +291,13 @@ def run_conformal_pregeodesic(cfg: Config, seed: int, report: Report) -> None:
 def run_variation(cfg: Config, seed: int, report: Report) -> None:
     m = _metric(cfg)
     lam = _metric(cfg, "lambda", required=False)
-    x0, v0, t0, t1, h = _curve_inputs(cfg, m, step=2e-3, t1=1.0)
+    x0, v0, t1, h = _curve_inputs(cfg, m, step=2e-3, t1=1.0)
     count = _sample_count(cfg, 3)
     start = _lightlike_start(m, x0, v0)
     metric_for_curve = m
     if lam is not None:
         metric_for_curve, _ = scale_metric(m, lam, sample_budget=8, seed=seed)
-    curve = integrate_geodesic(metric_for_curve, start.x, start.y, (t0, t1), h)
+    curve = integrate_geodesic(metric_for_curve, start.x, start.y, (0.0, t1), h)
     rng = np.random.default_rng(seed)
     geom = CurveGeometry(curve, m, lam)
     span = curve.t1 - curve.t0
@@ -349,9 +350,9 @@ def _parse_expected(cfg: Config) -> list[tuple[float, int]]:
 
 def run_focal(cfg: Config, seed: int, report: Report) -> None:
     m = _metric(cfg)
-    x0, v0, t0, t1, h = _curve_inputs(cfg, m, step=5e-3)
+    x0, v0, t1, h = _curve_inputs(cfg, m, step=5e-3)
     tol = cfg.get_float("run", "tol", default=1e-5)
-    curve = integrate_geodesic(m, x0, v0, (t0, t1), h)
+    curve = integrate_geodesic(m, x0, v0, (0.0, t1), h)
     patch = _patch_from_config(cfg, x0, v0)
     found = find_focal_points(curve, patch, m)
     expected = _parse_expected(cfg)
@@ -367,12 +368,12 @@ def run_focal(cfg: Config, seed: int, report: Report) -> None:
 def run_focal_correspondence(cfg: Config, seed: int, report: Report) -> None:
     m = _metric(cfg)
     lam = _metric(cfg, "lambda")
-    x0, v0, t0, t1, h = _curve_inputs(cfg, m, step=5e-3)
+    x0, v0, t1, h = _curve_inputs(cfg, m, step=5e-3)
     tol = cfg.get_float("run", "tol", default=1e-4)
     start = _lightlike_start(m, x0, v0)
     scaled, _ = scale_metric(m, lam, sample_budget=8, seed=seed)
     v_scaled = start.y / lam.value_at(start)
-    curve = integrate_geodesic(scaled, start.x, v_scaled, (t0, t1), h)
+    curve = integrate_geodesic(scaled, start.x, v_scaled, (0.0, t1), h)
     patch = _patch_from_config(cfg, start.x, start.y)
     corr = verify_focal_correspondence(curve, patch, lam, m, scaled=scaled,
                                        tolerance=tol)

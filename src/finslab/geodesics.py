@@ -208,7 +208,8 @@ def energy(curve: DiscreteCurve, m: MetricDefinition, lam=None) -> float:
     vals = np.empty(curve.grid.size)
     for k, (x, y) in enumerate(zip(curve.positions, curve.velocities)):
         if not m.admissible(TangentSample(x, y)):
-            raise InadmissibleSample(f"curve leaves the domain at t={curve.grid[k]!r}")
+            raise InadmissibleSample(f"curve leaves the domain of {m.name!r} "
+                                     f"at t={curve.grid[k]!r}")
         vals[k] = 0.5 * _factor_value(lam, x, y) * m.value(x, y)
     return float(simpson(vals, x=curve.grid))
 
@@ -223,7 +224,8 @@ def _pregeodesic_defects(curve: DiscreteCurve, m: MetricDefinition, lam, nodes):
     for k in nodes:
         x, y = curve.positions[k], curve.velocities[k]
         if not m.admissible(TangentSample(x, y)):
-            raise InadmissibleSample(f"curve leaves the domain at t={curve.grid[k]!r}")
+            raise InadmissibleSample(f"curve leaves the domain of {m.name!r} "
+                                     f"at t={curve.grid[k]!r}")
         yield lam_rate[k] * y + lam_vals[k] * (
             curve.accelerations[k] + 2.0 * spray_coefficients(m, x, y))
 

@@ -27,8 +27,8 @@ from scipy.linalg import null_space
 from .connection import ConnectionFrame, _scalar_partials
 from .curves import DiscreteCurve, Reparametrization, spline_derivative
 from .dsl import MetricDefinition, TangentSample, parse_expression, evaluate
-from .errors import FinslabError, GridMismatch
-from .geodesics import (_pregeodesic_defects, check_lightlike, factor_rate,
+from .errors import FinslabError, GridMismatch, InadmissibleSample
+from .geodesics import (_pregeodesic_defects, check_lightlike, energy, factor_rate,
                         factor_values, reparametrize_conformal, rk4_step)
 
 __all__ = [
@@ -211,7 +211,11 @@ class CurveGeometry:
         return fr
 
     def frame(self, k: int) -> ConnectionFrame:
-        return self.frame_at(self.curve.positions[k], self.curve.velocities[k])
+        try:
+            return self.frame_at(self.curve.positions[k], self.curve.velocities[k])
+        except InadmissibleSample:
+            raise InadmissibleSample(f"curve leaves the domain of {self.m.name!r} "
+                                     f"at t={self.curve.grid[k]!r}") from None
 
     @cached_property
     def g(self) -> np.ndarray:
@@ -322,8 +326,7 @@ def second_variation(curve: DiscreteCurve, W: VariationField, lam,
     curvature_term = ctx.pair(AW, Wv)
     integrand = lam_v * (curvature_term + ctx.pair(Wp, Wp))
     integrand += 2.0 * ctx.pair(Wp, vel) * (
-        np.einsum("kij,ki,kj->k", ctx.g, Wv, ctx.grad_h)
-        + np.einsum("kij,ki,kj->k", ctx.g, Wp, ctx.grad_v))
+        ctx.pair(Wv, ctx.grad_h) + ctx.pair(Wp, ctx.grad_v))
     total = float(simpson(integrand, x=curve.grid))
     if W.accel is not None:
         boundary = lam_v * ctx.pair(W.accel, vel)
@@ -337,8 +340,6 @@ def energy_derivative_fd(curve: DiscreteCurve, W: VariationField, lam,
     """Richardson finite difference of s -> energy of the chart variation
     x(t) + s W(t).  Independent of the variation formulas: it only uses the
     energy quadrature."""
-    from .geodesics import energy as _energy
-
     grid = curve.grid
     W_dot = spline_derivative(grid, W.values)
 
@@ -348,7 +349,7 @@ def energy_derivative_fd(curve: DiscreteCurve, W: VariationField, lam,
         return DiscreteCurve(grid, pos, vel, np.zeros_like(pos))
 
     def E(s: float) -> float:
-        return _energy(shifted(s), m, lam)
+        return energy(shifted(s), m, lam)
 
     if order == 1:
         d1 = (E(step) - E(-step)) / (2 * step)
@@ -542,8 +543,8 @@ def integrate_jacobi_basis(curve: DiscreteCurve, m: MetricDefinition,
 
     J0, K0 are (n, nfields); every RK stage reads its frame from one
     `CurveGeometry`, so all fields share it, both midpoint stages share one
-    frame and the last stage shares the next node's.  Returns one solution
-    record per column.
+    frame and the last stage shares the next node's.  Frames are dropped after
+    each step, so memory stays flat.  Returns one solution record per column.
     """
     if validate:
         _geodesic_spot_check(curve, m)
@@ -573,6 +574,7 @@ def integrate_jacobi_basis(curve: DiscreteCurve, m: MetricDefinition,
         t, h = grid[idx], grid[idx + 1] - grid[idx]
         S = rk4_step(rhs, t, S, h, k1=dS)
         dS = rhs(grid[idx + 1], S)
+        geom._frames.clear()   # no later stage revisits these samples
         Js[idx + 1], Ks[idx + 1] = S
         Jdots[idx + 1] = dS[0]
     return [JacobiSolution(grid, Js[:, :, f], Ks[:, :, f], Jdots[:, :, f])
@@ -641,12 +643,8 @@ def find_focal_points(curve: DiscreteCurve, P: SubmanifoldPatch,
     J0, K0 = _focal_initial_data(curve, P, m)
     sols = integrate_jacobi_basis(curve, m, J0, K0, validate=validate)
     npts = curve.grid.size
-    n = curve.dim
-    M = np.empty((npts, n, n))
-    Mdot = np.empty((npts, n, n))
-    for f, sol in enumerate(sols):
-        M[:, :, f] = sol.J
-        Mdot[:, :, f] = sol.J_dot
+    M = np.stack([sol.J for sol in sols], axis=2)
+    Mdot = np.stack([sol.J_dot for sol in sols], axis=2)
     spline = CubicHermiteSpline(curve.grid, M, Mdot, axis=0)
     dets = np.array([np.linalg.det(M[k]) for k in range(npts)])
     out: list[FocalPoint] = []
@@ -703,8 +701,7 @@ def transfer_jacobi(Jsol: JacobiSolution, curve: DiscreteCurve,
     lam_r = ctx.lam_rate
     J = J_spline(mu)
     K = K_spline(mu) / lam_v[:, None]
-    s = (np.einsum("kij,ki,kj->k", ctx.g, J, ctx.grad_h)
-         + np.einsum("kij,ki,kj->k", ctx.g, K, ctx.grad_v))
+    s = ctx.pair(J, ctx.grad_h) + ctx.pair(K, ctx.grad_v)
     s_dot = spline_derivative(grid, s)
     forcing = -s_dot / lam_v + s * lam_r / lam_v ** 2
     q = cumulative_simpson(forcing, x=grid, initial=0.0)

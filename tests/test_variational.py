@@ -1,13 +1,15 @@
 """Energy variations, index form, second fundamental forms, Jacobi fields,
 focal detection, and the conformal transfer of Jacobi data."""
 
+import weakref
+
 import numpy as np
 import pytest
 
 from finslab import (conformal, connection, dsl, experiments, geodesics,
                      tensors, variational)
 from finslab.curves import DiscreteCurve
-from finslab.errors import FinslabError
+from finslab.errors import FinslabError, InadmissibleSample
 from conftest import lightlike_start
 
 
@@ -532,3 +534,33 @@ def test_one_connection_frame_per_distinct_sample(einstein, monkeypatch):
     assert built == at_nodes
     plain = variational.VariationField.affine(curve, einstein, shape)
     assert np.array_equal(W.values, plain.values) and np.array_equal(W.accel, plain.accel)
+
+
+def test_jacobi_integration_keeps_only_the_current_step_frames(einstein, monkeypatch):
+    live = weakref.WeakSet()
+    peak = []
+    plain_init = connection.ConnectionFrame.__init__
+
+    def init(self, m, v, order=4):
+        plain_init(self, m, v, order)
+        live.add(self)
+        peak.append(len(live))
+
+    monkeypatch.setattr(connection.ConnectionFrame, "__init__", init)
+    curve = geodesics.integrate_geodesic(
+        einstein, [0, np.pi / 2, 0], [1, 0.2, 0.9], (0, 0.5), 0.05)
+    variational.integrate_jacobi(curve, einstein, np.zeros(3), [0, 1, 0])
+    # a step's midpoint and end frames, not one per sample of the curve
+    assert len(peak) == 21 and max(peak) <= 3
+
+
+def test_domain_exit_along_a_curve_reports_the_curve_time():
+    m = dsl.parse_metric("-y0^2 + y1^2", 2, domain=("1 - x0",), name="slab")
+    grid = np.array([0.0, 0.5, 1.25, 2.0])
+    v = np.array([1.0, 0.5])
+    curve = DiscreteCurve(grid, np.outer(grid, v), np.tile(v, (4, 1)), np.zeros((4, 2)))
+    message = r"curve leaves the domain of 'slab' at t=.*1\.25"
+    with pytest.raises(InadmissibleSample, match=message):
+        variational.CurveGeometry(curve, m).g
+    with pytest.raises(InadmissibleSample, match=message):
+        geodesics.pregeodesic_residual(curve, m)
