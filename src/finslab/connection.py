@@ -8,6 +8,15 @@ Christoffel symbols as order-(k-3); curvature consumes the full order 4.
 Derivatives of intermediate quantities are therefore exact (no finite
 differences anywhere on this path).
 
+A `ConnectionFrame` holds these jets as arrays of normalized coefficients
+(the last axis runs over one `JetSpace`), takes their partials with
+`JetSpace.partial_jets` and multiplies them with `JetSpace.mul`.  The jet of
+g^{-1} is the Neumann series sum_j (-g0^{-1} gh)^j g0^{-1}, where g0^{-1} is
+`tensors.inverse_metric` of the value of g and gh is the rest of g; gh is
+nilpotent at truncation order, so the finite series is exact, by the
+argument behind `Jet._compose` (Griewank & Walther, *Evaluating
+Derivatives*, 2nd ed., SIAM 2008, ch. 13).
+
 Conventions: the geodesic equation is xdd^i = -2 G^i(x, xd); the covariant
 derivative along a curve uses Christoffel symbols referenced at an admissible
 field U; `jacobi_operator(m, v, w)` returns the right-hand side of the Jacobi
@@ -20,15 +29,16 @@ arrays is an ordinary map, safe to parallelize from the caller.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .curves import DiscreteCurve, spline_derivative
 from .dsl import MetricDefinition, TangentSample
-from .errors import GridMismatch, InadmissibleSample, SingularMetric
+from .errors import GridMismatch, InadmissibleSample
 from .jets import Jet, jet_space
-from .tensors import DEGENERACY_TOL, fundamental_tensor, inverse_metric
+from .tensors import fundamental_tensor, inverse_metric
 
 __all__ = [
     "SprayValue", "ChristoffelField", "ConnectionFrame",
@@ -37,42 +47,6 @@ __all__ = [
     "covariant_derivative_along", "horizontal_derivative",
     "vertical_gradient", "horizontal_gradient",
 ]
-
-
-# --------------------------------------------------------------------------
-# jet linear algebra (tiny matrices over the truncated-Taylor ring)
-# --------------------------------------------------------------------------
-
-def _jet_matrix_inverse(A: list[list[Jet]]) -> list[list[Jet]]:
-    """Gauss-Jordan inverse with partial pivoting on the value parts."""
-    n = len(A)
-    space = A[0][0].space
-    work = [row[:] for row in A]
-    inv = [[Jet.constant(space, 1.0 if i == j else 0.0) for j in range(n)]
-           for i in range(n)]
-    scale = max(abs(work[i][j].value) for i in range(n) for j in range(n))
-    for col in range(n):
-        pivot_row = max(range(col, n), key=lambda r: abs(work[r][col].value))
-        if abs(work[pivot_row][col].value) <= DEGENERACY_TOL * max(scale, 1e-300):
-            raise SingularMetric("fundamental tensor is degenerate at this sample")
-        work[col], work[pivot_row] = work[pivot_row], work[col]
-        inv[col], inv[pivot_row] = inv[pivot_row], inv[col]
-        piv = work[col][col].reciprocal()
-        work[col] = [piv * e for e in work[col]]
-        inv[col] = [piv * e for e in inv[col]]
-        for row in range(n):
-            if row == col:
-                continue
-            factor = work[row][col]
-            if not np.any(factor.c):
-                continue
-            work[row] = [a - factor * b for a, b in zip(work[row], work[col])]
-            inv[row] = [a - factor * b for a, b in zip(inv[row], inv[col])]
-    return inv
-
-
-def _values(jet_table) -> np.ndarray:
-    return np.array([[e.value for e in row] for row in jet_table])
 
 
 # --------------------------------------------------------------------------
@@ -96,12 +70,31 @@ class ChristoffelField:
 # the per-sample evaluation frame
 # --------------------------------------------------------------------------
 
+def _cached(method):
+    """Compute a frame quantity on first access and keep it for the frame's
+    lifetime."""
+    name = method.__name__
+
+    @functools.wraps(method)
+    def cached(self):
+        val = self._cache.get(name)
+        if val is None:
+            val = self._cache[name] = method(self)
+        return val
+
+    return cached
+
+
 class ConnectionFrame:
     """All connection data derived from one jet of the metric at one sample.
 
     Lazy: each derived quantity is computed on first access and cached for
-    the lifetime of the frame.  Along a curve, `variational.CurveGeometry`
-    owns the frames and builds one per distinct sample.
+    the lifetime of the frame.  Jet-valued quantities are coefficient arrays
+    whose last axis runs over one jet space over the 2n chart and fiber
+    variables: g and g^{-1} of shape (n, n, size) and G of shape (n, size) at
+    order k-2, N of shape (n, n, size) and Gamma of shape (n, n, n, size) at
+    order k-3.  Along a curve, `variational.CurveGeometry` owns the frames
+    and builds one per distinct sample.
     """
 
     def __init__(self, m: MetricDefinition, v: TangentSample, order: int = 4):
@@ -113,220 +106,128 @@ class ConnectionFrame:
         self.n = v.dim
         self.order = order
         self.L = m.jet(v, order)
-        self._cache: dict[str, object] = {}
+        self._cache: dict[str, np.ndarray] = {}
 
-    # -- building blocks -----------------------------------------------------
+    def _space(self, drop: int):
+        return jet_space(2 * self.n, self.order - drop)
 
-    def _dy(self, jet: Jet, i: int) -> Jet:
-        return jet.diff(self.n + i)
-
-    def _dx(self, jet: Jet, i: int) -> Jet:
-        return jet.diff(i)
-
-    def g_jets(self) -> list[list[Jet]]:
-        tab = self._cache.get("g_jets")
-        if tab is None:
-            n = self.n
-            tab = [[None] * n for _ in range(n)]
-            for i in range(n):
-                di = self._dy(self.L, i)
-                for j in range(i, n):
-                    tab[i][j] = tab[j][i] = 0.5 * self._dy(di, j)
-            self._cache["g_jets"] = tab
-        return tab
+    @_cached
+    def g_jets(self) -> np.ndarray:
+        n = self.n
+        return 0.5 * self.L.partial_jets(2)[n:, n:]
 
     def g(self) -> np.ndarray:
-        val = self._cache.get("g")
-        if val is None:
-            val = _values(self.g_jets())
-            self._cache["g"] = val
-        return val
+        return self.g_jets()[..., 0]
 
-    def ginv_jets(self) -> list[list[Jet]]:
-        tab = self._cache.get("ginv_jets")
-        if tab is None:
-            tab = _jet_matrix_inverse(self.g_jets())
-            self._cache["ginv_jets"] = tab
-        return tab
+    @_cached
+    def ginv_jets(self) -> np.ndarray:
+        """g^{-1} = (sum_{j <= k-2} M^j) g0^{-1} with M = -g0^{-1} gh, by Horner."""
+        g = self.g_jets()
+        space = self._space(2)
+        g0inv = inverse_metric(g[..., 0])
+        step = -np.einsum("il,ljs->ijs", g0inv, g)
+        step[..., 0] = 0.0
+        series = step.copy()
+        series[..., 0] = np.eye(self.n)
+        for _ in range(space.order - 1):
+            series = _contract(space, step, series)
+            series[..., 0] = np.eye(self.n)
+        return np.einsum("ims,ml->ils", series, g0inv)
 
     def ginv(self) -> np.ndarray:
-        val = self._cache.get("ginv")
-        if val is None:
-            val = _values(self.ginv_jets())
-            self._cache["ginv"] = val
-        return val
+        return self.ginv_jets()[..., 0]
 
-    def spray_jets(self) -> list[Jet]:
+    @_cached
+    def spray_jets(self) -> np.ndarray:
         """G^i = (1/4) g^il ( d2L/dy^l dx^k y^k - dL/dx^l ), as jets."""
-        out = self._cache.get("spray_jets")
-        if out is None:
-            n = self.n
-            space = jet_space(2 * n, self.order - 2)
-            yvars = [Jet.variable(space, n + k, float(self.sample.y[k]))
-                     for k in range(n)]
-            ginv = self.ginv_jets()
-            rhs = []
-            for l in range(n):
-                dl = self._dy(self.L, l)
-                acc = -self._dx(self.L, l).truncated(self.order - 2)
-                for k in range(n):
-                    acc = acc + self._dx(dl, k) * yvars[k]
-                rhs.append(acc)
-            out = []
-            for i in range(n):
-                acc = Jet.constant(space, 0.0)
-                for l in range(n):
-                    acc = acc + ginv[i][l] * rhs[l]
-                out.append(0.25 * acc)
-            self._cache["spray_jets"] = out
-        return out
+        n = self.n
+        space = self._space(2)
+        yvars = np.zeros((n, space.size))
+        yvars[:, 0] = self.sample.y
+        if space.order >= 1:
+            yvars[:, space.partial_slots(1)[0][n:, 0]] = np.eye(n)
+        rhs = (_contract(space, self.L.partial_jets(2)[n:, :n], yvars)
+               - self.L.partial_jets(1)[:n, :space.size])
+        return 0.25 * _contract(space, self.ginv_jets(), rhs)
 
     def spray_values(self) -> np.ndarray:
-        return np.array([gj.value for gj in self.spray_jets()])
+        return self.spray_jets()[:, 0]
 
-    def nonlinear_jets(self) -> list[list[Jet]]:
-        tab = self._cache.get("nonlinear_jets")
-        if tab is None:
-            G = self.spray_jets()
-            tab = [[self._dy(G[i], j) for j in range(self.n)] for i in range(self.n)]
-            self._cache["nonlinear_jets"] = tab
-        return tab
+    @_cached
+    def nonlinear_jets(self) -> np.ndarray:
+        n = self.n
+        return self._space(2).partial_jets(self.spray_jets(), 1)[:, n:]
 
     def nonlinear(self) -> np.ndarray:
-        val = self._cache.get("nonlinear")
-        if val is None:
-            val = _values(self.nonlinear_jets())
-            self._cache["nonlinear"] = val
-        return val
+        return self.nonlinear_jets()[..., 0]
 
-    def _delta_x(self, jet: Jet, i: int, N_jets) -> Jet:
-        """Horizontal derivative d/dx^i - N^m_i d/dy^m of a jet field."""
-        out = self._dx(jet, i)
-        for m_ in range(self.n):
-            out = out - N_jets[m_][i] * self._dy(jet, m_)
-        return out
-
+    @_cached
     def christoffel(self) -> np.ndarray:
-        """Christoffel values via the horizontal derivative of g, assembled
-        at value level (cheaper than the jet-ring product path)."""
-        val = self._cache.get("christoffel")
-        if val is None:
-            if self.order < 3:
-                raise ValueError("Christoffel symbols need a frame of order >= 3")
-            n = self.n
-            g = self.g_jets()
-            Nv = self.nonlinear()
-            dgx = np.empty((n, n, n))   # [i, j, k] = d g_ij / dx^k
-            dgy = np.empty((n, n, n))   # [i, j, m] = d g_ij / dy^m
-            for i in range(n):
-                for j in range(i, n):
-                    for k in range(n):
-                        dgx[i, j, k] = dgx[j, i, k] = g[i][j].diff(k).value
-                        dgy[i, j, k] = dgy[j, i, k] = g[i][j].diff(n + k).value
-            # delta[i, j, k] = delta_k g_ij = (d/dx^k - N^m_k d/dy^m) g_ij
-            delta = dgx - np.einsum("ijm,mk->ijk", dgy, Nv)
-            ginv = self.ginv()
-            val = np.empty((n, n, n))
-            for k in range(n):
-                for i in range(n):
-                    for j in range(i, n):
-                        acc = 0.0
-                        for l in range(n):
-                            acc += ginv[k, l] * (delta[l, j, i] + delta[i, l, j]
-                                                 - delta[i, j, l])
-                        val[k, i, j] = val[k, j, i] = 0.5 * acc
-            self._cache["christoffel"] = val
-        return val
+        """Gamma^k_ij = (1/2) g^kl (delta_i g_lj + delta_j g_il - delta_l g_ij)
+        with delta_k = d/dx^k - N^m_k d/dy^m, at value level."""
+        if self.order < 3:
+            raise ValueError("Christoffel symbols need a frame of order >= 3")
+        n = self.n
+        dg = 0.5 * self.L.partials(3)[n:, n:]      # [i, j, a] = d g_ij / dz^a
+        delta = dg[..., :n] - np.einsum("ijm,mk->ijk", dg[..., n:], self.nonlinear())
+        return 0.5 * np.einsum("kl,lij->kij", self.ginv(), _lowered_christoffel(delta))
 
-    def christoffel_jets(self) -> list[list[list[Jet]]]:
-        tab = self._cache.get("christoffel_jets")
-        if tab is None:
-            n = self.n
-            g = self.g_jets()
-            ginv = self.ginv_jets()
-            N = self.nonlinear_jets()
-            dg = [[[self._delta_x(g[i][j], k, N) for k in range(n)]
-                   for j in range(n)] for i in range(n)]
-            tab = [[[None] * n for _ in range(n)] for _ in range(n)]
-            for i in range(n):
-                for j in range(i, n):
-                    for k in range(n):
-                        acc = None
-                        for l in range(n):
-                            term = ginv[k][l] * (dg[l][j][i] + dg[i][l][j] - dg[i][j][l])
-                            acc = term if acc is None else acc + term
-                        val = 0.5 * acc
-                        tab[k][i][j] = tab[k][j][i] = val
-            self._cache["christoffel_jets"] = tab
-        return tab
+    @_cached
+    def christoffel_jets(self) -> np.ndarray:
+        n = self.n
+        space = self._space(3)
+        dg = 0.5 * self.L.partial_jets(3)[n:, n:]   # [i, j, a, beta]
+        N = self.nonlinear_jets()
+        delta = dg[:, :, :n] - _contract(space, dg[:, :, n:], N)
+        ginv = self.ginv_jets()[..., :space.size]
+        return 0.5 * _contract(space, ginv, _lowered_christoffel(delta))
 
+    @_cached
     def jacobi_matrix(self) -> np.ndarray:
         """Matrix A with D^2 J = A J along geodesics through this sample.
 
         Built from first and second derivatives of the spray; requires an
         order-4 frame.
         """
-        A = self._cache.get("jacobi_matrix")
-        if A is None:
-            if self.order < 4:
-                raise ValueError("the Jacobi operator needs a frame of order 4")
-            n = self.n
-            G = self.spray_jets()           # order 2 at a full-order frame
-            y = self.sample.y
-            Gv = np.array([gj.value for gj in G])
-            dGdx = np.array([[self._dx(G[i], k).value for k in range(n)]
-                             for i in range(n)])
-            dGdy = np.array([[self._dy(G[i], j).value for j in range(n)]
-                             for i in range(n)])
-            d2G_xy = np.empty((n, n, n))    # [i, j, k] = d2 G^i / dx^j dy^k
-            d2G_yy = np.empty((n, n, n))    # [i, j, k] = d2 G^i / dy^j dy^k
-            for i in range(n):
-                for j in range(n):
-                    dxj = self._dx(G[i], j)
-                    dyj = self._dy(G[i], j)
-                    for k in range(n):
-                        d2G_xy[i, j, k] = self._dy(dxj, k).value
-                        d2G_yy[i, j, k] = self._dy(dyj, k).value
-            R = (2.0 * dGdx
-                 - np.einsum("j,ijk->ik", y, d2G_xy)
-                 + 2.0 * np.einsum("j,ijk->ik", Gv, d2G_yy)
-                 - dGdy @ dGdy)
-            A = -R
-            self._cache["jacobi_matrix"] = A
-        return A
+        if self.order < 4:
+            raise ValueError("the Jacobi operator needs a frame of order 4")
+        n = self.n
+        G = self.spray_jets()               # order 2 at a full-order frame
+        space = self._space(2)
+        dG = space.partial_jets(G, 1)[..., 0]           # [i, a]
+        d2G = space.partial_jets(G, 2)[..., 0]          # [i, a, b]
+        R = (2.0 * dG[:, :n]
+             - np.einsum("j,ijk->ik", self.sample.y, d2G[:, :n, n:])
+             + 2.0 * np.einsum("j,ijk->ik", G[:, 0], d2G[:, n:, n:])
+             - dG[:, n:] @ dG[:, n:])
+        return -R
 
+    @_cached
     def curvature_components(self) -> np.ndarray:
         """R^l_{kij} from horizontal derivatives of the Christoffel symbols."""
-        R = self._cache.get("curvature_components")
-        if R is None:
-            n = self.n
-            gamma_jets = self.christoffel_jets()
-            gamma = self.christoffel()
-            Nv = self.nonlinear()
-            # dgamma[l, k, i] = horizontal derivative along x^i of Gamma^l_{.k},
-            # assembled below with the middle slot looping over the pair (j,k).
-            dgamma = np.empty((n, n, n, n))   # [l, j, k, i] = delta_i Gamma^l_{jk}
-            for l in range(n):
-                for j in range(n):
-                    for k in range(j, n):
-                        jet = gamma_jets[l][j][k]
-                        dx = [self._dx(jet, i).value for i in range(n)]
-                        dy = [self._dy(jet, m_).value for m_ in range(n)]
-                        for i in range(n):
-                            val = dx[i] - sum(Nv[m_][i] * dy[m_] for m_ in range(n))
-                            dgamma[l, j, k, i] = dgamma[l, k, j, i] = val
-            R = np.empty((n, n, n, n))        # [l, k, i, j]
-            for l in range(n):
-                for k in range(n):
-                    for i in range(n):
-                        for j in range(n):
-                            val = dgamma[l, j, k, i] - dgamma[l, i, k, j]
-                            for m_ in range(n):
-                                val += (gamma[l][i][m_] * gamma[m_][j][k]
-                                        - gamma[l][j][m_] * gamma[m_][i][k])
-                            R[l, k, i, j] = val
-            self._cache["curvature_components"] = R
-        return R
+        n = self.n
+        gamma = self.christoffel()
+        dgamma = self._space(3).partial_jets(self.christoffel_jets(), 1)[..., 0]
+        # [l, j, k, i] = delta_i Gamma^l_{jk}
+        dgamma = dgamma[..., :n] - np.einsum("ljkm,mi->ljki", dgamma[..., n:],
+                                             self.nonlinear())
+        return (np.einsum("ljki->lkij", dgamma) - np.einsum("likj->lkij", dgamma)
+                + np.einsum("lim,mjk->lkij", gamma, gamma)
+                - np.einsum("ljm,mik->lkij", gamma, gamma))
+
+
+def _contract(space, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Jet-valued contraction sum_m a[..., m, :] b[m, ..., :] of coefficient
+    arrays over the last index of a and the first of b."""
+    a = a.reshape(a.shape[:-1] + (1,) * (b.ndim - 2) + a.shape[-1:])
+    return space.mul(a, b).sum(axis=a.ndim - b.ndim)
+
+
+def _lowered_christoffel(delta: np.ndarray) -> np.ndarray:
+    """[l, i, j] = delta_i g_lj + delta_j g_il - delta_l g_ij from
+    delta[i, j, k] = delta_k g_ij (any trailing axes ride along)."""
+    return (np.swapaxes(delta, 1, 2) + np.swapaxes(delta, 0, 1)
+            - np.moveaxis(delta, 2, 0))
 
 
 # --------------------------------------------------------------------------
@@ -430,4 +331,4 @@ def horizontal_gradient(f: MetricDefinition, v: TangentSample,
     frame = ConnectionFrame(m, v, order=3)
     dx, dy = _scalar_partials(f.jet(v, 2))
     delta = dx - frame.nonlinear().T @ dy
-    return inverse_metric(frame.g()) @ delta
+    return frame.ginv() @ delta

@@ -418,6 +418,9 @@ class MetricDefinition:
         out = evaluate(self.body, xs, ys)
         if not isinstance(out, jets.Jet):
             out = jets.Jet.constant(xs[0].space, float(out))
+        if not np.isfinite(out.c).all():
+            raise EvaluationDomainError(
+                f"the jet of {self.name!r} is not finite at {sample!r}")
         return out
 
     def admissible(self, sample: TangentSample) -> bool:

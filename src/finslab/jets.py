@@ -51,7 +51,8 @@ class JetSpace:
 
     __slots__ = (
         "nvars", "order", "indices", "index_of", "degrees",
-        "_sizes_by_degree", "_mul_plan", "_diff_plans", "_partial_slots",
+        "_sizes_by_degree", "_mul_plan", "_sum_plan", "_diff_plans",
+        "_partial_slots",
     )
 
     def __init__(self, nvars: int, order: int):
@@ -69,6 +70,7 @@ class JetSpace:
             sizes[d + 1] += 1
         self._sizes_by_degree = np.cumsum(sizes)
         self._mul_plan = None
+        self._sum_plan = None
         self._diff_plans = {}
         self._partial_slots = {}
 
@@ -114,27 +116,55 @@ class JetSpace:
             self._diff_plans[var] = plan
         return plan
 
+    def mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Jet products of coefficient arrays, broadcasting their leading axes.
+
+        Agrees with `Jet.__mul__` up to the order in which terms are summed;
+        that stays the path for a single pair, where it is faster.
+        """
+        if self._sum_plan is None:
+            ia, ib, io = self.mul_plan()
+            by_out = np.argsort(io, kind="stable")
+            starts = np.searchsorted(io[by_out], np.arange(self.size))
+            self._sum_plan = (ia[by_out], ib[by_out], starts)
+        ia, ib, starts = self._sum_plan
+        return np.add.reduceat(a[..., ia] * b[..., ib], starts, axis=-1)
+
     def partial_slots(self, degree: int):
-        """Arrays (index, factor), each of shape (nvars,)*degree: entry
-        [v1, ..., vd] holds the coefficient index of the multi-index alpha
-        with one count per listed variable, and alpha!.  Built on first use.
+        """Arrays (index, factor), each of shape (nvars,)*degree + (size of
+        the order-(k-degree) space,): entry [v1, ..., vd, beta] holds the
+        coefficient index of alpha + beta, where alpha has one count per
+        listed variable, and (alpha + beta)!/beta!.  Gathering with them
+        yields the coefficients of every degree-d partial.  Built on first use.
         """
         slots = self._partial_slots.get(degree)
         if slots is None:
             if not 1 <= degree <= self.order:
                 raise ValueError(
                     f"partial degree must be in [1, {self.order}], got {degree}")
-            shape = (self.nvars,) * degree
+            lower = jet_space(self.nvars, self.order - degree).indices
+            shape = (self.nvars,) * degree + (len(lower),)
             index = np.empty(shape, dtype=np.intp)
             factor = np.empty(shape)
-            for slot in np.ndindex(*shape):
+            for slot in np.ndindex(*shape[:-1]):
                 alpha = [0] * self.nvars
                 for v in slot:
                     alpha[v] += 1
-                index[slot] = self.index_of[tuple(alpha)]
-                factor[slot] = math.prod(math.factorial(a) for a in alpha)
+                for b, beta in enumerate(lower):
+                    gamma = tuple(a + c for a, c in zip(alpha, beta))
+                    index[slot + (b,)] = self.index_of[gamma]
+                    factor[slot + (b,)] = math.prod(
+                        math.factorial(g) // math.factorial(c)
+                        for g, c in zip(gamma, beta))
             slots = self._partial_slots[degree] = (index, factor)
         return slots
+
+    def partial_jets(self, c: np.ndarray, degree: int) -> np.ndarray:
+        """Every degree-d partial of the coefficient array c (leading axes
+        are batch axes) as order-(k-d) coefficients, in one gather: shape
+        c.shape[:-1] + (nvars,)*degree + (size of the order-(k-d) space,)."""
+        index, factor = self.partial_slots(degree)
+        return c[..., index] * factor
 
 
 @lru_cache(maxsize=None)
@@ -166,7 +196,7 @@ class Jet:
         c = np.zeros(space.size)
         c[0] = value
         if space.order >= 1:
-            c[space.partial_slots(1)[0][var]] = 1.0
+            c[space.partial_slots(1)[0][var, 0]] = 1.0
         return Jet(space, c)
 
     # basic queries --------------------------------------------------------
@@ -201,11 +231,16 @@ class Jet:
             fac *= math.factorial(a)
         return float(self.c[self.space.index_of[alpha]]) * fac
 
+    def partial_jets(self, degree: int) -> np.ndarray:
+        """The jets of all partials of one total degree, as coefficients of
+        shape (nvars,)*degree + (size of the order-(k-degree) space,)."""
+        index, factor = self.space.partial_slots(degree)
+        return self.c[index] * factor   # plain indexing beats c[..., index] here
+
     def partials(self, degree: int) -> np.ndarray:
         """All true partials of one total degree as an (nvars,)*degree array:
         entry [v1, ..., vd] is d^d f / dv1 ... dvd."""
-        index, factor = self.space.partial_slots(degree)
-        return self.c[index] * factor
+        return self.partial_jets(degree)[..., 0]
 
     def diff(self, var: int) -> "Jet":
         """The jet of the partial derivative d/dx_var, one order lower."""

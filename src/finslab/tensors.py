@@ -8,12 +8,13 @@ set maps to a single stored coefficient).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .dsl import MetricDefinition, TangentSample
-from .errors import InadmissibleSample, SingularMetric
+from .errors import EvaluationDomainError, InadmissibleSample, SingularMetric
 
 DEGENERACY_TOL = 1e-12
 
@@ -69,14 +70,17 @@ def legendre(m: MetricDefinition, v: TangentSample) -> np.ndarray:
 def inverse_metric(g: FundamentalTensor | np.ndarray) -> np.ndarray:
     """Inverse of the fundamental tensor, or SingularMetric if degenerate.
 
-    Degeneracy threshold: |det g| relative to max|g_ij|^n.
+    Degeneracy threshold: |det(g / max|g_ij|)| <= DEGENERACY_TOL, which
+    cannot overflow; a non-finite entry is an EvaluationDomainError.
     """
     mat = g.matrix if isinstance(g, FundamentalTensor) else np.asarray(g, dtype=float)
     n = mat.shape[0]
     scale = float(np.max(np.abs(mat)))
-    det = float(np.linalg.det(mat))
-    if scale == 0.0 or abs(det) <= DEGENERACY_TOL * scale ** n:
+    if not math.isfinite(scale):
+        raise EvaluationDomainError("fundamental tensor has a non-finite entry")
+    det = float(np.linalg.det(mat / scale)) if scale > 0.0 else 0.0
+    if abs(det) <= DEGENERACY_TOL:
         raise SingularMetric(
-            f"fundamental tensor is degenerate: |det|={abs(det):.3e} "
-            f"against scale {scale:.3e}")
+            f"fundamental tensor is degenerate: |det g/scale|={abs(det):.3e} "
+            f"at scale {scale:.3e}")
     return np.linalg.solve(mat, np.eye(n))

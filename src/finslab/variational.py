@@ -30,6 +30,7 @@ from .dsl import MetricDefinition, TangentSample, parse_expression, evaluate
 from .errors import FinslabError, GridMismatch, InadmissibleSample
 from .geodesics import (_pregeodesic_defects, check_lightlike, energy, factor_rate,
                         factor_values, reparametrize_conformal, rk4_step)
+from .tensors import fundamental_tensor
 
 __all__ = [
     "SubmanifoldPatch", "VariationField", "JacobiSolution", "FocalPoint",
@@ -615,7 +616,7 @@ def _focal_initial_data(curve: DiscreteCurve, P: SubmanifoldPatch,
         sff = _normal_sff_matrix(P, N0, m)
         J0[:, :d] = basis
         K0[:, :d] = sff
-    g = ConnectionFrame(m, TangentSample(p, N0), order=3).g()
+    g = fundamental_tensor(m, TangentSample(p, N0)).matrix
     if d > 0:
         complement = null_space(basis.T @ g)
     else:

@@ -272,3 +272,15 @@ def test_exit_code_two_on_exp_overflow(tmp_path, capsys):
     cfg = write_config(tmp_path, "[metric]\nmetric = steep.metric\n[run]\nsamples = 5\n")
     assert cli.main(["tensors", "--config", cfg]) == 2
     assert_single_error_line(capsys, "exp overflows")
+
+
+def test_exit_code_two_on_a_non_finite_metric_jet(tmp_path, capsys):
+    """exp(400*x0)^2 overflows at x0 = 0.95; the metric jet stops it before
+    the integrator or a spline sees a NaN."""
+    (tmp_path / "steep.metric").write_text(
+        "dim=2\nexp(400*x0)*exp(400*x0)*(-y0^2 + y1^2)\n")
+    cfg = write_config(tmp_path, "[metric]\nmetric = steep.metric\nx0 = 0.95, 0\n"
+                                 "v0 = 1, 1\npatch = point\n"
+                                 "[run]\nt1 = 0.5\nstep = 0.05\n")
+    assert cli.main(["focal", "--config", cfg]) == 2
+    assert_single_error_line(capsys, "not finite")

@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 import finslab
-from finslab import connection, dsl, geodesics, tensors
+from finslab import connection, dsl, geodesics, jets, tensors
 from conftest import margin_sample
+from frame_reference import ReferenceFrame
 
 
 def levi_civita_oracle(A_fn, x, h=1e-5):
@@ -324,3 +325,52 @@ def test_christoffel_contraction_along_the_reference_is_twice_the_spray(
             lhs = np.einsum("kij,i,j->k", connection.christoffel(m, v).gamma, v.y, v.y)
             rhs = 2.0 * connection.spray_coefficients(m, v.x, v.y)
             assert np.linalg.norm(lhs - rhs) <= 1e-10 * np.linalg.norm(rhs), m.name
+
+
+# --------------------------------------------------------------------------
+# the array-valued frame against the list-of-Jet reference
+# --------------------------------------------------------------------------
+
+def _coefficients(table):
+    return np.array([[jet.c for jet in row] for row in table])
+
+
+@pytest.mark.parametrize("name", ["einstein-static", "warped-quadratic",
+                                  "bogoslovsky2-warped", "minkowski3",
+                                  "theta-weight*einstein-static"])
+def test_array_frame_matches_the_jet_list_reference(name, scaled_einstein):
+    """g, g^{-1}, G and N as jets and Gamma and the Jacobi operator as values
+    agree with Gauss-Jordan over the jet ring and single-Jet loops."""
+    m = scaled_einstein if name == scaled_einstein.name else dsl.builtin_metric(name)
+    rng = np.random.default_rng(22)
+    for v in dsl.sample_admissible(m, rng, count=20):
+        frame = connection.ConnectionFrame(m, v, order=4)
+        ref = ReferenceFrame(m, v, order=4)
+        pairs = {
+            "g": (frame.g_jets(), _coefficients(ref.g)),
+            "ginv": (frame.ginv_jets(), _coefficients(ref.ginv)),
+            "spray": (frame.spray_jets(), np.array([jet.c for jet in ref.G])),
+            "nonlinear": (frame.nonlinear_jets(), _coefficients(ref.N)),
+            "christoffel": (frame.christoffel(), ref.christoffel()),
+            "jacobi": (frame.jacobi_matrix(), ref.jacobi_matrix()),
+        }
+        for what, (got, want) in pairs.items():
+            assert got.shape == want.shape, what
+            bound = 1e-10 * np.maximum(1.0, np.abs(want))
+            assert np.all(np.abs(got - want) <= bound), (what, v)
+
+
+@pytest.mark.parametrize("order", [3, 4])
+def test_neumann_inverse_is_exact_at_truncation_order(order, scaled_einstein):
+    """The jet product g g^{-1} is the identity jet up to round-off."""
+    rng = np.random.default_rng(23)
+    for m in (scaled_einstein, dsl.builtin_metric("bogoslovsky2-warped")):
+        for v in dsl.sample_admissible(m, rng, count=10):
+            frame = connection.ConnectionFrame(m, v, order=order)
+            g, ginv = frame.g_jets(), frame.ginv_jets()
+            space = jets.jet_space(2 * v.dim, order - 2)
+            product = space.mul(g[:, :, None], ginv[None]).sum(axis=1)
+            identity = np.zeros_like(product)
+            identity[..., 0] = np.eye(v.dim)
+            scale = np.abs(g).max() * np.abs(ginv).max()
+            assert np.abs(product - identity).max() <= 1e-13 * scale

@@ -183,3 +183,34 @@ def test_partials_table_matches_the_derivative_oracle(nvars):
                 assert table[slot] == jet.derivative(np.bincount(slot, minlength=nvars))
         with pytest.raises(ValueError):
             jet.partials(order + 1)
+
+
+@pytest.mark.parametrize("nvars", [2, 4])
+def test_partial_jets_match_repeated_differentiation(nvars):
+    rng = np.random.default_rng(10 + nvars)
+    for order in range(1, jets.MAX_ORDER + 1):
+        space = jets.jet_space(nvars, order)
+        jet = jets.Jet(space, rng.standard_normal(space.size))
+        for degree in range(1, order + 1):
+            table = jet.partial_jets(degree)
+            lower = jets.jet_space(nvars, order - degree)
+            assert table.shape == (nvars,) * degree + (lower.size,)
+            for slot in np.ndindex(*table.shape[:-1]):
+                ref = jet
+                for v in slot:
+                    ref = ref.diff(v)
+                assert np.allclose(table[slot], ref.c, rtol=1e-15, atol=0)
+            assert np.array_equal(jet.partials(degree), table[..., 0])
+
+
+@pytest.mark.parametrize("nvars,order", [(2, 4), (6, 1), (6, 2), (4, 3)])
+def test_batched_product_matches_the_jet_product(nvars, order):
+    space = jets.jet_space(nvars, order)
+    rng = np.random.default_rng(nvars * 10 + order)
+    a = rng.standard_normal((3, 1, space.size))
+    b = rng.standard_normal((1, 4, space.size))
+    out = space.mul(a, b)
+    assert out.shape == (3, 4, space.size)
+    for i, j in np.ndindex(3, 4):
+        ref = (jets.Jet(space, a[i, 0]) * jets.Jet(space, b[0, j])).c
+        assert np.allclose(out[i, j], ref, rtol=1e-14, atol=1e-14)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from finslab import dsl, finitediff, tensors
-from finslab.errors import InadmissibleSample, SingularMetric
+from finslab.errors import EvaluationDomainError, InadmissibleSample, SingularMetric
 
 
 def test_minkowski_fundamental_tensor_is_constant(minkowski3):
@@ -126,6 +126,19 @@ def test_degeneracy_threshold_sweep():
         tensors.inverse_metric(np.diag([1.0, eps]))
     with pytest.raises(SingularMetric):
         tensors.inverse_metric(np.diag([1.0, 1e-14]))
+
+
+def test_inverse_metric_of_a_huge_diagonal_is_exact():
+    """The degeneracy test divides by the scale first, so |det g| = 1e400
+    does not overflow."""
+    inv = tensors.inverse_metric(np.diag([1e200, -1e200]))
+    assert np.array_equal(inv, np.diag([1e-200, -1e-200]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_inverse_metric_rejects_a_non_finite_entry(bad):
+    with pytest.raises(EvaluationDomainError):
+        tensors.inverse_metric(np.array([[1.0, bad], [bad, -1.0]]))
 
 
 def test_inadmissible_sample_is_rejected(bogoslovsky):

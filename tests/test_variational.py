@@ -536,6 +536,26 @@ def test_one_connection_frame_per_distinct_sample(einstein, monkeypatch):
     assert np.array_equal(W.values, plain.values) and np.array_equal(W.accel, plain.accel)
 
 
+def test_focal_search_from_a_point_builds_one_frame_per_distinct_sample(
+        einstein, monkeypatch):
+    """The initial data read g at the basepoint from the fundamental tensor,
+    so the Jacobi integration's frames are the only ones built."""
+    built = []
+    plain_init = connection.ConnectionFrame.__init__
+
+    def init(self, m, v, order=4):
+        plain_init(self, m, v, order)
+        built.append((v.x.tobytes(), v.y.tobytes()))
+
+    monkeypatch.setattr(connection.ConnectionFrame, "__init__", init)
+    steps = 10
+    curve = geodesics.integrate_geodesic(
+        einstein, [0, np.pi / 2, 0], [1, 0, 1], (0, 0.5), 0.5 / steps)
+    patch = variational.SubmanifoldPatch.from_point(curve.positions[0])
+    assert variational.find_focal_points(curve, patch, einstein) == []
+    assert len(built) == len(set(built)) == 2 * steps + 1
+
+
 def test_jacobi_integration_keeps_only_the_current_step_frames(einstein, monkeypatch):
     live = weakref.WeakSet()
     peak = []
