@@ -436,8 +436,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = load_config(args.config)
-        report = run_experiment(args.experiment, cfg, seed=args.seed,
-                                overrides={"step": args.step, "tol": args.tol})
+        # a metric jet that overflows is reported once, as the typed error
+        # raised by the non-finite guards, not also as numpy warnings
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            report = run_experiment(args.experiment, cfg, seed=args.seed,
+                                    overrides={"step": args.step, "tol": args.tol})
     except (FinslabError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

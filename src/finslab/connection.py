@@ -21,7 +21,10 @@ Conventions: the geodesic equation is xdd^i = -2 G^i(x, xd); the covariant
 derivative along a curve uses Christoffel symbols referenced at an admissible
 field U; `jacobi_operator(m, v, w)` returns the right-hand side of the Jacobi
 equation D^2 J = R_v(v, J)v, normalized so that the flat case gives zero and
-a unit round sphere gives -J for unit transverse J.
+a unit round sphere gives -J for unit transverse J.  Along a curve every
+consumer (`variational.CurveGeometry`, the Jacobi integrator and
+`covariant_derivative_along`) reads connection data from the arrays of
+`_frame_tables`, one frame per sample.
 
 All functions here are pure and stateless; batch evaluation over sample
 arrays is an ordinary map, safe to parallelize from the caller.
@@ -93,8 +96,8 @@ class ConnectionFrame:
     whose last axis runs over one jet space over the 2n chart and fiber
     variables: g and g^{-1} of shape (n, n, size) and G of shape (n, size) at
     order k-2, N of shape (n, n, size) and Gamma of shape (n, n, n, size) at
-    order k-3.  Along a curve, `variational.CurveGeometry` owns the frames
-    and builds one per distinct sample.
+    order k-3.  Along a curve, `_frame_tables` builds one frame per sample
+    and keeps only the values its consumers read.
     """
 
     def __init__(self, m: MetricDefinition, v: TangentSample, order: int = 4):
@@ -275,30 +278,42 @@ def chern_curvature(m: MetricDefinition, v: TangentSample, X, Y, Z) -> np.ndarra
                      np.asarray(X, float), np.asarray(Y, float), np.asarray(Z, float))
 
 
-def covariant_derivative_along(curve: DiscreteCurve, U, X, m: MetricDefinition,
-                               X_dot=None) -> np.ndarray:
-    """Covariant derivative of the field X along the curve with reference U.
+def _frame_tables(m: MetricDefinition, times: np.ndarray, positions: np.ndarray,
+                  references: np.ndarray) -> tuple[np.ndarray, ...]:
+    """Connection data along a curve, one order-4 frame per sample (x_k, U_k):
+    g, g^{-1}, N, Gamma and the Jacobi operator A as arrays with a leading
+    sample axis.  Each frame's values are copied out and the frame dropped,
+    so memory holds the tables only.  A sample outside the domain raises
+    `InadmissibleSample` naming the curve time."""
+    s, n = positions.shape
+    g, ginv, N, A = (np.empty((s, n, n)) for _ in range(4))
+    gamma = np.empty((s, n, n, n))
+    for k in range(s):
+        try:
+            fr = ConnectionFrame(m, TangentSample(positions[k], references[k]), order=4)
+        except InadmissibleSample:
+            raise InadmissibleSample(f"curve leaves the domain of {m.name!r} "
+                                     f"at t={times[k]!r}") from None
+        g[k], ginv[k], N[k] = fr.g(), fr.ginv(), fr.nonlinear()
+        gamma[k], A[k] = fr.christoffel(), fr.jacobi_matrix()
+    return g, ginv, N, gamma, A
 
-    (D X)^k = Xdot^k + X^i vel^j Gamma^k_ij(U); Xdot comes from dense-output
-    differentiation of the samples unless supplied explicitly.
+
+def covariant_derivative_along(curve: DiscreteCurve, U, X, m: MetricDefinition
+                               ) -> np.ndarray:
+    """Covariant derivative of the field X along the curve with reference U
+    (the velocity when None).
+
+    (D X)^k = Xdot^k + X^i vel^j Gamma^k_ij(U); Xdot comes from a spline
+    derivative of the samples.
     """
     X = np.asarray(X, dtype=float)
-    if U is None:
-        U = curve.velocities
-    U = np.asarray(U, dtype=float)
+    U = curve.velocities if U is None else np.asarray(U, dtype=float)
     if X.shape != curve.positions.shape or U.shape != curve.positions.shape:
         raise GridMismatch("field samples must match the curve grid")
-    if X_dot is None:
-        X_dot = spline_derivative(curve.grid, X)
-    out = np.empty_like(X)
-    for k in range(curve.grid.size):
-        sample = TangentSample(curve.positions[k], U[k])
-        if not m.admissible(sample):
-            raise InadmissibleSample(
-                f"reference field leaves the domain of {m.name!r} at t={curve.grid[k]!r}")
-        gamma = ConnectionFrame(m, sample, order=3).christoffel()
-        out[k] = X_dot[k] + np.einsum("kij,i,j->k", gamma, X[k], curve.velocities[k])
-    return out
+    gamma = _frame_tables(m, curve.grid, curve.positions, U)[3]
+    return spline_derivative(curve.grid, X) + np.einsum(
+        "kaij,ki,kj->ka", gamma, X, curve.velocities)
 
 
 def _scalar_partials(jet: Jet) -> tuple[np.ndarray, np.ndarray]:

@@ -146,9 +146,9 @@ def _value_and_slope(m: MetricDefinition, x, y, w) -> tuple[float, float]:
 
 
 def project_to_lightcone(m: MetricDefinition, v: TangentSample, w,
-                         tol: float = CONE_PROJECTION_TOL,
-                         max_iter: int = 50) -> TangentSample:
-    """Newton solve of L(v + delta*w) = 0 along a transversal direction w.
+                         tol: float = CONE_PROJECTION_TOL) -> TangentSample:
+    """Newton solve of L(v + delta*w) = 0 along a transversal direction w, in
+    at most 50 iterations.
 
     Steps that would leave the conic domain are backtracked, which lets the
     iteration approach cones sitting on the domain boundary (fractional-power
@@ -164,7 +164,7 @@ def project_to_lightcone(m: MetricDefinition, v: TangentSample, w,
             f"probe vector pairs to {slope / 2:.3e} with the base vector")
     delta = 0.0
     y = v.y.copy()
-    for _ in range(max_iter):
+    for _ in range(50):
         scale = max(1.0, float(y @ y))
         if abs(value) <= tol * scale:
             return TangentSample(v.x, y)
@@ -181,7 +181,7 @@ def project_to_lightcone(m: MetricDefinition, v: TangentSample, w,
         delta += step
         y = v.y + delta * w
         value, slope = _value_and_slope(m, v.x, y, w)
-    raise NoConvergence(f"lightcone projection did not converge in {max_iter} iterations")
+    raise NoConvergence("lightcone projection did not converge in 50 iterations")
 
 
 def lightlike_defect(curve: DiscreteCurve, m: MetricDefinition) -> float:
@@ -243,11 +243,10 @@ def pregeodesic_residual(curve: DiscreteCurve, m: MetricDefinition, lam=None) ->
 
 def reparametrize_conformal(curve: DiscreteCurve, lam, m: MetricDefinition | None = None,
                             mu_span: tuple[float, float] | None = None,
-                            step: float | None = None,
                             require_lightlike: bool = True
                             ) -> tuple[Reparametrization, DiscreteCurve]:
     """Solve phidot(mu) = factor(velocity(phi(mu))) with phi(mu0) = t0 and
-    emit the reparametrized curve.
+    emit the reparametrized curve, by RK4 steps of the base curve's step.
 
     With mu_span=None the map is integrated until it exhausts the base
     curve's parameter range (the final partial step is bisected so the last
@@ -271,7 +270,7 @@ def reparametrize_conformal(curve: DiscreteCurve, lam, m: MetricDefinition | Non
     def strict_rate(mu: float, phi: float) -> float:
         return rate(mu, phi, clamp=False)
 
-    h = step if step is not None else curve.step
+    h = curve.step
     mus = [curve.t0 if mu_span is None else float(mu_span[0])]
     phis = [lo]
     if mu_span is not None:

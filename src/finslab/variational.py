@@ -4,9 +4,11 @@ and the transfer of Jacobi fields between conformally related metrics.
 Everything here is expressed through the connection of ONE base metric; the
 scaled metric never needs its own connection.  Along a fixed curve all
 pointwise geometry (fundamental tensor, Christoffel symbols, Jacobi operator,
-factor gradients) comes from one `CurveGeometry`, one frame per distinct
-sample, shared by the quadrature formulas, variation fields and the Jacobi
-integrator; geodesic checks read the spray, as Gamma(v)(v, v) = 2G(x, v).
+factor gradients) is read from tables built by `connection._frame_tables`,
+one frame per sample: `CurveGeometry` holds one at the nodes for the
+quadrature formulas and variation fields, and the Jacobi integrator builds
+one at its RK stage times.  Geodesic checks read the spray, as
+Gamma(v)(v, v) = 2G(x, v).
 
 Curvature terms of the form g(R(vel, V)W, vel) are evaluated through the
 Jacobi operator using its g-self-adjointness, g(R(vel,V)W, vel) = -g(AV, W)
@@ -24,10 +26,10 @@ from scipy.integrate import cumulative_simpson, simpson
 from scipy.interpolate import CubicHermiteSpline
 from scipy.linalg import null_space
 
-from .connection import ConnectionFrame, _scalar_partials
+from .connection import ConnectionFrame, _frame_tables, _scalar_partials
 from .curves import DiscreteCurve, Reparametrization, spline_derivative
 from .dsl import MetricDefinition, TangentSample, parse_expression, evaluate
-from .errors import FinslabError, GridMismatch, InadmissibleSample
+from .errors import FinslabError, GridMismatch
 from .geodesics import (_pregeodesic_defects, check_lightlike, energy, factor_rate,
                         factor_values, reparametrize_conformal, rk4_step)
 from .tensors import fundamental_tensor
@@ -50,19 +52,15 @@ __all__ = [
 class SubmanifoldPatch:
     """Parametrized immersion u in R^d -> chart coordinates.
 
-    The immersion and its derivatives are callables; when analytic
-    derivatives are not supplied they are produced by Richardson-extrapolated
-    central differences in the parameters, which is accurate far beyond the
-    tolerances used by the focal experiments.
+    The immersion is a callable; its derivatives are produced by
+    Richardson-extrapolated central differences in the parameters, which is
+    accurate far beyond the tolerances used by the focal experiments.
     """
 
-    def __init__(self, dim_params: int, immersion, basepoint,
-                 jacobian=None, hessian=None, name: str = "patch"):
+    def __init__(self, dim_params: int, immersion, basepoint, name: str = "patch"):
         self.d = int(dim_params)
         self._map = immersion
         self.basepoint = np.atleast_1d(np.asarray(basepoint, dtype=float))
-        self._jacobian = jacobian
-        self._hessian = hessian
         self.name = name
 
     @staticmethod
@@ -93,8 +91,6 @@ class SubmanifoldPatch:
         u = self.basepoint if u is None else np.atleast_1d(np.asarray(u, float))
         if self.d == 0:
             return np.zeros((self.point(u).size, 0))
-        if self._jacobian is not None:
-            return np.asarray(self._jacobian(u), dtype=float)
         return _param_jacobian(self._map, u)
 
     def second_derivatives(self, u=None) -> np.ndarray:
@@ -103,8 +99,6 @@ class SubmanifoldPatch:
         n = self.point(u).size
         if self.d == 0:
             return np.zeros((n, 0, 0))
-        if self._hessian is not None:
-            return np.asarray(self._hessian(u), dtype=float)
         out = np.empty((n, self.d, self.d))
         for a in range(self.d):
             for b in range(a, self.d):
@@ -153,12 +147,8 @@ class VariationField:
     accel: np.ndarray | None = None
 
     @staticmethod
-    def from_function(curve: DiscreteCurve, fn, accel_fn=None) -> "VariationField":
-        vals = np.array([fn(t) for t in curve.grid], dtype=float)
-        acc = None
-        if accel_fn is not None:
-            acc = np.array([accel_fn(t) for t in curve.grid], dtype=float)
-        return VariationField(vals, acc)
+    def from_function(curve: DiscreteCurve, fn) -> "VariationField":
+        return VariationField(np.array([fn(t) for t in curve.grid], dtype=float))
 
     @staticmethod
     def affine(curve: DiscreteCurve, m: MetricDefinition, fn,
@@ -189,11 +179,10 @@ class JacobiSolution:
 # --------------------------------------------------------------------------
 
 class CurveGeometry:
-    """Geometry of a base metric referenced at the curve velocity, and the
-    one owner of connection frames along the curve: `frame_at` builds one
-    order-4 frame per distinct sample (x, y), shared by the node tables
-    (fundamental tensor, Christoffel symbols, Jacobi operator, and for a
-    given factor its values, rate and gradients) and the Jacobi RK stages.
+    """Geometry of a base metric referenced at the curve velocity: one table
+    from `connection._frame_tables` at the nodes, read by the fundamental
+    tensor, Christoffel symbols, Jacobi operator and, for a given factor, its
+    values, rate and gradients.
     """
 
     def __init__(self, curve: DiscreteCurve, m: MetricDefinition, lam=None):
@@ -202,33 +191,23 @@ class CurveGeometry:
         self.lam = lam
         self.npts = curve.grid.size
         self.n = curve.dim
-        self._frames: dict[bytes, ConnectionFrame] = {}
-
-    def frame_at(self, x: np.ndarray, y: np.ndarray) -> ConnectionFrame:
-        key = x.tobytes() + y.tobytes()
-        fr = self._frames.get(key)
-        if fr is None:
-            fr = self._frames[key] = ConnectionFrame(self.m, TangentSample(x, y), order=4)
-        return fr
-
-    def frame(self, k: int) -> ConnectionFrame:
-        try:
-            return self.frame_at(self.curve.positions[k], self.curve.velocities[k])
-        except InadmissibleSample:
-            raise InadmissibleSample(f"curve leaves the domain of {self.m.name!r} "
-                                     f"at t={self.curve.grid[k]!r}") from None
 
     @cached_property
+    def _table(self) -> tuple[np.ndarray, ...]:
+        c = self.curve
+        return _frame_tables(self.m, c.grid, c.positions, c.velocities)
+
+    @property
     def g(self) -> np.ndarray:
-        return np.array([self.frame(k).g() for k in range(self.npts)])
+        return self._table[0]
 
-    @cached_property
+    @property
     def gamma(self) -> np.ndarray:
-        return np.array([self.frame(k).christoffel() for k in range(self.npts)])
+        return self._table[3]
 
-    @cached_property
+    @property
     def jacobi(self) -> np.ndarray:
-        return np.array([self.frame(k).jacobi_matrix() for k in range(self.npts)])
+        return self._table[4]
 
     @cached_property
     def lam_values(self) -> np.ndarray:
@@ -243,12 +222,13 @@ class CurveGeometry:
         gh = np.zeros((self.npts, self.n))
         gv = np.zeros((self.npts, self.n))
         if isinstance(self.lam, MetricDefinition):
+            _, ginv, N, _, _ = self._table
+            c = self.curve
             for k in range(self.npts):
-                fr = self.frame(k)
-                dx, dy = _scalar_partials(self.lam.jet(fr.sample, 2))
-                ginv = fr.ginv()
-                gv[k] = ginv @ dy
-                gh[k] = ginv @ (dx - fr.nonlinear().T @ dy)
+                sample = TangentSample(c.positions[k], c.velocities[k])
+                dx, dy = _scalar_partials(self.lam.jet(sample, 2))
+                gv[k] = ginv[k] @ dy
+                gh[k] = ginv[k] @ (dx - N[k].T @ dy)
         return gh, gv
 
     @property
@@ -336,11 +316,11 @@ def second_variation(curve: DiscreteCurve, W: VariationField, lam,
 
 
 def energy_derivative_fd(curve: DiscreteCurve, W: VariationField, lam,
-                         m: MetricDefinition, order: int = 1,
-                         step: float = 1e-3) -> float:
+                         m: MetricDefinition, order: int = 1) -> float:
     """Richardson finite difference of s -> energy of the chart variation
-    x(t) + s W(t).  Independent of the variation formulas: it only uses the
-    energy quadrature."""
+    x(t) + s W(t), with steps 1e-3 and 5e-4.  Independent of the variation
+    formulas: it only uses the energy quadrature."""
+    step = 1e-3
     grid = curve.grid
     W_dot = spline_derivative(grid, W.values)
 
@@ -391,8 +371,7 @@ def _tangent_projector(B: np.ndarray, g: np.ndarray):
     return tan
 
 
-def _patch_frame(P: SubmanifoldPatch, N0: np.ndarray, m: MetricDefinition,
-                 orthogonality_tol: float = 1e-6):
+def _patch_frame(P: SubmanifoldPatch, N0: np.ndarray, m: MetricDefinition):
     p = P.point()
     basis = P.tangent_basis()
     sample = TangentSample(p, N0)
@@ -400,7 +379,7 @@ def _patch_frame(P: SubmanifoldPatch, N0: np.ndarray, m: MetricDefinition,
     g = frame.g()
     for a in range(basis.shape[1]):
         pairing = float(N0 @ g @ basis[:, a])
-        if abs(pairing) > orthogonality_tol * max(1.0, float(N0 @ N0)):
+        if abs(pairing) > 1e-6 * max(1.0, float(N0 @ N0)):
             raise FinslabError(
                 f"reference vector is not normal to the patch: pairing {pairing:.3e}")
     return p, basis, frame, g
@@ -538,20 +517,25 @@ def _geodesic_spot_check(curve: DiscreteCurve, m: MetricDefinition,
 
 
 def integrate_jacobi_basis(curve: DiscreteCurve, m: MetricDefinition,
-                           J0: np.ndarray, K0: np.ndarray,
-                           validate: bool = True) -> list[JacobiSolution]:
+                           J0: np.ndarray, K0: np.ndarray) -> list[JacobiSolution]:
     """RK4 integration of D^2 J = A J for several initial pairs at once.
 
-    J0, K0 are (n, nfields); every RK stage reads its frame from one
-    `CurveGeometry`, so all fields share it, both midpoint stages share one
-    frame and the last stage shares the next node's.  Frames are dropped after
-    each step, so memory stays flat.  Returns one solution record per column.
+    J0, K0 are (n, nfields).  The equation is linear along the fixed curve,
+    so one `connection._frame_tables` table at the distinct RK stage times
+    (the nodes, the step midpoints and t + h) holds every Gamma(y) y and A it
+    needs before the first step; all fields share it.  The curve is first
+    spot-checked to be a geodesic.  Returns one solution record per column.
     """
-    if validate:
-        _geodesic_spot_check(curve, m)
-    geom = CurveGeometry(curve, m)
+    _geodesic_spot_check(curve, m)
     grid = curve.grid
     n = curve.dim
+    # the stage times exactly as rk4_step forms them; t + h may differ from
+    # the next node in the last bit, and np.unique merges the equal ones
+    h = grid[1:] - grid[:-1]
+    times = np.unique(np.concatenate([grid, grid[:-1] + 0.5 * h, grid[:-1] + h]))
+    ys = curve.velocity(times)
+    _, _, _, gamma, A = _frame_tables(m, times, curve.position(times), ys)
+    gamma_y = np.einsum("skij,sj->ski", gamma, ys)
     J = np.asarray(J0, dtype=float).reshape(n, -1)
     K = np.asarray(K0, dtype=float).reshape(n, -1)
     nf = J.shape[1]
@@ -562,32 +546,27 @@ def integrate_jacobi_basis(curve: DiscreteCurve, m: MetricDefinition,
 
     def rhs(t, S):   # S = (J, K)
         J, K = S
-        y = curve.velocity(t)
-        fr = geom.frame_at(curve.position(t), y)
-        gamma_y = np.einsum("kij,j->ki", fr.christoffel(), y)
-        return np.array([K - gamma_y @ J, fr.jacobi_matrix() @ J - gamma_y @ K])
+        k = np.searchsorted(times, t)
+        return np.array([K - gamma_y[k] @ J, A[k] @ J - gamma_y[k] @ K])
 
     S = np.array([J, K])
     dS = rhs(grid[0], S)
     Js[0], Ks[0] = S
     Jdots[0] = dS[0]
     for idx in range(npts - 1):
-        t, h = grid[idx], grid[idx + 1] - grid[idx]
-        S = rk4_step(rhs, t, S, h, k1=dS)
+        S = rk4_step(rhs, grid[idx], S, h[idx], k1=dS)
         dS = rhs(grid[idx + 1], S)
-        geom._frames.clear()   # no later stage revisits these samples
         Js[idx + 1], Ks[idx + 1] = S
         Jdots[idx + 1] = dS[0]
     return [JacobiSolution(grid, Js[:, :, f], Ks[:, :, f], Jdots[:, :, f])
             for f in range(nf)]
 
 
-def integrate_jacobi(curve: DiscreteCurve, m: MetricDefinition, J0, K0,
-                     validate: bool = True) -> JacobiSolution:
+def integrate_jacobi(curve: DiscreteCurve, m: MetricDefinition, J0, K0
+                     ) -> JacobiSolution:
     """Single Jacobi field along a geodesic of m."""
     sol = integrate_jacobi_basis(
-        curve, m, np.asarray(J0, float)[:, None], np.asarray(K0, float)[:, None],
-        validate=validate)
+        curve, m, np.asarray(J0, float)[:, None], np.asarray(K0, float)[:, None])
     return sol[0]
 
 
@@ -628,9 +607,7 @@ def _focal_initial_data(curve: DiscreteCurve, P: SubmanifoldPatch,
 
 
 def find_focal_points(curve: DiscreteCurve, P: SubmanifoldPatch,
-                      m: MetricDefinition, svd_tol: float = 1e-7,
-                      refine_tol: float = 1e-8,
-                      validate: bool = True) -> list[FocalPoint]:
+                      m: MetricDefinition) -> list[FocalPoint]:
     """Zeros (with multiplicity) of the endpoint-constrained Jacobi family.
 
     Integrates the n-dimensional solution family fixed by the patch data:
@@ -638,11 +615,12 @@ def find_focal_points(curve: DiscreteCurve, P: SubmanifoldPatch,
     normal second fundamental form, and n-d fields vanishing initially with
     derivatives spanning a metric-orthogonal complement.  Focal parameters
     are bracketed by sign changes of det M(t) at grid resolution and refined
-    by bisection on the dense output; multiplicity is the count of singular
-    values below svd_tol times the largest.
+    by bisection on the dense output to a bracket of width 1e-8;
+    multiplicity is the count of singular values below 1e-7 times the
+    largest.
     """
     J0, K0 = _focal_initial_data(curve, P, m)
-    sols = integrate_jacobi_basis(curve, m, J0, K0, validate=validate)
+    sols = integrate_jacobi_basis(curve, m, J0, K0)
     npts = curve.grid.size
     M = np.stack([sol.J for sol in sols], axis=2)
     Mdot = np.stack([sol.J_dot for sol in sols], axis=2)
@@ -656,7 +634,7 @@ def find_focal_points(curve: DiscreteCurve, P: SubmanifoldPatch,
         elif a * b < 0.0:
             lo, hi = float(curve.grid[k]), float(curve.grid[k + 1])
             flo = a
-            while hi - lo > refine_tol:
+            while hi - lo > 1e-8:
                 mid = 0.5 * (lo + hi)
                 fmid = float(np.linalg.det(spline(mid)))
                 if fmid == 0.0:
@@ -670,7 +648,7 @@ def find_focal_points(curve: DiscreteCurve, P: SubmanifoldPatch,
         else:
             continue
         sv = np.linalg.svd(spline(t_star), compute_uv=False)
-        multiplicity = int(np.sum(sv <= svd_tol * sv[0]))
+        multiplicity = int(np.sum(sv <= 1e-7 * sv[0]))
         if multiplicity > 0:
             out.append(FocalPoint(parameter=t_star, multiplicity=multiplicity))
     return out
@@ -723,16 +701,16 @@ def transfer_jacobi(Jsol: JacobiSolution, curve: DiscreteCurve,
 
 def conformal_jacobi_residual(curve: DiscreteCurve, sol: JacobiSolution,
                               lam, m: MetricDefinition,
-                              geometry: CurveGeometry | None = None,
-                              trim: int = 2) -> float:
+                              geometry: CurveGeometry | None = None) -> float:
     """Interior residual of the scaled-metric Jacobi characterization,
-    written entirely with the base connection:
+    written entirely with the base connection, as the largest norm over the
+    nodes two or more away from either end (the spline derivatives are least
+    accurate at the ends):
 
         factor*A V - (factor*V')' + g(V',vel)*grad_h
         - (g(V,grad_h)*vel)' - (g(V',vel)*grad_v)' - (g(V',grad_v)*vel)' = 0
     """
     ctx = geometry or CurveGeometry(curve, m, lam)
-    grid = curve.grid
     lam_v = ctx.lam_values
     V = sol.J
     Vp = sol.K
@@ -746,8 +724,7 @@ def conformal_jacobi_residual(curve: DiscreteCurve, sol: JacobiSolution,
     term5 = ctx.cov(vp_vel[:, None] * ctx.grad_v)
     term6 = ctx.cov_scalar_times_velocity(ctx.pair(Vp, ctx.grad_v))
     residual = (lam_v[:, None] * AV - term2 + term3 - term4 - term5 - term6)
-    lo, hi = trim, grid.size - trim
-    return float(np.max(np.linalg.norm(residual[lo:hi], axis=1)))
+    return float(np.max(np.linalg.norm(residual[2:-2], axis=1)))
 
 
 def boundary_residual(curve: DiscreteCurve, sol: JacobiSolution,

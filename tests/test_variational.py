@@ -11,6 +11,7 @@ from finslab import (conformal, connection, dsl, experiments, geodesics,
 from finslab.curves import DiscreteCurve
 from finslab.errors import FinslabError, InadmissibleSample
 from conftest import lightlike_start
+from jacobi_reference import integrate_jacobi_per_stage
 
 
 def straight_null_line(n=3, v0=(1.0, 1.0, 0.0), span=1.0, h=1e-2):
@@ -574,6 +575,43 @@ def test_jacobi_integration_keeps_only_the_current_step_frames(einstein, monkeyp
     assert len(peak) == 21 and max(peak) <= 3
 
 
+def test_table_driven_jacobi_integration_matches_the_per_stage_path(
+        einstein, theta_weight, scaled_einstein):
+    """The stage table reproduces one frame per RK stage bit for bit: on a
+    uniform grid from 0, from t0 = 0.37 with a step that does not divide
+    the span, on the uneven grid of a reparametrization, and on a grid where
+    t + h misses the next node in the last bit, so both times are tabulated
+    and their frames differ."""
+    x0 = np.array([0.0, np.pi / 2, 0.0])
+    xt, vt = experiments.tilted_null_data(np.pi / 2 - 0.6)
+    scaled_curve = geodesics.integrate_geodesic(
+        scaled_einstein, xt, vt / theta_weight.value(xt, vt), (0.0, 0.3), 0.01)
+    _, tilde = geodesics.reparametrize_conformal(scaled_curve, theta_weight,
+                                                 scaled_einstein)
+    # a geodesic read at uneven nodes, with the exact accelerations -2G
+    source = geodesics.integrate_geodesic(einstein, x0, [1, 1, 0.3], (-1.2, 1.2), 0.01)
+    grid = np.array([-1.1, 0.05, 0.6, 1.15])
+    assert -1.1 + (0.05 - -1.1) != 0.05
+    pos, vel = source.position(grid), source.velocity(grid)
+    acc = np.array([-2.0 * connection.spray_coefficients(einstein, x, y)
+                    for x, y in zip(pos, vel)])
+    missed = DiscreteCurve(grid, pos, vel, acc)
+    curves = [
+        geodesics.integrate_geodesic(einstein, x0, [1, 0.2, 0.9], (0.0, 0.5), 0.05),
+        geodesics.integrate_geodesic(einstein, x0, [1, 0.1, 0.95], (0.37, 1.1), 0.07),
+        tilde, missed]
+    assert np.ptp(np.diff(tilde.grid)) > 1e-4      # genuinely uneven
+    J0 = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.3, 0.0]])
+    K0 = np.array([[0.0, 0.0, 1.0], [0.0, 1.0, 0.0], [0.0, 0.5, 0.2]])
+    for curve in curves:
+        sols = variational.integrate_jacobi_basis(curve, einstein, J0, K0)
+        Js, Ks, Jdots = integrate_jacobi_per_stage(curve, einstein, J0, K0)
+        for f, sol in enumerate(sols):
+            assert np.array_equal(sol.J, Js[:, :, f])
+            assert np.array_equal(sol.K, Ks[:, :, f])
+            assert np.array_equal(sol.J_dot, Jdots[:, :, f])
+
+
 def test_domain_exit_along_a_curve_reports_the_curve_time():
     m = dsl.parse_metric("-y0^2 + y1^2", 2, domain=("1 - x0",), name="slab")
     grid = np.array([0.0, 0.5, 1.25, 2.0])
@@ -584,3 +622,5 @@ def test_domain_exit_along_a_curve_reports_the_curve_time():
         variational.CurveGeometry(curve, m).g
     with pytest.raises(InadmissibleSample, match=message):
         geodesics.pregeodesic_residual(curve, m)
+    with pytest.raises(InadmissibleSample, match=message):
+        connection.covariant_derivative_along(curve, None, np.zeros((4, 2)), m)
