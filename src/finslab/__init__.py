@@ -25,7 +25,7 @@ from .errors import (ConfigError, DomainExit, EvaluationDomainError,
 from .geodesics import (energy, integrate_geodesic, lightlike_defect,
                         pregeodesic_residual, project_to_lightcone,
                         reparametrize_conformal)
-from .jets import Jet, JetSpace, jet_space, seed
+from .jets import Jet, JetSpace, jet_space
 from .tensors import (CartanTensor, FundamentalTensor, cartan_tensor,
                       fundamental_tensor, inverse_metric, legendre)
 from .variational import (CurveGeometry, FocalPoint, JacobiSolution,

@@ -6,9 +6,13 @@ A definition carries its conic domain as a list of expressions required to be
 strictly positive, and a declared positive-homogeneity degree in the fiber
 variables (2 for a metric, 0 for a conformal factor).
 
-Every expression evaluates over plain floats or over jets through the same
-tree, so the engine gets exact derivatives of any definition, including
-products of definitions formed programmatically.
+Each definition compiles its body and its domain predicates once into a
+`Tape`, a flat program that runs over floats or over jets, so the engine
+gets exact derivatives of any definition, including products of definitions
+formed programmatically.  The tape shares repeated subexpressions, folds
+constant ones, and keeps each subexpression's jet only over the variables it
+depends on; the coefficients equal those of jet arithmetic over all 2n
+variables to the bit.  Float values must be finite.
 
 Grammar (precedence: pow > unary minus > * / > + -)::
 
@@ -26,6 +30,7 @@ domains using them must list the base as a positivity predicate.
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass
 from pathlib import Path
@@ -37,7 +42,7 @@ from .errors import EvaluationDomainError, ExpressionError, NoAdmissibleSample
 
 __all__ = [
     "Expr", "Num", "Var", "Neg", "Add", "Sub", "Mul", "Div", "Pow", "Func",
-    "TangentSample", "MetricDefinition", "HomogeneityReport",
+    "Tape", "TangentSample", "MetricDefinition", "HomogeneityReport",
     "parse_expression", "parse_metric", "pretty", "evaluate",
     "validate_homogeneity", "sample_admissible", "builtin_metric",
     "builtin_names", "parse_metric_file", "load_metric_file",
@@ -105,55 +110,321 @@ class Func(Expr):
     arg: Expr
 
 
-_FUNCTIONS = {"exp": jets.exp, "log": jets.log, "sqrt": jets.sqrt,
-              "sin": jets.sin, "cos": jets.cos}
+_FUNCTIONS = ("exp", "log", "sqrt", "sin", "cos")
 
 
-def evaluate(node: Expr, xs, ys):
-    """Evaluate an expression over floats or jets (mixed not recommended)."""
-    if isinstance(node, Num):
-        return node.value
-    if isinstance(node, Var):
-        return xs[node.index] if node.kind == "x" else ys[node.index]
-    if isinstance(node, Neg):
-        return -evaluate(node.a, xs, ys)
-    if isinstance(node, Add):
-        return evaluate(node.a, xs, ys) + evaluate(node.b, xs, ys)
-    if isinstance(node, Sub):
-        return evaluate(node.a, xs, ys) - evaluate(node.b, xs, ys)
-    if isinstance(node, Mul):
-        return evaluate(node.a, xs, ys) * evaluate(node.b, xs, ys)
-    if isinstance(node, Div):
-        den = evaluate(node.b, xs, ys)
-        if not isinstance(den, jets.Jet) and den == 0.0:
-            raise EvaluationDomainError("division by zero")
-        return evaluate(node.a, xs, ys) / den
-    if isinstance(node, Pow):
-        base = evaluate(node.base, xs, ys)
-        p = node.exponent
+def evaluate(node: Expr, xs, ys) -> float:
+    """Value of an expression at chart values xs and fiber values ys, by a
+    tape compiled for this call; a variable that is not given reads nan."""
+    xs, ys = [float(v) for v in xs], [float(v) for v in ys]
+    n = max(len(xs), len(ys))
+    nan = [math.nan]
+    return Tape((node,), n).floats(xs + nan * (n - len(xs)) + ys + nan * (n - len(ys)))[0]
+
+
+# --------------------------------------------------------------------------
+# compiled tapes
+# --------------------------------------------------------------------------
+
+def _divide(a: float, b: float) -> float:
+    if b == 0.0:
+        raise EvaluationDomainError("division by zero")
+    return a / b
+
+
+def _int_power(a: float, p: int) -> float:
+    if p < 0 and a == 0.0:
+        raise EvaluationDomainError("zero base raised to a negative power")
+    try:
+        return a ** p
+    except OverflowError:
+        raise EvaluationDomainError(f"power {p} overflows at {a!r}") from None
+
+
+def _function(name: str, a: float, p: float = 0.5) -> float:
+    """Float value of an elementary function (or of powr, a**p)."""
+    if name == "sqrt":
+        if a <= 0.0:
+            raise EvaluationDomainError(f"sqrt of non-positive value {a!r}")
+        return math.sqrt(a)
+    return jets.taylor(name, a, 0, p)[0]
+
+
+# the float of each tape operation from its operand and its second operand
+# (a slot for the four slot-pair kinds, else a constant)
+_SLOT_PAIRS = ("add", "sub", "mul", "div")
+_FLOAT_OPS = {
+    "add": operator.add, "sub": operator.sub, "mul": operator.mul, "div": _divide,
+    "neg": lambda a, _: -a, "addc": operator.add, "mulc": operator.mul,
+    "divc": operator.truediv, "rdivc": lambda a, c: _divide(c, a),
+    "ipow": _int_power, "powr": lambda a, p: _function("powr", a, p),
+    "func": lambda a, name: _function(name, a),
+}
+
+
+def _positions(sub: tuple[int, ...], support: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(support.index(v) for v in sub)
+
+
+class Tape:
+    """Expressions over x0..x{n-1}, y0..y{n-1} compiled into one flat program.
+
+    Variables are numbered 0..n-1 for x and n..2n-1 for y; a point is the
+    list of their 2n float values.  Compilation folds constant
+    subexpressions to floats, gives a repeated subexpression one slot, and
+    records the support of each slot: the sorted variables it depends on.
+    The program runs over floats (`floats`) and over jets (`jet`).  A jet
+    slot holds a padded array over jet_space(len(support), order) (see
+    `jets.lift_index`): a product combines its factors' own arrays through a
+    `jets.product_plan`, and a sum lifts an operand into the union of the
+    supports.  Every coefficient sums its terms in the order of jet
+    arithmetic over all 2n variables, so the coefficients agree with it to
+    the bit (structural sparsity, Griewank & Walther, *Evaluating
+    Derivatives*, 2nd ed., SIAM 2008, ch. 7).
+
+    Operations keep the order and the checks of plain arithmetic: integer
+    powers are `**` on floats and repeated products on jets, an elementary
+    function composes `jets.taylor` by Horner's rule, and a division by
+    zero, a zero base to a negative power, log, sqrt or a fractional power
+    of a non-positive value, an overflowing exp or power and sin or cos of
+    an infinite value raise EvaluationDomainError.  So does a constant
+    subexpression that fails, on every run.
+    """
+
+    def __init__(self, exprs, dim: int):
+        self.dim = dim
+        self.failure: str | None = None
+        self._ops: list[tuple] = []
+        self._support: list[tuple[int, ...]] = []
+        self._slot_of: dict[tuple, int] = {}
+        self.outputs = [self._emit(e) for e in exprs]
+        del self._slot_of
+        self.variables = tuple(sorted(op[1] for op in self._ops if op[0] == "var"))
+        self._float_program = [self._float_op(*op) for op in self._ops]
+        self._jet_programs: dict[int, tuple] = {}
+
+    # compilation ----------------------------------------------------------
+
+    def _slot(self, op: tuple, support: tuple[int, ...]) -> int:
+        key = tuple((v, math.copysign(1.0, v)) if isinstance(v, float) else v
+                    for v in op)
+        slot = self._slot_of.get(key)
+        if slot is None:
+            slot = self._slot_of[key] = len(self._ops)
+            self._ops.append(op)
+            self._support.append(support)
+        return slot
+
+    def _fold(self, fn, *args) -> float:
+        """fn(*args) of constants; a failure is kept for every run."""
+        try:
+            return fn(*args)
+        except EvaluationDomainError as exc:
+            if self.failure is None:
+                self.failure = str(exc)
+            return math.nan
+
+    def _emit(self, node: Expr):
+        """Slot of a node, or its float if it is constant."""
+        if isinstance(node, Num):
+            return float(node.value)
+        if isinstance(node, Var):
+            if not 0 <= node.index < self.dim:
+                raise ExpressionError(f"variable {node.kind}{node.index} out of "
+                                      f"range for dimension {self.dim}")
+            v = node.index + (self.dim if node.kind == "y" else 0)
+            return self._slot(("var", v), (v,))
+        if isinstance(node, Neg):
+            a = self._emit(node.a)
+            if isinstance(a, float):
+                return -a
+            return self._slot(("neg", a), self._support[a])
+        if isinstance(node, (Add, Sub, Mul, Div)):
+            return self._binary(type(node), self._emit(node.a), self._emit(node.b))
+        if isinstance(node, Pow):
+            return self._power(self._emit(node.base), node.exponent)
+        if isinstance(node, Func):
+            a = self._emit(node.arg)
+            if isinstance(a, float):
+                return self._fold(_function, node.name, a)
+            return self._slot(("func", a, node.name), self._support[a])
+        raise TypeError(f"unknown expression node {node!r}")
+
+    def _binary(self, kind, a, b):
+        name = {Add: "add", Sub: "sub", Mul: "mul", Div: "div"}[kind]
+        if isinstance(a, float) and isinstance(b, float):
+            return self._fold(_FLOAT_OPS[name], a, b)
+        if isinstance(a, float) or isinstance(b, float):
+            if kind is Sub:   # u - c is u + (-c) and c - u is (-u) + c, to the bit
+                kind = Add
+                if isinstance(a, float):
+                    b = self._slot(("neg", b), self._support[b])
+                else:
+                    b = -b
+            const_left = isinstance(a, float)
+            j, c = (b, a) if const_left else (a, b)
+            if kind is Add:
+                op = ("addc", j, c)
+            elif kind is Mul:
+                op = ("mulc", j, c)
+            elif const_left:
+                op = ("rdivc", j, c)
+            elif c == 0.0:
+                return self._fold(_divide, 1.0, 0.0)
+            else:
+                op = ("divc", j, c)
+            return self._slot(op, self._support[j])
+        support = tuple(sorted(set(self._support[a]) | set(self._support[b])))
+        return self._slot((name, a, b), support)
+
+    def _power(self, a, p: float):
+        if not math.isfinite(p):
+            return self._fold(_raise, f"exponent {p!r} is not finite")
         if p == int(p):
-            if int(p) < 0 and not isinstance(base, jets.Jet) and base == 0.0:
-                raise EvaluationDomainError("zero base raised to a negative power")
-            return base ** int(p)
-        return jets.powr(base, p)
-    if isinstance(node, Func):
-        return _FUNCTIONS[node.name](evaluate(node.arg, xs, ys))
-    raise TypeError(f"unknown expression node {node!r}")
+            if isinstance(a, float):
+                return self._fold(_int_power, a, int(p))
+            if p == 0:
+                return 1.0     # the base still runs, for its checks
+            if p == 1:
+                return a
+            return self._slot(("ipow", a, int(p)), self._support[a])
+        if isinstance(a, float):
+            return self._fold(_function, "powr", a, p)
+        return self._slot(("powr", a, p), self._support[a])
+
+    # float program ----------------------------------------------------------
+
+    @staticmethod
+    def _float_op(kind, a, b=None):
+        if kind == "var":
+            return lambda r, p: p[a]
+        fn = _FLOAT_OPS[kind]
+        if kind in _SLOT_PAIRS:
+            return lambda r, p: fn(r[a], r[b])
+        return lambda r, p: fn(r[a], b)
+
+    def floats(self, point) -> list[float]:
+        """Values of the expressions at a point; each must be finite."""
+        if self.failure is not None:
+            raise EvaluationDomainError(self.failure)
+        r: list = []
+        append = r.append
+        for op in self._float_program:
+            append(op(r, point))
+        out = [o if isinstance(o, float) else r[o] for o in self.outputs]
+        for v in out:
+            if not math.isfinite(v):
+                raise EvaluationDomainError(f"value {v!r} is not finite")
+        return out
+
+    # jet program ----------------------------------------------------------
+
+    def _lift(self, slot: int, support: tuple[int, ...], order: int):
+        """Gather index that lifts a slot into a larger support, or None."""
+        own = self._support[slot]
+        if own == support:
+            return None
+        return jets.lift_index(_positions(own, support), len(support), order)
+
+    def _plan(self, left: int, right: int, support: tuple[int, ...], order: int):
+        return jets.product_plan(_positions(self._support[left], support),
+                                 _positions(self._support[right], support),
+                                 len(support), order, padded=True)
+
+    def _jet_op(self, order: int, slot: int, kind, a, b=None):
+        support = self._support[slot]
+        if kind == "var":
+            seed = np.zeros(order + 2)    # one variable, and the padding
+            if order:
+                seed[1] = 1.0
+
+            def var(r, p):
+                c = seed.copy()
+                c[0] = p[a]
+                return c
+            return var
+        if kind == "neg":
+            return lambda r, p: -r[a]
+        if kind in ("add", "sub"):
+            la, lb = self._lift(a, support, order), self._lift(b, support, order)
+            combine = np.add if kind == "add" else np.subtract
+            if la is None and lb is None:
+                return lambda r, p: combine(r[a], r[b])
+            if la is None:
+                return lambda r, p: combine(r[a], r[b][lb])
+            if lb is None:
+                return lambda r, p: combine(r[a][la], r[b])
+            return lambda r, p: combine(r[a][la], r[b][lb])
+        if kind == "mul":
+            plan = self._plan(a, b, support, order)
+            return lambda r, p: jets.product(r[a], r[b], plan)
+        if kind == "div":
+            plan = self._plan(a, b, support, order)
+            inverse = self._plan(b, b, self._support[b], order)
+            return lambda r, p: jets.product(r[a], _reciprocal(r[b], order, inverse), plan)
+        if kind == "addc":
+            def addc(r, p):
+                c = r[a].copy()
+                c[0] += b
+                return c
+            return addc
+        if kind == "mulc":
+            return lambda r, p: r[a] * b
+        if kind == "divc":
+            return lambda r, p: r[a] / b
+        own = self._plan(slot, slot, support, order)
+        if kind == "rdivc":
+            return lambda r, p: _reciprocal(r[a], order, own) * b
+        if kind == "ipow":
+            def ipow(r, p):
+                base = r[a] if b > 0 else _reciprocal(r[a], order, own)
+                out = base
+                for _ in range(abs(b) - 1):
+                    out = jets.product(out, base, own)
+                return out
+            return ipow
+        if kind == "powr":
+            return lambda r, p: jets.compose(
+                r[a], jets.taylor("powr", float(r[a][0]), order, b), own)
+        return lambda r, p: jets.compose(
+            r[a], jets.taylor(b, float(r[a][0]), order), own)
+
+    def _jet_program(self, order: int):
+        program = self._jet_programs.get(order)
+        if program is None:
+            full = tuple(range(2 * self.dim))
+            size = jets.jet_space(len(full), order).size
+            out = self.outputs[0]
+            final = None if isinstance(out, float) else self._lift(out, full, order)
+            final = slice(size) if final is None else final[:size]
+            ops = [self._jet_op(order, i, *op) for i, op in enumerate(self._ops)]
+            program = self._jet_programs[order] = (ops, size, final)
+        return program
+
+    def jet(self, point, order: int) -> np.ndarray:
+        """Coefficients over jet_space(2n, order) of the first expression at
+        a point; the caller checks that they are finite."""
+        if self.failure is not None:
+            raise EvaluationDomainError(self.failure)
+        ops, size, final = self._jet_program(order)
+        r: list = []
+        append = r.append
+        for op in ops:
+            append(op(r, point))
+        out = self.outputs[0]
+        if isinstance(out, float):
+            c = np.zeros(size)
+            c[0] = out
+            return c
+        return r[out][final]
 
 
-def _variables_of(node: Expr, acc: set) -> set:
-    if isinstance(node, Var):
-        acc.add((node.kind, node.index))
-    elif isinstance(node, Neg):
-        _variables_of(node.a, acc)
-    elif isinstance(node, (Add, Sub, Mul, Div)):
-        _variables_of(node.a, acc)
-        _variables_of(node.b, acc)
-    elif isinstance(node, Pow):
-        _variables_of(node.base, acc)
-    elif isinstance(node, Func):
-        _variables_of(node.arg, acc)
-    return acc
+def _raise(message: str):
+    raise EvaluationDomainError(message)
+
+
+def _reciprocal(c: np.ndarray, order: int, plan) -> np.ndarray:
+    return jets.compose(c, jets.taylor("reciprocal", float(c[0]), order), plan)
 
 
 # --------------------------------------------------------------------------
@@ -344,9 +615,10 @@ class _Parser:
         raise ExpressionError(f"unknown function {name!r}", offset=off)
 
     def _fold_constant(self, node: Expr, off: int) -> float:
-        if _variables_of(node, set()):
+        tape = Tape((node,), self.n)
+        if tape.variables:
             raise ExpressionError("exponent must be a real constant", offset=off)
-        return float(evaluate(node, [], []))
+        return tape.floats([])[0]
 
 
 def parse_expression(source: str, n: int) -> Expr:
@@ -398,38 +670,44 @@ class MetricDefinition:
     sample_box: tuple[tuple[float, float], ...] | None = None
 
     def __post_init__(self):
-        used = _variables_of(self.body, set())
-        for preds in self.domain:
-            _variables_of(preds, used)
-        for kind, index in used:
-            if index >= self.dim:
-                raise ExpressionError(
-                    f"variable {kind}{index} out of range for dimension {self.dim}")
+        if self.dim < 1:
+            raise ExpressionError(f"dimension must be at least 1, got {self.dim}")
+        # frozen: the compiled tapes are set once, here
+        object.__setattr__(self, "_body", Tape((self.body,), self.dim))
+        object.__setattr__(self, "_domain", Tape(self.domain, self.dim))
+
+    def _point(self, x, y) -> list[float]:
+        x = np.asarray(x, dtype=float)
+        y = np.asarray(y, dtype=float)
+        if x.shape != (self.dim,) or y.shape != (self.dim,):
+            raise ValueError(f"{self.name!r} has dimension {self.dim}; got a "
+                             f"point of shape {x.shape} and a vector of shape {y.shape}")
+        return x.tolist() + y.tolist()
 
     def value(self, x, y) -> float:
-        return float(evaluate(self.body, np.asarray(x, float), np.asarray(y, float)))
+        return self._body.floats(self._point(x, y))[0]
 
     def value_at(self, sample: TangentSample) -> float:
         return self.value(sample.x, sample.y)
 
     def jet(self, sample: TangentSample, order: int) -> jets.Jet:
         """Jet of the definition at the sample, over all 2n variables."""
-        xs, ys = jets.seed(sample.x, sample.y, order)
-        out = evaluate(self.body, xs, ys)
-        if not isinstance(out, jets.Jet):
-            out = jets.Jet.constant(xs[0].space, float(out))
-        if not np.isfinite(out.c).all():
+        c = self._body.jet(self._point(sample.x, sample.y), order)
+        if not np.isfinite(c).all():
             raise EvaluationDomainError(
                 f"the jet of {self.name!r} is not finite at {sample!r}")
-        return out
+        return jets.Jet(jets.jet_space(2 * self.dim, order), c)
 
     def admissible(self, sample: TangentSample) -> bool:
-        if sample.dim != self.dim or not np.any(sample.y):
+        """Whether every domain predicate is positive at the sample (whose
+        fiber vector is nonzero by construction)."""
+        if sample.dim != self.dim:
             return False
         try:
-            return all(float(evaluate(p, sample.x, sample.y)) > 0.0 for p in self.domain)
+            values = self._domain.floats(sample.x.tolist() + sample.y.tolist())
         except EvaluationDomainError:
             return False
+        return all(v > 0.0 for v in values)
 
     def box(self) -> np.ndarray:
         if self.sample_box is not None:
@@ -469,6 +747,12 @@ def sample_admissible(m: MetricDefinition, rng: np.random.Generator,
                       ) -> list[TangentSample]:
     """Random admissible samples: x uniform in the metric's box, y uniform on
     the unit sphere then rescaled by a random factor in [0.5, 2]."""
+    domain = m._domain
+    if domain.failure is not None or any(
+            isinstance(p, float) and not (math.isfinite(p) and p > 0.0)
+            for p in domain.outputs):
+        raise NoAdmissibleSample(
+            f"the domain of {m.name!r} is empty: a predicate is constant and not positive")
     box = m.box()
     out: list[TangentSample] = []
     rejects = 0
@@ -577,6 +861,14 @@ def builtin_names() -> list[str]:
 # metric files
 # --------------------------------------------------------------------------
 
+def _header_int(key: str, value: str) -> int:
+    try:
+        return int(value)
+    except ValueError:
+        raise ExpressionError(
+            f"metric file header {key}= needs an integer, got {value.strip()!r}") from None
+
+
 def parse_metric_file(text: str, name: str = "<file>") -> MetricDefinition:
     """Plain-text format: header lines `dim=`, `degree=`, `domain=` (exprs
     separated by `;`), optional `name=`, then the body expression."""
@@ -591,9 +883,9 @@ def parse_metric_file(text: str, name: str = "<file>") -> MetricDefinition:
         key = key.strip()
         if sep and key in ("dim", "degree", "domain", "name") and not body_lines:
             if key == "dim":
-                dim = int(value)
+                dim = _header_int(key, value)
             elif key == "degree":
-                degree = int(value)
+                degree = _header_int(key, value)
             elif key == "domain":
                 domain = tuple(p for p in (s.strip() for s in value.split(";")) if p)
             else:

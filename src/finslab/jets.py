@@ -83,22 +83,15 @@ class JetSpace:
         return int(self._sizes_by_degree[order + 1])
 
     def mul_plan(self):
+        """Arrays (ia, ib, io): coefficient ia of the left factor times
+        coefficient ib of the right one adds to coefficient io."""
+        return self.product_plan()[:3]
+
+    def product_plan(self):
+        """`product_plan` of two jets over all variables of this space."""
         if self._mul_plan is None:
-            ia, ib, io = [], [], []
-            for i, alpha in enumerate(self.indices):
-                da = sum(alpha)
-                for j, beta in enumerate(self.indices):
-                    if da + sum(beta) > self.order:
-                        continue
-                    gamma = tuple(a + b for a, b in zip(alpha, beta))
-                    ia.append(i)
-                    ib.append(j)
-                    io.append(self.index_of[gamma])
-            self._mul_plan = (
-                np.array(ia, dtype=np.intp),
-                np.array(ib, dtype=np.intp),
-                np.array(io, dtype=np.intp),
-            )
+            every = tuple(range(self.nvars))
+            self._mul_plan = product_plan(every, every, self.nvars, self.order)
         return self._mul_plan
 
     def diff_plan(self, var: int):
@@ -170,6 +163,89 @@ class JetSpace:
 @lru_cache(maxsize=None)
 def jet_space(nvars: int, order: int) -> JetSpace:
     return JetSpace(nvars, order)
+
+
+# jets over a subset of the variables ----------------------------------------
+#
+# A jet that depends on only some variables of a space can be kept over the
+# space of those variables alone.  `positions` lists them, increasing, as
+# variable numbers of the larger space.  Multi-indices embed into the larger
+# space in the same (degree, lex) order, so a product formed from the
+# smaller arrays sums its terms in the order of the product over all
+# variables, less terms that are zero.  A padded array carries one trailing
+# entry: the value that every coefficient outside its variables would take
+# in the larger space (+0.0 for a seeded variable; elementwise arithmetic
+# updates it like any other coefficient, and a product sets it to +0.0).
+
+def _embedded(positions: tuple[int, ...], nvars: int, order: int) -> list[tuple]:
+    out = []
+    for alpha in _multi_indices(len(positions), order):
+        full = [0] * nvars
+        for p, a in zip(positions, alpha):
+            full[p] = a
+        out.append(tuple(full))
+    return out
+
+
+@lru_cache(maxsize=None)
+def lift_index(positions: tuple[int, ...], nvars: int, order: int) -> np.ndarray:
+    """Gather index that lifts a padded array over the variables at
+    `positions` into a padded array of jet_space(nvars, order): coefficients
+    that the smaller space lacks read its trailing entry."""
+    space = jet_space(nvars, order)
+    own = _embedded(positions, nvars, order)
+    index = np.full(space.size + 1, len(own), dtype=np.intp)
+    index[[space.index_of[alpha] for alpha in own]] = np.arange(len(own))
+    return index
+
+
+@lru_cache(maxsize=None)
+def product_plan(left: tuple[int, ...], right: tuple[int, ...], nvars: int,
+                 order: int, padded: bool = False):
+    """Arrays (ia, ib, io) and the product's length for the truncated product
+    of a jet over the variables at positions `left` with one over those at
+    `right`, into jet_space(nvars, order): coefficient ia of the left factor
+    times coefficient ib of the right one adds to coefficient io.  Terms run
+    in the order of the product over all nvars variables.  A padded product
+    has one more entry, +0.0."""
+    index_of = jet_space(nvars, order).index_of
+    rights = [(j, beta, sum(beta))
+              for j, beta in enumerate(_embedded(right, nvars, order))]
+    ia, ib, io = [], [], []
+    for i, alpha in enumerate(_embedded(left, nvars, order)):
+        room = order - sum(alpha)
+        for j, beta, degree in rights:
+            if degree <= room:
+                ia.append(i)
+                ib.append(j)
+                io.append(index_of[tuple(a + b for a, b in zip(alpha, beta))])
+    return (np.array(ia, dtype=np.intp), np.array(ib, dtype=np.intp),
+            np.array(io, dtype=np.intp), len(index_of) + (1 if padded else 0))
+
+
+def product(a: np.ndarray, b: np.ndarray, plan) -> np.ndarray:
+    """Truncated product of coefficient arrays through a `product_plan`;
+    each coefficient sums its terms in plan order, starting from +0.0."""
+    ia, ib, io, length = plan
+    return np.bincount(io, weights=a[ia] * b[ib], minlength=length)
+
+
+def compose(c: np.ndarray, derivs: list[float], plan) -> np.ndarray:
+    """Coefficients of f(u) from those of u and the normalized derivatives
+    derivs[m] = f^(m)(u0)/m!, by Horner's rule, with products through a
+    same-space `product_plan`.
+
+    Exact at truncation order because the zero-constant part of u is
+    nilpotent: powers beyond the order vanish.
+    """
+    hat = c.copy()
+    hat[0] = 0.0
+    out = np.zeros(plan[3])
+    out[0] = derivs[-1]
+    for d in derivs[-2::-1]:
+        out = product(out, hat, plan)
+        out[0] += d
+    return out
 
 
 class Jet:
@@ -289,9 +365,7 @@ class Jet:
     def __mul__(self, other):
         if isinstance(other, Jet):
             a, b = self._align(other)
-            ia, ib, io = a.space.mul_plan()
-            out = np.bincount(io, weights=a.c[ia] * b.c[ib], minlength=a.space.size)
-            return Jet(a.space, out)
+            return Jet(a.space, product(a.c, b.c, a.space.product_plan()))
         return Jet(self.space, self.c * other)
 
     __rmul__ = __mul__
@@ -321,131 +395,76 @@ class Jet:
         return out
 
     def reciprocal(self) -> "Jet":
-        u0 = self.value
-        if u0 == 0.0:
-            raise EvaluationDomainError("division by a jet with zero value part")
-        k = self.space.order
-        derivs = [(-1.0) ** m / u0 ** (m + 1) for m in range(k + 1)]
-        return self._compose(derivs)
+        return self._compose(taylor("reciprocal", self.value, self.space.order))
 
     def _compose(self, derivs: list[float]) -> "Jet":
-        """Evaluate f(self) given normalized derivatives f^(m)(value)/m!.
-
-        Exact at truncation order because the zero-constant part of the jet is
-        nilpotent: powers beyond the order vanish.
-        """
-        hat = Jet(self.space, self.c.copy())
-        hat.c[0] = 0.0
-        out = Jet.constant(self.space, derivs[-1])
-        for m in range(len(derivs) - 2, -1, -1):
-            out = out * hat + derivs[m]
-        return out
+        """f(self) given normalized derivatives f^(m)(value)/m!."""
+        return Jet(self.space, compose(self.c, derivs, self.space.product_plan()))
 
     def __repr__(self):
         return f"Jet(order={self.space.order}, nvars={self.space.nvars}, value={self.value!r})"
 
 
-# elementary functions (accept floats or jets) -----------------------------
+# elementary functions -------------------------------------------------------
 
-def _as_derivs(j: Jet, fn) -> Jet:
-    return j._compose(fn(j.value, j.space.order))
-
-
-def exp(u):
+def taylor(name: str, u0: float, order: int, p: float = 0.5) -> list[float]:
+    """Normalized derivatives f^(m)(u0)/m!, m = 0..order, of the elementary
+    function `name` at u0: exp, log, sqrt, sin, cos, powr (u**p) or
+    reciprocal.  Raises EvaluationDomainError off the function's domain and
+    where a coefficient overflows.  A nan argument gives nan coefficients,
+    which the finiteness checks of the callers catch."""
     try:
-        e = math.exp(u.value if isinstance(u, Jet) else u)
-    except OverflowError:
-        raise EvaluationDomainError(f"exp overflows at {u!r}") from None
-    if not isinstance(u, Jet):
-        return e
-    return _as_derivs(u, lambda u0, k: [e / math.factorial(m) for m in range(k + 1)])
+        if name == "exp":
+            e = math.exp(u0)
+            return [e / math.factorial(m) for m in range(order + 1)]
+        if name == "log":
+            if u0 <= 0.0:
+                raise EvaluationDomainError(f"log of non-positive value {u0!r}")
+            return [math.log(u0)] + [(-1.0) ** (m + 1) / (m * u0 ** m)
+                                     for m in range(1, order + 1)]
+        if name in ("powr", "sqrt"):
+            if u0 <= 0.0:
+                raise EvaluationDomainError(
+                    f"fractional power of non-positive base {u0!r}")
+            out = [u0 ** p]
+            for m in range(1, order + 1):
+                out.append(out[-1] * (p - m + 1) / (m * u0))
+            return out
+        if name in ("sin", "cos"):
+            if math.isinf(u0):
+                raise EvaluationDomainError(f"{name} of non-finite value {u0!r}")
+            s, c = math.sin(u0), math.cos(u0)
+            cycle = [s, c, -s, -c] if name == "sin" else [c, -s, -c, s]
+            return [cycle[m % 4] / math.factorial(m) for m in range(order + 1)]
+        if name == "reciprocal":
+            if u0 == 0.0:
+                raise EvaluationDomainError("division by a jet with zero value part")
+            return [(-1.0) ** m / u0 ** (m + 1) for m in range(order + 1)]
+    except (OverflowError, ZeroDivisionError):   # a power of u0 over- or underflows
+        raise EvaluationDomainError(f"{name} overflows at {u0!r}") from None
+    raise ValueError(f"unknown elementary function {name!r}")
 
 
-def log(u):
-    if not isinstance(u, Jet):
-        if u <= 0.0:
-            raise EvaluationDomainError(f"log of non-positive value {u!r}")
-        return math.log(u)
-    u0 = u.value
-    if u0 <= 0.0:
-        raise EvaluationDomainError(f"log of jet with non-positive value part {u0!r}")
-
-    def derivs(u0, k):
-        out = [math.log(u0)]
-        for m in range(1, k + 1):
-            out.append((-1.0) ** (m + 1) / (m * u0 ** m))
-        return out
-
-    return _as_derivs(u, derivs)
+def exp(u: Jet) -> Jet:
+    return u._compose(taylor("exp", u.value, u.order))
 
 
-def sqrt(u):
-    if not isinstance(u, Jet):
-        if u <= 0.0:
-            raise EvaluationDomainError(f"sqrt of non-positive value {u!r}")
-        return math.sqrt(u)
+def log(u: Jet) -> Jet:
+    return u._compose(taylor("log", u.value, u.order))
+
+
+def sqrt(u: Jet) -> Jet:
     return powr(u, 0.5)
 
 
-def powr(u, p: float):
-    """u**p with a real exponent; requires a strictly positive base."""
-    if not isinstance(u, Jet):
-        if u <= 0.0:
-            raise EvaluationDomainError(f"fractional power of non-positive base {u!r}")
-        return u ** p
-    u0 = u.value
-    if u0 <= 0.0:
-        raise EvaluationDomainError(f"fractional power of jet with non-positive value part {u0!r}")
-
-    def derivs(u0, k):
-        out = [u0 ** p]
-        for m in range(1, k + 1):
-            out.append(out[-1] * (p - m + 1) / (m * u0))
-        return out
-
-    return _as_derivs(u, derivs)
+def powr(u: Jet, p: float) -> Jet:
+    """u**p with a real exponent; requires a strictly positive value part."""
+    return u._compose(taylor("powr", u.value, u.order, p))
 
 
-def sin(u):
-    if not isinstance(u, Jet):
-        return math.sin(u)
-    s, c = math.sin(u.value), math.cos(u.value)
-    cycle = [s, c, -s, -c]
-    return _as_derivs(
-        u, lambda u0, k: [cycle[m % 4] / math.factorial(m) for m in range(k + 1)])
+def sin(u: Jet) -> Jet:
+    return u._compose(taylor("sin", u.value, u.order))
 
 
-def cos(u):
-    if not isinstance(u, Jet):
-        return math.cos(u)
-    s, c = math.sin(u.value), math.cos(u.value)
-    cycle = [c, -s, -c, s]
-    return _as_derivs(
-        u, lambda u0, k: [cycle[m % 4] / math.factorial(m) for m in range(k + 1)])
-
-
-# seeding ------------------------------------------------------------------
-
-def seed(x, y=None, order: int | None = None) -> tuple[list[Jet], list[Jet]]:
-    """Jet variables for chart coordinates x and fiber coordinates y.
-
-    Returns two lists of length n; variable i of the second list is fiber
-    coordinate y^i, occupying slot n+i of every multi-index.  Also callable
-    as seed(sample, order) with anything exposing .x and .y attributes.
-    """
-    if order is None and hasattr(x, "x") and hasattr(x, "y"):
-        x, y, order = x.x, x.y, int(y)
-    if order is None:
-        raise TypeError("seed needs (x, y, order) or (sample, order)")
-    if not 2 <= order <= MAX_ORDER:
-        raise ValueError(f"seed order must be in [2, {MAX_ORDER}], got {order}")
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    if x.shape != y.shape or x.ndim != 1:
-        raise ValueError(f"chart/fiber dimension mismatch: {x.shape} vs {y.shape}")
-    n = x.size
-    space = jet_space(2 * n, order)
-    xs = [Jet.variable(space, i, float(x[i])) for i in range(n)]
-    ys = [Jet.variable(space, n + i, float(y[i])) for i in range(n)]
-    return xs, ys
-
+def cos(u: Jet) -> Jet:
+    return u._compose(taylor("cos", u.value, u.order))

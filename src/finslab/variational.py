@@ -28,7 +28,7 @@ from scipy.linalg import null_space
 
 from .connection import ConnectionFrame, _frame_tables, _scalar_partials
 from .curves import DiscreteCurve, Reparametrization, spline_derivative
-from .dsl import MetricDefinition, TangentSample, parse_expression, evaluate
+from .dsl import MetricDefinition, Tape, TangentSample, parse_expression
 from .errors import FinslabError, GridMismatch
 from .geodesics import (_pregeodesic_defects, check_lightlike, energy, factor_rate,
                         factor_values, reparametrize_conformal, rk4_step)
@@ -74,11 +74,11 @@ class SubmanifoldPatch:
         """Immersion given as expressions in parameters x0..x{d-1}."""
         basepoint = np.atleast_1d(np.asarray(basepoint, dtype=float))
         d = basepoint.size
-        trees = [parse_expression(src, d) for src in sources]
+        tape = Tape([parse_expression(src, d) for src in sources], d)
 
         def immersion(u):
-            u = np.atleast_1d(np.asarray(u, dtype=float))
-            return np.array([float(evaluate(t, u, u)) for t in trees])
+            u = np.atleast_1d(np.asarray(u, dtype=float)).tolist()
+            return np.array(tape.floats(u + u))
 
         return SubmanifoldPatch(d, immersion, basepoint, name=name)
 

@@ -302,7 +302,9 @@ def test_jet_engine():
         a, b, c = rng.uniform(-2, 2, 3)
         x0, x1 = rng.uniform(-1, 1, 2)
         y0, y1 = rng.uniform(-1, 1, 2)
-        xs, ys = jets.seed([x0, x1], [y0, y1], order=4)
+        space = jets.jet_space(4, 4)
+        xs = [jets.Jet.variable(space, i, v) for i, v in enumerate((x0, x1))]
+        ys = [jets.Jet.variable(space, 2 + i, v) for i, v in enumerate((y0, y1))]
         poly = a * xs[0] ** 2 * ys[0] ** 2 + b * ys[0] * ys[1] ** 3 + c * xs[1] * ys[1]
         worst_poly = max(
             worst_poly,

@@ -2,8 +2,12 @@
 
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from finslab import cli
 
@@ -284,3 +288,55 @@ def test_exit_code_two_on_a_non_finite_metric_jet(tmp_path, capsys):
                                  "[run]\nt1 = 0.5\nstep = 0.05\n")
     assert cli.main(["focal", "--config", cfg]) == 2
     assert_single_error_line(capsys, "not finite")
+
+
+def test_exit_code_two_on_sin_of_an_infinite_argument(tmp_path, capsys):
+    (tmp_path / "wobble.metric").write_text(
+        "dim=2\ndomain=y0 - y1; y0 + y1\n"
+        "y0^2 - y1^2 + sin(x0*1e300*1e300)*0*y1^2\n")
+    cfg = write_config(tmp_path, "[metric]\nmetric = wobble.metric\n"
+                                 "[run]\nsamples = 5\n")
+    assert cli.main(["tensors", "--config", cfg]) == 2
+    assert_single_error_line(capsys, "sin")
+
+
+def _metric_expressions():
+    # (1e300*1e300) overflows to inf, and so may an argument scaled by it
+    atoms = st.sampled_from(["x0", "x1", "y0", "y1", "0", "2.5", "1e300",
+                             "(1e300*1e300)"])
+
+    def extend(inner):
+        return st.one_of(
+            st.tuples(inner, st.sampled_from("+-*/"), inner).map(
+                lambda t: f"({t[0]} {t[1]} {t[2]})"),
+            st.tuples(st.sampled_from(["exp", "log", "sqrt", "sin", "cos"]), inner,
+                      st.sampled_from(["", "*1e300*1e300"])).map(
+                lambda t: f"{t[0]}({t[1]}{t[2]})"),
+            st.tuples(inner, st.sampled_from(["2", "-1", "0.5", "1.3"])).map(
+                lambda t: f"{t[0]}^{t[1]}"),
+            inner.map(lambda e: f"-{e}"))
+
+    return st.recursive(atoms, extend, max_leaves=6)
+
+
+_METRIC_FILES = st.builds(
+    lambda dim, degree, domain, body: f"dim={dim}\ndegree={degree}\n"
+                                      f"domain={domain}\n{body}\n",
+    st.sampled_from(["2", "2", "2", "2", "1", "0", "two"]),
+    st.sampled_from(["2", "0"]),
+    st.one_of(st.sampled_from(["y0 - y1; y0 + y1", ""]), _metric_expressions()),
+    # a term times 0 leaves the metric nondegenerate but is still evaluated
+    st.one_of(_metric_expressions().map(lambda e: f"y0^2 - y1^2 + {e}*0*y1^2"),
+              _metric_expressions(),
+              st.text(alphabet="xy01+-*/^(),. e", max_size=12)))
+
+
+@given(_METRIC_FILES)
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_fuzzed_metric_files_end_in_an_exit_code(text):
+    """Any metric file ends in exit 0, 1 or 2, never in an uncaught error."""
+    with tempfile.TemporaryDirectory() as tmp:
+        (Path(tmp) / "fuzz.metric").write_text(text)
+        cfg = write_config(Path(tmp), "[metric]\nmetric = fuzz.metric\n"
+                                      "[run]\nsamples = 3\n")
+        assert cli.main(["tensors", "--config", cfg]) in (0, 1, 2)

@@ -167,6 +167,10 @@ def test_rejection_sampler_fails_deterministically_on_empty_domain():
     rng = np.random.default_rng(5)
     with pytest.raises(NoAdmissibleSample):
         dsl.sample_admissible(m, rng, count=1, max_rejections=200)
+    # a constant predicate fails at once; this one only after the rejections
+    m = dsl.parse_metric("y0^2", 1, domain=("-(y0*y0)",), name="empty")
+    with pytest.raises(NoAdmissibleSample, match="200 rejections"):
+        dsl.sample_admissible(m, rng, count=1, max_rejections=200)
 
 
 def test_registry_members_match_their_reexpression():
@@ -203,3 +207,26 @@ def test_metric_file_requires_dim_and_body(tmp_path):
         dsl.parse_metric_file("degree=2\ny0^2")
     with pytest.raises(ExpressionError):
         dsl.parse_metric_file("dim=2\ndegree=2\n")
+
+
+@pytest.mark.parametrize("body", ["y0^2 + y1^2*1e200*1e200",
+                                  "y0^2 + y1^2 + 1e308*1e308 - 1e308*1e308"])
+def test_a_non_finite_value_is_a_domain_error(body):
+    from finslab.errors import EvaluationDomainError
+
+    m = dsl.parse_metric(body, 2)
+    with pytest.raises(EvaluationDomainError, match="not finite"):
+        m.value([0.0, 0.0], [1.0, 1.0])
+
+
+def test_a_predicate_that_evaluates_to_inf_is_not_admissible():
+    v = dsl.TangentSample([0.0], [1.0])
+    assert dsl.parse_metric("y0^2", 1, domain=("y0*1e200",)).admissible(v)
+    assert not dsl.parse_metric("y0^2", 1, domain=("y0*1e200*1e200",)).admissible(v)
+
+
+def test_metric_file_needs_a_positive_integer_dimension():
+    with pytest.raises(ExpressionError, match="integer"):
+        dsl.parse_metric_file("dim=two\ny0^2")
+    with pytest.raises(ExpressionError, match="at least 1"):
+        dsl.parse_metric_file("dim=0\n1")

@@ -1,4 +1,4 @@
-"""Jet arithmetic: seeding, extraction, exactness, and the finite-difference
+"""Jet arithmetic: variables, extraction, exactness, and the finite-difference
 cross-check oracle."""
 
 import numpy as np
@@ -9,8 +9,17 @@ from hypothesis import strategies as st
 from finslab import dsl, finitediff, jets
 
 
+def variables(x, y, order):
+    """Jet variables for chart values x and fiber values y over all 2n
+    variables: x^i is variable i and y^i variable n + i."""
+    n = len(x)
+    space = jets.jet_space(2 * n, order)
+    return ([jets.Jet.variable(space, i, float(x[i])) for i in range(n)],
+            [jets.Jet.variable(space, n + i, float(y[i])) for i in range(n)])
+
+
 def test_seed_identity():
-    xs, ys = jets.seed([0.0, 0.0], [1.0, 0.0], order=2)
+    _, ys = variables([0.0, 0.0], [1.0, 0.0], order=2)
     y0 = ys[0]
     assert y0.value == 1.0
     assert y0.derivative((0, 0, 1, 0)) == 1.0
@@ -19,14 +28,14 @@ def test_seed_identity():
 
 
 def test_bilinear_monomial():
-    _, ys = jets.seed([0.0, 0.0], [2.0, 3.0], order=2)
+    _, ys = variables([0.0, 0.0], [2.0, 3.0], order=2)
     f = ys[0] * ys[1]
     assert f.value == 6.0
     assert f.derivative((0, 0, 1, 1)) == 1.0
 
 
 def test_quartic_monomial_normalization():
-    _, ys = jets.seed([0.0], [1.0], order=4)
+    _, ys = variables([0.0], [1.0], order=4)
     f = ys[0] ** 4
     assert f.derivative((0, 4)) == pytest.approx(24.0, abs=0)
 
@@ -40,7 +49,7 @@ def test_constant_jet_has_zero_derivatives():
 
 
 def test_quadratic_form_second_derivative():
-    _, ys = jets.seed([0.0, 0.0], [2.0, 1.0], order=2)
+    _, ys = variables([0.0, 0.0], [2.0, 1.0], order=2)
     f = -(ys[0] ** 2) + ys[1] ** 2
     assert f.derivative((0, 0, 2, 0)) == -2.0
     assert f.derivative((0, 0, 0, 2)) == 2.0
@@ -48,37 +57,42 @@ def test_quadratic_form_second_derivative():
 
 
 def test_seed_accepts_a_tangent_sample():
-    sample = dsl.TangentSample([0.2, 0.1], [1.5, -0.3])
-    xs, ys = jets.seed(sample, 2)
-    assert xs[0].value == 0.2
-    assert ys[1].value == -0.3
-    assert ys[1].derivative((0, 0, 0, 1)) == 1.0
+    """A metric jet seeds each coordinate from the sample's x and y."""
+    m = dsl.parse_metric("x0 + y1", 2, degree=1)
+    f = m.jet(dsl.TangentSample([0.2, 0.1], [1.5, -0.3]), 2)
+    assert f.value == 0.2 + -0.3
+    assert f.derivative((1, 0, 0, 0)) == 1.0
+    assert f.derivative((0, 0, 0, 1)) == 1.0
+    assert f.derivative((0, 1, 0, 0)) == 0.0
 
 
 def test_seed_validates_order_and_dimensions():
     with pytest.raises(ValueError):
-        jets.seed([0.0], [1.0], order=1)
+        jets.jet_space(2, 5)
     with pytest.raises(ValueError):
-        jets.seed([0.0], [1.0], order=5)
+        jets.Jet.variable(jets.jet_space(2, 2), 2, 0.0)
+    m = dsl.parse_metric("y0^2", 1)
     with pytest.raises(ValueError):
-        jets.seed([0.0, 0.0], [1.0], order=2)
+        m.jet(dsl.TangentSample([0.0], [1.0]), 5)
+    with pytest.raises(ValueError):
+        m.jet(dsl.TangentSample([0.0, 0.0], [1.0, 0.0]), 2)
 
 
 def test_extraction_degree_guard():
-    _, ys = jets.seed([0.0], [1.0], order=2)
+    _, ys = variables([0.0], [1.0], order=2)
     with pytest.raises(ValueError):
         ys[0].derivative((0, 3))
 
 
 def test_division_by_zero_value_part():
-    _, ys = jets.seed([0.0], [0.5], order=2)
+    _, ys = variables([0.0], [0.5], order=2)
     f = ys[0] - 0.5
     with pytest.raises(Exception):
         (1.0 / f)
 
 
 def test_fractional_power_requires_positive_base():
-    _, ys = jets.seed([0.0], [-1.0], order=2)
+    _, ys = variables([0.0], [-1.0], order=2)
     with pytest.raises(Exception):
         jets.powr(ys[0], 1.3)
     assert (ys[0] ** 2).value == 1.0   # integer powers allow negative bases
@@ -91,7 +105,7 @@ def test_polynomial_exactness(coeffs, point):
     """Degree-4 polynomial derivatives come out exactly (no truncation)."""
     a, b, c = coeffs
     x0, y0, y1 = point
-    xs, ys = jets.seed([x0, 0.0], [y0, y1], order=4)
+    xs, ys = variables([x0, 0.0], [y0, y1], order=4)
 
     f = a * xs[0] ** 2 * ys[0] ** 2 + b * ys[0] * ys[1] ** 3 + c * xs[0] * ys[1]
     scale = 1 + abs(a) + abs(b) + abs(c)
@@ -104,7 +118,7 @@ def test_polynomial_exactness(coeffs, point):
 
 def test_arithmetic_is_deterministic():
     def build():
-        xs, ys = jets.seed([0.3, -0.2], [1.1, 0.7], order=4)
+        xs, ys = variables([0.3, -0.2], [1.1, 0.7], order=4)
         return jets.exp(xs[0] * ys[1]) / (1 + ys[0] ** 2) - jets.sin(xs[1]) * ys[0]
 
     a, b = build(), build()
@@ -154,7 +168,7 @@ def test_bogoslovsky_second_derivative_against_plain_stencil():
 
 
 def test_truncation_between_orders():
-    _, ys = jets.seed([0.0], [0.5], order=4)
+    _, ys = variables([0.0], [0.5], order=4)
     f4 = jets.exp(ys[0])
     f2 = f4.truncated(2)
     assert f2.order == 2
@@ -164,7 +178,7 @@ def test_truncation_between_orders():
 
 
 def test_mixed_order_arithmetic_truncates():
-    _, ys = jets.seed([0.0], [0.5], order=4)
+    _, ys = variables([0.0], [0.5], order=4)
     low = ys[0].truncated(2)
     out = low * ys[0]
     assert out.order == 2
@@ -214,3 +228,32 @@ def test_batched_product_matches_the_jet_product(nvars, order):
     for i, j in np.ndindex(3, 4):
         ref = (jets.Jet(space, a[i, 0]) * jets.Jet(space, b[0, j])).c
         assert np.allclose(out[i, j], ref, rtol=1e-14, atol=1e-14)
+
+
+@pytest.mark.parametrize("left,right", [((1,), (0, 2)), ((0, 3), (0, 3)),
+                                        ((2,), (0, 1, 2, 3))])
+def test_product_over_subsets_of_the_variables_matches_the_full_product(left, right):
+    """Factors kept over their own variables multiply to the bits of the
+    product over all variables, once lifted back."""
+    nvars, rng = 4, np.random.default_rng(len(left) + 10 * len(right))
+    for order in range(jets.MAX_ORDER + 1):
+        space = jets.jet_space(nvars, order)
+        union = tuple(sorted(set(left) | set(right)))
+
+        def padded(positions):
+            size = jets.jet_space(len(positions), order).size
+            return np.append(rng.standard_normal(size), 0.0)
+
+        def lift(c, positions, into):
+            return c[jets.lift_index(tuple(into.index(v) for v in positions),
+                                     len(into), order)]
+
+        a, b = padded(left), padded(right)
+        plan = jets.product_plan(tuple(union.index(v) for v in left),
+                                 tuple(union.index(v) for v in right),
+                                 len(union), order, padded=True)
+        every = tuple(range(nvars))
+        got = lift(jets.product(a, b, plan), union, every)[:-1]
+        full = jets.product(lift(a, left, every)[:-1], lift(b, right, every)[:-1],
+                            space.product_plan())
+        assert got.tobytes() == full.tobytes()

@@ -1,0 +1,125 @@
+"""The compiled expression tape against the recursive jet walk over all 2n
+variables that it replaced (tests/expr_reference.py)."""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import expr_reference
+from finslab import conformal, dsl
+from finslab.errors import EvaluationDomainError
+
+ORDERS = range(5)
+# Bare errors of the tree walk (sin of inf, overflowing powers) that the
+# tape raises as EvaluationDomainError instead.
+UNTYPED = (ValueError, OverflowError, ZeroDivisionError)
+
+
+def _definitions():
+    """Every builtin metric and factor, and every factor * metric product
+    that `scale_metric` forms from them."""
+    builtins = [dsl.builtin_metric(name) for name in dsl.builtin_names()]
+    products = [conformal.scale_metric(m, lam, sample_budget=1)[0]
+                for lam in builtins if lam.degree == 0
+                for m in builtins if m.degree == 2 and m.dim == lam.dim]
+    return builtins + products
+
+
+@pytest.mark.parametrize("m", _definitions(), ids=lambda m: m.name)
+def test_tape_matches_the_tree_walk_on_builtin_definitions(m):
+    rng = np.random.default_rng(len(m.name))
+    for v in dsl.sample_admissible(m, rng, count=4):
+        for order in ORDERS:
+            ref = expr_reference.reference_jet(m.body, v.x, v.y, order)
+            assert m.jet(v, order).c.tobytes() == ref.tobytes()
+        assert m.value_at(v) == float(expr_reference.evaluate(m.body, v.x, v.y))
+
+
+def _trees():
+    leaves = st.one_of(
+        st.floats(min_value=-3, max_value=3).map(dsl.Num),
+        st.sampled_from([0.0, 1e200]).map(dsl.Num),
+        st.sampled_from([dsl.Var(kind, i) for kind in "xy" for i in range(2)]),
+    )
+
+    def extend(children):
+        pairs = st.tuples(children, children)
+        return st.one_of(
+            *(pairs.map(lambda ab, op=op: op(*ab))
+              for op in (dsl.Add, dsl.Sub, dsl.Mul, dsl.Div)),
+            children.map(dsl.Neg),
+            st.tuples(children, st.sampled_from(
+                [0.0, 1.0, 2.0, 3.0, -1.0, -2.0, 0.5, 1.3, -0.7])).map(
+                lambda bp: dsl.Pow(*bp)),
+            st.tuples(st.sampled_from(["exp", "log", "sqrt", "sin", "cos"]),
+                      children).map(lambda na: dsl.Func(*na)),
+            # repeated subtrees, which the tape computes once
+            children.map(lambda c: dsl.Mul(c, dsl.Add(c, dsl.Num(1.0)))),
+            pairs.map(lambda ab: dsl.Div(dsl.Sub(ab[0], ab[1]), dsl.Add(ab[1], ab[0]))),
+        )
+
+    return st.recursive(leaves, extend, max_leaves=10)
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except EvaluationDomainError:
+        return EvaluationDomainError
+    except UNTYPED as exc:
+        return type(exc)
+
+
+def _finite(c):
+    if not np.isfinite(c).all():
+        raise EvaluationDomainError("not finite")
+    return c
+
+
+@given(_trees(), st.lists(st.floats(min_value=-1.5, max_value=1.5), min_size=4,
+                          max_size=4))
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_tape_matches_the_tree_walk_on_random_trees(tree, point):
+    x, y = point[:2], point[2:]
+    tape = dsl.Tape((tree,), 2)
+    with np.errstate(all="ignore"):
+        for order in ORDERS:
+            ref = _outcome(lambda: expr_reference.reference_jet(tree, x, y, order))
+            got = _outcome(lambda: _finite(tape.jet(point, order)))
+            if isinstance(ref, type):
+                assert got is EvaluationDomainError, (ref, got)
+            else:
+                assert not isinstance(got, type), got
+                np.testing.assert_allclose(got, ref, rtol=1e-13, atol=0)
+        # floats: a non-finite value of the tree walk is an error of the tape
+        ref = _outcome(lambda: _finite(np.float64(expr_reference.evaluate(tree, x, y))))
+        got = _outcome(lambda: tape.floats(point)[0])
+        if isinstance(ref, type):
+            assert got is EvaluationDomainError, (ref, got)
+        else:
+            assert got == ref or abs(got - ref) <= 1e-13 * abs(ref)
+
+
+def test_a_definition_compiles_once(monkeypatch):
+    """Body and domain compile when the definition is made; evaluating it
+    at any order, any number of times, compiles nothing more."""
+    compiled = []
+    plain = dsl.Tape.__init__
+
+    def counting(self, exprs, dim):
+        compiled.append(tuple(exprs))
+        plain(self, exprs, dim)
+
+    monkeypatch.setattr(dsl.Tape, "__init__", counting)
+    lam, m = dsl.builtin_metric("theta-weight"), dsl.builtin_metric("einstein-static")
+    scaled = dsl.MetricDefinition(name="lam*L", dim=3, degree=2,
+                                  body=dsl.Mul(lam.body, m.body), domain=m.domain)
+    assert compiled == [(scaled.body,), scaled.domain]
+    v = dsl.TangentSample([0.1, 1.2, 0.3], [1.0, 0.4, -0.2])
+    for _ in range(3):
+        assert scaled.admissible(v)
+        scaled.value_at(v)
+        for order in ORDERS:
+            scaled.jet(v, order)
+    assert len(compiled) == 2
