@@ -309,11 +309,11 @@ def run_variation(cfg: Config, seed: int, report: Report) -> None:
             tau = (t - curve.t0) / span
             return np.sin(np.pi * tau) * c1 + tau * (1.0 - tau) * c2
 
-        W = VariationField.affine(curve, m, shape, geometry=geom)
-        e1 = first_variation(curve, W, lam, m, geometry=geom)
+        W = VariationField.affine(geom, shape)
+        e1 = first_variation(geom, W)
         fd1 = energy_derivative_fd(curve, W, lam, m, order=1)
         report.check(f"first-variation-match-{j}", e1 - fd1, 1e-6)
-        e2 = second_variation(curve, W, lam, m, geometry=geom)
+        e2 = second_variation(geom, W)
         fd2 = energy_derivative_fd(curve, W, lam, m, order=2)
         report.check(f"second-variation-match-{j}", e2 - fd2, 1e-5)
 

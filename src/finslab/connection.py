@@ -41,7 +41,7 @@ from .curves import DiscreteCurve, spline_derivative
 from .dsl import MetricDefinition, TangentSample
 from .errors import GridMismatch, InadmissibleSample
 from .jets import Jet, jet_space
-from .tensors import fundamental_tensor, inverse_metric
+from .tensors import _require_admissible, fundamental_tensor, inverse_metric
 
 __all__ = [
     "SprayValue", "ChristoffelField", "ConnectionFrame",
@@ -101,9 +101,7 @@ class ConnectionFrame:
     """
 
     def __init__(self, m: MetricDefinition, v: TangentSample, order: int = 4):
-        if not m.admissible(v):
-            raise InadmissibleSample(
-                f"sample {v!r} is outside the domain of {m.name!r}")
+        _require_admissible(m, v)
         self.metric = m
         self.sample = v
         self.n = v.dim
@@ -242,19 +240,18 @@ def spray(m: MetricDefinition, v: TangentSample) -> SprayValue:
     return SprayValue(frame.spray_values(), frame.nonlinear(), v)
 
 
-def spray_coefficients(m: MetricDefinition, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+def spray_coefficients(m: MetricDefinition, v: TangentSample) -> np.ndarray:
     """Fast path used by integrators: spray values only, from one order-2 jet.
 
     G = (1/4) g^{-1} (A y - b) with A_lk = d2L/dy^l dx^k and b_l = dL/dx^l.
     """
-    y = np.asarray(y, dtype=float)
-    n = y.size
-    L = m.jet(TangentSample(x, y), 2)
+    n = v.dim
+    L = m.jet(v, 2)
     b = L.partials(1)[:n]
     hess = L.partials(2)
     A = hess[n:, :n]
     g = 0.5 * hess[n:, n:]
-    return 0.25 * (inverse_metric(g) @ (A @ y - b))
+    return 0.25 * (inverse_metric(g) @ (A @ v.y - b))
 
 
 def christoffel(m: MetricDefinition, v: TangentSample) -> ChristoffelField:

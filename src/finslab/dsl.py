@@ -23,8 +23,9 @@ Grammar (precedence: pow > unary minus > * / > + -)::
     atom   := NUMBER | IDENT | IDENT '(' expr (',' expr)* ')' | '(' expr ')'
 
 `u ^ p` and `pow(u, p)` are the same node; the exponent must fold to a real
-constant.  Fractional powers evaluate only on a strictly positive base, so
-domains using them must list the base as a positivity predicate.
+constant.  An integer power of a jet runs by repeated squaring.  Fractional
+powers evaluate only on a strictly positive base, so domains using them must
+list the base as a positivity predicate.
 """
 
 from __future__ import annotations
@@ -378,10 +379,7 @@ class Tape:
         if kind == "ipow":
             def ipow(r, p):
                 base = r[a] if b > 0 else _reciprocal(r[a], order, own)
-                out = base
-                for _ in range(abs(b) - 1):
-                    out = jets.product(out, base, own)
-                return out
+                return jets.int_power(base, abs(b), own)
             return ipow
         if kind == "powr":
             return lambda r, p: jets.compose(

@@ -60,14 +60,6 @@ class GridMismatch(FinslabError):
     """Field samples do not line up with the curve grid."""
 
 
-class ReparametrizationRangeError(FinslabError):
-    """The reparametrization left the parameter range of the base curve."""
-
-    def __init__(self, message: str, reachable: tuple[float, float] | None = None):
-        super().__init__(message)
-        self.reachable = reachable
-
-
 class IncompatiblePair(FinslabError, ValueError):
     """The two metrics of a conformal pair differ in dimension or domain."""
 

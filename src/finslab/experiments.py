@@ -73,16 +73,15 @@ def exact_tilted_circle(x0, v0):
     return position, spatial
 
 
-def great_circle_patch(x0, v0, rho: float, t_slice: float | None = None
-                       ) -> SubmanifoldPatch:
+def great_circle_patch(x0, v0, rho: float) -> SubmanifoldPatch:
     """Geodesic circle of radius rho on the sphere factor, centered at the
     point at spatial distance rho ahead of (x0, v0) along its great circle.
 
     The circle passes through x0's spatial point orthogonally to the track,
     so the null lift of the track leaves it orthogonally and focuses at the
-    center after arc rho.  Embedded at a fixed time slice (default x0's)."""
+    center after arc rho.  Embedded in the time slice of x0."""
     p, tangent, _ = _spatial_frame(x0, v0)
-    t_slice = float(x0[0]) if t_slice is None else float(t_slice)
+    t_slice = float(x0[0])
     center = np.cos(rho) * p + np.sin(rho) * tangent
     u = (p - np.cos(rho) * center) / np.sin(rho)
     w = np.cross(center, u)

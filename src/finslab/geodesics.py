@@ -16,9 +16,8 @@ from scipy.integrate import simpson
 from .connection import _scalar_partials, spray_coefficients
 from .curves import DiscreteCurve, Reparametrization
 from .dsl import MetricDefinition, TangentSample
-from .errors import (DomainExit, InadmissibleSample, NoConvergence,
-                     ReparametrizationRangeError, TransversalityFailure)
-from .tensors import legendre
+from .errors import DomainExit, InadmissibleSample, NoConvergence, TransversalityFailure
+from .tensors import _require_admissible, legendre
 
 __all__ = [
     "LIGHTLIKE_TOL", "rk4_step", "integrate_geodesic", "probe_vector",
@@ -32,15 +31,11 @@ CONE_PROJECTION_TOL = 1e-12
 
 
 # --------------------------------------------------------------------------
-# conformal factor helpers (a factor is a degree-0 definition, a number, or None)
+# conformal factor helpers (a factor is a degree-0 definition or None)
 # --------------------------------------------------------------------------
 
 def _factor_value(lam, x, y) -> float:
-    if lam is None:
-        return 1.0
-    if isinstance(lam, MetricDefinition):
-        return lam.value(x, y)
-    return float(lam)
+    return 1.0 if lam is None else lam.value(x, y)
 
 
 def factor_values(lam, curve: DiscreteCurve) -> np.ndarray:
@@ -52,7 +47,7 @@ def factor_values(lam, curve: DiscreteCurve) -> np.ndarray:
 def _chain_rates(lam, positions, velocities, accelerations) -> np.ndarray:
     """d/dt of the factor at curve samples (x, xdot, xddot), by the chain rule."""
     out = np.zeros(len(positions))
-    if isinstance(lam, MetricDefinition):
+    if lam is not None:
         for k, (x, y, a) in enumerate(zip(positions, velocities, accelerations)):
             dx, dy = _scalar_partials(lam.jet(TangentSample(x, y), 2))
             out[k] = dx @ y + dy @ a
@@ -81,9 +76,10 @@ def rk4_step(f, t: float, s, h: float, k1=None):
 
 
 def _rhs(m: MetricDefinition, x: np.ndarray, y: np.ndarray, t: float) -> np.ndarray:
-    if not m.admissible(TangentSample(x, y)):
+    v = TangentSample(x, y)
+    if not m.admissible(v):
         raise DomainExit(t)
-    return -2.0 * spray_coefficients(m, x, y)
+    return -2.0 * spray_coefficients(m, v)
 
 
 def integrate_geodesic(m: MetricDefinition, x0, v0, t_span: tuple[float, float],
@@ -154,8 +150,7 @@ def project_to_lightcone(m: MetricDefinition, v: TangentSample, w,
     iteration approach cones sitting on the domain boundary (fractional-power
     metrics).  Idempotent on vectors that are already lightlike.
     """
-    if not m.admissible(v):
-        raise InadmissibleSample(f"sample {v!r} is outside the domain of {m.name!r}")
+    _require_admissible(m, v)
     w = np.asarray(w, dtype=float)
     value, slope = _value_and_slope(m, v.x, v.y, w)
     # transversality: g_v(v, w) = (1/2) dL_v(w)
@@ -207,9 +202,7 @@ def energy(curve: DiscreteCurve, m: MetricDefinition, lam=None) -> float:
     """(1/2) integral of factor(velocity) * L(velocity) over the curve."""
     vals = np.empty(curve.grid.size)
     for k, (x, y) in enumerate(zip(curve.positions, curve.velocities)):
-        if not m.admissible(TangentSample(x, y)):
-            raise InadmissibleSample(f"curve leaves the domain of {m.name!r} "
-                                     f"at t={curve.grid[k]!r}")
+        _require_admissible(m, TangentSample(x, y), curve.grid[k])
         vals[k] = 0.5 * _factor_value(lam, x, y) * m.value(x, y)
     return float(simpson(vals, x=curve.grid))
 
@@ -222,12 +215,10 @@ def _pregeodesic_defects(curve: DiscreteCurve, m: MetricDefinition, lam, nodes):
     lam_vals = factor_values(lam, curve)
     lam_rate = factor_rate(lam, curve)
     for k in nodes:
-        x, y = curve.positions[k], curve.velocities[k]
-        if not m.admissible(TangentSample(x, y)):
-            raise InadmissibleSample(f"curve leaves the domain of {m.name!r} "
-                                     f"at t={curve.grid[k]!r}")
-        yield lam_rate[k] * y + lam_vals[k] * (
-            curve.accelerations[k] + 2.0 * spray_coefficients(m, x, y))
+        v = TangentSample(curve.positions[k], curve.velocities[k])
+        _require_admissible(m, v, curve.grid[k])
+        yield lam_rate[k] * v.y + lam_vals[k] * (
+            curve.accelerations[k] + 2.0 * spray_coefficients(m, v))
 
 
 def pregeodesic_residual(curve: DiscreteCurve, m: MetricDefinition, lam=None) -> float:
@@ -241,68 +232,46 @@ def pregeodesic_residual(curve: DiscreteCurve, m: MetricDefinition, lam=None) ->
 # conformal reparametrization
 # --------------------------------------------------------------------------
 
-def reparametrize_conformal(curve: DiscreteCurve, lam, m: MetricDefinition | None = None,
-                            mu_span: tuple[float, float] | None = None,
-                            require_lightlike: bool = True
+def reparametrize_conformal(curve: DiscreteCurve, lam, m: MetricDefinition
                             ) -> tuple[Reparametrization, DiscreteCurve]:
     """Solve phidot(mu) = factor(velocity(phi(mu))) with phi(mu0) = t0 and
     emit the reparametrized curve, by RK4 steps of the base curve's step.
 
-    With mu_span=None the map is integrated until it exhausts the base
-    curve's parameter range (the final partial step is bisected so the last
-    node lands on t1).  The lightlike precondition can be switched off to use
-    the parameter ODE on non-lightlike curves.
+    The curve must be lightlike under m.  The map is integrated until it
+    exhausts the base curve's parameter range (the final partial step is
+    bisected so the last node lands on t1).
     """
-    if require_lightlike:
-        if m is None:
-            raise ValueError("a base metric is needed to check the lightlike precondition")
-        check_lightlike(curve, m)
+    check_lightlike(curve, m)
     lo, hi = curve.t0, curve.t1
 
-    def rate(mu: float, phi: float, clamp: bool = True) -> float:
-        if not clamp and (phi < lo - 1e-12 or phi > hi + 1e-12):
-            raise ReparametrizationRangeError(
-                f"parameter map left [{lo!r}, {hi!r}] near mu={mu!r}",
-                reachable=(lo, hi))
+    def rate(mu: float, phi: float) -> float:
         t = min(max(phi, lo), hi)
         return _factor_value(lam, curve.position(t), curve.velocity(t))
 
-    def strict_rate(mu: float, phi: float) -> float:
-        return rate(mu, phi, clamp=False)
-
     h = curve.step
-    mus = [curve.t0 if mu_span is None else float(mu_span[0])]
+    mus = [curve.t0]
     phis = [lo]
-    if mu_span is not None:
-        mu0, mu1 = float(mu_span[0]), float(mu_span[1])
-        steps = max(1, math.ceil((mu1 - mu0) / h - 1e-12))
-        h = (mu1 - mu0) / steps
-        for k in range(steps):
-            mu = mu0 + k * h
-            phis.append(rk4_step(strict_rate, mu, phis[-1], h))
-            mus.append(mu + h if k < steps - 1 else mu1)
-    else:
-        while True:
-            mu, phi = mus[-1], phis[-1]
-            nxt = rk4_step(rate, mu, phi, h)
-            if nxt < hi - 1e-13:
-                mus.append(mu + h)
-                phis.append(nxt)
-                continue
-            # bisect the final step length so the map lands exactly on t1
-            lo_h, hi_h = 0.0, h
-            for _ in range(80):
-                mid = 0.5 * (lo_h + hi_h)
-                if rk4_step(rate, mu, phi, mid) < hi:
-                    lo_h = mid
-                else:
-                    hi_h = mid
-            final = 0.5 * (lo_h + hi_h)
-            if final > 1e-13 * max(1.0, h):
-                mus.append(mu + final)
-                phis.append(min(rk4_step(rate, mu, phi, final), hi))
-            phis[-1] = hi
-            break
+    while True:
+        mu, phi = mus[-1], phis[-1]
+        nxt = rk4_step(rate, mu, phi, h)
+        if nxt < hi - 1e-13:
+            mus.append(mu + h)
+            phis.append(nxt)
+            continue
+        # bisect the final step length so the map lands exactly on t1
+        lo_h, hi_h = 0.0, h
+        for _ in range(80):
+            mid = 0.5 * (lo_h + hi_h)
+            if rk4_step(rate, mu, phi, mid) < hi:
+                lo_h = mid
+            else:
+                hi_h = mid
+        final = 0.5 * (lo_h + hi_h)
+        if final > 1e-13 * max(1.0, h):
+            mus.append(mu + final)
+            phis.append(min(rk4_step(rate, mu, phi, final), hi))
+        phis[-1] = hi
+        break
     mus = np.asarray(mus)
     phis = np.asarray(phis)
     phidots = np.array([rate(mu, p) for p, mu in zip(phis, mus)])

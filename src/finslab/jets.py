@@ -230,6 +230,18 @@ def product(a: np.ndarray, b: np.ndarray, plan) -> np.ndarray:
     return np.bincount(io, weights=a[ia] * b[ib], minlength=length)
 
 
+def int_power(c: np.ndarray, p: int, plan) -> np.ndarray:
+    """Coefficients of u^p for an integer p >= 1 by repeated squaring over
+    the bits of p, with products through a same-space `product_plan`: at
+    most 2 log2(p) products, and u^2 is the single product u*u."""
+    out = c
+    for bit in bin(p)[3:]:
+        out = product(out, out, plan)
+        if bit == "1":
+            out = product(out, c, plan)
+    return out
+
+
 def compose(c: np.ndarray, derivs: list[float], plan) -> np.ndarray:
     """Coefficients of f(u) from those of u and the normalized derivatives
     derivs[m] = f^(m)(u0)/m!, by Horner's rule, with products through a
@@ -389,10 +401,7 @@ class Jet:
         if p == 0:
             return Jet.constant(self.space, 1.0)
         base = self if p > 0 else self.reciprocal()
-        out = base
-        for _ in range(abs(p) - 1):
-            out = out * base
-        return out
+        return Jet(self.space, int_power(base.c, abs(p), self.space.product_plan()))
 
     def reciprocal(self) -> "Jet":
         return self._compose(taylor("reciprocal", self.value, self.space.order))

@@ -19,9 +19,14 @@ from .errors import EvaluationDomainError, InadmissibleSample, SingularMetric
 DEGENERACY_TOL = 1e-12
 
 
-def _require_admissible(m: MetricDefinition, v: TangentSample) -> None:
-    if not m.admissible(v):
+def _require_admissible(m: MetricDefinition, v: TangentSample, t=None) -> None:
+    """The one domain check: InadmissibleSample naming the sample, or the
+    curve time t when the sample lies on a curve."""
+    if m.admissible(v):
+        return
+    if t is None:
         raise InadmissibleSample(f"sample {v!r} is outside the domain of {m.name!r}")
+    raise InadmissibleSample(f"curve leaves the domain of {m.name!r} at t={t!r}")
 
 
 @dataclass(frozen=True)

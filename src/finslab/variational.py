@@ -5,10 +5,12 @@ Everything here is expressed through the connection of ONE base metric; the
 scaled metric never needs its own connection.  Along a fixed curve all
 pointwise geometry (fundamental tensor, Christoffel symbols, Jacobi operator,
 factor gradients) is read from tables built by `connection._frame_tables`,
-one frame per sample: `CurveGeometry` holds one at the nodes for the
-quadrature formulas and variation fields, and the Jacobi integrator builds
-one at its RK stage times.  Geodesic checks read the spray, as
-Gamma(v)(v, v) = 2G(x, v).
+one frame per sample.  A `CurveGeometry` carries one curve, its base metric
+and its factor, and holds the table at the nodes; the variation fields, the
+first and second variation, the index form, the transfer and its residuals
+all take it as their first argument and read curve, metric and factor from
+it.  The Jacobi integrator builds its own table at the RK stage times.
+Geodesic checks read the spray, as Gamma(v)(v, v) = 2G(x, v).
 
 Curvature terms of the form g(R(vel, V)W, vel) are evaluated through the
 Jacobi operator using its g-self-adjointness, g(R(vel,V)W, vel) = -g(AV, W)
@@ -151,15 +153,13 @@ class VariationField:
         return VariationField(np.array([fn(t) for t in curve.grid], dtype=float))
 
     @staticmethod
-    def affine(curve: DiscreteCurve, m: MetricDefinition, fn,
-               geometry: CurveGeometry | None = None) -> "VariationField":
-        """Field for the chart-affine variation x(t) + s*W(t); its transverse
-        acceleration is Gamma(vel)(W, W) since the chart second s-derivative
-        vanishes."""
-        ctx = geometry or CurveGeometry(curve, m)
-        vals = np.array([fn(t) for t in curve.grid], dtype=float)
+    def affine(geom: CurveGeometry, fn) -> "VariationField":
+        """Field for the chart-affine variation x(t) + s*W(t) of the
+        geometry's curve; its transverse acceleration is Gamma(vel)(W, W)
+        since the chart second s-derivative vanishes."""
+        vals = np.array([fn(t) for t in geom.curve.grid], dtype=float)
         acc = np.array([np.einsum("kij,i,j->k", gamma, w, w)
-                        for gamma, w in zip(ctx.gamma, vals)])
+                        for gamma, w in zip(geom.gamma, vals)])
         return VariationField(vals, acc)
 
 
@@ -179,10 +179,13 @@ class JacobiSolution:
 # --------------------------------------------------------------------------
 
 class CurveGeometry:
-    """Geometry of a base metric referenced at the curve velocity: one table
-    from `connection._frame_tables` at the nodes, read by the fundamental
-    tensor, Christoffel symbols, Jacobi operator and, for a given factor, its
-    values, rate and gradients.
+    """One curve with its base metric m and factor lam (None for the unit
+    factor): the argument of every formula along that curve.
+
+    The geometry of m is referenced at the curve velocity.  One table from
+    `connection._frame_tables` at the nodes, built on first use, holds the
+    fundamental tensor, Christoffel symbols and Jacobi operator; the
+    factor's values, rate and gradients are read on first use as well.
     """
 
     def __init__(self, curve: DiscreteCurve, m: MetricDefinition, lam=None):
@@ -221,7 +224,7 @@ class CurveGeometry:
     def _gradients(self) -> tuple[np.ndarray, np.ndarray]:
         gh = np.zeros((self.npts, self.n))
         gv = np.zeros((self.npts, self.n))
-        if isinstance(self.lam, MetricDefinition):
+        if self.lam is not None:
             _, ginv, N, _, _ = self._table
             c = self.curve
             for k in range(self.npts):
@@ -269,48 +272,44 @@ class CurveGeometry:
 # first and second variation of the scaled energy
 # --------------------------------------------------------------------------
 
-def first_variation(curve: DiscreteCurve, W: VariationField, lam,
-                    m: MetricDefinition, geometry: CurveGeometry | None = None
-                    ) -> float:
+def first_variation(geom: CurveGeometry, W: VariationField) -> float:
     """Derivative of the scaled energy along the variation field W.
 
     Valid for lightlike base curves: integral of g(W, -D(factor*vel)) plus
     the boundary pairing factor * g(vel, W)."""
-    check_lightlike(curve, m)
-    ctx = geometry or CurveGeometry(curve, m, lam)
+    curve = geom.curve
+    check_lightlike(curve, geom.m)
     if W.values.shape != curve.positions.shape:
         raise GridMismatch("variation field must match the curve grid")
-    lam_v = ctx.lam_values
-    DZ = ctx.cov_scalar_times_velocity(lam_v)
-    integrand = ctx.pair(W.values, -DZ)
+    lam_v = geom.lam_values
+    DZ = geom.cov_scalar_times_velocity(lam_v)
+    integrand = geom.pair(W.values, -DZ)
     total = float(simpson(integrand, x=curve.grid))
-    boundary = lam_v * ctx.pair(curve.velocities, W.values)
+    boundary = lam_v * geom.pair(curve.velocities, W.values)
     return total + float(boundary[-1] - boundary[0])
 
 
-def second_variation(curve: DiscreteCurve, W: VariationField, lam,
-                     m: MetricDefinition, geometry: CurveGeometry | None = None
-                     ) -> float:
+def second_variation(geom: CurveGeometry, W: VariationField) -> float:
     """Second derivative of the scaled energy along the variation.
 
     Requires the curve to satisfy the scaled geodesic equation; the result
     uses the transverse acceleration samples of W for the boundary term
     (absent samples mean a geodesic-transversal variation, a = 0)."""
-    check_lightlike(curve, m)
-    ctx = geometry or CurveGeometry(curve, m, lam)
-    lam_v = ctx.lam_values
+    curve = geom.curve
+    check_lightlike(curve, geom.m)
+    lam_v = geom.lam_values
     Wv = W.values
-    Wp = ctx.cov(Wv)
+    Wp = geom.cov(Wv)
     vel = curve.velocities
     # g(R(vel, W)W, vel) = -g(AW, W) via self-adjointness of the operator
-    AW = np.einsum("kij,kj->ki", ctx.jacobi, Wv)
-    curvature_term = ctx.pair(AW, Wv)
-    integrand = lam_v * (curvature_term + ctx.pair(Wp, Wp))
-    integrand += 2.0 * ctx.pair(Wp, vel) * (
-        ctx.pair(Wv, ctx.grad_h) + ctx.pair(Wp, ctx.grad_v))
+    AW = np.einsum("kij,kj->ki", geom.jacobi, Wv)
+    curvature_term = geom.pair(AW, Wv)
+    integrand = lam_v * (curvature_term + geom.pair(Wp, Wp))
+    integrand += 2.0 * geom.pair(Wp, vel) * (
+        geom.pair(Wv, geom.grad_h) + geom.pair(Wp, geom.grad_v))
     total = float(simpson(integrand, x=curve.grid))
     if W.accel is not None:
-        boundary = lam_v * ctx.pair(W.accel, vel)
+        boundary = lam_v * geom.pair(W.accel, vel)
         total += float(boundary[-1] - boundary[0])
     return total
 
@@ -348,7 +347,7 @@ def energy_derivative_fd(curve: DiscreteCurve, W: VariationField, lam,
 # second fundamental forms
 # --------------------------------------------------------------------------
 
-def _as_field(N, u0):
+def _as_field(N):
     if callable(N):
         return N
     N = np.asarray(N, dtype=float)
@@ -390,12 +389,10 @@ def second_fundamental_form(P: SubmanifoldPatch, N, U, W, m: MetricDefinition
     """Normal part of the patch derivative of a tangent field: the bilinear
     form measuring how the patch curves away from its tangent plane.
 
-    U and W are tangent vectors at the basepoint, given in chart components;
-    W is extended with constant coefficients in the coordinate frame of the
-    patch."""
-    N_fn = _as_field(N, P.basepoint)
-    N0 = np.asarray(N_fn(P.basepoint), dtype=float)
-    p, basis, frame, g = _patch_frame(P, N0, m)
+    N is the reference normal vector at the basepoint; U and W are tangent
+    vectors there, given in chart components; W is extended with constant
+    coefficients in the coordinate frame of the patch."""
+    p, basis, frame, g = _patch_frame(P, np.asarray(N, dtype=float), m)
     tan = _tangent_projector(basis, g)
     u_coeff = _tangent_coefficients(basis, U)
     w_coeff = _tangent_coefficients(basis, W)
@@ -409,8 +406,9 @@ def second_fundamental_form(P: SubmanifoldPatch, N, U, W, m: MetricDefinition
 
 def normal_second_fundamental_form(P: SubmanifoldPatch, N, U,
                                    m: MetricDefinition) -> np.ndarray:
-    """Tangential part of the patch derivative of the normal field."""
-    N_fn = _as_field(N, P.basepoint)
+    """Tangential part of the patch derivative of the normal field N, a
+    function of the patch parameters (or a constant vector)."""
+    N_fn = _as_field(N)
     N0 = np.asarray(N_fn(P.basepoint), dtype=float)
     p, basis, frame, g = _patch_frame(P, N0, m)
     tan = _tangent_projector(basis, g)
@@ -462,34 +460,32 @@ def _normal_sff_matrix(P: SubmanifoldPatch, N0: np.ndarray, m: MetricDefinition
 # index form
 # --------------------------------------------------------------------------
 
-def index_form(curve: DiscreteCurve, V: VariationField, W: VariationField,
-               P: SubmanifoldPatch | None, Q: SubmanifoldPatch | None,
-               lam, m: MetricDefinition,
-               geometry: CurveGeometry | None = None) -> float:
+def index_form(geom: CurveGeometry, V: VariationField, W: VariationField,
+               P: SubmanifoldPatch | None, Q: SubmanifoldPatch | None) -> float:
     """Symmetric bilinear form whose kernel (on endpoint-constrained fields)
     is the space of endpoint-respecting Jacobi fields of the scaled metric."""
+    curve, m = geom.curve, geom.m
     check_lightlike(curve, m)
-    ctx = geometry or CurveGeometry(curve, m, lam)
-    lam_v = ctx.lam_values
+    lam_v = geom.lam_values
     vel = curve.velocities
     Vv, Wv = V.values, W.values
     _check_endpoint_tangency(P, Vv[0], Wv[0])
     _check_endpoint_tangency(Q, Vv[-1], Wv[-1])
-    Vp = ctx.cov(Vv)
-    Wp = ctx.cov(Wv)
-    AV = np.einsum("kij,kj->ki", ctx.jacobi, Vv)
-    integrand = lam_v * (ctx.pair(AV, Wv) + ctx.pair(Vp, Wp))
-    integrand += (ctx.pair(Vp, vel) * ctx.pair(Wv, ctx.grad_h)
-                  + ctx.pair(Wp, vel) * ctx.pair(Vv, ctx.grad_h))
-    integrand += (ctx.pair(Vp, vel) * ctx.pair(Wp, ctx.grad_v)
-                  + ctx.pair(Wp, vel) * ctx.pair(Vp, ctx.grad_v))
+    Vp = geom.cov(Vv)
+    Wp = geom.cov(Wv)
+    AV = np.einsum("kij,kj->ki", geom.jacobi, Vv)
+    integrand = lam_v * (geom.pair(AV, Wv) + geom.pair(Vp, Wp))
+    integrand += (geom.pair(Vp, vel) * geom.pair(Wv, geom.grad_h)
+                  + geom.pair(Wp, vel) * geom.pair(Vv, geom.grad_h))
+    integrand += (geom.pair(Vp, vel) * geom.pair(Wp, geom.grad_v)
+                  + geom.pair(Wp, vel) * geom.pair(Vp, geom.grad_v))
     total = float(simpson(integrand, x=curve.grid))
     if Q is not None and Q.d > 0:
         S = second_fundamental_form(Q, vel[-1], Vv[-1], Wv[-1], m)
-        total += lam_v[-1] * float(S @ ctx.g[-1] @ vel[-1])
+        total += lam_v[-1] * float(S @ geom.g[-1] @ vel[-1])
     if P is not None and P.d > 0:
         S = second_fundamental_form(P, vel[0], Vv[0], Wv[0], m)
-        total -= lam_v[0] * float(S @ ctx.g[0] @ vel[0])
+        total -= lam_v[0] * float(S @ geom.g[0] @ vel[0])
     return total
 
 
@@ -658,29 +654,27 @@ def find_focal_points(curve: DiscreteCurve, P: SubmanifoldPatch,
 # transfer of Jacobi fields through a conformal change
 # --------------------------------------------------------------------------
 
-def transfer_jacobi(Jsol: JacobiSolution, curve: DiscreteCurve,
-                    rep: Reparametrization, lam, m: MetricDefinition,
-                    geometry: CurveGeometry | None = None
-                    ) -> tuple[JacobiSolution, np.ndarray]:
+def transfer_jacobi(geom: CurveGeometry, Jsol: JacobiSolution,
+                    rep: Reparametrization) -> tuple[JacobiSolution, np.ndarray]:
     """Carry a Jacobi field of the reparametrized curve back to the scaled
-    parametrization, correcting by a multiple of the velocity.
+    parametrization of the geometry's curve, correcting by a multiple of the
+    velocity.
 
     The correction solves hdd = -sdot/factor + s*factor_rate/factor^2 with
     h = 0 at both ends, where s pairs the field with the factor gradients.
     Returns the corrected solution and the h samples (zero at both ends by
     construction)."""
-    ctx = geometry or CurveGeometry(curve, m, lam)
-    grid = curve.grid
+    grid = geom.curve.grid
     mu = rep.inverse(grid)
     mu[0], mu[-1] = Jsol.grid[0], Jsol.grid[-1]
     J_spline = Jsol.spline()
     K_spline = CubicHermiteSpline(
         Jsol.grid, Jsol.K, spline_derivative(Jsol.grid, Jsol.K), axis=0)
-    lam_v = ctx.lam_values
-    lam_r = ctx.lam_rate
+    lam_v = geom.lam_values
+    lam_r = geom.lam_rate
     J = J_spline(mu)
     K = K_spline(mu) / lam_v[:, None]
-    s = ctx.pair(J, ctx.grad_h) + ctx.pair(K, ctx.grad_v)
+    s = geom.pair(J, geom.grad_h) + geom.pair(K, geom.grad_v)
     s_dot = spline_derivative(grid, s)
     forcing = -s_dot / lam_v + s * lam_r / lam_v ** 2
     q = cumulative_simpson(forcing, x=grid, initial=0.0)
@@ -690,18 +684,21 @@ def transfer_jacobi(Jsol: JacobiSolution, curve: DiscreteCurve,
     h[0] = 0.0
     h[-1] = 0.0
     h_dot = q - H[-1] / span
-    vel = curve.velocities
+    vel = geom.curve.velocities
     J_hat = J + h[:, None] * vel
     # D(h*vel) = hdot*vel + h*Dvel with Dvel = -(factor_rate/factor)*vel
     K_hat = K + (h_dot - h * lam_r / lam_v)[:, None] * vel
-    gamma_y = np.einsum("kaij,kj->kai", ctx.gamma, vel)
+    gamma_y = np.einsum("kaij,kj->kai", geom.gamma, vel)
     J_hat_dot = K_hat - np.einsum("kai,ki->ka", gamma_y, J_hat)
     return JacobiSolution(grid, J_hat, K_hat, J_hat_dot), h
 
 
-def conformal_jacobi_residual(curve: DiscreteCurve, sol: JacobiSolution,
-                              lam, m: MetricDefinition,
-                              geometry: CurveGeometry | None = None) -> float:
+def _require_curve_grid(geom: CurveGeometry, sol: JacobiSolution) -> None:
+    if not np.array_equal(sol.grid, geom.curve.grid):
+        raise GridMismatch("the Jacobi solution must be sampled on the curve grid")
+
+
+def conformal_jacobi_residual(geom: CurveGeometry, sol: JacobiSolution) -> float:
     """Interior residual of the scaled-metric Jacobi characterization,
     written entirely with the base connection, as the largest norm over the
     nodes two or more away from either end (the spline derivatives are least
@@ -710,47 +707,46 @@ def conformal_jacobi_residual(curve: DiscreteCurve, sol: JacobiSolution,
         factor*A V - (factor*V')' + g(V',vel)*grad_h
         - (g(V,grad_h)*vel)' - (g(V',vel)*grad_v)' - (g(V',grad_v)*vel)' = 0
     """
-    ctx = geometry or CurveGeometry(curve, m, lam)
-    lam_v = ctx.lam_values
+    _require_curve_grid(geom, sol)
+    lam_v = geom.lam_values
     V = sol.J
     Vp = sol.K
-    vel = curve.velocities
-    AV = np.einsum("kij,kj->ki", ctx.jacobi, V)
+    vel = geom.curve.velocities
+    AV = np.einsum("kij,kj->ki", geom.jacobi, V)
     lamVp = lam_v[:, None] * Vp
-    term2 = ctx.cov(lamVp)
-    vp_vel = ctx.pair(Vp, vel)
-    term3 = vp_vel[:, None] * ctx.grad_h
-    term4 = ctx.cov_scalar_times_velocity(ctx.pair(V, ctx.grad_h))
-    term5 = ctx.cov(vp_vel[:, None] * ctx.grad_v)
-    term6 = ctx.cov_scalar_times_velocity(ctx.pair(Vp, ctx.grad_v))
+    term2 = geom.cov(lamVp)
+    vp_vel = geom.pair(Vp, vel)
+    term3 = vp_vel[:, None] * geom.grad_h
+    term4 = geom.cov_scalar_times_velocity(geom.pair(V, geom.grad_h))
+    term5 = geom.cov(vp_vel[:, None] * geom.grad_v)
+    term6 = geom.cov_scalar_times_velocity(geom.pair(Vp, geom.grad_v))
     residual = (lam_v[:, None] * AV - term2 + term3 - term4 - term5 - term6)
     return float(np.max(np.linalg.norm(residual[2:-2], axis=1)))
 
 
-def boundary_residual(curve: DiscreteCurve, sol: JacobiSolution,
-                      P: SubmanifoldPatch | None, Q: SubmanifoldPatch | None,
-                      lam, m: MetricDefinition,
-                      geometry: CurveGeometry | None = None) -> float:
+def boundary_residual(geom: CurveGeometry, sol: JacobiSolution,
+                      P: SubmanifoldPatch | None, Q: SubmanifoldPatch | None) -> float:
     """Endpoint residual of the scaled-metric endpoint conditions, tested
     against every tangent basis vector of the end patches:
 
         factor * g(V' - S(V), w) + g(V', vel) * g(grad_v, w) = 0.
     """
-    ctx = geometry or CurveGeometry(curve, m, lam)
+    _require_curve_grid(geom, sol)
+    curve = geom.curve
     worst = 0.0
     for patch, k in ((P, 0), (Q, curve.grid.size - 1)):
         if patch is None or patch.d == 0:
             continue
         basis = patch.tangent_basis()
         coeffs = _tangent_coefficients(basis, sol.J[k])
-        sff = _normal_sff_matrix(patch, curve.velocities[k], m)
+        sff = _normal_sff_matrix(patch, curve.velocities[k], geom.m)
         SV = sff @ coeffs
-        lead = ctx.lam_values[k]
-        extra = float(sol.K[k] @ ctx.g[k] @ curve.velocities[k])
+        lead = geom.lam_values[k]
+        extra = float(sol.K[k] @ geom.g[k] @ curve.velocities[k])
         for a in range(basis.shape[1]):
             w = basis[:, a]
-            r = (lead * float((sol.K[k] - SV) @ ctx.g[k] @ w)
-                 + extra * float(ctx.grad_v[k] @ ctx.g[k] @ w))
+            r = (lead * float((sol.K[k] - SV) @ geom.g[k] @ w)
+                 + extra * float(geom.grad_v[k] @ geom.g[k] @ w))
             worst = max(worst, abs(r))
     return worst
 
@@ -778,20 +774,14 @@ class CorrespondenceReport:
 
 
 def verify_focal_correspondence(curve: DiscreteCurve, P: SubmanifoldPatch,
-                                lam, m: MetricDefinition,
-                                scaled: MetricDefinition | None = None,
-                                tolerance: float = 1e-4
-                                ) -> CorrespondenceReport:
-    """Detect focal points of a scaled-metric lightlike geodesic twice: once
-    directly, once on its reparametrization under the base metric, and match
-    the parameter lists through the reparametrization map.
+                                lam, m: MetricDefinition, scaled: MetricDefinition,
+                                tolerance: float = 1e-4) -> CorrespondenceReport:
+    """Detect focal points of a lightlike geodesic of the scaled metric
+    (lam * m, given as `scaled`) twice: once directly, once on its
+    reparametrization under the base metric, and match the parameter lists
+    through the reparametrization map.
 
     A failed match is reported, not raised."""
-    if scaled is None:
-        from .conformal import scale_metric
-        if not isinstance(lam, MetricDefinition):
-            raise ValueError("a factor definition is needed to build the scaled metric")
-        scaled, _ = scale_metric(m, lam, sample_budget=8)
     rep, tilde = reparametrize_conformal(curve, lam, m)
     base_focal = find_focal_points(tilde, P, m)
     scaled_focal = find_focal_points(curve, P, scaled)

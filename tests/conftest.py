@@ -109,8 +109,7 @@ def tilted_transfer(einstein, theta_weight, scaled_einstein) -> TransferBundle:
     coeff = np.linalg.lstsq(patch.tangent_basis(), tangent_unit, rcond=None)[0]
     jac_tilde = variational.integrate_jacobi(tilde, einstein, tangent_unit, sff @ coeff)
     geometry = variational.CurveGeometry(curve, einstein, theta_weight)
-    jac_hat, h_corr = variational.transfer_jacobi(
-        jac_tilde, curve, rep, theta_weight, einstein, geometry=geometry)
+    jac_hat, h_corr = variational.transfer_jacobi(geometry, jac_tilde, rep)
     return TransferBundle(
         base=einstein, factor=theta_weight, scaled=scaled_einstein,
         curve=curve, rep=rep, tilde=tilde, patch=patch, radius=rho,

@@ -75,6 +75,17 @@ _cos = _trig(lambda u0: [math.cos(u0), -math.sin(u0), -math.cos(u0), math.sin(u0
 FUNCTIONS = {"exp": _exp, "log": _log, "sqrt": _sqrt, "sin": _sin, "cos": _cos}
 
 
+def _int_pow(u, p):
+    """u^p by repeated multiplication, not the library's repeated squaring."""
+    if p == 0:
+        return Jet.constant(u.space, 1.0)
+    base = u if p > 0 else u.reciprocal()
+    out = base
+    for _ in range(abs(p) - 1):
+        out = out * base
+    return out
+
+
 def evaluate(node, xs, ys):
     """Evaluate an expression over floats or full-space jets."""
     if isinstance(node, dsl.Num):
@@ -100,7 +111,9 @@ def evaluate(node, xs, ys):
         if p == int(p):
             if int(p) < 0 and not isinstance(base, Jet) and base == 0.0:
                 raise EvaluationDomainError("zero base raised to a negative power")
-            return base ** int(p)
+            if not isinstance(base, Jet):
+                return base ** int(p)
+            return _int_pow(base, int(p))
         return _powr(base, p)
     if isinstance(node, dsl.Func):
         return FUNCTIONS[node.name](evaluate(node.arg, xs, ys))

@@ -154,9 +154,9 @@ def test_variation_formulas():
                 tau = (t - curve.t0) / span
                 return np.sin(np.pi * tau) * c1 + tau * (1 - tau) * c2
 
-            W = variational.VariationField.affine(curve, m, shape)
-            first = variational.first_variation(curve, W, factor, m, geometry=geom)
-            second = variational.second_variation(curve, W, factor, m, geometry=geom)
+            W = variational.VariationField.affine(geom, shape)
+            first = variational.first_variation(geom, W)
+            second = variational.second_variation(geom, W)
             worst1 = max(worst1, abs(first - variational.energy_derivative_fd(
                 curve, W, factor, m, order=1)))
             worst2 = max(worst2, abs(second - variational.energy_derivative_fd(
@@ -223,11 +223,9 @@ def test_conformal_pregeodesic(einstein, theta_weight, scaled_einstein):
 
 def test_jacobi_transfer(tilted_transfer):
     b = tilted_transfer
-    interior = variational.conformal_jacobi_residual(
-        b.curve, b.jacobi_hat, b.factor, b.base, geometry=b.geometry)
+    interior = variational.conformal_jacobi_residual(b.geometry, b.jacobi_hat)
     Q = variational.SubmanifoldPatch.from_point(b.curve.positions[-1])
-    boundary = variational.boundary_residual(
-        b.curve, b.jacobi_hat, b.patch, Q, b.factor, b.base, geometry=b.geometry)
+    boundary = variational.boundary_residual(b.geometry, b.jacobi_hat, b.patch, Q)
     ok = (interior <= 1e-5 and boundary <= 1e-6
           and b.h[0] == 0.0 and b.h[-1] == 0.0)
     report("jacobi-transfer", ok,

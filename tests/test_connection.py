@@ -323,7 +323,7 @@ def test_christoffel_contraction_along_the_reference_is_twice_the_spray(
     for m in metrics:
         for v in dsl.sample_admissible(m, rng, count=20):
             lhs = np.einsum("kij,i,j->k", connection.christoffel(m, v).gamma, v.y, v.y)
-            rhs = 2.0 * connection.spray_coefficients(m, v.x, v.y)
+            rhs = 2.0 * connection.spray_coefficients(m, v)
             assert np.linalg.norm(lhs - rhs) <= 1e-10 * np.linalg.norm(rhs), m.name
 
 

@@ -1,13 +1,15 @@
 """The compiled expression tape against the recursive jet walk over all 2n
 variables that it replaced (tests/expr_reference.py)."""
 
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import expr_reference
-from finslab import conformal, dsl
+from finslab import conformal, dsl, jets
 from finslab.errors import EvaluationDomainError
 
 ORDERS = range(5)
@@ -123,3 +125,60 @@ def test_a_definition_compiles_once(monkeypatch):
         for order in ORDERS:
             scaled.jet(v, order)
     assert len(compiled) == 2
+
+
+@pytest.mark.parametrize("p", [4, 5, 7, 13, 100, -6])
+def test_integer_powers_match_repeated_multiplication(p):
+    """Repeated squaring sums in another order than the reference's
+    repeated multiplication, so the two agree to round-off, not to the bit."""
+    power = dsl.Pow(dsl.parse_expression("x1 * y0 + 0.9 * y1", 2), float(p))
+    tape = dsl.Tape((power,), 2)
+    x, y = [0.3, 0.7], [1.1, -0.4]
+    for order in ORDERS:
+        ref = expr_reference.reference_jet(power, x, y, order)
+        np.testing.assert_allclose(tape.jet(x + y, order), ref, rtol=1e-12, atol=0)
+
+
+def _counting_products(monkeypatch):
+    calls = []
+    plain = jets.product
+
+    def counting(a, b, plan):
+        calls.append(None)
+        return plain(a, b, plan)
+
+    monkeypatch.setattr(jets, "product", counting)
+    return calls
+
+
+def test_an_integer_power_squares_its_way_up(monkeypatch):
+    """pow(u, 1000) takes a few products by repeated squaring, not 999, on
+    the tape and in `Jet` arithmetic alike."""
+    m = dsl.parse_metric("pow(y0, 1000)", 2)
+    v = dsl.TangentSample([0.1, 0.2], [1.0, 0.5])
+    calls = _counting_products(monkeypatch)
+    tape_jet = m.jet(v, 2)
+    assert len(calls) <= 20
+    calls.clear()
+    y0 = jets.Jet.variable(jets.jet_space(4, 2), 2, 1.0)
+    plain_jet = y0 ** 1000
+    assert len(calls) <= 20
+    for jet in (tape_jet, plain_jet):
+        assert jet.derivative((0, 0, 1, 0)) == pytest.approx(1000.0, rel=1e-13)
+        assert jet.derivative((0, 0, 2, 0)) == pytest.approx(1000.0 * 999.0, rel=1e-13)
+
+
+def test_a_huge_integer_power_returns_promptly(monkeypatch):
+    """The cost of an integer power grows with log p: an order-4 jet of
+    pow(y0, 1e9) is some sixty products, not a billion."""
+    m = dsl.parse_metric("pow(y0, 1e9) + y1^2", 2)
+    v = dsl.TangentSample([0.1, 0.2], [1.0, 0.5])
+    calls = _counting_products(monkeypatch)
+    start = time.perf_counter()
+    jet = m.jet(v, 4)
+    assert time.perf_counter() - start < 10.0
+    assert len(calls) <= 60
+    p = 1e9
+    assert jet.value == 1.25
+    assert jet.derivative((0, 0, 4, 0)) == pytest.approx(
+        p * (p - 1) * (p - 2) * (p - 3), rel=1e-12)

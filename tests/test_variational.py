@@ -9,7 +9,7 @@ import pytest
 from finslab import (conformal, connection, dsl, experiments, geodesics,
                      tensors, variational)
 from finslab.curves import DiscreteCurve
-from finslab.errors import FinslabError, InadmissibleSample
+from finslab.errors import FinslabError, GridMismatch, InadmissibleSample
 from conftest import lightlike_start
 from jacobi_reference import integrate_jacobi_per_stage
 
@@ -28,7 +28,7 @@ def straight_null_line(n=3, v0=(1.0, 1.0, 0.0), span=1.0, h=1e-2):
 def test_first_variation_boundary_worked_example(minkowski3):
     curve = straight_null_line()
     W = variational.VariationField(np.outer(curve.grid, [0.0, 1.0, 0.0]))
-    out = variational.first_variation(curve, W, None, minkowski3)
+    out = variational.first_variation(variational.CurveGeometry(curve, minkowski3), W)
     assert out == pytest.approx(1.0, abs=1e-10)
 
 
@@ -40,7 +40,8 @@ def test_first_variation_vanishes_on_scaled_geodesics(scaled_einstein, einstein,
     span = curve.t1 - curve.t0
     shape = lambda t: np.sin(np.pi * (t - curve.t0) / span) * np.array([0.3, -0.2, 0.5])
     W = variational.VariationField.from_function(curve, shape)
-    out = variational.first_variation(curve, W, theta_weight, einstein)
+    out = variational.first_variation(
+        variational.CurveGeometry(curve, einstein, theta_weight), W)
     assert abs(out) <= 1e-8
 
 
@@ -51,7 +52,7 @@ def test_first_variation_requires_lightlike_curves(minkowski3):
                              np.zeros((grid.size, 3)))
     W = variational.VariationField(np.zeros((grid.size, 3)))
     with pytest.raises(ValueError):
-        variational.first_variation(timelike, W, None, minkowski3)
+        variational.first_variation(variational.CurveGeometry(timelike, minkowski3), W)
 
 
 def test_first_variation_matches_finite_differences_on_bent_curve(minkowski3):
@@ -69,10 +70,11 @@ def test_first_variation_matches_finite_differences_on_bent_curve(minkowski3):
                     np.cos(angle) * rate], axis=1)
     bent = DiscreteCurve(grid, pos, vel, acc)
     assert geodesics.lightlike_defect(bent, minkowski3) <= 1e-14
+    geom = variational.CurveGeometry(bent, minkowski3)
     W = variational.VariationField.affine(
-        bent, minkowski3,
+        geom,
         lambda t: np.array([0.7 * np.sin(np.pi * t), t * (1 - t), -0.2 * np.sin(np.pi * t)]))
-    formula = variational.first_variation(bent, W, None, minkowski3)
+    formula = variational.first_variation(geom, W)
     oracle = variational.energy_derivative_fd(bent, W, None, minkowski3, order=1)
     assert abs(formula) > 1e-3
     assert abs(formula - oracle) <= 1e-6
@@ -87,7 +89,7 @@ def test_second_variation_flat_closed_form(minkowski3):
     coeff = np.array([0.2, -0.4, 0.7])
     W = variational.VariationField(
         np.outer(np.sin(np.pi * curve.grid), coeff), np.zeros((curve.grid.size, 3)))
-    out = variational.second_variation(curve, W, None, minkowski3)
+    out = variational.second_variation(variational.CurveGeometry(curve, minkowski3), W)
     # integrand g(W', W') with W' = pi cos(pi t) coeff
     g = np.diag([-1.0, 1.0, 1.0])
     expected = float(coeff @ g @ coeff) * np.pi ** 2 / 2.0
@@ -100,7 +102,7 @@ def test_second_variation_kernel_field_on_the_sphere(einstein):
     W = variational.VariationField(
         np.outer(np.sin(curve.grid), [0.0, 1.0, 0.0]),
         np.zeros((curve.grid.size, 3)))
-    out = variational.second_variation(curve, W, None, einstein)
+    out = variational.second_variation(variational.CurveGeometry(curve, einstein), W)
     assert abs(out) <= 1e-6
 
 
@@ -123,9 +125,9 @@ def test_variation_formulas_match_energy_differentiation(einstein, factor):
             tau = (t - curve.t0) / span
             return np.sin(np.pi * tau) * c1 + tau * (1 - tau) * c2
 
-        W = variational.VariationField.affine(curve, einstein, shape)
-        first = variational.first_variation(curve, W, lam, einstein, geometry=geom)
-        second = variational.second_variation(curve, W, lam, einstein, geometry=geom)
+        W = variational.VariationField.affine(geom, shape)
+        first = variational.first_variation(geom, W)
+        second = variational.second_variation(geom, W)
         assert abs(first - variational.energy_derivative_fd(
             curve, W, lam, einstein, order=1)) <= 1e-6
         assert abs(second - variational.energy_derivative_fd(
@@ -139,7 +141,8 @@ def test_variation_formulas_match_energy_differentiation(einstein, factor):
 def test_index_form_flat_closed_form(minkowski3):
     curve = straight_null_line(h=2e-3)
     V = variational.VariationField(np.outer(np.sin(np.pi * curve.grid), [0, 0, 1.0]))
-    out = variational.index_form(curve, V, V, None, None, None, minkowski3)
+    out = variational.index_form(variational.CurveGeometry(curve, minkowski3),
+                                 V, V, None, None)
     assert out == pytest.approx(np.pi ** 2 / 2.0, abs=1e-6)
 
 
@@ -150,10 +153,8 @@ def test_index_form_symmetry(tilted_transfer):
     tau = (grid - grid[0]) / (grid[-1] - grid[0])
     V = variational.VariationField(np.outer(np.sin(np.pi * tau), rng.uniform(-1, 1, 3)))
     W = variational.VariationField(np.outer(tau * (1 - tau), rng.uniform(-1, 1, 3)))
-    I_vw = variational.index_form(b.curve, V, W, b.patch, None, b.factor, b.base,
-                                  geometry=b.geometry)
-    I_wv = variational.index_form(b.curve, W, V, b.patch, None, b.factor, b.base,
-                                  geometry=b.geometry)
+    I_vw = variational.index_form(b.geometry, V, W, b.patch, None)
+    I_wv = variational.index_form(b.geometry, W, V, b.patch, None)
     assert abs(I_vw - I_wv) <= 1e-9 * max(1.0, abs(I_vw))
 
 
@@ -167,8 +168,7 @@ def test_transferred_field_is_in_the_index_form_kernel(tilted_transfer):
     worst = 0.0
     for _ in range(20):
         W = variational.VariationField(np.outer(np.sin(np.pi * tau), rng.uniform(-1, 1, 3)))
-        worst = max(worst, abs(variational.index_form(
-            b.curve, V, W, b.patch, Q, b.factor, b.base, geometry=b.geometry)))
+        worst = max(worst, abs(variational.index_form(b.geometry, V, W, b.patch, Q)))
     assert worst <= 1e-5
 
 
@@ -177,7 +177,7 @@ def test_index_form_endpoint_tangency_guard(minkowski3):
     V = variational.VariationField(np.ones((curve.grid.size, 3)))
     P = variational.SubmanifoldPatch.from_point([0, 0, 0])
     with pytest.raises(FinslabError):
-        variational.index_form(curve, V, V, P, None, None, minkowski3)
+        variational.index_form(variational.CurveGeometry(curve, minkowski3), V, V, P, None)
 
 
 # --------------------------------------------------------------------------
@@ -365,7 +365,7 @@ def test_transfer_with_unit_factor_is_identity(einstein, equatorial_conjugate):
     sol = variational.integrate_jacobi(curve, einstein, np.zeros(3), [0, 1, 0])
     rep, _ = geodesics.reparametrize_conformal(curve, unit, einstein)
     geom = variational.CurveGeometry(curve, einstein, unit)
-    out, h = variational.transfer_jacobi(sol, curve, rep, unit, einstein, geometry=geom)
+    out, h = variational.transfer_jacobi(geom, sol, rep)
     assert np.abs(h).max() == 0.0
     assert np.abs(out.J - sol.J).max() <= 1e-12
 
@@ -381,17 +381,38 @@ def test_transfer_endpoint_values_are_pinned(tilted_transfer):
 
 def test_transferred_field_satisfies_the_scaled_characterization(tilted_transfer):
     b = tilted_transfer
-    residual = variational.conformal_jacobi_residual(
-        b.curve, b.jacobi_hat, b.factor, b.base, geometry=b.geometry)
+    residual = variational.conformal_jacobi_residual(b.geometry, b.jacobi_hat)
     assert residual <= 1e-5
 
 
 def test_transferred_field_satisfies_the_endpoint_conditions(tilted_transfer):
     b = tilted_transfer
     Q = variational.SubmanifoldPatch.from_point(b.curve.positions[-1])
-    residual = variational.boundary_residual(
-        b.curve, b.jacobi_hat, b.patch, Q, b.factor, b.base, geometry=b.geometry)
+    residual = variational.boundary_residual(b.geometry, b.jacobi_hat, b.patch, Q)
     assert residual <= 1e-6
+
+
+def _off_grid_solutions(b):
+    """The untransferred field, on the reparametrized grid, and the
+    transferred one on a shifted copy of the curve grid."""
+    sol = b.jacobi_hat
+    assert b.jacobi_tilde.grid.size != b.curve.grid.size
+    return [b.jacobi_tilde,
+            variational.JacobiSolution(sol.grid + 1e-3, sol.J, sol.K, sol.J_dot)]
+
+
+def test_conformal_jacobi_residual_rejects_a_solution_on_another_grid(tilted_transfer):
+    for sol in _off_grid_solutions(tilted_transfer):
+        with pytest.raises(GridMismatch):
+            variational.conformal_jacobi_residual(tilted_transfer.geometry, sol)
+
+
+def test_boundary_residual_rejects_a_solution_on_another_grid(tilted_transfer):
+    b = tilted_transfer
+    Q = variational.SubmanifoldPatch.from_point(b.curve.positions[-1])
+    for sol in _off_grid_solutions(b):
+        with pytest.raises(GridMismatch):
+            variational.boundary_residual(b.geometry, sol, b.patch, Q)
 
 
 def test_rewritten_jacobi_equation_equivalence(tilted_transfer):
@@ -427,9 +448,7 @@ def test_transfer_preserves_linear_independence(tilted_transfer):
     b = tilted_transfer
     J0, K0 = variational._focal_initial_data(b.tilde, b.patch, b.base)
     sols = variational.integrate_jacobi_basis(b.tilde, b.base, J0, K0)
-    transferred = [variational.transfer_jacobi(s, b.curve, b.rep, b.factor,
-                                               b.base, geometry=b.geometry)[0]
-                   for s in sols]
+    transferred = [variational.transfer_jacobi(b.geometry, s, b.rep)[0] for s in sols]
     npts = b.curve.grid.size
     focal_t = b.rep(b.radius)
     for k in range(5, npts - 1, npts // 7):
@@ -531,9 +550,10 @@ def test_one_connection_frame_per_distinct_sample(einstein, monkeypatch):
     def shape(t):
         return [0.0, np.sin(t), t]
 
-    W = variational.VariationField.affine(curve, einstein, shape, geometry=geom)
+    W = variational.VariationField.affine(geom, shape)
     assert built == at_nodes
-    plain = variational.VariationField.affine(curve, einstein, shape)
+    plain = variational.VariationField.affine(variational.CurveGeometry(curve, einstein),
+                                              shape)
     assert np.array_equal(W.values, plain.values) and np.array_equal(W.accel, plain.accel)
 
 
@@ -593,7 +613,7 @@ def test_table_driven_jacobi_integration_matches_the_per_stage_path(
     grid = np.array([-1.1, 0.05, 0.6, 1.15])
     assert -1.1 + (0.05 - -1.1) != 0.05
     pos, vel = source.position(grid), source.velocity(grid)
-    acc = np.array([-2.0 * connection.spray_coefficients(einstein, x, y)
+    acc = np.array([-2.0 * connection.spray_coefficients(einstein, dsl.TangentSample(x, y))
                     for x, y in zip(pos, vel)])
     missed = DiscreteCurve(grid, pos, vel, acc)
     curves = [
