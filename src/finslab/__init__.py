@@ -14,10 +14,10 @@ from .connection import (ChristoffelField, ConnectionFrame, SprayValue,
                          horizontal_gradient, jacobi_matrix, jacobi_operator,
                          spray, spray_coefficients, vertical_gradient)
 from .curves import DiscreteCurve, Reparametrization
-from .dsl import (MetricDefinition, TangentSample, builtin_metric,
-                  builtin_names, dump_metric_file, load_metric_file,
-                  parse_expression, parse_metric, pretty, sample_admissible,
-                  validate_homogeneity)
+from .dsl import (MetricDefinition, SampleBatch, TangentSample,
+                  builtin_metric, builtin_names, dump_metric_file,
+                  load_metric_file, parse_expression, parse_metric, pretty,
+                  sample_admissible, validate_homogeneity)
 from .errors import (ConfigError, DomainExit, EvaluationDomainError,
                      ExpressionError, FinslabError, InadmissibleSample,
                      IncompatiblePair, NoAdmissibleSample, NoConvergence,

@@ -9,13 +9,16 @@ Derivatives of intermediate quantities are therefore exact (no finite
 differences anywhere on this path).
 
 A `ConnectionFrame` holds these jets as arrays of normalized coefficients
-(the last axis runs over one `JetSpace`), takes their partials with
-`JetSpace.partial_jets` and multiplies them with `JetSpace.mul`.  The jet of
-g^{-1} is the Neumann series sum_j (-g0^{-1} gh)^j g0^{-1}, where g0^{-1} is
-`tensors.inverse_metric` of the value of g and gh is the rest of g; gh is
-nilpotent at truncation order, so the finite series is exact, by the
-argument behind `Jet._compose` (Griewank & Walther, *Evaluating
-Derivatives*, 2nd ed., SIAM 2008, ch. 13).
+(the last axis runs over one `JetSpace`) for S samples at once (the first
+axis), takes their partials with `JetSpace.partial_jets` and multiplies them
+with `JetSpace.mul`.  The jet of g^{-1} is the Neumann series
+sum_j (-g0^{-1} gh)^j g0^{-1}, where g0^{-1} is `tensors.inverse_metric` of
+the value of g and gh is the rest of g; gh is nilpotent at truncation order,
+so the finite series is exact, by the argument behind `Jet._compose`
+(Griewank & Walther, *Evaluating Derivatives*, 2nd ed., SIAM 2008, ch. 13).
+Evaluating many samples in one pass is the vector mode of forward
+differentiation (ibid.): the tape and the frame arithmetic run once per
+chunk of samples instead of once per sample.
 
 Conventions: the geodesic equation is xdd^i = -2 G^i(x, xd); the covariant
 derivative along a curve uses Christoffel symbols referenced at an admissible
@@ -24,10 +27,12 @@ equation D^2 J = R_v(v, J)v, normalized so that the flat case gives zero and
 a unit round sphere gives -J for unit transverse J.  Along a curve every
 consumer (`variational.CurveGeometry`, the Jacobi integrator and
 `covariant_derivative_along`) reads connection data from the arrays of
-`_frame_tables`, one frame per sample.
+`_frame_tables`, which evaluates the curve's samples in chunks of `CHUNK`,
+one frame per chunk.  Row k of a chunk equals the frame of sample k alone,
+to the bit, and a failing chunk raises the error of its first failing
+sample, as a loop over samples would.
 
-All functions here are pure and stateless; batch evaluation over sample
-arrays is an ordinary map, safe to parallelize from the caller.
+All functions here are pure and stateless.
 """
 
 from __future__ import annotations
@@ -38,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curves import DiscreteCurve, spline_derivative
-from .dsl import MetricDefinition, TangentSample
+from .dsl import MetricDefinition, SampleBatch, TangentSample
 from .errors import GridMismatch, InadmissibleSample
 from .jets import Jet, jet_space
 from .tensors import _require_admissible, fundamental_tensor, inverse_metric
@@ -50,6 +55,13 @@ __all__ = [
     "covariant_derivative_along", "horizontal_derivative",
     "vertical_gradient", "horizontal_gradient",
 ]
+
+
+# Samples per frame along a curve: large enough that the tape and the frame
+# arithmetic run over many samples per numpy call, small enough that one
+# chunk's temporaries stay within a cache-sized working set and peak memory
+# within noise of one frame per sample (see BENCH_8.json).
+CHUNK = 16
 
 
 # --------------------------------------------------------------------------
@@ -74,8 +86,10 @@ class ChristoffelField:
 # --------------------------------------------------------------------------
 
 def _cached(method):
-    """Compute a frame quantity on first access and keep it for the frame's
-    lifetime."""
+    """Compute a frame quantity on first access, with its leading sample
+    axis, and keep it for the frame's lifetime.  A frame of one
+    `TangentSample` hands it out without that axis; the frame's own
+    arithmetic reads it with the axis, through `_rows`."""
     name = method.__name__
 
     @functools.wraps(method)
@@ -83,39 +97,63 @@ def _cached(method):
         val = self._cache.get(name)
         if val is None:
             val = self._cache[name] = method(self)
-        return val
+        return val if self.batched else val[0]
 
     return cached
 
 
 class ConnectionFrame:
-    """All connection data derived from one jet of the metric at one sample.
+    """All connection data derived from one jet of the metric at each of S
+    samples.
 
+    `v` is one `TangentSample` (S = 1) or a `SampleBatch`; every array
+    carries a leading sample axis, and the arithmetic is the same for any S,
+    so row k of a batch equals the frame of sample k alone, to the bit.
     Lazy: each derived quantity is computed on first access and cached for
     the lifetime of the frame.  Jet-valued quantities are coefficient arrays
     whose last axis runs over one jet space over the 2n chart and fiber
-    variables: g and g^{-1} of shape (n, n, size) and G of shape (n, size) at
-    order k-2, N of shape (n, n, size) and Gamma of shape (n, n, n, size) at
-    order k-3.  Along a curve, `_frame_tables` builds one frame per sample
-    and keeps only the values its consumers read.
+    variables: g and g^{-1} of shape (S, n, n, size) and G of shape
+    (S, n, size) at order k-2, N of shape (S, n, n, size) and Gamma of shape
+    (S, n, n, n, size) at order k-3.  A frame of one `TangentSample` hands
+    out every quantity without the sample axis.  Along a curve,
+    `_frame_tables` builds one frame per chunk of samples and keeps only the
+    values its consumers read.
     """
 
-    def __init__(self, m: MetricDefinition, v: TangentSample, order: int = 4):
-        _require_admissible(m, v)
+    def __init__(self, m: MetricDefinition, v: TangentSample | SampleBatch,
+                 order: int = 4):
+        self.batched = isinstance(v, SampleBatch)
+        for sample in (v if self.batched else (v,)):
+            _require_admissible(m, sample)
         self.metric = m
         self.sample = v
         self.n = v.dim
         self.order = order
-        self.L = m.jet(v, order)
+        c = m.jet(v, order).c
+        self.c = c if self.batched else c[None]     # (S, size)
+        self.y = v.y if self.batched else v.y[None]
         self._cache: dict[str, np.ndarray] = {}
+
+    def _rows(self, name: str) -> np.ndarray:
+        """A cached quantity with its sample axis."""
+        if name not in self._cache:
+            getattr(self, name)()
+        return self._cache[name]
 
     def _space(self, drop: int):
         return jet_space(2 * self.n, self.order - drop)
 
+    def _partial_jets(self, degree: int) -> np.ndarray:
+        """Partials of the metric jet, laid out C-contiguous per sample like
+        the gather from one jet (`c[..., index]` would put the sample axis
+        innermost, and np.einsum rounds by operand strides)."""
+        index, factor = self._space(0).partial_slots(degree)
+        return np.take(self.c, index, axis=-1) * factor
+
     @_cached
     def g_jets(self) -> np.ndarray:
         n = self.n
-        return 0.5 * self.L.partial_jets(2)[n:, n:]
+        return 0.5 * self._partial_jets(2)[:, n:, n:]
 
     def g(self) -> np.ndarray:
         return self.g_jets()[..., 0]
@@ -123,17 +161,17 @@ class ConnectionFrame:
     @_cached
     def ginv_jets(self) -> np.ndarray:
         """g^{-1} = (sum_{j <= k-2} M^j) g0^{-1} with M = -g0^{-1} gh, by Horner."""
-        g = self.g_jets()
+        g = self._rows("g_jets")
         space = self._space(2)
         g0inv = inverse_metric(g[..., 0])
-        step = -np.einsum("il,ljs->ijs", g0inv, g)
+        step = -np.einsum("sil,sljk->sijk", g0inv, g)
         step[..., 0] = 0.0
         series = step.copy()
         series[..., 0] = np.eye(self.n)
         for _ in range(space.order - 1):
             series = _contract(space, step, series)
             series[..., 0] = np.eye(self.n)
-        return np.einsum("ims,ml->ils", series, g0inv)
+        return np.einsum("simk,sml->silk", series, g0inv)
 
     def ginv(self) -> np.ndarray:
         return self.ginv_jets()[..., 0]
@@ -143,21 +181,21 @@ class ConnectionFrame:
         """G^i = (1/4) g^il ( d2L/dy^l dx^k y^k - dL/dx^l ), as jets."""
         n = self.n
         space = self._space(2)
-        yvars = np.zeros((n, space.size))
-        yvars[:, 0] = self.sample.y
+        yvars = np.zeros((len(self.c), n, space.size))
+        yvars[:, :, 0] = self.y
         if space.order >= 1:
-            yvars[:, space.partial_slots(1)[0][n:, 0]] = np.eye(n)
-        rhs = (_contract(space, self.L.partial_jets(2)[n:, :n], yvars)
-               - self.L.partial_jets(1)[:n, :space.size])
-        return 0.25 * _contract(space, self.ginv_jets(), rhs)
+            yvars[:, :, space.partial_slots(1)[0][n:, 0]] = np.eye(n)
+        rhs = (_contract(space, self._partial_jets(2)[:, n:, :n], yvars)
+               - self._partial_jets(1)[:, :n, :space.size])
+        return 0.25 * _contract(space, self._rows("ginv_jets"), rhs)
 
     def spray_values(self) -> np.ndarray:
-        return self.spray_jets()[:, 0]
+        return self.spray_jets()[..., 0]
 
     @_cached
     def nonlinear_jets(self) -> np.ndarray:
         n = self.n
-        return self._space(2).partial_jets(self.spray_jets(), 1)[:, n:]
+        return self._space(2).partial_jets(self._rows("spray_jets"), 1)[:, :, n:]
 
     def nonlinear(self) -> np.ndarray:
         return self.nonlinear_jets()[..., 0]
@@ -169,18 +207,20 @@ class ConnectionFrame:
         if self.order < 3:
             raise ValueError("Christoffel symbols need a frame of order >= 3")
         n = self.n
-        dg = 0.5 * self.L.partials(3)[n:, n:]      # [i, j, a] = d g_ij / dz^a
-        delta = dg[..., :n] - np.einsum("ijm,mk->ijk", dg[..., n:], self.nonlinear())
-        return 0.5 * np.einsum("kl,lij->kij", self.ginv(), _lowered_christoffel(delta))
+        dg = 0.5 * self._partial_jets(3)[:, n:, n:, :, 0]  # [s, i, j, a] = d g_ij / dz^a
+        N = self._rows("nonlinear_jets")[..., 0]
+        delta = dg[..., :n] - np.einsum("sijm,smk->sijk", dg[..., n:], N)
+        ginv = self._rows("ginv_jets")[..., 0]
+        return 0.5 * np.einsum("skl,slij->skij", ginv, _lowered_christoffel(delta))
 
     @_cached
     def christoffel_jets(self) -> np.ndarray:
         n = self.n
         space = self._space(3)
-        dg = 0.5 * self.L.partial_jets(3)[n:, n:]   # [i, j, a, beta]
-        N = self.nonlinear_jets()
-        delta = dg[:, :, :n] - _contract(space, dg[:, :, n:], N)
-        ginv = self.ginv_jets()[..., :space.size]
+        dg = 0.5 * self._partial_jets(3)[:, n:, n:]   # [s, i, j, a, beta]
+        N = self._rows("nonlinear_jets")
+        delta = dg[:, :, :, :n] - _contract(space, dg[:, :, :, n:], N)
+        ginv = self._rows("ginv_jets")[..., :space.size]
         return 0.5 * _contract(space, ginv, _lowered_christoffel(delta))
 
     @_cached
@@ -193,42 +233,45 @@ class ConnectionFrame:
         if self.order < 4:
             raise ValueError("the Jacobi operator needs a frame of order 4")
         n = self.n
-        G = self.spray_jets()               # order 2 at a full-order frame
+        G = self._rows("spray_jets")        # order 2 at a full-order frame
         space = self._space(2)
-        dG = space.partial_jets(G, 1)[..., 0]           # [i, a]
-        d2G = space.partial_jets(G, 2)[..., 0]          # [i, a, b]
-        R = (2.0 * dG[:, :n]
-             - np.einsum("j,ijk->ik", self.sample.y, d2G[:, :n, n:])
-             + 2.0 * np.einsum("j,ijk->ik", G[:, 0], d2G[:, n:, n:])
-             - dG[:, n:] @ dG[:, n:])
+        dG = space.partial_jets(G, 1)[..., 0]           # [s, i, a]
+        d2G = space.partial_jets(G, 2)[..., 0]          # [s, i, a, b]
+        R = (2.0 * dG[:, :, :n]
+             - np.einsum("sj,sijk->sik", self.y, d2G[:, :, :n, n:])
+             + 2.0 * np.einsum("sj,sijk->sik", G[:, :, 0], d2G[:, :, n:, n:])
+             - dG[:, :, n:] @ dG[:, :, n:])
         return -R
 
     @_cached
     def curvature_components(self) -> np.ndarray:
         """R^l_{kij} from horizontal derivatives of the Christoffel symbols."""
         n = self.n
-        gamma = self.christoffel()
-        dgamma = self._space(3).partial_jets(self.christoffel_jets(), 1)[..., 0]
-        # [l, j, k, i] = delta_i Gamma^l_{jk}
-        dgamma = dgamma[..., :n] - np.einsum("ljkm,mi->ljki", dgamma[..., n:],
-                                             self.nonlinear())
-        return (np.einsum("ljki->lkij", dgamma) - np.einsum("likj->lkij", dgamma)
-                + np.einsum("lim,mjk->lkij", gamma, gamma)
-                - np.einsum("ljm,mik->lkij", gamma, gamma))
+        gamma = self._rows("christoffel")
+        dgamma = self._space(3).partial_jets(self._rows("christoffel_jets"), 1)[..., 0]
+        # [s, l, j, k, i] = delta_i Gamma^l_{jk}
+        dgamma = dgamma[..., :n] - np.einsum("sljkm,smi->sljki", dgamma[..., n:],
+                                             self._rows("nonlinear_jets")[..., 0])
+        return (np.einsum("sljki->slkij", dgamma) - np.einsum("slikj->slkij", dgamma)
+                + np.einsum("slim,smjk->slkij", gamma, gamma)
+                - np.einsum("sljm,smik->slkij", gamma, gamma))
 
 
 def _contract(space, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Jet-valued contraction sum_m a[..., m, :] b[m, ..., :] of coefficient
-    arrays over the last index of a and the first of b."""
-    a = a.reshape(a.shape[:-1] + (1,) * (b.ndim - 2) + a.shape[-1:])
-    return space.mul(a, b).sum(axis=a.ndim - b.ndim)
+    """Jet-valued contraction sum_m a[s, ..., m, :] b[s, m, ..., :] of
+    coefficient arrays with a leading sample axis, over the last index of a
+    and the first of b after the sample axis."""
+    axis = a.ndim - 2
+    a = a.reshape(a.shape[:-1] + (1,) * (b.ndim - 3) + a.shape[-1:])
+    b = b.reshape(b.shape[:1] + (1,) * (axis - 1) + b.shape[1:])
+    return space.mul(a, b).sum(axis=axis)
 
 
 def _lowered_christoffel(delta: np.ndarray) -> np.ndarray:
-    """[l, i, j] = delta_i g_lj + delta_j g_il - delta_l g_ij from
-    delta[i, j, k] = delta_k g_ij (any trailing axes ride along)."""
-    return (np.swapaxes(delta, 1, 2) + np.swapaxes(delta, 0, 1)
-            - np.moveaxis(delta, 2, 0))
+    """[s, l, i, j] = delta_i g_lj + delta_j g_il - delta_l g_ij from
+    delta[s, i, j, k] = delta_k g_ij (any trailing axes ride along)."""
+    return (np.swapaxes(delta, 2, 3) + np.swapaxes(delta, 1, 2)
+            - np.moveaxis(delta, 3, 1))
 
 
 # --------------------------------------------------------------------------
@@ -277,23 +320,46 @@ def chern_curvature(m: MetricDefinition, v: TangentSample, X, Y, Z) -> np.ndarra
 
 def _frame_tables(m: MetricDefinition, times: np.ndarray, positions: np.ndarray,
                   references: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Connection data along a curve, one order-4 frame per sample (x_k, U_k):
-    g, g^{-1}, N, Gamma and the Jacobi operator A as arrays with a leading
-    sample axis.  Each frame's values are copied out and the frame dropped,
-    so memory holds the tables only.  A sample outside the domain raises
+    """Connection data along a curve at the samples (x_k, U_k): g, g^{-1},
+    N, Gamma and the Jacobi operator A as arrays with a leading sample axis.
+
+    The samples are evaluated in chunks of `CHUNK`, one order-4 frame per
+    chunk; each frame's values are copied out and the frame dropped, so
+    memory holds the tables and one chunk.  Errors are those of a loop over
+    samples (see `_in_order`); a sample outside the domain raises
     `InadmissibleSample` naming the curve time."""
     s, n = positions.shape
     g, ginv, N, A = (np.empty((s, n, n)) for _ in range(4))
     gamma = np.empty((s, n, n, n))
-    for k in range(s):
-        try:
-            fr = ConnectionFrame(m, TangentSample(positions[k], references[k]), order=4)
-        except InadmissibleSample:
-            raise InadmissibleSample(f"curve leaves the domain of {m.name!r} "
-                                     f"at t={times[k]!r}") from None
-        g[k], ginv[k], N[k] = fr.g(), fr.ginv(), fr.nonlinear()
-        gamma[k], A[k] = fr.christoffel(), fr.jacobi_matrix()
+    for lo in range(0, s, CHUNK):
+        rows = slice(lo, lo + CHUNK)
+        g[rows], ginv[rows], N[rows], gamma[rows], A[rows] = _in_order(
+            _frame_values, m, positions[rows], references[rows], times[rows])
     return g, ginv, N, gamma, A
+
+
+def _frame_values(m: MetricDefinition, batch: SampleBatch) -> tuple[np.ndarray, ...]:
+    fr = ConnectionFrame(m, batch, order=4)
+    return fr.g(), fr.ginv(), fr.nonlinear(), fr.christoffel(), fr.jacobi_matrix()
+
+
+def _in_order(fn, m: MetricDefinition, x: np.ndarray, y: np.ndarray, times=None):
+    """fn(m, SampleBatch(x, y)).  If that fails, fn runs again one sample at
+    a time, in order, so that the first failing sample raises its own error,
+    as it would in a loop over samples; with curve times given, an
+    inadmissible sample names its time."""
+    try:
+        return fn(m, SampleBatch(x, y))
+    except Exception:
+        for k in range(len(x)):
+            try:
+                fn(m, SampleBatch(x[k:k + 1], y[k:k + 1]))
+            except InadmissibleSample:
+                if times is None:
+                    raise
+                raise InadmissibleSample(f"curve leaves the domain of {m.name!r} "
+                                         f"at t={times[k]!r}") from None
+        raise
 
 
 def covariant_derivative_along(curve: DiscreteCurve, U, X, m: MetricDefinition
@@ -318,6 +384,26 @@ def _scalar_partials(jet: Jet) -> tuple[np.ndarray, np.ndarray]:
     grad = jet.partials(1)
     n = grad.size // 2
     return grad[:n], grad[n:]
+
+
+def _scalar_partials_along(f: MetricDefinition, positions: np.ndarray,
+                           velocities: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(d/dx, d/dy) of the scalar f at each sample (x_k, y_k), from order-2
+    jets evaluated chunk by chunk.  Each pair is a view into its chunk's
+    partials with a non-unit stride, as the partials of one jet have, so
+    products with it round as they do for one jet."""
+    n = positions.shape[1]
+    out = []
+    for lo in range(0, len(positions), CHUNK):
+        rows = slice(lo, lo + CHUNK)
+        grad = _in_order(_gradients, f, positions[rows], velocities[rows])
+        out.extend(zip(grad[:, :n], grad[:, n:]))
+    return out
+
+
+def _gradients(f: MetricDefinition, batch: SampleBatch) -> np.ndarray:
+    jet = f.jet(batch, 2)
+    return jet.space.partial_jets(jet.c, 1)[..., 0]
 
 
 def horizontal_derivative(f: MetricDefinition, X, v: TangentSample,

@@ -43,8 +43,8 @@ from .errors import EvaluationDomainError, ExpressionError, NoAdmissibleSample
 
 __all__ = [
     "Expr", "Num", "Var", "Neg", "Add", "Sub", "Mul", "Div", "Pow", "Func",
-    "Tape", "TangentSample", "MetricDefinition", "HomogeneityReport",
-    "parse_expression", "parse_metric", "pretty", "evaluate",
+    "Tape", "TangentSample", "SampleBatch", "MetricDefinition",
+    "HomogeneityReport", "parse_expression", "parse_metric", "pretty", "evaluate",
     "validate_homogeneity", "sample_admissible", "builtin_metric",
     "builtin_names", "parse_metric_file", "load_metric_file",
     "dump_metric_file",
@@ -183,6 +183,13 @@ class Tape:
     the bit (structural sparsity, Griewank & Walther, *Evaluating
     Derivatives*, 2nd ed., SIAM 2008, ch. 7).
 
+    `jet` also runs over a (2n, S) array of S points, on coefficient arrays
+    with a trailing sample axis: a coefficient index then reads the same for
+    one point and for S, so the program is the same but for the seeding of
+    a variable, the product kernel and the Taylor coefficients of a
+    composition, chosen when the program is compiled; each column sums its
+    terms as the jet of that point alone does.
+
     Operations keep the order and the checks of plain arithmetic: integer
     powers are `**` on floats and repeated products on jets, an elementary
     function composes `jets.taylor` by Horner's rule, and a division by
@@ -202,7 +209,7 @@ class Tape:
         del self._slot_of
         self.variables = tuple(sorted(op[1] for op in self._ops if op[0] == "var"))
         self._float_program = [self._float_op(*op) for op in self._ops]
-        self._jet_programs: dict[int, tuple] = {}
+        self._jet_programs: dict[tuple[int, bool], tuple] = {}
 
     # compilation ----------------------------------------------------------
 
@@ -332,7 +339,10 @@ class Tape:
                                  _positions(self._support[right], support),
                                  len(support), order, padded=True)
 
-    def _jet_op(self, order: int, slot: int, kind, a, b=None):
+    def _jet_op(self, order: int, rows: bool, slot: int, kind, a, b=None):
+        """The closure of one jet operation; with rows, over S points at once
+        (see `jet`).  Only the seeding of a variable, the products and the
+        Taylor coefficients of a composition differ between the two."""
         support = self._support[slot]
         if kind == "var":
             seed = np.zeros(order + 2)    # one variable, and the padding
@@ -343,7 +353,13 @@ class Tape:
                 c = seed.copy()
                 c[0] = p[a]
                 return c
-            return var
+
+            def var_rows(r, p):
+                c = np.zeros((order + 2, p.shape[1]))
+                c[0] = p[a]
+                c[1] = seed[1]
+                return c
+            return var_rows if rows else var
         if kind == "neg":
             return lambda r, p: -r[a]
         if kind in ("add", "sub"):
@@ -356,13 +372,15 @@ class Tape:
             if lb is None:
                 return lambda r, p: combine(r[a][la], r[b])
             return lambda r, p: combine(r[a][la], r[b][lb])
+        product = jets.product_rows if rows else jets.product
+        reciprocal = _reciprocal_rows if rows else _reciprocal
         if kind == "mul":
             plan = self._plan(a, b, support, order)
-            return lambda r, p: jets.product(r[a], r[b], plan)
+            return lambda r, p: product(r[a], r[b], plan)
         if kind == "div":
             plan = self._plan(a, b, support, order)
             inverse = self._plan(b, b, self._support[b], order)
-            return lambda r, p: jets.product(r[a], _reciprocal(r[b], order, inverse), plan)
+            return lambda r, p: product(r[a], reciprocal(r[b], order, inverse), plan)
         if kind == "addc":
             def addc(r, p):
                 c = r[a].copy()
@@ -375,43 +393,50 @@ class Tape:
             return lambda r, p: r[a] / b
         own = self._plan(slot, slot, support, order)
         if kind == "rdivc":
-            return lambda r, p: _reciprocal(r[a], order, own) * b
+            return lambda r, p: reciprocal(r[a], order, own) * b
         if kind == "ipow":
             def ipow(r, p):
-                base = r[a] if b > 0 else _reciprocal(r[a], order, own)
-                return jets.int_power(base, abs(b), own)
+                base = r[a] if b > 0 else reciprocal(r[a], order, own)
+                return jets.int_power(base, abs(b), own, product)
             return ipow
-        if kind == "powr":
+        name, exponent = ("powr", b) if kind == "powr" else (b, 0.5)
+        if rows:
             return lambda r, p: jets.compose(
-                r[a], jets.taylor("powr", float(r[a][0]), order, b), own)
+                r[a], jets.taylor_rows(name, r[a], order, exponent), own, product)
         return lambda r, p: jets.compose(
-            r[a], jets.taylor(b, float(r[a][0]), order), own)
+            r[a], jets.taylor(name, float(r[a][0]), order, exponent), own)
 
-    def _jet_program(self, order: int):
-        program = self._jet_programs.get(order)
+    def _jet_program(self, order: int, rows: bool):
+        program = self._jet_programs.get((order, rows))
         if program is None:
             full = tuple(range(2 * self.dim))
             size = jets.jet_space(len(full), order).size
             out = self.outputs[0]
             final = None if isinstance(out, float) else self._lift(out, full, order)
             final = slice(size) if final is None else final[:size]
-            ops = [self._jet_op(order, i, *op) for i, op in enumerate(self._ops)]
-            program = self._jet_programs[order] = (ops, size, final)
+            ops = [self._jet_op(order, rows, i, *op) for i, op in enumerate(self._ops)]
+            program = self._jet_programs[(order, rows)] = (ops, size, final)
         return program
 
     def jet(self, point, order: int) -> np.ndarray:
         """Coefficients over jet_space(2n, order) of the first expression at
-        a point; the caller checks that they are finite."""
+        a point; the caller checks that they are finite.
+
+        A point given as a (2n, S) array holds S points, one per column; the
+        program runs once over all of them on arrays with a trailing sample
+        axis, and column s of the result equals the coefficients at point s
+        alone, to the bit."""
         if self.failure is not None:
             raise EvaluationDomainError(self.failure)
-        ops, size, final = self._jet_program(order)
+        rows = isinstance(point, np.ndarray) and point.ndim == 2
+        ops, size, final = self._jet_program(order, rows)
         r: list = []
         append = r.append
         for op in ops:
             append(op(r, point))
         out = self.outputs[0]
         if isinstance(out, float):
-            c = np.zeros(size)
+            c = np.zeros((size, point.shape[1]) if rows else size)
             c[0] = out
             return c
         return r[out][final]
@@ -423,6 +448,11 @@ def _raise(message: str):
 
 def _reciprocal(c: np.ndarray, order: int, plan) -> np.ndarray:
     return jets.compose(c, jets.taylor("reciprocal", float(c[0]), order), plan)
+
+
+def _reciprocal_rows(c: np.ndarray, order: int, plan) -> np.ndarray:
+    return jets.compose(c, jets.taylor_rows("reciprocal", c, order), plan,
+                        jets.product_rows)
 
 
 # --------------------------------------------------------------------------
@@ -656,6 +686,37 @@ class TangentSample:
         return f"TangentSample(x={self.x.tolist()}, y={self.y.tolist()})"
 
 
+class SampleBatch:
+    """S tangent samples in order: chart points and fiber vectors as the
+    rows of two (S, n) arrays.  Row k is the `TangentSample` batch[k]."""
+
+    __slots__ = ("x", "y")
+
+    def __init__(self, x, y):
+        self.x = np.array(x, dtype=float)
+        self.y = np.array(y, dtype=float)
+        if self.x.shape != self.y.shape or self.x.ndim != 2 or not len(self.x):
+            raise ValueError("a sample batch needs chart points and fiber "
+                             "vectors of one shape (S, n) with S >= 1")
+        if not np.any(self.y, axis=1).all():
+            raise ValueError("fiber vector must be nonzero")
+        self.x.setflags(write=False)
+        self.y.setflags(write=False)
+
+    @property
+    def dim(self) -> int:
+        return self.x.shape[1]
+
+    def __len__(self) -> int:
+        return self.x.shape[0]
+
+    def __getitem__(self, k: int) -> TangentSample:
+        return TangentSample(self.x[k], self.y[k])
+
+    def __iter__(self):
+        return (self[k] for k in range(len(self)))
+
+
 @dataclass(frozen=True)
 class MetricDefinition:
     """Evaluable scalar with a conic domain and declared fiber homogeneity."""
@@ -688,13 +749,26 @@ class MetricDefinition:
     def value_at(self, sample: TangentSample) -> float:
         return self.value(sample.x, sample.y)
 
-    def jet(self, sample: TangentSample, order: int) -> jets.Jet:
-        """Jet of the definition at the sample, over all 2n variables."""
-        c = self._body.jet(self._point(sample.x, sample.y), order)
-        if not np.isfinite(c).all():
-            raise EvaluationDomainError(
-                f"the jet of {self.name!r} is not finite at {sample!r}")
+    def jet(self, sample: TangentSample | SampleBatch, order: int) -> jets.Jet:
+        """Jet of the definition at the sample, over all 2n variables.  At a
+        `SampleBatch` the tape runs once over all samples, and the jet's
+        coefficients carry a leading sample axis: row k is the jet at
+        sample k, to the bit."""
+        if isinstance(sample, SampleBatch):
+            self._point(sample.x[0], sample.y[0])      # the shape check
+            c = self._body.jet(np.vstack((sample.x.T, sample.y.T)), order).T.copy()
+            finite = np.isfinite(c).all(axis=1)
+            if not finite.all():
+                raise self._not_finite(sample[int(np.argmin(finite))])
+        else:
+            c = self._body.jet(self._point(sample.x, sample.y), order)
+            if not np.isfinite(c).all():
+                raise self._not_finite(sample)
         return jets.Jet(jets.jet_space(2 * self.dim, order), c)
+
+    def _not_finite(self, sample: TangentSample) -> EvaluationDomainError:
+        return EvaluationDomainError(
+            f"the jet of {self.name!r} is not finite at {sample!r}")
 
     def admissible(self, sample: TangentSample) -> bool:
         """Whether every domain predicate is positive at the sample (whose

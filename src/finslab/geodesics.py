@@ -13,7 +13,7 @@ import math
 import numpy as np
 from scipy.integrate import simpson
 
-from .connection import _scalar_partials, spray_coefficients
+from .connection import _scalar_partials, _scalar_partials_along, spray_coefficients
 from .curves import DiscreteCurve, Reparametrization
 from .dsl import MetricDefinition, TangentSample
 from .errors import DomainExit, InadmissibleSample, NoConvergence, TransversalityFailure
@@ -48,8 +48,8 @@ def _chain_rates(lam, positions, velocities, accelerations) -> np.ndarray:
     """d/dt of the factor at curve samples (x, xdot, xddot), by the chain rule."""
     out = np.zeros(len(positions))
     if lam is not None:
-        for k, (x, y, a) in enumerate(zip(positions, velocities, accelerations)):
-            dx, dy = _scalar_partials(lam.jet(TangentSample(x, y), 2))
+        partials = _scalar_partials_along(lam, positions, velocities)
+        for k, ((dx, dy), y, a) in enumerate(zip(partials, velocities, accelerations)):
             out[k] = dx @ y + dy @ a
     return out
 

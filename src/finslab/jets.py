@@ -230,32 +230,47 @@ def product(a: np.ndarray, b: np.ndarray, plan) -> np.ndarray:
     return np.bincount(io, weights=a[ia] * b[ib], minlength=length)
 
 
-def int_power(c: np.ndarray, p: int, plan) -> np.ndarray:
+def product_rows(a: np.ndarray, b: np.ndarray, plan) -> np.ndarray:
+    """`product` of S jets at once, held as the columns of (length, S)
+    arrays (a trailing sample axis, so that a coefficient index reads the
+    same for one jet and for S).  One `np.bincount` over all S columns sums
+    each column's terms in the order `product` sums them, so column s is
+    the product of columns s alone, to the bit."""
+    ia, ib, io, length = plan
+    s = a.shape[1]
+    bins = (io[:, None] * s + np.arange(s)).ravel()
+    return np.bincount(bins, weights=(a[ia] * b[ib]).ravel(),
+                       minlength=length * s).reshape(length, s)
+
+
+def int_power(c: np.ndarray, p: int, plan, mul=product) -> np.ndarray:
     """Coefficients of u^p for an integer p >= 1 by repeated squaring over
-    the bits of p, with products through a same-space `product_plan`: at
-    most 2 log2(p) products, and u^2 is the single product u*u."""
+    the bits of p, with products mul through a same-space `product_plan`:
+    at most 2 log2(p) products, and u^2 is the single product u*u.  For S
+    jets in the columns of c, mul is `product_rows`."""
     out = c
     for bit in bin(p)[3:]:
-        out = product(out, out, plan)
+        out = mul(out, out, plan)
         if bit == "1":
-            out = product(out, c, plan)
+            out = mul(out, c, plan)
     return out
 
 
-def compose(c: np.ndarray, derivs: list[float], plan) -> np.ndarray:
+def compose(c: np.ndarray, derivs, plan, mul=product) -> np.ndarray:
     """Coefficients of f(u) from those of u and the normalized derivatives
-    derivs[m] = f^(m)(u0)/m!, by Horner's rule, with products through a
-    same-space `product_plan`.
+    derivs[m] = f^(m)(u0)/m!, by Horner's rule, with products mul through
+    a same-space `product_plan`.  For S jets in the columns of c, mul is
+    `product_rows` and derivs[m] a row of S values (see `taylor_rows`).
 
     Exact at truncation order because the zero-constant part of u is
     nilpotent: powers beyond the order vanish.
     """
     hat = c.copy()
     hat[0] = 0.0
-    out = np.zeros(plan[3])
+    out = np.zeros(c.shape)
     out[0] = derivs[-1]
     for d in derivs[-2::-1]:
-        out = product(out, hat, plan)
+        out = mul(out, hat, plan)
         out[0] += d
     return out
 
@@ -452,6 +467,13 @@ def taylor(name: str, u0: float, order: int, p: float = 0.5) -> list[float]:
     except (OverflowError, ZeroDivisionError):   # a power of u0 over- or underflows
         raise EvaluationDomainError(f"{name} overflows at {u0!r}") from None
     raise ValueError(f"unknown elementary function {name!r}")
+
+
+def taylor_rows(name: str, c: np.ndarray, order: int, p: float = 0.5) -> np.ndarray:
+    """`taylor` at the value parts of S jets, the columns of c: an
+    (order + 1, S) array, evaluated sample by sample in order, so that the
+    first failing sample raises."""
+    return np.array([taylor(name, u, order, p) for u in c[0].tolist()]).T
 
 
 def exp(u: Jet) -> Jet:

@@ -5,11 +5,12 @@ Everything here is expressed through the connection of ONE base metric; the
 scaled metric never needs its own connection.  Along a fixed curve all
 pointwise geometry (fundamental tensor, Christoffel symbols, Jacobi operator,
 factor gradients) is read from tables built by `connection._frame_tables`,
-one frame per sample.  A `CurveGeometry` carries one curve, its base metric
-and its factor, and holds the table at the nodes; the variation fields, the
-first and second variation, the index form, the transfer and its residuals
-all take it as their first argument and read curve, metric and factor from
-it.  The Jacobi integrator builds its own table at the RK stage times.
+one frame per chunk of samples.  A `CurveGeometry` carries one curve, its
+base metric and its factor, and holds the table at the nodes; the variation
+fields, the first and second variation, the index form, the transfer and its
+residuals all take it as their first argument and read curve, metric and
+factor from it.  The Jacobi integrator builds its own table at the RK stage
+times, and the focal search reads its initial data from row 0 of that table.
 Geodesic checks read the spray, as Gamma(v)(v, v) = 2G(x, v).
 
 Curvature terms of the form g(R(vel, V)W, vel) are evaluated through the
@@ -28,13 +29,12 @@ from scipy.integrate import cumulative_simpson, simpson
 from scipy.interpolate import CubicHermiteSpline
 from scipy.linalg import null_space
 
-from .connection import ConnectionFrame, _frame_tables, _scalar_partials
+from .connection import ConnectionFrame, _frame_tables, _scalar_partials_along
 from .curves import DiscreteCurve, Reparametrization, spline_derivative
 from .dsl import MetricDefinition, Tape, TangentSample, parse_expression
 from .errors import FinslabError, GridMismatch
 from .geodesics import (_pregeodesic_defects, check_lightlike, energy, factor_rate,
                         factor_values, reparametrize_conformal, rk4_step)
-from .tensors import fundamental_tensor
 
 __all__ = [
     "SubmanifoldPatch", "VariationField", "JacobiSolution", "FocalPoint",
@@ -194,6 +194,15 @@ class CurveGeometry:
         self.lam = lam
         self.npts = curve.grid.size
         self.n = curve.dim
+        self._lightlike = False
+
+    def require_lightlike(self) -> None:
+        """`geodesics.check_lightlike` of the curve under m.  A passed check
+        is kept, so it runs once per geometry; a failed one raises its
+        ValueError on every call."""
+        if not self._lightlike:
+            check_lightlike(self.curve, self.m)
+            self._lightlike = True
 
     @cached_property
     def _table(self) -> tuple[np.ndarray, ...]:
@@ -227,9 +236,8 @@ class CurveGeometry:
         if self.lam is not None:
             _, ginv, N, _, _ = self._table
             c = self.curve
-            for k in range(self.npts):
-                sample = TangentSample(c.positions[k], c.velocities[k])
-                dx, dy = _scalar_partials(self.lam.jet(sample, 2))
+            partials = _scalar_partials_along(self.lam, c.positions, c.velocities)
+            for k, (dx, dy) in enumerate(partials):
                 gv[k] = ginv[k] @ dy
                 gh[k] = ginv[k] @ (dx - N[k].T @ dy)
         return gh, gv
@@ -278,7 +286,7 @@ def first_variation(geom: CurveGeometry, W: VariationField) -> float:
     Valid for lightlike base curves: integral of g(W, -D(factor*vel)) plus
     the boundary pairing factor * g(vel, W)."""
     curve = geom.curve
-    check_lightlike(curve, geom.m)
+    geom.require_lightlike()
     if W.values.shape != curve.positions.shape:
         raise GridMismatch("variation field must match the curve grid")
     lam_v = geom.lam_values
@@ -296,7 +304,7 @@ def second_variation(geom: CurveGeometry, W: VariationField) -> float:
     uses the transverse acceleration samples of W for the boundary term
     (absent samples mean a geodesic-transversal variation, a = 0)."""
     curve = geom.curve
-    check_lightlike(curve, geom.m)
+    geom.require_lightlike()
     lam_v = geom.lam_values
     Wv = W.values
     Wp = geom.cov(Wv)
@@ -371,17 +379,18 @@ def _tangent_projector(B: np.ndarray, g: np.ndarray):
 
 
 def _patch_frame(P: SubmanifoldPatch, N0: np.ndarray, m: MetricDefinition):
-    p = P.point()
-    basis = P.tangent_basis()
-    sample = TangentSample(p, N0)
-    frame = ConnectionFrame(m, sample, order=3)
-    g = frame.g()
+    """g and the Christoffel symbols at (P.point(), N0), from an order-3
+    frame."""
+    frame = ConnectionFrame(m, TangentSample(P.point(), N0), order=3)
+    return frame.g(), frame.christoffel()
+
+
+def _require_normal(basis: np.ndarray, N0: np.ndarray, g: np.ndarray) -> None:
     for a in range(basis.shape[1]):
         pairing = float(N0 @ g @ basis[:, a])
         if abs(pairing) > 1e-6 * max(1.0, float(N0 @ N0)):
             raise FinslabError(
                 f"reference vector is not normal to the patch: pairing {pairing:.3e}")
-    return p, basis, frame, g
 
 
 def second_fundamental_form(P: SubmanifoldPatch, N, U, W, m: MetricDefinition
@@ -392,13 +401,15 @@ def second_fundamental_form(P: SubmanifoldPatch, N, U, W, m: MetricDefinition
     N is the reference normal vector at the basepoint; U and W are tangent
     vectors there, given in chart components; W is extended with constant
     coefficients in the coordinate frame of the patch."""
-    p, basis, frame, g = _patch_frame(P, np.asarray(N, dtype=float), m)
+    N = np.asarray(N, dtype=float)
+    basis = P.tangent_basis()
+    g, gamma = _patch_frame(P, N, m)
+    _require_normal(basis, N, g)
     tan = _tangent_projector(basis, g)
     u_coeff = _tangent_coefficients(basis, U)
     w_coeff = _tangent_coefficients(basis, W)
     second = P.second_derivatives()
     dW = np.einsum("nab,a,b->n", second, u_coeff, w_coeff)
-    gamma = frame.christoffel()
     full = dW + np.einsum("kij,i,j->k", gamma,
                           basis @ u_coeff, basis @ w_coeff)
     return full - tan(full)
@@ -410,11 +421,12 @@ def normal_second_fundamental_form(P: SubmanifoldPatch, N, U,
     function of the patch parameters (or a constant vector)."""
     N_fn = _as_field(N)
     N0 = np.asarray(N_fn(P.basepoint), dtype=float)
-    p, basis, frame, g = _patch_frame(P, N0, m)
+    basis = P.tangent_basis()
+    g, gamma = _patch_frame(P, N0, m)
+    _require_normal(basis, N0, g)
     tan = _tangent_projector(basis, g)
     u_coeff = _tangent_coefficients(basis, U)
     dN = _param_jacobian(N_fn, P.basepoint) @ u_coeff
-    gamma = frame.christoffel()
     full = dN + np.einsum("kij,i,j->k", gamma, basis @ u_coeff, N0)
     return tan(full)
 
@@ -433,19 +445,27 @@ def _tangent_coefficients(basis: np.ndarray, v) -> np.ndarray:
 
 def _normal_sff_matrix(P: SubmanifoldPatch, N0: np.ndarray, m: MetricDefinition
                        ) -> np.ndarray:
+    """`_normal_sff_columns` with g and the Christoffel symbols of m at the
+    patch basepoint and N0."""
+    return _normal_sff_columns(P, N0, *_patch_frame(P, N0, m))
+
+
+def _normal_sff_columns(P: SubmanifoldPatch, N0: np.ndarray, g: np.ndarray,
+                        gamma: np.ndarray) -> np.ndarray:
     """(n, d) columns: the normal second fundamental form applied to each
-    coordinate tangent basis vector, computed without extending the normal.
+    coordinate tangent basis vector, computed without extending the normal,
+    from g and the Christoffel symbols at the basepoint and N0.
 
     Uses compatibility of the connection plus normality of N along the
     patch: g_N(S(U), b) = -g_N(N, D_U b) for tangent frame fields b."""
-    p, basis, frame, g = _patch_frame(P, N0, m)
-    d = basis.shape[1]
+    basis = P.tangent_basis()
+    _require_normal(basis, N0, g)
+    n, d = basis.shape
     if d == 0:
-        return np.zeros((p.size, 0))
+        return np.zeros((n, 0))
     second = P.second_derivatives()
-    gamma = frame.christoffel()
     gram = basis.T @ g @ basis
-    out = np.empty((p.size, d))
+    out = np.empty((n, d))
     for a in range(d):
         rhs = np.empty(d)
         for b in range(d):
@@ -465,7 +485,7 @@ def index_form(geom: CurveGeometry, V: VariationField, W: VariationField,
     """Symmetric bilinear form whose kernel (on endpoint-constrained fields)
     is the space of endpoint-respecting Jacobi fields of the scaled metric."""
     curve, m = geom.curve, geom.m
-    check_lightlike(curve, m)
+    geom.require_lightlike()
     lam_v = geom.lam_values
     vel = curve.velocities
     Vv, Wv = V.values, W.values
@@ -512,25 +532,30 @@ def _geodesic_spot_check(curve: DiscreteCurve, m: MetricDefinition,
                 f"{np.linalg.norm(dv):.3e} at t={curve.grid[k]!r}")
 
 
-def integrate_jacobi_basis(curve: DiscreteCurve, m: MetricDefinition,
-                           J0: np.ndarray, K0: np.ndarray) -> list[JacobiSolution]:
-    """RK4 integration of D^2 J = A J for several initial pairs at once.
-
-    J0, K0 are (n, nfields).  The equation is linear along the fixed curve,
-    so one `connection._frame_tables` table at the distinct RK stage times
-    (the nodes, the step midpoints and t + h) holds every Gamma(y) y and A it
-    needs before the first step; all fields share it.  The curve is first
-    spot-checked to be a geodesic.  Returns one solution record per column.
-    """
+def _stage_table(curve: DiscreteCurve, m: MetricDefinition) -> tuple[np.ndarray, ...]:
+    """The curve, spot-checked to be a geodesic of m, and one
+    `connection._frame_tables` table at its distinct RK stage times (the
+    nodes, the step midpoints and t + h): (times, ys, g, Gamma, A) with ys
+    the velocities there.  Row 0 is the curve start."""
     _geodesic_spot_check(curve, m)
     grid = curve.grid
-    n = curve.dim
     # the stage times exactly as rk4_step forms them; t + h may differ from
     # the next node in the last bit, and np.unique merges the equal ones
     h = grid[1:] - grid[:-1]
     times = np.unique(np.concatenate([grid, grid[:-1] + 0.5 * h, grid[:-1] + h]))
     ys = curve.velocity(times)
-    _, _, _, gamma, A = _frame_tables(m, times, curve.position(times), ys)
+    g, _, _, gamma, A = _frame_tables(m, times, curve.position(times), ys)
+    return times, ys, g, gamma, A
+
+
+def _integrate_on_stages(curve: DiscreteCurve, table, J0: np.ndarray,
+                         K0: np.ndarray) -> list[JacobiSolution]:
+    """RK4 steps of D^2 J = A J over the curve grid, reading Gamma(y) y and A
+    at every stage from a `_stage_table`."""
+    times, ys, _, gamma, A = table
+    grid = curve.grid
+    n = curve.dim
+    h = grid[1:] - grid[:-1]
     gamma_y = np.einsum("skij,sj->ski", gamma, ys)
     J = np.asarray(J0, dtype=float).reshape(n, -1)
     K = np.asarray(K0, dtype=float).reshape(n, -1)
@@ -558,6 +583,19 @@ def integrate_jacobi_basis(curve: DiscreteCurve, m: MetricDefinition,
             for f in range(nf)]
 
 
+def integrate_jacobi_basis(curve: DiscreteCurve, m: MetricDefinition,
+                           J0: np.ndarray, K0: np.ndarray) -> list[JacobiSolution]:
+    """RK4 integration of D^2 J = A J for several initial pairs at once.
+
+    J0, K0 are (n, nfields).  The equation is linear along the fixed curve,
+    so one `connection._frame_tables` table at the distinct RK stage times
+    (the nodes, the step midpoints and t + h) holds every Gamma(y) y and A it
+    needs before the first step; all fields share it.  The curve is first
+    spot-checked to be a geodesic.  Returns one solution record per column.
+    """
+    return _integrate_on_stages(curve, _stage_table(curve, m), J0, K0)
+
+
 def integrate_jacobi(curve: DiscreteCurve, m: MetricDefinition, J0, K0
                      ) -> JacobiSolution:
     """Single Jacobi field along a geodesic of m."""
@@ -576,23 +614,26 @@ class FocalPoint:
     multiplicity: int
 
 
-def _focal_initial_data(curve: DiscreteCurve, P: SubmanifoldPatch,
-                        m: MetricDefinition) -> tuple[np.ndarray, np.ndarray]:
-    n = curve.dim
-    N0 = curve.velocities[0]
+def _require_patch_start(curve: DiscreteCurve, P: SubmanifoldPatch) -> None:
     p = P.point()
     if np.linalg.norm(p - curve.positions[0]) > 1e-8 * max(1.0, np.linalg.norm(p)):
         raise FinslabError("patch basepoint does not match the curve start")
+
+
+def _focal_initial_data(curve: DiscreteCurve, P: SubmanifoldPatch, table
+                        ) -> tuple[np.ndarray, np.ndarray]:
+    """Initial data of the focal family, with g and the Christoffel symbols
+    at the curve start (x0, N0) read from row 0 of its `_stage_table`."""
+    n = curve.dim
+    N0 = curve.velocities[0]
+    g, gamma = table[2][0], table[3][0]
     basis = P.tangent_basis()
     d = basis.shape[1]
     J0 = np.zeros((n, n))
     K0 = np.zeros((n, n))
     if d > 0:
-        sff = _normal_sff_matrix(P, N0, m)
         J0[:, :d] = basis
-        K0[:, :d] = sff
-    g = fundamental_tensor(m, TangentSample(p, N0)).matrix
-    if d > 0:
+        K0[:, :d] = _normal_sff_columns(P, N0, g, gamma)
         complement = null_space(basis.T @ g)
     else:
         complement = np.eye(n)
@@ -609,14 +650,16 @@ def find_focal_points(curve: DiscreteCurve, P: SubmanifoldPatch,
     Integrates the n-dimensional solution family fixed by the patch data:
     d fields starting on the tangent basis with derivative matching the
     normal second fundamental form, and n-d fields vanishing initially with
-    derivatives spanning a metric-orthogonal complement.  Focal parameters
-    are bracketed by sign changes of det M(t) at grid resolution and refined
-    by bisection on the dense output to a bracket of width 1e-8;
-    multiplicity is the count of singular values below 1e-7 times the
-    largest.
+    derivatives spanning a metric-orthogonal complement.  g and the
+    Christoffel symbols at the curve start are row 0 of the integration's
+    stage table.  Focal parameters are bracketed by sign changes of det M(t)
+    at grid resolution and refined by bisection on the dense output to a
+    bracket of width 1e-8; multiplicity is the count of singular values
+    below 1e-7 times the largest.
     """
-    J0, K0 = _focal_initial_data(curve, P, m)
-    sols = integrate_jacobi_basis(curve, m, J0, K0)
+    _require_patch_start(curve, P)
+    table = _stage_table(curve, m)
+    sols = _integrate_on_stages(curve, table, *_focal_initial_data(curve, P, table))
     npts = curve.grid.size
     M = np.stack([sol.J for sol in sols], axis=2)
     Mdot = np.stack([sol.J_dot for sol in sols], axis=2)

@@ -374,3 +374,101 @@ def test_neumann_inverse_is_exact_at_truncation_order(order, scaled_einstein):
             identity[..., 0] = np.eye(v.dim)
             scale = np.abs(g).max() * np.abs(ginv).max()
             assert np.abs(product - identity).max() <= 1e-13 * scale
+
+
+# --------------------------------------------------------------------------
+# sample-batched frames and tables
+# --------------------------------------------------------------------------
+
+def _metrics_with_frames():
+    """Every builtin metric, and every factor * metric product that
+    `scale_metric` forms from the builtins."""
+    builtins = [dsl.builtin_metric(name) for name in dsl.builtin_names()]
+    metrics = [m for m in builtins if m.degree == 2]
+    return metrics + [finslab.scale_metric(m, lam, sample_budget=1)[0]
+                      for lam in builtins if lam.degree == 0
+                      for m in metrics if m.dim == lam.dim]
+
+
+FRAME_QUANTITIES = ("g_jets", "ginv_jets", "spray_jets", "nonlinear_jets",
+                    "christoffel", "christoffel_jets", "jacobi_matrix",
+                    "curvature_components")
+
+
+@pytest.mark.parametrize("m", _metrics_with_frames(), ids=lambda m: m.name)
+def test_a_batched_frame_and_table_equal_single_sample_frames(m):
+    """Row k of a frame over a `SampleBatch`, and of `_frame_tables`, equals
+    the frame of sample k alone, to the bit, for one sample, a chunk and a
+    chunk plus one."""
+    rng = np.random.default_rng(len(m.name))
+    for count in (1, connection.CHUNK, connection.CHUNK + 1):
+        samples = dsl.sample_admissible(m, rng, count=count)
+        X = np.array([v.x for v in samples])
+        Y = np.array([v.y for v in samples])
+        singles = [connection.ConnectionFrame(m, v, order=4) for v in samples]
+        batch = connection.ConnectionFrame(m, dsl.SampleBatch(X, Y), order=4)
+        for name in FRAME_QUANTITIES:
+            rows = getattr(batch, name)()
+            assert len(rows) == count
+            for row, single in zip(rows, singles):
+                assert np.array_equal(row, getattr(single, name)()), name
+        tables = connection._frame_tables(m, np.arange(count, dtype=float), X, Y)
+        for k, single in enumerate(singles):
+            want = (single.g(), single.ginv(), single.nonlinear(),
+                    single.christoffel(), single.jacobi_matrix())
+            for table, value in zip(tables, want):
+                assert np.array_equal(table[k], value)
+
+
+# A metric whose frame fails in four ways, chosen by the sample: x0 = 0 makes
+# g singular, x0 >= 5 leaves the domain, x1 = 1 overflows the jet to inf,
+# and x1 = -5 takes the log of a negative number inside the tape.
+EDGE_METRIC = dsl.parse_metric(
+    "-y0^2 + x0^2 * exp(400*x1) * exp(400*x1) * log(4 + x1) * y1^2", 2,
+    domain=("5 - x0",), name="edges")
+FAILURES = {"singular": (0.0, 0.0), "outside": (6.0, 0.0),
+            "not finite": (1.0, 1.0), "log": (1.0, -5.0)}
+
+
+def _loop_error(m, times, X, Y):
+    """The error of one frame per sample in curve order, with an
+    inadmissible sample named by its curve time."""
+    for t, x, y in zip(times, X, Y):
+        try:
+            frame = connection.ConnectionFrame(m, dsl.TangentSample(x, y), order=4)
+            frame.christoffel(), frame.jacobi_matrix()
+        except finslab.InadmissibleSample:
+            return finslab.InadmissibleSample, (
+                f"curve leaves the domain of {m.name!r} at t={t!r}")
+        except finslab.FinslabError as exc:
+            return type(exc), str(exc)
+    return None
+
+
+@pytest.mark.parametrize("first,later", [(a, b) for a in sorted(FAILURES)
+                                         for b in sorted(FAILURES) if a != b])
+@pytest.mark.parametrize("at", ["mid-chunk", "chunk-end", "chunk-start"])
+def test_the_first_failing_sample_in_curve_order_decides_the_error(first, later, at):
+    """One failure in the middle of a chunk, at its last sample or at its
+    first, and another kind right after it (in the same chunk, or at the
+    start of the next): the table raises what a loop over samples raises,
+    the earlier sample's error."""
+    chunk = connection.CHUNK
+    k = {"mid-chunk": chunk + chunk // 2, "chunk-end": chunk - 1,
+         "chunk-start": chunk}[at]
+    s = 3 * chunk
+    times = 0.25 * np.arange(s)
+    X = np.column_stack([1.0 + 0.01 * np.arange(s), np.zeros(s)])
+    Y = np.tile([1.0, 0.5], (s, 1))
+    X[k], X[k + 1] = FAILURES[first], FAILURES[later]
+    with np.errstate(over="ignore", invalid="ignore"):
+        error, message = _loop_error(EDGE_METRIC, times, X, Y)
+        with pytest.raises(error) as caught:
+            connection._frame_tables(EDGE_METRIC, times, X, Y)
+    assert str(caught.value) == message
+    assert isinstance(caught.value, {
+        "singular": finslab.SingularMetric, "outside": finslab.InadmissibleSample,
+        "not finite": finslab.EvaluationDomainError,
+        "log": finslab.EvaluationDomainError}[first])
+    if first == "outside":
+        assert message.endswith(f"t={times[k]!r}")

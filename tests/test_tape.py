@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import expr_reference
-from finslab import conformal, dsl, jets
+from finslab import conformal, connection, dsl, jets
 from finslab.errors import EvaluationDomainError
 
 ORDERS = range(5)
@@ -182,3 +182,46 @@ def test_a_huge_integer_power_returns_promptly(monkeypatch):
     assert jet.value == 1.25
     assert jet.derivative((0, 0, 4, 0)) == pytest.approx(
         p * (p - 1) * (p - 2) * (p - 3), rel=1e-12)
+
+
+SAMPLE_COUNTS = (1, connection.CHUNK, connection.CHUNK + 1)
+
+
+@pytest.mark.parametrize("m", _definitions(), ids=lambda m: m.name)
+def test_a_sample_batch_gives_the_jets_of_its_samples(m):
+    """Row k of a jet over a `SampleBatch` is the jet at sample k alone, to
+    the bit, at every order, whether the batch holds one sample, a chunk of
+    them or one more."""
+    rng = np.random.default_rng(len(m.name) + 7)
+    for count in SAMPLE_COUNTS:
+        samples = dsl.sample_admissible(m, rng, count=count)
+        batch = dsl.SampleBatch([v.x for v in samples], [v.y for v in samples])
+        for order in ORDERS:
+            rows = m.jet(batch, order).c
+            assert rows.shape == (count, jets.jet_space(2 * m.dim, order).size)
+            for row, v in zip(rows, samples):
+                assert row.tobytes() == m.jet(v, order).c.tobytes()
+
+
+@given(_trees(), st.lists(st.lists(st.floats(min_value=-1.5, max_value=1.5),
+                                   min_size=4, max_size=4), min_size=1, max_size=3))
+@settings(max_examples=100, deadline=None, derandomize=True)
+def test_the_tape_runs_over_a_sample_axis(tree, points):
+    """A (2n, S) point array runs the program once over S points: where
+    every point evaluates, column s is the jet at point s alone, to the bit,
+    and agrees with the tree walk; where one fails, the batch fails too."""
+    tape = dsl.Tape((tree,), 2)
+    columns = np.array(points).T
+    with np.errstate(all="ignore"):
+        for order in ORDERS:
+            refs = [_outcome(lambda: expr_reference.reference_jet(
+                tree, p[:2], p[2:], order)) for p in points]
+            singles = [_outcome(lambda: _finite(tape.jet(p, order))) for p in points]
+            got = _outcome(lambda: _finite(tape.jet(columns, order)))
+            if any(isinstance(o, type) for o in refs + singles):
+                assert got is EvaluationDomainError, (refs, singles, got)
+                continue
+            assert got.shape == (jets.jet_space(4, order).size, len(points))
+            for column, single, ref in zip(got.T, singles, refs):
+                assert column.tobytes() == single.tobytes()
+                np.testing.assert_allclose(column, ref, rtol=1e-13, atol=0)

@@ -55,6 +55,55 @@ def test_first_variation_requires_lightlike_curves(minkowski3):
         variational.first_variation(variational.CurveGeometry(timelike, minkowski3), W)
 
 
+def _counting_lightlike_checks(monkeypatch):
+    calls = []
+    plain = variational.check_lightlike
+
+    def counting(curve, m):
+        calls.append(None)
+        plain(curve, m)
+
+    monkeypatch.setattr(variational, "check_lightlike", counting)
+    return calls
+
+
+def _the_three_formulas(geom, W):
+    return (lambda: variational.first_variation(geom, W),
+            lambda: variational.second_variation(geom, W),
+            lambda: variational.index_form(geom, W, W, None, None))
+
+
+def test_the_lightlike_check_runs_once_per_geometry(minkowski3, monkeypatch):
+    """The first and second variation and the index form share one passed
+    check of their geometry; a new geometry checks again."""
+    calls = _counting_lightlike_checks(monkeypatch)
+    curve = straight_null_line()
+    W = variational.VariationField(np.outer(curve.grid, [0.0, 1.0, 0.0]))
+    geom = variational.CurveGeometry(curve, minkowski3)
+    for formula in _the_three_formulas(geom, W) * 2:
+        formula()
+    assert len(calls) == 1
+    variational.first_variation(variational.CurveGeometry(curve, minkowski3), W)
+    assert len(calls) == 2
+
+
+def test_each_formula_rejects_a_non_lightlike_curve(minkowski3, monkeypatch):
+    """A failed check is not kept: every formula raises the same
+    ValueError, every time."""
+    calls = _counting_lightlike_checks(monkeypatch)
+    grid = np.arange(0.0, 1.0 + 1e-12, 1e-2)
+    v0 = np.array([1.0, 0.0, 0.0])
+    timelike = DiscreteCurve(grid, np.outer(grid, v0), np.tile(v0, (grid.size, 1)),
+                             np.zeros((grid.size, 3)))
+    W = variational.VariationField(np.zeros((grid.size, 3)))
+    geom = variational.CurveGeometry(timelike, minkowski3)
+    for formula in _the_three_formulas(geom, W) * 2:
+        with pytest.raises(ValueError, match=r"curve is not lightlike: normalized "
+                                             r"\|L\| reaches 1\.000e\+00"):
+            formula()
+    assert len(calls) == 6
+
+
 def test_first_variation_matches_finite_differences_on_bent_curve(minkowski3):
     """A lightlike but non-geodesic curve gives a nonzero first variation."""
     from scipy.integrate import cumulative_simpson
@@ -446,7 +495,8 @@ def test_transfer_preserves_linear_independence(tilted_transfer):
     """Transferring a full endpoint-constrained basis keeps it a basis away
     from focal parameters."""
     b = tilted_transfer
-    J0, K0 = variational._focal_initial_data(b.tilde, b.patch, b.base)
+    J0, K0 = variational._focal_initial_data(
+        b.tilde, b.patch, variational._stage_table(b.tilde, b.base))
     sols = variational.integrate_jacobi_basis(b.tilde, b.base, J0, K0)
     transferred = [variational.transfer_jacobi(b.geometry, s, b.rep)[0] for s in sols]
     npts = b.curve.grid.size
@@ -523,76 +573,101 @@ def test_focal_correspondence_with_nontrivial_parameter_map(
     assert pair.pairing_error <= 1e-4
 
 
-def test_one_connection_frame_per_distinct_sample(einstein, monkeypatch):
-    built = []
+def _tabulated_samples(monkeypatch):
+    """Every sample a ConnectionFrame is built for, one entry per row of a
+    batch, as the bytes of its chart point and fiber vector."""
+    rows = []
     plain_init = connection.ConnectionFrame.__init__
 
     def init(self, m, v, order=4):
         plain_init(self, m, v, order)
-        built.append((v.x.tobytes(), v.y.tobytes()))
+        xs, ys = (v.x, v.y) if self.batched else ([v.x], [v.y])
+        rows.extend((x.tobytes(), y.tobytes()) for x, y in zip(xs, ys))
 
     monkeypatch.setattr(connection.ConnectionFrame, "__init__", init)
+    return rows
+
+
+def test_one_connection_frame_per_distinct_sample(einstein, monkeypatch):
+    """Each distinct sample is tabulated once: frames come in chunks of
+    samples, and no sample appears in two of them."""
+    tabulated = _tabulated_samples(monkeypatch)
     steps = 10
     curve = geodesics.integrate_geodesic(
         einstein, [0, np.pi / 2, 0], [1, 0.2, 0.9], (0, 0.5), 0.5 / steps)
     variational.integrate_jacobi(curve, einstein, np.zeros(3), [0, 1, 0])
-    # one frame per node and one per step midpoint
-    assert len(built) == len(set(built)) == 2 * steps + 1
+    # one sample per node and one per step midpoint
+    assert len(tabulated) == len(set(tabulated)) == 2 * steps + 1
 
-    built.clear()
+    tabulated.clear()
     geodesics.pregeodesic_residual(curve, einstein)
-    assert built == []
+    assert tabulated == []
 
     geom = variational.CurveGeometry(curve, einstein)
     assert geom.gamma.shape == (curve.grid.size, 3, 3, 3)
-    at_nodes = list(built)
+    at_nodes = list(tabulated)
+    assert len(at_nodes) == len(set(at_nodes)) == curve.grid.size
 
     def shape(t):
         return [0.0, np.sin(t), t]
 
     W = variational.VariationField.affine(geom, shape)
-    assert built == at_nodes
+    assert tabulated == at_nodes
     plain = variational.VariationField.affine(variational.CurveGeometry(curve, einstein),
                                               shape)
     assert np.array_equal(W.values, plain.values) and np.array_equal(W.accel, plain.accel)
 
 
+def _focal_search_samples(einstein, monkeypatch, patch_of):
+    tabulated = _tabulated_samples(monkeypatch)
+    steps = 10
+    x0, v0 = np.array([0.0, np.pi / 2, 0.0]), np.array([1.0, 0.0, 1.0])
+    curve = geodesics.integrate_geodesic(einstein, x0, v0, (0, 0.5), 0.5 / steps)
+    assert variational.find_focal_points(curve, patch_of(x0, v0), einstein) == []
+    return tabulated, 2 * steps + 1
+
+
 def test_focal_search_from_a_point_builds_one_frame_per_distinct_sample(
         einstein, monkeypatch):
-    """The initial data read g at the basepoint from the fundamental tensor,
-    so the Jacobi integration's frames are the only ones built."""
-    built = []
-    plain_init = connection.ConnectionFrame.__init__
+    """The Jacobi integration's stage samples are the only ones tabulated."""
+    tabulated, stages = _focal_search_samples(
+        einstein, monkeypatch, lambda x0, v0: variational.SubmanifoldPatch.from_point(x0))
+    assert len(tabulated) == len(set(tabulated)) == stages
 
-    def init(self, m, v, order=4):
-        plain_init(self, m, v, order)
-        built.append((v.x.tobytes(), v.y.tobytes()))
 
-    monkeypatch.setattr(connection.ConnectionFrame, "__init__", init)
-    steps = 10
-    curve = geodesics.integrate_geodesic(
-        einstein, [0, np.pi / 2, 0], [1, 0, 1], (0, 0.5), 0.5 / steps)
-    patch = variational.SubmanifoldPatch.from_point(curve.positions[0])
-    assert variational.find_focal_points(curve, patch, einstein) == []
-    assert len(built) == len(set(built)) == 2 * steps + 1
+def test_focal_search_from_a_circle_tabulates_only_the_stage_samples(
+        einstein, monkeypatch):
+    """g and the Christoffel symbols at the curve start, which the initial
+    data of a circle patch need, are row 0 of the stage table: no frame of
+    its own at the patch basepoint."""
+    tabulated, stages = _focal_search_samples(
+        einstein, monkeypatch,
+        lambda x0, v0: experiments.great_circle_patch(x0, v0, np.pi / 4))
+    assert len(tabulated) == len(set(tabulated)) == stages
 
 
 def test_jacobi_integration_keeps_only_the_current_step_frames(einstein, monkeypatch):
+    """The stage table is built one chunk of samples at a time, and a
+    chunk's frame is dropped before the next one is built."""
     live = weakref.WeakSet()
     peak = []
+    sizes = []
     plain_init = connection.ConnectionFrame.__init__
 
     def init(self, m, v, order=4):
         plain_init(self, m, v, order)
         live.add(self)
         peak.append(len(live))
+        sizes.append(len(v))
 
     monkeypatch.setattr(connection.ConnectionFrame, "__init__", init)
     curve = geodesics.integrate_geodesic(
         einstein, [0, np.pi / 2, 0], [1, 0.2, 0.9], (0, 0.5), 0.05)
     variational.integrate_jacobi(curve, einstein, np.zeros(3), [0, 1, 0])
-    # a step's midpoint and end frames, not one per sample of the curve
-    assert len(peak) == 21 and max(peak) <= 3
+    # 21 stage samples in chunks, never more than one chunk's frame alive
+    assert sum(sizes) == 21 and max(sizes) <= connection.CHUNK
+    assert len(sizes) == -(-21 // connection.CHUNK)
+    assert max(peak) == 1
 
 
 def test_table_driven_jacobi_integration_matches_the_per_stage_path(
