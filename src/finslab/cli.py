@@ -23,14 +23,16 @@ import numpy as np
 from . import dsl
 from .conformal import (ConformalPair, inverse_factor, lightcones_coincide,
                         scale_metric)
+from .connection import _in_order
 from .curves import DiscreteCurve
-from .dsl import MetricDefinition, TangentSample
+from .dsl import MetricDefinition, SampleBatch, TangentSample
 from .errors import ConfigError, FinslabError
 from .experiments import great_circle_patch
 from .geodesics import (integrate_geodesic, pregeodesic_residual,
                         probe_vector, project_to_lightcone,
                         reparametrize_conformal)
-from .tensors import cartan_tensor, fundamental_tensor, inverse_metric
+from .tensors import (FundamentalTensor, cartan_tensor, fundamental_tensor,
+                      inverse_metric)
 from .variational import (CurveGeometry, SubmanifoldPatch, VariationField,
                           energy_derivative_fd, find_focal_points,
                           first_variation, second_variation,
@@ -221,24 +223,31 @@ def run_tensors(cfg: Config, seed: int, report: Report) -> None:
     m = _metric(cfg)
     samples = _sample_count(cfg, 100)
     rng = np.random.default_rng(seed)
-    worst_gvv = worst_homog = worst_cartan_v = worst_cartan_scale = 0.0
-    for v in dsl.sample_admissible(m, rng, count=samples):
-        g = fundamental_tensor(m, v)
-        inverse_metric(g)   # SingularMetric on a degenerate metric
-        L = m.value_at(v)
-        worst_gvv = max(worst_gvv, abs(g.pair(v.y, v.y) - L) / max(1.0, abs(L)))
-        g2 = fundamental_tensor(m, v.scaled(2.0))
-        worst_homog = max(worst_homog, float(np.abs(g2.matrix - g.matrix).max()))
-        C = cartan_tensor(m, v)
+    vs = dsl.sample_admissible(m, rng, count=samples)
+    g, L, g2, C, C2 = _in_order(_tensors_at, m, np.array([v.x for v in vs]),
+                                np.array([v.y for v in vs]))
+    worst_gvv = worst_cartan_v = 0.0
+    for v, gk, Lk, Ck in zip(vs, g, L.tolist(), C):
+        worst_gvv = max(worst_gvv, abs(FundamentalTensor(gk, v).pair(v.y, v.y) - Lk)
+                        / max(1.0, abs(Lk)))
         worst_cartan_v = max(worst_cartan_v,
-                             float(np.abs(np.einsum("ijk,i->jk", C.array, v.y)).max()))
-        C2 = cartan_tensor(m, v.scaled(2.0))
-        worst_cartan_scale = max(worst_cartan_scale,
-                                 float(np.abs(2.0 * C2.array - C.array).max()))
+                             float(np.abs(np.einsum("ijk,i->jk", Ck, v.y)).max()))
     report.check("metric-pairing-identity", worst_gvv, 1e-9)
-    report.check("metric-scale-invariance", worst_homog, 1e-10)
+    report.check("metric-scale-invariance", max(0.0, float(np.abs(g2 - g).max())), 1e-10)
     report.check("cartan-radial-contraction", worst_cartan_v, 1e-10)
-    report.check("cartan-inverse-scaling", worst_cartan_scale, 1e-10)
+    report.check("cartan-inverse-scaling",
+                 max(0.0, float(np.abs(2.0 * C2 - C).max())), 1e-10)
+
+
+def _tensors_at(m: MetricDefinition, batch: SampleBatch) -> tuple[np.ndarray, ...]:
+    """g, L, g at 2v, C and C at 2v for every sample v of a batch, from four
+    batched jets; one sample alone meets the checks in the order of a loop
+    over samples."""
+    twice = SampleBatch(batch.x, 2.0 * batch.y)
+    g = fundamental_tensor(m, batch).matrix
+    inverse_metric(g)   # SingularMetric on a degenerate metric
+    return (g, m.value_at(batch), fundamental_tensor(m, twice).matrix,
+            cartan_tensor(m, batch).array, cartan_tensor(m, twice).array)
 
 
 def run_geodesic(cfg: Config, seed: int, report: Report) -> None:

@@ -5,6 +5,13 @@ positive multiple of the other by a 0-homogeneous factor.  The factor is the
 plain quotient L2/L1 away from the cone; on the cone, where the quotient is
 0/0, it is the ratio of the Legendre pairings g2_v(v, w) / g1_v(v, w), which
 is well defined for any probe w transversal to the cone.
+
+`lightcones_coincide` handles each metric's samples as one `SampleBatch`:
+one Legendre jet gives the probes, one `project_to_lightcone` call projects
+them all, and batched values and jets give the records.  A step that fails
+on the batch runs again sample by sample, and the outcomes are walked in
+sample order, so the report and the first error raised are those of a loop
+over the samples.
 """
 
 from __future__ import annotations
@@ -13,11 +20,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dsl import (Div, MetricDefinition, Mul, Num, TangentSample, pretty,
-                  sample_admissible)
+from .dsl import (Div, MetricDefinition, Mul, Num, SampleBatch, TangentSample,
+                  _outcomes, pretty, sample_admissible)
 from .errors import (IncompatiblePair, NoConvergence, PositivityFailure,
                      TransversalityFailure)
-from .geodesics import LIGHTLIKE_TOL, probe_vector, project_to_lightcone
+from .geodesics import LIGHTLIKE_TOL, _probe, probe_vector, project_to_lightcone
 from .tensors import fundamental_tensor, legendre
 
 __all__ = [
@@ -82,31 +89,93 @@ def lightcones_coincide(pair: ConformalPair, tol: float = COINCIDENCE_TOL
     records = []
     for source, target in ((pair.L1, pair.L2), (pair.L2, pair.L1)):
         hits = 0
-        for v in sample_admissible(source, rng, count=pair.sample_budget):
-            try:
-                w = probe_vector(source, v)
-                vstar = project_to_lightcone(source, v, w, tol=1e-13)
-            except (NoConvergence, TransversalityFailure):
+        samples = sample_admissible(source, rng, count=pair.sample_budget)
+        for outcome in _cone_samples(pair, source, target, samples):
+            if isinstance(outcome, (NoConvergence, TransversalityFailure)):
                 failures += 1
                 continue
+            if isinstance(outcome, Exception):
+                raise outcome
             hits += 1
             used += 1
-            violation = abs(target.value_at(vstar)) / max(1.0, float(vstar.y @ vstar.y))
-            worst = max(worst, violation)
-            try:
-                mu = anisotropy_factor(pair, vstar, w=w)
-            except TransversalityFailure:
-                mu = None
-            records.append(ConeSampleRecord(
-                sample=vstar.y, L1=pair.L1.value_at(vstar),
-                L2=pair.L2.value_at(vstar), mu=mu, w_used=w,
-                violation=violation))
+            worst = max(worst, outcome.violation)
+            records.append(outcome)
         if hits == 0:
             empty.append(source.name)
     verdict = not empty and worst <= tol
     return CoincidenceReport(verdict=verdict, max_violation=worst, samples=used,
                              projection_failures=failures, empty_cones=empty,
                              records=records)
+
+
+def _cone_samples(pair: ConformalPair, source: MetricDefinition,
+                  target: MetricDefinition, samples: list[TangentSample]) -> list:
+    """For each sample in order, its record on the cone of source, or the
+    first exception that probing, projecting or recording it alone raises."""
+    if not samples:
+        return []
+    batch = SampleBatch([v.x for v in samples], [v.y for v in samples])
+    out = _outcomes(lambda rows: list(legendre(source, batch[rows])), len(batch))
+    for k, ell in enumerate(out):
+        if not isinstance(ell, Exception):
+            try:
+                out[k] = _probe(ell, batch.y[k])
+            except TransversalityFailure as exc:
+                out[k] = exc
+    probes = {k: w for k, w in enumerate(out) if not isinstance(w, Exception)}
+    rows = list(probes)
+    if rows:
+        stars = project_to_lightcone(source, batch[rows], np.array(list(probes.values())),
+                                     tol=1e-13)
+        for k, star in zip(rows, stars):
+            out[k] = star
+    rows = [k for k in rows if isinstance(out[k], TangentSample)]
+    if rows:
+        stars = SampleBatch(batch.x[rows], [out[k].y for k in rows])
+        w = np.array([probes[k] for k in rows])
+        records = _outcomes(lambda sel: _cone_records(pair, target, stars[sel], w[sel]),
+                            len(rows))
+        for k, record in zip(rows, records):
+            out[k] = record
+    return out
+
+
+def _cone_records(pair: ConformalPair, target: MetricDefinition, stars: SampleBatch,
+                  probes: np.ndarray) -> list:
+    """The record at each projected sample, from batched values and jets.
+    A sample alone meets the steps of the loop that records it one at a
+    time, in its order: L of target, then `anisotropy_factor`, then L2."""
+    violations = np.abs(target.value_at(stars))
+    l1 = pair.L1.value_at(stars).tolist()
+    scales = [max(1.0, float(y @ y)) for y in stars.y]
+    on = [k for k, (a, s) in enumerate(zip(l1, scales))
+          if not abs(a) > LIGHTLIKE_TOL * s]
+    ratios = dict(zip(on, _pairing_ratios(pair, stars[on], probes[on]))) if on else {}
+    l2 = pair.L2.value_at(stars).tolist()
+    records = []
+    for k, star in enumerate(stars):
+        mu = ratios[k] if k in ratios else l2[k] / l1[k]
+        records.append(ConeSampleRecord(
+            sample=star.y, L1=l1[k], L2=l2[k],
+            mu=None if isinstance(mu, TransversalityFailure) else mu,
+            w_used=probes[k], violation=float(violations[k]) / scales[k]))
+    return records
+
+
+def _pairing_ratios(pair: ConformalPair, batch: SampleBatch, probes: np.ndarray
+                    ) -> list:
+    """g2_v(v, w) / g1_v(v, w) at each sample of a batch with its probe row
+    w, or the TransversalityFailure of a probe that pairs to zero with its
+    sample."""
+    p1 = [float(e @ w) for e, w in zip(legendre(pair.L1, batch), probes)]
+    out: list = [TransversalityFailure(
+        "probe vector pairs to zero with the sample; the factor is 0/0 along it")
+        if abs(p) <= 1e-12 * max(1.0, float(y @ y)) else p for p, y in zip(p1, batch.y)]
+    paired = [k for k, p in enumerate(out) if not isinstance(p, TransversalityFailure)]
+    if paired:
+        for k, e in zip(paired, legendre(pair.L2, batch[paired])):
+            out[k] = float(e @ probes[k]) / p1[k]
+    return out
 
 
 def anisotropy_factor(pair: ConformalPair, v: TangentSample, w="auto") -> float:
@@ -123,13 +192,11 @@ def anisotropy_factor(pair: ConformalPair, v: TangentSample, w="auto") -> float:
         return pair.L2.value_at(v) / l1
     if isinstance(w, str) and w == "auto":
         w = probe_vector(pair.L1, v)
-    w = np.asarray(w, dtype=float)
-    p1 = float(legendre(pair.L1, v) @ w)
-    if abs(p1) <= 1e-12 * scale:
-        raise TransversalityFailure(
-            "probe vector pairs to zero with the sample; the factor is 0/0 along it")
-    p2 = float(legendre(pair.L2, v) @ w)
-    return p2 / p1
+    (mu,) = _pairing_ratios(pair, SampleBatch(v.x[None], v.y[None]),
+                            np.asarray(w, dtype=float)[None])
+    if isinstance(mu, TransversalityFailure):
+        raise mu
+    return mu
 
 
 def inverse_factor(lam: MetricDefinition) -> MetricDefinition:

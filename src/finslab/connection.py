@@ -27,10 +27,10 @@ equation D^2 J = R_v(v, J)v, normalized so that the flat case gives zero and
 a unit round sphere gives -J for unit transverse J.  Along a curve every
 consumer (`variational.CurveGeometry`, the Jacobi integrator and
 `covariant_derivative_along`) reads connection data from the arrays of
-`_frame_tables`, which evaluates the curve's samples in chunks of `CHUNK`,
-one frame per chunk.  Row k of a chunk equals the frame of sample k alone,
-to the bit, and a failing chunk raises the error of its first failing
-sample, as a loop over samples would.
+`_frame_tables`, which evaluates the curve's samples in near-equal chunks
+of at most `CHUNK`, one frame per chunk.  Row k of a chunk equals the frame
+of sample k alone, to the bit, and a failing chunk raises the error of its
+first failing sample, as a loop over samples would.
 
 All functions here are pure and stateless.
 """
@@ -46,7 +46,8 @@ from .curves import DiscreteCurve, spline_derivative
 from .dsl import MetricDefinition, SampleBatch, TangentSample
 from .errors import GridMismatch, InadmissibleSample
 from .jets import Jet, jet_space
-from .tensors import _require_admissible, fundamental_tensor, inverse_metric
+from .tensors import (_inadmissible, _require_admissible, fundamental_tensor,
+                      inverse_metric)
 
 __all__ = [
     "SprayValue", "ChristoffelField", "ConnectionFrame",
@@ -57,10 +58,11 @@ __all__ = [
 ]
 
 
-# Samples per frame along a curve: large enough that the tape and the frame
-# arithmetic run over many samples per numpy call, small enough that one
-# chunk's temporaries stay within a cache-sized working set and peak memory
-# within noise of one frame per sample (see BENCH_8.json).
+# Most samples per frame along a curve: large enough that the tape and the
+# frame arithmetic run over many samples per numpy call, small enough that
+# one chunk's temporaries stay within a cache-sized working set and peak
+# memory within noise of one frame per sample (see BENCH_8.json).  A curve
+# is split into chunks of near-equal size (`_chunks`).
 CHUNK = 16
 
 
@@ -123,8 +125,7 @@ class ConnectionFrame:
     def __init__(self, m: MetricDefinition, v: TangentSample | SampleBatch,
                  order: int = 4):
         self.batched = isinstance(v, SampleBatch)
-        for sample in (v if self.batched else (v,)):
-            _require_admissible(m, sample)
+        _require_admissible(m, v)
         self.metric = m
         self.sample = v
         self.n = v.dim
@@ -323,16 +324,15 @@ def _frame_tables(m: MetricDefinition, times: np.ndarray, positions: np.ndarray,
     """Connection data along a curve at the samples (x_k, U_k): g, g^{-1},
     N, Gamma and the Jacobi operator A as arrays with a leading sample axis.
 
-    The samples are evaluated in chunks of `CHUNK`, one order-4 frame per
-    chunk; each frame's values are copied out and the frame dropped, so
-    memory holds the tables and one chunk.  Errors are those of a loop over
+    The samples are evaluated in near-equal chunks of at most `CHUNK`, one
+    order-4 frame per chunk; each frame's values are copied out and the
+    frame dropped, so memory holds the tables and one chunk.  Errors are those of a loop over
     samples (see `_in_order`); a sample outside the domain raises
     `InadmissibleSample` naming the curve time."""
     s, n = positions.shape
     g, ginv, N, A = (np.empty((s, n, n)) for _ in range(4))
     gamma = np.empty((s, n, n, n))
-    for lo in range(0, s, CHUNK):
-        rows = slice(lo, lo + CHUNK)
+    for rows in _chunks(s):
         g[rows], ginv[rows], N[rows], gamma[rows], A[rows] = _in_order(
             _frame_values, m, positions[rows], references[rows], times[rows])
     return g, ginv, N, gamma, A
@@ -341,6 +341,13 @@ def _frame_tables(m: MetricDefinition, times: np.ndarray, positions: np.ndarray,
 def _frame_values(m: MetricDefinition, batch: SampleBatch) -> tuple[np.ndarray, ...]:
     fr = ConnectionFrame(m, batch, order=4)
     return fr.g(), fr.ginv(), fr.nonlinear(), fr.christoffel(), fr.jacobi_matrix()
+
+
+def _chunks(s: int) -> list[slice]:
+    """ceil(s / CHUNK) consecutive slices of near-equal size covering s
+    samples, so that no curve ends in a chunk much smaller than the rest."""
+    count = -(-s // CHUNK)
+    return [slice(s * i // count, s * (i + 1) // count) for i in range(count)]
 
 
 def _in_order(fn, m: MetricDefinition, x: np.ndarray, y: np.ndarray, times=None):
@@ -357,8 +364,7 @@ def _in_order(fn, m: MetricDefinition, x: np.ndarray, y: np.ndarray, times=None)
             except InadmissibleSample:
                 if times is None:
                     raise
-                raise InadmissibleSample(f"curve leaves the domain of {m.name!r} "
-                                         f"at t={times[k]!r}") from None
+                raise _inadmissible(m, None, times[k]) from None
         raise
 
 
@@ -394,8 +400,7 @@ def _scalar_partials_along(f: MetricDefinition, positions: np.ndarray,
     products with it round as they do for one jet."""
     n = positions.shape[1]
     out = []
-    for lo in range(0, len(positions), CHUNK):
-        rows = slice(lo, lo + CHUNK)
+    for rows in _chunks(len(positions)):
         grad = _in_order(_gradients, f, positions[rows], velocities[rows])
         out.extend(zip(grad[:, :n], grad[:, n:]))
     return out

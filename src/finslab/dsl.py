@@ -163,6 +163,21 @@ _FLOAT_OPS = {
 }
 
 
+def _divide_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    if not np.all(b):
+        raise EvaluationDomainError("division by zero")
+    return a / b
+
+
+# the row-wise float of each operation that numpy computes as Python does:
+# IEEE arithmetic, correctly rounded
+_ROW_OPS = {
+    "add": np.add, "sub": np.subtract, "mul": np.multiply, "div": _divide_rows,
+    "neg": lambda a, _: -a, "addc": np.add, "mulc": np.multiply,
+    "divc": np.true_divide, "rdivc": lambda a, c: _divide_rows(c, a),
+}
+
+
 def _positions(sub: tuple[int, ...], support: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(support.index(v) for v in sub)
 
@@ -174,7 +189,8 @@ class Tape:
     list of their 2n float values.  Compilation folds constant
     subexpressions to floats, gives a repeated subexpression one slot, and
     records the support of each slot: the sorted variables it depends on.
-    The program runs over floats (`floats`) and over jets (`jet`).  A jet
+    The program runs over floats (`floats`, or `float_rows` over many
+    points) and over jets (`jet`).  A jet
     slot holds a padded array over jet_space(len(support), order) (see
     `jets.lift_index`): a product combines its factors' own arrays through a
     `jets.product_plan`, and a sum lifts an operand into the union of the
@@ -189,6 +205,16 @@ class Tape:
     a variable, the product kernel and the Taylor coefficients of a
     composition, chosen when the program is compiled; each column sums its
     terms as the jet of that point alone does.
+
+    `float_rows` runs the float program over a (2n, S) array of points, one
+    row of S values per slot.  Arithmetic (+ - * /, negation and the
+    constant operations) runs through numpy, whose float64 operations round
+    as Python's do; integer and fractional powers and the elementary
+    functions run value by value through the same scalar functions as
+    `floats`, since numpy's pow, exp or sin may differ from them in the last
+    bit.  So each column equals `floats` at its point, to the bit; when any
+    column fails, the columns run through `floats` one by one and the first
+    failing one raises its own error.
 
     Operations keep the order and the checks of plain arithmetic: integer
     powers are `**` on floats and repeated products on jets, an elementary
@@ -209,6 +235,7 @@ class Tape:
         del self._slot_of
         self.variables = tuple(sorted(op[1] for op in self._ops if op[0] == "var"))
         self._float_program = [self._float_op(*op) for op in self._ops]
+        self._row_program: list | None = None
         self._jet_programs: dict[tuple[int, bool], tuple] = {}
 
     # compilation ----------------------------------------------------------
@@ -323,6 +350,44 @@ class Tape:
         for v in out:
             if not math.isfinite(v):
                 raise EvaluationDomainError(f"value {v!r} is not finite")
+        return out
+
+    @staticmethod
+    def _row_op(kind, a, b=None):
+        if kind == "var":
+            return lambda r, p: p[a]
+        if kind in _ROW_OPS:
+            fn = _ROW_OPS[kind]
+            if kind in _SLOT_PAIRS:
+                return lambda r, p: fn(r[a], r[b])
+            return lambda r, p: fn(r[a], b)
+        fn = _FLOAT_OPS[kind]
+        return lambda r, p: np.array([fn(v, b) for v in r[a].tolist()])
+
+    def float_rows(self, points: np.ndarray) -> np.ndarray:
+        """`floats` at each column of a (2n, S) array of points, as an array
+        of shape (number of expressions, S); column s equals `floats` at
+        point s alone, and a failing column raises the error of the first
+        failing point."""
+        if self.failure is not None:
+            raise EvaluationDomainError(self.failure)
+        if self._row_program is None:
+            self._row_program = [self._row_op(*op) for op in self._ops]
+        out = np.empty((len(self.outputs), points.shape[1]))
+        try:
+            r: list = []
+            append = r.append
+            with np.errstate(all="ignore"):
+                for op in self._row_program:
+                    append(op(r, points))
+            for i, o in enumerate(self.outputs):
+                out[i] = o if isinstance(o, float) else r[o]
+            if np.isfinite(out).all():
+                return out
+        except EvaluationDomainError:
+            pass
+        for s, point in enumerate(points.T.tolist()):
+            out[:, s] = self.floats(point)
         return out
 
     # jet program ----------------------------------------------------------
@@ -688,7 +753,8 @@ class TangentSample:
 
 class SampleBatch:
     """S tangent samples in order: chart points and fiber vectors as the
-    rows of two (S, n) arrays.  Row k is the `TangentSample` batch[k]."""
+    rows of two (S, n) arrays.  Row k is the `TangentSample` batch[k]; a
+    slice or an index array selects a `SampleBatch` of those rows."""
 
     __slots__ = ("x", "y")
 
@@ -710,11 +776,36 @@ class SampleBatch:
     def __len__(self) -> int:
         return self.x.shape[0]
 
-    def __getitem__(self, k: int) -> TangentSample:
-        return TangentSample(self.x[k], self.y[k])
+    def __getitem__(self, k):
+        if isinstance(k, (int, np.integer)):
+            return TangentSample(self.x[k], self.y[k])
+        return SampleBatch(self.x[k], self.y[k])
 
     def __iter__(self):
         return (self[k] for k in range(len(self)))
+
+
+def _outcomes(fn, count: int) -> list:
+    """fn(rows) for all `count` rows at once: a list with one entry per row.
+    If that raises, fn runs on each row alone (rows = slice(k, k + 1)), in
+    order, and a row that raises gets its exception as its entry, so every
+    sample meets the outcome a loop over samples would give it."""
+    try:
+        return fn(slice(None))
+    except Exception:
+        out = []
+        for k in range(count):
+            try:
+                out.append(fn(slice(k, k + 1))[0])
+            except Exception as exc:
+                out.append(exc)
+        return out
+
+
+def _columns(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """S samples given as the rows of (S, n) arrays x and y, as the columns
+    of the (2n, S) point array that a tape reads."""
+    return np.vstack((x.T, y.T))
 
 
 @dataclass(frozen=True)
@@ -743,10 +834,19 @@ class MetricDefinition:
                              f"point of shape {x.shape} and a vector of shape {y.shape}")
         return x.tolist() + y.tolist()
 
-    def value(self, x, y) -> float:
+    def value(self, x, y):
+        """The definition at chart point x and fiber vector y.  At (S, n)
+        arrays of chart points and fiber vectors, the array of the S values
+        from the tape's row-wise program, equal to the values one by one;
+        the first failing sample raises."""
+        if getattr(x, "ndim", 1) == 2:
+            x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+            if len(x):
+                self._point(x[0], y[0])                  # the shape check
+            return self._body.float_rows(_columns(x, y))[0]
         return self._body.floats(self._point(x, y))[0]
 
-    def value_at(self, sample: TangentSample) -> float:
+    def value_at(self, sample: TangentSample | SampleBatch):
         return self.value(sample.x, sample.y)
 
     def jet(self, sample: TangentSample | SampleBatch, order: int) -> jets.Jet:
@@ -756,7 +856,7 @@ class MetricDefinition:
         sample k, to the bit."""
         if isinstance(sample, SampleBatch):
             self._point(sample.x[0], sample.y[0])      # the shape check
-            c = self._body.jet(np.vstack((sample.x.T, sample.y.T)), order).T.copy()
+            c = self._body.jet(_columns(sample.x, sample.y), order).T.copy()
             finite = np.isfinite(c).all(axis=1)
             if not finite.all():
                 raise self._not_finite(sample[int(np.argmin(finite))])
@@ -770,9 +870,20 @@ class MetricDefinition:
         return EvaluationDomainError(
             f"the jet of {self.name!r} is not finite at {sample!r}")
 
-    def admissible(self, sample: TangentSample) -> bool:
+    def admissible(self, sample: TangentSample | SampleBatch):
         """Whether every domain predicate is positive at the sample (whose
-        fiber vector is nonzero by construction)."""
+        fiber vector is nonzero by construction).  At a `SampleBatch`, a
+        boolean array with one verdict per sample, from one run of the
+        domain's row-wise program; if a predicate fails to evaluate at some
+        sample, each sample is checked alone."""
+        if isinstance(sample, SampleBatch):
+            if sample.dim != self.dim:
+                return np.zeros(len(sample), dtype=bool)
+            try:
+                values = self._domain.float_rows(_columns(sample.x, sample.y))
+            except EvaluationDomainError:
+                return np.array([self.admissible(s) for s in sample], dtype=bool)
+            return (values > 0.0).all(axis=0)
         if sample.dim != self.dim:
             return False
         try:

@@ -4,6 +4,15 @@ reparametrization of lightlike geodesics.
 The integrator is classical fixed-step RK4 on the first-order system
 (x, y) -> (y, -2G(x, y)); every stage is checked against the conic domain so
 fractional-power metrics fail loudly instead of producing NaNs mid-step.
+
+Lightcone projection runs Newton's method over a whole `SampleBatch` at
+once: each iteration takes one batched order-2 jet of the still-active
+samples and checks each backtracking round's candidates in one row-wise
+domain check.  The scalar arithmetic of each sample (steps, halvings,
+tolerances, dot products) is that of a sample projected alone, so every
+sample ends where, and fails with the error with which, it would alone.
+Values along a curve (`lightlike_defect`, `factor_values`) come from the
+row-wise float program, equal to the values node by node.
 """
 
 from __future__ import annotations
@@ -13,11 +22,11 @@ import math
 import numpy as np
 from scipy.integrate import simpson
 
-from .connection import _scalar_partials, _scalar_partials_along, spray_coefficients
+from .connection import _scalar_partials_along, spray_coefficients
 from .curves import DiscreteCurve, Reparametrization
-from .dsl import MetricDefinition, TangentSample
+from .dsl import MetricDefinition, SampleBatch, TangentSample, _outcomes
 from .errors import DomainExit, InadmissibleSample, NoConvergence, TransversalityFailure
-from .tensors import _require_admissible, legendre
+from .tensors import _inadmissible, _require_admissible, legendre
 
 __all__ = [
     "LIGHTLIKE_TOL", "rk4_step", "integrate_geodesic", "probe_vector",
@@ -40,8 +49,9 @@ def _factor_value(lam, x, y) -> float:
 
 def factor_values(lam, curve: DiscreteCurve) -> np.ndarray:
     """The factor evaluated on the curve's velocity samples."""
-    return np.array([_factor_value(lam, x, y)
-                     for x, y in zip(curve.positions, curve.velocities)])
+    if lam is None:
+        return np.ones(curve.grid.size)
+    return lam.value(curve.positions, curve.velocities)
 
 
 def _chain_rates(lam, positions, velocities, accelerations) -> np.ndarray:
@@ -127,64 +137,139 @@ def integrate_geodesic(m: MetricDefinition, x0, v0, t_span: tuple[float, float],
 def probe_vector(m: MetricDefinition, v: TangentSample) -> np.ndarray:
     """Basis vector with the largest Legendre pairing |g_v(v, e_i)|: the
     transversal direction along which the cone is reached."""
-    ell = legendre(m, v)
+    return _probe(legendre(m, v), v.y)
+
+
+def _probe(ell: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """`probe_vector` from the Legendre covector ell of the fiber vector y."""
     i = int(np.argmax(np.abs(ell)))
-    if abs(ell[i]) <= 1e-12 * max(1.0, float(v.y @ v.y)):
+    if abs(ell[i]) <= 1e-12 * max(1.0, float(y @ y)):
         raise TransversalityFailure("no basis vector pairs with the sample")
-    w = np.zeros(v.dim)
+    w = np.zeros(y.size)
     w[i] = 1.0
     return w
 
 
-def _value_and_slope(m: MetricDefinition, x, y, w) -> tuple[float, float]:
-    jet = m.jet(TangentSample(x, y), 2)
-    return jet.value, float(_scalar_partials(jet)[1] @ w)
-
-
-def project_to_lightcone(m: MetricDefinition, v: TangentSample, w,
-                         tol: float = CONE_PROJECTION_TOL) -> TangentSample:
+def project_to_lightcone(m: MetricDefinition, v: TangentSample | SampleBatch, w,
+                         tol: float = CONE_PROJECTION_TOL):
     """Newton solve of L(v + delta*w) = 0 along a transversal direction w, in
     at most 50 iterations.
 
-    Steps that would leave the conic domain are backtracked, which lets the
-    iteration approach cones sitting on the domain boundary (fractional-power
-    metrics).  Idempotent on vectors that are already lightlike.
+    Steps that would leave the conic domain are halved, at most 60 times,
+    which lets the iteration approach cones sitting on the domain boundary
+    (fractional-power metrics).  Idempotent on vectors that are already
+    lightlike.
+
+    At a `SampleBatch` with an (S, n) array w of probe rows, every sample is
+    projected along its own row in one iteration over the batch, and the
+    result is a list of S outcomes in order: the projected `TangentSample`,
+    or the exception projecting that sample alone raises (InadmissibleSample,
+    TransversalityFailure, NoConvergence or the error of its jet).  One
+    `TangentSample` is the batch of one, and its exception is raised.
     """
-    _require_admissible(m, v)
-    w = np.asarray(w, dtype=float)
-    value, slope = _value_and_slope(m, v.x, v.y, w)
+    if isinstance(v, SampleBatch):
+        return _project(m, v, np.asarray(w, dtype=float), tol)
+    (out,) = _project(m, SampleBatch(v.x[None], v.y[None]),
+                      np.asarray(w, dtype=float)[None], tol)
+    if isinstance(out, Exception):
+        raise out
+    return out
+
+
+def _project(m: MetricDefinition, batch: SampleBatch, w: np.ndarray, tol: float
+             ) -> list:
+    x, y0 = batch.x, batch.y
+    out: list = [None] * len(batch)
+    admissible = m.admissible(batch)
+    for k in np.flatnonzero(~admissible).tolist():
+        out[k] = _inadmissible(m, batch[k])
+    y = y0.copy()
+    delta = np.zeros(len(batch))
+    value, slope = np.zeros(len(batch)), np.zeros(len(batch))
+    active = _newton_values(m, x, y, w, np.flatnonzero(admissible), value, slope, out)
     # transversality: g_v(v, w) = (1/2) dL_v(w)
-    if abs(slope) <= 1e-12 * max(1.0, float(v.y @ v.y)):
-        raise TransversalityFailure(
-            f"probe vector pairs to {slope / 2:.3e} with the base vector")
-    delta = 0.0
-    y = v.y.copy()
+    for k in active:
+        if abs(slope[k]) <= 1e-12 * max(1.0, float(y0[k] @ y0[k])):
+            out[k] = TransversalityFailure(
+                f"probe vector pairs to {slope[k] / 2:.3e} with the base vector")
+    active = [k for k in active if out[k] is None]
     for _ in range(50):
-        scale = max(1.0, float(y @ y))
-        if abs(value) <= tol * scale:
-            return TangentSample(v.x, y)
-        if slope == 0.0:
-            raise NoConvergence("lightcone projection hit a critical point")
-        step = -value / slope
-        for _ in range(60):
-            candidate = v.y + (delta + step) * w
-            if np.any(candidate) and m.admissible(TangentSample(v.x, candidate)):
-                break
-            step *= 0.5
+        moving = []
+        for k in active:
+            if abs(value[k]) <= tol * max(1.0, float(y[k] @ y[k])):
+                out[k] = TangentSample(x[k], y[k])
+            elif slope[k] == 0.0:
+                out[k] = NoConvergence("lightcone projection hit a critical point")
+            else:
+                moving.append(k)
+        if not moving:
+            return out
+        rows = np.array(moving)
+        rows, step = _backtrack(m, x, y0, w, delta, rows, -value[rows] / slope[rows], out)
+        delta[rows] += step
+        y[rows] = y0[rows] + delta[rows][:, None] * w[rows]
+        active = _newton_values(m, x, y, w, rows, value, slope, out)
+    for k in active:
+        out[k] = NoConvergence("lightcone projection did not converge in 50 iterations")
+    return out
+
+
+def _backtrack(m: MetricDefinition, x, y0, w, delta, rows: np.ndarray,
+               step: np.ndarray, out: list) -> tuple[np.ndarray, np.ndarray]:
+    """Halve each row's Newton step until y0 + (delta + step) * w is a
+    nonzero admissible vector, trying at most 60 steps, with one batched
+    domain check per round.  Returns the rows that found one with their
+    steps; the others get NoConvergence in out."""
+    pending = np.arange(len(rows))
+    found = np.zeros(len(rows), dtype=bool)
+    for _ in range(60):
+        if not len(pending):
+            break
+        r = rows[pending]
+        candidate = y0[r] + (delta[r] + step[pending])[:, None] * w[r]
+        good = candidate.any(axis=1)      # a batch holds nonzero vectors only
+        if good.any():
+            good[good] = m.admissible(SampleBatch(x[r[good]], candidate[good]))
+        found[pending[good]] = True
+        pending = pending[~good]
+        step[pending] *= 0.5
+    for k in rows[pending].tolist():
+        out[k] = NoConvergence("lightcone projection could not stay inside the domain")
+    return rows[found], step[found]
+
+
+def _newton_values(m: MetricDefinition, x, y, w, rows: np.ndarray, value, slope,
+                   out: list) -> list[int]:
+    """L and its derivative along w at the given rows, from one batched
+    order-2 jet, written into value and slope.  A row whose jet fails alone
+    gets its error in out; the rows that succeed are returned."""
+    if not len(rows):
+        return []
+    n = x.shape[1]
+
+    def newton(sel):
+        r = rows[sel]
+        jet = m.jet(SampleBatch(x[r], y[r]), 2)
+        # rows of non-unit stride, as the partials of one jet, so the dots round alike
+        grad = jet.space.partial_jets(jet.c, 1)[..., 0]
+        return [(c0, float(g[n:] @ wk))
+                for c0, g, wk in zip(jet.c[:, 0].tolist(), grad, w[r])]
+
+    kept = []
+    for k, result in zip(rows.tolist(), _outcomes(newton, len(rows))):
+        if isinstance(result, Exception):
+            out[k] = result
         else:
-            raise NoConvergence("lightcone projection could not stay inside the domain")
-        delta += step
-        y = v.y + delta * w
-        value, slope = _value_and_slope(m, v.x, y, w)
-    raise NoConvergence("lightcone projection did not converge in 50 iterations")
+            value[k], slope[k] = result
+            kept.append(k)
+    return kept
 
 
 def lightlike_defect(curve: DiscreteCurve, m: MetricDefinition) -> float:
     """max over nodes of |L(velocity)| normalized by the squared fiber norm."""
-    worst = 0.0
-    for x, y in zip(curve.positions, curve.velocities):
-        worst = max(worst, abs(m.value(x, y)) / max(1.0, float(y @ y)))
-    return worst
+    values = m.value(curve.positions, curve.velocities).tolist()
+    return max([0.0] + [abs(v) / max(1.0, float(y @ y))
+                        for v, y in zip(values, curve.velocities)])
 
 
 def check_lightlike(curve: DiscreteCurve, m: MetricDefinition) -> None:

@@ -3,7 +3,8 @@
 The fundamental tensor is half the fiber Hessian of the metric scalar, the
 Cartan tensor a quarter of its third fiber derivative; both come out of one
 jet evaluation, so their index symmetries hold exactly (each unordered index
-set maps to a single stored coefficient).
+set maps to a single stored coefficient).  At a `SampleBatch` every quantity
+carries a leading sample axis, from one jet of the batch.
 """
 
 from __future__ import annotations
@@ -13,26 +14,40 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dsl import MetricDefinition, TangentSample
+from .dsl import MetricDefinition, SampleBatch, TangentSample
 from .errors import EvaluationDomainError, InadmissibleSample, SingularMetric
 
 DEGENERACY_TOL = 1e-12
 
 
-def _require_admissible(m: MetricDefinition, v: TangentSample, t=None) -> None:
+def _require_admissible(m: MetricDefinition, v: TangentSample | SampleBatch,
+                        t=None) -> None:
     """The one domain check: InadmissibleSample naming the sample, or the
-    curve time t when the sample lies on a curve."""
-    if m.admissible(v):
+    curve time t when the sample lies on a curve.  A `SampleBatch` is
+    checked in one row-wise run, and its first inadmissible sample raises."""
+    if isinstance(v, SampleBatch):
+        ok = m.admissible(v)
+        if ok.all():
+            return
+        v = v[int(np.argmin(ok))]
+    elif m.admissible(v):
         return
+    raise _inadmissible(m, v, t)
+
+
+def _inadmissible(m: MetricDefinition, v: TangentSample | None, t=None
+                  ) -> InadmissibleSample:
+    """The error of `_require_admissible`: it names the sample v, or the
+    curve time t when one is given."""
     if t is None:
-        raise InadmissibleSample(f"sample {v!r} is outside the domain of {m.name!r}")
-    raise InadmissibleSample(f"curve leaves the domain of {m.name!r} at t={t!r}")
+        return InadmissibleSample(f"sample {v!r} is outside the domain of {m.name!r}")
+    return InadmissibleSample(f"curve leaves the domain of {m.name!r} at t={t!r}")
 
 
 @dataclass(frozen=True)
 class FundamentalTensor:
-    matrix: np.ndarray      # (n, n), symmetric
-    basepoint: TangentSample
+    matrix: np.ndarray      # (n, n), symmetric; (S, n, n) at a SampleBatch
+    basepoint: TangentSample | SampleBatch
 
     def pair(self, u, w) -> float:
         return float(np.asarray(u) @ self.matrix @ np.asarray(w))
@@ -44,32 +59,41 @@ class FundamentalTensor:
 
 @dataclass(frozen=True)
 class CartanTensor:
-    array: np.ndarray       # (n, n, n), totally symmetric
-    basepoint: TangentSample
+    array: np.ndarray       # (n, n, n), totally symmetric; (S, n, n, n) at a batch
+    basepoint: TangentSample | SampleBatch
 
     def contract(self, u, w, z) -> float:
         return float(np.einsum("ijk,i,j,k", self.array, u, w, z))
 
 
-def fundamental_tensor(m: MetricDefinition, v: TangentSample) -> FundamentalTensor:
+def _fiber_partials(m: MetricDefinition, v: TangentSample | SampleBatch,
+                    degree: int) -> np.ndarray:
+    """The degree-d fiber partials of L at the sample, from one jet of
+    order max(d, 2), with a leading sample axis at a `SampleBatch`.  The
+    gather keeps each sample's partials C-contiguous, as one jet's are, so
+    that products with them round alike (`c[..., index]` would put the
+    sample axis innermost)."""
+    _require_admissible(m, v)
+    jet = m.jet(v, max(degree, 2))
+    index, factor = jet.space.partial_slots(degree)
+    fiber = slice(v.dim, None)
+    return (np.take(jet.c, index, axis=-1) * factor)[(..., *(fiber,) * degree, 0)]
+
+
+def fundamental_tensor(m: MetricDefinition, v: TangentSample | SampleBatch
+                       ) -> FundamentalTensor:
     """g_ij = (1/2) d^2 L / dy^i dy^j at the sample."""
-    _require_admissible(m, v)
-    n = v.dim
-    return FundamentalTensor(0.5 * m.jet(v, 2).partials(2)[n:, n:], v)
+    return FundamentalTensor(0.5 * _fiber_partials(m, v, 2), v)
 
 
-def cartan_tensor(m: MetricDefinition, v: TangentSample) -> CartanTensor:
+def cartan_tensor(m: MetricDefinition, v: TangentSample | SampleBatch) -> CartanTensor:
     """C_ijk = (1/4) d^3 L / dy^i dy^j dy^k at the sample."""
-    _require_admissible(m, v)
-    n = v.dim
-    return CartanTensor(0.25 * m.jet(v, 3).partials(3)[n:, n:, n:], v)
+    return CartanTensor(0.25 * _fiber_partials(m, v, 3), v)
 
 
-def legendre(m: MetricDefinition, v: TangentSample) -> np.ndarray:
+def legendre(m: MetricDefinition, v: TangentSample | SampleBatch) -> np.ndarray:
     """The covector g_v(v, .), computed as half the fiber gradient."""
-    _require_admissible(m, v)
-    n = v.dim
-    return 0.5 * m.jet(v, 2).partials(1)[n:]
+    return 0.5 * _fiber_partials(m, v, 1)
 
 
 def inverse_metric(g: FundamentalTensor | np.ndarray) -> np.ndarray:

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from finslab import cli
+from finslab import cli, dsl
 
 
 def write_config(tmp_path, text, name="exp.ini"):
@@ -340,3 +340,19 @@ def test_fuzzed_metric_files_end_in_an_exit_code(text):
         cfg = write_config(Path(tmp), "[metric]\nmetric = fuzz.metric\n"
                                       "[run]\nsamples = 3\n")
         assert cli.main(["tensors", "--config", cfg]) in (0, 1, 2)
+
+
+def test_the_tensors_runner_takes_four_batched_jets(tmp_path, monkeypatch):
+    """g and C at v and at 2v over all samples: one order-2 and one order-3
+    jet of each batch, instead of four jets per sample."""
+    calls = []
+    plain = dsl.MetricDefinition.jet
+
+    def jet(self, sample, order):
+        calls.append((order, len(sample) if isinstance(sample, dsl.SampleBatch) else 1))
+        return plain(self, sample, order)
+
+    monkeypatch.setattr(dsl.MetricDefinition, "jet", jet)
+    cfg = write_config(tmp_path, TENSORS_CFG)
+    assert cli.main(["tensors", "--config", cfg, "--out", str(tmp_path / "out")]) == 0
+    assert calls == [(2, 25), (2, 25), (3, 25), (3, 25)]

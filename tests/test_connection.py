@@ -472,3 +472,54 @@ def test_the_first_failing_sample_in_curve_order_decides_the_error(first, later,
         "log": finslab.EvaluationDomainError}[first])
     if first == "outside":
         assert message.endswith(f"t={times[k]!r}")
+
+
+@pytest.mark.parametrize("count", [1, 15, 16, 17, 33, 48, 100])
+def test_a_curve_splits_into_chunks_of_near_equal_size(count):
+    """ceil(count / CHUNK) chunks whose sizes differ by at most one, so no
+    curve ends in a one-sample chunk after full ones."""
+    chunks = connection._chunks(count)
+    sizes = [c.stop - c.start for c in chunks]
+    assert len(chunks) == -(-count // connection.CHUNK)
+    assert sum(sizes) == count and chunks[0].start == 0 and chunks[-1].stop == count
+    assert all(a.stop == b.start for a, b in zip(chunks, chunks[1:]))
+    assert max(sizes) <= connection.CHUNK and max(sizes) - min(sizes) <= 1
+
+
+def test_a_frame_checks_its_batch_in_one_row_wise_run(einstein, monkeypatch):
+    """A chunk's domain check is one batched admissibility run; an
+    inadmissible row raises the error that names it, as a sample alone does."""
+    checked = []
+    plain = dsl.MetricDefinition.admissible
+
+    def admissible(self, sample):
+        checked.append(len(sample) if isinstance(sample, dsl.SampleBatch) else 1)
+        return plain(self, sample)
+
+    monkeypatch.setattr(dsl.MetricDefinition, "admissible", admissible)
+    x = np.array([[0.0, 1.0, 0.0], [0.0, 1.2, 0.0], [0.0, 0.0, 0.0], [0.0, 3.5, 0.0]])
+    y = np.tile([1.0, 0.3, 0.2], (4, 1))
+    connection.ConnectionFrame(einstein, dsl.SampleBatch(x[:2], y[:2]), order=3)
+    assert checked == [2]
+    with pytest.raises(finslab.InadmissibleSample) as batched:
+        tensors._require_admissible(einstein, dsl.SampleBatch(x, y))
+    with pytest.raises(finslab.InadmissibleSample) as alone:
+        tensors._require_admissible(einstein, dsl.TangentSample(x[2], y[2]))
+    assert str(batched.value) == str(alone.value)
+
+
+def test_a_seventeen_sample_curve_is_tabulated_in_two_chunks(einstein, monkeypatch):
+    sizes = []
+    plain = connection.ConnectionFrame.__init__
+
+    def init(self, m, v, order=4):
+        sizes.append(len(v))
+        plain(self, m, v, order)
+
+    monkeypatch.setattr(connection.ConnectionFrame, "__init__", init)
+    rng = np.random.default_rng(4)
+    samples = dsl.sample_admissible(einstein, rng, count=17)
+    X = np.array([v.x for v in samples])
+    Y = np.array([v.y for v in samples])
+    connection._frame_tables(einstein, np.arange(17.0), X, Y)
+    assert sizes == [8, 9]

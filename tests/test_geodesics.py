@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 from finslab import conformal, dsl, experiments, geodesics
-from finslab.errors import DomainExit, NoConvergence, TransversalityFailure
+from finslab.errors import (DomainExit, EvaluationDomainError, NoConvergence,
+                            TransversalityFailure)
 from conftest import lightlike_start
 
 
@@ -275,3 +276,25 @@ def test_reparametrized_curve_satisfies_base_equation(scaled_einstein, einstein,
     # dense-output differentiation keeps one derivative less than the
     # integrator, so the decay order is at least cubic-ish rather than quartic
     assert residuals[0] / residuals[-1] >= 16.0
+
+
+def test_curve_values_equal_the_values_node_by_node(einstein, theta_weight):
+    """`lightlike_defect` and `factor_values` read the curve through the
+    row-wise float program; the numbers equal a loop over the nodes."""
+    curve = geodesics.integrate_geodesic(einstein, [0, np.pi / 2, 0], [1, 0.3, 0.9],
+                                         (0, 0.4), 0.02)
+    nodes = list(zip(curve.positions, curve.velocities))
+    assert geodesics.factor_values(theta_weight, curve).tobytes() == np.array(
+        [theta_weight.value(x, y) for x, y in nodes]).tobytes()
+    assert geodesics.factor_values(None, curve).tolist() == [1.0] * len(nodes)
+    assert geodesics.lightlike_defect(curve, einstein) == max(
+        [0.0] + [abs(einstein.value(x, y)) / max(1.0, float(y @ y)) for x, y in nodes])
+
+
+def test_a_curve_value_raises_at_the_first_failing_node():
+    """Nodes 3 and 5 leave the domain of log(x0); node 3's error is raised."""
+    lam = dsl.parse_metric("log(x0) + 0*y0", 1, degree=0)
+    x = np.array([[1.0], [0.5], [0.1], [-1.0], [0.2], [-2.0]])
+    curve = geodesics.DiscreteCurve(np.arange(6.0), x, np.ones((6, 1)), np.zeros((6, 1)))
+    with pytest.raises(EvaluationDomainError, match="-1.0"):
+        geodesics.factor_values(lam, curve)

@@ -225,3 +225,44 @@ def test_the_tape_runs_over_a_sample_axis(tree, points):
             for column, single, ref in zip(got.T, singles, refs):
                 assert column.tobytes() == single.tobytes()
                 np.testing.assert_allclose(column, ref, rtol=1e-13, atol=0)
+
+
+def _floats_outcome(fn):
+    try:
+        return fn()
+    except EvaluationDomainError as exc:
+        return str(exc)
+
+
+@given(_trees(), st.lists(st.lists(st.one_of(
+    st.floats(min_value=-1.5, max_value=1.5), st.sampled_from([0.0, -0.0, 1e200])),
+    min_size=4, max_size=4), min_size=1, max_size=4))
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_row_wise_floats_equal_floats_point_by_point(tree, points):
+    """Column s of `float_rows` is `floats` at point s alone, to the bit;
+    where a point fails, the first failing point's error is raised."""
+    tape = dsl.Tape((tree, dsl.Neg(tree), dsl.Num(2.5)), 2)
+    singles = [_floats_outcome(lambda: tape.floats(p)) for p in points]
+    got = _floats_outcome(lambda: tape.float_rows(np.array(points).T))
+    failures = [s for s in singles if isinstance(s, str)]
+    if failures:
+        assert got == failures[0]
+    else:
+        assert got.tobytes() == np.array(singles).T.tobytes()
+
+
+def test_a_batch_admissibility_verdict_is_per_sample():
+    """Predicates that divide by zero, overflow (1e200*1e200) or take the
+    log of a negative value fail at one sample only: that sample alone is
+    inadmissible, each verdict equals the sample's own, and no
+    RuntimeWarning escapes (pytest turns one into an error)."""
+    m = dsl.parse_metric("y0^2", 2, domain=("1 / x0", "x1 * 1e200 * 1e200 + 1", "log(y0)"))
+    x = np.array([[1.0, 0.0], [0.0, 0.0], [1.0, 1.0], [2.0, 1e-300], [1.0, 0.0]])
+    y = np.array([[2.0, 1.0], [2.0, 1.0], [2.0, 1.0], [3.0, 1.0], [-0.5, 1.0]])
+    batch = dsl.SampleBatch(x, y)
+    verdict = m.admissible(batch)
+    assert verdict.tolist() == [m.admissible(v) for v in batch]
+    assert verdict.tolist() == [True, False, False, True, False]
+    clean = batch[[0, 3]]
+    assert m.admissible(clean).tolist() == [True, True]
+    assert m.value(clean.x, clean.y).tolist() == [m.value_at(v) for v in clean]
