@@ -257,8 +257,8 @@ def run_geodesic(cfg: Config, seed: int, report: Report) -> None:
     tol = cfg.get_float("run", "tol", default=1e-8)
     curve = integrate_geodesic(m, x0, v0, (t0, t1), h)
     L0 = m.value(x0, v0)
-    drift = max(abs(m.value(x, y) - L0)
-                for x, y in zip(curve.positions, curve.velocities))
+    drift = max(abs(L - L0)
+                for L in m.value(curve.positions, curve.velocities).tolist())
     report.check("speed-conservation-drift", drift, tol)
     report.curves["geodesic"] = curve
 

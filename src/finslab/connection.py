@@ -10,12 +10,14 @@ differences anywhere on this path).
 
 A `ConnectionFrame` holds these jets as arrays of normalized coefficients
 (the last axis runs over one `JetSpace`) for S samples at once (the first
-axis), takes their partials with `JetSpace.partial_jets` and multiplies them
-with `JetSpace.mul`.  The jet of g^{-1} is the Neumann series
-sum_j (-g0^{-1} gh)^j g0^{-1}, where g0^{-1} is `tensors.inverse_metric` of
-the value of g and gh is the rest of g; gh is nilpotent at truncation order,
-so the finite series is exact, by the argument behind `Jet._compose`
-(Griewank & Walther, *Evaluating Derivatives*, 2nd ed., SIAM 2008, ch. 13).
+axis).  It takes the partials of the metric jet with `Jet.partial_jets`, as
+every scalar jet's partials are taken, and those of the arrays it derives
+with `JetSpace.partial_jets`; it multiplies them with `JetSpace.mul`.  The
+jet of g^{-1} is the Neumann series sum_j (-g0^{-1} gh)^j g0^{-1}, where
+g0^{-1} is `tensors.inverse_metric` of the value of g and gh is the rest of
+g; gh is nilpotent at truncation order, so the finite series is exact, by
+the argument behind `Jet._compose` (Griewank & Walther, *Evaluating
+Derivatives*, 2nd ed., SIAM 2008, ch. 13).
 Evaluating many samples in one pass is the vector mode of forward
 differentiation (ibid.): the tape and the frame arithmetic run once per
 chunk of samples instead of once per sample.
@@ -145,11 +147,7 @@ class ConnectionFrame:
         return jet_space(2 * self.n, self.order - drop)
 
     def _partial_jets(self, degree: int) -> np.ndarray:
-        """Partials of the metric jet, laid out C-contiguous per sample like
-        the gather from one jet (`c[..., index]` would put the sample axis
-        innermost, and np.einsum rounds by operand strides)."""
-        index, factor = self._space(0).partial_slots(degree)
-        return np.take(self.c, index, axis=-1) * factor
+        return Jet(self._space(0), self.c).partial_jets(degree)
 
     @_cached
     def g_jets(self) -> np.ndarray:
@@ -386,29 +384,23 @@ def covariant_derivative_along(curve: DiscreteCurve, U, X, m: MetricDefinition
 
 
 def _scalar_partials(jet: Jet) -> tuple[np.ndarray, np.ndarray]:
-    """(d/dx, d/dy) of a scalar jet over the 2n chart and fiber variables."""
+    """(d/dx, d/dy) of a scalar jet over the 2n chart and fiber variables,
+    after the leading sample axis of a batched jet."""
     grad = jet.partials(1)
-    n = grad.size // 2
-    return grad[:n], grad[n:]
+    n = grad.shape[-1] // 2
+    return grad[..., :n], grad[..., n:]
 
 
 def _scalar_partials_along(f: MetricDefinition, positions: np.ndarray,
                            velocities: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
     """(d/dx, d/dy) of the scalar f at each sample (x_k, y_k), from order-2
-    jets evaluated chunk by chunk.  Each pair is a view into its chunk's
-    partials with a non-unit stride, as the partials of one jet have, so
-    products with it round as they do for one jet."""
-    n = positions.shape[1]
+    jets evaluated chunk by chunk."""
     out = []
     for rows in _chunks(len(positions)):
-        grad = _in_order(_gradients, f, positions[rows], velocities[rows])
-        out.extend(zip(grad[:, :n], grad[:, n:]))
+        dx, dy = _in_order(lambda f, batch: _scalar_partials(f.jet(batch, 2)),
+                           f, positions[rows], velocities[rows])
+        out.extend(zip(dx, dy))
     return out
-
-
-def _gradients(f: MetricDefinition, batch: SampleBatch) -> np.ndarray:
-    jet = f.jet(batch, 2)
-    return jet.space.partial_jets(jet.c, 1)[..., 0]
 
 
 def horizontal_derivative(f: MetricDefinition, X, v: TangentSample,

@@ -94,8 +94,5 @@ class Reparametrization:
     def __call__(self, mu):
         return self._spline(mu)
 
-    def derivative(self, mu):
-        return self._spline.derivative()(mu)
-
     def inverse(self, t):
         return self._inverse(t)

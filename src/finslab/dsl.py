@@ -12,7 +12,9 @@ gets exact derivatives of any definition, including products of definitions
 formed programmatically.  The tape shares repeated subexpressions, folds
 constant ones, and keeps each subexpression's jet only over the variables it
 depends on; the coefficients equal those of jet arithmetic over all 2n
-variables to the bit.  Float values must be finite.
+variables to the bit.  Float values must be finite.  A tape also runs over
+the S samples of a `SampleBatch` at once, and the batch's jet is a
+`jets.Jet` with a leading sample axis.
 
 Grammar (precedence: pow > unary minus > * / > + -)::
 
@@ -169,13 +171,31 @@ def _divide_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a / b
 
 
-# the row-wise float of each operation that numpy computes as Python does:
-# IEEE arithmetic, correctly rounded
+def _by_value(fn):
+    """A row of S values through the scalar fn, value by value."""
+    return lambda a, b: np.array([fn(v, b) for v in a.tolist()])
+
+
+# the row-wise float of each operation: numpy for IEEE arithmetic, which it
+# rounds as Python does; powers and functions value by value through
+# `_FLOAT_OPS`, since numpy's pow, exp or sin may differ in the last bit
 _ROW_OPS = {
     "add": np.add, "sub": np.subtract, "mul": np.multiply, "div": _divide_rows,
     "neg": lambda a, _: -a, "addc": np.add, "mulc": np.multiply,
     "divc": np.true_divide, "rdivc": lambda a, c: _divide_rows(c, a),
+    **{kind: _by_value(_FLOAT_OPS[kind]) for kind in ("ipow", "powr", "func")},
 }
+
+
+def _float_op(table, kind, a, b=None):
+    """The closure of one float operation through an op table: `_FLOAT_OPS`
+    at one point, `_ROW_OPS` over the rows of a (2n, S) array of points."""
+    if kind == "var":
+        return lambda r, p: p[a]
+    fn = table[kind]
+    if kind in _SLOT_PAIRS:
+        return lambda r, p: fn(r[a], r[b])
+    return lambda r, p: fn(r[a], b)
 
 
 def _positions(sub: tuple[int, ...], support: tuple[int, ...]) -> tuple[int, ...]:
@@ -203,18 +223,19 @@ class Tape:
     with a trailing sample axis: a coefficient index then reads the same for
     one point and for S, so the program is the same but for the seeding of
     a variable, the product kernel and the Taylor coefficients of a
-    composition, chosen when the program is compiled; each column sums its
-    terms as the jet of that point alone does.
+    composition, bound once when an operation is compiled; each column sums
+    its terms as the jet of that point alone does.
 
-    `float_rows` runs the float program over a (2n, S) array of points, one
-    row of S values per slot.  Arithmetic (+ - * /, negation and the
-    constant operations) runs through numpy, whose float64 operations round
-    as Python's do; integer and fractional powers and the elementary
-    functions run value by value through the same scalar functions as
-    `floats`, since numpy's pow, exp or sin may differ from them in the last
-    bit.  So each column equals `floats` at its point, to the bit; when any
-    column fails, the columns run through `floats` one by one and the first
-    failing one raises its own error.
+    The two float programs are built by one op builder (`_float_op`) from
+    two op tables: `floats` from `_FLOAT_OPS` at one point, and
+    `float_rows` from `_ROW_OPS` over a (2n, S) array of points, one row of
+    S values per slot.  Arithmetic (+ - * /, negation and the constant
+    operations) runs through numpy, whose float64 operations round as
+    Python's do; integer and fractional powers and the elementary functions
+    run value by value through `_FLOAT_OPS`, since numpy's pow, exp or sin
+    may differ from them in the last bit.  So each column equals `floats` at
+    its point, to the bit; when any column fails, the columns run through
+    `floats` one by one and the first failing one raises its own error.
 
     Operations keep the order and the checks of plain arithmetic: integer
     powers are `**` on floats and repeated products on jets, an elementary
@@ -234,7 +255,7 @@ class Tape:
         self.outputs = [self._emit(e) for e in exprs]
         del self._slot_of
         self.variables = tuple(sorted(op[1] for op in self._ops if op[0] == "var"))
-        self._float_program = [self._float_op(*op) for op in self._ops]
+        self._float_program = [_float_op(_FLOAT_OPS, *op) for op in self._ops]
         self._row_program: list | None = None
         self._jet_programs: dict[tuple[int, bool], tuple] = {}
 
@@ -329,15 +350,6 @@ class Tape:
 
     # float program ----------------------------------------------------------
 
-    @staticmethod
-    def _float_op(kind, a, b=None):
-        if kind == "var":
-            return lambda r, p: p[a]
-        fn = _FLOAT_OPS[kind]
-        if kind in _SLOT_PAIRS:
-            return lambda r, p: fn(r[a], r[b])
-        return lambda r, p: fn(r[a], b)
-
     def floats(self, point) -> list[float]:
         """Values of the expressions at a point; each must be finite."""
         if self.failure is not None:
@@ -352,18 +364,6 @@ class Tape:
                 raise EvaluationDomainError(f"value {v!r} is not finite")
         return out
 
-    @staticmethod
-    def _row_op(kind, a, b=None):
-        if kind == "var":
-            return lambda r, p: p[a]
-        if kind in _ROW_OPS:
-            fn = _ROW_OPS[kind]
-            if kind in _SLOT_PAIRS:
-                return lambda r, p: fn(r[a], r[b])
-            return lambda r, p: fn(r[a], b)
-        fn = _FLOAT_OPS[kind]
-        return lambda r, p: np.array([fn(v, b) for v in r[a].tolist()])
-
     def float_rows(self, points: np.ndarray) -> np.ndarray:
         """`floats` at each column of a (2n, S) array of points, as an array
         of shape (number of expressions, S); column s equals `floats` at
@@ -372,7 +372,7 @@ class Tape:
         if self.failure is not None:
             raise EvaluationDomainError(self.failure)
         if self._row_program is None:
-            self._row_program = [self._row_op(*op) for op in self._ops]
+            self._row_program = [_float_op(_ROW_OPS, *op) for op in self._ops]
         out = np.empty((len(self.outputs), points.shape[1]))
         try:
             r: list = []
@@ -406,8 +406,8 @@ class Tape:
 
     def _jet_op(self, order: int, rows: bool, slot: int, kind, a, b=None):
         """The closure of one jet operation; with rows, over S points at once
-        (see `jet`).  Only the seeding of a variable, the products and the
-        Taylor coefficients of a composition differ between the two."""
+        (see `jet`).  Only the seeding of a variable, the product kernel and
+        the Taylor coefficients of a composition differ between the two."""
         support = self._support[slot]
         if kind == "var":
             seed = np.zeros(order + 2)    # one variable, and the padding
@@ -438,14 +438,19 @@ class Tape:
                 return lambda r, p: combine(r[a][la], r[b])
             return lambda r, p: combine(r[a][la], r[b][lb])
         product = jets.product_rows if rows else jets.product
-        reciprocal = _reciprocal_rows if rows else _reciprocal
+        taylor = ((lambda name, c, p: jets.taylor_rows(name, c, order, p)) if rows
+                  else (lambda name, c, p: jets.taylor(name, float(c[0]), order, p)))
+
+        def reciprocal(c, plan):
+            return jets.compose(c, taylor("reciprocal", c, 0.5), plan, product)
+
         if kind == "mul":
             plan = self._plan(a, b, support, order)
             return lambda r, p: product(r[a], r[b], plan)
         if kind == "div":
             plan = self._plan(a, b, support, order)
             inverse = self._plan(b, b, self._support[b], order)
-            return lambda r, p: product(r[a], reciprocal(r[b], order, inverse), plan)
+            return lambda r, p: product(r[a], reciprocal(r[b], inverse), plan)
         if kind == "addc":
             def addc(r, p):
                 c = r[a].copy()
@@ -458,18 +463,14 @@ class Tape:
             return lambda r, p: r[a] / b
         own = self._plan(slot, slot, support, order)
         if kind == "rdivc":
-            return lambda r, p: reciprocal(r[a], order, own) * b
+            return lambda r, p: reciprocal(r[a], own) * b
         if kind == "ipow":
             def ipow(r, p):
-                base = r[a] if b > 0 else reciprocal(r[a], order, own)
+                base = r[a] if b > 0 else reciprocal(r[a], own)
                 return jets.int_power(base, abs(b), own, product)
             return ipow
         name, exponent = ("powr", b) if kind == "powr" else (b, 0.5)
-        if rows:
-            return lambda r, p: jets.compose(
-                r[a], jets.taylor_rows(name, r[a], order, exponent), own, product)
-        return lambda r, p: jets.compose(
-            r[a], jets.taylor(name, float(r[a][0]), order, exponent), own)
+        return lambda r, p: jets.compose(r[a], taylor(name, r[a], exponent), own, product)
 
     def _jet_program(self, order: int, rows: bool):
         program = self._jet_programs.get((order, rows))
@@ -509,15 +510,6 @@ class Tape:
 
 def _raise(message: str):
     raise EvaluationDomainError(message)
-
-
-def _reciprocal(c: np.ndarray, order: int, plan) -> np.ndarray:
-    return jets.compose(c, jets.taylor("reciprocal", float(c[0]), order), plan)
-
-
-def _reciprocal_rows(c: np.ndarray, order: int, plan) -> np.ndarray:
-    return jets.compose(c, jets.taylor_rows("reciprocal", c, order), plan,
-                        jets.product_rows)
 
 
 # --------------------------------------------------------------------------
@@ -900,13 +892,6 @@ class MetricDefinition:
     def pretty(self) -> str:
         return pretty(self.body)
 
-    def with_domain(self, *predicates: str, name: str | None = None) -> "MetricDefinition":
-        """Copy of this definition with extra positivity predicates."""
-        extra = tuple(parse_expression(p, self.dim) for p in predicates)
-        return MetricDefinition(
-            name=name or self.name, dim=self.dim, degree=self.degree,
-            body=self.body, domain=self.domain + extra, sample_box=self.sample_box)
-
 
 def parse_metric(source: str, n: int, degree: int = 2,
                  domain: tuple[str, ...] = (), name: str = "<inline>",
@@ -926,8 +911,7 @@ MAX_REJECTIONS = 10_000
 
 
 def sample_admissible(m: MetricDefinition, rng: np.random.Generator,
-                      count: int = 1, max_rejections: int = MAX_REJECTIONS
-                      ) -> list[TangentSample]:
+                      count: int = 1) -> list[TangentSample]:
     """Random admissible samples: x uniform in the metric's box, y uniform on
     the unit sphere then rescaled by a random factor in [0.5, 2]."""
     domain = m._domain
@@ -940,9 +924,9 @@ def sample_admissible(m: MetricDefinition, rng: np.random.Generator,
     out: list[TangentSample] = []
     rejects = 0
     while len(out) < count:
-        if rejects >= max_rejections:
+        if rejects >= MAX_REJECTIONS:
             raise NoAdmissibleSample(
-                f"no admissible sample for {m.name!r} after {max_rejections} rejections")
+                f"no admissible sample for {m.name!r} after {MAX_REJECTIONS} rejections")
         x = rng.uniform(box[:, 0], box[:, 1])
         y = rng.standard_normal(m.dim)
         norm = np.linalg.norm(y)

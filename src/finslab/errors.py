@@ -38,8 +38,8 @@ class SingularMetric(FinslabError):
 class DomainExit(FinslabError):
     """An integration stage left the conic domain."""
 
-    def __init__(self, t: float, message: str | None = None):
-        super().__init__(message or f"trajectory left the metric domain near t={t!r}")
+    def __init__(self, t: float):
+        super().__init__(f"trajectory left the metric domain near t={t!r}")
         self.t = t
 
 

@@ -74,11 +74,8 @@ def factor_rate(lam, curve: DiscreteCurve) -> np.ndarray:
 # integration
 # --------------------------------------------------------------------------
 
-def rk4_step(f, t: float, s, h: float, k1=None):
-    """One classical RK4 step of s' = f(t, s); pass k1 = f(t, s) when the
-    caller already has it."""
-    if k1 is None:
-        k1 = f(t, s)
+def rk4_step(f, t: float, s, h: float, k1):
+    """One classical RK4 step of s' = f(t, s) from k1 = f(t, s)."""
     k2 = f(t + 0.5 * h, s + 0.5 * h * k1)
     k3 = f(t + 0.5 * h, s + 0.5 * h * k2)
     k4 = f(t + h, s + h * k3)
@@ -250,8 +247,7 @@ def _newton_values(m: MetricDefinition, x, y, w, rows: np.ndarray, value, slope,
     def newton(sel):
         r = rows[sel]
         jet = m.jet(SampleBatch(x[r], y[r]), 2)
-        # rows of non-unit stride, as the partials of one jet, so the dots round alike
-        grad = jet.space.partial_jets(jet.c, 1)[..., 0]
+        grad = jet.partials(1)
         return [(c0, float(g[n:] @ wk))
                 for c0, g, wk in zip(jet.c[:, 0].tolist(), grad, w[r])]
 
@@ -336,30 +332,36 @@ def reparametrize_conformal(curve: DiscreteCurve, lam, m: MetricDefinition
     h = curve.step
     mus = [curve.t0]
     phis = [lo]
+    rates = [rate(mus[0], lo)]      # each node's factor, the k1 of its step
     while True:
-        mu, phi = mus[-1], phis[-1]
-        nxt = rk4_step(rate, mu, phi, h)
+        mu, phi, k1 = mus[-1], phis[-1], rates[-1]
+        nxt = rk4_step(rate, mu, phi, h, k1)
         if nxt < hi - 1e-13:
             mus.append(mu + h)
             phis.append(nxt)
+            rates.append(rate(mu + h, nxt))
             continue
-        # bisect the final step length so the map lands exactly on t1
+        # bisect the final step length so the map lands exactly on t1, until
+        # the midpoint rounds onto an end (a step near 1e-13 takes over 80)
         lo_h, hi_h = 0.0, h
         for _ in range(80):
             mid = 0.5 * (lo_h + hi_h)
-            if rk4_step(rate, mu, phi, mid) < hi:
+            if mid == lo_h or mid == hi_h:
+                break
+            if rk4_step(rate, mu, phi, mid, k1) < hi:
                 lo_h = mid
             else:
                 hi_h = mid
         final = 0.5 * (lo_h + hi_h)
         if final > 1e-13 * max(1.0, h):
             mus.append(mu + final)
-            phis.append(min(rk4_step(rate, mu, phi, final), hi))
+            phis.append(hi)
         phis[-1] = hi
         break
     mus = np.asarray(mus)
     phis = np.asarray(phis)
-    phidots = np.array([rate(mu, p) for p, mu in zip(phis, mus)])
+    # the last node's rate is taken where it landed, on t1
+    phidots = np.array(rates[:len(phis) - 1] + [rate(mus[-1], hi)])
     rep = Reparametrization(mus, phis, phidots)
 
     positions = curve.position(phis)

@@ -13,6 +13,10 @@ evaluation order is fixed, so identical inputs give bit-identical outputs.
 
 Orders up to 4 are supported, which is enough for fourth derivatives of a
 metric (curvature needs them); polynomial inputs of degree <= k are exact.
+
+A `Jet` may hold S jets as coefficients of shape (S, size), a leading sample
+axis (vector-mode forward differentiation); `Jet.partial_jets` alone states
+how the partials of such a batch are gathered.
 """
 
 from __future__ import annotations
@@ -50,9 +54,8 @@ class JetSpace:
     """Coefficient layout plus precomputed plans for one (nvars, order)."""
 
     __slots__ = (
-        "nvars", "order", "indices", "index_of", "degrees",
-        "_sizes_by_degree", "_mul_plan", "_sum_plan", "_diff_plans",
-        "_partial_slots",
+        "nvars", "order", "indices", "index_of", "_mul_plan", "_sum_plan",
+        "_diff_plans", "_partial_slots",
     )
 
     def __init__(self, nvars: int, order: int):
@@ -64,11 +67,6 @@ class JetSpace:
         self.order = order
         self.indices = _multi_indices(nvars, order)
         self.index_of = {alpha: i for i, alpha in enumerate(self.indices)}
-        self.degrees = np.array([sum(a) for a in self.indices], dtype=np.int64)
-        sizes = [0] * (order + 2)
-        for d in self.degrees:
-            sizes[d + 1] += 1
-        self._sizes_by_degree = np.cumsum(sizes)
         self._mul_plan = None
         self._sum_plan = None
         self._diff_plans = {}
@@ -77,10 +75,6 @@ class JetSpace:
     @property
     def size(self) -> int:
         return len(self.indices)
-
-    def size_at_order(self, order: int) -> int:
-        """Number of coefficients of a jet truncated at the given order."""
-        return int(self._sizes_by_degree[order + 1])
 
     def mul_plan(self):
         """Arrays (ia, ib, io): coefficient ia of the left factor times
@@ -155,7 +149,8 @@ class JetSpace:
     def partial_jets(self, c: np.ndarray, degree: int) -> np.ndarray:
         """Every degree-d partial of the coefficient array c (leading axes
         are batch axes) as order-(k-d) coefficients, in one gather: shape
-        c.shape[:-1] + (nvars,)*degree + (size of the order-(k-d) space,)."""
+        c.shape[:-1] + (nvars,)*degree + (size of the order-(k-d) space,),
+        for a frame's derived arrays (a `Jet` gathers its own partials)."""
         index, factor = self.partial_slots(degree)
         return c[..., index] * factor
 
@@ -276,7 +271,8 @@ def compose(c: np.ndarray, derivs, plan, mul=product) -> np.ndarray:
 
 
 class Jet:
-    """A truncated Taylor expansion; immutable by convention."""
+    """A truncated Taylor expansion, or S of them as coefficients of shape
+    (S, size); immutable by convention.  Arithmetic is that of one jet."""
 
     __slots__ = ("space", "c")
 
@@ -336,13 +332,19 @@ class Jet:
 
     def partial_jets(self, degree: int) -> np.ndarray:
         """The jets of all partials of one total degree, as coefficients of
-        shape (nvars,)*degree + (size of the order-(k-degree) space,)."""
+        shape (nvars,)*degree + (size of the order-(k-degree) space,), after
+        the sample axis of a batch.  A batch is gathered C-contiguous per
+        sample, laid out as one jet's partials, so that products and dots
+        with them round alike (`c[..., index]` would put the sample axis
+        innermost)."""
         index, factor = self.space.partial_slots(degree)
-        return self.c[index] * factor   # plain indexing beats c[..., index] here
+        if self.c.ndim == 1:
+            return self.c[index] * factor   # plain indexing beats take here
+        return self.c.take(index, axis=-1) * factor
 
     def partials(self, degree: int) -> np.ndarray:
-        """All true partials of one total degree as an (nvars,)*degree array:
-        entry [v1, ..., vd] is d^d f / dv1 ... dvd."""
+        """All true partials of one total degree as an (nvars,)*degree array
+        after a batch's sample axis: entry [v1, ..., vd] is d^d f/dv1...dvd."""
         return self.partial_jets(degree)[..., 0]
 
     def diff(self, var: int) -> "Jet":

@@ -62,22 +62,14 @@ class CartanTensor:
     array: np.ndarray       # (n, n, n), totally symmetric; (S, n, n, n) at a batch
     basepoint: TangentSample | SampleBatch
 
-    def contract(self, u, w, z) -> float:
-        return float(np.einsum("ijk,i,j,k", self.array, u, w, z))
-
 
 def _fiber_partials(m: MetricDefinition, v: TangentSample | SampleBatch,
                     degree: int) -> np.ndarray:
     """The degree-d fiber partials of L at the sample, from one jet of
-    order max(d, 2), with a leading sample axis at a `SampleBatch`.  The
-    gather keeps each sample's partials C-contiguous, as one jet's are, so
-    that products with them round alike (`c[..., index]` would put the
-    sample axis innermost)."""
+    order max(d, 2), with a leading sample axis at a `SampleBatch`."""
     _require_admissible(m, v)
-    jet = m.jet(v, max(degree, 2))
-    index, factor = jet.space.partial_slots(degree)
     fiber = slice(v.dim, None)
-    return (np.take(jet.c, index, axis=-1) * factor)[(..., *(fiber,) * degree, 0)]
+    return m.jet(v, max(degree, 2)).partials(degree)[(..., *(fiber,) * degree)]
 
 
 def fundamental_tensor(m: MetricDefinition, v: TangentSample | SampleBatch

@@ -1,11 +1,13 @@
 """Spray, Christoffel symbols, curvature operators, covariant derivatives and
 anisotropic gradients, checked against closed forms and the defining axioms."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 import finslab
-from finslab import connection, dsl, geodesics, jets, tensors
+from finslab import conformal, connection, dsl, geodesics, jets, tensors
 from conftest import margin_sample
 from frame_reference import ReferenceFrame
 
@@ -523,3 +525,49 @@ def test_a_seventeen_sample_curve_is_tabulated_in_two_chunks(einstein, monkeypat
     Y = np.array([v.y for v in samples])
     connection._frame_tables(einstein, np.arange(17.0), X, Y)
     assert sizes == [8, 9]
+
+
+# sha256 of g, g^-1, N, Gamma and A from `_frame_tables`, of a batch frame's
+# curvature components and of `chern_curvature` at one sample: the reference
+# bits, which a change of gather layout or contraction order moves.
+FRAME_DIGESTS = {
+    ("theta-weight", "einstein-static", 20): (
+        "6b9d45bf6ee3ea1d69ba498f50c16ec529008829579ff9bb7af17c8acd20191c",
+        "a86830f7edd743034445a763edd14525d7df456c8181d4a06724f33c7e3c46be",
+        "dd75c72533bb329110835fe2526982fdc7c7d214271f045f2b16155d7a7efdde",
+        "3ba69f025d88164c0148f8d1326feeabd6cbf193da44c5061f00a3e5e57404d3",
+        "334bba7ec5af4367042d9f726c3d4bccf3f959bf56bc9c20288c32b45ac32beb",
+        "abd862ba28888c54cf26f7342ddd0bac4a5c14133c33f694a49d2f8668aa74a5",
+        "5713519b046173e6682711bd4f1fd09f7d7de3d6785df5aa8e91570bfd2580d1"),
+    (None, "warped-quadratic", 21): (
+        "e412586c477e3a35d6aaac166f224d40eba6957088349f008ea7cea202d475c8",
+        "a74e0d11665778817e6b6e1825238b83bd98bb3458587c9386a59d7e552ba06a",
+        "672d898e05df0cb26313b2054d70c39c7e78c5ee354e09b6da3825bb2dd5ea84",
+        "a06cfb46832dc5f1cd93cfec2f27f57e8a65194a655510ea174665f0aef1795b",
+        "a54f908b6bd2cb4a578b951ac9e09608ea2a06c73bc6b966e03b2f53942565da",
+        "d09be831ba410f4045c95267baec0ee7f2fb3cecef8f2a72100504447025c4c6",
+        "5e4f15e5111a0ff1ec7f6435b23e1dd56b7ca02df3cb2be85ba18068d5eab084"),
+}
+
+
+@pytest.mark.parametrize("key", FRAME_DIGESTS, ids=lambda k: k[1])
+def test_frame_arrays_keep_their_bits(key):
+    """A change in how a frame gathers or contracts its jets can move Gamma
+    and the curvature in the last bit while every tolerance still holds;
+    the digests of 17 seeded samples (two chunks) pin them exactly."""
+    factor, name, seed = key
+    m = dsl.builtin_metric(name)
+    if factor is not None:
+        m = conformal.scale_metric(m, dsl.builtin_metric(factor), sample_budget=1)[0]
+    rng = np.random.default_rng(seed)
+    samples = dsl.sample_admissible(m, rng, count=connection.CHUNK + 1)
+    x = np.array([v.x for v in samples])
+    y = np.array([v.y for v in samples])
+    tables = connection._frame_tables(m, np.arange(len(x), dtype=float), x, y)
+    curvature = connection.ConnectionFrame(
+        m, dsl.SampleBatch(x, y), order=4).curvature_components()
+    X, Y, Z = rng.standard_normal((3, m.dim))
+    chern = connection.chern_curvature(m, samples[0], X, Y, Z)
+    digests = tuple(hashlib.sha256(a.tobytes()).hexdigest()
+                    for a in (*tables, curvature, chern))
+    assert digests == FRAME_DIGESTS[key]

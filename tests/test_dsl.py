@@ -162,15 +162,16 @@ def test_conic_consistency_of_admissibility():
             assert m.admissible(v.scaled(s))
 
 
-def test_rejection_sampler_fails_deterministically_on_empty_domain():
+def test_rejection_sampler_fails_deterministically_on_empty_domain(monkeypatch):
+    monkeypatch.setattr(dsl, "MAX_REJECTIONS", 200)
     m = dsl.parse_metric("y0^2", 1, domain=("0 - 1",), name="empty")
     rng = np.random.default_rng(5)
     with pytest.raises(NoAdmissibleSample):
-        dsl.sample_admissible(m, rng, count=1, max_rejections=200)
+        dsl.sample_admissible(m, rng, count=1)
     # a constant predicate fails at once; this one only after the rejections
     m = dsl.parse_metric("y0^2", 1, domain=("-(y0*y0)",), name="empty")
     with pytest.raises(NoAdmissibleSample, match="200 rejections"):
-        dsl.sample_admissible(m, rng, count=1, max_rejections=200)
+        dsl.sample_admissible(m, rng, count=1)
 
 
 def test_registry_members_match_their_reexpression():

@@ -203,6 +203,33 @@ def test_a_sample_batch_gives_the_jets_of_its_samples(m):
                 assert row.tobytes() == m.jet(v, order).c.tobytes()
 
 
+@pytest.mark.parametrize("m", _definitions(), ids=lambda m: m.name)
+def test_a_batched_jet_takes_the_partials_of_its_samples(m):
+    """`partial_jets` and `partials` of a jet over a `SampleBatch` give, row
+    by row, those of each sample's own jet, to the bit and with the same
+    strides, so that a dot with a row rounds as the one-jet dot does (the
+    probe dot of the lightcone projection checks this)."""
+    rng = np.random.default_rng(len(m.name) + 11)
+    samples = dsl.sample_admissible(m, rng, count=5)
+    batch = dsl.SampleBatch([v.x for v in samples], [v.y for v in samples])
+    w = rng.standard_normal((len(samples), m.dim))
+    n = m.dim
+    for order in (2, 3, 4):
+        jet = m.jet(batch, order)
+        singles = [m.jet(v, order) for v in samples]
+        for degree in range(1, order + 1):
+            rows, values = jet.partial_jets(degree), jet.partials(degree)
+            for k, single in enumerate(singles):
+                one = single.partial_jets(degree)
+                assert np.array_equal(rows[k], one)
+                assert rows[k].strides == one.strides
+                assert np.array_equal(values[k], single.partials(degree))
+                assert values[k].strides == single.partials(degree).strides
+        grad = jet.partials(1)
+        for k, single in enumerate(singles):
+            assert grad[k, n:] @ w[k] == single.partials(1)[n:] @ w[k]
+
+
 @given(_trees(), st.lists(st.lists(st.floats(min_value=-1.5, max_value=1.5),
                                    min_size=4, max_size=4), min_size=1, max_size=3))
 @settings(max_examples=100, deadline=None, derandomize=True)
