@@ -356,7 +356,8 @@ def reparametrize_conformal(curve: DiscreteCurve, lam, m: MetricDefinition
         if final > 1e-13 * max(1.0, h):
             mus.append(mu + final)
             phis.append(hi)
-        phis[-1] = hi
+        else:
+            phis[-1] = hi
         break
     mus = np.asarray(mus)
     phis = np.asarray(phis)

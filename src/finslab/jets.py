@@ -333,13 +333,11 @@ class Jet:
     def partial_jets(self, degree: int) -> np.ndarray:
         """The jets of all partials of one total degree, as coefficients of
         shape (nvars,)*degree + (size of the order-(k-degree) space,), after
-        the sample axis of a batch.  A batch is gathered C-contiguous per
-        sample, laid out as one jet's partials, so that products and dots
-        with them round alike (`c[..., index]` would put the sample axis
-        innermost)."""
+        the sample axis of a batch.  `take` along the last axis lays each
+        sample's block out C-contiguous, as one jet's partials are, so that
+        products and dots with them round alike (`c[..., index]` would put
+        the sample axis innermost)."""
         index, factor = self.space.partial_slots(degree)
-        if self.c.ndim == 1:
-            return self.c[index] * factor   # plain indexing beats take here
         return self.c.take(index, axis=-1) * factor
 
     def partials(self, degree: int) -> np.ndarray:

@@ -530,6 +530,10 @@ def test_a_seventeen_sample_curve_is_tabulated_in_two_chunks(einstein, monkeypat
 # sha256 of g, g^-1, N, Gamma and A from `_frame_tables`, of a batch frame's
 # curvature components and of `chern_curvature` at one sample: the reference
 # bits, which a change of gather layout or contraction order moves.
+# Recorded with numpy 2.4.6 (Python 3.11.7) on an x86-64 Xeon with AVX2 and
+# AVX-512. The bits also depend on numpy's einsum/BLAS kernel choice and the
+# CPU's SIMD features, so after a numpy upgrade or on another CPU, re-record
+# them from an unchanged checkout before judging a change by them.
 FRAME_DIGESTS = {
     ("theta-weight", "einstein-static", 20): (
         "6b9d45bf6ee3ea1d69ba498f50c16ec529008829579ff9bb7af17c8acd20191c",
