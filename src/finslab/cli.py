@@ -152,8 +152,8 @@ def load_config(path) -> Config:
     parser = configparser.ConfigParser()
     parser.optionxform = str
     try:
-        parser.read_string(path.read_text())
-    except configparser.Error as exc:
+        parser.read_string(path.read_text(encoding="utf-8"))
+    except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigError(f"{path}: {exc}")
     data = {section: dict(parser.items(section)) for section in parser.sections()}
     return Config(data, str(path))
@@ -201,6 +201,13 @@ def _curve_inputs(cfg: Config, m: MetricDefinition, step: float,
         if bad:
             raise ConfigError(f"{cfg.path}: {problem}")
     return x0, v0, t1, h
+
+
+def _check_seed(seed: int, where: str) -> int:
+    """A seed is a u64, as the generator takes it."""
+    if not 0 <= seed < 2 ** 64:
+        raise ConfigError(f"{where} must lie in [0, 2**64), got {seed}")
+    return seed
 
 
 def _sample_count(cfg: Config, default: int) -> int:
@@ -422,7 +429,7 @@ def run_experiment(experiment: str, cfg: Config, seed: int | None = None,
             if value is not None:
                 run_section[key] = repr(value)
     if seed is None:
-        seed = cfg.get_int("run", "seed", default=0)
+        seed = _check_seed(cfg.get_int("run", "seed", default=0), f"{cfg.path}: [run] seed")
     report = Report(experiment=experiment, seed=seed)
     RUNNERS[experiment](cfg, seed, report)
     return report
@@ -444,6 +451,8 @@ def main(argv=None) -> int:
     parser.add_argument("--tol", type=float, help="override the config tolerance")
     args = parser.parse_args(argv)
     try:
+        if args.seed is not None:
+            _check_seed(args.seed, "--seed")
         cfg = load_config(args.config)
         # a metric jet that overflows is reported once, as the typed error
         # raised by the non-finite guards, not also as numpy warnings

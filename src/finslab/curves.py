@@ -3,7 +3,8 @@
 from __future__ import annotations
 
 import numpy as np
-from scipy.interpolate import CubicHermiteSpline, CubicSpline
+
+from .numerics import HermiteSpline, not_a_knot_slopes
 
 
 class DiscreteCurve:
@@ -25,12 +26,8 @@ class DiscreteCurve:
                 == self.velocities.shape == self.accelerations.shape
                 == (self.grid.size, self.positions.shape[1])):
             raise ValueError("curve arrays must share the shape (len(grid), n)")
-        if np.any(np.diff(self.grid) <= 0):
-            raise ValueError("grid must be strictly increasing")
-        self._pos_spline = CubicHermiteSpline(self.grid, self.positions,
-                                              self.velocities, axis=0)
-        self._vel_spline = CubicHermiteSpline(self.grid, self.velocities,
-                                              self.accelerations, axis=0)
+        self._pos_spline = HermiteSpline(self.grid, self.positions, self.velocities)
+        self._vel_spline = HermiteSpline(self.grid, self.velocities, self.accelerations)
 
     # --- basic queries ----------------------------------------------------
 
@@ -57,7 +54,7 @@ class DiscreteCurve:
         return self._vel_spline(t)
 
     def acceleration(self, t):
-        return self._vel_spline.derivative()(t)
+        return self._vel_spline.derivative(t)
 
     # --- exports -------------------------------------------------------------
 
@@ -74,8 +71,7 @@ class DiscreteCurve:
 
 def spline_derivative(grid: np.ndarray, samples: np.ndarray) -> np.ndarray:
     """Node derivatives of sampled data via a not-a-knot cubic spline."""
-    spline = CubicSpline(np.asarray(grid, float), np.asarray(samples, float), axis=0)
-    return spline.derivative()(grid)
+    return HermiteSpline(grid, samples, not_a_knot_slopes(grid, samples)).derivative(grid)
 
 
 class Reparametrization:
@@ -87,9 +83,9 @@ class Reparametrization:
         self.phidot = np.asarray(phidot, dtype=float)
         if np.any(np.diff(self.phi) <= 0) or np.any(self.phidot <= 0):
             raise ValueError("reparametrization must be strictly increasing")
-        self._spline = CubicHermiteSpline(self.grid, self.phi, self.phidot)
+        self._spline = HermiteSpline(self.grid, self.phi, self.phidot)
         # phi is strictly monotone, so the inverse interpolates the swapped data
-        self._inverse = CubicHermiteSpline(self.phi, self.grid, 1.0 / self.phidot)
+        self._inverse = HermiteSpline(self.phi, self.grid, 1.0 / self.phidot)
 
     def __call__(self, mu):
         return self._spline(mu)

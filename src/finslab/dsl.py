@@ -41,7 +41,7 @@ from pathlib import Path
 import numpy as np
 
 from . import jets
-from .errors import EvaluationDomainError, ExpressionError, NoAdmissibleSample
+from .errors import ConfigError, EvaluationDomainError, ExpressionError, NoAdmissibleSample
 
 __all__ = [
     "Expr", "Num", "Var", "Neg", "Add", "Sub", "Mul", "Div", "Pow", "Func",
@@ -1071,7 +1071,11 @@ def parse_metric_file(text: str, name: str = "<file>") -> MetricDefinition:
 
 def load_metric_file(path) -> MetricDefinition:
     path = Path(path)
-    return parse_metric_file(path.read_text(), name=path.stem)
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: {exc}")
+    return parse_metric_file(text, name=path.stem)
 
 
 def dump_metric_file(m: MetricDefinition, path) -> None:

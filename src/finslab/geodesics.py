@@ -20,12 +20,12 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.integrate import simpson
 
 from .connection import _scalar_partials_along, spray_coefficients
 from .curves import DiscreteCurve, Reparametrization
 from .dsl import MetricDefinition, SampleBatch, TangentSample, _outcomes
 from .errors import DomainExit, InadmissibleSample, NoConvergence, TransversalityFailure
+from .numerics import simpson
 from .tensors import _inadmissible, _require_admissible, legendre
 
 __all__ = [
@@ -285,7 +285,7 @@ def energy(curve: DiscreteCurve, m: MetricDefinition, lam=None) -> float:
     for k, (x, y) in enumerate(zip(curve.positions, curve.velocities)):
         _require_admissible(m, TangentSample(x, y), curve.grid[k])
         vals[k] = 0.5 * _factor_value(lam, x, y) * m.value(x, y)
-    return float(simpson(vals, x=curve.grid))
+    return float(simpson(vals, curve.grid))
 
 
 def _pregeodesic_defects(curve: DiscreteCurve, m: MetricDefinition, lam, nodes):

@@ -25,9 +25,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-from scipy.integrate import cumulative_simpson, simpson
-from scipy.interpolate import CubicHermiteSpline
-from scipy.linalg import null_space
 
 from .connection import ConnectionFrame, _frame_tables, _scalar_partials_along
 from .curves import DiscreteCurve, Reparametrization, spline_derivative
@@ -35,6 +32,7 @@ from .dsl import MetricDefinition, Tape, TangentSample, parse_expression
 from .errors import FinslabError, GridMismatch
 from .geodesics import (_pregeodesic_defects, check_lightlike, energy, factor_rate,
                         factor_values, reparametrize_conformal, rk4_step)
+from .numerics import HermiteSpline, cumulative_simpson, null_space, simpson
 
 __all__ = [
     "SubmanifoldPatch", "VariationField", "JacobiSolution", "FocalPoint",
@@ -171,7 +169,7 @@ class JacobiSolution:
     J_dot: np.ndarray      # (npts, n) coordinate time derivative, for dense output
 
     def spline(self):
-        return CubicHermiteSpline(self.grid, self.J, self.J_dot, axis=0)
+        return HermiteSpline(self.grid, self.J, self.J_dot)
 
 
 # --------------------------------------------------------------------------
@@ -292,7 +290,7 @@ def first_variation(geom: CurveGeometry, W: VariationField) -> float:
     lam_v = geom.lam_values
     DZ = geom.cov_scalar_times_velocity(lam_v)
     integrand = geom.pair(W.values, -DZ)
-    total = float(simpson(integrand, x=curve.grid))
+    total = float(simpson(integrand, curve.grid))
     boundary = lam_v * geom.pair(curve.velocities, W.values)
     return total + float(boundary[-1] - boundary[0])
 
@@ -315,7 +313,7 @@ def second_variation(geom: CurveGeometry, W: VariationField) -> float:
     integrand = lam_v * (curvature_term + geom.pair(Wp, Wp))
     integrand += 2.0 * geom.pair(Wp, vel) * (
         geom.pair(Wv, geom.grad_h) + geom.pair(Wp, geom.grad_v))
-    total = float(simpson(integrand, x=curve.grid))
+    total = float(simpson(integrand, curve.grid))
     if W.accel is not None:
         boundary = lam_v * geom.pair(W.accel, vel)
         total += float(boundary[-1] - boundary[0])
@@ -499,7 +497,7 @@ def index_form(geom: CurveGeometry, V: VariationField, W: VariationField,
                   + geom.pair(Wp, vel) * geom.pair(Vv, geom.grad_h))
     integrand += (geom.pair(Vp, vel) * geom.pair(Wp, geom.grad_v)
                   + geom.pair(Wp, vel) * geom.pair(Vp, geom.grad_v))
-    total = float(simpson(integrand, x=curve.grid))
+    total = float(simpson(integrand, curve.grid))
     if Q is not None and Q.d > 0:
         S = second_fundamental_form(Q, vel[-1], Vv[-1], Wv[-1], m)
         total += lam_v[-1] * float(S @ geom.g[-1] @ vel[-1])
@@ -663,7 +661,7 @@ def find_focal_points(curve: DiscreteCurve, P: SubmanifoldPatch,
     npts = curve.grid.size
     M = np.stack([sol.J for sol in sols], axis=2)
     Mdot = np.stack([sol.J_dot for sol in sols], axis=2)
-    spline = CubicHermiteSpline(curve.grid, M, Mdot, axis=0)
+    spline = HermiteSpline(curve.grid, M, Mdot)
     dets = np.array([np.linalg.det(M[k]) for k in range(npts)])
     out: list[FocalPoint] = []
     for k in range(1, npts - 1):
@@ -711,8 +709,7 @@ def transfer_jacobi(geom: CurveGeometry, Jsol: JacobiSolution,
     mu = rep.inverse(grid)
     mu[0], mu[-1] = Jsol.grid[0], Jsol.grid[-1]
     J_spline = Jsol.spline()
-    K_spline = CubicHermiteSpline(
-        Jsol.grid, Jsol.K, spline_derivative(Jsol.grid, Jsol.K), axis=0)
+    K_spline = HermiteSpline(Jsol.grid, Jsol.K, spline_derivative(Jsol.grid, Jsol.K))
     lam_v = geom.lam_values
     lam_r = geom.lam_rate
     J = J_spline(mu)
@@ -720,8 +717,8 @@ def transfer_jacobi(geom: CurveGeometry, Jsol: JacobiSolution,
     s = geom.pair(J, geom.grad_h) + geom.pair(K, geom.grad_v)
     s_dot = spline_derivative(grid, s)
     forcing = -s_dot / lam_v + s * lam_r / lam_v ** 2
-    q = cumulative_simpson(forcing, x=grid, initial=0.0)
-    H = cumulative_simpson(q, x=grid, initial=0.0)
+    q = cumulative_simpson(forcing, grid)
+    H = cumulative_simpson(q, grid)
     span = grid[-1] - grid[0]
     h = H - (grid - grid[0]) * (H[-1] / span)
     h[0] = 0.0

@@ -300,6 +300,39 @@ def test_exit_code_two_on_sin_of_an_infinite_argument(tmp_path, capsys):
     assert_single_error_line(capsys, "sin")
 
 
+@pytest.mark.parametrize("seed", ["-5", "18446744073709551616"])
+def test_exit_code_two_on_a_config_seed_outside_u64(tmp_path, capsys, seed):
+    cfg = write_config(tmp_path, TENSORS_CFG.replace("seed = 11", f"seed = {seed}"))
+    assert cli.main(["tensors", "--config", cfg]) == 2
+    assert_single_error_line(capsys, "seed", seed)
+
+
+@pytest.mark.parametrize("seed", ["-1", "18446744073709551616"])
+def test_exit_code_two_on_a_seed_flag_outside_u64(tmp_path, capsys, seed):
+    cfg = write_config(tmp_path, TENSORS_CFG)
+    assert cli.main(["tensors", "--config", cfg, "--seed", seed]) == 2
+    assert_single_error_line(capsys, "--seed", seed)
+
+
+def test_the_largest_u64_seed_runs(tmp_path):
+    cfg = write_config(tmp_path, TENSORS_CFG)
+    assert cli.main(["tensors", "--config", cfg, "--seed", str(2 ** 64 - 1)]) == 0
+
+
+def test_exit_code_two_on_a_config_that_is_not_utf8(tmp_path, capsys):
+    path = tmp_path / "exp.ini"
+    path.write_bytes(TENSORS_CFG.encode().replace(b"[run]", b"# \xff\n[run]"))
+    assert cli.main(["tensors", "--config", str(path)]) == 2
+    assert_single_error_line(capsys, "exp.ini", "utf-8")
+
+
+def test_exit_code_two_on_a_metric_file_that_is_not_utf8(tmp_path, capsys):
+    (tmp_path / "odd.metric").write_bytes(b"dim=2\n# \xff\ny0^2 - y1^2\n")
+    cfg = write_config(tmp_path, "[metric]\nmetric = odd.metric\n[run]\nsamples = 5\n")
+    assert cli.main(["tensors", "--config", cfg]) == 2
+    assert_single_error_line(capsys, "odd.metric", "utf-8")
+
+
 def _metric_expressions():
     # (1e300*1e300) overflows to inf, and so may an argument scaled by it
     atoms = st.sampled_from(["x0", "x1", "y0", "y1", "0", "2.5", "1e300",
