@@ -154,7 +154,9 @@ def load_config(path) -> Config:
     try:
         parser.read_string(path.read_text(encoding="utf-8"))
     except (configparser.Error, UnicodeDecodeError) as exc:
-        raise ConfigError(f"{path}: {exc}")
+        # configparser spreads some messages over lines; an error is one line
+        raise ConfigError(f"{path}: " + " ".join(
+            line.strip() for line in str(exc).splitlines()))
     data = {section: dict(parser.items(section)) for section in parser.sections()}
     return Config(data, str(path))
 

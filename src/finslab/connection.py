@@ -48,8 +48,8 @@ from .curves import DiscreteCurve, spline_derivative
 from .dsl import MetricDefinition, SampleBatch, TangentSample
 from .errors import GridMismatch, InadmissibleSample
 from .jets import Jet, jet_space
-from .tensors import (_inadmissible, _require_admissible, fundamental_tensor,
-                      inverse_metric)
+from .tensors import (_inadmissible, _require_admissible, _require_nondegenerate,
+                      fundamental_tensor, inverse_metric)
 
 __all__ = [
     "SprayValue", "ChristoffelField", "ConnectionFrame",
@@ -283,17 +283,42 @@ def spray(m: MetricDefinition, v: TangentSample) -> SprayValue:
 
 
 def spray_coefficients(m: MetricDefinition, v: TangentSample) -> np.ndarray:
-    """Fast path used by integrators: spray values only, from one order-2 jet.
+    """Spray values only, from one order-2 jet (see `_spray`)."""
+    return _spray(m.jet(v, 2).c, v.y)
 
-    G = (1/4) g^{-1} (A y - b) with A_lk = d2L/dy^l dx^k and b_l = dL/dx^l.
-    """
-    n = v.dim
-    L = m.jet(v, 2)
-    b = L.partials(1)[:n]
-    hess = L.partials(2)
-    A = hess[n:, :n]
-    g = 0.5 * hess[n:, n:]
-    return 0.25 * (inverse_metric(g) @ (A @ v.y - b))
+
+def _spray(c: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """The spray kernel: G = (1/4) z with g z = A y - b, where g_lk =
+    (1/2) d2L/dy^l dy^k, A_lk = d2L/dy^l dx^k and b_l = dL/dx^l are read
+    from the order-2 jet coefficients c of L at the fiber vector y.
+
+    c and y hold one sample, or S samples along a leading axis; the
+    degeneracy test and the solve run once over the stack, and row k equals
+    the kernel at sample k alone, to the bit."""
+    n = y.shape[-1]
+    jet = Jet(jet_space(2 * n, 2), c)
+    hess = jet.partials(2)
+    g = 0.5 * hess[..., n:, n:]
+    _require_nondegenerate(g)
+    r = hess[..., n:, :n] @ y[..., None] - jet.partials(1)[..., :n, None]
+    return 0.25 * np.linalg.solve(g, r)[..., 0]
+
+
+def _sprays_along(m: MetricDefinition, times: np.ndarray, positions: np.ndarray,
+                  velocities: np.ndarray) -> np.ndarray:
+    """Spray values at the samples (x_k, y_k) of a curve, by the kernel over
+    near-equal chunks of samples; errors are those of a loop over samples,
+    and an inadmissible sample names its curve time (see `_in_order`)."""
+    out = np.empty(positions.shape)
+    for rows in _chunks(len(positions)):
+        out[rows] = _in_order(_batch_spray, m, positions[rows], velocities[rows],
+                              times[rows])
+    return out
+
+
+def _batch_spray(m: MetricDefinition, batch: SampleBatch) -> np.ndarray:
+    _require_admissible(m, batch)
+    return _spray(m.jet(batch, 2).c, batch.y)
 
 
 def christoffel(m: MetricDefinition, v: TangentSample) -> ChristoffelField:
@@ -392,15 +417,15 @@ def _scalar_partials(jet: Jet) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _scalar_partials_along(f: MetricDefinition, positions: np.ndarray,
-                           velocities: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-    """(d/dx, d/dy) of the scalar f at each sample (x_k, y_k), from order-2
-    jets evaluated chunk by chunk."""
-    out = []
+                           velocities: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(d/dx, d/dy) of the scalar f at the samples (x_k, y_k), as two (S, n)
+    arrays, from order-2 jets evaluated chunk by chunk."""
+    dx, dy = np.empty(positions.shape), np.empty(positions.shape)
     for rows in _chunks(len(positions)):
-        dx, dy = _in_order(lambda f, batch: _scalar_partials(f.jet(batch, 2)),
-                           f, positions[rows], velocities[rows])
-        out.extend(zip(dx, dy))
-    return out
+        dx[rows], dy[rows] = _in_order(
+            lambda f, batch: _scalar_partials(f.jet(batch, 2)),
+            f, positions[rows], velocities[rows])
+    return dx, dy
 
 
 def horizontal_derivative(f: MetricDefinition, X, v: TangentSample,

@@ -11,9 +11,10 @@ class DiscreteCurve:
     """Strictly increasing time grid (uniform except possibly the last
     interval) with chart positions, velocities and accelerations.
 
-    Dense output interpolates positions from (x, v) node data and velocities
-    from (v, a) node data, so both are accurate to the interpolation order of
-    a cubic Hermite between nodes and exact at the nodes.
+    Dense output is one cubic Hermite over the columns (x | v) with node
+    slopes (v | a): positions interpolate (x, v) node data and velocities
+    (v, a) node data, so both are accurate to the interpolation order of a
+    cubic Hermite between nodes and exact at the nodes.
     """
 
     def __init__(self, grid: np.ndarray, positions: np.ndarray,
@@ -26,8 +27,9 @@ class DiscreteCurve:
                 == self.velocities.shape == self.accelerations.shape
                 == (self.grid.size, self.positions.shape[1])):
             raise ValueError("curve arrays must share the shape (len(grid), n)")
-        self._pos_spline = HermiteSpline(self.grid, self.positions, self.velocities)
-        self._vel_spline = HermiteSpline(self.grid, self.velocities, self.accelerations)
+        self._dense = HermiteSpline(
+            self.grid, np.hstack((self.positions, self.velocities)),
+            np.hstack((self.velocities, self.accelerations)))
 
     # --- basic queries ----------------------------------------------------
 
@@ -47,14 +49,19 @@ class DiscreteCurve:
     def step(self) -> float:
         return float(self.grid[1] - self.grid[0])
 
+    def state(self, t):
+        """(position, velocity) at t, from one evaluation of the dense output."""
+        s = self._dense(t)
+        return s[..., :self.dim], s[..., self.dim:]
+
     def position(self, t):
-        return self._pos_spline(t)
+        return self.state(t)[0]
 
     def velocity(self, t):
-        return self._vel_spline(t)
+        return self.state(t)[1]
 
     def acceleration(self, t):
-        return self._vel_spline.derivative(t)
+        return self._dense.derivative(t)[..., self.dim:]
 
     # --- exports -------------------------------------------------------------
 

@@ -853,10 +853,16 @@ class MetricDefinition:
             if not finite.all():
                 raise self._not_finite(sample[int(np.argmin(finite))])
         else:
-            c = self._body.jet(self._point(sample.x, sample.y), order)
-            if not np.isfinite(c).all():
-                raise self._not_finite(sample)
+            c = self._point_jet(self._point(sample.x, sample.y), order)
         return jets.Jet(jets.jet_space(2 * self.dim, order), c)
+
+    def _point_jet(self, point: list[float], order: int) -> np.ndarray:
+        """The jet coefficients at one point x + y, given as a list of 2n
+        floats, or the EvaluationDomainError of a jet that is not finite."""
+        c = self._body.jet(point, order)
+        if not np.isfinite(c).all():
+            raise self._not_finite(TangentSample(point[:self.dim], point[self.dim:]))
+        return c
 
     def _not_finite(self, sample: TangentSample) -> EvaluationDomainError:
         return EvaluationDomainError(
@@ -878,8 +884,12 @@ class MetricDefinition:
             return (values > 0.0).all(axis=0)
         if sample.dim != self.dim:
             return False
+        return self._point_admissible(sample.x.tolist() + sample.y.tolist())
+
+    def _point_admissible(self, point: list[float]) -> bool:
+        """`admissible` at one point x + y, given as a list of 2n floats."""
         try:
-            values = self._domain.floats(sample.x.tolist() + sample.y.tolist())
+            values = self._domain.floats(point)
         except EvaluationDomainError:
             return False
         return all(v > 0.0 for v in values)

@@ -2,8 +2,9 @@
 reparametrization of lightlike geodesics.
 
 The integrator is classical fixed-step RK4 on the first-order system
-(x, y) -> (y, -2G(x, y)); every stage is checked against the conic domain so
-fractional-power metrics fail loudly instead of producing NaNs mid-step.
+(x, y) -> (y, -2G(x, y)); every stage state is checked to be finite and
+inside the conic domain, so fractional-power metrics fail loudly instead of
+producing NaNs mid-step.
 
 Lightcone projection runs Newton's method over a whole `SampleBatch` at
 once: each iteration takes one batched order-2 jet of the still-active
@@ -11,8 +12,9 @@ samples and checks each backtracking round's candidates in one row-wise
 domain check.  The scalar arithmetic of each sample (steps, halvings,
 tolerances, dot products) is that of a sample projected alone, so every
 sample ends where, and fails with the error with which, it would alone.
-Values along a curve (`lightlike_defect`, `factor_values`) come from the
-row-wise float program, equal to the values node by node.
+Values along a curve (`lightlike_defect`, `factor_values`, `energy`) come
+from the row-wise float program, equal to the values node by node; row-wise
+dot products are stacked matmuls, which round as the 1-D `@` does.
 """
 
 from __future__ import annotations
@@ -21,10 +23,11 @@ import math
 
 import numpy as np
 
-from .connection import _scalar_partials_along, spray_coefficients
+from .connection import _in_order, _scalar_partials_along, _spray, _sprays_along
 from .curves import DiscreteCurve, Reparametrization
 from .dsl import MetricDefinition, SampleBatch, TangentSample, _outcomes
-from .errors import DomainExit, InadmissibleSample, NoConvergence, TransversalityFailure
+from .errors import (DomainExit, EvaluationDomainError, InadmissibleSample,
+                     NoConvergence, TransversalityFailure)
 from .numerics import simpson
 from .tensors import _inadmissible, _require_admissible, legendre
 
@@ -43,10 +46,6 @@ CONE_PROJECTION_TOL = 1e-12
 # conformal factor helpers (a factor is a degree-0 definition or None)
 # --------------------------------------------------------------------------
 
-def _factor_value(lam, x, y) -> float:
-    return 1.0 if lam is None else lam.value(x, y)
-
-
 def factor_values(lam, curve: DiscreteCurve) -> np.ndarray:
     """The factor evaluated on the curve's velocity samples."""
     if lam is None:
@@ -56,12 +55,16 @@ def factor_values(lam, curve: DiscreteCurve) -> np.ndarray:
 
 def _chain_rates(lam, positions, velocities, accelerations) -> np.ndarray:
     """d/dt of the factor at curve samples (x, xdot, xddot), by the chain rule."""
-    out = np.zeros(len(positions))
-    if lam is not None:
-        partials = _scalar_partials_along(lam, positions, velocities)
-        for k, ((dx, dy), y, a) in enumerate(zip(partials, velocities, accelerations)):
-            out[k] = dx @ y + dy @ a
-    return out
+    if lam is None:
+        return np.zeros(len(positions))
+    dx, dy = _scalar_partials_along(lam, positions, velocities)
+    return _row_dots(dx, velocities) + _row_dots(dy, accelerations)
+
+
+def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The dot products a[k] @ b[k] of the rows of two (S, n) arrays, as a
+    stacked matmul, which rounds as the 1-D `@` of each pair does."""
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
 
 
 def factor_rate(lam, curve: DiscreteCurve) -> np.ndarray:
@@ -83,10 +86,16 @@ def rk4_step(f, t: float, s, h: float, k1):
 
 
 def _rhs(m: MetricDefinition, x: np.ndarray, y: np.ndarray, t: float) -> np.ndarray:
-    v = TangentSample(x, y)
-    if not m.admissible(v):
+    """The acceleration -2G(x, y) of the RK stage at curve time t, from one
+    domain check and one order-2 jet at the point x + y."""
+    point = x.tolist() + y.tolist()
+    if not all(map(math.isfinite, point)):
+        raise EvaluationDomainError(f"the integration state is not finite at t={t!r}")
+    if not any(point[len(x):]):
+        raise ValueError("fiber vector must be nonzero")
+    if not m._point_admissible(point):
         raise DomainExit(t)
-    return -2.0 * spray_coefficients(m, v)
+    return -2.0 * _spray(m._point_jet(point, 2), y)
 
 
 def integrate_geodesic(m: MetricDefinition, x0, v0, t_span: tuple[float, float],
@@ -94,8 +103,9 @@ def integrate_geodesic(m: MetricDefinition, x0, v0, t_span: tuple[float, float],
     """Fixed-step RK4 integration of xdd = -2G(x, xd).
 
     The step is shrunk minimally so that it divides the span exactly.  Raises
-    DomainExit if any RK stage leaves the conic domain, SingularMetric if the
-    fundamental tensor degenerates along the way.
+    EvaluationDomainError if an RK stage state is not finite, DomainExit if
+    a stage leaves the conic domain, SingularMetric if the fundamental tensor
+    degenerates along the way.
     """
     if h <= 0:
         raise ValueError("step must be positive")
@@ -263,9 +273,10 @@ def _newton_values(m: MetricDefinition, x, y, w, rows: np.ndarray, value, slope,
 
 def lightlike_defect(curve: DiscreteCurve, m: MetricDefinition) -> float:
     """max over nodes of |L(velocity)| normalized by the squared fiber norm."""
-    values = m.value(curve.positions, curve.velocities).tolist()
-    return max([0.0] + [abs(v) / max(1.0, float(y @ y))
-                        for v, y in zip(values, curve.velocities)])
+    ys = curve.velocities
+    values = m.value(curve.positions, ys)
+    return float(np.max(np.abs(values) / np.maximum(1.0, _row_dots(ys, ys)),
+                        initial=0.0))
 
 
 def check_lightlike(curve: DiscreteCurve, m: MetricDefinition) -> None:
@@ -281,32 +292,35 @@ def check_lightlike(curve: DiscreteCurve, m: MetricDefinition) -> None:
 
 def energy(curve: DiscreteCurve, m: MetricDefinition, lam=None) -> float:
     """(1/2) integral of factor(velocity) * L(velocity) over the curve."""
-    vals = np.empty(curve.grid.size)
-    for k, (x, y) in enumerate(zip(curve.positions, curve.velocities)):
-        _require_admissible(m, TangentSample(x, y), curve.grid[k])
-        vals[k] = 0.5 * _factor_value(lam, x, y) * m.value(x, y)
+    def integrand(m, batch):
+        _require_admissible(m, batch)
+        factor = 1.0 if lam is None else lam.value(batch.x, batch.y)
+        return 0.5 * factor * m.value(batch.x, batch.y)
+
+    vals = _in_order(integrand, m, curve.positions, curve.velocities, curve.grid)
     return float(simpson(vals, curve.grid))
 
 
 def _pregeodesic_defects(curve: DiscreteCurve, m: MetricDefinition, lam, nodes):
-    """D(factor * velocity) at the given nodes under the connection of m.
+    """D(factor * velocity) at the given nodes (an index array) under the
+    connection of m, one row per node.
 
     Along the curve's own velocity Gamma(v)(v, v) = 2G(x, v), so the defect
-    is factor_rate * v + factor * (a + 2G(x, v)) and needs no frame."""
-    lam_vals = factor_values(lam, curve)
-    lam_rate = factor_rate(lam, curve)
-    for k in nodes:
-        v = TangentSample(curve.positions[k], curve.velocities[k])
-        _require_admissible(m, v, curve.grid[k])
-        yield lam_rate[k] * v.y + lam_vals[k] * (
-            curve.accelerations[k] + 2.0 * spray_coefficients(m, v))
+    is factor_rate * v + factor * (a + 2G(x, v)) and needs no frame.  The
+    first failing node in curve order raises, an inadmissible one with its
+    curve time."""
+    ys = curve.velocities[nodes]
+    G = _sprays_along(m, curve.grid[nodes], curve.positions[nodes], ys)
+    lam_vals = factor_values(lam, curve)[nodes, None]
+    lam_rate = factor_rate(lam, curve)[nodes, None]
+    return lam_rate * ys + lam_vals * (curve.accelerations[nodes] + 2.0 * G)
 
 
 def pregeodesic_residual(curve: DiscreteCurve, m: MetricDefinition, lam=None) -> float:
     """max interior norm of D(factor * velocity) along the curve, under the
     connection of the base metric m."""
-    defects = _pregeodesic_defects(curve, m, lam, range(1, curve.grid.size - 1))
-    return max((float(np.linalg.norm(d)) for d in defects), default=0.0)
+    defects = _pregeodesic_defects(curve, m, lam, np.arange(1, curve.grid.size - 1))
+    return float(np.max(np.sqrt(_row_dots(defects, defects)), initial=0.0))
 
 
 # --------------------------------------------------------------------------
@@ -326,8 +340,9 @@ def reparametrize_conformal(curve: DiscreteCurve, lam, m: MetricDefinition
     lo, hi = curve.t0, curve.t1
 
     def rate(mu: float, phi: float) -> float:
-        t = min(max(phi, lo), hi)
-        return _factor_value(lam, curve.position(t), curve.velocity(t))
+        if lam is None:
+            return 1.0
+        return lam.value(*curve.state(min(max(phi, lo), hi)))
 
     h = curve.step
     mus = [curve.t0]
@@ -365,8 +380,7 @@ def reparametrize_conformal(curve: DiscreteCurve, lam, m: MetricDefinition
     phidots = np.array(rates[:len(phis) - 1] + [rate(mus[-1], hi)])
     rep = Reparametrization(mus, phis, phidots)
 
-    positions = curve.position(phis)
-    base_vel = curve.velocity(phis)
+    positions, base_vel = curve.state(phis)
     base_acc = curve.acceleration(phis)
     velocities = phidots[:, None] * base_vel
     # second derivative of the factor map via the chain rule; exact node data

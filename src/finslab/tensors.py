@@ -9,7 +9,6 @@ carries a leading sample axis, from one jet of the batch.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -89,38 +88,25 @@ def legendre(m: MetricDefinition, v: TangentSample | SampleBatch) -> np.ndarray:
 
 
 def inverse_metric(g: FundamentalTensor | np.ndarray) -> np.ndarray:
-    """Inverse of the fundamental tensor, or SingularMetric if degenerate.
-
-    Degeneracy threshold: |det(g / max|g_ij|)| <= DEGENERACY_TOL, which
-    cannot overflow; a non-finite entry is an EvaluationDomainError.  A
-    stack of matrices (leading sample axes) is inverted matrix by matrix
-    with the same arithmetic; the first failing matrix names the error.
-    """
+    """Inverse of the fundamental tensor, or a stack of them (leading sample
+    axes), after the degeneracy test of `_require_nondegenerate`."""
     mat = g.matrix if isinstance(g, FundamentalTensor) else np.asarray(g, dtype=float)
-    if mat.ndim > 2:
-        return _inverse_metrics(mat)
-    n = mat.shape[0]
-    scale = float(np.max(np.abs(mat)))
-    if not math.isfinite(scale):
-        raise EvaluationDomainError("fundamental tensor has a non-finite entry")
-    det = float(np.linalg.det(mat / scale)) if scale > 0.0 else 0.0
-    if abs(det) <= DEGENERACY_TOL:
-        raise _degenerate(det, scale)
-    return np.linalg.solve(mat, np.eye(n))
+    _require_nondegenerate(mat)
+    return np.linalg.solve(mat, np.eye(mat.shape[-1]))
 
 
-def _inverse_metrics(mats: np.ndarray) -> np.ndarray:
-    scales = np.max(np.abs(mats), axis=(-2, -1))
+def _require_nondegenerate(mat: np.ndarray) -> None:
+    """The one degeneracy test, of one matrix or a stack (leading sample
+    axes): a non-finite entry is an EvaluationDomainError, and
+    |det(g / max|g_ij|)| <= DEGENERACY_TOL, which cannot overflow, is
+    SingularMetric.  The first failing matrix of a stack names the error."""
+    scales = np.abs(mat).max(axis=(-2, -1))
     if not np.isfinite(scales).all():
         raise EvaluationDomainError("fundamental tensor has a non-finite entry")
-    dets = np.linalg.det(mats / np.where(scales > 0.0, scales, 1.0)[..., None, None])
-    for det, scale in zip(dets.ravel().tolist(), scales.ravel().tolist()):
-        if abs(det) <= DEGENERACY_TOL:
-            raise _degenerate(det, scale)
-    return np.linalg.solve(mats, np.eye(mats.shape[-1]))
-
-
-def _degenerate(det: float, scale: float) -> SingularMetric:
-    return SingularMetric(
-        f"fundamental tensor is degenerate: |det g/scale|={abs(det):.3e} "
-        f"at scale {scale:.3e}")
+    dets = np.linalg.det(mat / np.where(scales > 0.0, scales, 1.0)[..., None, None])
+    bad = np.abs(dets) <= DEGENERACY_TOL
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise SingularMetric(
+            f"fundamental tensor is degenerate: |det g/scale|={abs(dets.flat[k]):.3e} "
+            f"at scale {scales.flat[k]:.3e}")

@@ -235,7 +235,7 @@ class CurveGeometry:
             _, ginv, N, _, _ = self._table
             c = self.curve
             partials = _scalar_partials_along(self.lam, c.positions, c.velocities)
-            for k, (dx, dy) in enumerate(partials):
+            for k, (dx, dy) in enumerate(zip(*partials)):
                 gv[k] = ginv[k] @ dy
                 gh[k] = ginv[k] @ (dx - N[k].T @ dy)
         return gh, gv

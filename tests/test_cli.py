@@ -290,6 +290,29 @@ def test_exit_code_two_on_a_non_finite_metric_jet(tmp_path, capsys):
     assert_single_error_line(capsys, "not finite")
 
 
+def test_exit_code_two_on_a_metric_that_degenerates_mid_curve(tmp_path, capsys):
+    """g = diag(-1, exp(x0^3)) has the scaled determinant exp(-x0^3), which
+    falls below the degeneracy tolerance near x0 = 3.02, inside the span."""
+    (tmp_path / "cubic.metric").write_text("dim=2\n-y0^2 + exp(x0^3)*y1^2\n")
+    cfg = write_config(tmp_path, "[metric]\nmetric = cubic.metric\nx0 = 0, 0\n"
+                                 "v0 = 1, 0.5\n[run]\nt1 = 5\nstep = 1e-2\n")
+    assert cli.main(["geodesic", "--config", cfg]) == 2
+    assert_single_error_line(capsys, "degenerate")
+
+
+def test_exit_code_two_on_a_non_finite_integration_state(tmp_path, capsys):
+    """A x0*y0*y1 term large enough that A y - b overflows at the first node:
+    the next RK stage state is not finite, and is named by its curve time."""
+    (tmp_path / "overflowing.metric").write_text(
+        "dim=3\ndomain=sin(x1)\n"
+        "-y0^2 + y1^2 + pow(sin(x1), 2) * y2^2 + 1e300*x0*y0*y1\n")
+    cfg = write_config(tmp_path, "[metric]\nmetric = overflowing.metric\n"
+                                 "x0 = 0, 1.5707963267948966, 0\nv0 = 1e5, 1, 1\n"
+                                 "[run]\nt1 = 1\nstep = 1e-2\n")
+    assert cli.main(["geodesic", "--config", cfg]) == 2
+    assert_single_error_line(capsys, "state is not finite at t=0.005")
+
+
 def test_exit_code_two_on_sin_of_an_infinite_argument(tmp_path, capsys):
     (tmp_path / "wobble.metric").write_text(
         "dim=2\ndomain=y0 - y1; y0 + y1\n"
@@ -331,6 +354,17 @@ def test_exit_code_two_on_a_metric_file_that_is_not_utf8(tmp_path, capsys):
     cfg = write_config(tmp_path, "[metric]\nmetric = odd.metric\n[run]\nsamples = 5\n")
     assert cli.main(["tensors", "--config", cfg]) == 2
     assert_single_error_line(capsys, "odd.metric", "utf-8")
+
+
+@pytest.mark.parametrize("text,fragment", [
+    ("metric = einstein-static\n[run]\nseed = 1\n", "no section headers"),
+    ("[metric]\nmetric = einstein-static\nstray line\n", "parsing errors")],
+    ids=["no-section-header", "parsing-error"])
+def test_exit_code_two_with_one_line_on_a_malformed_ini(tmp_path, capsys, text,
+                                                        fragment):
+    cfg = write_config(tmp_path, text)
+    assert cli.main(["geodesic", "--config", cfg]) == 2
+    assert_single_error_line(capsys, "exp.ini", fragment)
 
 
 def _metric_expressions():

@@ -420,6 +420,33 @@ def test_a_batched_frame_and_table_equal_single_sample_frames(m):
                     single.christoffel(), single.jacobi_matrix())
             for table, value in zip(tables, want):
                 assert np.array_equal(table[k], value)
+        # the spray kernel over the batch, and along a curve in chunks
+        sprays = [connection.spray_coefficients(m, v) for v in samples]
+        batched = connection._spray(m.jet(dsl.SampleBatch(X, Y), 2).c, Y)
+        along = connection._sprays_along(m, np.arange(count, dtype=float), X, Y)
+        for k, spray in enumerate(sprays):
+            assert np.array_equal(batched[k], spray)
+            assert np.array_equal(along[k], spray)
+
+
+def _inverse_spray(m, v):
+    """The spray by the explicit inverse, G = (1/4) g^{-1} (A y - b)."""
+    n = v.dim
+    jet = m.jet(v, 2)
+    hess = jet.partials(2)
+    g = 0.5 * hess[n:, n:]
+    return 0.25 * (tensors.inverse_metric(g) @ (hess[n:, :n] @ v.y - jet.partials(1)[:n]))
+
+
+@pytest.mark.parametrize("m", _metrics_with_frames(), ids=lambda m: m.name)
+def test_the_spray_kernel_agrees_with_the_inverse_metric_formula(m):
+    """The kernel solves g z = A y - b directly; the explicit inverse gives
+    the same spray up to round-off."""
+    rng = np.random.default_rng(7 + len(m.name))
+    for v in dsl.sample_admissible(m, rng, count=20):
+        want = _inverse_spray(m, v)
+        got = connection.spray_coefficients(m, v)
+        assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want), m.name
 
 
 # A metric whose frame fails in four ways, chosen by the sample: x0 = 0 makes
@@ -432,13 +459,27 @@ FAILURES = {"singular": (0.0, 0.0), "outside": (6.0, 0.0),
             "not finite": (1.0, 1.0), "log": (1.0, -5.0)}
 
 
-def _loop_error(m, times, X, Y):
-    """The error of one frame per sample in curve order, with an
-    inadmissible sample named by its curve time."""
+def _frame_at(m, v):
+    frame = connection.ConnectionFrame(m, v, order=4)
+    frame.christoffel(), frame.jacobi_matrix()
+
+
+def _spray_at(m, v):
+    tensors._require_admissible(m, v)
+    connection.spray_coefficients(m, v)
+
+
+def _defects_along(m, times, X, Y):
+    curve = finslab.DiscreteCurve(times, X, Y, np.zeros_like(Y))
+    geodesics._pregeodesic_defects(curve, m, None, np.arange(len(times)))
+
+
+def _loop_error(m, times, X, Y, evaluate):
+    """The error of evaluate(m, sample) in a loop over samples in curve
+    order, with an inadmissible sample named by its curve time."""
     for t, x, y in zip(times, X, Y):
         try:
-            frame = connection.ConnectionFrame(m, dsl.TangentSample(x, y), order=4)
-            frame.christoffel(), frame.jacobi_matrix()
+            evaluate(m, dsl.TangentSample(x, y))
         except finslab.InadmissibleSample:
             return finslab.InadmissibleSample, (
                 f"curve leaves the domain of {m.name!r} at t={t!r}")
@@ -447,14 +488,32 @@ def _loop_error(m, times, X, Y):
     return None
 
 
-@pytest.mark.parametrize("first,later", [(a, b) for a in sorted(FAILURES)
-                                         for b in sorted(FAILURES) if a != b])
-@pytest.mark.parametrize("at", ["mid-chunk", "chunk-end", "chunk-start"])
+PLANTED = pytest.mark.parametrize("first,later", [
+    (a, b) for a in sorted(FAILURES) for b in sorted(FAILURES) if a != b])
+PLACES = pytest.mark.parametrize("at", ["mid-chunk", "chunk-end", "chunk-start"])
+
+
+@PLANTED
+@PLACES
 def test_the_first_failing_sample_in_curve_order_decides_the_error(first, later, at):
     """One failure in the middle of a chunk, at its last sample or at its
     first, and another kind right after it (in the same chunk, or at the
     start of the next): the table raises what a loop over samples raises,
     the earlier sample's error."""
+    _check_first_failure(first, later, at, connection._frame_tables, _frame_at)
+
+
+@PLANTED
+@PLACES
+def test_the_first_failing_node_decides_the_pregeodesic_defect_error(first, later, at):
+    """The same planted failures along a curve: the pregeodesic defects,
+    whose spray kernel runs chunk by chunk, raise what the loop of one domain
+    check and one `spray_coefficients` per node raises, an inadmissible node
+    with its curve time."""
+    _check_first_failure(first, later, at, _defects_along, _spray_at)
+
+
+def _check_first_failure(first, later, at, along, evaluate):
     chunk = connection.CHUNK
     k = {"mid-chunk": chunk + chunk // 2, "chunk-end": chunk - 1,
          "chunk-start": chunk}[at]
@@ -464,9 +523,9 @@ def test_the_first_failing_sample_in_curve_order_decides_the_error(first, later,
     Y = np.tile([1.0, 0.5], (s, 1))
     X[k], X[k + 1] = FAILURES[first], FAILURES[later]
     with np.errstate(over="ignore", invalid="ignore"):
-        error, message = _loop_error(EDGE_METRIC, times, X, Y)
+        error, message = _loop_error(EDGE_METRIC, times, X, Y, evaluate)
         with pytest.raises(error) as caught:
-            connection._frame_tables(EDGE_METRIC, times, X, Y)
+            along(EDGE_METRIC, times, X, Y)
     assert str(caught.value) == message
     assert isinstance(caught.value, {
         "singular": finslab.SingularMetric, "outside": finslab.InadmissibleSample,

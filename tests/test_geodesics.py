@@ -92,6 +92,20 @@ def test_singular_metric_stops_the_integrator():
         geodesics.integrate_geodesic(rank_one, [0, 0], [1.0, 0.2], (0, 1), 1e-2)
 
 
+def test_a_non_finite_stage_state_is_named_by_its_curve_time():
+    """The x0*y0*y1 term overflows A y - b to inf at the first node, so the
+    next stage state is not finite.  Its y-dependent domain predicate cannot
+    be evaluated there; the integrator reports the state, not a domain
+    exit."""
+    m = dsl.parse_metric("-y0^2 + y1^2 + pow(sin(x1), 2) * y2^2 + 1e300*x0*y0*y1",
+                         3, domain=("sin(x1)", "1 + y0^2"), name="overflowing")
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(EvaluationDomainError) as err:
+            geodesics.integrate_geodesic(m, [0, np.pi / 2, 0], [1e5, 1.0, 1.0],
+                                         (0, 1), 1e-2)
+    assert str(err.value) == "the integration state is not finite at t=0.005"
+
+
 def test_dense_output_matches_nodes_exactly(minkowski3):
     curve = geodesics.integrate_geodesic(minkowski3, [0, 0, 0], [1, 0.3, 0.1],
                                          (0, 1), 1e-2)

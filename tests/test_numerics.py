@@ -69,6 +69,27 @@ def test_curve_acceleration_is_scipys_derivative():
     assert_bits(curve.acceleration(float(t[-1])), ref(float(t[-1])))
 
 
+def test_curve_dense_output_is_two_hermite_splines():
+    """A curve's one spline over (x | v) with slopes (v | a) evaluates as a
+    position spline over (x, v) and a velocity spline over (v, a) would, at
+    nodes, between them and beyond the ends, for a float and an array."""
+    rng = np.random.default_rng(4)
+    grid = _grid(30, "short-last", rng)
+    pos, vel, acc = (rng.normal(size=(30, 3)) for _ in range(3))
+    curve = DiscreteCurve(grid, pos, vel, acc)
+    pos_spline, vel_spline = HermiteSpline(grid, pos, vel), HermiteSpline(grid, vel, acc)
+    span = grid[-1] - grid[0]
+    t = np.concatenate([grid, rng.uniform(grid[0], grid[-1], 40),
+                        [grid[0] - 0.3 * span, grid[-1] + 0.3 * span]])
+    for point in [t, t[:40].reshape(20, 2)] + [float(p) for p in t[::7]]:
+        x, v = curve.state(point)
+        assert_bits(x, pos_spline(point))
+        assert_bits(v, vel_spline(point))
+        assert_bits(curve.position(point), pos_spline(point))
+        assert_bits(curve.velocity(point), vel_spline(point))
+        assert_bits(curve.acceleration(point), vel_spline.derivative(point))
+
+
 @pytest.mark.parametrize("tail", [(), (4,)], ids=["1d", "N-n"])
 @pytest.mark.parametrize("n,kind", GRIDS)
 def test_not_a_knot_slopes_match_scipy(n, kind, tail):
