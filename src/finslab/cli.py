@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import math
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -212,6 +213,19 @@ def _check_seed(seed: int, where: str) -> int:
     return seed
 
 
+def _check_tolerance(tol: float, where: str) -> float:
+    """A tolerance is finite and positive: a check against nan or inf
+    checks nothing, and one against a negative number always fails."""
+    if not (math.isfinite(tol) and tol > 0.0):
+        raise ConfigError(f"{where} must be finite and positive, got {tol!r}")
+    return tol
+
+
+def _tolerance(cfg: Config, default: float) -> float:
+    return _check_tolerance(cfg.get_float("run", "tol", default=default),
+                            f"{cfg.path}: [run] tol")
+
+
 def _sample_count(cfg: Config, default: int) -> int:
     count = cfg.get_int("run", "samples", default=default)
     if count < 1:
@@ -263,7 +277,7 @@ def run_geodesic(cfg: Config, seed: int, report: Report) -> None:
     m = _metric(cfg)
     t0 = cfg.get_float("run", "t0", default=0.0)
     x0, v0, t1, h = _curve_inputs(cfg, m, step=1e-3, t0=t0)
-    tol = cfg.get_float("run", "tol", default=1e-8)
+    tol = _tolerance(cfg, 1e-8)
     curve = integrate_geodesic(m, x0, v0, (t0, t1), h)
     L0 = m.value(x0, v0)
     drift = max(abs(L - L0)
@@ -276,7 +290,7 @@ def run_lightcone(cfg: Config, seed: int, report: Report) -> None:
     m1 = _metric(cfg, "metric")
     m2 = _metric(cfg, "metric2")
     budget = _sample_count(cfg, 64)
-    tol = cfg.get_float("run", "tol", default=1e-8)
+    tol = _tolerance(cfg, 1e-8)
     pair = ConformalPair(m1, m2, sample_budget=budget, seed=seed)
     rep = lightcones_coincide(pair, tol=tol)
     report.check("coincidence-verdict", 0.0 if rep.verdict else 1.0, 0.5,
@@ -289,7 +303,7 @@ def run_conformal_pregeodesic(cfg: Config, seed: int, report: Report) -> None:
     lam = _metric(cfg, "lambda")
     t0 = cfg.get_float("run", "t0", default=0.0)
     x0, v0, t1, h = _curve_inputs(cfg, m, step=1e-3, t0=t0)
-    tol = cfg.get_float("run", "tol", default=1e-6)
+    tol = _tolerance(cfg, 1e-6)
     start = _lightlike_start(m, x0, v0)
     scaled, _ = scale_metric(m, lam, sample_budget=8, seed=seed)
     curve = integrate_geodesic(scaled, start.x, start.y, (t0, t1), h)
@@ -369,7 +383,7 @@ def _parse_expected(cfg: Config) -> list[tuple[float, int]]:
 def run_focal(cfg: Config, seed: int, report: Report) -> None:
     m = _metric(cfg)
     x0, v0, t1, h = _curve_inputs(cfg, m, step=5e-3)
-    tol = cfg.get_float("run", "tol", default=1e-5)
+    tol = _tolerance(cfg, 1e-5)
     curve = integrate_geodesic(m, x0, v0, (0.0, t1), h)
     patch = _patch_from_config(cfg, x0, v0)
     found = find_focal_points(curve, patch, m)
@@ -387,7 +401,7 @@ def run_focal_correspondence(cfg: Config, seed: int, report: Report) -> None:
     m = _metric(cfg)
     lam = _metric(cfg, "lambda")
     x0, v0, t1, h = _curve_inputs(cfg, m, step=5e-3)
-    tol = cfg.get_float("run", "tol", default=1e-4)
+    tol = _tolerance(cfg, 1e-4)
     start = _lightlike_start(m, x0, v0)
     scaled, _ = scale_metric(m, lam, sample_budget=8, seed=seed)
     v_scaled = start.y / lam.value_at(start)
@@ -455,6 +469,8 @@ def main(argv=None) -> int:
     try:
         if args.seed is not None:
             _check_seed(args.seed, "--seed")
+        if args.tol is not None:
+            _check_tolerance(args.tol, "--tol")
         cfg = load_config(args.config)
         # a metric jet that overflows is reported once, as the typed error
         # raised by the non-finite guards, not also as numpy warnings

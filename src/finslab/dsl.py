@@ -918,66 +918,124 @@ def parse_metric(source: str, n: int, degree: int = 2,
 # --------------------------------------------------------------------------
 
 MAX_REJECTIONS = 10_000
+_LOG_HALF, _LOG_TWO = math.log(0.5), math.log(2.0)
 
 
 def sample_admissible(m: MetricDefinition, rng: np.random.Generator,
                       count: int = 1) -> list[TangentSample]:
     """Random admissible samples: x uniform in the metric's box, y uniform on
-    the unit sphere then rescaled by a random factor in [0.5, 2]."""
+    the unit sphere then rescaled by a random factor in [0.5, 2].
+
+    The samples, and the state the generator is left in, are those of a loop
+    that draws one candidate at a time (x, then y, then the scale factor
+    unless y is zero), keeps it if it is admissible and gives up after
+    MAX_REJECTIONS rejected candidates.  Candidates are drawn in blocks, the
+    first of `count` and each later one sized from the acceptance so far, and
+    one batched domain run checks a block.  When the loop would stop inside a
+    block, also to raise NoAdmissibleSample, the generator is rewound to the
+    start of the block and draws again only the candidates the loop draws."""
     domain = m._domain
     if domain.failure is not None or any(
             isinstance(p, float) and not (math.isfinite(p) and p > 0.0)
             for p in domain.outputs):
         raise NoAdmissibleSample(
             f"the domain of {m.name!r} is empty: a predicate is constant and not positive")
-    box = m.box()
+    low, span = _sampling_box(m)
     out: list[TangentSample] = []
     rejects = 0
     while len(out) < count:
         if rejects >= MAX_REJECTIONS:
             raise NoAdmissibleSample(
                 f"no admissible sample for {m.name!r} after {MAX_REJECTIONS} rejections")
-        x = rng.uniform(box[:, 0], box[:, 1])
-        y = rng.standard_normal(m.dim)
-        norm = np.linalg.norm(y)
-        if norm == 0.0:
-            rejects += 1
-            continue
-        y = y / norm * math.exp(rng.uniform(math.log(0.5), math.log(2.0)))
-        s = TangentSample(x, y)
-        if m.admissible(s):
-            out.append(s)
-        else:
-            rejects += 1
+        need, drawn = count - len(out), len(out) + rejects
+        size = -(-need * drawn // max(len(out), 1)) if drawn else need
+        size = min(size, need + MAX_REJECTIONS - rejects)
+        start = rng.bit_generator.state
+        x, y = _candidates(rng, low, span, size)
+        ok = y.any(axis=1)               # a zero y is rejected before its scale
+        if ok.any():
+            ok[ok] = m.admissible(SampleBatch(x[ok], y[ok]))
+        kept = np.cumsum(ok)
+        ends = np.flatnonzero((kept == need) | (
+            np.arange(1, size + 1) - kept + rejects >= MAX_REJECTIONS))
+        used = int(ends[0]) + 1 if len(ends) else size
+        if used < size:
+            rng.bit_generator.state = start
+            _candidates(rng, low, span, used)
+        out.extend(TangentSample(x[k], y[k]) for k in np.flatnonzero(ok[:used]).tolist())
+        rejects += used - int(kept[used - 1])
     return out
+
+
+def _sampling_box(m: MetricDefinition) -> tuple[np.ndarray, np.ndarray]:
+    """The low corner and the widths of the metric's box, checked as
+    `Generator.uniform` checks its bounds."""
+    box = m.box()
+    if box.shape != (m.dim, 2):
+        raise ValueError("chart point and fiber vector dimensions differ")
+    with np.errstate(over="ignore", invalid="ignore"):
+        span = box[:, 1] - box[:, 0]
+    if not np.isfinite(span).all():
+        raise OverflowError("Range exceeds valid bounds")
+    if (span < 0.0).any():
+        raise ValueError("high - low < 0")
+    return box[:, 0], span
+
+
+def _candidates(rng: np.random.Generator, low: np.ndarray, span: np.ndarray,
+                size: int) -> tuple[np.ndarray, np.ndarray]:
+    """The chart points and fiber vectors of `size` candidates, drawn one
+    after another as the one-at-a-time loop draws them: x as
+    `rng.uniform(low, low + span)`, y as `rng.standard_normal(n)` and, unless
+    y is zero, the log of its scale factor as `rng.uniform(log 0.5, log 2)`.
+    A zero y stays zero.  Every value equals that of the one-candidate
+    formula to the bit: a uniform row is `low + span * rng.random(n)`, the
+    norms are stacked matmuls, the dot product `np.linalg.norm` takes, and
+    the factors come from `math.exp`."""
+    n = low.size
+    u, y, t = np.empty((size, n)), np.empty((size, n)), np.zeros(size)
+    for k in range(size):
+        rng.random(out=u[k])
+        if any(rng.standard_normal(out=y[k]).tolist()):
+            t[k] = rng.random()
+    rows = y.any(axis=1)
+    v = y[rows]
+    norms = np.sqrt((v[:, None, :] @ v[:, :, None])[:, 0, 0])
+    factors = [math.exp(_LOG_HALF + (_LOG_TWO - _LOG_HALF) * s) for s in t[rows].tolist()]
+    y[rows] = v / norms[:, None] * np.array(factors)[:, None]
+    return low + span * u, y
 
 
 @dataclass(frozen=True)
 class HomogeneityReport:
-    samples: int
+    samples: int            # the samples checked: those whose scaled copy is admissible
     max_relative_error: float
     passed: bool
 
 
 def validate_homogeneity(m: MetricDefinition, samples: int, seed: int,
                          tol: float = 1e-9) -> HomogeneityReport:
-    """Check m(x, s*y) = s^degree * m(x, y) on random admissible samples."""
+    """Check m(x, s*y) = s^degree * m(x, y) on random admissible samples.
+    A sample whose scaled copy leaves the domain is skipped; the check fails
+    if every one is."""
     if samples < 1:
         raise ValueError("need at least one sample")
     rng = np.random.default_rng(seed)
     worst = 0.0
+    checked = 0
     for s in sample_admissible(m, rng, count=samples):
         scale = rng.uniform(0.5, 2.0)
         scaled = s.scaled(scale)
         if not m.admissible(scaled):
             continue
+        checked += 1
         base = m.value_at(s)
         val = m.value_at(scaled)
         expected = scale ** m.degree * base
         err = abs(val - expected) / max(1.0, abs(val), abs(base))
         worst = max(worst, err)
-    return HomogeneityReport(samples=samples, max_relative_error=worst,
-                             passed=worst <= tol)
+    return HomogeneityReport(samples=checked, max_relative_error=worst,
+                             passed=checked > 0 and worst <= tol)
 
 
 # --------------------------------------------------------------------------

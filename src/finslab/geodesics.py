@@ -11,7 +11,9 @@ once: each iteration takes one batched order-2 jet of the still-active
 samples and checks each backtracking round's candidates in one row-wise
 domain check.  The scalar arithmetic of each sample (steps, halvings,
 tolerances, dot products) is that of a sample projected alone, so every
-sample ends where, and fails with the error with which, it would alone.
+sample ends where, and fails with the error with which, it would alone; a
+sample whose step no longer moves it leaves the batch with the failure the
+remaining iterations would give it.
 Values along a curve (`lightlike_defect`, `factor_values`, `energy`) come
 from the row-wise float program, equal to the values node by node; row-wise
 dot products are stacked matmuls, which round as the 1-D `@` does.
@@ -165,7 +167,8 @@ def project_to_lightcone(m: MetricDefinition, v: TangentSample | SampleBatch, w,
     Steps that would leave the conic domain are halved, at most 60 times,
     which lets the iteration approach cones sitting on the domain boundary
     (fractional-power metrics).  Idempotent on vectors that are already
-    lightlike.
+    lightlike.  A sample whose step no longer moves delta would stay where it
+    is to the 50th iteration, and fails at once.
 
     At a `SampleBatch` with an (S, n) array w of probe rows, every sample is
     projected along its own row in one iteration over the batch, and the
@@ -181,6 +184,9 @@ def project_to_lightcone(m: MetricDefinition, v: TangentSample | SampleBatch, w,
     if isinstance(out, Exception):
         raise out
     return out
+
+
+_NOT_CONVERGED = "lightcone projection did not converge in 50 iterations"
 
 
 def _project(m: MetricDefinition, batch: SampleBatch, w: np.ndarray, tol: float
@@ -213,11 +219,18 @@ def _project(m: MetricDefinition, batch: SampleBatch, w: np.ndarray, tol: float
             return out
         rows = np.array(moving)
         rows, step = _backtrack(m, x, y0, w, delta, rows, -value[rows] / slope[rows], out)
+        # a row whose step no longer moves delta keeps its y, value and slope,
+        # so it would repeat this iteration unchanged until the 50th ends it
+        # in NoConvergence: it gets that outcome now and leaves the batch
+        stalled = delta[rows] + step == delta[rows]
+        for k in rows[stalled].tolist():
+            out[k] = NoConvergence(_NOT_CONVERGED)
+        rows, step = rows[~stalled], step[~stalled]
         delta[rows] += step
         y[rows] = y0[rows] + delta[rows][:, None] * w[rows]
         active = _newton_values(m, x, y, w, rows, value, slope, out)
     for k in active:
-        out[k] = NoConvergence("lightcone projection did not converge in 50 iterations")
+        out[k] = NoConvergence(_NOT_CONVERGED)
     return out
 
 

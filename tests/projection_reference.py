@@ -1,17 +1,53 @@
-"""The serial lightcone projection and cone sampling that the batched
+"""The serial rejection sampler, lightcone projection and cone sampling that
+the block-drawn `dsl.sample_admissible`, the batched
 `geodesics.project_to_lightcone` and `conformal.lightcones_coincide`
-replaced: one sample at a time, one jet per Newton iteration and one domain
-check per backtracking candidate.  Tests compare the batched code against
-these loops, outcome by outcome."""
+replaced: one candidate and one sample at a time, one jet per Newton
+iteration and one domain check per backtracking candidate.  Tests compare
+the batched code against these loops, outcome by outcome."""
+
+import math
 
 import numpy as np
 
 from finslab import dsl
 from finslab.conformal import ConeSampleRecord, CoincidenceReport
 from finslab.connection import _scalar_partials
-from finslab.errors import InadmissibleSample, NoConvergence, TransversalityFailure
+from finslab.dsl import TangentSample
+from finslab.errors import (InadmissibleSample, NoAdmissibleSample, NoConvergence,
+                            TransversalityFailure)
 from finslab.geodesics import LIGHTLIKE_TOL
 from finslab.tensors import legendre
+
+
+def sample_admissible(m, rng, count=1):
+    """Random admissible samples: x uniform in the metric's box, y uniform on
+    the unit sphere then rescaled by a random factor in [0.5, 2]."""
+    domain = m._domain
+    if domain.failure is not None or any(
+            isinstance(p, float) and not (math.isfinite(p) and p > 0.0)
+            for p in domain.outputs):
+        raise NoAdmissibleSample(
+            f"the domain of {m.name!r} is empty: a predicate is constant and not positive")
+    box = m.box()
+    out: list[TangentSample] = []
+    rejects = 0
+    while len(out) < count:
+        if rejects >= dsl.MAX_REJECTIONS:
+            raise NoAdmissibleSample(
+                f"no admissible sample for {m.name!r} after {dsl.MAX_REJECTIONS} rejections")
+        x = rng.uniform(box[:, 0], box[:, 1])
+        y = rng.standard_normal(m.dim)
+        norm = np.linalg.norm(y)
+        if norm == 0.0:
+            rejects += 1
+            continue
+        y = y / norm * math.exp(rng.uniform(math.log(0.5), math.log(2.0)))
+        s = TangentSample(x, y)
+        if m.admissible(s):
+            out.append(s)
+        else:
+            rejects += 1
+    return out
 
 
 def probe_vector(m, v):
@@ -84,7 +120,7 @@ def lightcones_coincide(pair, tol=1e-8):
     records = []
     for source, target in ((pair.L1, pair.L2), (pair.L2, pair.L1)):
         hits = 0
-        for v in dsl.sample_admissible(source, rng, count=pair.sample_budget):
+        for v in sample_admissible(source, rng, count=pair.sample_budget):
             try:
                 w = probe_vector(source, v)
                 vstar = project_to_lightcone(source, v, w, tol=1e-13)

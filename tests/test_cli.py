@@ -1,5 +1,7 @@
 """Command-line harness: exit codes, determinism, record format, curve dumps."""
 
+import contextlib
+import io
 import subprocess
 import sys
 import tempfile
@@ -367,6 +369,24 @@ def test_exit_code_two_with_one_line_on_a_malformed_ini(tmp_path, capsys, text,
     assert_single_error_line(capsys, "exp.ini", fragment)
 
 
+@pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
+def test_exit_code_two_on_a_config_tolerance_that_is_not_finite_and_positive(
+        tmp_path, capsys, tol):
+    """nan and -1 would fail max-cone-violation as if the cones differed,
+    and inf would pass it without checking anything."""
+    cfg = write_config(tmp_path, LIGHTCONE_CFG + f"tol = {tol}\n")
+    assert cli.main(["lightcone", "--config", cfg]) == 2
+    assert_single_error_line(capsys, "exp.ini", "[run] tol", "finite and positive", tol)
+
+
+@pytest.mark.parametrize("tol", ["nan", "-1", "inf"])
+def test_exit_code_two_on_a_tolerance_flag_that_is_not_finite_and_positive(
+        tmp_path, capsys, tol):
+    cfg = write_config(tmp_path, LIGHTCONE_CFG)
+    assert cli.main(["lightcone", "--config", cfg, "--tol", tol]) == 2
+    assert_single_error_line(capsys, "--tol", "finite and positive", tol)
+
+
 def _metric_expressions():
     # (1e300*1e300) overflows to inf, and so may an argument scaled by it
     atoms = st.sampled_from(["x0", "x1", "y0", "y1", "0", "2.5", "1e300",
@@ -407,6 +427,72 @@ def test_fuzzed_metric_files_end_in_an_exit_code(text):
         cfg = write_config(Path(tmp), "[metric]\nmetric = fuzz.metric\n"
                                       "[run]\nsamples = 3\n")
         assert cli.main(["tensors", "--config", cfg]) in (0, 1, 2)
+
+
+# a valid config per experiment, with short runs: a few samples, or a
+# curve of 20 steps
+_VALID_INI = {
+    "tensors": {"metric": {"metric": "einstein-static"},
+                "run": {"seed": "3", "samples": "3"}},
+    "lightcone": {"metric": {"metric": "minkowski2-cone", "metric2": "bogoslovsky2"},
+                  "run": {"seed": "7", "samples": "3"}},
+    "geodesic": {"metric": {"metric": "einstein-static", "x0": "0, 1.5707963267948966, 0",
+                            "v0": "1, 0, 1"},
+                 "run": {"t1": "0.02", "step": "1e-3"}},
+    "conformal-pregeodesic": {"metric": {"metric": "einstein-static",
+                                         "lambda": "theta-weight",
+                                         "x0": "0, 1.5707963267948966, 0",
+                                         "v0": "1, 0, 1"},
+                              "run": {"t1": "0.02", "step": "1e-3"}},
+}
+_METRICS = ["minkowski2-cone", "bogoslovsky2", "einstein-static", "theta-weight",
+            "unit-factor", "no-such-metric", "missing.metric", ""]
+_OTHER_VALUES = {
+    "metric": {"metric": _METRICS, "metric2": _METRICS, "lambda": _METRICS,
+               "x0": ["0.1, 0", "nan, 1, 0", "a, b", ""],
+               "v0": ["1, 0.5", "0, 0, 0", "inf, 0, 1", ""]},
+    "run": {"seed": ["0", "-1", "18446744073709551616", "x"],
+            "samples": ["1", "0", "-2", "two", "1e3"],
+            "tol": ["1e-8", "1", "0", "-1", "nan", "inf", "x"],
+            "t0": ["0.01", "-0.01", "nan"], "t1": ["0.01", "-1", "nan", "x"],
+            "step": ["0.01", "0", "-1e-3", "inf", "1e400"]},
+}
+_JUNK = st.text(alphabet="[]=:;# abcxy01.-\t", max_size=8)
+
+
+@st.composite
+def _ini_files(draw):
+    """An experiment and an INI text: its valid config with up to two keys
+    dropped or given other values, the sections in either order, and maybe
+    a stray line."""
+    experiment = draw(st.sampled_from(sorted(_VALID_INI)))
+    config = {section: dict(entries) for section, entries in _VALID_INI[experiment].items()}
+    for _ in range(draw(st.integers(0, 2))):
+        section = draw(st.sampled_from(sorted(_OTHER_VALUES)))
+        key = draw(st.sampled_from(sorted(_OTHER_VALUES[section])))
+        config[section][key] = draw(st.sampled_from([None] + _OTHER_VALUES[section][key]))
+    sections = ["\n".join([f"[{section}]"] + [f"{key} = {value}" for key, value
+                                               in entries.items() if value is not None])
+                for section, entries in config.items()]
+    text = "\n".join(draw(st.permutations(sections)))
+    return experiment, text + "\n" + draw(st.one_of(st.just(""), st.just(""), _JUNK))
+
+
+@given(_ini_files())
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_fuzzed_ini_files_end_in_an_exit_code(case):
+    """Any INI file ends in exit 0, 1 or 2, never in an uncaught error, and
+    exit 2 prints exactly one error line."""
+    experiment, text = case
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = write_config(Path(tmp), text)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = cli.main([experiment, "--config", cfg])
+    assert code in (0, 1, 2)
+    if code == 2:
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), err.getvalue()
 
 
 def test_the_tensors_runner_takes_four_batched_jets(tmp_path, monkeypatch):

@@ -143,6 +143,24 @@ def test_homogeneity_validation_catches_degree_mismatch():
     assert report.max_relative_error > 1e-3
 
 
+def test_homogeneity_validation_counts_only_the_samples_it_checked():
+    """The shell 0.9 < |y|^2 < 1.1 is not a cone: most scaled copies leave
+    it and are skipped.  The report counts the samples actually checked, and
+    a run that checks none fails."""
+    m = dsl.parse_metric("y0^2 + y1^2", 2, name="shell",
+                         domain=("y0^2 + y1^2 - 0.9", "1.1 - y0^2 - y1^2"))
+    counts = []
+    for seed in range(5):
+        rng = np.random.default_rng(seed)
+        checked = sum(bool(m.admissible(v.scaled(rng.uniform(0.5, 2.0))))
+                      for v in dsl.sample_admissible(m, rng, count=20))
+        report = dsl.validate_homogeneity(m, samples=20, seed=seed)
+        assert report.samples == checked
+        assert report.passed == (checked > 0)
+        counts.append(checked)
+    assert 0 in counts and any(0 < c < 20 for c in counts), counts
+
+
 def test_admissibility_of_cone_domain():
     m = dsl.builtin_metric("bogoslovsky2")
     assert m.admissible(dsl.TangentSample([0, 0], [2, 1]))

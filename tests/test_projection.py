@@ -1,6 +1,7 @@
-"""Batched lightcone projection and cone sampling against the serial loops
-they replaced (tests/projection_reference.py): every sample ends at the same
-vector to the bit, or fails with the same exception type and text."""
+"""Block rejection sampling, batched lightcone projection and cone sampling
+against the serial loops they replaced (tests/projection_reference.py):
+every sample ends at the same vector to the bit, or fails with the same
+exception type and text, and the generator ends in the same state."""
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ import pytest
 import projection_reference as reference
 from finslab import conformal, dsl, geodesics
 from finslab.errors import (EvaluationDomainError, InadmissibleSample,
-                            NoConvergence, TransversalityFailure)
+                            NoAdmissibleSample, NoConvergence, TransversalityFailure)
 
 
 def _bogoslovsky(b: float) -> dsl.MetricDefinition:
@@ -47,6 +48,79 @@ def _batch(samples):
     return dsl.SampleBatch([v.x for v in samples], [v.y for v in samples])
 
 
+def _sampled_metrics():
+    """Every builtin metric and factor, and every factor * metric product
+    that `scale_metric` forms from them."""
+    builtins = [dsl.builtin_metric(name) for name in dsl.builtin_names()]
+    return builtins + [conformal.scale_metric(m, lam, sample_budget=1)[0]
+                       for lam in builtins if lam.degree == 0
+                       for m in builtins if m.degree == 2 and m.dim == lam.dim]
+
+
+def _draw_both(m, seed, count):
+    """The block sampler's and the serial loop's draws from one seed: each
+    outcome (the samples as bytes, or the exception type and text) and the
+    generator state it leaves."""
+    draws = []
+    for sample in (dsl.sample_admissible, reference.sample_admissible):
+        rng = np.random.default_rng(seed)
+        try:
+            got = [(v.x.tobytes(), v.y.tobytes()) for v in sample(m, rng, count=count)]
+        except Exception as exc:
+            got = (type(exc), str(exc))
+        draws.append((got, rng.bit_generator.state))
+    return draws
+
+
+@pytest.mark.parametrize("m", _sampled_metrics(), ids=lambda m: m.name)
+def test_block_sampling_matches_the_serial_loop(m):
+    """The same samples, to the bit, and the generator left where the loop
+    leaves it, whether the last candidate ends a block or not."""
+    for seed in (0, 1, 2, 11):
+        for count in (1, 2, 17, 100):
+            got, ref = _draw_both(m, seed, count)
+            assert len(ref[0]) == count
+            assert got == ref, (seed, count)
+
+
+@pytest.mark.parametrize("name,count", [("bogoslovsky2", 100), ("bogoslovsky2", 5),
+                                        ("minkowski2-cone", 40), ("einstein-static", 3)])
+def test_running_out_of_rejections_leaves_the_generator_as_the_loop(monkeypatch,
+                                                                    name, count):
+    """NoAdmissibleSample after the last allowed rejection, which falls
+    inside a block, with the generator where the loop leaves it; a budget of
+    0 raises before any draw, and one that suffices returns the samples."""
+    m = dsl.builtin_metric(name)
+    for budget in (0, 1, 7, 30):
+        monkeypatch.setattr(dsl, "MAX_REJECTIONS", budget)
+        for seed in range(3):
+            got, ref = _draw_both(m, seed, count)
+            assert got == ref, (budget, seed)
+
+
+def test_no_admissible_sample_is_raised_as_the_loop_raises_it(monkeypatch):
+    """Inside the first block, of 100 bogoslovsky2 candidates, and after
+    the rejections of an empty domain."""
+    monkeypatch.setattr(dsl, "MAX_REJECTIONS", 7)
+    got, ref = _draw_both(dsl.builtin_metric("bogoslovsky2"), 0, 100)
+    assert got == ref and ref[0] == (NoAdmissibleSample, "no admissible sample for "
+                                     "'bogoslovsky2' after 7 rejections")
+    monkeypatch.setattr(dsl, "MAX_REJECTIONS", 200)
+    m = dsl.parse_metric("y0^2", 1, domain=("-(y0*y0)",), name="empty")
+    got, ref = _draw_both(m, 5, 3)
+    assert got == ref and ref[0][0] is NoAdmissibleSample
+
+
+@pytest.mark.parametrize("box,error", [(((0.0, 1.0), (1.0, 0.0)), ValueError),
+                                       (((0.0, 1.0), (float("nan"), 1.0)), OverflowError),
+                                       (((0.0, 1.0), (float("-inf"), 1.0)), OverflowError),
+                                       (((0.0, 1.0),), ValueError)])
+def test_a_bad_box_fails_as_the_serial_draw(box, error):
+    m = dsl.parse_metric("y0^2 + y1^2", 2, sample_box=box)
+    got, ref = _draw_both(m, 0, 2)
+    assert got[0] == ref[0] and ref[0][0] is error
+
+
 @pytest.mark.parametrize("m", CONE_METRICS, ids=lambda m: m.pretty())
 @pytest.mark.parametrize("seed", range(3))
 def test_batched_projection_matches_the_serial_loop(m, seed):
@@ -73,6 +147,32 @@ def test_one_sample_is_the_batch_of_one(m):
             except Exception as exc:
                 got = exc
             _assert_same_outcomes([got], [ref])
+
+
+def test_stalled_rows_leave_the_batch_before_the_last_iteration(monkeypatch):
+    """On the (y0 + y1)^0.7 face of bogoslovsky2 some rows reach a step
+    that no longer moves delta: they leave the batch at once, not after all
+    50 Newton iterations, and every outcome is still that of the loop."""
+    m = dsl.builtin_metric("bogoslovsky2")
+    samples = dsl.sample_admissible(m, np.random.default_rng(0), count=32)
+    probes = np.array([geodesics.probe_vector(m, v) for v in samples])
+    calls = []
+    plain = geodesics._newton_values
+
+    def spy(m, x, y, w, rows, *rest):
+        calls.append(set(rows.tolist()))
+        return plain(m, x, y, w, rows, *rest)
+
+    monkeypatch.setattr(geodesics, "_newton_values", spy)
+    got = geodesics.project_to_lightcone(m, _batch(samples), probes, tol=1e-13)
+    ref = _serial(m, samples, probes, 1e-13)
+    _assert_same_outcomes(got, ref)
+    stalled = [k for k, r in enumerate(ref)
+               if str(r) == "lightcone projection did not converge in 50 iterations"]
+    assert len(stalled) >= 10
+    # calls[0] is the start, calls[i] follows Newton step i
+    for k in stalled:
+        assert max(i for i, rows in enumerate(calls) if k in rows) < 40, k
 
 
 def test_a_batch_mixes_transversality_and_convergence_failures():
