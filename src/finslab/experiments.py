@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import ConfigError
 from .variational import SubmanifoldPatch
 
 __all__ = [
@@ -31,7 +32,12 @@ def chart(q: np.ndarray) -> np.ndarray:
 
 
 def _spatial_frame(x0, v0) -> tuple[np.ndarray, np.ndarray, float]:
-    """Embedded start point, embedded unit tangent, and the spatial speed."""
+    """Embedded start point, embedded unit tangent, and the spatial speed.
+    Data off the chart (t, theta, phi), or with no spatial motion, is a
+    ConfigError."""
+    if len(x0) != 3 or len(v0) != 3:
+        raise ConfigError("the sphere geometry needs the chart (t, theta, phi); "
+                          f"got x0 and v0 of dimension {len(x0)} and {len(v0)}")
     theta, phi = float(x0[1]), float(x0[2])
     p = embed(theta, phi)
     d_theta = np.array([np.cos(theta) * np.cos(phi),
@@ -42,6 +48,8 @@ def _spatial_frame(x0, v0) -> tuple[np.ndarray, np.ndarray, float]:
                       0.0])
     tangent = v0[1] * d_theta + v0[2] * d_phi
     speed = float(np.linalg.norm(tangent))
+    if not speed > 0.0:
+        raise ConfigError("v0 has no spatial direction at x0, so it fixes no great circle")
     return p, tangent / speed, speed
 
 
@@ -86,11 +94,22 @@ def great_circle_patch(x0, v0, rho: float) -> SubmanifoldPatch:
     u = (p - np.cos(rho) * center) / np.sin(rho)
     w = np.cross(center, u)
 
-    def immersion(alpha):
+    def jet(alpha):
         a = float(np.atleast_1d(alpha)[0])
-        q = (np.cos(rho) * center
-             + np.sin(rho) * (np.cos(a) * u + np.sin(a) * w))
+        arc = np.cos(a) * u + np.sin(a) * w
+        q = np.cos(rho) * center + np.sin(rho) * arc
+        dq = np.sin(rho) * (np.cos(a) * w - np.sin(a) * u)
+        ddq = -np.sin(rho) * arc
         th, ph = chart(q)
-        return np.array([t_slice, th, ph])
+        # chain rule through theta = arccos(q2) and phi = atan2(q1, q0)
+        s = np.sqrt(1.0 - q[2] ** 2)
+        r2 = q[0] ** 2 + q[1] ** 2
+        turn = q[0] * dq[1] - q[1] * dq[0]
+        first = [0.0, -dq[2] / s, turn / r2]
+        second = [0.0, -ddq[2] / s - q[2] * dq[2] ** 2 / s ** 3,
+                  (q[0] * ddq[1] - q[1] * ddq[0]) / r2
+                  - 2.0 * turn * (q[0] * dq[0] + q[1] * dq[1]) / r2 ** 2]
+        return (np.array([t_slice, th, ph]), np.array(first)[:, None],
+                np.array(second)[:, None, None])
 
-    return SubmanifoldPatch(1, immersion, [0.0], name=f"circle(rho={rho:g})")
+    return SubmanifoldPatch(1, jet, [0.0], name=f"circle(rho={rho:g})")

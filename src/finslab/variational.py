@@ -29,9 +29,10 @@ import numpy as np
 from .connection import ConnectionFrame, _frame_tables, _scalar_partials_along
 from .curves import DiscreteCurve, Reparametrization, spline_derivative
 from .dsl import MetricDefinition, Tape, TangentSample, parse_expression
-from .errors import FinslabError, GridMismatch
+from .errors import EvaluationDomainError, FinslabError, GridMismatch
 from .geodesics import (_pregeodesic_defects, check_lightlike, energy, factor_rate,
                         factor_values, reparametrize_conformal, rk4_step)
+from .jets import jet_space
 from .numerics import HermiteSpline, cumulative_simpson, null_space, simpson
 
 __all__ = [
@@ -50,89 +51,67 @@ __all__ = [
 # --------------------------------------------------------------------------
 
 class SubmanifoldPatch:
-    """Parametrized immersion u in R^d -> chart coordinates.
-
-    The immersion is a callable; its derivatives are produced by
-    Richardson-extrapolated central differences in the parameters, which is
-    accurate far beyond the tolerances used by the focal experiments.
+    """Parametrized immersion u in R^d -> chart coordinates, given by its
+    exact 2-jet: `jet(u)` returns the chart point, the (n, d) Jacobian and
+    the (n, d, d) second derivatives at the parameters u.  `from_point` has
+    zero derivatives, `from_expressions` reads them from order-2 tape jets,
+    and `experiments.great_circle_patch` applies its closed-form chain rule.
     """
 
-    def __init__(self, dim_params: int, immersion, basepoint, name: str = "patch"):
+    def __init__(self, dim_params: int, jet, basepoint, name: str = "patch"):
         self.d = int(dim_params)
-        self._map = immersion
+        self.jet = jet
         self.basepoint = np.atleast_1d(np.asarray(basepoint, dtype=float))
         self.name = name
 
     @staticmethod
     def from_point(x0) -> "SubmanifoldPatch":
         x0 = np.asarray(x0, dtype=float)
-        return SubmanifoldPatch(0, lambda u: x0, np.zeros(0), name="point")
+        n = x0.size
+        return SubmanifoldPatch(
+            0, lambda u: (x0, np.zeros((n, 0)), np.zeros((n, 0, 0))), np.zeros(0),
+            name="point")
 
     @staticmethod
     def from_expressions(sources: list[str], basepoint, name: str = "patch"
                          ) -> "SubmanifoldPatch":
-        """Immersion given as expressions in parameters x0..x{d-1}."""
+        """Immersion given as expressions in parameters x0..x{d-1} (y_a
+        reads the same parameter as x_a).  The point is the float program's
+        value; the derivatives come from one order-2 jet per expression,
+        which must be finite."""
         basepoint = np.atleast_1d(np.asarray(basepoint, dtype=float))
         d = basepoint.size
-        tape = Tape([parse_expression(src, d) for src in sources], d)
+        tapes = [Tape([parse_expression(src, d)], d) for src in sources]
+        space = jet_space(2 * d, 2)
 
-        def immersion(u):
-            u = np.atleast_1d(np.asarray(u, dtype=float)).tolist()
-            return np.array(tape.floats(u + u))
+        def jet(u):
+            point = np.atleast_1d(np.asarray(u, dtype=float)).tolist() * 2
+            c = np.array([tape.jet(point, 2) for tape in tapes])
+            if not np.isfinite(c).all():
+                raise EvaluationDomainError(
+                    f"the jet of patch {name!r} is not finite at u={point[:d]!r}")
+            # u enters as both x and y: each derivative sums over the copies
+            first = space.partial_jets(c, 1)[..., 0].reshape(-1, 2, d).sum(axis=1)
+            second = space.partial_jets(c, 2)[..., 0].reshape(-1, 2, d, 2, d)
+            return (np.array([tape.floats(point)[0] for tape in tapes]),
+                    first, second.sum(axis=(1, 3)))
 
-        return SubmanifoldPatch(d, immersion, basepoint, name=name)
+        return SubmanifoldPatch(d, jet, basepoint, name=name)
+
+    def _jet_at(self, u):
+        return self.jet(self.basepoint if u is None
+                        else np.atleast_1d(np.asarray(u, dtype=float)))
 
     def point(self, u=None) -> np.ndarray:
-        u = self.basepoint if u is None else np.atleast_1d(np.asarray(u, float))
-        return np.asarray(self._map(u), dtype=float)
+        return self._jet_at(u)[0]
 
     def tangent_basis(self, u=None) -> np.ndarray:
         """(n, d) matrix whose columns span the tangent space at u."""
-        u = self.basepoint if u is None else np.atleast_1d(np.asarray(u, float))
-        if self.d == 0:
-            return np.zeros((self.point(u).size, 0))
-        return _param_jacobian(self._map, u)
+        return self._jet_at(u)[1]
 
     def second_derivatives(self, u=None) -> np.ndarray:
         """(n, d, d) array of second parameter derivatives of the immersion."""
-        u = self.basepoint if u is None else np.atleast_1d(np.asarray(u, float))
-        n = self.point(u).size
-        if self.d == 0:
-            return np.zeros((n, 0, 0))
-        out = np.empty((n, self.d, self.d))
-        for a in range(self.d):
-            for b in range(a, self.d):
-                out[:, a, b] = out[:, b, a] = _param_second(self._map, u, a, b)
-        return out
-
-
-def _param_jacobian(fn, u, h: float = 1e-5) -> np.ndarray:
-    cols = []
-    for a in range(u.size):
-        e = np.zeros_like(u)
-        e[a] = 1.0
-        d1 = (np.asarray(fn(u + h * e)) - np.asarray(fn(u - h * e))) / (2 * h)
-        d2 = (np.asarray(fn(u + 0.5 * h * e)) - np.asarray(fn(u - 0.5 * h * e))) / h
-        cols.append((4.0 * d2 - d1) / 3.0)
-    return np.stack(cols, axis=1)
-
-
-def _param_second(fn, u, a: int, b: int, h: float = 1e-4) -> np.ndarray:
-    ea = np.zeros_like(u)
-    eb = np.zeros_like(u)
-    ea[a] = 1.0
-    eb[b] = 1.0
-
-    def stencil(step):
-        if a == b:
-            return (np.asarray(fn(u + step * ea)) - 2.0 * np.asarray(fn(u))
-                    + np.asarray(fn(u - step * ea))) / step ** 2
-        return (np.asarray(fn(u + step * (ea + eb))) - np.asarray(fn(u + step * (ea - eb)))
-                - np.asarray(fn(u - step * (ea - eb))) + np.asarray(fn(u - step * (ea + eb)))
-                ) / (4.0 * step ** 2)
-
-    d1, d2 = stencil(h), stencil(h / 2)
-    return (4.0 * d2 - d1) / 3.0
+        return self._jet_at(u)[2]
 
 
 # --------------------------------------------------------------------------
@@ -156,9 +135,7 @@ class VariationField:
         geometry's curve; its transverse acceleration is Gamma(vel)(W, W)
         since the chart second s-derivative vanishes."""
         vals = np.array([fn(t) for t in geom.curve.grid], dtype=float)
-        acc = np.array([np.einsum("kij,i,j->k", gamma, w, w)
-                        for gamma, w in zip(geom.gamma, vals)])
-        return VariationField(vals, acc)
+        return VariationField(vals, np.einsum("skij,si,sj->sk", geom.gamma, vals, vals))
 
 
 @dataclass
@@ -229,16 +206,14 @@ class CurveGeometry:
 
     @cached_property
     def _gradients(self) -> tuple[np.ndarray, np.ndarray]:
-        gh = np.zeros((self.npts, self.n))
-        gv = np.zeros((self.npts, self.n))
-        if self.lam is not None:
-            _, ginv, N, _, _ = self._table
-            c = self.curve
-            partials = _scalar_partials_along(self.lam, c.positions, c.velocities)
-            for k, (dx, dy) in enumerate(zip(*partials)):
-                gv[k] = ginv[k] @ dy
-                gh[k] = ginv[k] @ (dx - N[k].T @ dy)
-        return gh, gv
+        if self.lam is None:
+            return np.zeros((self.npts, self.n)), np.zeros((self.npts, self.n))
+        _, ginv, N, _, _ = self._table
+        c = self.curve
+        dx, dy = _scalar_partials_along(self.lam, c.positions, c.velocities)
+        # stacked matmuls round as the products node by node do; einsum does not
+        dh = dx - (N.transpose(0, 2, 1) @ dy[..., None])[..., 0]
+        return (ginv @ dh[..., None])[..., 0], (ginv @ dy[..., None])[..., 0]
 
     @property
     def grad_h(self) -> np.ndarray:
@@ -353,13 +328,6 @@ def energy_derivative_fd(curve: DiscreteCurve, W: VariationField, lam,
 # second fundamental forms
 # --------------------------------------------------------------------------
 
-def _as_field(N):
-    if callable(N):
-        return N
-    N = np.asarray(N, dtype=float)
-    return lambda u: N
-
-
 def _tangent_projector(B: np.ndarray, g: np.ndarray):
     """Returns tan(), the g-orthogonal projection onto span(B)."""
     if B.shape[1] == 0:
@@ -413,19 +381,19 @@ def second_fundamental_form(P: SubmanifoldPatch, N, U, W, m: MetricDefinition
     return full - tan(full)
 
 
-def normal_second_fundamental_form(P: SubmanifoldPatch, N, U,
+def normal_second_fundamental_form(P: SubmanifoldPatch, N0, dN, U,
                                    m: MetricDefinition) -> np.ndarray:
-    """Tangential part of the patch derivative of the normal field N, a
-    function of the patch parameters (or a constant vector)."""
-    N_fn = _as_field(N)
-    N0 = np.asarray(N_fn(P.basepoint), dtype=float)
+    """Tangential part of the patch derivative of a normal field along the
+    tangent vector U, from the field's value N0 at the basepoint and its
+    (n, d) Jacobian dN in the patch parameters there."""
+    N0 = np.asarray(N0, dtype=float)
     basis = P.tangent_basis()
     g, gamma = _patch_frame(P, N0, m)
     _require_normal(basis, N0, g)
     tan = _tangent_projector(basis, g)
     u_coeff = _tangent_coefficients(basis, U)
-    dN = _param_jacobian(N_fn, P.basepoint) @ u_coeff
-    full = dN + np.einsum("kij,i,j->k", gamma, basis @ u_coeff, N0)
+    full = np.asarray(dN, dtype=float) @ u_coeff + np.einsum(
+        "kij,i,j->k", gamma, basis @ u_coeff, N0)
     return tan(full)
 
 
@@ -662,7 +630,7 @@ def find_focal_points(curve: DiscreteCurve, P: SubmanifoldPatch,
     M = np.stack([sol.J for sol in sols], axis=2)
     Mdot = np.stack([sol.J_dot for sol in sols], axis=2)
     spline = HermiteSpline(curve.grid, M, Mdot)
-    dets = np.array([np.linalg.det(M[k]) for k in range(npts)])
+    dets = np.linalg.det(M)
     out: list[FocalPoint] = []
     for k in range(1, npts - 1):
         a, b = dets[k], dets[k + 1]

@@ -2,7 +2,9 @@
 
 Cross-check oracle for the jet engine; never used on the primary evaluation
 path.  Mixed partials are built by nesting first-order central differences,
-then extrapolating the whole stencil over three step sizes.
+then extrapolating the whole stencil over three step sizes.  The patch
+stencils `param_jacobian` and `param_second` are the oracle for the exact
+derivatives a `SubmanifoldPatch` carries.
 """
 
 from __future__ import annotations
@@ -53,4 +55,37 @@ def directional_derivative(f, point, direction, h: float = 1e-4) -> float:
 
     d1 = (g(h) - g(-h)) / (2 * h)
     d2 = (g(h / 2) - g(-h / 2)) / h
+    return (4.0 * d2 - d1) / 3.0
+
+
+def param_jacobian(fn, u, h: float = 1e-5) -> np.ndarray:
+    """(n, d) Richardson central differences of a patch immersion u -> fn(u)."""
+    u = np.atleast_1d(np.asarray(u, dtype=float))
+    cols = []
+    for a in range(u.size):
+        e = np.zeros_like(u)
+        e[a] = 1.0
+        d1 = (np.asarray(fn(u + h * e)) - np.asarray(fn(u - h * e))) / (2 * h)
+        d2 = (np.asarray(fn(u + 0.5 * h * e)) - np.asarray(fn(u - 0.5 * h * e))) / h
+        cols.append((4.0 * d2 - d1) / 3.0)
+    return np.stack(cols, axis=1)
+
+
+def param_second(fn, u, a: int, b: int, h: float = 1e-4) -> np.ndarray:
+    """Richardson central difference of d^2 fn / du_a du_b."""
+    u = np.atleast_1d(np.asarray(u, dtype=float))
+    ea = np.zeros_like(u)
+    eb = np.zeros_like(u)
+    ea[a] = 1.0
+    eb[b] = 1.0
+
+    def stencil(step):
+        if a == b:
+            return (np.asarray(fn(u + step * ea)) - 2.0 * np.asarray(fn(u))
+                    + np.asarray(fn(u - step * ea))) / step ** 2
+        return (np.asarray(fn(u + step * (ea + eb))) - np.asarray(fn(u + step * (ea - eb)))
+                - np.asarray(fn(u - step * (ea - eb))) + np.asarray(fn(u - step * (ea + eb)))
+                ) / (4.0 * step ** 2)
+
+    d1, d2 = stencil(h), stencil(h / 2)
     return (4.0 * d2 - d1) / 3.0

@@ -11,8 +11,9 @@ import time
 
 import numpy as np
 
-from finslab import (conformal, connection, dsl, experiments, finitediff,
-                     geodesics, jets, tensors, variational)
+from finslab import (conformal, connection, dsl, experiments, geodesics, jets,
+                     tensors, variational)
+import finitediff
 from conftest import lightlike_start, margin_sample
 from test_connection import (compatibility_residual, levi_civita_oracle,
                              warped_quadratic_matrix)

@@ -266,6 +266,18 @@ def test_exit_code_two_on_circle_radius_outside_the_sphere_range(tmp_path, capsy
     assert_single_error_line(capsys, "radius")
 
 
+@pytest.mark.parametrize("metric,x0,v0,fragment", [
+    ("minkowski2", "0, 0", "1, 1", "chart (t, theta, phi)"),
+    ("einstein-static", "0, 1.5707963267948966, 0", "1, 0, 0", "no spatial direction")],
+    ids=["2-d-metric", "no-spatial-part"])
+def test_exit_code_two_on_a_circle_patch_without_a_great_circle(
+        tmp_path, capsys, metric, x0, v0, fragment):
+    cfg = write_config(tmp_path, f"[metric]\nmetric = {metric}\nx0 = {x0}\nv0 = {v0}\n"
+                                 "patch = circle:0.5\n[run]\nt1 = 1.0\nstep = 1e-2\n")
+    assert cli.main(["focal", "--config", cfg]) == 2
+    assert_single_error_line(capsys, fragment)
+
+
 def test_exit_code_two_on_degenerate_metric_in_tensors(tmp_path, capsys):
     (tmp_path / "flat.metric").write_text("name=flat\ndim=2\ndegree=2\ny0*y1*0\n")
     cfg = write_config(tmp_path, "[metric]\nmetric = flat.metric\n[run]\nsamples = 5\n")

@@ -144,7 +144,7 @@ def test_unit_scaling_is_the_identity(einstein):
 
 
 def test_scaled_fundamental_tensor_matches_finite_differences(einstein, theta_weight):
-    from finslab import finitediff
+    import finitediff
 
     scaled, _ = conformal.scale_metric(einstein, theta_weight, sample_budget=8, seed=2)
     rng = np.random.default_rng(10)

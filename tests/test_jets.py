@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from finslab import dsl, finitediff, jets
+from finslab import dsl, jets
+import finitediff
 
 
 def variables(x, y, order):

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from finslab import dsl, finitediff, tensors
+from finslab import dsl, tensors
 from finslab.errors import EvaluationDomainError, InadmissibleSample, SingularMetric
+import finitediff
 
 
 def test_minkowski_fundamental_tensor_is_constant(minkowski3):

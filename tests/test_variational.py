@@ -9,8 +9,10 @@ import pytest
 from finslab import (conformal, connection, dsl, experiments, geodesics,
                      tensors, variational)
 from finslab.curves import DiscreteCurve
-from finslab.errors import FinslabError, GridMismatch, InadmissibleSample
+from finslab.errors import (EvaluationDomainError, FinslabError, GridMismatch,
+                            InadmissibleSample)
 from conftest import lightlike_start
+import finitediff
 from jacobi_reference import integrate_jacobi_per_stage
 
 
@@ -230,6 +232,65 @@ def test_index_form_endpoint_tangency_guard(minkowski3):
 
 
 # --------------------------------------------------------------------------
+# submanifold patches
+# --------------------------------------------------------------------------
+
+def _assert_patch_matches_oracle(patch):
+    """The exact derivatives at the basepoint against Richardson stencils of
+    the patch point."""
+    u, d = patch.basepoint, patch.d
+    _, jacobian, second = patch.jet(u)
+    stencils = [[finitediff.param_second(patch.point, u, a, b) for b in range(d)]
+                for a in range(d)]
+    assert np.abs(jacobian - finitediff.param_jacobian(patch.point, u)).max() <= 1e-9
+    assert np.abs(second - np.array(stencils).transpose(2, 0, 1)).max() <= 1e-6
+
+
+@pytest.mark.parametrize("rho", [0.3, np.pi / 4, 1.1, 2.5])
+@pytest.mark.parametrize("x0,v0", [
+    ((0.0, np.pi / 2, 0.0), (1.0, 0.0, 1.0)),
+    ((0.0, 1.2, 0.4), (1.0, 0.3, 0.8)),
+    ((0.0, 0.7, -1.0), (1.0, -0.5, 0.2))], ids=["equator", "north-east", "south-east"])
+def test_circle_patch_derivatives_match_the_richardson_oracle(rho, x0, v0):
+    _assert_patch_matches_oracle(
+        experiments.great_circle_patch(np.array(x0), np.array(v0), rho))
+
+
+def test_expression_patch_derivatives_match_the_richardson_oracle():
+    patch = variational.SubmanifoldPatch.from_expressions(
+        ["sin(x0)*cos(x1)", "exp(x0*x1)", "x0 + sqrt(1 + y1^2)"], [0.3, -0.7])
+    _assert_patch_matches_oracle(patch)
+    second = patch.second_derivatives()
+    assert np.array_equal(second, second.transpose(0, 2, 1))
+    assert second[0, 0, 1] == pytest.approx(-np.cos(0.3) * np.sin(-0.7), rel=1e-14)
+
+
+def test_polynomial_patch_derivatives_are_exact():
+    patch = variational.SubmanifoldPatch.from_expressions(
+        ["x0^2*x1 + 3*x1", "x0*x1 - y0", "x1^3"], [0.5, -0.25])
+    point, jacobian, second = patch.jet([0.5, -0.25])
+    assert np.array_equal(point, [-0.8125, -0.625, -0.015625])
+    assert np.array_equal(jacobian, [[-0.25, 3.25], [-1.25, 0.5], [0.0, 0.1875]])
+    assert np.array_equal(second, [[[-0.5, 1.0], [1.0, 0.0]],
+                                   [[0.0, 1.0], [1.0, 0.0]],
+                                   [[0.0, 0.0], [0.0, -1.5]]])
+
+
+def test_expression_patch_rejects_a_jet_that_is_not_finite():
+    """The value 1e308 is finite, its first derivative 2e308 is not."""
+    patch = variational.SubmanifoldPatch.from_expressions(["1e308*x0*x0", "x0"], [1.0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(EvaluationDomainError, match="not finite"):
+            patch.tangent_basis()
+
+
+def test_point_patch_has_zero_derivatives():
+    point, jacobian, second = variational.SubmanifoldPatch.from_point([1.0, 2.0]).jet([])
+    assert np.array_equal(point, [1.0, 2.0])
+    assert jacobian.shape == (2, 0) and second.shape == (2, 0, 0)
+
+
+# --------------------------------------------------------------------------
 # second fundamental forms
 # --------------------------------------------------------------------------
 
@@ -241,7 +302,7 @@ def test_hyperplane_in_flat_space_is_totally_geodesic(minkowski3):
         patch, N, [1.0, 0.0, 0.0], [0.0, 1.0, 0.0], minkowski3)
     assert np.abs(out).max() <= 1e-10
     out2 = variational.normal_second_fundamental_form(
-        patch, lambda u: N, [1.0, 0.0, 0.0], minkowski3)
+        patch, N, np.zeros((3, 2)), [1.0, 0.0, 0.0], minkowski3)
     assert np.abs(out2).max() <= 1e-8
 
 
@@ -306,7 +367,8 @@ def test_normal_sff_extension_route_matches_frame_route(einstein):
     basis = patch.tangent_basis()
     u = basis[:, 0]
     via_extension = variational.normal_second_fundamental_form(
-        patch, normal_field, u, einstein)
+        patch, normal_field([0.0]), finitediff.param_jacobian(normal_field, [0.0]), u,
+        einstein)
     sff = variational._normal_sff_matrix(patch, normal_field([0.0]), einstein)
     via_frame = sff @ np.linalg.lstsq(basis, u, rcond=None)[0]
     assert np.abs(via_extension - via_frame).max() <= 1e-6
@@ -383,6 +445,21 @@ def test_latitude_circle_focal_point(latitude_focal):
     assert len(focal) == 1
     assert focal[0].parameter == pytest.approx(np.pi / 4, abs=1e-5)
     assert focal[0].multiplicity == 1
+
+
+def test_circle_focal_parameter_is_within_1e_8_of_the_radius(latitude_focal, einstein):
+    """With exact patch derivatives the focal parameter of a circle patch
+    is its radius to within the 1e-8 bisection bracket, on the equator and
+    on two tilted great circles."""
+    found = [(latitude_focal.focal, np.pi / 4)]
+    for theta_c, rho in ((np.pi / 2 - 0.6, 0.5), (np.pi / 2 + 0.4, 1.3)):
+        x0, v0 = experiments.tilted_null_data(theta_c)
+        curve = geodesics.integrate_geodesic(einstein, x0, v0, (0.0, rho + 0.4), 5e-3)
+        patch = experiments.great_circle_patch(x0, v0, rho)
+        found.append((variational.find_focal_points(curve, patch, einstein), rho))
+    for focal, rho in found:
+        assert len(focal) == 1
+        assert abs(focal[0].parameter - rho) <= 1e-8
 
 
 def test_focal_oracle_from_the_scalar_equation():
