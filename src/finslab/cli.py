@@ -185,6 +185,12 @@ def _metric(cfg: Config, key: str = "metric", required: bool = True
     return resolve_metric(value, cfg)
 
 
+# the most RK steps, (t1 - t0)/step, that a curve run may take: at about
+# 0.1 ms a step this is minutes of work, and it keeps the curve's arrays
+# allocatable
+MAX_CURVE_STEPS = 1_000_000
+
+
 def _curve_inputs(cfg: Config, m: MetricDefinition, step: float,
                   t1: float | None = None, t0: float = 0.0):
     """x0, v0, t1 and step of a curve run from t0, checked before integrating;
@@ -203,6 +209,9 @@ def _curve_inputs(cfg: Config, m: MetricDefinition, step: float,
             (not t1 > t0, f"need t1 > t0, got t0={t0!r} t1={t1!r}")):
         if bad:
             raise ConfigError(f"{cfg.path}: {problem}")
+    if (t1 - t0) / h > MAX_CURVE_STEPS:
+        raise ConfigError(f"{cfg.path}: (t1 - t0)/step is {(t1 - t0) / h:.3g} steps, "
+                          f"more than {MAX_CURVE_STEPS}")
     return x0, v0, t1, h
 
 

@@ -12,9 +12,10 @@ gets exact derivatives of any definition, including products of definitions
 formed programmatically.  The tape shares repeated subexpressions, folds
 constant ones, and keeps each subexpression's jet only over the variables it
 depends on; the coefficients equal those of jet arithmetic over all 2n
-variables to the bit.  Float values must be finite.  A tape also runs over
-the S samples of a `SampleBatch` at once, and the batch's jet is a
-`jets.Jet` with a leading sample axis.
+variables to the bit.  Float values must be finite.  The jet at one point
+runs as straight-line Python generated from the tape, one function per
+program and order.  A tape also runs over the S samples of a `SampleBatch`
+at once, and the batch's jet is a `jets.Jet` with a leading sample axis.
 
 Grammar (precedence: pow > unary minus > * / > + -)::
 
@@ -219,12 +220,17 @@ class Tape:
     the bit (structural sparsity, Griewank & Walther, *Evaluating
     Derivatives*, 2nd ed., SIAM 2008, ch. 7).
 
-    `jet` also runs over a (2n, S) array of S points, on coefficient arrays
-    with a trailing sample axis: a coefficient index then reads the same for
-    one point and for S, so the program is the same but for the seeding of
-    a variable, the product kernel and the Taylor coefficients of a
-    composition, bound once when an operation is compiled; each column sums
-    its terms as the jet of that point alone does.
+    The jet program has two forms.  Over a (2n, S) array of S points it is
+    a list of numpy closures on coefficient arrays with a trailing sample
+    axis, so that a coefficient index reads the same for one point and for
+    S, and each column sums its terms as the jet of that point alone does.
+    At one point it is one straight-line Python function per order, written
+    by `_KernelWriter` on first use (source transformation, Griewank &
+    Walther, ch. 6): each padded coefficient is a local float, a lift is a
+    renaming, and each coefficient is the same sequence of float operations
+    as in a column of the row program, so the two agree to the bit.  The
+    kernels live in `_KERNELS`, keyed by the program, so tapes with the same
+    program share one.
 
     The two float programs are built by one op builder (`_float_op`) from
     two op tables: `floats` from `_FLOAT_OPS` at one point, and
@@ -257,13 +263,13 @@ class Tape:
         self.variables = tuple(sorted(op[1] for op in self._ops if op[0] == "var"))
         self._float_program = [_float_op(_FLOAT_OPS, *op) for op in self._ops]
         self._row_program: list | None = None
-        self._jet_programs: dict[tuple[int, bool], tuple] = {}
+        self._jet_programs: dict[int, tuple] = {}
+        self._kernels: dict[int, object] = {}
 
     # compilation ----------------------------------------------------------
 
     def _slot(self, op: tuple, support: tuple[int, ...]) -> int:
-        key = tuple((v, math.copysign(1.0, v)) if isinstance(v, float) else v
-                    for v in op)
+        key = _key(op)
         slot = self._slot_of.get(key)
         if slot is None:
             slot = self._slot_of[key] = len(self._ops)
@@ -404,27 +410,17 @@ class Tape:
                                  _positions(self._support[right], support),
                                  len(support), order, padded=True)
 
-    def _jet_op(self, order: int, rows: bool, slot: int, kind, a, b=None):
-        """The closure of one jet operation; with rows, over S points at once
-        (see `jet`).  Only the seeding of a variable, the product kernel and
-        the Taylor coefficients of a composition differ between the two."""
+    def _jet_op(self, order: int, slot: int, kind, a, b=None):
+        """The closure of one jet operation over S points (see `jet`)."""
         support = self._support[slot]
         if kind == "var":
-            seed = np.zeros(order + 2)    # one variable, and the padding
-            if order:
-                seed[1] = 1.0
-
             def var(r, p):
-                c = seed.copy()
+                c = np.zeros((order + 2, p.shape[1]))    # one variable, and the padding
                 c[0] = p[a]
+                if order:
+                    c[1] = 1.0
                 return c
-
-            def var_rows(r, p):
-                c = np.zeros((order + 2, p.shape[1]))
-                c[0] = p[a]
-                c[1] = seed[1]
-                return c
-            return var_rows if rows else var
+            return var
         if kind == "neg":
             return lambda r, p: -r[a]
         if kind in ("add", "sub"):
@@ -437,12 +433,10 @@ class Tape:
             if lb is None:
                 return lambda r, p: combine(r[a][la], r[b])
             return lambda r, p: combine(r[a][la], r[b][lb])
-        product = jets.product_rows if rows else jets.product
-        taylor = ((lambda name, c, p: jets.taylor_rows(name, c, order, p)) if rows
-                  else (lambda name, c, p: jets.taylor(name, float(c[0]), order, p)))
+        product = jets.product_rows
 
-        def reciprocal(c, plan):
-            return jets.compose(c, taylor("reciprocal", c, 0.5), plan, product)
+        def compose(c, name, exponent, plan):
+            return jets.compose(c, jets.taylor_rows(name, c, order, exponent), plan, product)
 
         if kind == "mul":
             plan = self._plan(a, b, support, order)
@@ -450,7 +444,7 @@ class Tape:
         if kind == "div":
             plan = self._plan(a, b, support, order)
             inverse = self._plan(b, b, self._support[b], order)
-            return lambda r, p: product(r[a], reciprocal(r[b], inverse), plan)
+            return lambda r, p: product(r[a], compose(r[b], "reciprocal", 0.5, inverse), plan)
         if kind == "addc":
             def addc(r, p):
                 c = r[a].copy()
@@ -463,49 +457,212 @@ class Tape:
             return lambda r, p: r[a] / b
         own = self._plan(slot, slot, support, order)
         if kind == "rdivc":
-            return lambda r, p: reciprocal(r[a], own) * b
+            return lambda r, p: compose(r[a], "reciprocal", 0.5, own) * b
         if kind == "ipow":
             def ipow(r, p):
-                base = r[a] if b > 0 else reciprocal(r[a], own)
+                base = r[a] if b > 0 else compose(r[a], "reciprocal", 0.5, own)
                 return jets.int_power(base, abs(b), own, product)
             return ipow
         name, exponent = ("powr", b) if kind == "powr" else (b, 0.5)
-        return lambda r, p: jets.compose(r[a], taylor(name, r[a], exponent), own, product)
+        return lambda r, p: compose(r[a], name, exponent, own)
 
-    def _jet_program(self, order: int, rows: bool):
-        program = self._jet_programs.get((order, rows))
+    def _jet_program(self, order: int):
+        program = self._jet_programs.get(order)
         if program is None:
             full = tuple(range(2 * self.dim))
             size = jets.jet_space(len(full), order).size
             out = self.outputs[0]
             final = None if isinstance(out, float) else self._lift(out, full, order)
             final = slice(size) if final is None else final[:size]
-            ops = [self._jet_op(order, rows, i, *op) for i, op in enumerate(self._ops)]
-            program = self._jet_programs[(order, rows)] = (ops, size, final)
+            ops = [self._jet_op(order, i, *op) for i, op in enumerate(self._ops)]
+            program = self._jet_programs[order] = (ops, size, final)
         return program
+
+    def _point_kernel(self, order: int):
+        """The compiled one-point jet of this program at this order, shared
+        through `_KERNELS` by every tape with the same program."""
+        kernel = self._kernels.get(order)
+        if kernel is None:
+            key = (self.dim, order, tuple(map(_key, self._ops)), tuple(self._support),
+                   _key(self.outputs))
+            kernel = _KERNELS.get(key)
+            if kernel is None:
+                kernel = _KERNELS[key] = _compile_kernel(_KernelWriter(self, order).source())
+            self._kernels[order] = kernel
+        return kernel
 
     def jet(self, point, order: int) -> np.ndarray:
         """Coefficients over jet_space(2n, order) of the first expression at
-        a point; the caller checks that they are finite.
+        a point, a list of 2n floats; the caller checks that they are
+        finite.  The program runs as one compiled kernel per order.
 
         A point given as a (2n, S) array holds S points, one per column; the
-        program runs once over all of them on arrays with a trailing sample
-        axis, and column s of the result equals the coefficients at point s
-        alone, to the bit."""
+        row program runs once over all of them on arrays with a trailing
+        sample axis, and column s of the result equals the coefficients at
+        point s alone, to the bit."""
         if self.failure is not None:
             raise EvaluationDomainError(self.failure)
-        rows = isinstance(point, np.ndarray) and point.ndim == 2
-        ops, size, final = self._jet_program(order, rows)
+        if not (isinstance(point, np.ndarray) and point.ndim == 2):
+            return np.array(self._point_kernel(order)(point))
+        ops, size, final = self._jet_program(order)
         r: list = []
         append = r.append
         for op in ops:
             append(op(r, point))
         out = self.outputs[0]
         if isinstance(out, float):
-            c = np.zeros((size, point.shape[1]) if rows else size)
+            c = np.zeros((size, point.shape[1]))
             c[0] = out
             return c
         return r[out][final]
+
+
+def _key(values) -> tuple:
+    """Values with each float keyed by value and sign, since 0.0 == -0.0."""
+    return tuple((v, math.copysign(1.0, v)) if isinstance(v, float) else v for v in values)
+
+
+# The one-point jet kernel of each (program, order).  Tapes with the same
+# dimension, operations (constants keyed by value and sign), supports and
+# outputs share one, so a definition formed again on each run compiles once.
+_KERNELS: dict[tuple, object] = {}
+_TAYLOR_NAMES = _FUNCTIONS + ("powr", "reciprocal")
+_ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+
+
+def _compile_kernel(source: str):
+    namespace = {"taylor": jets.taylor, "inf": math.inf, "nan": math.nan}
+    exec(compile(source, "<tape kernel>", "exec"), namespace)
+    return namespace["kernel"]
+
+
+def _literal(v) -> str:
+    """Source of one coefficient: a local's name, or a float constant
+    (inf and nan are names bound in the kernel's namespace)."""
+    if isinstance(v, str):
+        return v
+    text = "nan" if v != v else repr(abs(v))
+    return f"(-{text})" if math.copysign(1.0, v) < 0.0 else text
+
+
+class _KernelWriter:
+    """The source of `kernel(p)`, the straight-line jet of a tape's first
+    expression at one point p of 2n floats, for one order.
+
+    A slot is the list of its padded coefficients (see `Tape`), each the
+    name of a local float or a float known while the source is written; a
+    lift is a renaming.  Each operation writes the arithmetic that a column
+    of the row program performs, in its order: a product writes each
+    coefficient as `0.0 + a_i*b_j + ...` in `jets.product_plan` order, the
+    order in which `np.bincount` sums from +0.0, and a composition calls
+    `jets.taylor` once and runs Horner's rule as `jets.compose` does.
+    Arithmetic on two known floats is done here, as the kernel would round
+    it.  The source holds only local names, indices, float constants and
+    the names of `_TAYLOR_NAMES`."""
+
+    def __init__(self, tape: Tape, order: int):
+        self.tape, self.order = tape, order
+        self.lines = ["def kernel(p):"]
+        self.count = 0
+
+    def source(self) -> str:
+        tape, order = self.tape, self.order
+        r: list[list] = []
+        for slot, op in enumerate(tape._ops):
+            r.append(self.op(r, tape._support[slot], *op))
+        size = jets.jet_space(2 * tape.dim, order).size
+        out = tape.outputs[0]
+        final = ([out] + [0.0] * (size - 1) if isinstance(out, float)
+                 else self.lifted(r, out, tuple(range(2 * tape.dim))))
+        self.lines.append(f"    return [{', '.join(map(_literal, final[:size]))}]")
+        return "\n".join(self.lines) + "\n"
+
+    def name(self) -> str:
+        self.count += 1
+        return f"t{self.count}"
+
+    def local(self, expr: str) -> str:
+        name = self.name()
+        self.lines.append(f"    {name} = {expr}")
+        return name
+
+    def arith(self, a, op: str, b):
+        if isinstance(a, float) and isinstance(b, float):
+            return _ARITH[op](a, b)
+        return self.local(f"{_literal(a)} {op} {_literal(b)}")
+
+    def lifted(self, r: list, slot: int, support: tuple) -> list:
+        index = self.tape._lift(slot, support, self.order)
+        return r[slot] if index is None else [r[slot][i] for i in index.tolist()]
+
+    def product(self, a: list, b: list, plan) -> list:
+        """The truncated product through a padded `jets.product_plan`."""
+        ia, ib, io, length = plan
+        terms: list[list] = [[] for _ in range(length)]
+        for i, j, o in zip(ia.tolist(), ib.tolist(), io.tolist()):
+            terms[o].append((a[i], b[j]))
+        return [self.sum_of_products(t) for t in terms]
+
+    def sum_of_products(self, terms: list):
+        """0.0 + x*y + ... in order; the known terms before the first
+        unknown one are summed here."""
+        acc = 0.0
+        for k, (x, y) in enumerate(terms):
+            if not (isinstance(x, float) and isinstance(y, float)):
+                rest = [f"{_literal(x)}*{_literal(y)}" for x, y in terms[k:]]
+                return self.local(" + ".join([_literal(acc)] + rest))
+            acc += x * y
+        return acc
+
+    def compose(self, c: list, name: str, exponent: float, plan) -> list:
+        if name not in _TAYLOR_NAMES:
+            raise ValueError(f"unknown elementary function {name!r}")
+        derivs = [self.name() for _ in range(self.order + 1)]
+        self.lines.append(f"    {', '.join(derivs)}, = taylor({name!r}, {_literal(c[0])}, "
+                          f"{self.order}, {_literal(float(exponent))})")
+        hat = [0.0] + c[1:]
+        out = [derivs[-1]] + [0.0] * (len(c) - 1)
+        for d in derivs[-2::-1]:
+            out = self.product(out, hat, plan)
+            out[0] = self.arith(out[0], "+", d)
+        return out
+
+    def op(self, r: list, support: tuple, kind, a, b=None) -> list:
+        """The coefficients of one tape operation on the slots r."""
+        tape, order = self.tape, self.order
+        if kind == "var":     # one variable, and the padding
+            return [self.local(f"p[{int(a)}]")] + ([1.0] + [0.0] * order if order else [0.0])
+        if kind == "neg":
+            return [-v if isinstance(v, float) else self.local(f"-{v}") for v in r[a]]
+        if kind in ("add", "sub"):
+            sign = "+" if kind == "add" else "-"
+            return [self.arith(u, sign, v) for u, v in zip(self.lifted(r, a, support),
+                                                           self.lifted(r, b, support))]
+        if kind in ("mul", "div"):
+            right = r[b]
+            if kind == "div":
+                right = self.compose(right, "reciprocal", 0.5,
+                                     tape._plan(b, b, tape._support[b], order))
+            return self.product(r[a], right, tape._plan(a, b, support, order))
+        if kind == "addc":
+            return [self.arith(r[a][0], "+", b)] + r[a][1:]
+        if kind in ("mulc", "divc"):
+            sign = "*" if kind == "mulc" else "/"
+            return [self.arith(v, sign, b) for v in r[a]]
+        own = tape._plan(a, a, support, order)
+        if kind == "rdivc":
+            return [self.arith(v, "*", b)
+                    for v in self.compose(r[a], "reciprocal", 0.5, own)]
+        if kind == "ipow":
+            base = r[a] if b > 0 else self.compose(r[a], "reciprocal", 0.5, own)
+            out = base
+            for bit in bin(abs(b))[3:]:
+                out = self.product(out, out, own)
+                if bit == "1":
+                    out = self.product(out, base, own)
+            return out
+        name, exponent = ("powr", b) if kind == "powr" else (b, 0.5)
+        return self.compose(r[a], name, exponent, own)
 
 
 def _raise(message: str):

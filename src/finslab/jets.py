@@ -106,8 +106,7 @@ class JetSpace:
     def mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Jet products of coefficient arrays, broadcasting their leading axes.
 
-        Agrees with `Jet.__mul__` up to the order in which terms are summed;
-        that stays the path for a single pair, where it is faster.
+        Agrees with `Jet.__mul__` up to the order in which terms are summed.
         """
         if self._sum_plan is None:
             ia, ib, io = self.mul_plan()

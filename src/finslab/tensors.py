@@ -9,6 +9,7 @@ carries a leading sample axis, from one jet of the batch.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -99,14 +100,31 @@ def _require_nondegenerate(mat: np.ndarray) -> None:
     """The one degeneracy test, of one matrix or a stack (leading sample
     axes): a non-finite entry is an EvaluationDomainError, and
     |det(g / max|g_ij|)| <= DEGENERACY_TOL, which cannot overflow, is
-    SingularMetric.  The first failing matrix of a stack names the error."""
+    SingularMetric.  The first failing matrix of a stack names the error.
+    One matrix takes its scale and finiteness on Python floats; its
+    determinant is the one a stack would give it."""
+    if mat.ndim == 2:
+        entries = mat.ravel().tolist()
+        if not all(map(math.isfinite, entries)):
+            raise EvaluationDomainError(_NON_FINITE)
+        scale = max(map(abs, entries))
+        det = np.linalg.det(mat / (scale if scale > 0.0 else 1.0))
+        if abs(det) <= DEGENERACY_TOL:
+            raise _degenerate(det, scale)
+        return
     scales = np.abs(mat).max(axis=(-2, -1))
     if not np.isfinite(scales).all():
-        raise EvaluationDomainError("fundamental tensor has a non-finite entry")
+        raise EvaluationDomainError(_NON_FINITE)
     dets = np.linalg.det(mat / np.where(scales > 0.0, scales, 1.0)[..., None, None])
     bad = np.abs(dets) <= DEGENERACY_TOL
     if bad.any():
         k = int(np.argmax(bad))
-        raise SingularMetric(
-            f"fundamental tensor is degenerate: |det g/scale|={abs(dets.flat[k]):.3e} "
-            f"at scale {scales.flat[k]:.3e}")
+        raise _degenerate(dets.flat[k], scales.flat[k])
+
+
+_NON_FINITE = "fundamental tensor has a non-finite entry"
+
+
+def _degenerate(det: float, scale: float) -> SingularMetric:
+    return SingularMetric(f"fundamental tensor is degenerate: |det g/scale|={abs(det):.3e} "
+                          f"at scale {scale:.3e}")

@@ -246,6 +246,19 @@ def test_exit_code_two_on_bad_curve_inputs(tmp_path, capsys, experiment, key, va
     assert_single_error_line(capsys)
 
 
+@pytest.mark.parametrize("args,t1", [
+    (["--step", "1e-300"], "6.283185307179586"), ([], "1e300")], ids=["step", "t1"])
+def test_exit_code_two_on_a_step_count_numpy_cannot_allocate(tmp_path, capsys, args, t1):
+    """`--step 1e-300` on the shipped geodesic config, and t1 = 1e300 at its
+    step, ended in `ValueError: Maximum allowed dimension exceeded` from
+    `np.empty` and exit 1; the step count is bounded before integrating."""
+    shipped = Path(__file__).resolve().parent.parent / "configs" / "geodesic.ini"
+    cfg = write_config(tmp_path, shipped.read_text().replace(
+        "t1 = 6.283185307179586", f"t1 = {t1}"))
+    assert cli.main(["geodesic", "--config", cfg, *args]) == 2
+    assert_single_error_line(capsys, "steps", str(cli.MAX_CURVE_STEPS))
+
+
 @pytest.mark.parametrize("experiment,extra", [
     ("tensors", ""), ("lightcone", "metric2 = minkowski2-cone\n"),
     ("variation", "x0 = 0, 1.5707963267948966, 0\nv0 = 1, 0, 1\n")],

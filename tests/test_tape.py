@@ -1,7 +1,11 @@
 """The compiled expression tape against the recursive jet walk over all 2n
 variables that it replaced (tests/expr_reference.py)."""
 
+import ast
+import io
+import re
 import time
+import tokenize
 
 import numpy as np
 import pytest
@@ -19,13 +23,16 @@ UNTYPED = (ValueError, OverflowError, ZeroDivisionError)
 
 
 def _definitions():
-    """Every builtin metric and factor, and every factor * metric product
-    that `scale_metric` forms from them."""
+    """Every builtin metric and factor, the reciprocal of every factor
+    (`inverse_factor`), and every factor * metric product that
+    `scale_metric` forms from a factor or its reciprocal."""
     builtins = [dsl.builtin_metric(name) for name in dsl.builtin_names()]
+    factors = [lam for lam in builtins if lam.degree == 0]
+    inverses = [conformal.inverse_factor(lam) for lam in factors]
     products = [conformal.scale_metric(m, lam, sample_budget=1)[0]
-                for lam in builtins if lam.degree == 0
+                for lam in factors + inverses
                 for m in builtins if m.degree == 2 and m.dim == lam.dim]
-    return builtins + products
+    return builtins + inverses + products
 
 
 @pytest.mark.parametrize("m", _definitions(), ids=lambda m: m.name)
@@ -140,29 +147,41 @@ def test_integer_powers_match_repeated_multiplication(p):
 
 
 def _counting_products(monkeypatch):
+    """The jet products of the one-point kernels compiled from now on (the
+    products their writer emits) and of `Jet` integer powers."""
     calls = []
-    plain = jets.product
+    monkeypatch.setattr(dsl, "_KERNELS", {})
+    emit = dsl._KernelWriter.product
 
-    def counting(a, b, plan):
+    def emitting(self, a, b, plan):
         calls.append(None)
-        return plain(a, b, plan)
+        return emit(self, a, b, plan)
 
-    monkeypatch.setattr(jets, "product", counting)
+    plain = jets.int_power
+
+    def int_power(c, p, plan, mul=jets.product):
+        def counting(a, b, plan):
+            calls.append(None)
+            return mul(a, b, plan)
+        return plain(c, p, plan, counting)
+
+    monkeypatch.setattr(dsl._KernelWriter, "product", emitting)
+    monkeypatch.setattr(jets, "int_power", int_power)
     return calls
 
 
 def test_an_integer_power_squares_its_way_up(monkeypatch):
-    """pow(u, 1000) takes a few products by repeated squaring, not 999, on
-    the tape and in `Jet` arithmetic alike."""
+    """pow(u, 1000) takes a few products by repeated squaring, not 999, in
+    the tape's kernel and in `Jet` arithmetic alike."""
     m = dsl.parse_metric("pow(y0, 1000)", 2)
     v = dsl.TangentSample([0.1, 0.2], [1.0, 0.5])
     calls = _counting_products(monkeypatch)
     tape_jet = m.jet(v, 2)
-    assert len(calls) <= 20
+    assert 0 < len(calls) <= 20
     calls.clear()
     y0 = jets.Jet.variable(jets.jet_space(4, 2), 2, 1.0)
     plain_jet = y0 ** 1000
-    assert len(calls) <= 20
+    assert 0 < len(calls) <= 20
     for jet in (tape_jet, plain_jet):
         assert jet.derivative((0, 0, 1, 0)) == pytest.approx(1000.0, rel=1e-13)
         assert jet.derivative((0, 0, 2, 0)) == pytest.approx(1000.0 * 999.0, rel=1e-13)
@@ -177,11 +196,92 @@ def test_a_huge_integer_power_returns_promptly(monkeypatch):
     start = time.perf_counter()
     jet = m.jet(v, 4)
     assert time.perf_counter() - start < 10.0
-    assert len(calls) <= 60
+    assert 0 < len(calls) <= 60
     p = 1e9
     assert jet.value == 1.25
     assert jet.derivative((0, 0, 4, 0)) == pytest.approx(
         p * (p - 1) * (p - 2) * (p - 3), rel=1e-12)
+
+
+def _counting_compiles(monkeypatch):
+    """The source of every one-point kernel compiled from now on."""
+    sources = []
+    monkeypatch.setattr(dsl, "_KERNELS", {})
+    plain = dsl._compile_kernel
+
+    def compiling(source):
+        sources.append(source)
+        return plain(source)
+
+    monkeypatch.setattr(dsl, "_compile_kernel", compiling)
+    return sources
+
+
+def test_one_kernel_per_program_and_order(monkeypatch):
+    """A metric text parsed twice, and a `scale_metric` or `inverse_factor`
+    product formed twice, compile one kernel per order; programs that
+    differ only in a constant's value, or in the sign of a zero constant,
+    get kernels of their own."""
+    sources = _counting_compiles(monkeypatch)
+    v = dsl.TangentSample([0.3, 0.1], [1.0, 0.5])
+    for c in ("0.5", "0.5", "0.25", "0.0", "-0.0", "0.0"):
+        m = dsl.parse_metric_file(f"dim=2\n-y0^2 + {c}*x0*y1^2 + y1^2\n")
+        for order in ORDERS:
+            m.jet(v, order)
+    assert len(sources) == 4 * len(ORDERS)
+    sources.clear()
+    cone, lam = dsl.builtin_metric("minkowski2-cone"), dsl.builtin_metric("bogoslovsky-factor")
+    for _ in range(2):
+        for m in (conformal.scale_metric(cone, lam, sample_budget=1)[0],
+                  conformal.inverse_factor(lam)):
+            for order in ORDERS:
+                m.jet(v, order)
+    assert len(sources) == 2 * len(ORDERS)
+
+
+def test_no_metric_text_reaches_a_kernel_source(monkeypatch, tmp_path):
+    """A kernel's source holds local names, indices, float constants and the
+    names of the fixed function set, never text of the metric: not a
+    name= header with quotes and Python code in it, nor a name with
+    newlines given to the parser."""
+    sources = _counting_compiles(monkeypatch)
+    header = """__import__('os').system("echo x") # ''' \"\"\" \\n"""
+    path = tmp_path / "evil.metric"
+    path.write_text(f"name={header}\ndim=2\nexp(x0) * y0^2 - sin(x1) * y1^2 + 0.3*y0*y1\n")
+    named = [dsl.load_metric_file(path),
+             dsl.parse_metric("pow(y0, 2.5) / y1", 2, name="a\nb'\"c\nimport sys",
+                              domain=("y0", "y1"))]
+    assert named[0].name == header.strip()
+    v = dsl.TangentSample([0.3, 0.1], [1.0, 0.5])
+    for m in named:
+        for order in ORDERS:
+            m.jet(v, order)
+    assert len(sources) == 2 * len(ORDERS)
+    allowed = {"def", "kernel", "p", "return", "taylor", "inf", "nan"}
+    layout = {tokenize.NUMBER, tokenize.OP, tokenize.NEWLINE, tokenize.NL,
+              tokenize.INDENT, tokenize.DEDENT, tokenize.ENDMARKER}
+    for source in sources:
+        for m in named:
+            assert m.name not in source
+        for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+            if tok.type == tokenize.NAME:
+                assert tok.string in allowed or re.fullmatch(r"t\d+", tok.string), tok
+            elif tok.type == tokenize.STRING:
+                assert ast.literal_eval(tok.string) in dsl._TAYLOR_NAMES, tok
+            else:
+                assert tok.type in layout, tok
+
+
+def test_an_overflowing_jet_raises_the_not_finite_error():
+    """x0 = 1e200 makes x0^2 overflow to inf: the jet at that point raises
+    EvaluationDomainError naming the metric and the sample, at every order,
+    and no numpy warning escapes (pytest turns one into an error)."""
+    m = dsl.parse_metric("x0^2 * y0^2 + y1^2", 2, name="overflow")
+    v = dsl.TangentSample([1e200, 0.0], [1.0, 0.5])
+    for order in ORDERS:
+        with pytest.raises(EvaluationDomainError) as err:
+            m.jet(v, order)
+        assert str(err.value) == f"the jet of 'overflow' is not finite at {v!r}"
 
 
 SAMPLE_COUNTS = (1, connection.CHUNK, connection.CHUNK + 1)

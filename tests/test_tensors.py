@@ -142,6 +142,32 @@ def test_inverse_metric_rejects_a_non_finite_entry(bad):
         tensors.inverse_metric(np.array([[1.0, bad], [bad, -1.0]]))
 
 
+def _verdict(mat):
+    try:
+        tensors._require_nondegenerate(mat)
+    except (EvaluationDomainError, SingularMetric) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+@pytest.mark.parametrize("mat,error", [
+    ([[-1.0, 0.2, 0.0], [0.2, 1.0, 0.1], [0.0, 0.1, 0.7]], None),
+    ([[1.0, np.nan, 0.0], [np.nan, 1.0, 0.0], [0.0, 0.0, 1.0]], EvaluationDomainError),
+    ([[1.0, 0.0, 0.0], [0.0, -np.inf, 0.0], [0.0, 0.0, 1.0]], EvaluationDomainError),
+    ([[0.0, -0.0, 0.0], [-0.0, 0.0, 0.0], [0.0, 0.0, 0.0]], SingularMetric),
+    ([[1.0, 2.0, 3.0], [2.0, 4.0, 6.0], [3.0, 6.0, 9.5]], SingularMetric),
+    ([[1e200, 0.0, 0.0], [0.0, 1e-20, 0.0], [0.0, 0.0, 1e200]], SingularMetric),
+], ids=["finite", "nan", "inf", "zero", "degenerate", "degenerate-scaled"])
+def test_one_matrix_gets_the_verdict_of_its_row_in_a_stack(mat, error):
+    """The one-matrix path of the degeneracy test gives the verdict and the
+    message that the same matrix gets as a row of a stack, wherever the
+    row stands."""
+    mat = np.array(mat)
+    one = _verdict(mat)
+    assert one == _verdict(mat[None]) == _verdict(np.stack([np.eye(3), mat, mat]))
+    assert (one and one[0]) is error
+
+
 def test_inadmissible_sample_is_rejected(bogoslovsky):
     v = dsl.TangentSample([0, 0], [1.0, 2.0])
     with pytest.raises(InadmissibleSample):
