@@ -235,10 +235,16 @@ def _tolerance(cfg: Config, default: float) -> float:
                             f"{cfg.path}: [run] tol")
 
 
+# the most samples a run may take: `tensors` evaluates its samples in one
+# batch, which for a 3-dimensional metric costs about 5 MB and 80 ms per
+# thousand samples, so this keeps the batch's arrays allocatable
+MAX_SAMPLES = 100_000
+
+
 def _sample_count(cfg: Config, default: int) -> int:
     count = cfg.get_int("run", "samples", default=default)
-    if count < 1:
-        raise ConfigError(f"{cfg.path}: samples must be at least 1, got {count}")
+    if not 1 <= count <= MAX_SAMPLES:
+        raise ConfigError(f"{cfg.path}: samples must lie in [1, {MAX_SAMPLES}], got {count}")
     return count
 
 

@@ -222,16 +222,18 @@ def scale_metric(m: MetricDefinition, lam: MetricDefinition,
                  ) -> tuple[MetricDefinition, ScaleReport]:
     """Product definition factor * metric, with a nondegeneracy survey.
 
-    Raises PositivityFailure if the factor is not strictly positive on the
-    sampled domain.  The report flags (without raising) samples where the
-    scaled fundamental tensor gets close to degenerate.
+    Raises IncompatiblePair unless m has degree 2 and lam degree 0 in the
+    same dimension, and PositivityFailure if the factor is not strictly
+    positive on the sampled domain.  The report flags (without raising)
+    samples where the scaled fundamental tensor gets close to degenerate.
     """
     if m.degree != 2:
-        raise ValueError(f"{m.name!r} is declared with degree {m.degree}, expected 2")
+        raise IncompatiblePair(f"{m.name!r} is declared with degree {m.degree}, expected 2")
     if lam.degree != 0:
-        raise ValueError(f"{lam.name!r} is declared with degree {lam.degree}, expected 0")
+        raise IncompatiblePair(
+            f"{lam.name!r} is declared with degree {lam.degree}, expected 0")
     if lam.dim != m.dim:
-        raise ValueError("factor and metric dimensions differ")
+        raise IncompatiblePair("factor and metric dimensions differ")
     seen = {pretty(p) for p in m.domain}
     extra = tuple(p for p in lam.domain if pretty(p) not in seen)
     scaled = MetricDefinition(

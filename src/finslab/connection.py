@@ -48,7 +48,7 @@ from .curves import DiscreteCurve, spline_derivative
 from .dsl import MetricDefinition, SampleBatch, TangentSample
 from .errors import GridMismatch, InadmissibleSample
 from .jets import Jet, jet_space
-from .tensors import (_inadmissible, _require_admissible, _require_nondegenerate,
+from .tensors import (_inadmissible, _nondegenerate_solve, _require_admissible,
                       fundamental_tensor, inverse_metric)
 
 __all__ = [
@@ -287,21 +287,44 @@ def spray_coefficients(m: MetricDefinition, v: TangentSample) -> np.ndarray:
     return _spray(m.jet(v, 2).c, v.y)
 
 
-def _spray(c: np.ndarray, y: np.ndarray) -> np.ndarray:
+def _spray(c, y):
     """The spray kernel: G = (1/4) z with g z = A y - b, where g_lk =
     (1/2) d2L/dy^l dy^k, A_lk = d2L/dy^l dx^k and b_l = dL/dx^l are read
     from the order-2 jet coefficients c of L at the fiber vector y.
 
-    c and y hold one sample, or S samples along a leading axis; the
-    degeneracy test and the solve run once over the stack, and row k equals
-    the kernel at sample k alone, to the bit."""
-    n = y.shape[-1]
-    jet = Jet(jet_space(2 * n, 2), c)
-    hess = jet.partials(2)
-    g = 0.5 * hess[..., n:, n:]
-    _require_nondegenerate(g)
-    r = hess[..., n:, :n] @ y[..., None] - jet.partials(1)[..., :n, None]
-    return 0.25 * np.linalg.solve(g, r)[..., 0]
+    One sample given as lists of Python floats (an RK stage) runs on floats
+    and returns a list: g goes through the one degeneracy test and is
+    solved by the same elimination (`tensors._nondegenerate_solve`).  Arrays
+    hold one sample, or S samples along a leading axis, and each row runs
+    through the float kernel in turn, so row k equals the kernel at sample
+    k alone, to the bit, and the first failing row raises."""
+    if isinstance(y, np.ndarray):
+        rows = zip(np.atleast_2d(c).tolist(), np.atleast_2d(y).tolist())
+        return np.array([_spray(ck, yk) for ck, yk in rows]).reshape(y.shape)
+    n = len(y)
+    first, mixed, fiber = _spray_slots(n)
+    r = []
+    for b, row in zip(first, mixed):
+        acc = 0.0
+        for i, yk in zip(row, y):
+            acc += c[i] * yk
+        r.append(acc - c[b])
+    g = [0.5 * (c[i] * f) for i, f in fiber]
+    return [0.25 * z for z in _nondegenerate_solve(g, n, r)]
+
+
+@functools.lru_cache(maxsize=None)
+def _spray_slots(n: int) -> tuple[list, list, list]:
+    """Where `_spray` reads its data among the order-2 coefficients over 2n
+    variables: the index of b_l, the indices of row l of A, and the entries
+    of g row by row as pairs (index, factor), with the factor that turns a
+    coefficient into the partial (`JetSpace.partial_slots`)."""
+    space = jet_space(2 * n, 2)
+    first = space.partial_slots(1)[0][:n, 0].tolist()
+    index, factor = (a[..., 0] for a in space.partial_slots(2))
+    mixed = index[n:, :n].tolist()
+    fiber = list(zip(index[n:, n:].ravel().tolist(), factor[n:, n:].ravel().tolist()))
+    return first, mixed, fiber
 
 
 def _sprays_along(m: MetricDefinition, times: np.ndarray, positions: np.ndarray,

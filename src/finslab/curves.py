@@ -54,6 +54,11 @@ class DiscreteCurve:
         s = self._dense(t)
         return s[..., :self.dim], s[..., self.dim:]
 
+    def point(self, t: float) -> list[float]:
+        """Position and velocity at one float t as one list x + v of 2n
+        Python floats, the point a metric's float program reads."""
+        return self._dense.floats(t)
+
     def position(self, t):
         return self.state(t)[0]
 

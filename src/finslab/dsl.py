@@ -117,6 +117,20 @@ class Func(Expr):
 _FUNCTIONS = ("exp", "log", "sqrt", "sin", "cos")
 
 
+def _children(node: Expr) -> tuple:
+    """The operand subtrees of a node, in order."""
+    kind = type(node)
+    if kind in (Add, Sub, Mul, Div):
+        return (node.a, node.b)
+    if kind is Neg:
+        return (node.a,)
+    if kind is Pow:
+        return (node.base,)
+    if kind is Func:
+        return (node.arg,)
+    return ()
+
+
 def evaluate(node: Expr, xs, ys) -> float:
     """Value of an expression at chart values xs and fiber values ys, by a
     tape compiled for this call; a variable that is not given reads nan."""
@@ -286,8 +300,30 @@ class Tape:
                 self.failure = str(exc)
             return math.nan
 
-    def _emit(self, node: Expr):
-        """Slot of a node, or its float if it is constant."""
+    def _emit(self, root: Expr):
+        """Slot of an expression, or its float if it is constant.  The tree
+        is walked with an explicit stack, children first and left to right,
+        so that a long sum compiles without deep recursion."""
+        todo: list = [root]
+        done: list = []          # the value of each finished subtree, in order
+        while todo:
+            node = todo.pop()
+            if type(node) is tuple:              # (node, arity): its children are done
+                node, arity = node
+                args = done[-arity:]
+                del done[-arity:]
+                done.append(self._node(node, *args))
+                continue
+            children = _children(node)
+            if children:
+                todo.append((node, len(children)))
+                todo.extend(reversed(children))
+            else:
+                done.append(self._node(node))
+        return done[0]
+
+    def _node(self, node: Expr, *args):
+        """Slot or float of one node from those of its children."""
         if isinstance(node, Num):
             return float(node.value)
         if isinstance(node, Var):
@@ -297,16 +333,16 @@ class Tape:
             v = node.index + (self.dim if node.kind == "y" else 0)
             return self._slot(("var", v), (v,))
         if isinstance(node, Neg):
-            a = self._emit(node.a)
+            (a,) = args
             if isinstance(a, float):
                 return -a
             return self._slot(("neg", a), self._support[a])
         if isinstance(node, (Add, Sub, Mul, Div)):
-            return self._binary(type(node), self._emit(node.a), self._emit(node.b))
+            return self._binary(type(node), *args)
         if isinstance(node, Pow):
-            return self._power(self._emit(node.base), node.exponent)
+            return self._power(*args, node.exponent)
         if isinstance(node, Func):
-            a = self._emit(node.arg)
+            (a,) = args
             if isinstance(a, float):
                 return self._fold(_function, node.name, a)
             return self._slot(("func", a, node.name), self._support[a])
@@ -491,6 +527,14 @@ class Tape:
             self._kernels[order] = kernel
         return kernel
 
+    def point_jet(self, point, order: int) -> list[float]:
+        """`jet` at one point, a sequence of 2n floats, as the compiled
+        kernel's list of coefficients; the caller checks that they are
+        finite."""
+        if self.failure is not None:
+            raise EvaluationDomainError(self.failure)
+        return self._point_kernel(order)(point)
+
     def jet(self, point, order: int) -> np.ndarray:
         """Coefficients over jet_space(2n, order) of the first expression at
         a point, a list of 2n floats; the caller checks that they are
@@ -500,10 +544,10 @@ class Tape:
         row program runs once over all of them on arrays with a trailing
         sample axis, and column s of the result equals the coefficients at
         point s alone, to the bit."""
+        if not (isinstance(point, np.ndarray) and point.ndim == 2):
+            return np.array(self.point_jet(point, order))
         if self.failure is not None:
             raise EvaluationDomainError(self.failure)
-        if not (isinstance(point, np.ndarray) and point.ndim == 2):
-            return np.array(self._point_kernel(order)(point))
         ops, size, final = self._jet_program(order)
         r: list = []
         append = r.append
@@ -993,7 +1037,11 @@ class MetricDefinition:
             if len(x):
                 self._point(x[0], y[0])                  # the shape check
             return self._body.float_rows(_columns(x, y))[0]
-        return self._body.floats(self._point(x, y))[0]
+        return self._point_value(self._point(x, y))
+
+    def _point_value(self, point) -> float:
+        """`value` at one point x + y, given as a sequence of 2n floats."""
+        return self._body.floats(point)[0]
 
     def value_at(self, sample: TangentSample | SampleBatch):
         return self.value(sample.x, sample.y)
@@ -1010,14 +1058,15 @@ class MetricDefinition:
             if not finite.all():
                 raise self._not_finite(sample[int(np.argmin(finite))])
         else:
-            c = self._point_jet(self._point(sample.x, sample.y), order)
+            c = np.array(self._point_jet(self._point(sample.x, sample.y), order))
         return jets.Jet(jets.jet_space(2 * self.dim, order), c)
 
-    def _point_jet(self, point: list[float], order: int) -> np.ndarray:
-        """The jet coefficients at one point x + y, given as a list of 2n
-        floats, or the EvaluationDomainError of a jet that is not finite."""
-        c = self._body.jet(point, order)
-        if not np.isfinite(c).all():
+    def _point_jet(self, point, order: int) -> list[float]:
+        """The jet coefficients at one point x + y, given as a sequence of 2n
+        floats, as a list, or the EvaluationDomainError of a jet that is not
+        finite."""
+        c = self._body.point_jet(point, order)
+        if not all(map(math.isfinite, c)):
             raise self._not_finite(TangentSample(point[:self.dim], point[self.dim:]))
         return c
 
@@ -1043,8 +1092,8 @@ class MetricDefinition:
             return False
         return self._point_admissible(sample.x.tolist() + sample.y.tolist())
 
-    def _point_admissible(self, point: list[float]) -> bool:
-        """`admissible` at one point x + y, given as a list of 2n floats."""
+    def _point_admissible(self, point) -> bool:
+        """`admissible` at one point x + y, given as a sequence of 2n floats."""
         try:
             values = self._domain.floats(point)
         except EvaluationDomainError:

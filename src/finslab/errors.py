@@ -61,7 +61,9 @@ class GridMismatch(FinslabError):
 
 
 class IncompatiblePair(FinslabError, ValueError):
-    """The two metrics of a conformal pair differ in dimension or domain."""
+    """The two metrics of a conformal pair differ in dimension or domain, or
+    a metric and its conformal factor differ in dimension or do not have
+    degrees 2 and 0."""
 
 
 class ConfigError(FinslabError):

@@ -22,6 +22,7 @@ dot products are stacked matmuls, which round as the 1-D `@` does.
 from __future__ import annotations
 
 import math
+import operator
 
 import numpy as np
 
@@ -87,24 +88,42 @@ def rk4_step(f, t: float, s, h: float, k1):
     return s + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
 
 
-def _rhs(m: MetricDefinition, x: np.ndarray, y: np.ndarray, t: float) -> np.ndarray:
+class _Floats(tuple):
+    """An RK state or rate as a tuple of Python floats, with the elementwise
+    sum and the scalar multiple that `rk4_step` applies; each rounds as on
+    a numpy array, so `rk4_step` performs the same float operations on
+    either."""
+
+    __slots__ = ()
+
+    def __add__(self, other):
+        return _Floats(map(operator.add, self, other))
+
+    def __rmul__(self, a):
+        return _Floats([a * v for v in self])
+
+
+def _rhs(m: MetricDefinition, point, t: float) -> list[float]:
     """The acceleration -2G(x, y) of the RK stage at curve time t, from one
-    domain check and one order-2 jet at the point x + y."""
-    point = x.tolist() + y.tolist()
+    domain check and one order-2 jet at the point x + y (2n floats)."""
     if not all(map(math.isfinite, point)):
         raise EvaluationDomainError(f"the integration state is not finite at t={t!r}")
-    if not any(point[len(x):]):
+    y = point[m.dim:]
+    if not any(y):
         raise ValueError("fiber vector must be nonzero")
     if not m._point_admissible(point):
         raise DomainExit(t)
-    return -2.0 * _spray(m._point_jet(point, 2), y)
+    return [-2.0 * a for a in _spray(m._point_jet(point, 2), y)]
 
 
 def integrate_geodesic(m: MetricDefinition, x0, v0, t_span: tuple[float, float],
                        h: float) -> DiscreteCurve:
     """Fixed-step RK4 integration of xdd = -2G(x, xd).
 
-    The step is shrunk minimally so that it divides the span exactly.  Raises
+    The state (x, y) is held as one tuple of 2n Python floats, the point
+    that the stage's domain check, jet kernel and float spray kernel read;
+    `rk4_step` combines it as it would a numpy array, to the bit.  The step
+    is shrunk minimally so that it divides the span exactly.  Raises
     EvaluationDomainError if an RK stage state is not finite, DomainExit if
     a stage leaves the conic domain, SingularMetric if the fundamental tensor
     degenerates along the way.
@@ -116,27 +135,27 @@ def integrate_geodesic(m: MetricDefinition, x0, v0, t_span: tuple[float, float],
         raise ValueError("need t1 > t0")
     steps = max(1, math.ceil((t1 - t0) / h - 1e-12))
     h = (t1 - t0) / steps
-    n = np.asarray(x0, dtype=float).size
-    xs = np.empty((steps + 1, n))
-    ys = np.empty((steps + 1, n))
-    accs = np.empty((steps + 1, n))
-    xs[0] = np.asarray(x0, dtype=float)
-    ys[0] = np.asarray(v0, dtype=float)
-    if not m.admissible(TangentSample(xs[0], ys[0])):
+    start = TangentSample(x0, v0)
+    if not m.admissible(start):
         raise InadmissibleSample("initial data is outside the metric domain")
-    accs[0] = _rhs(m, xs[0], ys[0], t0)
+    n = start.dim
 
-    def f(t, s):   # s = (x, y)
-        return np.array([s[1], _rhs(m, s[0], s[1], t)])
+    def f(t, s):   # s = x + y, and f = y + (-2G)
+        return _Floats((*s[n:], *_rhs(m, s, t)))
 
+    states = [_Floats(start.x.tolist() + start.y.tolist())]
+    rates = [f(t0, states[0])]
     for k in range(steps):
         t = t0 + k * h
-        xs[k + 1], ys[k + 1] = rk4_step(f, t, np.array([xs[k], ys[k]]), h,
-                                        k1=np.array([ys[k], accs[k]]))
-        accs[k + 1] = _rhs(m, xs[k + 1], ys[k + 1], t + h)
+        states.append(rk4_step(f, t, states[k], h, rates[k]))
+        rates.append(f(t + h, states[k + 1]))
     grid = t0 + h * np.arange(steps + 1)
     grid[-1] = t1
-    return DiscreteCurve(grid, xs, ys, accs)
+    states, rates = np.array(states), np.array(rates)
+    # C-contiguous copies: for strided rows numpy may pick another matmul
+    # kernel, which can round differently
+    return DiscreteCurve(grid, states[:, :n].copy(), states[:, n:].copy(),
+                         rates[:, n:].copy())
 
 
 # --------------------------------------------------------------------------
@@ -351,11 +370,13 @@ def reparametrize_conformal(curve: DiscreteCurve, lam, m: MetricDefinition
     """
     check_lightlike(curve, m)
     lo, hi = curve.t0, curve.t1
+    if lam is not None:
+        lam._point(*curve.state(lo))             # the shape check
 
     def rate(mu: float, phi: float) -> float:
         if lam is None:
             return 1.0
-        return lam.value(*curve.state(min(max(phi, lo), hi)))
+        return lam._point_value(curve.point(min(max(phi, lo), hi)))
 
     h = curve.step
     mus = [curve.t0]

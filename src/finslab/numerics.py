@@ -63,16 +63,20 @@ class HermiteSpline:
 
     def __call__(self, t):
         if isinstance(t, float):
-            nodes = self._nodes
-            i = bisect_right(nodes, t, 1, len(nodes) - 1) - 1
-            s = float(t) - nodes[i]
-            ss = s * s
-            sss = ss * s
-            return np.array([0.0 + c3 + c2 * s + c1 * ss + c0 * sss for c0, c1, c2, c3
-                             in zip(*self._c[:, i].tolist())]).reshape(self._tail)
+            return np.array(self.floats(t)).reshape(self._tail)
         (c0, c1, c2, c3), s, shape = self._locate(t)
         value = 0.0 + c3 + c2 * s + c1 * (s * s) + c0 * (s * s * s)
         return value.reshape(shape + self._tail)
+
+    def floats(self, t: float) -> list[float]:
+        """The value at one float t as a flat list of Python floats."""
+        nodes = self._nodes
+        i = bisect_right(nodes, t, 1, len(nodes) - 1) - 1
+        s = float(t) - nodes[i]
+        ss = s * s
+        sss = ss * s
+        return [0.0 + c3 + c2 * s + c1 * ss + c0 * sss
+                for c0, c1, c2, c3 in zip(*self._c[:, i].tolist())]
 
     def derivative(self, t):
         """First derivative: c2 + 2 c1 s + 3 c0 s^2, summed from 0.0."""

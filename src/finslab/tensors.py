@@ -98,28 +98,64 @@ def inverse_metric(g: FundamentalTensor | np.ndarray) -> np.ndarray:
 
 def _require_nondegenerate(mat: np.ndarray) -> None:
     """The one degeneracy test, of one matrix or a stack (leading sample
-    axes): a non-finite entry is an EvaluationDomainError, and
-    |det(g / max|g_ij|)| <= DEGENERACY_TOL, which cannot overflow, is
-    SingularMetric.  The first failing matrix of a stack names the error.
-    One matrix takes its scale and finiteness on Python floats; its
-    determinant is the one a stack would give it."""
-    if mat.ndim == 2:
-        entries = mat.ravel().tolist()
-        if not all(map(math.isfinite, entries)):
-            raise EvaluationDomainError(_NON_FINITE)
-        scale = max(map(abs, entries))
-        det = np.linalg.det(mat / (scale if scale > 0.0 else 1.0))
-        if abs(det) <= DEGENERACY_TOL:
-            raise _degenerate(det, scale)
-        return
-    scales = np.abs(mat).max(axis=(-2, -1))
-    if not np.isfinite(scales).all():
+    axes), through `_nondegenerate_solve` of each matrix in turn, so the
+    first failing matrix of a stack names the error."""
+    n = mat.shape[-1]
+    for entries in mat.reshape(-1, n * n).tolist():
+        _nondegenerate_solve(entries, n)
+
+
+def _nondegenerate_solve(g: list[float], n: int, r: list[float] | None = None):
+    """The degeneracy test of one n x n matrix g, given as its n*n entries
+    row by row in a list of Python floats, and with a right-hand side r the
+    solution z of g z = r, from one Gaussian elimination with partial
+    pivoting of g / scale, where scale = max|g_ij| (Golub & Van Loan,
+    *Matrix Computations*, 4th ed., 2013, sec. 3.4).
+
+    A non-finite entry is an EvaluationDomainError.  Each step swaps in the
+    row of the first largest |entry| of its column, and a zero multiplier
+    leaves its row as it is.  det(g / scale) is the signed product of the
+    pivots; it cannot overflow, and |det| <= DEGENERACY_TOL is
+    SingularMetric.  r is scaled with g, so z solves (g / scale) z =
+    r / scale by back substitution."""
+    if not all(map(math.isfinite, g)):
         raise EvaluationDomainError(_NON_FINITE)
-    dets = np.linalg.det(mat / np.where(scales > 0.0, scales, 1.0)[..., None, None])
-    bad = np.abs(dets) <= DEGENERACY_TOL
-    if bad.any():
-        k = int(np.argmax(bad))
-        raise _degenerate(dets.flat[k], scales.flat[k])
+    scale = max(map(abs, g))
+    s = scale if scale > 0.0 else 1.0
+    # the rows of [g | r] / scale
+    a = [[v / s for v in g[i:i + n]] + [rk / s]
+         for i, rk in zip(range(0, n * n, n), r or [0.0] * n)]
+    det = 1.0
+    for k in range(n):
+        p, big = k, abs(a[k][k])
+        for i in range(k + 1, n):
+            if abs(a[i][k]) > big:
+                p, big = i, abs(a[i][k])
+        if p != k:
+            a[k], a[p] = a[p], a[k]
+            det = -det
+        top = a[k]
+        pivot = top[k]
+        det *= pivot
+        if pivot == 0.0:
+            break
+        for row in a[k + 1:]:
+            f = row[k] / pivot
+            if f:
+                for j in range(k + 1, n + 1):
+                    row[j] -= f * top[j]
+    if abs(det) <= DEGENERACY_TOL:
+        raise _degenerate(det, scale)
+    if r is None:
+        return None
+    z = [0.0] * n
+    for i in range(n - 1, -1, -1):
+        row = a[i]
+        acc = row[n]
+        for j in range(i + 1, n):
+            acc -= row[j] * z[j]
+        z[i] = acc / row[i]
+    return z
 
 
 _NON_FINITE = "fundamental tensor has a non-finite entry"

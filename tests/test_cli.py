@@ -259,16 +259,56 @@ def test_exit_code_two_on_a_step_count_numpy_cannot_allocate(tmp_path, capsys, a
     assert_single_error_line(capsys, "steps", str(cli.MAX_CURVE_STEPS))
 
 
-@pytest.mark.parametrize("experiment,extra", [
+SAMPLE_RUNS = pytest.mark.parametrize("experiment,extra", [
     ("tensors", ""), ("lightcone", "metric2 = minkowski2-cone\n"),
     ("variation", "x0 = 0, 1.5707963267948966, 0\nv0 = 1, 0, 1\n")],
     ids=["tensors", "lightcone", "variation"])
+
+
+@SAMPLE_RUNS
 def test_exit_code_two_on_non_positive_sample_count(tmp_path, capsys, experiment, extra):
     metric = "minkowski2-cone" if experiment == "lightcone" else "einstein-static"
     cfg = write_config(tmp_path, f"[metric]\nmetric = {metric}\n{extra}"
                                  "[run]\nsamples = -5\n")
     assert cli.main([experiment, "--config", cfg]) == 2
     assert_single_error_line(capsys, "samples")
+
+
+@SAMPLE_RUNS
+@pytest.mark.parametrize("count", [cli.MAX_SAMPLES + 1, 10 ** 15])
+def test_exit_code_two_on_a_sample_count_above_the_cap(tmp_path, capsys, experiment,
+                                                       extra, count):
+    """`samples = 1000000000000000` in the shipped tensors config ended in
+    numpy's `_ArrayMemoryError` and exit 1; the count is bounded before any
+    sample is drawn."""
+    metric = "minkowski2-cone" if experiment == "lightcone" else "einstein-static"
+    cfg = write_config(tmp_path, f"[metric]\nmetric = {metric}\n{extra}"
+                                 f"[run]\nsamples = {count}\n")
+    assert cli.main([experiment, "--config", cfg]) == 2
+    assert_single_error_line(capsys, "samples", str(cli.MAX_SAMPLES), str(count))
+
+
+def test_exit_code_two_on_a_factor_of_the_wrong_degree(tmp_path, capsys):
+    """A degree-2 metric given as the conformal factor of the shipped
+    conformal-pregeodesic config ended in a bare ValueError and exit 1."""
+    shipped = Path(__file__).resolve().parent.parent / "configs" / "conformal-pregeodesic.ini"
+    text = shipped.read_text()
+    assert "lambda = theta-weight" in text
+    cfg = write_config(tmp_path, text.replace("lambda = theta-weight",
+                                              "lambda = einstein-static"))
+    assert cli.main(["conformal-pregeodesic", "--config", cfg]) == 2
+    assert_single_error_line(capsys, "'einstein-static'", "degree 2, expected 0")
+
+
+def test_a_metric_body_of_a_thousand_terms_compiles_and_runs(tmp_path, capsys):
+    """A sum of 1,000 `y0*y0` terms is a tree 1,000 nodes deep; compiling it
+    ended in RecursionError and exit 1."""
+    body = " + ".join(["y0*y0"] * 1000) + " - y1*y1"
+    (tmp_path / "long.metric").write_text(f"dim=2\n{body}\n")
+    cfg = write_config(tmp_path, "[metric]\nmetric = long.metric\n"
+                                 "[run]\nseed = 1\nsamples = 5\n")
+    assert cli.main(["tensors", "--config", cfg]) == 0
+    assert "overall pass=True" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("rho", ["0", "-0.5", "3.2", "nan"])

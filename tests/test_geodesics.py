@@ -106,6 +106,34 @@ def test_a_non_finite_stage_state_is_named_by_its_curve_time():
     assert str(err.value) == "the integration state is not finite at t=0.005"
 
 
+@pytest.mark.parametrize("name", ["einstein", "scaled_einstein", "bogoslovsky"])
+def test_the_float_state_takes_the_steps_of_an_array_state_to_the_bit(name, request):
+    """`integrate_geodesic` holds (x, y) as one tuple of Python floats.  A
+    loop of `rk4_step` over numpy arrays, holding the state as a (2, n)
+    array with the same float spray per stage, gives the same curve to the
+    bit: the float state performs `rk4_step`'s operations in its order."""
+    m = request.getfixturevalue(name)
+    x0, v0 = ([0.1, 0.0], [2.0, 1.0]) if m.dim == 2 else ([0.0, 1.2, 0.3], [1.0, 0.2, 0.9])
+    t0, t1, steps = 0.25, 0.85, 60
+    curve = geodesics.integrate_geodesic(m, x0, v0, (t0, t1), 1e-2)
+    h = (t1 - t0) / steps                # the step the integrator takes
+
+    def f(t, s):
+        return np.array([s[1], geodesics._rhs(m, s[0].tolist() + s[1].tolist(), t)])
+
+    states = [np.array([x0, v0], dtype=float)]
+    rates = [f(t0, states[0])]
+    for k in range(steps):
+        t = t0 + k * h
+        states.append(geodesics.rk4_step(f, t, states[k], h, rates[k]))
+        rates.append(f(t + h, states[-1]))
+    assert len(curve.grid) == steps + 1
+    for got, want in ((curve.positions, [s[0] for s in states]),
+                      (curve.velocities, [s[1] for s in states]),
+                      (curve.accelerations, [r[1] for r in rates])):
+        assert np.array(want).tobytes() == got.tobytes()
+
+
 def test_dense_output_matches_nodes_exactly(minkowski3):
     curve = geodesics.integrate_geodesic(minkowski3, [0, 0, 0], [1, 0.3, 0.1],
                                          (0, 1), 1e-2)

@@ -1,5 +1,9 @@
 """Fundamental and Cartan tensors, Legendre map, metric inverse."""
 
+import inspect
+import textwrap
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -172,3 +176,89 @@ def test_inadmissible_sample_is_rejected(bogoslovsky):
     v = dsl.TangentSample([0, 0], [1.0, 2.0])
     with pytest.raises(InadmissibleSample):
         tensors.fundamental_tensor(bogoslovsky, v)
+
+
+# --------------------------------------------------------------------------
+# the float elimination of the degeneracy test and the spray solve
+# --------------------------------------------------------------------------
+
+EPS = np.finfo(float).eps / 2      # the unit round-off u
+
+
+def _solve_cases():
+    """(g, r) with g random, Lorentzian or near-degenerate, 2x2 and 3x3.
+    The Lorentzian ones are written in coordinates close to null ones, so
+    that the leading diagonal entry is small beside the rest of its column."""
+    rng = np.random.default_rng(20)
+    cases = []
+    for n in (2, 3):
+        for _ in range(200):
+            a = rng.standard_normal((n, n))
+            cases.append(a)                             # general
+            cases.append(a + a.T)                       # symmetric
+            # Lorentzian, near-null coordinates: g = [[d, 1], [1, c]] (+ space)
+            g = np.eye(n)
+            g[:2, :2] = [[rng.uniform(1e-12, 1e-8) * rng.choice([-1, 1]), 1.0],
+                         [1.0, rng.uniform(-2.0, 2.0)]]
+            cases.append(g)
+            # Lorentzian, rotated: q^T diag(-s0, s1, ...) q
+            q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+            signs = np.array([-1.0] + [1.0] * (n - 1))
+            cases.append(q.T @ np.diag(signs * np.exp(rng.uniform(-3.0, 3.0, n))) @ q)
+            # near-degenerate: the smallest singular value 1e-10 to 1e-7 of
+            # the largest, for a general and a symmetric matrix
+            u, _, vt = np.linalg.svd(a)
+            sigma = np.r_[1.0, rng.uniform(0.1, 1.0, n - 2), rng.uniform(1e-10, 1e-7)]
+            cases.append(u @ np.diag(sigma) @ vt)
+            cases.append(u @ np.diag(sigma * rng.choice([-1, 1], n)) @ u.T)
+    return [(g, rng.standard_normal(len(g))) for g in cases
+            if abs(np.linalg.det(g / np.abs(g).max())) > 10 * tensors.DEGENERACY_TOL]
+
+
+def _backward_error(g: np.ndarray, z: list, r: np.ndarray) -> float:
+    """Normwise backward error ||r - g z|| / (||g|| ||z|| + ||r||) in the
+    infinity norm (Rigal & Gaches; Higham, *Accuracy and Stability of
+    Numerical Algorithms*, 2nd ed., thm. 7.1), with the residual taken
+    exactly in rationals."""
+    residual = [Fraction(rk) - sum(Fraction(gk) * Fraction(zk) for gk, zk in zip(row, z))
+                for row, rk in zip(g.tolist(), r.tolist())]
+    norm_g = np.abs(g).sum(axis=1).max()
+    return float(max(map(abs, residual))) / (norm_g * max(map(abs, z)) + np.abs(r).max())
+
+
+def _bound(n: int) -> float:
+    """The normwise backward-error bound gamma_{3n} n rho_n of Gaussian
+    elimination with partial pivoting, whose growth factor is rho_n <=
+    2^(n-1) (Higham, thm. 9.4 and sec. 9.4), with gamma_k taken as k u."""
+    return 3 * n * n * 2 ** (n - 1) * EPS
+
+
+def _backward_error_ratios(solve) -> list[float]:
+    """Each case's backward error over its bound; solve takes the entries of
+    g row by row, n and r, as `_nondegenerate_solve` does."""
+    return [_backward_error(g, solve(g.ravel().tolist(), len(g), r.tolist()), r)
+            / _bound(len(g)) for g, r in _solve_cases()]
+
+
+def test_the_float_solve_is_backward_stable_as_lapack_is():
+    """The elimination with partial pivoting of `_nondegenerate_solve`
+    meets the backward-error bound of Gaussian elimination on random,
+    Lorentzian and near-degenerate 2x2 and 3x3 systems, as
+    `np.linalg.solve` (LAPACK ?gesv) does on the same systems."""
+    ours = _backward_error_ratios(tensors._nondegenerate_solve)
+    lapack = _backward_error_ratios(
+        lambda g, n, r: np.linalg.solve(np.reshape(g, (n, n)), r).tolist())
+    assert len(ours) > 2200
+    assert max(lapack) <= 1.0
+    assert max(ours) <= 1.0
+
+
+def test_the_backward_error_check_catches_a_missing_row_swap():
+    """The same check fails an elimination that keeps its pivot rows in
+    place: on the near-null Lorentzian systems its multipliers grow like
+    1/g_00."""
+    source = textwrap.dedent(inspect.getsource(tensors._nondegenerate_solve))
+    assert source.count("if p != k:") == 1
+    namespace = dict(vars(tensors))
+    exec(source.replace("if p != k:", "if False:"), namespace)
+    assert max(_backward_error_ratios(namespace["_nondegenerate_solve"])) > 1e3
