@@ -45,11 +45,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curves import DiscreteCurve, spline_derivative
-from .dsl import MetricDefinition, SampleBatch, TangentSample
+from .dsl import MetricDefinition, SampleBatch, TangentSample, _compiled
 from .errors import GridMismatch, InadmissibleSample
 from .jets import Jet, jet_space
-from .tensors import (_inadmissible, _nondegenerate_solve, _require_admissible,
-                      fundamental_tensor, inverse_metric)
+from .tensors import (_ELIMINATION_NAMES, _elimination, _inadmissible, _require_admissible,
+                      _source, fundamental_tensor, inverse_metric)
 
 __all__ = [
     "SprayValue", "ChristoffelField", "ConnectionFrame",
@@ -292,25 +292,39 @@ def _spray(c, y):
     (1/2) d2L/dy^l dy^k, A_lk = d2L/dy^l dx^k and b_l = dL/dx^l are read
     from the order-2 jet coefficients c of L at the fiber vector y.
 
-    One sample given as lists of Python floats (an RK stage) runs on floats
-    and returns a list: g goes through the one degeneracy test and is
-    solved by the same elimination (`tensors._nondegenerate_solve`).  Arrays
+    One sample given as lists of Python floats (an RK stage) runs the
+    straight-line function of `_spray_kernel` and returns a list.  Arrays
     hold one sample, or S samples along a leading axis, and each row runs
-    through the float kernel in turn, so row k equals the kernel at sample
+    through the same function in turn, so row k equals the kernel at sample
     k alone, to the bit, and the first failing row raises."""
     if isinstance(y, np.ndarray):
+        kernel = _spray_kernel(y.shape[-1])
         rows = zip(np.atleast_2d(c).tolist(), np.atleast_2d(y).tolist())
-        return np.array([_spray(ck, yk) for ck, yk in rows]).reshape(y.shape)
-    n = len(y)
+        return np.array([kernel(ck, yk) for ck, yk in rows]).reshape(y.shape)
+    return _spray_kernel(len(y))(c, y)
+
+
+@functools.lru_cache(maxsize=None)
+def _spray_kernel(n: int):
+    """`spray(c, y)`: `_spray` at one sample over 2n variables, compiled
+    from `_spray_source`."""
+    return _compiled(_spray_source(n), _ELIMINATION_NAMES)
+
+
+def _spray_source(n: int) -> str:
+    """The source of `spray(c, y)`, written once per n.  It reads b, A and g
+    from c by literal index (`_spray_slots`), builds r_l = ((0.0 + A_l0 y0)
+    + ...) - b_l and g_lk = 0.5 * (c_i * factor), and solves g z = r by the
+    lines of `tensors._elimination`, which are also the degeneracy test;
+    it returns (1/4) z."""
     first, mixed, fiber = _spray_slots(n)
-    r = []
-    for b, row in zip(first, mixed):
-        acc = 0.0
-        for i, yk in zip(row, y):
-            acc += c[i] * yk
-        r.append(acc - c[b])
-    g = [0.5 * (c[i] * f) for i, f in fiber]
-    return [0.25 * z for z in _nondegenerate_solve(g, n, r)]
+    reads = [f"{', '.join(f'y{k}' for k in range(n))}, = y"]
+    for i, (b, row) in enumerate(zip(first, mixed)):
+        terms = "".join(f" + c[{s}] * y{k}" for k, s in enumerate(row))
+        reads.append(f"r{i} = 0.0{terms} - c[{b}]")
+    reads += [f"g{k // n}_{k % n} = 0.5 * (c[{s}] * {f!r})" for k, (s, f) in enumerate(fiber)]
+    result = ", ".join(f"0.25 * z{i}" for i in range(n))
+    return _source("spray(c, y)", [*reads, *_elimination(n, True), f"return [{result}]"])
 
 
 @functools.lru_cache(maxsize=None)

@@ -25,6 +25,9 @@ Grammar (precedence: pow > unary minus > * / > + -)::
     power  := atom ('^' factor)?
     atom   := NUMBER | IDENT | IDENT '(' expr (',' expr)* ')' | '(' expr ')'
 
+Nesting (groups, calls, unary minus signs and exponents along one path)
+is capped at `MAX_NESTING` levels; deeper input is an ExpressionError.
+
 `u ^ p` and `pow(u, p)` are the same node; the exponent must fold to a real
 constant.  An integer power of a jet runs by repeated squaring.  Fractional
 powers evaluate only on a strictly positive base, so domains using them must
@@ -131,6 +134,29 @@ def _children(node: Expr) -> tuple:
     return ()
 
 
+def _walk(root: Expr, combine):
+    """combine(node, *values of its children) at every node of a tree, with
+    the children done first and left to right, by an explicit stack, so
+    that a long sum needs no deep recursion; the value at the root."""
+    todo: list = [root]
+    done: list = []          # the value of each finished subtree, in order
+    while todo:
+        node = todo.pop()
+        if type(node) is tuple:              # (node, arity): its children are done
+            node, arity = node
+            args = done[-arity:]
+            del done[-arity:]
+            done.append(combine(node, *args))
+            continue
+        children = _children(node)
+        if children:
+            todo.append((node, len(children)))
+            todo.extend(reversed(children))
+        else:
+            done.append(combine(node))
+    return done[0]
+
+
 def evaluate(node: Expr, xs, ys) -> float:
     """Value of an expression at chart values xs and fiber values ys, by a
     tape compiled for this call; a variable that is not given reads nan."""
@@ -168,13 +194,11 @@ def _function(name: str, a: float, p: float = 0.5) -> float:
     return jets.taylor(name, a, 0, p)[0]
 
 
-# the float of each tape operation from its operand and its second operand
-# (a slot for the four slot-pair kinds, else a constant)
+# the float of a binary operation on two slots, and of an operation that
+# checks its operand, from its operand and a constant
 _SLOT_PAIRS = ("add", "sub", "mul", "div")
 _FLOAT_OPS = {
     "add": operator.add, "sub": operator.sub, "mul": operator.mul, "div": _divide,
-    "neg": lambda a, _: -a, "addc": operator.add, "mulc": operator.mul,
-    "divc": operator.truediv, "rdivc": lambda a, c: _divide(c, a),
     "ipow": _int_power, "powr": lambda a, p: _function("powr", a, p),
     "func": lambda a, name: _function(name, a),
 }
@@ -202,15 +226,53 @@ _ROW_OPS = {
 }
 
 
-def _float_op(table, kind, a, b=None):
-    """The closure of one float operation through an op table: `_FLOAT_OPS`
-    at one point, `_ROW_OPS` over the rows of a (2n, S) array of points."""
+def _row_op(kind, a, b=None):
+    """The closure of one float operation over the rows of a (2n, S) array
+    of points, through `_ROW_OPS`."""
     if kind == "var":
         return lambda r, p: p[a]
-    fn = table[kind]
+    fn = _ROW_OPS[kind]
     if kind in _SLOT_PAIRS:
         return lambda r, p: fn(r[a], r[b])
     return lambda r, p: fn(r[a], b)
+
+
+# the source of each float operation at one point, from its operand {a} and
+# its second operand {b} (a slot for the slot pairs, else a constant): IEEE
+# arithmetic inline, and a call for each operation that checks its operands
+_FLOAT_SOURCES = {
+    "add": "{a} + {b}", "sub": "{a} - {b}", "mul": "{a} * {b}", "div": "_divide({a}, {b})",
+    "neg": "-{a}", "addc": "{a} + {b}", "mulc": "{a} * {b}", "divc": "{a} / {b}",
+    "rdivc": "_divide({b}, {a})", "ipow": "_int_power({a}, {b})",
+    "powr": "_function('powr', {a}, {b})", "func": "_function({b}, {a})",
+}
+
+
+def _float_source(tape: "Tape") -> str:
+    """The source of `floats(p)`, a tape's float program at one point p of
+    2n floats as straight-line code: slot i is the local t{i}, each written
+    as `_FLOAT_SOURCES` gives it, and the outputs are checked finite by
+    `_finite`.  The source holds only local names, indices, float
+    constants, the names of `_FLOAT_NAMES` and those of `_FUNCTIONS`."""
+    lines = ["def floats(p):"]
+    for i, (kind, a, *rest) in enumerate(tape._ops):
+        if kind == "var":
+            lines.append(f"    t{i} = p[{int(a)}]")
+            continue
+        b = rest[0] if rest else None
+        b = (f"t{b}" if kind in _SLOT_PAIRS else _literal(b) if isinstance(b, float)
+             else repr(b))
+        lines.append(f"    t{i} = {_FLOAT_SOURCES[kind].format(a=f't{a}', b=b)}")
+    out = ", ".join(_literal(o) if isinstance(o, float) else f"t{o}" for o in tape.outputs)
+    lines.append(f"    return _finite([{out}])")
+    return "\n".join(lines) + "\n"
+
+
+def _finite(values: list[float]) -> list[float]:
+    for v in values:
+        if not math.isfinite(v):
+            raise EvaluationDomainError(f"value {v!r} is not finite")
+    return values
 
 
 def _positions(sub: tuple[int, ...], support: tuple[int, ...]) -> tuple[int, ...]:
@@ -246,16 +308,20 @@ class Tape:
     kernels live in `_KERNELS`, keyed by the program, so tapes with the same
     program share one.
 
-    The two float programs are built by one op builder (`_float_op`) from
-    two op tables: `floats` from `_FLOAT_OPS` at one point, and
-    `float_rows` from `_ROW_OPS` over a (2n, S) array of points, one row of
-    S values per slot.  Arithmetic (+ - * /, negation and the constant
-    operations) runs through numpy, whose float64 operations round as
-    Python's do; integer and fractional powers and the elementary functions
-    run value by value through `_FLOAT_OPS`, since numpy's pow, exp or sin
-    may differ from them in the last bit.  So each column equals `floats` at
-    its point, to the bit; when any column fails, the columns run through
-    `floats` one by one and the first failing one raises its own error.
+    The float program also has two forms.  At one point, `floats` runs one
+    straight-line Python function per program, written by `_float_source`
+    on first use and shared through `_FLOAT_KERNELS`: + - * and the
+    constant operations are written inline, and division, powers and the
+    elementary functions call `_divide`, `_int_power` and `_function`, so
+    each value is the float of plain arithmetic with its checks.  Over a
+    (2n, S) array of points, `float_rows` runs a list of closures over
+    `_ROW_OPS`, one row of S values per slot.  Its arithmetic runs through
+    numpy, whose float64 operations round as Python's do; integer and
+    fractional powers and the elementary functions run value by value
+    through `_FLOAT_OPS`, since numpy's pow, exp or sin may differ from
+    them in the last bit.  So each column equals `floats` at its point, to
+    the bit; when any column fails, the columns run through `floats` one by
+    one and the first failing one raises its own error.
 
     Operations keep the order and the checks of plain arithmetic: integer
     powers are `**` on floats and repeated products on jets, an elementary
@@ -275,7 +341,7 @@ class Tape:
         self.outputs = [self._emit(e) for e in exprs]
         del self._slot_of
         self.variables = tuple(sorted(op[1] for op in self._ops if op[0] == "var"))
-        self._float_program = [_float_op(_FLOAT_OPS, *op) for op in self._ops]
+        self._float_kernel = None
         self._row_program: list | None = None
         self._jet_programs: dict[int, tuple] = {}
         self._kernels: dict[int, object] = {}
@@ -301,26 +367,8 @@ class Tape:
             return math.nan
 
     def _emit(self, root: Expr):
-        """Slot of an expression, or its float if it is constant.  The tree
-        is walked with an explicit stack, children first and left to right,
-        so that a long sum compiles without deep recursion."""
-        todo: list = [root]
-        done: list = []          # the value of each finished subtree, in order
-        while todo:
-            node = todo.pop()
-            if type(node) is tuple:              # (node, arity): its children are done
-                node, arity = node
-                args = done[-arity:]
-                del done[-arity:]
-                done.append(self._node(node, *args))
-                continue
-            children = _children(node)
-            if children:
-                todo.append((node, len(children)))
-                todo.extend(reversed(children))
-            else:
-                done.append(self._node(node))
-        return done[0]
+        """Slot of an expression, or its float if it is constant (`_walk`)."""
+        return _walk(root, self._node)
 
     def _node(self, node: Expr, *args):
         """Slot or float of one node from those of its children."""
@@ -393,18 +441,20 @@ class Tape:
     # float program ----------------------------------------------------------
 
     def floats(self, point) -> list[float]:
-        """Values of the expressions at a point; each must be finite."""
+        """Values of the expressions at a point; each must be finite.  The
+        program runs as one compiled function, written by `_float_source`
+        on first use and shared through `_FLOAT_KERNELS` by every tape with
+        the same program."""
         if self.failure is not None:
             raise EvaluationDomainError(self.failure)
-        r: list = []
-        append = r.append
-        for op in self._float_program:
-            append(op(r, point))
-        out = [o if isinstance(o, float) else r[o] for o in self.outputs]
-        for v in out:
-            if not math.isfinite(v):
-                raise EvaluationDomainError(f"value {v!r} is not finite")
-        return out
+        kernel = self._float_kernel
+        if kernel is None:
+            key = (self.dim, tuple(map(_key, self._ops)), _key(self.outputs))
+            kernel = _FLOAT_KERNELS.get(key)
+            if kernel is None:
+                kernel = _FLOAT_KERNELS[key] = _compiled(_float_source(self), _FLOAT_NAMES)
+            self._float_kernel = kernel
+        return kernel(point)
 
     def float_rows(self, points: np.ndarray) -> np.ndarray:
         """`floats` at each column of a (2n, S) array of points, as an array
@@ -414,7 +464,7 @@ class Tape:
         if self.failure is not None:
             raise EvaluationDomainError(self.failure)
         if self._row_program is None:
-            self._row_program = [_float_op(_ROW_OPS, *op) for op in self._ops]
+            self._row_program = [_row_op(*op) for op in self._ops]
         out = np.empty((len(self.outputs), points.shape[1]))
         try:
             r: list = []
@@ -566,6 +616,12 @@ def _key(values) -> tuple:
     return tuple((v, math.copysign(1.0, v)) if isinstance(v, float) else v for v in values)
 
 
+# The float program of each tape program: tapes with the same dimension,
+# operations (constants keyed by value and sign) and outputs share one.
+_FLOAT_KERNELS: dict[tuple, object] = {}
+_FLOAT_NAMES = {"_divide": _divide, "_int_power": _int_power, "_function": _function,
+                "_finite": _finite, "inf": math.inf, "nan": math.nan}
+
 # The one-point jet kernel of each (program, order).  Tapes with the same
 # dimension, operations (constants keyed by value and sign), supports and
 # outputs share one, so a definition formed again on each run compiles once.
@@ -575,9 +631,15 @@ _ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator
 
 
 def _compile_kernel(source: str):
-    namespace = {"taylor": jets.taylor, "inf": math.inf, "nan": math.nan}
-    exec(compile(source, "<tape kernel>", "exec"), namespace)
-    return namespace["kernel"]
+    return _compiled(source, {"taylor": jets.taylor, "inf": math.inf, "nan": math.nan})
+
+
+def _compiled(source: str, names: dict):
+    """The one function that `source` defines, compiled with a copy of
+    `names` as its globals."""
+    namespace = dict(names)
+    exec(compile(source, "<finslab kernel>", "exec"), namespace)
+    return namespace[source[len("def "):source.index("(")]]
 
 
 def _literal(v) -> str:
@@ -720,45 +782,41 @@ def _raise(message: str):
 _PREC_ADD, _PREC_MUL, _PREC_NEG, _PREC_ATOM = 1, 2, 3, 4
 
 
-def _pp(node: Expr) -> tuple[str, int]:
+def _pp(node: Expr, *args) -> tuple[str, int]:
+    """The text and precedence of a node from those of its children."""
     if isinstance(node, Num):
         return repr(node.value), _PREC_ATOM
     if isinstance(node, Var):
         return f"{node.kind}{node.index}", _PREC_ATOM
     if isinstance(node, Neg):
-        body, prec = _pp(node.a)
+        ((body, prec),) = args
         if prec < _PREC_NEG:
             body = f"({body})"
         return f"-{body}", _PREC_NEG
-    if isinstance(node, (Add, Sub)):
-        op = "+" if isinstance(node, Add) else "-"
-        left, lp = _pp(node.a)
-        right, rp = _pp(node.b)
-        if lp < _PREC_ADD:
+    if isinstance(node, (Add, Sub, Mul, Div)):
+        (left, lp), (right, rp) = args
+        if isinstance(node, (Add, Sub)):
+            op, prec = ("+" if isinstance(node, Add) else "-"), _PREC_ADD
+        else:
+            op, prec = ("*" if isinstance(node, Mul) else "/"), _PREC_MUL
+        if lp < prec:
             left = f"({left})"
-        if rp <= _PREC_ADD:
+        if rp <= prec:
             right = f"({right})"
-        return f"{left} {op} {right}", _PREC_ADD
-    if isinstance(node, (Mul, Div)):
-        op = "*" if isinstance(node, Mul) else "/"
-        left, lp = _pp(node.a)
-        right, rp = _pp(node.b)
-        if lp < _PREC_MUL:
-            left = f"({left})"
-        if rp <= _PREC_MUL:
-            right = f"({right})"
-        return f"{left} {op} {right}", _PREC_MUL
+        return f"{left} {op} {right}", prec
     if isinstance(node, Pow):
-        base, _ = _pp(node.base)
+        ((base, _),) = args
         return f"pow({base}, {node.exponent!r})", _PREC_ATOM
     if isinstance(node, Func):
-        arg, _ = _pp(node.arg)
+        ((arg, _),) = args
         return f"{node.name}({arg})", _PREC_ATOM
     raise TypeError(f"unknown expression node {node!r}")
 
 
 def pretty(node: Expr) -> str:
-    return _pp(node)[0]
+    """The canonical text of an expression, printed by `_walk`, so a long
+    sum prints without deep recursion."""
+    return _walk(node, _pp)[0]
 
 
 # --------------------------------------------------------------------------
@@ -797,11 +855,20 @@ def _tokenize(source: str) -> list[tuple[str, str, int]]:
 _VAR_RE = re.compile(r"([xy])(\d+)$")
 
 
+# The deepest nesting the parser accepts, counted along one path from the
+# root: each parenthesized group or call's argument list, each unary minus
+# and each exponent opens one level.  A level holds at most four Python
+# frames of the recursive descent, so an expression at this cap stays well
+# inside Python's default recursion limit of 1,000 frames.
+MAX_NESTING = 200
+
+
 class _Parser:
     def __init__(self, source: str, n: int):
         self.tokens = _tokenize(source)
         self.pos = 0
         self.n = n
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.pos]
@@ -817,6 +884,14 @@ class _Parser:
             raise ExpressionError(f"expected {op!r}, found {text or 'end of input'!r}", offset=off)
         return self.advance()
 
+    def nest(self, off: int) -> None:
+        """Open one level of nesting at offset off; past MAX_NESTING, an
+        ExpressionError.  The caller closes it with `depth -= 1`."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ExpressionError(f"expression nests deeper than {MAX_NESTING} levels",
+                                  offset=off)
+
     def parse(self) -> Expr:
         node = self.expr()
         kind, text, off = self.peek()
@@ -825,6 +900,7 @@ class _Parser:
         return node
 
     def expr(self) -> Expr:
+        self.nest(self.peek()[2])
         node = self.term()
         while True:
             kind, text, _ = self.peek()
@@ -833,6 +909,7 @@ class _Parser:
                 rhs = self.term()
                 node = Add(node, rhs) if text == "+" else Sub(node, rhs)
             else:
+                self.depth -= 1
                 return node
 
     def term(self) -> Expr:
@@ -847,20 +924,24 @@ class _Parser:
                 return node
 
     def factor(self) -> Expr:
-        kind, text, _ = self.peek()
-        if kind == "op" and text == "-":
-            self.advance()
-            return Neg(self.factor())
-        return self.power()
-
-    def power(self) -> Expr:
-        base = self.atom()
+        """factor := '-' factor | power, and power := atom ('^' factor)?,
+        in one frame: the leading minus signs are counted, and wrap the
+        power in as many Neg nodes."""
+        signs = 0
+        while self.peek()[:2] == ("op", "-"):
+            self.nest(self.advance()[2])
+            signs += 1
+        node = self.atom()
         kind, text, off = self.peek()
         if kind == "op" and text == "^":
             self.advance()
-            exponent = self.factor()
-            return Pow(base, self._fold_constant(exponent, off))
-        return base
+            self.nest(off)
+            node = Pow(node, self._fold_constant(self.factor(), off))
+            self.depth -= 1
+        for _ in range(signs):
+            node = Neg(node)
+        self.depth -= signs
+        return node
 
     def atom(self) -> Expr:
         kind, text, off = self.advance()
@@ -872,7 +953,13 @@ class _Parser:
             return node
         if kind == "ident":
             if self.peek()[:2] == ("op", "("):
-                return self.call(text, off)
+                self.advance()
+                args = [self.expr()]
+                while self.peek()[:2] == ("op", ","):
+                    self.advance()
+                    args.append(self.expr())
+                self.expect_op(")")
+                return self.call(text, args, off)
             m = _VAR_RE.match(text)
             if m is None:
                 raise ExpressionError(f"unknown identifier {text!r}", offset=off)
@@ -883,13 +970,7 @@ class _Parser:
             return Var(m.group(1), index)
         raise ExpressionError(f"expected a value, found {text or 'end of input'!r}", offset=off)
 
-    def call(self, name: str, off: int) -> Expr:
-        self.expect_op("(")
-        args = [self.expr()]
-        while self.peek()[:2] == ("op", ","):
-            self.advance()
-            args.append(self.expr())
-        self.expect_op(")")
+    def call(self, name: str, args: list, off: int) -> Expr:
         if name == "pow":
             if len(args) != 2:
                 raise ExpressionError("pow takes exactly two arguments", offset=off)
@@ -904,7 +985,9 @@ class _Parser:
         tape = Tape((node,), self.n)
         if tape.variables:
             raise ExpressionError("exponent must be a real constant", offset=off)
-        return tape.floats([])[0]
+        if tape.failure is not None:
+            raise EvaluationDomainError(tape.failure)
+        return _finite(tape.outputs)[0]      # with no variable, every operation folds
 
 
 def parse_expression(source: str, n: int) -> Expr:

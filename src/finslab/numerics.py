@@ -52,6 +52,7 @@ class HermiteSpline:
         self._nodes = x.tolist()
         self._tail = y.shape[1:]
         self._c = c.reshape(4, x.size - 1, -1)     # (c0, c1, c2, c3) over flat data
+        self._rows: list = [None] * (x.size - 1)   # `floats`' tuples, per interval
 
     def _locate(self, t):
         """Each point's (c0, c1, c2, c3) and its offset s from its node."""
@@ -69,14 +70,18 @@ class HermiteSpline:
         return value.reshape(shape + self._tail)
 
     def floats(self, t: float) -> list[float]:
-        """The value at one float t as a flat list of Python floats."""
+        """The value at one float t as a flat list of Python floats.  Each
+        interval's (c0, c1, c2, c3) tuples are read from the coefficient
+        array once, on the interval's first call."""
         nodes = self._nodes
         i = bisect_right(nodes, t, 1, len(nodes) - 1) - 1
+        rows = self._rows[i]
+        if rows is None:
+            rows = self._rows[i] = list(zip(*self._c[:, i].tolist()))
         s = float(t) - nodes[i]
         ss = s * s
         sss = ss * s
-        return [0.0 + c3 + c2 * s + c1 * ss + c0 * sss
-                for c0, c1, c2, c3 in zip(*self._c[:, i].tolist())]
+        return [0.0 + c3 + c2 * s + c1 * ss + c0 * sss for c0, c1, c2, c3 in rows]
 
     def derivative(self, t):
         """First derivative: c2 + 2 c1 s + 3 c0 s^2, summed from 0.0."""

@@ -5,16 +5,24 @@ Cartan tensor a quarter of its third fiber derivative; both come out of one
 jet evaluation, so their index symmetries hold exactly (each unordered index
 set maps to a single stored coefficient).  At a `SampleBatch` every quantity
 carries a leading sample axis, from one jet of the batch.
+
+The degeneracy test of g, which also solves the spray's linear system, is
+one Gaussian elimination with partial pivoting on Python floats.  It is
+written once per dimension n as straight-line source (`_elimination`) and
+compiled on first use, so a 3 x 3 system costs no interpreted loop and no
+numpy call; tests/solve_reference.py keeps the same elimination as a
+loop, and the two agree to the bit.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .dsl import MetricDefinition, SampleBatch, TangentSample
+from .dsl import MetricDefinition, SampleBatch, TangentSample, _compiled
 from .errors import EvaluationDomainError, InadmissibleSample, SingularMetric
 
 DEGENERACY_TOL = 1e-12
@@ -115,47 +123,82 @@ def _nondegenerate_solve(g: list[float], n: int, r: list[float] | None = None):
     A non-finite entry is an EvaluationDomainError.  Each step swaps in the
     row of the first largest |entry| of its column, and a zero multiplier
     leaves its row as it is.  det(g / scale) is the signed product of the
-    pivots; it cannot overflow, and |det| <= DEGENERACY_TOL is
-    SingularMetric.  r is scaled with g, so z solves (g / scale) z =
-    r / scale by back substitution."""
-    if not all(map(math.isfinite, g)):
-        raise EvaluationDomainError(_NON_FINITE)
-    scale = max(map(abs, g))
-    s = scale if scale > 0.0 else 1.0
-    # the rows of [g | r] / scale
-    a = [[v / s for v in g[i:i + n]] + [rk / s]
-         for i, rk in zip(range(0, n * n, n), r or [0.0] * n)]
-    det = 1.0
+    pivots; it cannot overflow, and |det| <= DEGENERACY_TOL, or a zero
+    pivot, is SingularMetric.  r is scaled with g, so z solves (g / scale) z
+    = r / scale by back substitution.  The elimination runs as the
+    straight-line function of `_solver`."""
+    return _solver(n, r is not None)(g, r)
+
+
+@functools.lru_cache(maxsize=None)
+def _solver(n: int, rhs: bool):
+    """`solve(g, r)`: `_nondegenerate_solve` of n x n matrices, with a
+    right-hand side r or (rhs false) none, compiled from `_solver_source`."""
+    return _compiled(_solver_source(n, rhs), _ELIMINATION_NAMES)
+
+
+def _solver_source(n: int, rhs: bool) -> str:
+    entries = ", ".join(f"g{i}_{j}" for i in range(n) for j in range(n))
+    reads = [f"{entries}, = g"] + ([f"{_names('r', n)}, = r"] if rhs else [])
+    result = f"[{_names('z', n)}]" if rhs else "None"
+    return _source("solve(g, r)", [*reads, *_elimination(n, rhs), f"return {result}"])
+
+
+def _names(prefix: str, n: int) -> str:
+    return ", ".join(f"{prefix}{i}" for i in range(n))
+
+
+def _source(head: str, body: list[str]) -> str:
+    """The source of the function `def head:` with these lines as its body."""
+    return "\n    ".join([f"def {head}:", *body]) + "\n"
+
+
+def _elimination(n: int, rhs: bool) -> list[str]:
+    """The lines of `_nondegenerate_solve` for n x n matrices as straight-line
+    code (Griewank & Walther, *Evaluating Derivatives*, 2nd ed., SIAM 2008,
+    ch. 6): the entries of g are the locals g{i}_{j}, those of r (rhs true)
+    r{i}, and the solution is left in the locals z{i}.
+
+    The locals a{i}_{j} hold the rows of [g | r] / scale by position, and a
+    row swap exchanges their values, as it exchanges the rows of a list; the
+    pivot search and the swaps are `if`/`elif` on them.  Every float
+    operation is that of the elimination loop, in its order, so the two
+    agree to the bit (tests/solve_reference.py)."""
+    cols = n + 1 if rhs else n
+    a = [[f"a{i}_{j}" for j in range(cols)] for i in range(n)]
+    g = [f"g{i}_{j}" for i in range(n) for j in range(n)]
+    scaled = [[f"g{i}_{j} / s" for j in range(n)] + ([f"r{i} / s"] if rhs else [])
+              for i in range(n)]
+    # max(|g_ij|, 0.0): the 0.0 never wins, and it gives max two arguments at n = 1
+    lines = [f"if not ({' and '.join(f'isfinite({v})' for v in g)}):",
+             "    raise EvaluationDomainError(_NON_FINITE)",
+             f"scale = max({', '.join(f'abs({v})' for v in g)}, 0.0)",
+             "s = scale if scale > 0.0 else 1.0",
+             *(f"{', '.join(a[i])}, = {', '.join(scaled[i])}," for i in range(n)),
+             "det = 1.0"]
     for k in range(n):
-        p, big = k, abs(a[k][k])
-        for i in range(k + 1, n):
-            if abs(a[i][k]) > big:
-                p, big = i, abs(a[i][k])
-        if p != k:
-            a[k], a[p] = a[p], a[k]
-            det = -det
-        top = a[k]
-        pivot = top[k]
-        det *= pivot
-        if pivot == 0.0:
-            break
-        for row in a[k + 1:]:
-            f = row[k] / pivot
-            if f:
-                for j in range(k + 1, n + 1):
-                    row[j] -= f * top[j]
-    if abs(det) <= DEGENERACY_TOL:
-        raise _degenerate(det, scale)
-    if r is None:
-        return None
-    z = [0.0] * n
-    for i in range(n - 1, -1, -1):
-        row = a[i]
-        acc = row[n]
-        for j in range(i + 1, n):
-            acc -= row[j] * z[j]
-        z[i] = acc / row[i]
-    return z
+        below = range(k + 1, n)
+        if below:
+            lines.append(f"p, big = {k}, abs({a[k][k]})")
+            for i in below:
+                lines += [f"if abs({a[i][k]}) > big:", f"    p, big = {i}, abs({a[i][k]})"]
+        for i in below:
+            top, row = a[k][k:], a[i][k:]
+            lines += [f"{'if' if i == k + 1 else 'elif'} p == {i}:",
+                      f"    {', '.join(top + row)} = {', '.join(row + top)}",
+                      "    det = -det"]
+        lines += [f"det *= {a[k][k]}",
+                  f"if {a[k][k]} == 0.0:",
+                  "    raise _degenerate(det, scale)"]
+        for i in below:
+            lines += [f"f = {a[i][k]} / {a[k][k]}", "if f:"]
+            lines += [f"    {a[i][j]} -= f * {a[k][j]}" for j in range(k + 1, cols)]
+    lines += ["if abs(det) <= DEGENERACY_TOL:", "    raise _degenerate(det, scale)"]
+    if rhs:
+        for i in reversed(range(n)):
+            rest = "".join(f" - {a[i][j]} * z{j}" for j in range(i + 1, n))
+            lines.append(f"z{i} = ({a[i][n]}{rest}) / {a[i][i]}")
+    return lines
 
 
 _NON_FINITE = "fundamental tensor has a non-finite entry"
@@ -164,3 +207,9 @@ _NON_FINITE = "fundamental tensor has a non-finite entry"
 def _degenerate(det: float, scale: float) -> SingularMetric:
     return SingularMetric(f"fundamental tensor is degenerate: |det g/scale|={abs(det):.3e} "
                           f"at scale {scale:.3e}")
+
+
+# the names that the written elimination reads besides its locals
+_ELIMINATION_NAMES = {"isfinite": math.isfinite, "EvaluationDomainError": EvaluationDomainError,
+          "_NON_FINITE": _NON_FINITE, "_degenerate": _degenerate,
+          "DEGENERACY_TOL": DEGENERACY_TOL}

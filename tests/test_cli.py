@@ -311,6 +311,39 @@ def test_a_metric_body_of_a_thousand_terms_compiles_and_runs(tmp_path, capsys):
     assert "overall pass=True" in capsys.readouterr().out
 
 
+def test_a_domain_of_a_thousand_terms_prints_and_runs(tmp_path, capsys):
+    """A metric file whose domain predicate is a sum of 1,000 terms, run as
+    the metric of the shipped conformal-pregeodesic config (on a shorter
+    curve): `scale_metric` prints each domain predicate, and the recursive
+    printer ended in RecursionError and exit 1."""
+    shipped = Path(__file__).resolve().parent.parent / "configs" / "conformal-pregeodesic.ini"
+    text = shipped.read_text()
+    assert "metric = einstein-static" in text and "t1 = 1.0" in text
+    domain = "sin(x1)" + " + 0*y0*y0" * 1000
+    (tmp_path / "longdom.metric").write_text(
+        f"dim=3\ndomain={domain}\n-y0^2 + y1^2 + pow(sin(x1), 2) * y2^2\n")
+    cfg = write_config(tmp_path, text.replace("metric = einstein-static",
+                                              "metric = longdom.metric")
+                                     .replace("t1 = 1.0", "t1 = 0.05"))
+    assert cli.main(["conformal-pregeodesic", "--config", cfg]) == 0
+    assert "overall pass=True" in capsys.readouterr().out
+
+
+def test_exit_code_two_on_a_metric_nested_past_the_cap(tmp_path, capsys):
+    """200 parentheses around y0 in a metric body ended in RecursionError in
+    the parser and exit 1; 190 still run."""
+    cfg = write_config(tmp_path, "[metric]\nmetric = deep.metric\n"
+                                 "[run]\nseed = 1\nsamples = 5\n")
+    for depth, code in ((190, 0), (200, 2)):
+        (tmp_path / "deep.metric").write_text(
+            "dim=1\n" + "(" * depth + "y0" + ")" * depth + "^2\n")
+        assert cli.main(["tensors", "--config", cfg]) == code
+        if code:
+            assert_single_error_line(capsys, f"deeper than {dsl.MAX_NESTING} levels")
+        else:
+            assert "overall pass=True" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("rho", ["0", "-0.5", "3.2", "nan"])
 def test_exit_code_two_on_circle_radius_outside_the_sphere_range(tmp_path, capsys, rho):
     cfg = write_config(tmp_path, CURVE_CFG.format(**CURVE_INPUTS).replace(

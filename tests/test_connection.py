@@ -8,6 +8,8 @@ import pytest
 
 import finslab
 from finslab import conformal, connection, dsl, geodesics, jets, tensors
+from finslab.errors import EvaluationDomainError, SingularMetric
+import solve_reference
 from conftest import margin_sample
 from frame_reference import ReferenceFrame
 
@@ -447,6 +449,71 @@ def test_the_spray_kernel_agrees_with_the_inverse_metric_formula(m):
         want = _inverse_spray(m, v)
         got = connection.spray_coefficients(m, v)
         assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want), m.name
+
+
+def _spray_outcome(fn):
+    try:
+        return fn()
+    except (EvaluationDomainError, SingularMetric) as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("m", _metrics_with_frames(), ids=lambda m: m.name)
+def test_the_written_spray_equals_the_loop_spray(m):
+    """The straight-line spray of `_spray_kernel` gives the loop spray of
+    tests/solve_reference.py to the bit at sampled jets, and at jets with
+    planted entries: a zero or a huge g, a singular g, a non-finite g."""
+    rng = np.random.default_rng(11 + len(m.name))
+    fiber = connection._spray_slots(m.dim)[2]
+    g_slots = [i for i, _ in fiber]
+    kinds = set()
+    for v in dsl.sample_admissible(m, rng, count=20):
+        c, y = m.jet(v, 2).c.tolist(), v.y.tolist()
+        cases = [c]
+        for planted in (0.0, 1e300, np.nan, np.inf):
+            bad = list(c)
+            bad[g_slots[rng.integers(len(g_slots))]] = planted
+            cases.append(bad)
+        flat = list(c)
+        for i in g_slots:
+            flat[i] = 0.0
+        singular = list(c)      # every entry of g is 1
+        for i, factor in fiber:
+            singular[i] = 2.0 / factor
+        cases += [flat, singular]
+        for case in cases:
+            want = _spray_outcome(lambda: solve_reference.spray(case, y))
+            got = _spray_outcome(lambda: connection._spray(case, y))
+            assert repr(got) == repr(want)
+            kinds.add(want[0] if isinstance(want, tuple) else list)
+    assert kinds == {list, EvaluationDomainError, SingularMetric}
+
+
+def test_one_written_spray_and_solver_per_dimension(monkeypatch):
+    """Sprays and degeneracy tests at many samples and stacks write one
+    spray kernel per dimension and one solver per dimension and kind."""
+    written = []
+    for module, name in ((connection, "_spray_source"), (tensors, "_solver_source")):
+        plain = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args, plain=plain, name=name:
+                            written.append((name, *args)) or plain(*args))
+    connection._spray_kernel.cache_clear()
+    tensors._solver.cache_clear()
+    try:
+        rng = np.random.default_rng(3)
+        for name in ("einstein-static", "minkowski2", "warped-quadratic", "bogoslovsky2"):
+            m = dsl.builtin_metric(name)
+            samples = dsl.sample_admissible(m, rng, count=5)
+            for v in samples:
+                connection.spray_coefficients(m, v)
+                tensors.inverse_metric(tensors.fundamental_tensor(m, v))
+            connection._sprays_along(m, np.arange(5.0), np.array([v.x for v in samples]),
+                                     np.array([v.y for v in samples]))
+        assert sorted(written) == [("_solver_source", 2, False), ("_solver_source", 3, False),
+                                   ("_spray_source", 2), ("_spray_source", 3)]
+    finally:
+        connection._spray_kernel.cache_clear()
+        tensors._solver.cache_clear()
 
 
 # A metric whose frame fails in four ways, chosen by the sample: x0 = 0 makes

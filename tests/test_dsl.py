@@ -63,6 +63,42 @@ def test_unknown_identifier_and_range():
         dsl.parse_expression("", 2)
 
 
+@pytest.mark.parametrize("opening,closing", [
+    ("(", ")"), ("sin(", ")"), ("-(", ")"), ("pow(", ", 2)"), ("exp(-", ")")])
+def test_nesting_up_to_the_cap_parses(opening, closing):
+    """190 levels of parentheses around y0 parse, as do groups, calls and
+    unary minus signs nested up to `MAX_NESTING` levels in all."""
+    levels = opening.count("(") + opening.count("-")
+    for depth in (190, dsl.MAX_NESTING - 1):
+        k = depth // levels
+        tree = dsl.parse_expression(opening * k + "y0" + closing * k, 1)
+        assert dsl.parse_expression(dsl.pretty(tree), 1) == tree
+
+
+@pytest.mark.parametrize("source", [
+    "(" * 200 + "y0" + ")" * 200,
+    "sin(" * 200 + "y0" + ")" * 200,
+    "-" * 10_000 + "y0",
+    "y0^" + "^".join(["1"] * 200),
+])
+def test_nesting_past_the_cap_is_an_expression_error(source):
+    """Nesting past `MAX_NESTING` levels is an ExpressionError, not a
+    RecursionError of the recursive descent."""
+    with pytest.raises(ExpressionError, match=f"deeper than {dsl.MAX_NESTING} levels"):
+        dsl.parse_expression(source, 1)
+
+
+def test_a_sum_of_a_thousand_terms_prints_and_parses_back():
+    """`pretty` walks the tree with an explicit stack: a sum of 1,000 terms
+    is a tree 1,000 nodes deep, which the recursive printer could not
+    print."""
+    source = "sin(x1)" + " + 0*y0*y0" * 1000
+    tree = dsl.parse_expression(source, 2)
+    text = dsl.pretty(tree)
+    assert text == source.replace("0*y0*y0", "0.0 * y0 * y0")
+    assert dsl.pretty(dsl.parse_expression(text, 2)) == text
+
+
 def test_negative_integer_power_of_zero_is_a_domain_error():
     from finslab.errors import EvaluationDomainError
 

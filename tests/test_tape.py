@@ -13,7 +13,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import expr_reference
-from finslab import conformal, connection, dsl, jets
+import solve_reference
+from finslab import conformal, connection, dsl, jets, tensors
 from finslab.errors import EvaluationDomainError
 
 ORDERS = range(5)
@@ -270,6 +271,113 @@ def test_no_metric_text_reaches_a_kernel_source(monkeypatch, tmp_path):
                 assert ast.literal_eval(tok.string) in dsl._TAYLOR_NAMES, tok
             else:
                 assert tok.type in layout, tok
+
+
+def _float_sources(monkeypatch):
+    """The source of every float kernel compiled from now on."""
+    sources = []
+    monkeypatch.setattr(dsl, "_FLOAT_KERNELS", {})
+    plain = dsl._float_source
+
+    def writing(tape):
+        sources.append(plain(tape))
+        return sources[-1]
+
+    monkeypatch.setattr(dsl, "_float_source", writing)
+    return sources
+
+
+@pytest.mark.parametrize("m", _definitions(), ids=lambda m: m.name)
+def test_the_written_float_program_equals_the_closure_program(m):
+    """`Tape.floats` of the body and the domain gives the closure program
+    of tests/solve_reference.py to the bit, or its error text, at sampled
+    points and at points that overflow or leave the domain."""
+    rng = np.random.default_rng(5 + len(m.name))
+    points = [v.x.tolist() + v.y.tolist() for v in dsl.sample_admissible(m, rng, count=8)]
+    points += [[0.0] * (2 * m.dim), [1e200] * (2 * m.dim), [-1.0] * (2 * m.dim),
+               rng.uniform(-3, 3, 2 * m.dim).tolist()]
+    for tape in (m._body, m._domain):
+        for point in points:
+            want = _floats_outcome(lambda: solve_reference.floats(tape, point))
+            got = _floats_outcome(lambda: tape.floats(point))
+            assert repr(got) == repr(want)
+
+
+@given(_trees(), st.lists(st.one_of(
+    st.floats(min_value=-1.5, max_value=1.5), st.sampled_from([0.0, -0.0, 1e200])),
+    min_size=4, max_size=4))
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_the_written_float_program_equals_the_closure_program_on_random_trees(tree, point):
+    tape = dsl.Tape((tree, dsl.Neg(tree), dsl.Num(2.5)), 2)
+    want = _floats_outcome(lambda: solve_reference.floats(tape, point))
+    assert repr(_floats_outcome(lambda: tape.floats(point))) == repr(want)
+
+
+def test_one_float_kernel_per_program(monkeypatch):
+    """A metric text parsed twice, and a `scale_metric` or `inverse_factor`
+    product formed twice, write one float kernel for the body and one for
+    the domain; a program that differs only in the sign of a zero constant
+    gets its own."""
+    sources = _float_sources(monkeypatch)
+    v = dsl.TangentSample([0.3, 0.1], [1.0, 0.5])
+    for c in ("0.5", "0.5", "0.0", "-0.0"):
+        m = dsl.parse_metric_file(f"dim=2\ndomain=y0 + {c}*x0\n-y0^2 + {c}*x0*y1^2 + y1^2\n")
+        for _ in range(3):
+            m.value_at(v)
+            m.admissible(v)
+    assert len(sources) == 3 * 2
+    sources.clear()
+    cone, lam = dsl.builtin_metric("minkowski2-cone"), dsl.builtin_metric("bogoslovsky-factor")
+    for _ in range(2):
+        for m in (conformal.scale_metric(cone, lam, sample_budget=1)[0],
+                  conformal.inverse_factor(lam)):
+            m.value_at(v)
+            m.admissible(v)
+    assert len(sources) == 3      # two bodies, and the cone domain that both have
+
+
+def test_no_metric_text_reaches_a_float_or_solve_source(monkeypatch, tmp_path):
+    """The float kernels hold local names, indices, float constants, the
+    names of `dsl._FLOAT_NAMES` and the names of the fixed function set,
+    never text of the metric; the written solvers and sprays hold only the
+    names of their locals and of `tensors._ELIMINATION_NAMES`."""
+    sources = _float_sources(monkeypatch)
+    header = """__import__('os').system("echo x") # \'\'\' \"\"\" \\n"""
+    path = tmp_path / "evil.metric"
+    path.write_text(f"name={header}\ndim=2\ndomain=exp(x0) + 1; 2 - sin(x1)\n"
+                    "exp(x0) * y0^2 - sin(x1) * y1^2 + 0.3*y0*y1\n")
+    named = [dsl.load_metric_file(path),
+             dsl.parse_metric("pow(y0, 2.5) / y1", 2, name="a\nb'\"c\nimport sys",
+                              domain=("y0", "y1", "1 / y0 - 1e300", "pow(y0, 3) + 2 / x0"))]
+    v = dsl.TangentSample([0.3, 0.1], [1.0, 0.5])
+    for m in named:
+        m.value_at(v)
+        m.admissible(v)
+    assert len(sources) == 2 * 2
+    float_names = set(dsl._FLOAT_NAMES) | {"def", "floats", "p", "return"}
+    for source in sources:
+        for m in named:
+            assert m.name not in source
+        _check_tokens(source, float_names, r"t\d+", dsl._TAYLOR_NAMES)
+    solve_names = set(tensors._ELIMINATION_NAMES) | {
+        "def", "solve", "spray", "g", "r", "c", "y", "return", "None", "if", "elif",
+        "not", "and", "else", "raise", "abs", "max", "scale", "s", "det", "p", "big", "f"}
+    for n in range(1, 5):
+        for source in (tensors._solver_source(n, True), tensors._solver_source(n, False),
+                       connection._spray_source(n)):
+            _check_tokens(source, solve_names, r"[agrzy]\d+(_\d+)?", ())
+
+
+def _check_tokens(source: str, names: set, local: str, strings) -> None:
+    layout = {tokenize.NUMBER, tokenize.OP, tokenize.NEWLINE, tokenize.NL,
+              tokenize.INDENT, tokenize.DEDENT, tokenize.ENDMARKER}
+    for tok in tokenize.generate_tokens(io.StringIO(source).readline):
+        if tok.type == tokenize.NAME:
+            assert tok.string in names or re.fullmatch(local, tok.string), tok
+        elif tok.type == tokenize.STRING:
+            assert ast.literal_eval(tok.string) in strings, tok
+        else:
+            assert tok.type in layout, tok
 
 
 def test_an_overflowing_jet_raises_the_not_finite_error():

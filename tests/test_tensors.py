@@ -7,6 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+import solve_reference
 from finslab import dsl, tensors
 from finslab.errors import EvaluationDomainError, InadmissibleSample, SingularMetric
 import finitediff
@@ -256,9 +257,68 @@ def test_the_float_solve_is_backward_stable_as_lapack_is():
 def test_the_backward_error_check_catches_a_missing_row_swap():
     """The same check fails an elimination that keeps its pivot rows in
     place: on the near-null Lorentzian systems its multipliers grow like
-    1/g_00."""
-    source = textwrap.dedent(inspect.getsource(tensors._nondegenerate_solve))
-    assert source.count("if p != k:") == 1
+    1/g_00.  That elimination is written by `tensors._elimination` with the
+    row swaps switched off."""
+    source = textwrap.dedent(inspect.getsource(tensors._elimination))
+    assert source.count("p == {i}:") == 1
     namespace = dict(vars(tensors))
-    exec(source.replace("if p != k:", "if False:"), namespace)
-    assert max(_backward_error_ratios(namespace["_nondegenerate_solve"])) > 1e3
+    exec(source.replace("p == {i}:", "False:"), namespace)
+    exec(textwrap.dedent(inspect.getsource(tensors._solver_source)), namespace)
+    solvers = {n: dsl._compiled(namespace["_solver_source"](n, True), tensors._ELIMINATION_NAMES)
+               for n in (2, 3)}
+    assert "False:" in namespace["_solver_source"](3, True)
+    assert max(_backward_error_ratios(lambda g, n, r: solvers[n](g, r))) > 1e3
+
+
+def _matrices(n: int, rng) -> list[np.ndarray]:
+    """n x n matrices of every kind the elimination meets: random, symmetric,
+    Lorentzian, near-degenerate, with small integer and signed zero entries,
+    with a zero pivot, with a zero row, all zero, singular, and with a
+    non-finite entry."""
+    out = []
+    for _ in range(60):
+        a = rng.standard_normal((n, n))
+        q = np.linalg.qr(rng.standard_normal((n, n)))[0]
+        signs = np.array([-1.0] + [1.0] * (n - 1))
+        u, _, vt = np.linalg.svd(a)
+        sigma = np.r_[1.0, rng.uniform(0.1, 1.0, n - 1)][:n]
+        sigma[-1] = 10.0 ** rng.uniform(-14, -9)
+        small = rng.integers(-2, 3, (n, n)).astype(float)      # zeros, and
+        out += [a, a + a.T, q.T @ np.diag(signs * np.exp(rng.uniform(-3, 3, n))) @ q,
+                u @ np.diag(sigma) @ vt, small, -small]             # negative zeros
+        zero_row = a.copy()
+        zero_row[rng.integers(n)] = 0.0
+        pivot = a.copy()
+        pivot[:, 0] = 0.0          # a zero first column: the first pivot is zero
+        bad = a.copy()
+        bad[rng.integers(n), rng.integers(n)] = rng.choice([np.nan, np.inf, -np.inf])
+        out += [zero_row, pivot, bad, np.zeros((n, n)), -np.zeros((n, n)),
+                np.outer(a[0], a[-1]), a * 1e300, a * 1e-300]
+    return out
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except (EvaluationDomainError, SingularMetric) as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_the_written_elimination_equals_the_loop(n):
+    """`_nondegenerate_solve` runs the straight-line elimination of
+    `_solver`; on every kind of matrix it gives the loop's solution to the
+    bit, its verdict and its error text, with and without a right-hand
+    side (tests/solve_reference.py)."""
+    rng = np.random.default_rng(100 + n)
+    kinds = set()
+    for g in _matrices(n, rng):
+        entries = g.ravel().tolist()
+        r = rng.standard_normal(n).tolist()
+        signed_zeros = (-rng.integers(-1, 2, n).astype(float)).tolist()
+        for rhs in (None, r, signed_zeros):
+            want = _outcome(lambda: solve_reference.nondegenerate_solve(entries, n, rhs))
+            got = _outcome(lambda: tensors._nondegenerate_solve(entries, n, rhs))
+            assert repr(got) == repr(want), (g, rhs)
+            kinds.add(want[0] if isinstance(want, tuple) else type(want))
+    assert kinds == {type(None), list, EvaluationDomainError, SingularMetric}
