@@ -8,16 +8,11 @@ rescalings.
 
 from .conformal import (ConformalPair, anisotropy_factor, inverse_factor,
                         lightcones_coincide, scale_metric)
-from .connection import (ChristoffelField, ConnectionFrame, SprayValue,
-                         chern_curvature, christoffel,
-                         covariant_derivative_along, horizontal_derivative,
-                         horizontal_gradient, jacobi_matrix, jacobi_operator,
-                         spray, spray_coefficients, vertical_gradient)
+from .connection import ConnectionFrame, chern_curvature, spray_coefficients
 from .curves import DiscreteCurve, Reparametrization
 from .dsl import (MetricDefinition, SampleBatch, TangentSample,
-                  builtin_metric, builtin_names, dump_metric_file,
-                  load_metric_file, parse_expression, parse_metric, pretty,
-                  sample_admissible, validate_homogeneity)
+                  builtin_metric, builtin_names, load_metric_file,
+                  parse_expression, parse_metric, pretty, sample_admissible)
 from .errors import (ConfigError, DomainExit, EvaluationDomainError,
                      ExpressionError, FinslabError, InadmissibleSample,
                      IncompatiblePair, NoAdmissibleSample, NoConvergence,
@@ -32,7 +27,7 @@ from .variational import (CurveGeometry, FocalPoint, JacobiSolution,
                           SubmanifoldPatch, VariationField, boundary_residual,
                           conformal_jacobi_residual, energy_derivative_fd,
                           find_focal_points, first_variation, index_form,
-                          integrate_jacobi, integrate_jacobi_basis,
+                          integrate_jacobi_basis,
                           normal_second_fundamental_form, second_fundamental_form,
                           second_variation, transfer_jacobi,
                           verify_focal_correspondence)

@@ -1,5 +1,5 @@
-"""Connection machinery: geodesic spray, Christoffel symbols, curvature, and
-horizontal/vertical derivatives of anisotropic scalars.
+"""Connection machinery: geodesic spray, nonlinear connection, Christoffel
+symbols, the Jacobi operator and curvature.
 
 Everything is computed from one jet of the metric scalar per sample.  With a
 jet of order k, the fundamental tensor survives as an order-(k-2) jet, the
@@ -22,17 +22,18 @@ Evaluating many samples in one pass is the vector mode of forward
 differentiation (ibid.): the tape and the frame arithmetic run once per
 chunk of samples instead of once per sample.
 
-Conventions: the geodesic equation is xdd^i = -2 G^i(x, xd); the covariant
-derivative along a curve uses Christoffel symbols referenced at an admissible
-field U; `jacobi_operator(m, v, w)` returns the right-hand side of the Jacobi
-equation D^2 J = R_v(v, J)v, normalized so that the flat case gives zero and
-a unit round sphere gives -J for unit transverse J.  Along a curve every
-consumer (`variational.CurveGeometry`, the Jacobi integrator and
-`covariant_derivative_along`) reads connection data from the arrays of
-`_frame_tables`, which evaluates the curve's samples in near-equal chunks
-of at most `CHUNK`, one frame per chunk.  Row k of a chunk equals the frame
-of sample k alone, to the bit, and a failing chunk raises the error of its
-first failing sample, as a loop over samples would.
+Conventions: the geodesic equation is xdd^i = -2 G^i(x, xd), with G from
+`spray_coefficients` and N = dG/dy from `ConnectionFrame.nonlinear`; the
+Christoffel symbols are referenced at an admissible field U (the fiber
+vector of the sample); `ConnectionFrame.jacobi_matrix()` is the matrix A of
+the Jacobi equation D^2 J = R_v(v, J)v = A J, normalized so that the flat
+case gives zero and a unit round sphere gives -J for unit transverse J.
+Along a curve every consumer (`variational.CurveGeometry` and the Jacobi
+integrator) reads connection data from the arrays of `_frame_tables`, which
+evaluates the curve's samples in near-equal chunks of at most `CHUNK`, one
+frame per chunk.  Row k of a chunk equals the frame of sample k alone, to
+the bit, and a failing chunk raises the error of its first failing sample,
+as a loop over samples would.
 
 All functions here are pure and stateless.
 """
@@ -40,24 +41,16 @@ All functions here are pure and stateless.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import DiscreteCurve, spline_derivative
 from .dsl import MetricDefinition, SampleBatch, TangentSample, _compiled
-from .errors import GridMismatch, InadmissibleSample
+from .errors import InadmissibleSample
 from .jets import Jet, jet_space
 from .tensors import (_ELIMINATION_NAMES, _elimination, _inadmissible, _require_admissible,
-                      _source, fundamental_tensor, inverse_metric)
+                      _source, inverse_metric)
 
-__all__ = [
-    "SprayValue", "ChristoffelField", "ConnectionFrame",
-    "spray", "spray_coefficients", "christoffel",
-    "jacobi_operator", "jacobi_matrix", "chern_curvature",
-    "covariant_derivative_along", "horizontal_derivative",
-    "vertical_gradient", "horizontal_gradient",
-]
+__all__ = ["ConnectionFrame", "spray_coefficients", "chern_curvature"]
 
 
 # Most samples per frame along a curve: large enough that the tape and the
@@ -66,23 +59,6 @@ __all__ = [
 # memory within noise of one frame per sample (see BENCH_8.json).  A curve
 # is split into chunks of near-equal size (`_chunks`).
 CHUNK = 16
-
-
-# --------------------------------------------------------------------------
-# result records
-# --------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class SprayValue:
-    G: np.ndarray           # (n,) spray coefficients
-    N: np.ndarray           # (n, n) nonlinear connection N^i_j = dG^i/dy^j
-    basepoint: TangentSample
-
-
-@dataclass(frozen=True)
-class ChristoffelField:
-    gamma: np.ndarray       # (n, n, n): gamma[k, i, j] = Gamma^k_ij
-    basepoint: TangentSample
 
 
 # --------------------------------------------------------------------------
@@ -188,9 +164,6 @@ class ConnectionFrame:
                - self._partial_jets(1)[:, :n, :space.size])
         return 0.25 * _contract(space, self._rows("ginv_jets"), rhs)
 
-    def spray_values(self) -> np.ndarray:
-        return self.spray_jets()[..., 0]
-
     @_cached
     def nonlinear_jets(self) -> np.ndarray:
         n = self.n
@@ -277,11 +250,6 @@ def _lowered_christoffel(delta: np.ndarray) -> np.ndarray:
 # public operations
 # --------------------------------------------------------------------------
 
-def spray(m: MetricDefinition, v: TangentSample) -> SprayValue:
-    frame = ConnectionFrame(m, v, order=3)
-    return SprayValue(frame.spray_values(), frame.nonlinear(), v)
-
-
 def spray_coefficients(m: MetricDefinition, v: TangentSample) -> np.ndarray:
     """Spray values only, from one order-2 jet (see `_spray`)."""
     return _spray(m.jet(v, 2).c, v.y)
@@ -324,7 +292,7 @@ def _spray_source(n: int) -> str:
         reads.append(f"r{i} = 0.0{terms} - c[{b}]")
     reads += [f"g{k // n}_{k % n} = 0.5 * (c[{s}] * {f!r})" for k, (s, f) in enumerate(fiber)]
     result = ", ".join(f"0.25 * z{i}" for i in range(n))
-    return _source("spray(c, y)", [*reads, *_elimination(n, True), f"return [{result}]"])
+    return _source("spray(c, y)", [*reads, *_elimination(n), f"return [{result}]"])
 
 
 @functools.lru_cache(maxsize=None)
@@ -356,20 +324,6 @@ def _sprays_along(m: MetricDefinition, times: np.ndarray, positions: np.ndarray,
 def _batch_spray(m: MetricDefinition, batch: SampleBatch) -> np.ndarray:
     _require_admissible(m, batch)
     return _spray(m.jet(batch, 2).c, batch.y)
-
-
-def christoffel(m: MetricDefinition, v: TangentSample) -> ChristoffelField:
-    frame = ConnectionFrame(m, v, order=3)
-    return ChristoffelField(frame.christoffel(), v)
-
-
-def jacobi_matrix(m: MetricDefinition, v: TangentSample) -> np.ndarray:
-    return ConnectionFrame(m, v, order=4).jacobi_matrix()
-
-
-def jacobi_operator(m: MetricDefinition, v: TangentSample, w) -> np.ndarray:
-    """R_v(v, w)v: the right-hand side of the Jacobi equation D^2 J = R_v(v, J)v."""
-    return jacobi_matrix(m, v) @ np.asarray(w, dtype=float)
 
 
 def chern_curvature(m: MetricDefinition, v: TangentSample, X, Y, Z) -> np.ndarray:
@@ -428,23 +382,6 @@ def _in_order(fn, m: MetricDefinition, x: np.ndarray, y: np.ndarray, times=None)
         raise
 
 
-def covariant_derivative_along(curve: DiscreteCurve, U, X, m: MetricDefinition
-                               ) -> np.ndarray:
-    """Covariant derivative of the field X along the curve with reference U
-    (the velocity when None).
-
-    (D X)^k = Xdot^k + X^i vel^j Gamma^k_ij(U); Xdot comes from a spline
-    derivative of the samples.
-    """
-    X = np.asarray(X, dtype=float)
-    U = curve.velocities if U is None else np.asarray(U, dtype=float)
-    if X.shape != curve.positions.shape or U.shape != curve.positions.shape:
-        raise GridMismatch("field samples must match the curve grid")
-    gamma = _frame_tables(m, curve.grid, curve.positions, U)[3]
-    return spline_derivative(curve.grid, X) + np.einsum(
-        "kaij,ki,kj->ka", gamma, X, curve.velocities)
-
-
 def _scalar_partials(jet: Jet) -> tuple[np.ndarray, np.ndarray]:
     """(d/dx, d/dy) of a scalar jet over the 2n chart and fiber variables,
     after the leading sample axis of a batched jet."""
@@ -463,29 +400,3 @@ def _scalar_partials_along(f: MetricDefinition, positions: np.ndarray,
             lambda f, batch: _scalar_partials(f.jet(batch, 2)),
             f, positions[rows], velocities[rows])
     return dx, dy
-
-
-def horizontal_derivative(f: MetricDefinition, X, v: TangentSample,
-                          m: MetricDefinition) -> float:
-    """Connection derivative of an anisotropic scalar along the direction X."""
-    dx, dy = _scalar_partials(f.jet(v, 2))
-    N = ConnectionFrame(m, v, order=3).nonlinear()
-    delta = dx - N.T @ dy
-    return float(delta @ np.asarray(X, dtype=float))
-
-
-def vertical_gradient(f: MetricDefinition, v: TangentSample,
-                      m: MetricDefinition) -> np.ndarray:
-    """Solves g_v(grad, .) = fiber differential of f at v."""
-    _, dy = _scalar_partials(f.jet(v, 2))
-    g = fundamental_tensor(m, v).matrix
-    return inverse_metric(g) @ dy
-
-
-def horizontal_gradient(f: MetricDefinition, v: TangentSample,
-                        m: MetricDefinition) -> np.ndarray:
-    """Solves g_v(grad, .) = horizontal differential of f at v."""
-    frame = ConnectionFrame(m, v, order=3)
-    dx, dy = _scalar_partials(f.jet(v, 2))
-    delta = dx - frame.nonlinear().T @ dy
-    return frame.ginv() @ delta

@@ -26,7 +26,8 @@ Grammar (precedence: pow > unary minus > * / > + -)::
     atom   := NUMBER | IDENT | IDENT '(' expr (',' expr)* ')' | '(' expr ')'
 
 Nesting (groups, calls, unary minus signs and exponents along one path)
-is capped at `MAX_NESTING` levels; deeper input is an ExpressionError.
+is capped at `MAX_NESTING` levels, and the source of a one-point jet kernel
+at `MAX_KERNEL_LINES` lines; input past either cap is an ExpressionError.
 
 `u ^ p` and `pow(u, p)` are the same node; the exponent must fold to a real
 constant.  An integer power of a jet runs by repeated squaring.  Fractional
@@ -50,10 +51,8 @@ from .errors import ConfigError, EvaluationDomainError, ExpressionError, NoAdmis
 __all__ = [
     "Expr", "Num", "Var", "Neg", "Add", "Sub", "Mul", "Div", "Pow", "Func",
     "Tape", "TangentSample", "SampleBatch", "MetricDefinition",
-    "HomogeneityReport", "parse_expression", "parse_metric", "pretty", "evaluate",
-    "validate_homogeneity", "sample_admissible", "builtin_metric",
-    "builtin_names", "parse_metric_file", "load_metric_file",
-    "dump_metric_file",
+    "parse_expression", "parse_metric", "pretty", "sample_admissible",
+    "builtin_metric", "builtin_names", "parse_metric_file", "load_metric_file",
 ]
 
 
@@ -155,15 +154,6 @@ def _walk(root: Expr, combine):
         else:
             done.append(combine(node))
     return done[0]
-
-
-def evaluate(node: Expr, xs, ys) -> float:
-    """Value of an expression at chart values xs and fiber values ys, by a
-    tape compiled for this call; a variable that is not given reads nan."""
-    xs, ys = [float(v) for v in xs], [float(v) for v in ys]
-    n = max(len(xs), len(ys))
-    nan = [math.nan]
-    return Tape((node,), n).floats(xs + nan * (n - len(xs)) + ys + nan * (n - len(ys)))[0]
 
 
 # --------------------------------------------------------------------------
@@ -651,6 +641,16 @@ def _literal(v) -> str:
     return f"(-{text})" if math.copysign(1.0, v) < 0.0 else text
 
 
+# The most lines the source of one one-point jet kernel may take.  The
+# largest kernel of a builtin metric or of a factor * metric product at
+# orders 2 to 4 is 578 lines (theta-weight*warped-quadratic at order 4);
+# an integer power such as pow(x0 + x1 + y0 + y1, 1e300) writes a line per
+# term of each squaring and would take 15,279 lines at order 2.  Compiling
+# costs memory per line, so a longer kernel is an ExpressionError, raised
+# while the source is written and before anything is compiled.
+MAX_KERNEL_LINES = 10_000
+
+
 class _KernelWriter:
     """The source of `kernel(p)`, the straight-line jet of a tape's first
     expression at one point p of 2n floats, for one order.
@@ -687,9 +687,15 @@ class _KernelWriter:
         self.count += 1
         return f"t{self.count}"
 
+    def write(self, line: str) -> None:
+        if len(self.lines) >= MAX_KERNEL_LINES:
+            raise ExpressionError(f"the order-{self.order} jet kernel of this expression "
+                                  f"passes {MAX_KERNEL_LINES} lines")
+        self.lines.append(line)
+
     def local(self, expr: str) -> str:
         name = self.name()
-        self.lines.append(f"    {name} = {expr}")
+        self.write(f"    {name} = {expr}")
         return name
 
     def arith(self, a, op: str, b):
@@ -724,8 +730,8 @@ class _KernelWriter:
         if name not in _TAYLOR_NAMES:
             raise ValueError(f"unknown elementary function {name!r}")
         derivs = [self.name() for _ in range(self.order + 1)]
-        self.lines.append(f"    {', '.join(derivs)}, = taylor({name!r}, {_literal(c[0])}, "
-                          f"{self.order}, {_literal(float(exponent))})")
+        self.write(f"    {', '.join(derivs)}, = taylor({name!r}, {_literal(c[0])}, "
+                   f"{self.order}, {_literal(float(exponent))})")
         hat = [0.0] + c[1:]
         out = [derivs[-1]] + [0.0] * (len(c) - 1)
         for d in derivs[-2::-1]:
@@ -1084,9 +1090,13 @@ def _columns(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.vstack((x.T, y.T))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class MetricDefinition:
-    """Evaluable scalar with a conic domain and declared fiber homogeneity."""
+    """Evaluable scalar with a conic domain and declared fiber homogeneity.
+
+    Two definitions are equal only when they are the same object, and the
+    hash is the object's: comparing, hashing or printing a definition never
+    walks its expression trees, which may be thousands of nodes deep."""
 
     name: str
     dim: int
@@ -1101,6 +1111,9 @@ class MetricDefinition:
         # frozen: the compiled tapes are set once, here
         object.__setattr__(self, "_body", Tape((self.body,), self.dim))
         object.__setattr__(self, "_domain", Tape(self.domain, self.dim))
+
+    def __repr__(self) -> str:
+        return f"MetricDefinition({self.name!r}, dim={self.dim}, degree={self.degree})"
 
     def _point(self, x, y) -> list[float]:
         x = np.asarray(x, dtype=float)
@@ -1295,38 +1308,6 @@ def _candidates(rng: np.random.Generator, low: np.ndarray, span: np.ndarray,
     return low + span * u, y
 
 
-@dataclass(frozen=True)
-class HomogeneityReport:
-    samples: int            # the samples checked: those whose scaled copy is admissible
-    max_relative_error: float
-    passed: bool
-
-
-def validate_homogeneity(m: MetricDefinition, samples: int, seed: int,
-                         tol: float = 1e-9) -> HomogeneityReport:
-    """Check m(x, s*y) = s^degree * m(x, y) on random admissible samples.
-    A sample whose scaled copy leaves the domain is skipped; the check fails
-    if every one is."""
-    if samples < 1:
-        raise ValueError("need at least one sample")
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    checked = 0
-    for s in sample_admissible(m, rng, count=samples):
-        scale = rng.uniform(0.5, 2.0)
-        scaled = s.scaled(scale)
-        if not m.admissible(scaled):
-            continue
-        checked += 1
-        base = m.value_at(s)
-        val = m.value_at(scaled)
-        expected = scale ** m.degree * base
-        err = abs(val - expected) / max(1.0, abs(val), abs(base))
-        worst = max(worst, err)
-    return HomogeneityReport(samples=checked, max_relative_error=worst,
-                             passed=checked > 0 and worst <= tol)
-
-
 # --------------------------------------------------------------------------
 # built-in registry
 # --------------------------------------------------------------------------
@@ -1433,11 +1414,3 @@ def load_metric_file(path) -> MetricDefinition:
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: {exc}")
     return parse_metric_file(text, name=path.stem)
-
-
-def dump_metric_file(m: MetricDefinition, path) -> None:
-    lines = [f"name={m.name}", f"dim={m.dim}", f"degree={m.degree}"]
-    if m.domain:
-        lines.append("domain=" + "; ".join(pretty(p) for p in m.domain))
-    lines.append(m.pretty())
-    Path(path).write_text("\n".join(lines) + "\n")

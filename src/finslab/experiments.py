@@ -14,10 +14,7 @@ import numpy as np
 from .errors import ConfigError
 from .variational import SubmanifoldPatch
 
-__all__ = [
-    "embed", "chart", "tilted_null_data", "exact_tilted_circle",
-    "great_circle_patch",
-]
+__all__ = ["embed", "chart", "great_circle_patch"]
 
 
 def embed(theta: float, phi: float) -> np.ndarray:
@@ -51,34 +48,6 @@ def _spatial_frame(x0, v0) -> tuple[np.ndarray, np.ndarray, float]:
     if not speed > 0.0:
         raise ConfigError("v0 has no spatial direction at x0, so it fixes no great circle")
     return p, tangent / speed, speed
-
-
-def tilted_null_data(theta_c: float, speed: float = 1.0
-                     ) -> tuple[np.ndarray, np.ndarray]:
-    """Lightlike initial data whose spatial track is the great circle through
-    colatitude theta_c heading along the chart-east direction."""
-    x0 = np.array([0.0, theta_c, 0.0])
-    v0 = np.array([speed, 0.0, speed / np.sin(theta_c)])
-    return x0, v0
-
-
-def exact_tilted_circle(x0, v0):
-    """Closed-form chart solution of the null lift of a great circle.
-
-    Returns callables t -> position, t -> embedded spatial point."""
-    p, tangent, speed = _spatial_frame(x0, v0)
-    t0 = float(x0[0])
-    yt = float(v0[0])
-
-    def spatial(t):
-        s = speed * t
-        return np.cos(s) * p + np.sin(s) * tangent
-
-    def position(t):
-        th, ph = chart(spatial(t))
-        return np.array([t0 + yt * t, th, ph])
-
-    return position, spatial
 
 
 def great_circle_patch(x0, v0, rho: float) -> SubmanifoldPatch:

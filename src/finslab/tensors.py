@@ -125,23 +125,26 @@ def _nondegenerate_solve(g: list[float], n: int, r: list[float] | None = None):
     leaves its row as it is.  det(g / scale) is the signed product of the
     pivots; it cannot overflow, and |det| <= DEGENERACY_TOL, or a zero
     pivot, is SingularMetric.  r is scaled with g, so z solves (g / scale) z
-    = r / scale by back substitution.  The elimination runs as the
-    straight-line function of `_solver`."""
-    return _solver(n, r is not None)(g, r)
+    = r / scale by back substitution.  Without r (the degeneracy test
+    alone) the elimination runs on a zero right-hand side and returns None;
+    the r column never feeds a pivot or the determinant, so the verdict does
+    not depend on r.  The elimination runs as the straight-line function of
+    `_solver`."""
+    z = _solver(n)(g, [0.0] * n if r is None else r)
+    return None if r is None else z
 
 
 @functools.lru_cache(maxsize=None)
-def _solver(n: int, rhs: bool):
-    """`solve(g, r)`: `_nondegenerate_solve` of n x n matrices, with a
-    right-hand side r or (rhs false) none, compiled from `_solver_source`."""
-    return _compiled(_solver_source(n, rhs), _ELIMINATION_NAMES)
+def _solver(n: int):
+    """`solve(g, r)`: `_nondegenerate_solve` of n x n matrices, compiled
+    from `_solver_source`."""
+    return _compiled(_solver_source(n), _ELIMINATION_NAMES)
 
 
-def _solver_source(n: int, rhs: bool) -> str:
+def _solver_source(n: int) -> str:
     entries = ", ".join(f"g{i}_{j}" for i in range(n) for j in range(n))
-    reads = [f"{entries}, = g"] + ([f"{_names('r', n)}, = r"] if rhs else [])
-    result = f"[{_names('z', n)}]" if rhs else "None"
-    return _source("solve(g, r)", [*reads, *_elimination(n, rhs), f"return {result}"])
+    reads = [f"{entries}, = g", f"{_names('r', n)}, = r"]
+    return _source("solve(g, r)", [*reads, *_elimination(n), f"return [{_names('z', n)}]"])
 
 
 def _names(prefix: str, n: int) -> str:
@@ -153,22 +156,21 @@ def _source(head: str, body: list[str]) -> str:
     return "\n    ".join([f"def {head}:", *body]) + "\n"
 
 
-def _elimination(n: int, rhs: bool) -> list[str]:
+def _elimination(n: int) -> list[str]:
     """The lines of `_nondegenerate_solve` for n x n matrices as straight-line
     code (Griewank & Walther, *Evaluating Derivatives*, 2nd ed., SIAM 2008,
-    ch. 6): the entries of g are the locals g{i}_{j}, those of r (rhs true)
-    r{i}, and the solution is left in the locals z{i}.
+    ch. 6): the entries of g are the locals g{i}_{j}, those of r r{i}, and
+    the solution is left in the locals z{i}.
 
     The locals a{i}_{j} hold the rows of [g | r] / scale by position, and a
     row swap exchanges their values, as it exchanges the rows of a list; the
     pivot search and the swaps are `if`/`elif` on them.  Every float
     operation is that of the elimination loop, in its order, so the two
     agree to the bit (tests/solve_reference.py)."""
-    cols = n + 1 if rhs else n
+    cols = n + 1
     a = [[f"a{i}_{j}" for j in range(cols)] for i in range(n)]
     g = [f"g{i}_{j}" for i in range(n) for j in range(n)]
-    scaled = [[f"g{i}_{j} / s" for j in range(n)] + ([f"r{i} / s"] if rhs else [])
-              for i in range(n)]
+    scaled = [[f"g{i}_{j} / s" for j in range(n)] + [f"r{i} / s"] for i in range(n)]
     # max(|g_ij|, 0.0): the 0.0 never wins, and it gives max two arguments at n = 1
     lines = [f"if not ({' and '.join(f'isfinite({v})' for v in g)}):",
              "    raise EvaluationDomainError(_NON_FINITE)",
@@ -194,10 +196,9 @@ def _elimination(n: int, rhs: bool) -> list[str]:
             lines += [f"f = {a[i][k]} / {a[k][k]}", "if f:"]
             lines += [f"    {a[i][j]} -= f * {a[k][j]}" for j in range(k + 1, cols)]
     lines += ["if abs(det) <= DEGENERACY_TOL:", "    raise _degenerate(det, scale)"]
-    if rhs:
-        for i in reversed(range(n)):
-            rest = "".join(f" - {a[i][j]} * z{j}" for j in range(i + 1, n))
-            lines.append(f"z{i} = ({a[i][n]}{rest}) / {a[i][i]}")
+    for i in reversed(range(n)):
+        rest = "".join(f" - {a[i][j]} * z{j}" for j in range(i + 1, n))
+        lines.append(f"z{i} = ({a[i][n]}{rest}) / {a[i][i]}")
     return lines
 
 

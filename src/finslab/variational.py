@@ -6,10 +6,12 @@ scaled metric never needs its own connection.  Along a fixed curve all
 pointwise geometry (fundamental tensor, Christoffel symbols, Jacobi operator,
 factor gradients) is read from tables built by `connection._frame_tables`,
 one frame per chunk of samples.  A `CurveGeometry` carries one curve, its
-base metric and its factor, and holds the table at the nodes; the variation
-fields, the first and second variation, the index form, the transfer and its
-residuals all take it as their first argument and read curve, metric and
-factor from it.  The Jacobi integrator builds its own table at the RK stage
+base metric and its factor, and holds the table at the nodes; it is also
+where the covariant derivative along the curve (`cov`) and the horizontal
+and vertical gradients of the factor (`grad_h`, `grad_v`) are computed.  The
+variation fields, the first and second variation, the index form, the
+transfer and its residuals all take it as their first argument and read
+curve, metric and factor from it.  The Jacobi integrator builds its own table at the RK stage
 times, and the focal search reads its initial data from row 0 of that table.
 Geodesic checks read the spray, as Gamma(v)(v, v) = 2G(x, v).
 
@@ -40,7 +42,7 @@ __all__ = [
     "CurveGeometry", "first_variation", "second_variation", "index_form",
     "energy_derivative_fd",
     "second_fundamental_form", "normal_second_fundamental_form",
-    "integrate_jacobi", "integrate_jacobi_basis", "find_focal_points",
+    "integrate_jacobi_basis", "find_focal_points",
     "transfer_jacobi", "conformal_jacobi_residual", "boundary_residual",
     "verify_focal_correspondence", "CorrespondenceReport",
 ]
@@ -124,10 +126,6 @@ class VariationField:
     acceleration of the underlying two-parameter map."""
     values: np.ndarray
     accel: np.ndarray | None = None
-
-    @staticmethod
-    def from_function(curve: DiscreteCurve, fn) -> "VariationField":
-        return VariationField(np.array([fn(t) for t in curve.grid], dtype=float))
 
     @staticmethod
     def affine(geom: CurveGeometry, fn) -> "VariationField":
@@ -560,14 +558,6 @@ def integrate_jacobi_basis(curve: DiscreteCurve, m: MetricDefinition,
     spot-checked to be a geodesic.  Returns one solution record per column.
     """
     return _integrate_on_stages(curve, _stage_table(curve, m), J0, K0)
-
-
-def integrate_jacobi(curve: DiscreteCurve, m: MetricDefinition, J0, K0
-                     ) -> JacobiSolution:
-    """Single Jacobi field along a geodesic of m."""
-    sol = integrate_jacobi_basis(
-        curve, m, np.asarray(J0, float)[:, None], np.asarray(K0, float)[:, None])
-    return sol[0]
 
 
 # --------------------------------------------------------------------------

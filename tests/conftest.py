@@ -14,7 +14,7 @@ import pytest
 
 import finslab
 from finslab import dsl, experiments, geodesics, variational
-from finslab.dsl import evaluate
+import sphere_reference
 
 
 def margin_sample(m, rng, margin=0.0, min_norm=0.0, tries=2000):
@@ -22,12 +22,21 @@ def margin_sample(m, rng, margin=0.0, min_norm=0.0, tries=2000):
     finite-difference stencils inside the domain)."""
     for _ in range(tries):
         v = dsl.sample_admissible(m, rng, count=1)[0]
-        if margin and not all(float(evaluate(p, v.x, v.y)) > margin for p in m.domain):
+        point = v.x.tolist() + v.y.tolist()
+        if margin and not all(dsl.Tape((p,), m.dim).floats(point)[0] > margin
+                              for p in m.domain):
             continue
         if np.linalg.norm(v.y) < min_norm:
             continue
         return v
     raise RuntimeError(f"no sample with margin {margin} for {m.name}")
+
+
+def jacobi_field(curve, m, J0, K0):
+    """The Jacobi field along the geodesic `curve` of m with J(t0) = J0 and
+    DJ(t0) = K0, as the one column of `integrate_jacobi_basis`."""
+    J0, K0 = (np.asarray(a, dtype=float)[:, None] for a in (J0, K0))
+    return variational.integrate_jacobi_basis(curve, m, J0, K0)[0]
 
 
 def lightlike_start(m, x0, v0):
@@ -94,7 +103,7 @@ class TransferBundle:
 def tilted_transfer(einstein, theta_weight, scaled_einstein) -> TransferBundle:
     rho = np.pi / 4
     theta_c = np.pi / 2 - 0.6
-    x0, v0 = experiments.tilted_null_data(theta_c)
+    x0, v0 = sphere_reference.tilted_null_data(theta_c)
     lam0 = theta_weight.value(x0, v0)
     h = 2e-3
     pilot = geodesics.integrate_geodesic(scaled_einstein, x0, v0 / lam0, (0, 1.0), h)
@@ -107,7 +116,7 @@ def tilted_transfer(einstein, theta_weight, scaled_einstein) -> TransferBundle:
     tangent_unit = np.array([0.0, -1.0, 0.0])
     sff = variational._normal_sff_matrix(patch, tilde.velocities[0], einstein)
     coeff = np.linalg.lstsq(patch.tangent_basis(), tangent_unit, rcond=None)[0]
-    jac_tilde = variational.integrate_jacobi(tilde, einstein, tangent_unit, sff @ coeff)
+    jac_tilde = jacobi_field(tilde, einstein, tangent_unit, sff @ coeff)
     geometry = variational.CurveGeometry(curve, einstein, theta_weight)
     jac_hat, h_corr = variational.transfer_jacobi(geometry, jac_tilde, rep)
     return TransferBundle(

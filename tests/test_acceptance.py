@@ -14,6 +14,7 @@ import numpy as np
 from finslab import (conformal, connection, dsl, experiments, geodesics, jets,
                      tensors, variational)
 import finitediff
+import sphere_reference
 from conftest import lightlike_start, margin_sample
 from test_connection import (compatibility_residual, levi_civita_oracle,
                              warped_quadratic_matrix)
@@ -65,7 +66,7 @@ def test_connection_axioms():
         for _ in range(50):
             residual = max(residual, compatibility_residual(m, rng))
         for v in dsl.sample_admissible(m, rng, count=10):
-            gamma = connection.christoffel(m, v).gamma
+            gamma = connection.ConnectionFrame(m, v, order=3).christoffel()
             drift = max(drift, float(np.abs(gamma - np.transpose(gamma, (0, 2, 1))).max()))
     elapsed = time.perf_counter() - start
     ok = drift <= 1e-13 and residual <= 1e-6 and elapsed < 10.0
@@ -84,7 +85,7 @@ def test_levi_civita_reduction():
         m = dsl.builtin_metric(name)
         rng = np.random.default_rng(303)
         for v in dsl.sample_admissible(m, rng, count=25):
-            gamma = connection.christoffel(m, v).gamma
+            gamma = connection.ConnectionFrame(m, v, order=3).christoffel()
             gamma_lc = levi_civita_oracle(A_fn, v.x)
             worst_gamma = max(worst_gamma, float(np.abs(gamma - gamma_lc).max()))
             worst_cartan = max(worst_cartan,
@@ -113,7 +114,7 @@ def test_geodesic_conservation_and_order():
     speed = 8.0
     x0 = np.array([0.0, np.pi / 2, 0.0])
     v0 = np.array([speed, -speed * np.sin(iota), speed * np.cos(iota)])
-    position, spatial = experiments.exact_tilted_circle(x0, v0)
+    position, spatial = sphere_reference.exact_tilted_circle(x0, v0)
     errors = []
     steps = [4e-3, 2e-3, 1e-3, 5e-4]
     for h in steps:
@@ -205,7 +206,7 @@ def test_shared_lightcone_factor():
 
 
 def test_conformal_pregeodesic(einstein, theta_weight, scaled_einstein):
-    x0, v0 = experiments.tilted_null_data(np.pi / 2 - 0.6)
+    x0, v0 = sphere_reference.tilted_null_data(np.pi / 2 - 0.6)
     start = lightlike_start(einstein, x0, v0)
     curve = geodesics.integrate_geodesic(scaled_einstein, start.x, start.y,
                                          (0.0, 1.0), 1e-3)

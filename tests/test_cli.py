@@ -344,6 +344,18 @@ def test_exit_code_two_on_a_metric_nested_past_the_cap(tmp_path, capsys):
             assert "overall pass=True" in capsys.readouterr().out
 
 
+def test_exit_code_two_on_a_metric_whose_jet_kernel_passes_the_cap(tmp_path, capsys):
+    """pow(x0 + x1 + y0 + y1, 1e300) writes a line per term of each squaring:
+    its order-2 one-point jet kernel would take 15,279 lines, paid in
+    compile time and memory.  `geodesic` takes that jet first, at the
+    first RK stage, and the writer stops at the cap."""
+    (tmp_path / "huge.metric").write_text("dim=2\npow(x0 + x1 + y0 + y1, 1e300)\n")
+    cfg = write_config(tmp_path, "[metric]\nmetric = huge.metric\nx0 = 0, 0\nv0 = 1, 0\n"
+                                 "[run]\nt1 = 1\nstep = 0.1\n")
+    assert cli.main(["geodesic", "--config", cfg]) == 2
+    assert_single_error_line(capsys, f"passes {dsl.MAX_KERNEL_LINES} lines")
+
+
 @pytest.mark.parametrize("rho", ["0", "-0.5", "3.2", "nan"])
 def test_exit_code_two_on_circle_radius_outside_the_sphere_range(tmp_path, capsys, rho):
     cfg = write_config(tmp_path, CURVE_CFG.format(**CURVE_INPUTS).replace(

@@ -1,5 +1,9 @@
 """Spray, Christoffel symbols, curvature operators, covariant derivatives and
-anisotropic gradients, checked against closed forms and the defining axioms."""
+anisotropic gradients, checked against closed forms and the defining axioms.
+Each quantity is read where the library computes it: G from
+`spray_coefficients`, N, Gamma and the Jacobi operator from a
+`ConnectionFrame`, and along a curve the covariant derivative and the
+gradients of a scalar from a `variational.CurveGeometry`."""
 
 import hashlib
 
@@ -7,7 +11,8 @@ import numpy as np
 import pytest
 
 import finslab
-from finslab import conformal, connection, dsl, geodesics, jets, tensors
+from finslab import conformal, connection, dsl, geodesics, jets, tensors, variational
+from finslab.curves import spline_derivative
 from finslab.errors import EvaluationDomainError, SingularMetric
 import solve_reference
 from conftest import margin_sample
@@ -50,17 +55,17 @@ def warped_quadratic_matrix(x):
 
 def test_flat_metric_has_zero_spray_and_symbols(minkowski3):
     v = dsl.TangentSample([0.3, -0.1, 0.2], [1.0, 0.3, 0.2])
-    sp = connection.spray(minkowski3, v)
-    assert np.abs(sp.G).max() == 0.0
-    assert np.abs(sp.N).max() == 0.0
-    assert np.abs(connection.christoffel(minkowski3, v).gamma).max() == 0.0
+    frame = connection.ConnectionFrame(minkowski3, v, order=3)
+    assert np.abs(connection.spray_coefficients(minkowski3, v)).max() == 0.0
+    assert np.abs(frame.nonlinear()).max() == 0.0
+    assert np.abs(frame.christoffel()).max() == 0.0
 
 
 def test_spray_reduces_to_levi_civita_for_quadratic_metrics():
     m = dsl.builtin_metric("warped-quadratic")
     rng = np.random.default_rng(0)
     for v in dsl.sample_admissible(m, rng, count=10):
-        G = connection.spray(m, v).G
+        G = connection.spray_coefficients(m, v)
         gamma_lc = levi_civita_oracle(warped_quadratic_matrix, v.x)
         expected = 0.5 * np.einsum("kij,i,j->k", gamma_lc, v.y, v.y)
         assert np.abs(G - expected).max() <= 1e-8
@@ -68,15 +73,16 @@ def test_spray_reduces_to_levi_civita_for_quadratic_metrics():
 
 def test_spray_homogeneity(einstein):
     v = dsl.TangentSample([0.0, np.pi / 4, 0.3], [1.0, 0.2, 1.1])
-    sp1 = connection.spray(einstein, v)
-    sp2 = connection.spray(einstein, v.scaled(2.0))
-    assert np.abs(sp2.G - 4.0 * sp1.G).max() <= 1e-10
-    assert np.abs(sp2.N - 2.0 * sp1.N).max() <= 1e-10
+    G1, G2 = (connection.spray_coefficients(einstein, s) for s in (v, v.scaled(2.0)))
+    N1, N2 = (connection.ConnectionFrame(einstein, s, order=3).nonlinear()
+              for s in (v, v.scaled(2.0)))
+    assert np.abs(G2 - 4.0 * G1).max() <= 1e-10
+    assert np.abs(N2 - 2.0 * N1).max() <= 1e-10
 
 
 def test_product_sphere_christoffel_closed_form(einstein):
     v = dsl.TangentSample([0.0, np.pi / 4, 0.3], [1.0, 0.2, 1.1])
-    gamma = connection.christoffel(einstein, v).gamma
+    gamma = connection.ConnectionFrame(einstein, v, order=3).christoffel()
     theta = np.pi / 4
     assert gamma[1, 2, 2] == pytest.approx(-np.sin(theta) * np.cos(theta), abs=1e-12)
     assert gamma[2, 1, 2] == pytest.approx(1.0 / np.tan(theta), abs=1e-12)
@@ -87,7 +93,7 @@ def test_christoffel_matches_levi_civita_for_quadratic_metrics():
     m = dsl.builtin_metric("warped-quadratic")
     rng = np.random.default_rng(1)
     for v in dsl.sample_admissible(m, rng, count=25):
-        gamma = connection.christoffel(m, v).gamma
+        gamma = connection.ConnectionFrame(m, v, order=3).christoffel()
         gamma_lc = levi_civita_oracle(warped_quadratic_matrix, v.x)
         assert np.abs(gamma - gamma_lc).max() <= 1e-8
         assert np.abs(tensors.cartan_tensor(m, v).array).max() <= 1e-13
@@ -97,10 +103,10 @@ def test_christoffel_torsion_symmetry_and_homogeneity():
     m = dsl.builtin_metric("bogoslovsky2-warped")
     rng = np.random.default_rng(2)
     for v in dsl.sample_admissible(m, rng, count=15):
-        gamma = connection.christoffel(m, v).gamma
+        gamma = connection.ConnectionFrame(m, v, order=3).christoffel()
         assert np.abs(gamma - np.transpose(gamma, (0, 2, 1))).max() <= 1e-13
         for s in (0.5, 3.0):
-            gs = connection.christoffel(m, v.scaled(s)).gamma
+            gs = connection.ConnectionFrame(m, v.scaled(s), order=3).christoffel()
             assert np.abs(gs - gamma).max() <= 1e-10
 
 
@@ -145,22 +151,23 @@ def test_metric_derivation_axiom(name):
 
 def test_flat_curvature_vanishes(minkowski3):
     v = dsl.TangentSample([0, 0, 0], [1.0, 0.2, 0.1])
-    assert np.abs(connection.jacobi_operator(minkowski3, v, [0, 1, 0])).max() == 0.0
+    A = connection.ConnectionFrame(minkowski3, v).jacobi_matrix()
+    assert np.abs(A @ np.array([0.0, 1.0, 0.0])).max() == 0.0
     assert np.abs(connection.chern_curvature(
         minkowski3, v, [1, 0, 0], [0, 1, 0], [0, 0, 1])).max() == 0.0
 
 
 def test_unit_sphere_jacobi_operator(einstein):
     v = dsl.TangentSample([0.0, np.pi / 2, 0.0], [1.0, 0.0, 1.0])
-    out = connection.jacobi_operator(einstein, v, [0.0, 1.0, 0.0])
+    out = connection.ConnectionFrame(einstein, v).jacobi_matrix() @ np.array([0.0, 1.0, 0.0])
     assert np.allclose(out, [0.0, -1.0, 0.0], atol=1e-12)
 
 
 def test_jacobi_operator_scaling(einstein):
     v = dsl.TangentSample([0.0, 1.1, 0.4], [1.0, 0.3, 0.8])
     w = np.array([0.2, -0.5, 0.4])
-    out1 = connection.jacobi_operator(einstein, v, w)
-    out2 = connection.jacobi_operator(einstein, v.scaled(3.0), w)
+    out1, out2 = (connection.ConnectionFrame(einstein, s).jacobi_matrix() @ w
+                  for s in (v, v.scaled(3.0)))
     assert np.abs(out2 - 9.0 * out1).max() <= 1e-9 * max(1.0, np.abs(out1).max())
 
 
@@ -184,14 +191,14 @@ def test_curvature_routes_agree_on_radial_slots(scaled_einstein):
         for v in dsl.sample_admissible(m, rng, count=8):
             w = rng.uniform(-1, 1, m.dim)
             via_tensor = connection.chern_curvature(m, v, v.y, w, v.y)
-            via_spray = connection.jacobi_operator(m, v, w)
+            via_spray = connection.ConnectionFrame(m, v).jacobi_matrix() @ w
             assert np.abs(via_tensor - via_spray).max() <= 1e-7
 
 
 def test_jacobi_operator_is_self_adjoint(scaled_einstein):
     rng = np.random.default_rng(6)
     for v in dsl.sample_admissible(scaled_einstein, rng, count=10):
-        A = connection.jacobi_matrix(scaled_einstein, v)
+        A = connection.ConnectionFrame(scaled_einstein, v).jacobi_matrix()
         g = tensors.fundamental_tensor(scaled_einstein, v).matrix
         u, w = rng.uniform(-1, 1, 3), rng.uniform(-1, 1, 3)
         assert abs((A @ w) @ g @ u - (A @ u) @ g @ w) <= 1e-8
@@ -204,17 +211,21 @@ def test_jacobi_operator_is_self_adjoint(scaled_einstein):
 def test_flat_covariant_derivative_is_plain_rate(minkowski3):
     curve = geodesics.integrate_geodesic(minkowski3, [0, 0, 0], [1, 0.5, 0], (0, 1), 1e-2)
     X = np.stack([np.sin(curve.grid), np.cos(curve.grid), curve.grid ** 2], axis=1)
-    DX = connection.covariant_derivative_along(curve, None, X, minkowski3)
+    DX = variational.CurveGeometry(curve, minkowski3).cov(X)
     expected = np.stack([np.cos(curve.grid), -np.sin(curve.grid), 2 * curve.grid], axis=1)
     assert np.abs(DX - expected)[2:-2].max() <= 1e-6
 
 
 def test_covariant_derivative_reference_scale_invariance(einstein):
+    """Xdot + Gamma(U)(X, vel) with the symbols of `_frame_tables` referenced
+    at U = vel and at U = 2 vel: the symbols are 0-homogeneous in U."""
     curve = geodesics.integrate_geodesic(
         einstein, [0, np.pi / 2, 0], [1, 0.1, 1.0], (0, 1), 5e-3)
     X = np.stack([np.sin(curve.grid), np.cos(curve.grid), curve.grid], axis=1)
-    a = connection.covariant_derivative_along(curve, curve.velocities, X, einstein)
-    b = connection.covariant_derivative_along(curve, 2.0 * curve.velocities, X, einstein)
+    grid, pos, vel = curve.grid, curve.positions, curve.velocities
+    a, b = (spline_derivative(grid, X) + np.einsum(
+        "kaij,ki,kj->ka", connection._frame_tables(einstein, grid, pos, U)[3], X, vel)
+        for U in (vel, 2.0 * vel))
     assert np.abs(a - b).max() <= 1e-10
 
 
@@ -224,7 +235,7 @@ def test_covariant_derivative_reparametrization_chain_rule(einstein):
     curve = geodesics.integrate_geodesic(
         einstein, [0, np.pi / 2, 0], [1, -0.0898785, 0.99], (0, 1), 2e-3)
     W = np.array([[np.sin(t), np.cos(2 * t), t ** 2] for t in curve.grid])
-    DW = connection.covariant_derivative_along(curve, None, W, einstein)
+    DW = variational.CurveGeometry(curve, einstein).cov(W)
     DW_dense = CubicHermiteSpline(curve.grid, DW,
                                   np.gradient(DW, curve.grid, axis=0), axis=0)
     mus = np.arange(0.0, 1.0 + 1e-12, 2e-3)
@@ -235,7 +246,7 @@ def test_covariant_derivative_reparametrization_chain_rule(einstein):
     acc = 0.6 * curve.velocity(phi) + (phid ** 2)[:, None] * curve.acceleration(phi)
     reparam = finslab.DiscreteCurve(mus, pos, vel, acc)
     W_mu = np.array([[np.sin(t), np.cos(2 * t), t ** 2] for t in phi])
-    DW_mu = connection.covariant_derivative_along(reparam, None, W_mu, einstein)
+    DW_mu = variational.CurveGeometry(reparam, einstein).cov(W_mu)
     expected = phid[:, None] * DW_dense(phi)
     assert np.abs(DW_mu - expected)[3:-3].max() <= 1e-6
 
@@ -255,7 +266,7 @@ def test_two_parameter_mixed_derivatives_agree(einstein):
             dts = (surface(t + fd, s + fd) - surface(t + fd, s - fd)
                    - surface(t - fd, s + fd) + surface(t - fd, s - fd)) / (4 * fd ** 2)
             v = dsl.TangentSample(surface(t, s), dt)
-            gamma = connection.christoffel(einstein, v).gamma
+            gamma = connection.ConnectionFrame(einstein, v, order=3).christoffel()
             lhs = dts + np.einsum("kij,i,j->k", gamma, ds, dt)
             rhs = dts + np.einsum("kij,i,j->k", gamma, dt, ds)
             worst = max(worst, np.abs(lhs - rhs).max())
@@ -266,31 +277,43 @@ def test_two_parameter_mixed_derivatives_agree(einstein):
 # anisotropic scalar derivatives
 # --------------------------------------------------------------------------
 
+def _geometry_at(samples, m, f):
+    """A `CurveGeometry` of m and the scalar f whose nodes are the samples:
+    row k of its g, grad_h = g^{-1}(d_x f - N^T d_y f) and grad_v = g^{-1}
+    d_y f is taken at sample k, so the horizontal derivative of f along X_k
+    there is `geom.pair(geom.grad_h, X)[k]`."""
+    x = np.array([v.x for v in samples])
+    y = np.array([v.y for v in samples])
+    curve = finslab.DiscreteCurve(np.arange(len(samples), dtype=float), x, y, np.zeros_like(y))
+    return variational.CurveGeometry(curve, m, f)
+
+
 def test_horizontal_derivative_of_x_independent_scalar_over_flat(minkowski3, theta_weight):
     v = dsl.TangentSample([0.2, -0.3, 0.1], [1.0, 0.4, 0.3])
-    lam3 = theta_weight
-    assert abs(connection.horizontal_derivative(lam3, [1, 1, 1], v, minkowski3)) <= 1e-14
+    geom = _geometry_at([v, v.scaled(2.0)], minkowski3, theta_weight)
+    assert np.abs(geom.pair(geom.grad_h, np.ones((2, 3)))).max() <= 1e-14
 
 
 def test_metric_scalar_is_horizontally_constant(einstein):
     rng = np.random.default_rng(7)
-    for v in dsl.sample_admissible(einstein, rng, count=20):
-        X = rng.uniform(-1, 1, 3)
-        assert abs(connection.horizontal_derivative(einstein, X, v, einstein)) <= 1e-9
-        assert np.abs(connection.horizontal_gradient(einstein, v, einstein)).max() <= 1e-8
+    samples = dsl.sample_admissible(einstein, rng, count=20)
+    X = rng.uniform(-1, 1, (20, 3))
+    geom = _geometry_at(samples, einstein, einstein)
+    assert np.abs(geom.pair(geom.grad_h, X)).max() <= 1e-9
+    assert np.abs(geom.grad_h).max() <= 1e-8
 
 
 def test_vertical_gradient_of_metric_is_twice_the_base_vector(einstein):
     rng = np.random.default_rng(8)
-    for v in dsl.sample_admissible(einstein, rng, count=20):
-        grad = connection.vertical_gradient(einstein, v, einstein)
+    samples = dsl.sample_admissible(einstein, rng, count=20)
+    for v, grad in zip(samples, _geometry_at(samples, einstein, einstein).grad_v):
         assert np.abs(grad - 2.0 * v.y).max() <= 1e-10 * max(1.0, np.abs(v.y).max())
 
 
 def test_vertical_gradient_of_degree_zero_scalar_is_orthogonal(einstein, theta_weight):
     rng = np.random.default_rng(9)
-    for v in dsl.sample_admissible(einstein, rng, count=20):
-        grad = connection.vertical_gradient(theta_weight, v, einstein)
+    samples = dsl.sample_admissible(einstein, rng, count=20)
+    for v, grad in zip(samples, _geometry_at(samples, einstein, theta_weight).grad_v):
         g = tensors.fundamental_tensor(einstein, v).matrix
         assert abs(v.y @ g @ grad) <= 1e-10
 
@@ -301,8 +324,9 @@ def test_horizontal_derivative_is_extension_independent(einstein, theta_weight):
     fd = 1e-5
     for v in dsl.sample_admissible(einstein, rng, count=8):
         X = rng.uniform(-1, 1, 3)
-        direct = connection.horizontal_derivative(theta_weight, X, v, einstein)
-        gamma = connection.christoffel(einstein, v).gamma
+        geom = _geometry_at([v, v.scaled(2.0)], einstein, theta_weight)
+        direct = geom.pair(geom.grad_h, np.array([X, X]))[0]
+        gamma = connection.ConnectionFrame(einstein, v, order=3).christoffel()
         jet = theta_weight.jet(v, 2)
         dy = np.array([jet.derivative(tuple(1 if q == 3 + i else 0 for q in range(6)))
                        for i in range(3)])
@@ -326,7 +350,8 @@ def test_christoffel_contraction_along_the_reference_is_twice_the_spray(
     rng = np.random.default_rng(21)
     for m in metrics:
         for v in dsl.sample_admissible(m, rng, count=20):
-            lhs = np.einsum("kij,i,j->k", connection.christoffel(m, v).gamma, v.y, v.y)
+            gamma = connection.ConnectionFrame(m, v, order=3).christoffel()
+            lhs = np.einsum("kij,i,j->k", gamma, v.y, v.y)
             rhs = 2.0 * connection.spray_coefficients(m, v)
             assert np.linalg.norm(lhs - rhs) <= 1e-10 * np.linalg.norm(rhs), m.name
 
@@ -491,7 +516,7 @@ def test_the_written_spray_equals_the_loop_spray(m):
 
 def test_one_written_spray_and_solver_per_dimension(monkeypatch):
     """Sprays and degeneracy tests at many samples and stacks write one
-    spray kernel per dimension and one solver per dimension and kind."""
+    spray kernel per dimension and one solver per dimension."""
     written = []
     for module, name in ((connection, "_spray_source"), (tensors, "_solver_source")):
         plain = getattr(module, name)
@@ -509,7 +534,7 @@ def test_one_written_spray_and_solver_per_dimension(monkeypatch):
                 tensors.inverse_metric(tensors.fundamental_tensor(m, v))
             connection._sprays_along(m, np.arange(5.0), np.array([v.x for v in samples]),
                                      np.array([v.y for v in samples]))
-        assert sorted(written) == [("_solver_source", 2, False), ("_solver_source", 3, False),
+        assert sorted(written) == [("_solver_source", 2), ("_solver_source", 3),
                                    ("_spray_source", 2), ("_spray_source", 3)]
     finally:
         connection._spray_kernel.cache_clear()

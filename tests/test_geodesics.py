@@ -7,6 +7,7 @@ import pytest
 from finslab import conformal, dsl, experiments, geodesics
 from finslab.errors import (DomainExit, EvaluationDomainError, NoConvergence,
                             TransversalityFailure)
+import sphere_reference
 from conftest import lightlike_start
 
 
@@ -53,7 +54,7 @@ def test_rk4_convergence_order(einstein):
     iota, speed = 0.8, 8.0
     x0 = np.array([0.0, np.pi / 2, 0.0])
     v0 = np.array([speed, -speed * np.sin(iota), speed * np.cos(iota)])
-    position, spatial = experiments.exact_tilted_circle(x0, v0)
+    position, spatial = sphere_reference.exact_tilted_circle(x0, v0)
     steps = [4e-3, 2e-3, 1e-3, 5e-4]
     errors = []
     for h in steps:
@@ -263,7 +264,7 @@ def test_lightlike_precondition_is_enforced(minkowski3):
 
 
 def test_round_trip_with_the_inverse_factor(scaled_einstein, einstein, theta_weight):
-    x0, v0 = experiments.tilted_null_data(np.pi / 2 - 0.6)
+    x0, v0 = sphere_reference.tilted_null_data(np.pi / 2 - 0.6)
     start = v0 / theta_weight.value(x0, v0)
     curve = geodesics.integrate_geodesic(scaled_einstein, x0, start, (0, 0.8), 2e-3)
     rep, tilde = geodesics.reparametrize_conformal(curve, theta_weight, scaled_einstein)
@@ -285,7 +286,7 @@ def test_residual_vanishes_for_plain_geodesics(einstein):
 
 def test_residual_vanishes_for_scaled_geodesics_measured_with_base_symbols(
         scaled_einstein, einstein, theta_weight):
-    x0, v0 = experiments.tilted_null_data(np.pi / 2 - 0.6)
+    x0, v0 = sphere_reference.tilted_null_data(np.pi / 2 - 0.6)
     start = lightlike_start(einstein, x0, v0)
     curve = geodesics.integrate_geodesic(
         scaled_einstein, start.x, start.y, (0, 1.0), 1e-3)
@@ -295,7 +296,7 @@ def test_residual_vanishes_for_scaled_geodesics_measured_with_base_symbols(
 def test_residual_detects_a_varying_factor(einstein, theta_weight):
     """A base-metric geodesic is NOT a scaled-metric pregeodesic when the
     factor varies along it."""
-    x0, v0 = experiments.tilted_null_data(np.pi / 2 - 0.6)
+    x0, v0 = sphere_reference.tilted_null_data(np.pi / 2 - 0.6)
     curve = geodesics.integrate_geodesic(einstein, x0, v0, (0, 1.0), 2e-3)
     rate = geodesics.factor_rate(theta_weight, curve)
     speeds = np.linalg.norm(curve.velocities, axis=1)
@@ -307,7 +308,7 @@ def test_residual_detects_a_varying_factor(einstein, theta_weight):
 
 def test_reparametrized_curve_satisfies_base_equation(scaled_einstein, einstein,
                                                       theta_weight):
-    x0, v0 = experiments.tilted_null_data(np.pi / 2 - 0.6)
+    x0, v0 = sphere_reference.tilted_null_data(np.pi / 2 - 0.6)
     start = v0 / theta_weight.value(x0, v0)
     residuals = []
     for h in (4e-3, 2e-3, 1e-3):

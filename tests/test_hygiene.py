@@ -1,5 +1,6 @@
 """Source hygiene: every private module-level helper of the package is used,
-every method of a package class has a caller, and nothing loads scipy."""
+every method of a package class and every public name has a caller, and
+nothing loads scipy."""
 
 import ast
 import os
@@ -64,6 +65,65 @@ def test_every_method_is_referenced():
     assert not dead, f"methods that nothing calls: {dead}"
 
 
+# Public names that no code in src/ or perfbench/ calls: quantities of the
+# paper that the library exports for its users, each checked against an
+# independent oracle by the test named after it.
+PAPER_API = (
+    # R_v(X, Y)Z: test_curvature_routes_agree_on_radial_slots (the Jacobi operator)
+    "chern_curvature",
+    # the index form I(V, W): test_index_form_flat_closed_form (pi^2 / 2)
+    "index_form",
+    # the conformal Jacobi transfer: test_transfer_agrees_with_the_scaled_connection
+    "transfer_jacobi",
+    # the scaled Jacobi equation: test_transferred_field_satisfies_the_scaled_characterization
+    "conformal_jacobi_residual",
+    # the focal endpoint conditions: test_transferred_field_satisfies_the_endpoint_conditions
+    "boundary_residual",
+    # the directional conformal factor: test_shared_lightcone_factor (closed form)
+    "anisotropy_factor",
+    # the normal SFF by extension: test_normal_sff_extension_route_matches_frame_route
+    "normal_second_fundamental_form",
+)
+
+
+def _referenced(tree: ast.AST) -> set[str]:
+    """The names a tree loads, as a name or an attribute."""
+    return ({node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+            | {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)})
+
+
+def test_every_public_name_has_a_caller():
+    """Each name that finslab/__init__.py imports is loaded somewhere in
+    src/ outside its own definition (a module's `__all__` and the package
+    imports do not count), or named in perfbench/ (as a name, an attribute,
+    an import or a string), or listed in `PAPER_API`.  A name that shares
+    its spelling with a used one (the function `pretty` beside the method
+    `MetricDefinition.pretty`) escapes this."""
+    public = {alias.asname or alias.name
+              for node in ast.parse((PACKAGE / "__init__.py").read_text()).body
+              if isinstance(node, ast.ImportFrom) for alias in node.names}
+    used = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        for stmt in ast.parse(path.read_text()).body:
+            names = _referenced(stmt)
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names.discard(stmt.name)
+            used |= names
+    for path in sorted((ROOT / "perfbench").rglob("*.py")):
+        tree = ast.parse(path.read_text())
+        used |= _referenced(tree)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.alias):
+                used.add(node.asname or node.name)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                used.add(node.value)
+    assert set(PAPER_API) <= public
+    uncalled = sorted(public - used - set(PAPER_API))
+    assert not uncalled, f"public names that nothing in src/ or perfbench/ calls: {uncalled}"
+
+
 NO_SCIPY_RUN = """
 import sys
 from pathlib import Path
@@ -79,7 +139,7 @@ for experiment in ("variation", "focal-correspondence"):
 assert cli.main(["focal", "--config", circle]) == 0
 einstein, unit = dsl.builtin_metric("einstein-static"), dsl.builtin_metric("unit-factor")
 curve = geodesics.integrate_geodesic(einstein, [0, np.pi / 2, 0], [1, 0, 1], (0, 0.5), 1e-2)
-sol = variational.integrate_jacobi(curve, einstein, np.zeros(3), [0, 1, 0])
+sol = variational.integrate_jacobi_basis(curve, einstein, np.zeros((3, 1)), np.eye(3)[:, 1:2])[0]
 rep, _ = geodesics.reparametrize_conformal(curve, unit, einstein)
 variational.transfer_jacobi(variational.CurveGeometry(curve, einstein, unit), sol, rep)
 print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))

@@ -363,8 +363,7 @@ def test_no_metric_text_reaches_a_float_or_solve_source(monkeypatch, tmp_path):
         "def", "solve", "spray", "g", "r", "c", "y", "return", "None", "if", "elif",
         "not", "and", "else", "raise", "abs", "max", "scale", "s", "det", "p", "big", "f"}
     for n in range(1, 5):
-        for source in (tensors._solver_source(n, True), tensors._solver_source(n, False),
-                       connection._spray_source(n)):
+        for source in (tensors._solver_source(n), connection._spray_source(n)):
             _check_tokens(source, solve_names, r"[agrzy]\d+(_\d+)?", ())
 
 

@@ -264,9 +264,9 @@ def test_the_backward_error_check_catches_a_missing_row_swap():
     namespace = dict(vars(tensors))
     exec(source.replace("p == {i}:", "False:"), namespace)
     exec(textwrap.dedent(inspect.getsource(tensors._solver_source)), namespace)
-    solvers = {n: dsl._compiled(namespace["_solver_source"](n, True), tensors._ELIMINATION_NAMES)
+    solvers = {n: dsl._compiled(namespace["_solver_source"](n), tensors._ELIMINATION_NAMES)
                for n in (2, 3)}
-    assert "False:" in namespace["_solver_source"](3, True)
+    assert "False:" in namespace["_solver_source"](3)
     assert max(_backward_error_ratios(lambda g, n, r: solvers[n](g, r))) > 1e3
 
 

@@ -11,9 +11,10 @@ from finslab import (conformal, connection, dsl, experiments, geodesics,
 from finslab.curves import DiscreteCurve
 from finslab.errors import (EvaluationDomainError, FinslabError, GridMismatch,
                             InadmissibleSample)
-from conftest import lightlike_start
+from conftest import jacobi_field, lightlike_start
 import finitediff
 from jacobi_reference import integrate_jacobi_per_stage
+import sphere_reference
 
 
 def straight_null_line(n=3, v0=(1.0, 1.0, 0.0), span=1.0, h=1e-2):
@@ -36,12 +37,12 @@ def test_first_variation_boundary_worked_example(minkowski3):
 
 def test_first_variation_vanishes_on_scaled_geodesics(scaled_einstein, einstein,
                                                       theta_weight):
-    x0, v0 = experiments.tilted_null_data(np.pi / 2 - 0.6)
+    x0, v0 = sphere_reference.tilted_null_data(np.pi / 2 - 0.6)
     start = lightlike_start(einstein, x0, v0)
     curve = geodesics.integrate_geodesic(scaled_einstein, start.x, start.y, (0, 1.0), 2e-3)
     span = curve.t1 - curve.t0
     shape = lambda t: np.sin(np.pi * (t - curve.t0) / span) * np.array([0.3, -0.2, 0.5])
-    W = variational.VariationField.from_function(curve, shape)
+    W = variational.VariationField(np.array([shape(t) for t in curve.grid]))
     out = variational.first_variation(
         variational.CurveGeometry(curve, einstein, theta_weight), W)
     assert abs(out) <= 1e-8
@@ -380,7 +381,7 @@ def test_normal_sff_extension_route_matches_frame_route(einstein):
 
 def test_flat_jacobi_fields_are_affine(minkowski3):
     curve = geodesics.integrate_geodesic(minkowski3, [0, 0, 0], [1, 1, 0], (0, 1), 1e-2)
-    sol = variational.integrate_jacobi(curve, minkowski3, [0, 1, 0], [0, 0, 1])
+    sol = jacobi_field(curve, minkowski3, [0, 1, 0], [0, 0, 1])
     expected = np.outer(np.ones(curve.grid.size), [0, 1, 0]) + np.outer(curve.grid, [0, 0, 1])
     assert np.abs(sol.J - expected).max() <= 1e-12
 
@@ -388,15 +389,14 @@ def test_flat_jacobi_fields_are_affine(minkowski3):
 def test_velocity_field_is_a_jacobi_field(einstein):
     curve = geodesics.integrate_geodesic(
         einstein, [0, np.pi / 2, 0], [1, 0.2, 0.9], (0, 1.5), 5e-3)
-    sol = variational.integrate_jacobi(curve, einstein, curve.velocities[0],
-                                       np.zeros(3))
+    sol = jacobi_field(curve, einstein, curve.velocities[0], np.zeros(3))
     assert np.abs(sol.J - curve.velocities).max() <= 1e-9
 
 
 def test_sphere_jacobi_oscillation(einstein):
     curve = geodesics.integrate_geodesic(
         einstein, [0, np.pi / 2, 0], [1, 0, 1], (0, np.pi), 1e-3)
-    sol = variational.integrate_jacobi(curve, einstein, np.zeros(3), [0, 1, 0])
+    sol = jacobi_field(curve, einstein, np.zeros(3), [0, 1, 0])
     assert np.abs(sol.J[:, 1] - np.sin(curve.grid)).max() <= 1e-7
     assert np.abs(sol.J[:, [0, 2]]).max() <= 1e-9
 
@@ -408,7 +408,7 @@ def test_jacobi_requires_a_geodesic(minkowski3):
     acc = np.stack([np.zeros_like(grid), -np.sin(grid), np.zeros_like(grid)], axis=1)
     bent = DiscreteCurve(grid, pos, vel, acc)
     with pytest.raises(ValueError):
-        variational.integrate_jacobi(bent, minkowski3, [0, 1, 0], [0, 0, 0])
+        jacobi_field(bent, minkowski3, [0, 1, 0], [0, 0, 0])
 
 
 def test_focal_detection_requires_a_matching_basepoint(minkowski3):
@@ -453,7 +453,7 @@ def test_circle_focal_parameter_is_within_1e_8_of_the_radius(latitude_focal, ein
     on two tilted great circles."""
     found = [(latitude_focal.focal, np.pi / 4)]
     for theta_c, rho in ((np.pi / 2 - 0.6, 0.5), (np.pi / 2 + 0.4, 1.3)):
-        x0, v0 = experiments.tilted_null_data(theta_c)
+        x0, v0 = sphere_reference.tilted_null_data(theta_c)
         curve = geodesics.integrate_geodesic(einstein, x0, v0, (0.0, rho + 0.4), 5e-3)
         patch = experiments.great_circle_patch(x0, v0, rho)
         found.append((variational.find_focal_points(curve, patch, einstein), rho))
@@ -488,7 +488,7 @@ def test_focal_basis_kernel_pairing(tilted_transfer):
 def test_transfer_with_unit_factor_is_identity(einstein, equatorial_conjugate):
     unit = dsl.builtin_metric("unit-factor")
     curve = equatorial_conjugate.curve
-    sol = variational.integrate_jacobi(curve, einstein, np.zeros(3), [0, 1, 0])
+    sol = jacobi_field(curve, einstein, np.zeros(3), [0, 1, 0])
     rep, _ = geodesics.reparametrize_conformal(curve, unit, einstein)
     geom = variational.CurveGeometry(curve, einstein, unit)
     out, h = variational.transfer_jacobi(geom, sol, rep)
@@ -591,15 +591,13 @@ def test_transfer_agrees_with_the_scaled_connection(tilted_transfer):
     """Fully independent closure: the transferred field must solve the
     scaled metric's own Jacobi equation, integrated through the generic
     pipeline with the scaled connection (which the transfer never touches)."""
-    from finslab import connection
-
     b = tilted_transfer
     J0 = b.jacobi_hat.J[0]
     Jdot0 = b.jacobi_hat.J_dot[0]
     start = dsl.TangentSample(b.curve.positions[0], b.curve.velocities[0])
-    gamma_scaled = connection.christoffel(b.scaled, start).gamma
+    gamma_scaled = connection.ConnectionFrame(b.scaled, start, order=3).christoffel()
     K0 = Jdot0 + np.einsum("kij,i,j->k", gamma_scaled, J0, b.curve.velocities[0])
-    direct = variational.integrate_jacobi(b.curve, b.scaled, J0, K0)
+    direct = jacobi_field(b.curve, b.scaled, J0, K0)
     assert np.abs(direct.J - b.jacobi_hat.J).max() <= 1e-8
 
 
@@ -635,7 +633,7 @@ def test_constant_factor_scales_focal_parameters(einstein):
 
 def test_focal_correspondence_with_nontrivial_parameter_map(
         einstein, theta_weight, scaled_einstein):
-    x0, v0 = experiments.tilted_null_data(np.pi / 2 - 0.6)
+    x0, v0 = sphere_reference.tilted_null_data(np.pi / 2 - 0.6)
     start = v0 / theta_weight.value(x0, v0)
     curve = geodesics.integrate_geodesic(scaled_einstein, x0, start, (0, 3.4), 5e-3)
     patch = variational.SubmanifoldPatch.from_point(x0)
@@ -672,7 +670,7 @@ def test_one_connection_frame_per_distinct_sample(einstein, monkeypatch):
     steps = 10
     curve = geodesics.integrate_geodesic(
         einstein, [0, np.pi / 2, 0], [1, 0.2, 0.9], (0, 0.5), 0.5 / steps)
-    variational.integrate_jacobi(curve, einstein, np.zeros(3), [0, 1, 0])
+    jacobi_field(curve, einstein, np.zeros(3), [0, 1, 0])
     # one sample per node and one per step midpoint
     assert len(tabulated) == len(set(tabulated)) == 2 * steps + 1
 
@@ -740,7 +738,7 @@ def test_jacobi_integration_keeps_only_the_current_step_frames(einstein, monkeyp
     monkeypatch.setattr(connection.ConnectionFrame, "__init__", init)
     curve = geodesics.integrate_geodesic(
         einstein, [0, np.pi / 2, 0], [1, 0.2, 0.9], (0, 0.5), 0.05)
-    variational.integrate_jacobi(curve, einstein, np.zeros(3), [0, 1, 0])
+    jacobi_field(curve, einstein, np.zeros(3), [0, 1, 0])
     # 21 stage samples in chunks, never more than one chunk's frame alive
     assert sum(sizes) == 21 and max(sizes) <= connection.CHUNK
     assert len(sizes) == -(-21 // connection.CHUNK)
@@ -755,7 +753,7 @@ def test_table_driven_jacobi_integration_matches_the_per_stage_path(
     t + h misses the next node in the last bit, so both times are tabulated
     and their frames differ."""
     x0 = np.array([0.0, np.pi / 2, 0.0])
-    xt, vt = experiments.tilted_null_data(np.pi / 2 - 0.6)
+    xt, vt = sphere_reference.tilted_null_data(np.pi / 2 - 0.6)
     scaled_curve = geodesics.integrate_geodesic(
         scaled_einstein, xt, vt / theta_weight.value(xt, vt), (0.0, 0.3), 0.01)
     _, tilde = geodesics.reparametrize_conformal(scaled_curve, theta_weight,
@@ -795,4 +793,4 @@ def test_domain_exit_along_a_curve_reports_the_curve_time():
     with pytest.raises(InadmissibleSample, match=message):
         geodesics.pregeodesic_residual(curve, m)
     with pytest.raises(InadmissibleSample, match=message):
-        connection.covariant_derivative_along(curve, None, np.zeros((4, 2)), m)
+        variational.CurveGeometry(curve, m).cov(np.zeros((4, 2)))
