@@ -8,10 +8,10 @@ is well defined for any probe w transversal to the cone.
 
 `lightcones_coincide` handles each metric's samples as one `SampleBatch`:
 one Legendre jet gives the probes, one `project_to_lightcone` call projects
-them all, and batched values and jets give the records.  A step that fails
-on the batch runs again sample by sample, and the outcomes are walked in
-sample order, so the report and the first error raised are those of a loop
-over the samples.
+them sample by sample on Python floats, and batched values and jets give
+the records.  A batched step that fails runs again sample by sample, and
+the outcomes are walked in sample order, so the report and the first error
+raised are those of a loop over the samples.
 """
 
 from __future__ import annotations

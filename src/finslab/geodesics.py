@@ -6,14 +6,12 @@ The integrator is classical fixed-step RK4 on the first-order system
 inside the conic domain, so fractional-power metrics fail loudly instead of
 producing NaNs mid-step.
 
-Lightcone projection runs Newton's method over a whole `SampleBatch` at
-once: each iteration takes one batched order-2 jet of the still-active
-samples and checks each backtracking round's candidates in one row-wise
-domain check.  The scalar arithmetic of each sample (steps, halvings,
-tolerances, dot products) is that of a sample projected alone, so every
-sample ends where, and fails with the error with which, it would alone; a
-sample whose step no longer moves it leaves the batch with the failure the
-remaining iterations would give it.
+Lightcone projection runs Newton's method on one sample at a time, on
+Python floats: one compiled order-2 jet per Newton evaluation and one
+one-point domain check per backtracking candidate.  A `SampleBatch` is a
+loop over its samples, each of which ends where, and fails with the error
+with which, it would alone; a sample whose step no longer moves it fails at
+once with the failure the remaining iterations would give it.
 Values along a curve (`lightlike_defect`, `factor_values`, `energy`) come
 from the row-wise float program, equal to the values node by node; row-wise
 dot products are stacked matmuls, which round as the 1-D `@` does.
@@ -28,7 +26,7 @@ import numpy as np
 
 from .connection import _in_order, _scalar_partials_along, _spray, _sprays_along
 from .curves import DiscreteCurve, Reparametrization
-from .dsl import MetricDefinition, SampleBatch, TangentSample, _outcomes
+from .dsl import MetricDefinition, SampleBatch, TangentSample
 from .errors import (DomainExit, EvaluationDomainError, InadmissibleSample,
                      NoConvergence, TransversalityFailure)
 from .numerics import simpson
@@ -189,118 +187,91 @@ def project_to_lightcone(m: MetricDefinition, v: TangentSample | SampleBatch, w,
     lightlike.  A sample whose step no longer moves delta would stay where it
     is to the 50th iteration, and fails at once.
 
+    Each sample is projected alone, on Python floats: one compiled order-2
+    jet at the point x + y per Newton evaluation (`_point_jet`, which checks
+    that every coefficient is finite) and one one-point domain check per
+    halving candidate.  The slope dL_v(w) and the scale |y|^2 that the
+    tolerances multiply are numpy dot products, which round as those of a
+    loop over `TangentSample` arrays do.
+
     At a `SampleBatch` with an (S, n) array w of probe rows, every sample is
-    projected along its own row in one iteration over the batch, and the
-    result is a list of S outcomes in order: the projected `TangentSample`,
-    or the exception projecting that sample alone raises (InadmissibleSample,
-    TransversalityFailure, NoConvergence or the error of its jet).  One
-    `TangentSample` is the batch of one, and its exception is raised.
+    projected along its own row, and the result is a list of S outcomes in
+    order: the projected `TangentSample`, or the exception projecting that
+    sample alone raises (InadmissibleSample, TransversalityFailure,
+    NoConvergence or the error of its jet).  At one `TangentSample` w is an
+    (n,) array, and the exception is raised.  A w of another shape is a
+    ValueError, raised before any sample is projected.
     """
-    if isinstance(v, SampleBatch):
-        return _project(m, v, np.asarray(w, dtype=float), tol)
-    (out,) = _project(m, SampleBatch(v.x[None], v.y[None]),
-                      np.asarray(w, dtype=float)[None], tol)
-    if isinstance(out, Exception):
-        raise out
+    w = np.asarray(w, dtype=float)
+    if w.shape != v.y.shape:
+        raise ValueError(f"probe array of shape {w.shape} for fiber vectors "
+                         f"of shape {v.y.shape}")
+    if isinstance(v, TangentSample):
+        return _project(m, v.x.tolist(), v.y.tolist(), w, tol)
+    out: list = []
+    for x, y, wk in zip(v.x.tolist(), v.y.tolist(), w):
+        try:
+            out.append(_project(m, x, y, wk, tol))
+        except Exception as exc:
+            out.append(exc)
     return out
 
 
 _NOT_CONVERGED = "lightcone projection did not converge in 50 iterations"
 
 
-def _project(m: MetricDefinition, batch: SampleBatch, w: np.ndarray, tol: float
-             ) -> list:
-    x, y0 = batch.x, batch.y
-    out: list = [None] * len(batch)
-    admissible = m.admissible(batch)
-    for k in np.flatnonzero(~admissible).tolist():
-        out[k] = _inadmissible(m, batch[k])
-    y = y0.copy()
-    delta = np.zeros(len(batch))
-    value, slope = np.zeros(len(batch)), np.zeros(len(batch))
-    active = _newton_values(m, x, y, w, np.flatnonzero(admissible), value, slope, out)
+def _project(m: MetricDefinition, x: list, y0: list, w: np.ndarray, tol: float
+             ) -> TangentSample:
+    """`project_to_lightcone` of the sample x + y0, given as lists of floats,
+    along the probe w."""
+    if len(x) != m.dim or not m._point_admissible(x + y0):
+        raise _inadmissible(m, TangentSample(x, y0))
+    probe = w.tolist()
+    y = y0
+    value, slope = _newton_values(m, x, y, w)
+    scale = _scale(y)
     # transversality: g_v(v, w) = (1/2) dL_v(w)
-    for k in active:
-        if abs(slope[k]) <= 1e-12 * max(1.0, float(y0[k] @ y0[k])):
-            out[k] = TransversalityFailure(
-                f"probe vector pairs to {slope[k] / 2:.3e} with the base vector")
-    active = [k for k in active if out[k] is None]
+    if abs(slope) <= 1e-12 * scale:
+        raise TransversalityFailure(
+            f"probe vector pairs to {slope / 2:.3e} with the base vector")
+    delta = 0.0
     for _ in range(50):
-        moving = []
-        for k in active:
-            if abs(value[k]) <= tol * max(1.0, float(y[k] @ y[k])):
-                out[k] = TangentSample(x[k], y[k])
-            elif slope[k] == 0.0:
-                out[k] = NoConvergence("lightcone projection hit a critical point")
-            else:
-                moving.append(k)
-        if not moving:
-            return out
-        rows = np.array(moving)
-        rows, step = _backtrack(m, x, y0, w, delta, rows, -value[rows] / slope[rows], out)
-        # a row whose step no longer moves delta keeps its y, value and slope,
-        # so it would repeat this iteration unchanged until the 50th ends it
-        # in NoConvergence: it gets that outcome now and leaves the batch
-        stalled = delta[rows] + step == delta[rows]
-        for k in rows[stalled].tolist():
-            out[k] = NoConvergence(_NOT_CONVERGED)
-        rows, step = rows[~stalled], step[~stalled]
-        delta[rows] += step
-        y[rows] = y0[rows] + delta[rows][:, None] * w[rows]
-        active = _newton_values(m, x, y, w, rows, value, slope, out)
-    for k in active:
-        out[k] = NoConvergence(_NOT_CONVERGED)
-    return out
-
-
-def _backtrack(m: MetricDefinition, x, y0, w, delta, rows: np.ndarray,
-               step: np.ndarray, out: list) -> tuple[np.ndarray, np.ndarray]:
-    """Halve each row's Newton step until y0 + (delta + step) * w is a
-    nonzero admissible vector, trying at most 60 steps, with one batched
-    domain check per round.  Returns the rows that found one with their
-    steps; the others get NoConvergence in out."""
-    pending = np.arange(len(rows))
-    found = np.zeros(len(rows), dtype=bool)
-    for _ in range(60):
-        if not len(pending):
-            break
-        r = rows[pending]
-        candidate = y0[r] + (delta[r] + step[pending])[:, None] * w[r]
-        good = candidate.any(axis=1)      # a batch holds nonzero vectors only
-        if good.any():
-            good[good] = m.admissible(SampleBatch(x[r[good]], candidate[good]))
-        found[pending[good]] = True
-        pending = pending[~good]
-        step[pending] *= 0.5
-    for k in rows[pending].tolist():
-        out[k] = NoConvergence("lightcone projection could not stay inside the domain")
-    return rows[found], step[found]
-
-
-def _newton_values(m: MetricDefinition, x, y, w, rows: np.ndarray, value, slope,
-                   out: list) -> list[int]:
-    """L and its derivative along w at the given rows, from one batched
-    order-2 jet, written into value and slope.  A row whose jet fails alone
-    gets its error in out; the rows that succeed are returned."""
-    if not len(rows):
-        return []
-    n = x.shape[1]
-
-    def newton(sel):
-        r = rows[sel]
-        jet = m.jet(SampleBatch(x[r], y[r]), 2)
-        grad = jet.partials(1)
-        return [(c0, float(g[n:] @ wk))
-                for c0, g, wk in zip(jet.c[:, 0].tolist(), grad, w[r])]
-
-    kept = []
-    for k, result in zip(rows.tolist(), _outcomes(newton, len(rows))):
-        if isinstance(result, Exception):
-            out[k] = result
+        if abs(value) <= tol * scale:
+            return TangentSample(x, y)
+        if slope == 0.0:
+            raise NoConvergence("lightcone projection hit a critical point")
+        step = -value / slope
+        for _ in range(60):
+            moved = delta + step
+            y = [a + moved * b for a, b in zip(y0, probe)]
+            if any(y) and m._point_admissible(x + y):
+                break
+            step *= 0.5
         else:
-            value[k], slope[k] = result
-            kept.append(k)
-    return kept
+            raise NoConvergence("lightcone projection could not stay inside the domain")
+        # a step that no longer moves delta leaves y, value and slope as they
+        # are, so every later iteration would repeat this one to the 50th
+        if moved == delta:
+            raise NoConvergence(_NOT_CONVERGED)
+        delta = moved
+        value, slope = _newton_values(m, x, y, w)
+        scale = _scale(y)
+    raise NoConvergence(_NOT_CONVERGED)
+
+
+def _newton_values(m: MetricDefinition, x: list, y: list, w: np.ndarray
+                   ) -> tuple[float, float]:
+    """L at the sample x + y and its derivative dL_v(w) along w, from one
+    order-2 jet; the first fiber partial dL/dy^l is coefficient n - l
+    (`JetSpace.partial_slots`)."""
+    c = m._point_jet(x + y, 2)
+    return c[0], float(np.array(c[len(y):0:-1]) @ w)
+
+
+def _scale(y: list) -> float:
+    """max(1, |y|^2), the factor of the lightcone tolerances."""
+    y = np.array(y)
+    return max(1.0, float(y @ y))
 
 
 def lightlike_defect(curve: DiscreteCurve, m: MetricDefinition) -> float:

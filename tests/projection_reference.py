@@ -1,9 +1,11 @@
-"""The serial rejection sampler, lightcone projection and cone sampling that
-the block-drawn `dsl.sample_admissible`, the batched
-`geodesics.project_to_lightcone` and `conformal.lightcones_coincide`
-replaced: one candidate and one sample at a time, one jet per Newton
-iteration and one domain check per backtracking candidate.  Tests compare
-the batched code against these loops, outcome by outcome."""
+"""Serial loops over `TangentSample` arrays for the rejection sampler,
+lightcone projection and cone sampling: one candidate and one sample at a
+time, one `MetricDefinition.jet` per Newton iteration and one
+`MetricDefinition.admissible` per backtracking candidate.  Tests compare
+the block-drawn `dsl.sample_admissible`, the float loop of
+`geodesics.project_to_lightcone` (which stops a stalled sample early) and
+the batched `conformal.lightcones_coincide` against these loops, outcome
+by outcome."""
 
 import math
 

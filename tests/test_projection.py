@@ -1,7 +1,9 @@
-"""Block rejection sampling, batched lightcone projection and cone sampling
-against the serial loops they replaced (tests/projection_reference.py):
-every sample ends at the same vector to the bit, or fails with the same
-exception type and text, and the generator ends in the same state."""
+"""Block rejection sampling, lightcone projection and cone sampling against
+the serial loops of tests/projection_reference.py: every sample ends at the
+same vector to the bit, or fails with the same exception type and text, and
+the generator ends in the same state."""
+
+import collections
 
 import numpy as np
 import pytest
@@ -21,6 +23,14 @@ def _bogoslovsky(b: float) -> dsl.MetricDefinition:
 CONE_METRICS = ([dsl.builtin_metric(name) for name in
                  ("minkowski2-cone", "bogoslovsky2", "bogoslovsky2-warped")]
                 + [_bogoslovsky(b) for b in (0.05, 0.3, 0.4)])
+
+_EINSTEIN = dsl.builtin_metric("einstein-static")
+PROJECTED_METRICS = CONE_METRICS + [_EINSTEIN, conformal.scale_metric(
+    _EINSTEIN, dsl.builtin_metric("theta-weight"), sample_budget=1)[0]]
+
+# a probe along no basis vector: on the three-dimensional metrics the
+# slope dL_v(w), a numpy dot product, rounds apart from a float sum
+SKEW_PROBE = [0.3, -0.7, 0.2]
 
 
 def _serial(m, samples, probes, tol):
@@ -121,13 +131,16 @@ def test_a_bad_box_fails_as_the_serial_draw(box, error):
     assert got[0] == ref[0] and ref[0][0] is error
 
 
-@pytest.mark.parametrize("m", CONE_METRICS, ids=lambda m: m.pretty())
+@pytest.mark.parametrize("m", PROJECTED_METRICS, ids=lambda m: m.pretty())
 @pytest.mark.parametrize("seed", range(3))
 def test_batched_projection_matches_the_serial_loop(m, seed):
-    """32 samples of a cone metric, each along its best probe, projected in
-    one call: the same vectors, to the bit, and the same failures."""
+    """32 samples of a cone metric, each along its best probe (in three
+    dimensions the first along `SKEW_PROBE`), projected in one call: the
+    same vectors, to the bit, and the same failures."""
     samples = dsl.sample_admissible(m, np.random.default_rng(seed), count=32)
     probes = np.array([geodesics.probe_vector(m, v) for v in samples])
+    if m.dim == 3:
+        probes[0] = SKEW_PROBE
     for tol in (1e-12, 1e-13):
         got = geodesics.project_to_lightcone(m, _batch(samples), probes, tol=tol)
         _assert_same_outcomes(got, _serial(m, samples, probes, tol))
@@ -149,30 +162,81 @@ def test_one_sample_is_the_batch_of_one(m):
             _assert_same_outcomes([got], [ref])
 
 
+def _count_point_jets(monkeypatch) -> collections.Counter:
+    """From now on, the one-point jets taken of any definition, counted by
+    the chart point x of the sample x + y."""
+    jets = collections.Counter()
+    plain = dsl.MetricDefinition._point_jet
+
+    def spy(self, point, order):
+        jets[tuple(point[:self.dim])] += 1
+        return plain(self, point, order)
+
+    monkeypatch.setattr(dsl.MetricDefinition, "_point_jet", spy)
+    return jets
+
+
 def test_stalled_rows_leave_the_batch_before_the_last_iteration(monkeypatch):
-    """On the (y0 + y1)^0.7 face of bogoslovsky2 some rows reach a step
-    that no longer moves delta: they leave the batch at once, not after all
-    50 Newton iterations, and every outcome is still that of the loop."""
+    """On the (y0 + y1)^0.7 face of bogoslovsky2 some samples reach a step
+    that no longer moves delta: they fail at once, not after all 50 Newton
+    iterations, and every outcome is still that of the loop."""
     m = dsl.builtin_metric("bogoslovsky2")
     samples = dsl.sample_admissible(m, np.random.default_rng(0), count=32)
     probes = np.array([geodesics.probe_vector(m, v) for v in samples])
-    calls = []
-    plain = geodesics._newton_values
-
-    def spy(m, x, y, w, rows, *rest):
-        calls.append(set(rows.tolist()))
-        return plain(m, x, y, w, rows, *rest)
-
-    monkeypatch.setattr(geodesics, "_newton_values", spy)
-    got = geodesics.project_to_lightcone(m, _batch(samples), probes, tol=1e-13)
     ref = _serial(m, samples, probes, 1e-13)
+    jets = _count_point_jets(monkeypatch)
+    got = geodesics.project_to_lightcone(m, _batch(samples), probes, tol=1e-13)
     _assert_same_outcomes(got, ref)
     stalled = [k for k, r in enumerate(ref)
                if str(r) == "lightcone projection did not converge in 50 iterations"]
     assert len(stalled) >= 10
-    # calls[0] is the start, calls[i] follows Newton step i
+    # one jet at the start, then one after each Newton step before the 40th
     for k in stalled:
-        assert max(i for i, rows in enumerate(calls) if k in rows) < 40, k
+        assert 1 <= jets[tuple(samples[k].x.tolist())] <= 40, k
+
+
+def test_projection_runs_one_point_programs_only(monkeypatch):
+    """32 bogoslovsky2 samples are projected without a row program (no tape
+    jet at a 2-D point array, no `Tape.float_rows`), with exactly as many
+    one-point jets, sample by sample, as the serial loop takes, except that
+    a sample that stalls stops early."""
+    m = dsl.builtin_metric("bogoslovsky2")
+    samples = dsl.sample_admissible(m, np.random.default_rng(4), count=32)
+    probes = np.array([geodesics.probe_vector(m, v) for v in samples])
+    serial_jets = _count_point_jets(monkeypatch)
+    ref = _serial(m, samples, probes, 1e-13)
+    monkeypatch.undo()
+    rows = []
+    plain_jet, plain_rows = dsl.Tape.jet, dsl.Tape.float_rows
+    monkeypatch.setattr(dsl.Tape, "jet", lambda self, point, order: rows.append(
+        np.ndim(point)) or plain_jet(self, point, order))
+    monkeypatch.setattr(dsl.Tape, "float_rows", lambda self, points: rows.append(
+        "float_rows") or plain_rows(self, points))
+    jets = _count_point_jets(monkeypatch)
+    got = geodesics.project_to_lightcone(m, _batch(samples), probes, tol=1e-13)
+    _assert_same_outcomes(got, ref)
+    assert 2 not in rows and "float_rows" not in rows
+    assert len(jets) == len(serial_jets) == 32
+    for v, r in zip(samples, ref):
+        x = tuple(v.x.tolist())
+        if str(r) == "lightcone projection did not converge in 50 iterations":
+            assert jets[x] < serial_jets[x] == 51
+        else:
+            assert jets[x] == serial_jets[x]
+
+
+@pytest.mark.parametrize("shape", [(1, 2), (2,), (3, 2)])
+def test_a_probe_array_of_the_wrong_shape_is_refused(monkeypatch, shape):
+    """A batch of two samples needs a (2, 2) probe array: one row, a flat
+    probe or a third row is a ValueError, raised before any jet."""
+    m = dsl.builtin_metric("bogoslovsky2")
+    samples = dsl.sample_admissible(m, np.random.default_rng(0), count=2)
+    jets = _count_point_jets(monkeypatch)
+    with pytest.raises(ValueError, match="probe array of shape"):
+        geodesics.project_to_lightcone(m, _batch(samples), np.ones(shape))
+    with pytest.raises(ValueError, match="probe array of shape"):
+        geodesics.project_to_lightcone(m, samples[0], np.ones((2, 2)))
+    assert not jets
 
 
 def test_a_batch_mixes_transversality_and_convergence_failures():
@@ -212,13 +276,20 @@ def test_the_sixtieth_halving_is_still_tried():
     m = dsl.parse_metric("1e8*y1 + 2.5e-10*y0", 2, domain=("y0",))
     samples = [dsl.TangentSample([0.0, 0.0], [1.0, 1.0])]
     probes = np.array([[1.0, 0.0]])
-    calls = []
-    plain = m.admissible
+    checks = []
+    plain = dsl.MetricDefinition._point_admissible
+
+    def spy(self, point):
+        checks.append(plain(self, point))
+        return checks[-1]
+
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(dsl.MetricDefinition, "admissible",
-                      lambda self, v: calls.append(len(v)) or plain(v))
+        patch.setattr(dsl.MetricDefinition, "_point_admissible", spy)
         got = geodesics.project_to_lightcone(m, _batch(samples), probes)
-    assert calls[:61] == [1] * 61      # the start, then 60 candidates of one step
+    # the start, then the 60 candidates of the first step: 61 one-point
+    # domain checks up to the first admissible candidate
+    assert checks.index(True, 1) == 60
+    assert checks[:61] == [True] + [False] * 59 + [True]
     _assert_same_outcomes(got, _serial(m, samples, probes, 1e-12))
 
 
