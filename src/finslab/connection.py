@@ -33,7 +33,10 @@ integrator) reads connection data from the arrays of `_frame_tables`, which
 evaluates the curve's samples in near-equal chunks of at most `CHUNK`, one
 frame per chunk.  Row k of a chunk equals the frame of sample k alone, to
 the bit, and a failing chunk raises the error of its first failing sample,
-as a loop over samples would.
+as a loop over samples would.  Sprays and the factor's partials along a
+curve need no frame: they run node by node on the one-point jet and the
+spray kernel that an RK stage runs (`_sprays_along`,
+`_scalar_partials_along`).
 
 All functions here are pure and stateless.
 """
@@ -251,24 +254,18 @@ def _lowered_christoffel(delta: np.ndarray) -> np.ndarray:
 # --------------------------------------------------------------------------
 
 def spray_coefficients(m: MetricDefinition, v: TangentSample) -> np.ndarray:
-    """Spray values only, from one order-2 jet (see `_spray`)."""
-    return _spray(m.jet(v, 2).c, v.y)
+    """Spray values at one sample, after the one domain check, from its
+    one-point order-2 jet (see `_spray`)."""
+    _require_admissible(m, v)
+    return np.array(_spray(m._point_jet(v.x.tolist() + v.y.tolist(), 2), v.y.tolist()))
 
 
-def _spray(c, y):
+def _spray(c: list, y: list) -> list:
     """The spray kernel: G = (1/4) z with g z = A y - b, where g_lk =
     (1/2) d2L/dy^l dy^k, A_lk = d2L/dy^l dx^k and b_l = dL/dx^l are read
-    from the order-2 jet coefficients c of L at the fiber vector y.
-
-    One sample given as lists of Python floats (an RK stage) runs the
-    straight-line function of `_spray_kernel` and returns a list.  Arrays
-    hold one sample, or S samples along a leading axis, and each row runs
-    through the same function in turn, so row k equals the kernel at sample
-    k alone, to the bit, and the first failing row raises."""
-    if isinstance(y, np.ndarray):
-        kernel = _spray_kernel(y.shape[-1])
-        rows = zip(np.atleast_2d(c).tolist(), np.atleast_2d(y).tolist())
-        return np.array([kernel(ck, yk) for ck, yk in rows]).reshape(y.shape)
+    from the order-2 jet coefficients c of L at the fiber vector y, both
+    lists of Python floats, by the straight-line function of
+    `_spray_kernel`."""
     return _spray_kernel(len(y))(c, y)
 
 
@@ -311,19 +308,31 @@ def _spray_slots(n: int) -> tuple[list, list, list]:
 
 def _sprays_along(m: MetricDefinition, times: np.ndarray, positions: np.ndarray,
                   velocities: np.ndarray) -> np.ndarray:
-    """Spray values at the samples (x_k, y_k) of a curve, by the kernel over
-    near-equal chunks of samples; errors are those of a loop over samples,
-    and an inadmissible sample names its curve time (see `_in_order`)."""
-    out = np.empty(positions.shape)
-    for rows in _chunks(len(positions)):
-        out[rows] = _in_order(_batch_spray, m, positions[rows], velocities[rows],
-                              times[rows])
-    return out
+    """Spray values at the nodes (x_k, y_k) of a curve, each as an RK stage
+    takes it: the one-point domain check, one one-point order-2 jet and the
+    spray kernel, node by node in curve order (see `_curve_points`)."""
+    n = positions.shape[1]
+    spray = _spray_kernel(n)
+    out = [spray(m._point_jet(point, 2), point[n:])
+           for point in _curve_points(m, positions, velocities, times)]
+    return np.array(out).reshape(positions.shape)
 
 
-def _batch_spray(m: MetricDefinition, batch: SampleBatch) -> np.ndarray:
-    _require_admissible(m, batch)
-    return _spray(m.jet(batch, 2).c, batch.y)
+def _curve_points(m: MetricDefinition, positions: np.ndarray, velocities: np.ndarray,
+                  times=None):
+    """The nodes (x_k, y_k) of a curve as points x_k + y_k, lists of 2n
+    floats, one at a time in curve order, each checked as a sample alone
+    is: a zero fiber vector is a ValueError.  With curve times given, each
+    node then passes the one-point domain check, and a node outside the
+    domain, or of another dimension than m, raises `_inadmissible` naming
+    its time, an element of `times`."""
+    n = positions.shape[1]
+    for k, point in enumerate(np.hstack((positions, velocities)).tolist()):
+        if not any(point[n:]):
+            raise ValueError("fiber vector must be nonzero")
+        if times is not None and not (n == m.dim and m._point_admissible(point)):
+            raise _inadmissible(m, None, times[k])
+        yield point
 
 
 def chern_curvature(m: MetricDefinition, v: TangentSample, X, Y, Z) -> np.ndarray:
@@ -382,21 +391,16 @@ def _in_order(fn, m: MetricDefinition, x: np.ndarray, y: np.ndarray, times=None)
         raise
 
 
-def _scalar_partials(jet: Jet) -> tuple[np.ndarray, np.ndarray]:
-    """(d/dx, d/dy) of a scalar jet over the 2n chart and fiber variables,
-    after the leading sample axis of a batched jet."""
-    grad = jet.partials(1)
-    n = grad.shape[-1] // 2
-    return grad[..., :n], grad[..., n:]
-
-
 def _scalar_partials_along(f: MetricDefinition, positions: np.ndarray,
                            velocities: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(d/dx, d/dy) of the scalar f at the samples (x_k, y_k), as two (S, n)
-    arrays, from order-2 jets evaluated chunk by chunk."""
-    dx, dy = np.empty(positions.shape), np.empty(positions.shape)
-    for rows in _chunks(len(positions)):
-        dx[rows], dy[rows] = _in_order(
-            lambda f, batch: _scalar_partials(f.jet(batch, 2)),
-            f, positions[rows], velocities[rows])
-    return dx, dy
+    """(d/dx, d/dy) of the scalar f at the nodes (x_k, y_k) of a curve, as
+    two (S, n) arrays, read from one one-point order-2 jet per node at the
+    first-partial slots (`JetSpace.partial_slots`)."""
+    n = f.dim
+    if len(positions):
+        f._point(positions[0], velocities[0])           # the shape check
+    slots = jet_space(2 * n, 2).partial_slots(1)[0][:, 0].tolist()
+    grads = [[c[i] for i in slots] for c in (
+        f._point_jet(point, 2) for point in _curve_points(f, positions, velocities))]
+    grad = np.array(grads).reshape(len(positions), 2 * n)
+    return grad[:, :n].copy(), grad[:, n:].copy()

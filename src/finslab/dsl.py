@@ -12,10 +12,12 @@ gets exact derivatives of any definition, including products of definitions
 formed programmatically.  The tape shares repeated subexpressions, folds
 constant ones, and keeps each subexpression's jet only over the variables it
 depends on; the coefficients equal those of jet arithmetic over all 2n
-variables to the bit.  Float values must be finite.  The jet at one point
-runs as straight-line Python generated from the tape, one function per
-program and order.  A tape also runs over the S samples of a `SampleBatch`
-at once, and the batch's jet is a `jets.Jet` with a leading sample axis.
+variables to the bit.  Float values must be finite.  The float program,
+and the jet at one point, run as straight-line Python generated from the
+tape, one function per program (and order); values and domain checks at
+many samples run the float program sample by sample.  The jet also runs
+over the S samples of a `SampleBatch` at once, and the batch's jet is a
+`jets.Jet` with a leading sample axis.
 
 Grammar (precedence: pow > unary minus > * / > + -)::
 
@@ -184,47 +186,9 @@ def _function(name: str, a: float, p: float = 0.5) -> float:
     return jets.taylor(name, a, 0, p)[0]
 
 
-# the float of a binary operation on two slots, and of an operation that
-# checks its operand, from its operand and a constant
+# the operations on two slots, and their floats, with which constants fold
 _SLOT_PAIRS = ("add", "sub", "mul", "div")
-_FLOAT_OPS = {
-    "add": operator.add, "sub": operator.sub, "mul": operator.mul, "div": _divide,
-    "ipow": _int_power, "powr": lambda a, p: _function("powr", a, p),
-    "func": lambda a, name: _function(name, a),
-}
-
-
-def _divide_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    if not np.all(b):
-        raise EvaluationDomainError("division by zero")
-    return a / b
-
-
-def _by_value(fn):
-    """A row of S values through the scalar fn, value by value."""
-    return lambda a, b: np.array([fn(v, b) for v in a.tolist()])
-
-
-# the row-wise float of each operation: numpy for IEEE arithmetic, which it
-# rounds as Python does; powers and functions value by value through
-# `_FLOAT_OPS`, since numpy's pow, exp or sin may differ in the last bit
-_ROW_OPS = {
-    "add": np.add, "sub": np.subtract, "mul": np.multiply, "div": _divide_rows,
-    "neg": lambda a, _: -a, "addc": np.add, "mulc": np.multiply,
-    "divc": np.true_divide, "rdivc": lambda a, c: _divide_rows(c, a),
-    **{kind: _by_value(_FLOAT_OPS[kind]) for kind in ("ipow", "powr", "func")},
-}
-
-
-def _row_op(kind, a, b=None):
-    """The closure of one float operation over the rows of a (2n, S) array
-    of points, through `_ROW_OPS`."""
-    if kind == "var":
-        return lambda r, p: p[a]
-    fn = _ROW_OPS[kind]
-    if kind in _SLOT_PAIRS:
-        return lambda r, p: fn(r[a], r[b])
-    return lambda r, p: fn(r[a], b)
+_FLOAT_OPS = {"add": operator.add, "sub": operator.sub, "mul": operator.mul, "div": _divide}
 
 
 # the source of each float operation at one point, from its operand {a} and
@@ -276,8 +240,7 @@ class Tape:
     list of their 2n float values.  Compilation folds constant
     subexpressions to floats, gives a repeated subexpression one slot, and
     records the support of each slot: the sorted variables it depends on.
-    The program runs over floats (`floats`, or `float_rows` over many
-    points) and over jets (`jet`).  A jet
+    The program runs over floats (`floats`) and over jets (`jet`).  A jet
     slot holds a padded array over jet_space(len(support), order) (see
     `jets.lift_index`): a product combines its factors' own arrays through a
     `jets.product_plan`, and a sum lifts an operand into the union of the
@@ -298,20 +261,14 @@ class Tape:
     kernels live in `_KERNELS`, keyed by the program, so tapes with the same
     program share one.
 
-    The float program also has two forms.  At one point, `floats` runs one
+    The float program has one form, `floats` at one point: one
     straight-line Python function per program, written by `_float_source`
-    on first use and shared through `_FLOAT_KERNELS`: + - * and the
+    on first use and shared through `_FLOAT_KERNELS`.  + - * and the
     constant operations are written inline, and division, powers and the
     elementary functions call `_divide`, `_int_power` and `_function`, so
-    each value is the float of plain arithmetic with its checks.  Over a
-    (2n, S) array of points, `float_rows` runs a list of closures over
-    `_ROW_OPS`, one row of S values per slot.  Its arithmetic runs through
-    numpy, whose float64 operations round as Python's do; integer and
-    fractional powers and the elementary functions run value by value
-    through `_FLOAT_OPS`, since numpy's pow, exp or sin may differ from
-    them in the last bit.  So each column equals `floats` at its point, to
-    the bit; when any column fails, the columns run through `floats` one by
-    one and the first failing one raises its own error.
+    each value is the float of plain arithmetic with its checks.  Values
+    and domain checks at many points run it point by point; only the jet
+    keeps a row program, where one numpy pass over S points is faster.
 
     Operations keep the order and the checks of plain arithmetic: integer
     powers are `**` on floats and repeated products on jets, an elementary
@@ -332,7 +289,6 @@ class Tape:
         del self._slot_of
         self.variables = tuple(sorted(op[1] for op in self._ops if op[0] == "var"))
         self._float_kernel = None
-        self._row_program: list | None = None
         self._jet_programs: dict[int, tuple] = {}
         self._kernels: dict[int, object] = {}
 
@@ -445,32 +401,6 @@ class Tape:
                 kernel = _FLOAT_KERNELS[key] = _compiled(_float_source(self), _FLOAT_NAMES)
             self._float_kernel = kernel
         return kernel(point)
-
-    def float_rows(self, points: np.ndarray) -> np.ndarray:
-        """`floats` at each column of a (2n, S) array of points, as an array
-        of shape (number of expressions, S); column s equals `floats` at
-        point s alone, and a failing column raises the error of the first
-        failing point."""
-        if self.failure is not None:
-            raise EvaluationDomainError(self.failure)
-        if self._row_program is None:
-            self._row_program = [_row_op(*op) for op in self._ops]
-        out = np.empty((len(self.outputs), points.shape[1]))
-        try:
-            r: list = []
-            append = r.append
-            with np.errstate(all="ignore"):
-                for op in self._row_program:
-                    append(op(r, points))
-            for i, o in enumerate(self.outputs):
-                out[i] = o if isinstance(o, float) else r[o]
-            if np.isfinite(out).all():
-                return out
-        except EvaluationDomainError:
-            pass
-        for s, point in enumerate(points.T.tolist()):
-            out[:, s] = self.floats(point)
-        return out
 
     # jet program ----------------------------------------------------------
 
@@ -1084,12 +1014,6 @@ def _outcomes(fn, count: int) -> list:
         return out
 
 
-def _columns(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """S samples given as the rows of (S, n) arrays x and y, as the columns
-    of the (2n, S) point array that a tape reads."""
-    return np.vstack((x.T, y.T))
-
-
 @dataclass(frozen=True, eq=False, repr=False)
 class MetricDefinition:
     """Evaluable scalar with a conic domain and declared fiber homogeneity.
@@ -1126,13 +1050,13 @@ class MetricDefinition:
     def value(self, x, y):
         """The definition at chart point x and fiber vector y.  At (S, n)
         arrays of chart points and fiber vectors, the array of the S values
-        from the tape's row-wise program, equal to the values one by one;
-        the first failing sample raises."""
+        of `_point_value`, sample by sample; the first failing sample
+        raises."""
         if getattr(x, "ndim", 1) == 2:
             x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
             if len(x):
                 self._point(x[0], y[0])                  # the shape check
-            return self._body.float_rows(_columns(x, y))[0]
+            return np.array([self._point_value(p) for p in np.hstack((x, y)).tolist()])
         return self._point_value(self._point(x, y))
 
     def _point_value(self, point) -> float:
@@ -1149,7 +1073,7 @@ class MetricDefinition:
         sample k, to the bit."""
         if isinstance(sample, SampleBatch):
             self._point(sample.x[0], sample.y[0])      # the shape check
-            c = self._body.jet(_columns(sample.x, sample.y), order).T.copy()
+            c = self._body.jet(np.vstack((sample.x.T, sample.y.T)), order).T.copy()
             finite = np.isfinite(c).all(axis=1)
             if not finite.all():
                 raise self._not_finite(sample[int(np.argmin(finite))])
@@ -1173,17 +1097,13 @@ class MetricDefinition:
     def admissible(self, sample: TangentSample | SampleBatch):
         """Whether every domain predicate is positive at the sample (whose
         fiber vector is nonzero by construction).  At a `SampleBatch`, a
-        boolean array with one verdict per sample, from one run of the
-        domain's row-wise program; if a predicate fails to evaluate at some
-        sample, each sample is checked alone."""
+        boolean array with one verdict per sample, each from
+        `_point_admissible` at that sample alone."""
         if isinstance(sample, SampleBatch):
             if sample.dim != self.dim:
                 return np.zeros(len(sample), dtype=bool)
-            try:
-                values = self._domain.float_rows(_columns(sample.x, sample.y))
-            except EvaluationDomainError:
-                return np.array([self.admissible(s) for s in sample], dtype=bool)
-            return (values > 0.0).all(axis=0)
+            points = np.hstack((sample.x, sample.y)).tolist()
+            return np.array([self._point_admissible(p) for p in points], dtype=bool)
         if sample.dim != self.dim:
             return False
         return self._point_admissible(sample.x.tolist() + sample.y.tolist())

@@ -12,9 +12,10 @@ one-point domain check per backtracking candidate.  A `SampleBatch` is a
 loop over its samples, each of which ends where, and fails with the error
 with which, it would alone; a sample whose step no longer moves it fails at
 once with the failure the remaining iterations would give it.
-Values along a curve (`lightlike_defect`, `factor_values`, `energy`) come
-from the row-wise float program, equal to the values node by node; row-wise
-dot products are stacked matmuls, which round as the 1-D `@` does.
+Along a curve, values (`lightlike_defect`, `factor_values`, `energy`),
+sprays and factor partials run node by node on the one-point programs that
+an RK stage runs; row-wise dot products are stacked matmuls, which round as
+the 1-D `@` does.
 """
 
 from __future__ import annotations
@@ -24,13 +25,13 @@ import operator
 
 import numpy as np
 
-from .connection import _in_order, _scalar_partials_along, _spray, _sprays_along
+from .connection import _curve_points, _scalar_partials_along, _spray, _sprays_along
 from .curves import DiscreteCurve, Reparametrization
 from .dsl import MetricDefinition, SampleBatch, TangentSample
 from .errors import (DomainExit, EvaluationDomainError, InadmissibleSample,
                      NoConvergence, TransversalityFailure)
 from .numerics import simpson
-from .tensors import _inadmissible, _require_admissible, legendre
+from .tensors import _inadmissible, legendre
 
 __all__ = [
     "LIGHTLIKE_TOL", "rk4_step", "integrate_geodesic", "probe_vector",
@@ -294,14 +295,16 @@ def check_lightlike(curve: DiscreteCurve, m: MetricDefinition) -> None:
 # --------------------------------------------------------------------------
 
 def energy(curve: DiscreteCurve, m: MetricDefinition, lam=None) -> float:
-    """(1/2) integral of factor(velocity) * L(velocity) over the curve."""
-    def integrand(m, batch):
-        _require_admissible(m, batch)
-        factor = 1.0 if lam is None else lam.value(batch.x, batch.y)
-        return 0.5 * factor * m.value(batch.x, batch.y)
-
-    vals = _in_order(integrand, m, curve.positions, curve.velocities, curve.grid)
-    return float(simpson(vals, curve.grid))
+    """(1/2) integral of factor(velocity) * L(velocity) over the curve, from
+    one domain check and the one-point values of the factor and of L at
+    each node (see `_curve_points`)."""
+    n = m.dim
+    vals = []
+    for p in _curve_points(m, curve.positions, curve.velocities, curve.grid):
+        if lam is not None and not vals:
+            lam._point(p[:n], p[n:])             # the shape check, after node 0's domain check
+        vals.append(0.5 * (1.0 if lam is None else lam._point_value(p)) * m._point_value(p))
+    return float(simpson(np.array(vals), curve.grid))
 
 
 def _pregeodesic_defects(curve: DiscreteCurve, m: MetricDefinition, lam, nodes):

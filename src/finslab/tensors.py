@@ -32,7 +32,7 @@ def _require_admissible(m: MetricDefinition, v: TangentSample | SampleBatch,
                         t=None) -> None:
     """The one domain check: InadmissibleSample naming the sample, or the
     curve time t when the sample lies on a curve.  A `SampleBatch` is
-    checked in one row-wise run, and its first inadmissible sample raises."""
+    checked sample by sample, and its first inadmissible sample raises."""
     if isinstance(v, SampleBatch):
         ok = m.admissible(v)
         if ok.all():

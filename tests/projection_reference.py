@@ -13,7 +13,6 @@ import numpy as np
 
 from finslab import dsl
 from finslab.conformal import ConeSampleRecord, CoincidenceReport
-from finslab.connection import _scalar_partials
 from finslab.dsl import TangentSample
 from finslab.errors import (InadmissibleSample, NoAdmissibleSample, NoConvergence,
                             TransversalityFailure)
@@ -60,6 +59,14 @@ def probe_vector(m, v):
     w = np.zeros(v.dim)
     w[i] = 1.0
     return w
+
+
+def _scalar_partials(jet):
+    """(d/dx, d/dy) of a scalar jet over the 2n chart and fiber variables,
+    after the leading sample axis of a batched jet."""
+    grad = jet.partials(1)
+    n = grad.shape[-1] // 2
+    return grad[..., :n], grad[..., n:]
 
 
 def _value_and_slope(m, x, y, w):

@@ -447,12 +447,10 @@ def test_a_batched_frame_and_table_equal_single_sample_frames(m):
                     single.christoffel(), single.jacobi_matrix())
             for table, value in zip(tables, want):
                 assert np.array_equal(table[k], value)
-        # the spray kernel over the batch, and along a curve in chunks
+        # the spray kernel along a curve, node by node
         sprays = [connection.spray_coefficients(m, v) for v in samples]
-        batched = connection._spray(m.jet(dsl.SampleBatch(X, Y), 2).c, Y)
         along = connection._sprays_along(m, np.arange(count, dtype=float), X, Y)
         for k, spray in enumerate(sprays):
-            assert np.array_equal(batched[k], spray)
             assert np.array_equal(along[k], spray)
 
 
@@ -474,6 +472,19 @@ def test_the_spray_kernel_agrees_with_the_inverse_metric_formula(m):
         want = _inverse_spray(m, v)
         got = connection.spray_coefficients(m, v)
         assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want), m.name
+
+
+def test_spray_coefficients_checks_the_domain(einstein):
+    """Outside the domain (sin(x1) < 0) the spray raises the
+    InadmissibleSample that the fundamental tensor and a frame raise."""
+    v = dsl.TangentSample([0.0, -0.5, 0.0], [1.0, 0.2, 0.3])
+    errors = []
+    for fn in (connection.spray_coefficients, tensors.fundamental_tensor,
+               connection.ConnectionFrame):
+        with pytest.raises(finslab.InadmissibleSample) as caught:
+            fn(einstein, v)
+        errors.append(str(caught.value))
+    assert errors == [f"sample {v!r} is outside the domain of 'einstein-static'"] * 3
 
 
 def _spray_outcome(fn):
@@ -557,7 +568,6 @@ def _frame_at(m, v):
 
 
 def _spray_at(m, v):
-    tensors._require_admissible(m, v)
     connection.spray_coefficients(m, v)
 
 
@@ -599,9 +609,9 @@ def test_the_first_failing_sample_in_curve_order_decides_the_error(first, later,
 @PLACES
 def test_the_first_failing_node_decides_the_pregeodesic_defect_error(first, later, at):
     """The same planted failures along a curve: the pregeodesic defects,
-    whose spray kernel runs chunk by chunk, raise what the loop of one domain
-    check and one `spray_coefficients` per node raises, an inadmissible node
-    with its curve time."""
+    whose spray kernel runs node by node, raise what the loop of one
+    `spray_coefficients` per node raises, an inadmissible node with its
+    curve time."""
     _check_first_failure(first, later, at, _defects_along, _spray_at)
 
 

@@ -1,6 +1,8 @@
 """Geodesic integration, lightcone projection, energy quadrature, and the
 conformal reparametrization of lightlike geodesics."""
 
+import collections
+
 import numpy as np
 import pytest
 
@@ -322,8 +324,9 @@ def test_reparametrized_curve_satisfies_base_equation(scaled_einstein, einstein,
 
 
 def test_curve_values_equal_the_values_node_by_node(einstein, theta_weight):
-    """`lightlike_defect` and `factor_values` read the curve through the
-    row-wise float program; the numbers equal a loop over the nodes."""
+    """`lightlike_defect` and `factor_values` read the curve node by node
+    through the one-point float program; the numbers equal a loop over the
+    nodes."""
     curve = geodesics.integrate_geodesic(einstein, [0, np.pi / 2, 0], [1, 0.3, 0.9],
                                          (0, 0.4), 0.02)
     nodes = list(zip(curve.positions, curve.velocities))
@@ -332,6 +335,43 @@ def test_curve_values_equal_the_values_node_by_node(einstein, theta_weight):
     assert geodesics.factor_values(None, curve).tolist() == [1.0] * len(nodes)
     assert geodesics.lightlike_defect(curve, einstein) == max(
         [0.0] + [abs(einstein.value(x, y)) / max(1.0, float(y @ y)) for x, y in nodes])
+
+
+def test_curve_consumers_run_one_point_programs_only(einstein, theta_weight, monkeypatch):
+    """Along an einstein-static curve with the theta-weight factor, the
+    pregeodesic residual, the energy, the factor rate and the lightlike
+    defect run no tape jet at a 2-D point array: the spray and the factor
+    partials take one one-point jet per node, and the values one float
+    program per node."""
+    x0, v0 = sphere_reference.tilted_null_data(np.pi / 2 - 0.6)
+    curve = geodesics.integrate_geodesic(einstein, x0, v0, (0, 0.4), 0.02)
+    size = curve.grid.size
+    rows, jets, floats = [], collections.Counter(), collections.Counter()
+    plain_jet, plain_point, plain_floats = (
+        dsl.Tape.jet, dsl.MetricDefinition._point_jet, dsl.Tape.floats)
+    monkeypatch.setattr(dsl.Tape, "jet", lambda self, point, order: rows.append(
+        np.ndim(point)) or plain_jet(self, point, order))
+
+    def point_jet(self, point, order):
+        jets[self.name, order] += 1
+        return plain_point(self, point, order)
+
+    monkeypatch.setattr(dsl.MetricDefinition, "_point_jet", point_jet)
+    monkeypatch.setattr(dsl.Tape, "floats", lambda self, point: floats.update(
+        [self]) or plain_floats(self, point))
+    geodesics.pregeodesic_residual(curve, einstein, theta_weight)
+    assert jets == {("einstein-static", 2): size - 2, ("theta-weight", 2): size}
+    assert floats == {einstein._domain: size - 2, theta_weight._body: size}
+    jets.clear(), floats.clear()
+    geodesics.factor_rate(theta_weight, curve)
+    assert jets == {("theta-weight", 2): size} and not floats
+    jets.clear()
+    geodesics.energy(curve, einstein, theta_weight)
+    geodesics.lightlike_defect(curve, einstein)
+    assert not jets
+    assert floats == {einstein._domain: size, theta_weight._body: size,
+                      einstein._body: 2 * size}
+    assert 2 not in rows
 
 
 def test_a_curve_value_raises_at_the_first_failing_node():

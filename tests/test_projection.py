@@ -197,9 +197,9 @@ def test_stalled_rows_leave_the_batch_before_the_last_iteration(monkeypatch):
 
 def test_projection_runs_one_point_programs_only(monkeypatch):
     """32 bogoslovsky2 samples are projected without a row program (no tape
-    jet at a 2-D point array, no `Tape.float_rows`), with exactly as many
-    one-point jets, sample by sample, as the serial loop takes, except that
-    a sample that stalls stops early."""
+    jet at a 2-D point array), with exactly as many one-point jets, sample
+    by sample, as the serial loop takes, except that a sample that stalls
+    stops early."""
     m = dsl.builtin_metric("bogoslovsky2")
     samples = dsl.sample_admissible(m, np.random.default_rng(4), count=32)
     probes = np.array([geodesics.probe_vector(m, v) for v in samples])
@@ -207,15 +207,13 @@ def test_projection_runs_one_point_programs_only(monkeypatch):
     ref = _serial(m, samples, probes, 1e-13)
     monkeypatch.undo()
     rows = []
-    plain_jet, plain_rows = dsl.Tape.jet, dsl.Tape.float_rows
+    plain_jet = dsl.Tape.jet
     monkeypatch.setattr(dsl.Tape, "jet", lambda self, point, order: rows.append(
         np.ndim(point)) or plain_jet(self, point, order))
-    monkeypatch.setattr(dsl.Tape, "float_rows", lambda self, points: rows.append(
-        "float_rows") or plain_rows(self, points))
     jets = _count_point_jets(monkeypatch)
     got = geodesics.project_to_lightcone(m, _batch(samples), probes, tol=1e-13)
     _assert_same_outcomes(got, ref)
-    assert 2 not in rows and "float_rows" not in rows
+    assert 2 not in rows
     assert len(jets) == len(serial_jets) == 32
     for v, r in zip(samples, ref):
         x = tuple(v.x.tolist())

@@ -472,17 +472,27 @@ def _floats_outcome(fn):
     st.floats(min_value=-1.5, max_value=1.5), st.sampled_from([0.0, -0.0, 1e200])),
     min_size=4, max_size=4), min_size=1, max_size=4))
 @settings(max_examples=200, deadline=None, derandomize=True)
-def test_row_wise_floats_equal_floats_point_by_point(tree, points):
-    """Column s of `float_rows` is `floats` at point s alone, to the bit;
-    where a point fails, the first failing point's error is raised."""
-    tape = dsl.Tape((tree, dsl.Neg(tree), dsl.Num(2.5)), 2)
-    singles = [_floats_outcome(lambda: tape.floats(p)) for p in points]
-    got = _floats_outcome(lambda: tape.float_rows(np.array(points).T))
+def test_values_and_verdicts_at_arrays_equal_those_point_by_point(tree, points):
+    """`MetricDefinition.value` at (S, n) arrays is `value` at each sample
+    alone, to the bit, and where a sample fails the first failing sample's
+    error is raised; `admissible` at a `SampleBatch` is the verdict of each
+    sample alone."""
+    m = dsl.MetricDefinition("tree", 2, 2, tree, (tree, dsl.Neg(tree), dsl.Num(2.5)))
+    x, y = np.array(points)[:, :2], np.array(points)[:, 2:]
+    singles = [_floats_outcome(lambda: m.value(p[:2], p[2:])) for p in points]
+    got = _floats_outcome(lambda: m.value(x, y))
     failures = [s for s in singles if isinstance(s, str)]
     if failures:
         assert got == failures[0]
     else:
-        assert got.tobytes() == np.array(singles).T.tobytes()
+        assert got.tobytes() == np.array(singles).tobytes()
+    rows = y.any(axis=1)
+    if rows.any():
+        batch = dsl.SampleBatch(x[rows], y[rows])
+        domains = [_floats_outcome(lambda: m._domain.floats(v.x.tolist() + v.y.tolist()))
+                   for v in batch]
+        want = [not isinstance(d, str) and all(p > 0.0 for p in d) for d in domains]
+        assert m.admissible(batch).tolist() == [m.admissible(v) for v in batch] == want
 
 
 def test_a_batch_admissibility_verdict_is_per_sample():
@@ -500,3 +510,22 @@ def test_a_batch_admissibility_verdict_is_per_sample():
     clean = batch[[0, 3]]
     assert m.admissible(clean).tolist() == [True, True]
     assert m.value(clean.x, clean.y).tolist() == [m.value_at(v) for v in clean]
+
+
+def test_a_batch_domain_check_runs_one_point_program_per_sample(monkeypatch):
+    """A `SampleBatch` in which one predicate, 1 / x0, fails at one sample
+    (x0 = 0) is checked by exactly one one-point domain program per sample,
+    and each verdict is that sample's own."""
+    m = dsl.parse_metric("y0^2 + y1^2", 2, domain=("1 / x0", "x1 + 2"))
+    rng = np.random.default_rng(5)
+    x, y = rng.uniform(0.5, 1.5, (8, 2)), rng.uniform(0.5, 1.5, (8, 2))
+    x[3, 0] = 0.0
+    batch = dsl.SampleBatch(x, y)
+    want = [m.admissible(v) for v in batch]
+    assert want == [k != 3 for k in range(8)]
+    programs = []
+    plain = dsl.Tape.floats
+    monkeypatch.setattr(dsl.Tape, "floats", lambda self, point: programs.append(
+        self) or plain(self, point))
+    assert m.admissible(batch).tolist() == want
+    assert len(programs) == len(batch) and all(t is m._domain for t in programs)
