@@ -424,8 +424,10 @@ def run_focal_correspondence(cfg: Config, seed: int, report: Report) -> None:
     patch = _patch_from_config(cfg, start.x, start.y)
     corr = verify_focal_correspondence(curve, patch, lam, m, scaled=scaled,
                                        tolerance=tol)
+    # equal counts pass only if there is something to pair: a curve too short
+    # to reach a focal point on either side checks nothing
     report.check("focal-pair-count", len(corr.base_focal) - len(corr.scaled_focal),
-                 0.5, passed=len(corr.base_focal) == len(corr.scaled_focal))
+                 0.5, passed=len(corr.base_focal) == len(corr.scaled_focal) > 0)
     for k, pair in enumerate(corr.pairs):
         if pair.pairing_error is None:
             report.check(f"focal-pairing-{k}", float("inf"), tol, passed=False)

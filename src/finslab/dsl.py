@@ -943,11 +943,11 @@ class TangentSample:
     __slots__ = ("x", "y")
 
     def __init__(self, x, y):
-        self.x = np.asarray(x, dtype=float).copy()
-        self.y = np.asarray(y, dtype=float).copy()
+        self.x = np.array(x, dtype=float)
+        self.y = np.array(y, dtype=float)
         if self.x.shape != self.y.shape or self.x.ndim != 1:
             raise ValueError("chart point and fiber vector dimensions differ")
-        if not np.any(self.y):
+        if not self.y.any():
             raise ValueError("fiber vector must be nonzero")
         self.x.setflags(write=False)
         self.y.setflags(write=False)
@@ -965,8 +965,7 @@ class TangentSample:
 
 class SampleBatch:
     """S tangent samples in order: chart points and fiber vectors as the
-    rows of two (S, n) arrays.  Row k is the `TangentSample` batch[k]; a
-    slice or an index array selects a `SampleBatch` of those rows."""
+    rows of two (S, n) arrays.  Row k is the `TangentSample` batch[k]."""
 
     __slots__ = ("x", "y")
 
@@ -988,30 +987,15 @@ class SampleBatch:
     def __len__(self) -> int:
         return self.x.shape[0]
 
-    def __getitem__(self, k):
-        if isinstance(k, (int, np.integer)):
-            return TangentSample(self.x[k], self.y[k])
-        return SampleBatch(self.x[k], self.y[k])
-
-    def __iter__(self):
-        return (self[k] for k in range(len(self)))
+    def __getitem__(self, k: int) -> TangentSample:
+        return TangentSample(self.x[k], self.y[k])
 
 
-def _outcomes(fn, count: int) -> list:
-    """fn(rows) for all `count` rows at once: a list with one entry per row.
-    If that raises, fn runs on each row alone (rows = slice(k, k + 1)), in
-    order, and a row that raises gets its exception as its entry, so every
-    sample meets the outcome a loop over samples would give it."""
-    try:
-        return fn(slice(None))
-    except Exception:
-        out = []
-        for k in range(count):
-            try:
-                out.append(fn(slice(k, k + 1))[0])
-            except Exception as exc:
-                out.append(exc)
-        return out
+# The largest dimension a definition may have.  Frames take order-4 jets over
+# the 2n chart and fiber variables, whose coefficient count grows as n^4: at
+# n = 12 it is 20,475, and a 10-step focal-correspondence run took about 10 s
+# on a 2-CPU x86 host.
+MAX_DIM = 12
 
 
 @dataclass(frozen=True, eq=False, repr=False)
@@ -1032,6 +1016,8 @@ class MetricDefinition:
     def __post_init__(self):
         if self.dim < 1:
             raise ExpressionError(f"dimension must be at least 1, got {self.dim}")
+        if self.dim > MAX_DIM:
+            raise ExpressionError(f"dimension must be at most {MAX_DIM}, got {self.dim}")
         # frozen: the compiled tapes are set once, here
         object.__setattr__(self, "_body", Tape((self.body,), self.dim))
         object.__setattr__(self, "_domain", Tape(self.domain, self.dim))
@@ -1148,44 +1134,37 @@ def sample_admissible(m: MetricDefinition, rng: np.random.Generator,
     """Random admissible samples: x uniform in the metric's box, y uniform on
     the unit sphere then rescaled by a random factor in [0.5, 2].
 
-    The samples, and the state the generator is left in, are those of a loop
-    that draws one candidate at a time (x, then y, then the scale factor
-    unless y is zero), keeps it if it is admissible and gives up after
-    MAX_REJECTIONS rejected candidates.  Candidates are drawn in blocks, the
-    first of `count` and each later one sized from the acceptance so far, and
-    one batched domain run checks a block.  When the loop would stop inside a
-    block, also to raise NoAdmissibleSample, the generator is rewound to the
-    start of the block and draws again only the candidates the loop draws."""
+    One candidate is drawn at a time, on Python floats: x as
+    `low + span * u` with u from `rng.random(n)` (the form `rng.uniform`
+    takes), then y from `rng.standard_normal(n)` and, unless y is zero, the
+    log of its scale factor from `rng.random()`.  A candidate is kept if it
+    is admissible; NoAdmissibleSample is raised after MAX_REJECTIONS
+    rejected candidates."""
     domain = m._domain
     if domain.failure is not None or any(
             isinstance(p, float) and not (math.isfinite(p) and p > 0.0)
             for p in domain.outputs):
         raise NoAdmissibleSample(
             f"the domain of {m.name!r} is empty: a predicate is constant and not positive")
-    low, span = _sampling_box(m)
+    low, span = (a.tolist() for a in _sampling_box(m))
     out: list[TangentSample] = []
     rejects = 0
     while len(out) < count:
         if rejects >= MAX_REJECTIONS:
             raise NoAdmissibleSample(
                 f"no admissible sample for {m.name!r} after {MAX_REJECTIONS} rejections")
-        need, drawn = count - len(out), len(out) + rejects
-        size = -(-need * drawn // max(len(out), 1)) if drawn else need
-        size = min(size, need + MAX_REJECTIONS - rejects)
-        start = rng.bit_generator.state
-        x, y = _candidates(rng, low, span, size)
-        ok = y.any(axis=1)               # a zero y is rejected before its scale
-        if ok.any():
-            ok[ok] = m.admissible(SampleBatch(x[ok], y[ok]))
-        kept = np.cumsum(ok)
-        ends = np.flatnonzero((kept == need) | (
-            np.arange(1, size + 1) - kept + rejects >= MAX_REJECTIONS))
-        used = int(ends[0]) + 1 if len(ends) else size
-        if used < size:
-            rng.bit_generator.state = start
-            _candidates(rng, low, span, used)
-        out.extend(TangentSample(x[k], y[k]) for k in np.flatnonzero(ok[:used]).tolist())
-        rejects += used - int(kept[used - 1])
+        x = [a + b * u for a, b, u in zip(low, span, rng.random(m.dim).tolist())]
+        y = rng.standard_normal(m.dim)
+        norm = math.sqrt(y @ y)          # the dot product np.linalg.norm takes
+        if norm == 0.0:
+            rejects += 1
+            continue
+        scale = math.exp(_LOG_HALF + (_LOG_TWO - _LOG_HALF) * rng.random())
+        y = [c / norm * scale for c in y.tolist()]
+        if m._point_admissible(x + y):
+            out.append(TangentSample(x, y))
+        else:
+            rejects += 1
     return out
 
 
@@ -1202,30 +1181,6 @@ def _sampling_box(m: MetricDefinition) -> tuple[np.ndarray, np.ndarray]:
     if (span < 0.0).any():
         raise ValueError("high - low < 0")
     return box[:, 0], span
-
-
-def _candidates(rng: np.random.Generator, low: np.ndarray, span: np.ndarray,
-                size: int) -> tuple[np.ndarray, np.ndarray]:
-    """The chart points and fiber vectors of `size` candidates, drawn one
-    after another as the one-at-a-time loop draws them: x as
-    `rng.uniform(low, low + span)`, y as `rng.standard_normal(n)` and, unless
-    y is zero, the log of its scale factor as `rng.uniform(log 0.5, log 2)`.
-    A zero y stays zero.  Every value equals that of the one-candidate
-    formula to the bit: a uniform row is `low + span * rng.random(n)`, the
-    norms are stacked matmuls, the dot product `np.linalg.norm` takes, and
-    the factors come from `math.exp`."""
-    n = low.size
-    u, y, t = np.empty((size, n)), np.empty((size, n)), np.zeros(size)
-    for k in range(size):
-        rng.random(out=u[k])
-        if any(rng.standard_normal(out=y[k]).tolist()):
-            t[k] = rng.random()
-    rows = y.any(axis=1)
-    v = y[rows]
-    norms = np.sqrt((v[:, None, :] @ v[:, :, None])[:, 0, 0])
-    factors = [math.exp(_LOG_HALF + (_LOG_TWO - _LOG_HALF) * s) for s in t[rows].tolist()]
-    y[rows] = v / norms[:, None] * np.array(factors)[:, None]
-    return low + span * u, y
 
 
 # --------------------------------------------------------------------------

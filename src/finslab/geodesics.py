@@ -6,12 +6,10 @@ The integrator is classical fixed-step RK4 on the first-order system
 inside the conic domain, so fractional-power metrics fail loudly instead of
 producing NaNs mid-step.
 
-Lightcone projection runs Newton's method on one sample at a time, on
-Python floats: one compiled order-2 jet per Newton evaluation and one
-one-point domain check per backtracking candidate.  A `SampleBatch` is a
-loop over its samples, each of which ends where, and fails with the error
-with which, it would alone; a sample whose step no longer moves it fails at
-once with the failure the remaining iterations would give it.
+Lightcone projection runs Newton's method on one sample, on Python floats:
+one compiled order-2 jet per Newton evaluation and one one-point domain
+check per backtracking candidate; a sample whose step no longer moves it
+fails at once with the failure the remaining iterations would give it.
 Along a curve, values (`lightlike_defect`, `factor_values`, `energy`),
 sprays and factor partials run node by node on the one-point programs that
 an RK stage runs; row-wise dot products are stacked matmuls, which round as
@@ -27,7 +25,7 @@ import numpy as np
 
 from .connection import _curve_points, _scalar_partials_along, _spray, _sprays_along
 from .curves import DiscreteCurve, Reparametrization
-from .dsl import MetricDefinition, SampleBatch, TangentSample
+from .dsl import MetricDefinition, TangentSample
 from .errors import (DomainExit, EvaluationDomainError, InadmissibleSample,
                      NoConvergence, TransversalityFailure)
 from .numerics import simpson
@@ -164,21 +162,20 @@ def integrate_geodesic(m: MetricDefinition, x0, v0, t_span: tuple[float, float],
 def probe_vector(m: MetricDefinition, v: TangentSample) -> np.ndarray:
     """Basis vector with the largest Legendre pairing |g_v(v, e_i)|: the
     transversal direction along which the cone is reached."""
-    return _probe(legendre(m, v), v.y)
-
-
-def _probe(ell: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """`probe_vector` from the Legendre covector ell of the fiber vector y."""
+    ell = legendre(m, v)
     i = int(np.argmax(np.abs(ell)))
-    if abs(ell[i]) <= 1e-12 * max(1.0, float(y @ y)):
+    if abs(ell[i]) <= 1e-12 * max(1.0, float(v.y @ v.y)):
         raise TransversalityFailure("no basis vector pairs with the sample")
-    w = np.zeros(y.size)
+    w = np.zeros(v.dim)
     w[i] = 1.0
     return w
 
 
-def project_to_lightcone(m: MetricDefinition, v: TangentSample | SampleBatch, w,
-                         tol: float = CONE_PROJECTION_TOL):
+_NOT_CONVERGED = "lightcone projection did not converge in 50 iterations"
+
+
+def project_to_lightcone(m: MetricDefinition, v: TangentSample, w,
+                         tol: float = CONE_PROJECTION_TOL) -> TangentSample:
     """Newton solve of L(v + delta*w) = 0 along a transversal direction w, in
     at most 50 iterations.
 
@@ -188,45 +185,21 @@ def project_to_lightcone(m: MetricDefinition, v: TangentSample | SampleBatch, w,
     lightlike.  A sample whose step no longer moves delta would stay where it
     is to the 50th iteration, and fails at once.
 
-    Each sample is projected alone, on Python floats: one compiled order-2
-    jet at the point x + y per Newton evaluation (`_point_jet`, which checks
-    that every coefficient is finite) and one one-point domain check per
-    halving candidate.  The slope dL_v(w) and the scale |y|^2 that the
-    tolerances multiply are numpy dot products, which round as those of a
-    loop over `TangentSample` arrays do.
-
-    At a `SampleBatch` with an (S, n) array w of probe rows, every sample is
-    projected along its own row, and the result is a list of S outcomes in
-    order: the projected `TangentSample`, or the exception projecting that
-    sample alone raises (InadmissibleSample, TransversalityFailure,
-    NoConvergence or the error of its jet).  At one `TangentSample` w is an
-    (n,) array, and the exception is raised.  A w of another shape is a
-    ValueError, raised before any sample is projected.
+    The sample is projected on Python floats: one compiled order-2 jet at
+    the point x + y per Newton evaluation (`_point_jet`, which checks that
+    every coefficient is finite) and one one-point domain check per halving
+    candidate.  The slope dL_v(w) and the scale |y|^2 that the tolerances
+    multiply are numpy dot products, which round as those of a loop over
+    `TangentSample` arrays do.  A probe w of another shape than the fiber
+    vector is a ValueError, raised before any work.
     """
     w = np.asarray(w, dtype=float)
     if w.shape != v.y.shape:
         raise ValueError(f"probe array of shape {w.shape} for fiber vectors "
                          f"of shape {v.y.shape}")
-    if isinstance(v, TangentSample):
-        return _project(m, v.x.tolist(), v.y.tolist(), w, tol)
-    out: list = []
-    for x, y, wk in zip(v.x.tolist(), v.y.tolist(), w):
-        try:
-            out.append(_project(m, x, y, wk, tol))
-        except Exception as exc:
-            out.append(exc)
-    return out
-
-
-_NOT_CONVERGED = "lightcone projection did not converge in 50 iterations"
-
-
-def _project(m: MetricDefinition, x: list, y0: list, w: np.ndarray, tol: float
-             ) -> TangentSample:
-    """`project_to_lightcone` of the sample x + y0, given as lists of floats,
-    along the probe w."""
-    if len(x) != m.dim or not m._point_admissible(x + y0):
-        raise _inadmissible(m, TangentSample(x, y0))
+    x, y0 = v.x.tolist(), v.y.tolist()
+    if v.dim != m.dim or not m._point_admissible(x + y0):
+        raise _inadmissible(m, v)
     probe = w.tolist()
     y = y0
     value, slope = _newton_values(m, x, y, w)

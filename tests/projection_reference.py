@@ -1,11 +1,12 @@
 """Serial loops over `TangentSample` arrays for the rejection sampler,
 lightcone projection and cone sampling: one candidate and one sample at a
-time, one `MetricDefinition.jet` per Newton iteration and one
+time, drawn with `rng.uniform` and normalized with `np.linalg.norm`, one
+`MetricDefinition.jet` per Newton iteration and one
 `MetricDefinition.admissible` per backtracking candidate.  Tests compare
-the block-drawn `dsl.sample_admissible`, the float loop of
+`dsl.sample_admissible` (which draws on Python floats), the float loop of
 `geodesics.project_to_lightcone` (which stops a stalled sample early) and
-the batched `conformal.lightcones_coincide` against these loops, outcome
-by outcome."""
+`conformal.lightcones_coincide` (which checks the domain in
+`anisotropy_factor` first) against these loops, outcome by outcome."""
 
 import math
 

@@ -202,6 +202,28 @@ step = 5e-3
     assert "overall pass=True" in out
 
 
+def test_focal_correspondence_without_focal_points_fails(tmp_path, capsys):
+    """The shipped config on a curve too short to reach a focal point:
+    neither side finds one, so there is nothing to pair, and the run fails
+    instead of passing on zero pairs."""
+    shipped = Path(__file__).resolve().parent.parent / "configs" / "focal-correspondence.ini"
+    text = shipped.read_text()
+    assert "t1 = 3.3" in text
+    cfg = write_config(tmp_path, text.replace("t1 = 3.3", "t1 = 1e-9"))
+    assert cli.main(["focal-correspondence", "--config", cfg]) == 1
+    out = capsys.readouterr().out
+    assert "name=focal-pair-count value=0.0 tolerance=0.5 pass=False" in out
+    assert "focal-pairing-0" not in out
+
+
+def test_exit_code_two_on_a_metric_above_the_dimension_cap(tmp_path, capsys):
+    (tmp_path / "wide.metric").write_text("dim=40\ny0^2 - y1^2\n")
+    cfg = write_config(tmp_path, "[metric]\nmetric = wide.metric\n"
+                                 "[run]\nseed = 1\nsamples = 5\n")
+    assert cli.main(["tensors", "--config", cfg]) == 2
+    assert_single_error_line(capsys, f"dimension must be at most {dsl.MAX_DIM}, got 40")
+
+
 def test_unknown_experiment_is_a_usage_error(tmp_path):
     cfg = write_config(tmp_path, TENSORS_CFG)
     with pytest.raises(SystemExit):

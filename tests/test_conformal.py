@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from finslab import conformal, dsl, geodesics, tensors
-from finslab.errors import PositivityFailure, TransversalityFailure
+from finslab.errors import InadmissibleSample, PositivityFailure, TransversalityFailure
 
 
 @pytest.fixture(scope="module")
@@ -120,6 +120,20 @@ def test_factor_transversality_guard(minkowski2):
     on_cone = dsl.TangentSample([0, 0], [1.0, 1.0])
     with pytest.raises(TransversalityFailure):
         conformal.anisotropy_factor(pair, on_cone, w=[1.0, 1.0])
+
+
+def test_factor_checks_the_domain_off_the_cone():
+    """y = (0.2, 1.0) lies outside the forward cone y0 > |y1| of both
+    metrics, and off their lightcone; the quotient L2/L1 = 2 there must
+    not be returned, just as on the cone at y = (-1, 1)."""
+    cone = dsl.builtin_metric("minkowski2-cone")
+    double = dsl.parse_metric("2*(y0^2 - y1^2)", 2, domain=("y0 - y1", "y0 + y1"),
+                              name="double-cone")
+    pair = conformal.ConformalPair(cone, double)
+    for y in ([0.2, 1.0], [-1.0, 1.0]):
+        with pytest.raises(InadmissibleSample, match="outside the domain of 'minkowski2-cone'"):
+            conformal.anisotropy_factor(pair, dsl.TangentSample([0.0, 0.0], y))
+    assert conformal.anisotropy_factor(pair, dsl.TangentSample([0.0, 0.0], [1.0, 0.2])) == 2.0
 
 
 def test_factor_is_degree_zero(cone_pair):

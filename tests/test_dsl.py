@@ -278,3 +278,13 @@ def test_metric_file_needs_a_positive_integer_dimension():
         dsl.parse_metric_file("dim=two\ny0^2")
     with pytest.raises(ExpressionError, match="at least 1"):
         dsl.parse_metric_file("dim=0\n1")
+
+
+@pytest.mark.parametrize("dim", [dsl.MAX_DIM + 1, 40, 10**6])
+def test_a_dimension_above_the_cap_is_an_expression_error(dim):
+    """Frames take order-4 jets over 2n variables, whose size grows as n^4;
+    a definition past MAX_DIM is refused before any tape or jet space."""
+    with pytest.raises(ExpressionError, match=f"at most {dsl.MAX_DIM}, got {dim}"):
+        dsl.parse_metric("y0^2", dim)
+    with pytest.raises(ExpressionError, match=f"at most {dsl.MAX_DIM}"):
+        dsl.parse_metric_file(f"dim={dim}\ny0^2")

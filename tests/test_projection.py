@@ -1,7 +1,7 @@
-"""Block rejection sampling, lightcone projection and cone sampling against
-the serial loops of tests/projection_reference.py: every sample ends at the
-same vector to the bit, or fails with the same exception type and text, and
-the generator ends in the same state."""
+"""Rejection sampling, lightcone projection and cone sampling against the
+serial loops of tests/projection_reference.py: every sample ends at the same
+vector to the bit, or fails with the same exception type and text, and the
+generator ends in the same state."""
 
 import collections
 
@@ -33,14 +33,24 @@ PROJECTED_METRICS = CONE_METRICS + [_EINSTEIN, conformal.scale_metric(
 SKEW_PROBE = [0.3, -0.7, 0.2]
 
 
-def _serial(m, samples, probes, tol):
+def _outcomes(project, m, samples, probes, tol):
+    """project(m, v, w, tol=tol) at each sample along its probe: the
+    projected sample, or the exception raised."""
     out = []
     for v, w in zip(samples, probes):
         try:
-            out.append(reference.project_to_lightcone(m, v, w, tol=tol))
+            out.append(project(m, v, w, tol=tol))
         except Exception as exc:
             out.append(exc)
     return out
+
+
+def _serial(m, samples, probes, tol=1e-12):
+    return _outcomes(reference.project_to_lightcone, m, samples, probes, tol)
+
+
+def _projected(m, samples, probes, tol=1e-12):
+    return _outcomes(geodesics.project_to_lightcone, m, samples, probes, tol)
 
 
 def _assert_same_outcomes(got, ref):
@@ -54,10 +64,6 @@ def _assert_same_outcomes(got, ref):
             assert g.y.tobytes() == r.y.tobytes()
 
 
-def _batch(samples):
-    return dsl.SampleBatch([v.x for v in samples], [v.y for v in samples])
-
-
 def _sampled_metrics():
     """Every builtin metric and factor, and every factor * metric product
     that `scale_metric` forms from them."""
@@ -68,7 +74,7 @@ def _sampled_metrics():
 
 
 def _draw_both(m, seed, count):
-    """The block sampler's and the serial loop's draws from one seed: each
+    """The shipped sampler's and the serial loop's draws from one seed: each
     outcome (the samples as bytes, or the exception type and text) and the
     generator state it leaves."""
     draws = []
@@ -83,9 +89,9 @@ def _draw_both(m, seed, count):
 
 
 @pytest.mark.parametrize("m", _sampled_metrics(), ids=lambda m: m.name)
-def test_block_sampling_matches_the_serial_loop(m):
+def test_sampling_matches_the_serial_loop(m):
     """The same samples, to the bit, and the generator left where the loop
-    leaves it, whether the last candidate ends a block or not."""
+    leaves it."""
     for seed in (0, 1, 2, 11):
         for count in (1, 2, 17, 100):
             got, ref = _draw_both(m, seed, count)
@@ -97,9 +103,9 @@ def test_block_sampling_matches_the_serial_loop(m):
                                         ("minkowski2-cone", 40), ("einstein-static", 3)])
 def test_running_out_of_rejections_leaves_the_generator_as_the_loop(monkeypatch,
                                                                     name, count):
-    """NoAdmissibleSample after the last allowed rejection, which falls
-    inside a block, with the generator where the loop leaves it; a budget of
-    0 raises before any draw, and one that suffices returns the samples."""
+    """NoAdmissibleSample after the last allowed rejection, with the
+    generator where the loop leaves it; a budget of 0 raises before any
+    draw, and one that suffices returns the samples."""
     m = dsl.builtin_metric(name)
     for budget in (0, 1, 7, 30):
         monkeypatch.setattr(dsl, "MAX_REJECTIONS", budget)
@@ -109,8 +115,8 @@ def test_running_out_of_rejections_leaves_the_generator_as_the_loop(monkeypatch,
 
 
 def test_no_admissible_sample_is_raised_as_the_loop_raises_it(monkeypatch):
-    """Inside the first block, of 100 bogoslovsky2 candidates, and after
-    the rejections of an empty domain."""
+    """Before 100 bogoslovsky2 samples are drawn, and after the rejections
+    of an empty domain."""
     monkeypatch.setattr(dsl, "MAX_REJECTIONS", 7)
     got, ref = _draw_both(dsl.builtin_metric("bogoslovsky2"), 0, 100)
     assert got == ref and ref[0] == (NoAdmissibleSample, "no admissible sample for "
@@ -133,21 +139,21 @@ def test_a_bad_box_fails_as_the_serial_draw(box, error):
 
 @pytest.mark.parametrize("m", PROJECTED_METRICS, ids=lambda m: m.pretty())
 @pytest.mark.parametrize("seed", range(3))
-def test_batched_projection_matches_the_serial_loop(m, seed):
+def test_projection_matches_the_serial_loop(m, seed):
     """32 samples of a cone metric, each along its best probe (in three
-    dimensions the first along `SKEW_PROBE`), projected in one call: the
+    dimensions the first along `SKEW_PROBE`), projected one at a time: the
     same vectors, to the bit, and the same failures."""
     samples = dsl.sample_admissible(m, np.random.default_rng(seed), count=32)
     probes = np.array([geodesics.probe_vector(m, v) for v in samples])
     if m.dim == 3:
         probes[0] = SKEW_PROBE
     for tol in (1e-12, 1e-13):
-        got = geodesics.project_to_lightcone(m, _batch(samples), probes, tol=tol)
+        got = _projected(m, samples, probes, tol)
         _assert_same_outcomes(got, _serial(m, samples, probes, tol))
 
 
 @pytest.mark.parametrize("m", CONE_METRICS[:3], ids=lambda m: m.name)
-def test_one_sample_is_the_batch_of_one(m):
+def test_a_sample_returns_or_raises_as_the_serial_loop(m):
     """A `TangentSample` returns its projection or raises its exception,
     as the serial loop does, whichever way it ends."""
     samples = dsl.sample_admissible(m, np.random.default_rng(5), count=12)
@@ -176,7 +182,7 @@ def _count_point_jets(monkeypatch) -> collections.Counter:
     return jets
 
 
-def test_stalled_rows_leave_the_batch_before_the_last_iteration(monkeypatch):
+def test_stalled_samples_stop_before_the_last_iteration(monkeypatch):
     """On the (y0 + y1)^0.7 face of bogoslovsky2 some samples reach a step
     that no longer moves delta: they fail at once, not after all 50 Newton
     iterations, and every outcome is still that of the loop."""
@@ -185,7 +191,7 @@ def test_stalled_rows_leave_the_batch_before_the_last_iteration(monkeypatch):
     probes = np.array([geodesics.probe_vector(m, v) for v in samples])
     ref = _serial(m, samples, probes, 1e-13)
     jets = _count_point_jets(monkeypatch)
-    got = geodesics.project_to_lightcone(m, _batch(samples), probes, tol=1e-13)
+    got = _projected(m, samples, probes, 1e-13)
     _assert_same_outcomes(got, ref)
     stalled = [k for k, r in enumerate(ref)
                if str(r) == "lightcone projection did not converge in 50 iterations"]
@@ -211,7 +217,7 @@ def test_projection_runs_one_point_programs_only(monkeypatch):
     monkeypatch.setattr(dsl.Tape, "jet", lambda self, point, order: rows.append(
         np.ndim(point)) or plain_jet(self, point, order))
     jets = _count_point_jets(monkeypatch)
-    got = geodesics.project_to_lightcone(m, _batch(samples), probes, tol=1e-13)
+    got = _projected(m, samples, probes, 1e-13)
     _assert_same_outcomes(got, ref)
     assert 2 not in rows
     assert len(jets) == len(serial_jets) == 32
@@ -223,46 +229,45 @@ def test_projection_runs_one_point_programs_only(monkeypatch):
             assert jets[x] == serial_jets[x]
 
 
-@pytest.mark.parametrize("shape", [(1, 2), (2,), (3, 2)])
+@pytest.mark.parametrize("shape", [(1, 2), (2, 2), (3,), ()])
 def test_a_probe_array_of_the_wrong_shape_is_refused(monkeypatch, shape):
-    """A batch of two samples needs a (2, 2) probe array: one row, a flat
-    probe or a third row is a ValueError, raised before any jet."""
+    """A sample of a two-dimensional metric needs a (2,) probe: a row, a
+    stack of rows, a longer vector or a scalar is a ValueError, raised
+    before any jet."""
     m = dsl.builtin_metric("bogoslovsky2")
-    samples = dsl.sample_admissible(m, np.random.default_rng(0), count=2)
+    (v,) = dsl.sample_admissible(m, np.random.default_rng(0), count=1)
     jets = _count_point_jets(monkeypatch)
     with pytest.raises(ValueError, match="probe array of shape"):
-        geodesics.project_to_lightcone(m, _batch(samples), np.ones(shape))
-    with pytest.raises(ValueError, match="probe array of shape"):
-        geodesics.project_to_lightcone(m, samples[0], np.ones((2, 2)))
+        geodesics.project_to_lightcone(m, v, np.ones(shape))
     assert not jets
 
 
-def test_a_batch_mixes_transversality_and_convergence_failures():
+def test_transversality_and_convergence_failures_match_the_serial_loop():
     """y0^2 + y1^2 has no cone: a probe orthogonal to its sample fails
-    transversality, the others fail to converge, each as alone."""
+    transversality, the others fail to converge, as in the serial loop."""
     m = dsl.parse_metric("y0^2 + y1^2", 2)
     rng = np.random.default_rng(2)
     ys = rng.normal(size=(12, 2))
     probes = np.array([[-y[1], y[0]] if k % 3 == 0 else [1.0, 0.0] if k % 3 == 1
                        else [0.6, 0.8] for k, y in enumerate(ys)])
     samples = [dsl.TangentSample(rng.uniform(-1, 1, 2), y) for y in ys]
-    got = geodesics.project_to_lightcone(m, _batch(samples), probes)
-    ref = _serial(m, samples, probes, 1e-12)
+    got = _projected(m, samples, probes)
+    ref = _serial(m, samples, probes)
     _assert_same_outcomes(got, ref)
     kinds = {type(r) for r in ref}
     assert kinds == {TransversalityFailure, NoConvergence}
 
 
-def test_a_row_that_exhausts_its_halvings_fails_alone():
+def test_a_sample_that_exhausts_its_halvings_fails():
     """From y = (1, 1) a Newton step of about -1e19 along y0 leaves the
-    domain y0 > 0 at all 60 halvings; from y = (1, 0) the row beside it,
-    stepping along y1, converges."""
+    domain y0 > 0 at all 60 halvings; from y = (1, 0), stepping along y1,
+    the projection converges."""
     m = dsl.parse_metric("1e8*y1 + 1e-11*y0", 2, domain=("y0",))
     samples = [dsl.TangentSample([0.0, 0.0], [1.0, 1.0]),
                dsl.TangentSample([0.0, 0.0], [1.0, 0.0])]
     probes = np.array([[1.0, 0.0], [0.0, 1.0]])
-    got = geodesics.project_to_lightcone(m, _batch(samples), probes)
-    ref = _serial(m, samples, probes, 1e-12)
+    got = _projected(m, samples, probes)
+    ref = _serial(m, samples, probes)
     _assert_same_outcomes(got, ref)
     assert str(ref[0]) == "lightcone projection could not stay inside the domain"
     assert isinstance(ref[1], dsl.TangentSample)
@@ -283,27 +288,26 @@ def test_the_sixtieth_halving_is_still_tried():
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(dsl.MetricDefinition, "_point_admissible", spy)
-        got = geodesics.project_to_lightcone(m, _batch(samples), probes)
+        got = _projected(m, samples, probes)
     # the start, then the 60 candidates of the first step: 61 one-point
     # domain checks up to the first admissible candidate
     assert checks.index(True, 1) == 60
     assert checks[:61] == [True] + [False] * 59 + [True]
-    _assert_same_outcomes(got, _serial(m, samples, probes, 1e-12))
+    _assert_same_outcomes(got, _serial(m, samples, probes))
 
 
 def test_a_zero_candidate_counts_as_inadmissible():
     """For L = y0 a full Newton step lands on the zero vector, which no
-    sample may be, so the step is halved, as alone."""
+    sample may be, so the step is halved, as in the serial loop."""
     m = dsl.parse_metric("y0", 1)
     samples = [dsl.TangentSample([0.0], [2.0]), dsl.TangentSample([0.0], [-0.5])]
     probes = np.array([[1.0], [1.0]])
-    got = geodesics.project_to_lightcone(m, _batch(samples), probes)
-    _assert_same_outcomes(got, _serial(m, samples, probes, 1e-12))
+    _assert_same_outcomes(_projected(m, samples, probes), _serial(m, samples, probes))
 
 
-def test_inadmissible_and_non_finite_rows_fail_alone():
+def test_inadmissible_and_non_finite_samples_fail_with_their_errors():
     """A sample outside the domain and a sample whose jet is not finite get
-    their own errors; the other samples still project."""
+    their own errors, as in the serial loop; the other samples project."""
     m = dsl.parse_metric("exp(700*x0) * (y0^2 - y1^2)", 2, domain=("y0 - y1", "y0 + y1"))
     samples = [dsl.TangentSample([0.0, 0.0], [1.0, 0.5]),
                dsl.TangentSample([0.0, 0.0], [0.5, 1.0]),       # outside
@@ -311,8 +315,8 @@ def test_inadmissible_and_non_finite_rows_fail_alone():
                dsl.TangentSample([0.0, 0.7], [1.5, 0.2])]
     probes = np.array([[0.0, 1.0]] * 4)
     with np.errstate(over="ignore", invalid="ignore"):
-        got = geodesics.project_to_lightcone(m, _batch(samples), probes)
-        ref = _serial(m, samples, probes, 1e-12)
+        got = _projected(m, samples, probes)
+        ref = _serial(m, samples, probes)
     _assert_same_outcomes(got, ref)
     assert [type(r) for r in ref] == [dsl.TangentSample, InadmissibleSample,
                                       EvaluationDomainError, dsl.TangentSample]
@@ -334,6 +338,26 @@ def test_cone_sampling_matches_the_serial_loop(m2):
     pair = conformal.ConformalPair(dsl.builtin_metric("minkowski2-cone"), m2,
                                    sample_budget=24, seed=7)
     _same_report(conformal.lightcones_coincide(pair), reference.lightcones_coincide(pair))
+
+
+def test_sampling_and_cone_sampling_take_one_sample_at_a_time(monkeypatch):
+    """`sample_admissible` and `lightcones_coincide` build no `SampleBatch`
+    and run no row jet program (no tape jet at a 2-D point array), and the
+    report is still the serial loop's."""
+    pair = conformal.ConformalPair(dsl.builtin_metric("minkowski2-cone"),
+                                   dsl.builtin_metric("bogoslovsky2"), sample_budget=16, seed=7)
+    ref = reference.lightcones_coincide(pair)
+    batches, rows = [], []
+    plain_init, plain_jet = dsl.SampleBatch.__init__, dsl.Tape.jet
+    monkeypatch.setattr(dsl.SampleBatch, "__init__", lambda self, x, y: batches.append(
+        len(x)) or plain_init(self, x, y))
+    monkeypatch.setattr(dsl.Tape, "jet", lambda self, point, order: rows.append(
+        np.ndim(point)) or plain_jet(self, point, order))
+    samples = dsl.sample_admissible(_EINSTEIN, np.random.default_rng(1), count=20)
+    got = conformal.lightcones_coincide(pair)
+    _same_report(got, ref)
+    assert len(samples) == 20 and all(r.mu is not None for r in got.records)
+    assert not batches and 2 not in rows
 
 
 def test_cone_sampling_records_pairing_ratios_on_the_cone(einstein, theta_weight):

@@ -507,7 +507,7 @@ def test_a_batch_admissibility_verdict_is_per_sample():
     verdict = m.admissible(batch)
     assert verdict.tolist() == [m.admissible(v) for v in batch]
     assert verdict.tolist() == [True, False, False, True, False]
-    clean = batch[[0, 3]]
+    clean = dsl.SampleBatch(x[[0, 3]], y[[0, 3]])
     assert m.admissible(clean).tolist() == [True, True]
     assert m.value(clean.x, clean.y).tolist() == [m.value_at(v) for v in clean]
 
