@@ -12,12 +12,13 @@ A `ConnectionFrame` holds these jets as arrays of normalized coefficients
 (the last axis runs over one `JetSpace`) for S samples at once (the first
 axis).  It takes the partials of the metric jet with `Jet.partial_jets`, as
 every scalar jet's partials are taken, and those of the arrays it derives
-with `JetSpace.partial_jets`; it multiplies them with `JetSpace.mul`.  The
-jet of g^{-1} is the Neumann series sum_j (-g0^{-1} gh)^j g0^{-1}, where
-g0^{-1} is `tensors.inverse_metric` of the value of g and gh is the rest of
-g; gh is nilpotent at truncation order, so the finite series is exact, by
-the argument behind `Jet._compose` (Griewank & Walther, *Evaluating
-Derivatives*, 2nd ed., SIAM 2008, ch. 13).
+with `JetSpace.partial_jets`; it multiplies them with `JetSpace.mul`.  It
+inverts g only at value level, g0^{-1} = `tensors.inverse_metric` of the
+value of g, and solves g z = r in jets on the right-hand side r by the
+series z = sum_j (-g0^{-1} gh)^j g0^{-1} r, where gh is the rest of g: n^2
+jet products per term.  gh is nilpotent at truncation order, so the finite
+series is exact, by the argument behind `Jet._compose` (Griewank & Walther,
+*Evaluating Derivatives*, 2nd ed., SIAM 2008, ch. 13).
 Evaluating many samples in one pass is the vector mode of forward
 differentiation (ibid.): the tape and the frame arithmetic run once per
 chunk of samples instead of once per sample.
@@ -97,7 +98,9 @@ class ConnectionFrame:
     whose last axis runs over one jet space over the 2n chart and fiber
     variables: g and g^{-1} of shape (S, n, n, size) and G of shape
     (S, n, size) at order k-2, N of shape (S, n, n, size) and Gamma of shape
-    (S, n, n, n, size) at order k-3.  A frame of one `TangentSample` hands
+    (S, n, n, n, size) at order k-3.  `ginv` is the value of g^{-1}; G and
+    the jets of g^{-1} are solves of g in jets (`_solve`), and only
+    curvature reads the jets of g^{-1}.  A frame of one `TangentSample` hands
     out every quantity without the sample axis.  Along a curve,
     `_frame_tables` builds one frame per chunk of samples and keeps only the
     values its consumers read.
@@ -137,22 +140,27 @@ class ConnectionFrame:
         return self.g_jets()[..., 0]
 
     @_cached
-    def ginv_jets(self) -> np.ndarray:
-        """g^{-1} = (sum_{j <= k-2} M^j) g0^{-1} with M = -g0^{-1} gh, by Horner."""
-        g = self._rows("g_jets")
-        space = self._space(2)
-        g0inv = inverse_metric(g[..., 0])
-        step = -np.einsum("sil,sljk->sijk", g0inv, g)
-        step[..., 0] = 0.0
-        series = step.copy()
-        series[..., 0] = np.eye(self.n)
-        for _ in range(space.order - 1):
-            series = _contract(space, step, series)
-            series[..., 0] = np.eye(self.n)
-        return np.einsum("simk,sml->silk", series, g0inv)
-
     def ginv(self) -> np.ndarray:
-        return self.ginv_jets()[..., 0]
+        return inverse_metric(self._rows("g_jets")[..., 0])
+
+    @_cached
+    def ginv_jets(self) -> np.ndarray:
+        """g^{-1} as jets, the solve of the identity jets (read by curvature)."""
+        rhs = np.zeros(self._rows("g_jets").shape)
+        rhs[..., 0] = np.eye(self.n)
+        return self._solve(self._space(2), rhs)
+
+    def _solve(self, space, rhs: np.ndarray) -> np.ndarray:
+        """g^{-1} rhs as jets, by Horner on the right-hand side: z = w + M(w
+        + M(... w)) with w = g0^{-1} rhs, M = -g0^{-1} gh and `space.order`
+        products by M, which is nilpotent at truncation order."""
+        g0inv = self._rows("ginv")
+        step = -np.einsum("sil,sljk->sijk", g0inv, self._rows("g_jets"))
+        step[..., 0] = 0.0
+        w = z = np.einsum("sil,sl...->si...", g0inv, rhs)
+        for _ in range(space.order):
+            z = w + _contract(space, step, z)
+        return z
 
     @_cached
     def spray_jets(self) -> np.ndarray:
@@ -165,7 +173,7 @@ class ConnectionFrame:
             yvars[:, :, space.partial_slots(1)[0][n:, 0]] = np.eye(n)
         rhs = (_contract(space, self._partial_jets(2)[:, n:, :n], yvars)
                - self._partial_jets(1)[:, :n, :space.size])
-        return 0.25 * _contract(space, self._rows("ginv_jets"), rhs)
+        return 0.25 * self._solve(space, rhs)
 
     @_cached
     def nonlinear_jets(self) -> np.ndarray:
@@ -185,8 +193,8 @@ class ConnectionFrame:
         dg = 0.5 * self._partial_jets(3)[:, n:, n:, :, 0]  # [s, i, j, a] = d g_ij / dz^a
         N = self._rows("nonlinear_jets")[..., 0]
         delta = dg[..., :n] - np.einsum("sijm,smk->sijk", dg[..., n:], N)
-        ginv = self._rows("ginv_jets")[..., 0]
-        return 0.5 * np.einsum("skl,slij->skij", ginv, _lowered_christoffel(delta))
+        return 0.5 * np.einsum("skl,slij->skij", self._rows("ginv"),
+                               _lowered_christoffel(delta))
 
     @_cached
     def christoffel_jets(self) -> np.ndarray:

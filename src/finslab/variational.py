@@ -779,7 +779,8 @@ def verify_focal_correspondence(curve: DiscreteCurve, P: SubmanifoldPatch,
     reparametrization under the base metric, and match the parameter lists
     through the reparametrization map.
 
-    A failed match is reported, not raised."""
+    A failed match is reported, not raised; with no pair there is nothing
+    matched."""
     rep, tilde = reparametrize_conformal(curve, lam, m)
     base_focal = find_focal_points(tilde, P, m)
     scaled_focal = find_focal_points(curve, P, scaled)
@@ -806,5 +807,5 @@ def verify_focal_correspondence(curve: DiscreteCurve, P: SubmanifoldPatch,
             report.pairs.append(CorrespondencePair(
                 fp.parameter, fp.multiplicity, None, None, None))
             all_ok = False
-    report.matched = all_ok and not available
+    report.matched = all_ok and bool(report.pairs) and not available
     return report

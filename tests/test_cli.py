@@ -216,6 +216,16 @@ def test_focal_correspondence_without_focal_points_fails(tmp_path, capsys):
     assert "focal-pairing-0" not in out
 
 
+def test_correspondence_is_not_matched_on_zero_pairs(tmp_path, capsys):
+    """With no focal point on either side there is no pair to match, so
+    `correspondence-matched` fails as well as `focal-pair-count`."""
+    shipped = Path(__file__).resolve().parent.parent / "configs" / "focal-correspondence.ini"
+    cfg = write_config(tmp_path, shipped.read_text().replace("t1 = 3.3", "t1 = 1e-9"))
+    assert cli.main(["focal-correspondence", "--config", cfg]) == 1
+    out = capsys.readouterr().out
+    assert "name=correspondence-matched value=1.0 tolerance=0.5 pass=False" in out
+
+
 def test_exit_code_two_on_a_metric_above_the_dimension_cap(tmp_path, capsys):
     (tmp_path / "wide.metric").write_text("dim=40\ny0^2 - y1^2\n")
     cfg = write_config(tmp_path, "[metric]\nmetric = wide.metric\n"

@@ -405,6 +405,44 @@ def test_neumann_inverse_is_exact_at_truncation_order(order, scaled_einstein):
             assert np.abs(product - identity).max() <= 1e-13 * scale
 
 
+@pytest.mark.parametrize("order", [3, 4])
+def test_the_spray_solve_is_exact_at_truncation_order(order, scaled_einstein):
+    """The jet product g (4 G) is the right-hand side A y - b as jets, with
+    A = d2L/dy dx, b = dL/dx and y the fiber variables, up to round-off."""
+    rng = np.random.default_rng(23)
+    for m in (scaled_einstein, dsl.builtin_metric("bogoslovsky2-warped")):
+        for v in dsl.sample_admissible(m, rng, count=10):
+            n = v.dim
+            frame = connection.ConnectionFrame(m, v, order=order)
+            g, z = frame.g_jets(), 4.0 * frame.spray_jets()
+            space = jets.jet_space(2 * n, order - 2)
+            L = m.jet(v, order)
+            y = [jets.Jet.variable(space, n + k, v.y[k]) for k in range(n)]
+            rhs = np.array([(sum(L.diff(n + l).diff(k) * y[k] for k in range(n))
+                             - L.diff(l)).truncated(order - 2).c for l in range(n)])
+            product = space.mul(g, z[None]).sum(axis=1)
+            scale = np.abs(g).max() * np.abs(z).max()
+            assert np.abs(product - rhs).max() <= 1e-13 * scale
+
+
+def test_curve_tables_take_no_jet_inverse(monkeypatch, scaled_einstein):
+    """Along a curve g^{-1} is read at value level only: `_frame_tables`
+    builds the same tables when the jets of g^{-1} cannot be taken."""
+    def refused(self):
+        raise AssertionError("the jets of g^{-1} were taken along a curve")
+
+    rng = np.random.default_rng(24)
+    samples = dsl.sample_admissible(scaled_einstein, rng, count=connection.CHUNK + 1)
+    x = np.array([v.x for v in samples])
+    y = np.array([v.y for v in samples])
+    times = np.arange(len(x), dtype=float)
+    want = connection._frame_tables(scaled_einstein, times, x, y)
+    monkeypatch.setattr(connection.ConnectionFrame, "ginv_jets", refused)
+    got = connection._frame_tables(scaled_einstein, times, x, y)
+    for table, value in zip(got, want):
+        assert np.array_equal(table, value)
+
+
 # --------------------------------------------------------------------------
 # sample-batched frames and tables
 # --------------------------------------------------------------------------
@@ -699,17 +737,17 @@ FRAME_DIGESTS = {
     ("theta-weight", "einstein-static", 20): (
         "6b9d45bf6ee3ea1d69ba498f50c16ec529008829579ff9bb7af17c8acd20191c",
         "a86830f7edd743034445a763edd14525d7df456c8181d4a06724f33c7e3c46be",
-        "dd75c72533bb329110835fe2526982fdc7c7d214271f045f2b16155d7a7efdde",
-        "3ba69f025d88164c0148f8d1326feeabd6cbf193da44c5061f00a3e5e57404d3",
-        "334bba7ec5af4367042d9f726c3d4bccf3f959bf56bc9c20288c32b45ac32beb",
-        "abd862ba28888c54cf26f7342ddd0bac4a5c14133c33f694a49d2f8668aa74a5",
+        "b747458b4d457df0d10469a1a35d750ed8a05c4186497054f63fce7488a8da6b",
+        "3411c6ff3d218d1765df934e3f5c2fa6de1d8ba2c17a9874cfbbd22d0581812d",
+        "ee2bf6020ecf4859eff507227f0d0097fae6226f050b66f43358ff684947076b",
+        "302dcf5f24a3808a83022a27df5c11e8296110849ebb57586c19fcfe7e8abdcb",
         "5713519b046173e6682711bd4f1fd09f7d7de3d6785df5aa8e91570bfd2580d1"),
     (None, "warped-quadratic", 21): (
         "e412586c477e3a35d6aaac166f224d40eba6957088349f008ea7cea202d475c8",
-        "a74e0d11665778817e6b6e1825238b83bd98bb3458587c9386a59d7e552ba06a",
+        "0ac70095412e862bb40f04ffc5d4311be27865199cfe9d2d6dd004dceea154e4",
         "672d898e05df0cb26313b2054d70c39c7e78c5ee354e09b6da3825bb2dd5ea84",
         "a06cfb46832dc5f1cd93cfec2f27f57e8a65194a655510ea174665f0aef1795b",
-        "a54f908b6bd2cb4a578b951ac9e09608ea2a06c73bc6b966e03b2f53942565da",
+        "0e6d34ea83620cc05223530b5e4a4af5b7756ebf876e217e6b31e7dcdbaa43a6",
         "d09be831ba410f4045c95267baec0ee7f2fb3cecef8f2a72100504447025c4c6",
         "5e4f15e5111a0ff1ec7f6435b23e1dd56b7ca02df3cb2be85ba18068d5eab084"),
 }
