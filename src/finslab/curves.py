@@ -8,8 +8,8 @@ from .numerics import HermiteSpline, not_a_knot_slopes
 
 
 class DiscreteCurve:
-    """Strictly increasing time grid (uniform except possibly the last
-    interval) with chart positions, velocities and accelerations.
+    """Strictly increasing time grid with chart positions, velocities and
+    accelerations.
 
     Dense output is one cubic Hermite over the columns (x | v) with node
     slopes (v | a): positions interpolate (x, v) node data and velocities
@@ -45,19 +45,10 @@ class DiscreteCurve:
     def t1(self) -> float:
         return float(self.grid[-1])
 
-    @property
-    def step(self) -> float:
-        return float(self.grid[1] - self.grid[0])
-
     def state(self, t):
         """(position, velocity) at t, from one evaluation of the dense output."""
         s = self._dense(t)
         return s[..., :self.dim], s[..., self.dim:]
-
-    def point(self, t: float) -> list[float]:
-        """Position and velocity at one float t as one list x + v of 2n
-        Python floats, the point a metric's float program reads."""
-        return self._dense.floats(t)
 
     def position(self, t):
         return self.state(t)[0]

@@ -26,9 +26,10 @@ import numpy as np
 from .connection import _curve_points, _scalar_partials_along, _spray, _sprays_along
 from .curves import DiscreteCurve, Reparametrization
 from .dsl import MetricDefinition, TangentSample
-from .errors import (DomainExit, EvaluationDomainError, InadmissibleSample,
-                     NoConvergence, TransversalityFailure)
-from .numerics import simpson
+from .errors import (DomainExit, EvaluationDomainError, FinslabError,
+                     InadmissibleSample, NoConvergence, PositivityFailure,
+                     TransversalityFailure)
+from .numerics import cumulative_simpson, simpson
 from .tensors import _inadmissible, legendre
 
 __all__ = [
@@ -53,14 +54,6 @@ def factor_values(lam, curve: DiscreteCurve) -> np.ndarray:
     return lam.value(curve.positions, curve.velocities)
 
 
-def _chain_rates(lam, positions, velocities, accelerations) -> np.ndarray:
-    """d/dt of the factor at curve samples (x, xdot, xddot), by the chain rule."""
-    if lam is None:
-        return np.zeros(len(positions))
-    dx, dy = _scalar_partials_along(lam, positions, velocities)
-    return _row_dots(dx, velocities) + _row_dots(dy, accelerations)
-
-
 def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """The dot products a[k] @ b[k] of the rows of two (S, n) arrays, as a
     stacked matmul, which rounds as the 1-D `@` of each pair does."""
@@ -70,7 +63,10 @@ def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def factor_rate(lam, curve: DiscreteCurve) -> np.ndarray:
     """d/dt of the factor along the curve, by the chain rule through the
     stored accelerations (exact given the node data)."""
-    return _chain_rates(lam, curve.positions, curve.velocities, curve.accelerations)
+    if lam is None:
+        return np.zeros(curve.grid.size)
+    dx, dy = _scalar_partials_along(lam, curve.positions, curve.velocities)
+    return _row_dots(dx, curve.velocities) + _row_dots(dy, curve.accelerations)
 
 
 # --------------------------------------------------------------------------
@@ -308,66 +304,31 @@ def pregeodesic_residual(curve: DiscreteCurve, m: MetricDefinition, lam=None) ->
 
 def reparametrize_conformal(curve: DiscreteCurve, lam, m: MetricDefinition
                             ) -> tuple[Reparametrization, DiscreteCurve]:
-    """Solve phidot(mu) = factor(velocity(phi(mu))) with phi(mu0) = t0 and
-    emit the reparametrized curve, by RK4 steps of the base curve's step.
+    """The parameter map t = phi(mu) with phidot = factor(velocity(phi)),
+    phi(t0) = t0, and the curve reparametrized by it.
 
-    The curve must be lightlike under m.  The map is integrated until it
-    exhausts the base curve's parameter range (the final partial step is
-    bisected so the last node lands on t1).
+    The curve must be lightlike under m.  mu(t) = t0 + the integral of
+    1/factor is a cumulative Simpson sum over the base curve's nodes, which
+    the reparametrized curve keeps, with velocities and accelerations from
+    the exact node data by the chain rule.  PositivityFailure, naming the
+    curve time, if the factor is not finite and positive at a node, and
+    FinslabError if it varies too fast for the step, so that the map stalls.
     """
     check_lightlike(curve, m)
-    lo, hi = curve.t0, curve.t1
-    if lam is not None:
-        lam._point(*curve.state(lo))             # the shape check
-
-    def rate(mu: float, phi: float) -> float:
-        if lam is None:
-            return 1.0
-        return lam._point_value(curve.point(min(max(phi, lo), hi)))
-
-    h = curve.step
-    mus = [curve.t0]
-    phis = [lo]
-    rates = [rate(mus[0], lo)]      # each node's factor, the k1 of its step
-    while True:
-        mu, phi, k1 = mus[-1], phis[-1], rates[-1]
-        nxt = rk4_step(rate, mu, phi, h, k1)
-        if nxt < hi - 1e-13:
-            mus.append(mu + h)
-            phis.append(nxt)
-            rates.append(rate(mu + h, nxt))
-            continue
-        # bisect the final step length so the map lands exactly on t1, until
-        # the midpoint rounds onto an end (a step near 1e-13 takes over 80)
-        lo_h, hi_h = 0.0, h
-        for _ in range(80):
-            mid = 0.5 * (lo_h + hi_h)
-            if mid == lo_h or mid == hi_h:
-                break
-            if rk4_step(rate, mu, phi, mid, k1) < hi:
-                lo_h = mid
-            else:
-                hi_h = mid
-        final = 0.5 * (lo_h + hi_h)
-        if final > 1e-13 * max(1.0, h):
-            mus.append(mu + final)
-            phis.append(hi)
-        else:
-            phis[-1] = hi
-        break
-    mus = np.asarray(mus)
-    phis = np.asarray(phis)
-    # the last node's rate is taken where it landed, on t1
-    phidots = np.array(rates[:len(phis) - 1] + [rate(mus[-1], hi)])
-    rep = Reparametrization(mus, phis, phidots)
-
-    positions, base_vel = curve.state(phis)
-    base_acc = curve.acceleration(phis)
-    velocities = phidots[:, None] * base_vel
-    # second derivative of the factor map via the chain rule; exact node data
-    phiddots = _chain_rates(lam, positions, base_vel, base_acc) * phidots
-    accelerations = (phiddots[:, None] * base_vel
-                     + (phidots ** 2)[:, None] * base_acc)
-    out = DiscreteCurve(mus, positions, velocities, accelerations)
-    return rep, out
-
+    phidots = factor_values(lam, curve)
+    bad = np.flatnonzero(~(np.isfinite(phidots) & (phidots > 0)))
+    if bad.size:
+        value, t = float(phidots[bad[0]]), float(curve.grid[bad[0]])
+        raise PositivityFailure(f"the conformal factor is {value!r} at t={t!r}, "
+                                f"not finite and positive")
+    mus = curve.t0 + cumulative_simpson(1.0 / phidots, curve.grid)
+    # a Simpson step turns negative where 1/factor changes ~9-fold per step
+    stalls = np.flatnonzero(np.diff(mus) <= 0)
+    if stalls.size:
+        raise FinslabError(f"the conformal factor varies too fast for the curve's step "
+                           f"near t={float(curve.grid[stalls[0]])!r}: the map stalls")
+    vel, acc = curve.velocities, curve.accelerations
+    phiddots = factor_rate(lam, curve) * phidots
+    out = DiscreteCurve(mus, curve.positions, phidots[:, None] * vel,
+                        phiddots[:, None] * vel + (phidots ** 2)[:, None] * acc)
+    return Reparametrization(mus, curve.grid, phidots), out

@@ -35,8 +35,10 @@ class HermiteSpline:
     along axis 0), extrapolated from the end intervals.
 
     On interval i, with s = t - x[i], the value c3 + c2 s + c1 s^2 + c0 s^3
-    is summed from 0.0 in that order.  A float argument takes a scalar path
-    in Python floats over the same coefficients.
+    is summed from 0.0 in that order.  A float argument (the focal
+    bisection, or one focal parameter through a `Reparametrization`) takes
+    a scalar path in Python floats over the same coefficients: the array
+    path's bits, at about a quarter of its cost per call.
     """
 
     def __init__(self, x, y, dydx):

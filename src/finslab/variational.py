@@ -294,32 +294,26 @@ def second_variation(geom: CurveGeometry, W: VariationField) -> float:
 
 
 def energy_derivative_fd(curve: DiscreteCurve, W: VariationField, lam,
-                         m: MetricDefinition, order: int = 1) -> float:
-    """Richardson finite difference of s -> energy of the chart variation
-    x(t) + s W(t), with steps 1e-3 and 5e-4.  Independent of the variation
+                         m: MetricDefinition) -> tuple[float, float]:
+    """First and second Richardson finite differences of s -> energy of the
+    chart variation x(t) + s W(t), with steps 1e-3 and 5e-4, from the five
+    energies at s = 0, +-1e-3 and +-5e-4.  Independent of the variation
     formulas: it only uses the energy quadrature."""
     step = 1e-3
     grid = curve.grid
     W_dot = spline_derivative(grid, W.values)
 
-    def shifted(s: float) -> DiscreteCurve:
+    def E(s: float) -> float:
         pos = curve.positions + s * W.values
         vel = curve.velocities + s * W_dot
-        return DiscreteCurve(grid, pos, vel, np.zeros_like(pos))
+        return energy(DiscreteCurve(grid, pos, vel, np.zeros_like(pos)), m, lam)
 
-    def E(s: float) -> float:
-        return energy(shifted(s), m, lam)
-
-    if order == 1:
-        d1 = (E(step) - E(-step)) / (2 * step)
-        d2 = (E(step / 2) - E(-step / 2)) / step
-        return (4.0 * d2 - d1) / 3.0
-    if order == 2:
-        e0 = E(0.0)
-        s1 = (E(step) - 2 * e0 + E(-step)) / step ** 2
-        s2 = (E(step / 2) - 2 * e0 + E(-step / 2)) / (step / 2) ** 2
-        return (4.0 * s2 - s1) / 3.0
-    raise ValueError("order must be 1 or 2")
+    e0, up, down, half_up, half_down = map(E, (0.0, step, -step, step / 2, -step / 2))
+    d1 = (up - down) / (2 * step)
+    d2 = (half_up - half_down) / step
+    s1 = (up - 2 * e0 + down) / step ** 2
+    s2 = (half_up - 2 * e0 + half_down) / (step / 2) ** 2
+    return (4.0 * d2 - d1) / 3.0, (4.0 * s2 - s1) / 3.0
 
 
 # --------------------------------------------------------------------------

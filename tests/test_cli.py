@@ -332,6 +332,40 @@ def test_exit_code_two_on_a_factor_of_the_wrong_degree(tmp_path, capsys):
     assert_single_error_line(capsys, "'einstein-static'", "degree 2, expected 0")
 
 
+@pytest.mark.parametrize("experiment,old,new,key", [
+    ("geodesic", "metric = einstein-static", "metric = theta-weight", "metric"),
+    ("tensors", "metric = bogoslovsky2", "metric = theta-weight", "metric"),
+    ("lightcone", "metric = minkowski2-cone\nmetric2 = bogoslovsky2",
+     "metric = bogoslovsky-factor\nmetric2 = bogoslovsky-factor", "metric"),
+    ("lightcone", "metric2 = bogoslovsky2", "metric2 = bogoslovsky-factor", "metric2")],
+    ids=["geodesic", "tensors", "lightcone", "lightcone-metric2"])
+def test_exit_code_two_on_a_metric_of_degree_zero(tmp_path, capsys, experiment, old,
+                                                  new, key):
+    """A degree-0 definition as `metric` or `metric2` of a shipped config
+    exited 1 (tensors, lightcone) or failed as a degenerate fundamental
+    tensor (geodesic); a metric has degree 2, checked on loading."""
+    shipped = Path(__file__).resolve().parent.parent / "configs" / f"{experiment}.ini"
+    text = shipped.read_text()
+    assert old in text
+    cfg = write_config(tmp_path, text.replace(old, new))
+    assert cli.main([experiment, "--config", cfg]) == 2
+    assert_single_error_line(capsys, f"[metric] {key} = ", "has degree 0",
+                             "a metric needs degree 2")
+
+
+def test_exit_code_two_on_a_variation_curve_of_two_nodes(tmp_path, capsys):
+    """t1 = 1e-9 in the shipped variation config takes one RK step; the field
+    shape vanishes at both nodes, so every record compared zeros and the run
+    exited 0."""
+    shipped = Path(__file__).resolve().parent.parent / "configs" / "variation.ini"
+    text = shipped.read_text()
+    assert "t1 = 1.0" in text
+    cfg = write_config(tmp_path, text.replace("t1 = 1.0", "t1 = 1e-9"))
+    assert cli.main(["variation", "--config", cfg]) == 2
+    assert_single_error_line(capsys, "the curve has 2 nodes",
+                             f"at least {cli.MIN_VARIATION_NODES}")
+
+
 def test_a_metric_body_of_a_thousand_terms_compiles_and_runs(tmp_path, capsys):
     """A sum of 1,000 `y0*y0` terms is a tree 1,000 nodes deep; compiling it
     ended in RecursionError and exit 1."""

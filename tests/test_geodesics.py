@@ -7,8 +7,8 @@ import numpy as np
 import pytest
 
 from finslab import conformal, dsl, experiments, geodesics
-from finslab.errors import (DomainExit, EvaluationDomainError, NoConvergence,
-                            TransversalityFailure)
+from finslab.errors import (DomainExit, EvaluationDomainError, FinslabError,
+                            NoConvergence, PositivityFailure, TransversalityFailure)
 import sphere_reference
 from conftest import lightlike_start
 
@@ -265,15 +265,76 @@ def test_lightlike_precondition_is_enforced(minkowski3):
         geodesics.reparametrize_conformal(curve, None, minkowski3)
 
 
-def test_round_trip_with_the_inverse_factor(scaled_einstein, einstein, theta_weight):
+def _tilted_scaled_curve(scaled_einstein, theta_weight):
     x0, v0 = sphere_reference.tilted_null_data(np.pi / 2 - 0.6)
-    start = v0 / theta_weight.value(x0, v0)
-    curve = geodesics.integrate_geodesic(scaled_einstein, x0, start, (0, 0.8), 2e-3)
+    return geodesics.integrate_geodesic(
+        scaled_einstein, x0, v0 / theta_weight.value(x0, v0), (0, 0.8), 2e-3)
+
+
+def test_round_trip_with_the_inverse_factor(scaled_einstein, einstein, theta_weight):
+    curve = _tilted_scaled_curve(scaled_einstein, theta_weight)
     rep, tilde = geodesics.reparametrize_conformal(curve, theta_weight, scaled_einstein)
     rep_back, _ = geodesics.reparametrize_conformal(
         tilde, conformal.inverse_factor(theta_weight), einstein)
     probe = np.linspace(tilde.t0, tilde.t1 * 0.999, 41)
     assert np.abs(rep_back(rep(probe)) - probe).max() <= 1e-8
+
+
+def test_reparametrized_nodes_are_the_base_nodes(scaled_einstein, theta_weight):
+    """The map is tabulated at the base curve's nodes, and the reparametrized
+    curve holds their exact data: the same times and positions, bit for bit,
+    and velocities scaled by the factor."""
+    curve = _tilted_scaled_curve(scaled_einstein, theta_weight)
+    rep, tilde = geodesics.reparametrize_conformal(curve, theta_weight, scaled_einstein)
+    assert np.array_equal(rep.phi, curve.grid)
+    assert np.array_equal(tilde.grid, rep.grid)
+    assert np.array_equal(tilde.positions, curve.positions)
+    assert np.array_equal(rep.phidot, geodesics.factor_values(theta_weight, curve))
+    assert np.array_equal(tilde.velocities, rep.phidot[:, None] * curve.velocities)
+
+
+def test_parameter_map_is_the_integral_of_the_inverse_factor(scaled_einstein,
+                                                             theta_weight):
+    """mu(t) - t0 equals an adaptive quadrature of 1/factor along the dense
+    output, to 1e-12 at step 2e-3 (Simpson's error there is about 1e-14)."""
+    from scipy.integrate import quad
+
+    curve = _tilted_scaled_curve(scaled_einstein, theta_weight)
+    rep, _ = geodesics.reparametrize_conformal(curve, theta_weight, scaled_einstein)
+
+    def inverse_factor(t):
+        return 1.0 / theta_weight.value(*curve.state(t))
+
+    for k in range(0, curve.grid.size, 25):
+        want, _ = quad(inverse_factor, curve.t0, curve.grid[k],
+                       epsabs=1e-14, epsrel=1e-14, limit=200)
+        assert abs(rep.grid[k] - curve.t0 - want) <= 1e-12
+
+
+def _lightlike_line(t1, nodes):
+    grid = np.linspace(0.0, t1, nodes)
+    v = np.array([1.0, 1.0])
+    return geodesics.DiscreteCurve(grid, np.outer(grid, v), np.tile(v, (nodes, 1)),
+                                   np.zeros((nodes, 2)))
+
+
+def test_a_vanishing_factor_is_a_positivity_failure():
+    """1 - x0 falls to 0 at t = 1 on this lightlike line; the map would stop
+    there, and the error names the time before any division."""
+    lightlike = dsl.parse_metric("y0^2 - y1^2", 2)
+    ramp = dsl.parse_metric("1 - x0", 2, degree=0, name="ramp")
+    with pytest.raises(PositivityFailure, match=r"is 0\.0 at t=1\.0"):
+        geodesics.reparametrize_conformal(_lightlike_line(2.0, 9), ramp, lightlike)
+
+
+def test_a_factor_too_steep_for_the_step_is_a_typed_error():
+    """exp(250 x0) grows about 12-fold per step of 0.01, and from about
+    9-fold a Simpson step of 1/factor is negative, so the map would not
+    increase: a FinslabError naming the time, not a spline's ValueError."""
+    lightlike = dsl.parse_metric("y0^2 - y1^2", 2)
+    steep = dsl.parse_metric("exp(250*x0)", 2, degree=0, name="steep")
+    with pytest.raises(FinslabError, match=r"too fast for the curve's step near t=0\.01"):
+        geodesics.reparametrize_conformal(_lightlike_line(0.1, 11), steep, lightlike)
 
 
 # --------------------------------------------------------------------------
@@ -318,8 +379,8 @@ def test_reparametrized_curve_satisfies_base_equation(scaled_einstein, einstein,
         _, tilde = geodesics.reparametrize_conformal(curve, theta_weight, scaled_einstein)
         residuals.append(geodesics.pregeodesic_residual(tilde, einstein, None))
     assert residuals[-1] <= 1e-6
-    # dense-output differentiation keeps one derivative less than the
-    # integrator, so the decay order is at least cubic-ish rather than quartic
+    # the reparametrized nodes carry the integrator's node data, so the
+    # residual falls with the RK4 error until round-off
     assert residuals[0] / residuals[-1] >= 16.0
 
 

@@ -133,10 +133,9 @@ import numpy as np
 import finslab.cli as cli
 from finslab import dsl, geodesics, variational
 
-configs, circle = Path(sys.argv[1]), sys.argv[2]
-for experiment in ("variation", "focal-correspondence"):
+configs = Path(sys.argv[1])
+for experiment in ("variation", "focal-correspondence", "focal"):
     assert cli.main([experiment, "--config", str(configs / f"{experiment}.ini")]) == 0
-assert cli.main(["focal", "--config", circle]) == 0
 einstein, unit = dsl.builtin_metric("einstein-static"), dsl.builtin_metric("unit-factor")
 curve = geodesics.integrate_geodesic(einstein, [0, np.pi / 2, 0], [1, 0, 1], (0, 0.5), 1e-2)
 sol = variational.integrate_jacobi_basis(curve, einstein, np.zeros((3, 1)), np.eye(3)[:, 1:2])[0]
@@ -152,19 +151,16 @@ def test_runs_load_no_scipy(tmp_path):
     deferred to a call.
     - `variation`: `simpson` (energy and the variation integrals), the
       Hermite spline (dense output) and `not_a_knot_slopes`;
-    - `focal-correspondence`: the spline's scalar path (the
-      reparametrization) and its (N, n, n) data (the focal search);
-    - `focal` on a circle patch: `null_space` (the focal initial data);
+    - `focal-correspondence`: `cumulative_simpson` (the reparametrization),
+      the spline's scalar path (the focal bisection, and a focal parameter
+      mapped through the reparametrization) and its (N, n, n) data (the
+      focal search);
+    - `focal` on the circle patch of `configs/focal.ini`: `null_space`
+      (the focal initial data);
     - `transfer_jacobi`: `cumulative_simpson`.
     """
-    circle = tmp_path / "focal.ini"
-    circle.write_text("[metric]\nmetric = einstein-static\n"
-                      "x0 = 0, 1.5707963267948966, 0\nv0 = 1, 0, 1\n"
-                      "patch = circle:0.7853981633974483\n"
-                      "[run]\nt1 = 1.2\nstep = 5e-3\n"
-                      "expected = 0.7853981633974483:1\n")
     done = subprocess.run(
-        [sys.executable, "-c", NO_SCIPY_RUN, str(ROOT / "configs"), str(circle)],
+        [sys.executable, "-c", NO_SCIPY_RUN, str(ROOT / "configs")],
         capture_output=True, text=True, cwd=tmp_path,
         env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)})
     assert done.returncode == 0, done.stderr

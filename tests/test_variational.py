@@ -127,7 +127,7 @@ def test_first_variation_matches_finite_differences_on_bent_curve(minkowski3):
         geom,
         lambda t: np.array([0.7 * np.sin(np.pi * t), t * (1 - t), -0.2 * np.sin(np.pi * t)]))
     formula = variational.first_variation(geom, W)
-    oracle = variational.energy_derivative_fd(bent, W, None, minkowski3, order=1)
+    oracle, _ = variational.energy_derivative_fd(bent, W, None, minkowski3)
     assert abs(formula) > 1e-3
     assert abs(formula - oracle) <= 1e-6
 
@@ -180,10 +180,9 @@ def test_variation_formulas_match_energy_differentiation(einstein, factor):
         W = variational.VariationField.affine(geom, shape)
         first = variational.first_variation(geom, W)
         second = variational.second_variation(geom, W)
-        assert abs(first - variational.energy_derivative_fd(
-            curve, W, lam, einstein, order=1)) <= 1e-6
-        assert abs(second - variational.energy_derivative_fd(
-            curve, W, lam, einstein, order=2)) <= 1e-5
+        fd1, fd2 = variational.energy_derivative_fd(curve, W, lam, einstein)
+        assert abs(first - fd1) <= 1e-6
+        assert abs(second - fd2) <= 1e-5
 
 
 # --------------------------------------------------------------------------
@@ -522,7 +521,7 @@ def _off_grid_solutions(b):
     """The untransferred field, on the reparametrized grid, and the
     transferred one on a shifted copy of the curve grid."""
     sol = b.jacobi_hat
-    assert b.jacobi_tilde.grid.size != b.curve.grid.size
+    assert not np.array_equal(b.jacobi_tilde.grid, b.curve.grid)
     return [b.jacobi_tilde,
             variational.JacobiSolution(sol.grid + 1e-3, sol.J, sol.K, sol.J_dot)]
 
@@ -755,7 +754,7 @@ def test_table_driven_jacobi_integration_matches_the_per_stage_path(
     x0 = np.array([0.0, np.pi / 2, 0.0])
     xt, vt = sphere_reference.tilted_null_data(np.pi / 2 - 0.6)
     scaled_curve = geodesics.integrate_geodesic(
-        scaled_einstein, xt, vt / theta_weight.value(xt, vt), (0.0, 0.3), 0.01)
+        scaled_einstein, xt, vt / theta_weight.value(xt, vt), (0.0, 1.0), 0.01)
     _, tilde = geodesics.reparametrize_conformal(scaled_curve, theta_weight,
                                                  scaled_einstein)
     # a geodesic read at uneven nodes, with the exact accelerations -2G
