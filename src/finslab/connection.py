@@ -48,9 +48,9 @@ import functools
 
 import numpy as np
 
-from .dsl import MetricDefinition, SampleBatch, TangentSample, _compiled
+from .dsl import MetricDefinition, SampleBatch, TangentSample
 from .errors import InadmissibleSample
-from .jets import Jet, jet_space
+from .jets import Jet, _compiled, jet_space
 from .tensors import (_ELIMINATION_NAMES, _elimination, _inadmissible, _require_admissible,
                       _source, inverse_metric)
 

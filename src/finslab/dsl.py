@@ -14,7 +14,8 @@ constant ones, and keeps each subexpression's jet only over the variables it
 depends on; the coefficients equal those of jet arithmetic over all 2n
 variables to the bit.  Float values must be finite.  The float program,
 and the jet at one point, run as straight-line Python generated from the
-tape, one function per program (and order); values and domain checks at
+tape, one function per program (and order), with the elementary functions
+written inline (`jets.taylor_source`); values and domain checks at
 many samples run the float program sample by sample.  The jet also runs
 over the S samples of a `SampleBatch` at once, and the batch's jet is a
 `jets.Jet` with a leading sample axis.
@@ -43,12 +44,14 @@ import math
 import operator
 import re
 from dataclasses import dataclass
+from itertools import count
 from pathlib import Path
 
 import numpy as np
 
 from . import jets
 from .errors import ConfigError, EvaluationDomainError, ExpressionError, NoAdmissibleSample
+from .jets import _compiled, _literal
 
 __all__ = [
     "Expr", "Num", "Var", "Neg", "Add", "Sub", "Mul", "Div", "Pow", "Func",
@@ -178,7 +181,8 @@ def _int_power(a: float, p: int) -> float:
 
 
 def _function(name: str, a: float, p: float = 0.5) -> float:
-    """Float value of an elementary function (or of powr, a**p)."""
+    """Float value of an elementary function (or of powr, a**p), for
+    constants that fold; the float program writes the same lines inline."""
     if name == "sqrt":
         if a <= 0.0:
             raise EvaluationDomainError(f"sqrt of non-positive value {a!r}")
@@ -191,33 +195,51 @@ _SLOT_PAIRS = ("add", "sub", "mul", "div")
 _FLOAT_OPS = {"add": operator.add, "sub": operator.sub, "mul": operator.mul, "div": _divide}
 
 
-# the source of each float operation at one point, from its operand {a} and
-# its second operand {b} (a slot for the slot pairs, else a constant): IEEE
-# arithmetic inline, and a call for each operation that checks its operands
+# the source of each arithmetic float operation at one point, from its
+# operand {a} and its second operand {b} (a slot for the slot pairs, else a
+# constant): IEEE arithmetic inline, and a call for each operation that
+# checks its operands
 _FLOAT_SOURCES = {
     "add": "{a} + {b}", "sub": "{a} - {b}", "mul": "{a} * {b}", "div": "_divide({a}, {b})",
     "neg": "-{a}", "addc": "{a} + {b}", "mulc": "{a} * {b}", "divc": "{a} / {b}",
     "rdivc": "_divide({b}, {a})", "ipow": "_int_power({a}, {b})",
-    "powr": "_function('powr', {a}, {b})", "func": "_function({b}, {a})",
+    # the one function that `jets.taylor_source` does not write: the float
+    # sqrt, with the check of `_function` where the guard fails
+    "func": "sqrt({a}) if {a} > 0.0 else _function('sqrt', {a})",
 }
 
 
 def _float_source(tape: "Tape") -> str:
     """The source of `floats(p)`, a tape's float program at one point p of
-    2n floats as straight-line code: slot i is the local t{i}, each written
-    as `_FLOAT_SOURCES` gives it, and the outputs are checked finite by
-    `_finite`.  The source holds only local names, indices, float
-    constants, the names of `_FLOAT_NAMES` and those of `_FUNCTIONS`."""
+    2n floats as straight-line code: each slot is a local t{k}, written as
+    `_FLOAT_SOURCES` gives it, or, for an elementary function or a
+    fractional power, as the order-0 lines of `jets.taylor_source`; the
+    outputs are checked finite by `_finite`.  The source holds only local
+    names, indices, float constants, the names of `_FLOAT_NAMES` and the
+    names of the elementary functions as strings."""
     lines = ["def floats(p):"]
-    for i, (kind, a, *rest) in enumerate(tape._ops):
-        if kind == "var":
-            lines.append(f"    t{i} = p[{int(a)}]")
-            continue
+    names: list[str] = []         # the local of each slot
+    numbers = count(1)
+
+    def fresh() -> str:
+        return f"t{next(numbers)}"
+
+    for kind, a, *rest in tape._ops:
         b = rest[0] if rest else None
-        b = (f"t{b}" if kind in _SLOT_PAIRS else _literal(b) if isinstance(b, float)
-             else repr(b))
-        lines.append(f"    t{i} = {_FLOAT_SOURCES[kind].format(a=f't{a}', b=b)}")
-    out = ", ".join(_literal(o) if isinstance(o, float) else f"t{o}" for o in tape.outputs)
+        if kind == "powr" or (kind == "func" and b != "sqrt"):
+            name, exponent = ("powr", b) if kind == "powr" else (b, 0.5)
+            body, (value,) = jets.taylor_source(name, names[a], 0, exponent, fresh)
+            lines += [f"    {line}" for line in body]
+            names.append(value)
+            continue
+        if kind == "var":
+            expr = f"p[{int(a)}]"
+        else:
+            b = names[b] if kind in _SLOT_PAIRS else _literal(b) if isinstance(b, float) else b
+            expr = _FLOAT_SOURCES[kind].format(a=names[a], b=b)
+        names.append(fresh())
+        lines.append(f"    {names[-1]} = {expr}")
+    out = ", ".join(_literal(o) if isinstance(o, float) else names[o] for o in tape.outputs)
     lines.append(f"    return _finite([{out}])")
     return "\n".join(lines) + "\n"
 
@@ -264,15 +286,18 @@ class Tape:
     The float program has one form, `floats` at one point: one
     straight-line Python function per program, written by `_float_source`
     on first use and shared through `_FLOAT_KERNELS`.  + - * and the
-    constant operations are written inline, and division, powers and the
-    elementary functions call `_divide`, `_int_power` and `_function`, so
-    each value is the float of plain arithmetic with its checks.  Values
-    and domain checks at many points run it point by point; only the jet
-    keeps a row program, where one numpy pass over S points is faster.
+    constant operations are written inline, and so are the elementary
+    functions and fractional powers, as the order-0 lines of
+    `jets.taylor_source`; division and integer powers call `_divide` and
+    `_int_power`, and sqrt checks its argument inline, so each value is
+    the float of plain arithmetic with its checks.  Values and domain
+    checks at many points run it point by point; only the jet keeps a row
+    program, where one numpy pass over S points is faster.
 
     Operations keep the order and the checks of plain arithmetic: integer
     powers are `**` on floats and repeated products on jets, an elementary
-    function composes `jets.taylor` by Horner's rule, and a division by
+    function composes the normalized derivatives of `jets.taylor` (in a
+    kernel, its lines written inline) by Horner's rule, and a division by
     zero, a zero base to a negative power, log, sqrt or a fractional power
     of a non-positive value, an overflowing exp or power and sin or cos of
     an infinite value raise EvaluationDomainError.  So does a constant
@@ -539,45 +564,29 @@ def _key(values) -> tuple:
 # The float program of each tape program: tapes with the same dimension,
 # operations (constants keyed by value and sign) and outputs share one.
 _FLOAT_KERNELS: dict[tuple, object] = {}
-_FLOAT_NAMES = {"_divide": _divide, "_int_power": _int_power, "_function": _function,
-                "_finite": _finite, "inf": math.inf, "nan": math.nan}
+_FLOAT_NAMES = {**jets.TAYLOR_GLOBALS, "_divide": _divide, "_int_power": _int_power,
+                "_function": _function, "_finite": _finite, "sqrt": math.sqrt}
 
 # The one-point jet kernel of each (program, order).  Tapes with the same
 # dimension, operations (constants keyed by value and sign), supports and
 # outputs share one, so a definition formed again on each run compiles once.
 _KERNELS: dict[tuple, object] = {}
-_TAYLOR_NAMES = _FUNCTIONS + ("powr", "reciprocal")
 _ARITH = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
 
 
 def _compile_kernel(source: str):
-    return _compiled(source, {"taylor": jets.taylor, "inf": math.inf, "nan": math.nan})
-
-
-def _compiled(source: str, names: dict):
-    """The one function that `source` defines, compiled with a copy of
-    `names` as its globals."""
-    namespace = dict(names)
-    exec(compile(source, "<finslab kernel>", "exec"), namespace)
-    return namespace[source[len("def "):source.index("(")]]
-
-
-def _literal(v) -> str:
-    """Source of one coefficient: a local's name, or a float constant
-    (inf and nan are names bound in the kernel's namespace)."""
-    if isinstance(v, str):
-        return v
-    text = "nan" if v != v else repr(abs(v))
-    return f"(-{text})" if math.copysign(1.0, v) < 0.0 else text
+    return _compiled(source, jets.TAYLOR_GLOBALS)
 
 
 # The most lines the source of one one-point jet kernel may take.  The
 # largest kernel of a builtin metric or of a factor * metric product at
-# orders 2 to 4 is 578 lines (theta-weight*warped-quadratic at order 4);
-# an integer power such as pow(x0 + x1 + y0 + y1, 1e300) writes a line per
-# term of each squaring and would take 15,279 lines at order 2.  Compiling
-# costs memory per line, so a longer kernel is an ExpressionError, raised
-# while the source is written and before anything is compiled.
+# orders 2 to 4 is 603 lines (bogoslovsky-factor*bogoslovsky2-warped at
+# order 4), and of a product with the reciprocal of a factor 782 lines
+# (1/(theta-weight)*warped-quadratic at order 4); an integer power such as
+# pow(x0 + x1 + y0 + y1, 1e300) writes a line per term of each squaring
+# and would take 15,279 lines at order 2.  Compiling costs memory per
+# line, so a longer kernel is an ExpressionError, raised while the source
+# is written and before anything is compiled.
 MAX_KERNEL_LINES = 10_000
 
 
@@ -590,11 +599,13 @@ class _KernelWriter:
     lift is a renaming.  Each operation writes the arithmetic that a column
     of the row program performs, in its order: a product writes each
     coefficient as `0.0 + a_i*b_j + ...` in `jets.product_plan` order, the
-    order in which `np.bincount` sums from +0.0, and a composition calls
-    `jets.taylor` once and runs Horner's rule as `jets.compose` does.
-    Arithmetic on two known floats is done here, as the kernel would round
-    it.  The source holds only local names, indices, float constants and
-    the names of `_TAYLOR_NAMES`."""
+    order in which `np.bincount` sums from +0.0, and a composition writes
+    the lines of `jets.taylor_source`, which `jets.taylor` runs for the row
+    program, with their guard and overflow check, then runs Horner's rule
+    as `jets.compose` does.  Arithmetic on two known floats is done here,
+    as the kernel would round it.  The source holds only local names,
+    indices, float constants, the names of `jets.TAYLOR_GLOBALS` and the
+    names of the elementary functions as strings."""
 
     def __init__(self, tape: Tape, order: int):
         self.tape, self.order = tape, order
@@ -657,11 +668,10 @@ class _KernelWriter:
         return acc
 
     def compose(self, c: list, name: str, exponent: float, plan) -> list:
-        if name not in _TAYLOR_NAMES:
-            raise ValueError(f"unknown elementary function {name!r}")
-        derivs = [self.name() for _ in range(self.order + 1)]
-        self.write(f"    {', '.join(derivs)}, = taylor({name!r}, {_literal(c[0])}, "
-                   f"{self.order}, {_literal(float(exponent))})")
+        lines, derivs = jets.taylor_source(name, _literal(c[0]), self.order,
+                                           float(exponent), self.name)
+        for line in lines:
+            self.write(f"    {line}")
         hat = [0.0] + c[1:]
         out = [derivs[-1]] + [0.0] * (len(c) - 1)
         for d in derivs[-2::-1]:

@@ -23,7 +23,8 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, count, groupby
+from operator import itemgetter
 
 import numpy as np
 
@@ -429,43 +430,155 @@ class Jet:
 
 
 # elementary functions -------------------------------------------------------
+#
+# The normalized derivatives of each elementary function are written once, as
+# straight-line float code, by `taylor_source`: `taylor` compiles its lines
+# per (name, order, exponent), and the one-point jet and float kernels of
+# `dsl` write them inline, so every path runs the same float operations.
+
+_REFUSED = {
+    "log": "log of non-positive value {!r}",
+    "powr": "fractional power of non-positive base {!r}",
+    "sqrt": "fractional power of non-positive base {!r}",
+    "sin": "sin of non-finite value {!r}",
+    "cos": "cos of non-finite value {!r}",
+    "reciprocal": "division by a jet with zero value part",
+}
+
+
+def refused(name: str, u0: float) -> EvaluationDomainError:
+    """The error of `taylor` at an argument off the function's domain."""
+    return EvaluationDomainError(_REFUSED[name].format(u0))
+
+
+def overflows(name: str, u0: float) -> EvaluationDomainError:
+    """The error of `taylor` where a power of u0 over- or underflows."""
+    return EvaluationDomainError(f"{name} overflows at {u0!r}")
+
+
+# the names that the lines of `taylor_source` load
+TAYLOR_GLOBALS = {
+    "exp": math.exp, "log": math.log, "sin": math.sin, "cos": math.cos,
+    "isinf": math.isinf, "refused": refused, "overflows": overflows,
+    "inf": math.inf, "nan": math.nan,
+}
+
+
+def _literal(v) -> str:
+    """Source of one operand: a local's name, or a float constant (inf and
+    nan are names bound in the namespace of the written code)."""
+    if isinstance(v, str):
+        return v
+    text = "nan" if v != v else repr(abs(v))
+    return f"(-{text})" if math.copysign(1.0, v) < 0.0 else text
+
+
+def _compiled(source: str, names: dict):
+    """The one function that `source` defines, compiled with a copy of
+    `names` as its globals."""
+    namespace = dict(names)
+    exec(compile(source, "<finslab kernel>", "exec"), namespace)
+    return namespace[source[len("def "):source.index("(")]]
+
+
+def taylor_source(name: str, u: str, order: int, p: float, fresh
+                  ) -> tuple[list[str], list[str]]:
+    """The lines that bind the normalized derivatives f^(m)(u)/m!, m =
+    0..order, of the elementary function `name` (see `taylor`) at u, the
+    source of an argument (a local's name or a float constant), and the
+    local names of the derivatives, in order; fresh() gives a new local
+    name, and a name may stand for two derivatives.
+
+    The lines are indented relative to their block and load only their own
+    locals, u and the names of `TAYLOR_GLOBALS`.  A guard raises `refused`
+    off the function's domain, and a `try` around the lines that can over-
+    or underflow (an exponential, a power of u) turns OverflowError and
+    ZeroDivisionError into `overflows`.  Signs and factorials are folded
+    into float constants as Python folds them, and so are the factors
+    p - m + 1 of a power, so that each derivative is the float of its
+    formula:
+    - exp: e^u / m!;
+    - log: log u, then (-1)^(m+1) / (m u^m);
+    - powr (u^p) and sqrt (p = 0.5): u^p, then the (m-1)-th times
+      (p - m + 1) / (m u);
+    - sin and cos: the cycle of sin u, cos u, -sin u, -cos u, over m!;
+    - reciprocal: (-1)^m / u^(m+1).
+    Multiplying or dividing by 1 is left out, which changes no float."""
+    body: list[tuple[str, bool]] = []
+
+    def bind(expr: str, checked: bool = False) -> str:
+        """A new local for expr; a checked one can over- or underflow."""
+        local = fresh()
+        body.append((f"{local} = {expr}", checked))
+        return local
+
+    guard = None
+    if name == "exp":
+        e = bind(f"exp({u})", checked=True)
+        out = [e, e][:order + 1]
+        out += [bind(f"{e} / {_literal(float(math.factorial(m)))}")
+                for m in range(2, order + 1)]
+    elif name == "log":
+        guard = f"{u} <= 0.0"
+        out = [bind(f"log({u})")]
+        for m in range(1, order + 1):
+            power = u if m == 1 else f"({m} * {u} ** {m})"
+            out.append(bind(f"{_literal((-1.0) ** (m + 1))} / {power}", checked=m > 1))
+    elif name in ("powr", "sqrt"):
+        guard = f"{u} <= 0.0"
+        out = [bind(f"{u} ** {_literal(p)}", checked=True)]
+        for m in range(1, order + 1):
+            step = u if m == 1 else f"({m} * {u})"
+            out.append(bind(f"{out[-1]} * {_literal(p - m + 1)} / {step}"))
+    elif name in ("sin", "cos"):
+        guard = f"isinf({u})"
+        first, second = ((f"sin({u})", f"cos({u})") if name == "sin"
+                         else (f"cos({u})", f"-sin({u})"))
+        out = [bind(first)]
+        if order >= 1:
+            out.append(bind(second))
+        for m in range(2, order + 1):
+            sign = "-" if m % 4 >= 2 else ""
+            out.append(bind(f"{sign}{out[m % 2]} / {_literal(float(math.factorial(m)))}"))
+    elif name == "reciprocal":
+        guard = f"{u} == 0.0"
+        out = [bind(f"1.0 / {u}")]
+        out += [bind(f"{_literal((-1.0) ** m)} / {u} ** {m + 1}", checked=True)
+                for m in range(1, order + 1)]
+    else:
+        raise ValueError(f"unknown elementary function {name!r}")
+    lines = [] if guard is None else [f"if {guard}:", f"    raise refused({name!r}, {u})"]
+    for checked, run in groupby(body, key=itemgetter(1)):
+        run = [line for line, _ in run]
+        lines += (["try:", *(f"    {line}" for line in run),
+                   "except (OverflowError, ZeroDivisionError):",
+                   f"    raise overflows({name!r}, {u}) from None"] if checked else run)
+    return lines, out
+
+
+@lru_cache(maxsize=None)
+def _taylor_function(name: str, order: int, p: float):
+    """`taylor` of one function, order and exponent, compiled from the
+    lines of `taylor_source`."""
+    names = count()
+    lines, out = taylor_source(name, "u", order, p, lambda: f"d{next(names)}")
+    body = "".join(f"    {line}\n" for line in lines)
+    return _compiled(f"def taylor(u):\n{body}    return [{', '.join(out)}]\n",
+                     TAYLOR_GLOBALS)
+
 
 def taylor(name: str, u0: float, order: int, p: float = 0.5) -> list[float]:
     """Normalized derivatives f^(m)(u0)/m!, m = 0..order, of the elementary
     function `name` at u0: exp, log, sqrt, sin, cos, powr (u**p) or
-    reciprocal.  Raises EvaluationDomainError off the function's domain and
-    where a coefficient overflows.  A nan argument gives nan coefficients,
-    which the finiteness checks of the callers catch."""
-    try:
-        if name == "exp":
-            e = math.exp(u0)
-            return [e / math.factorial(m) for m in range(order + 1)]
-        if name == "log":
-            if u0 <= 0.0:
-                raise EvaluationDomainError(f"log of non-positive value {u0!r}")
-            return [math.log(u0)] + [(-1.0) ** (m + 1) / (m * u0 ** m)
-                                     for m in range(1, order + 1)]
-        if name in ("powr", "sqrt"):
-            if u0 <= 0.0:
-                raise EvaluationDomainError(
-                    f"fractional power of non-positive base {u0!r}")
-            out = [u0 ** p]
-            for m in range(1, order + 1):
-                out.append(out[-1] * (p - m + 1) / (m * u0))
-            return out
-        if name in ("sin", "cos"):
-            if math.isinf(u0):
-                raise EvaluationDomainError(f"{name} of non-finite value {u0!r}")
-            s, c = math.sin(u0), math.cos(u0)
-            cycle = [s, c, -s, -c] if name == "sin" else [c, -s, -c, s]
-            return [cycle[m % 4] / math.factorial(m) for m in range(order + 1)]
-        if name == "reciprocal":
-            if u0 == 0.0:
-                raise EvaluationDomainError("division by a jet with zero value part")
-            return [(-1.0) ** m / u0 ** (m + 1) for m in range(order + 1)]
-    except (OverflowError, ZeroDivisionError):   # a power of u0 over- or underflows
-        raise EvaluationDomainError(f"{name} overflows at {u0!r}") from None
-    raise ValueError(f"unknown elementary function {name!r}")
+    reciprocal, by the lines of `taylor_source`.  Raises
+    EvaluationDomainError off the function's domain and where a power of u0
+    over- or underflows.  A nan argument gives nan coefficients, which the
+    finiteness checks of the callers catch."""
+    if name not in ("powr", "sqrt"):
+        p = 0.5
+    elif p != p:
+        p = math.nan        # one nan object, which the cache finds again
+    return _taylor_function(name, order, p)(u0)
 
 
 def taylor_rows(name: str, c: np.ndarray, order: int, p: float = 0.5) -> np.ndarray:

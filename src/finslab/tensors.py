@@ -22,8 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dsl import MetricDefinition, SampleBatch, TangentSample, _compiled
+from .dsl import MetricDefinition, SampleBatch, TangentSample
 from .errors import EvaluationDomainError, InadmissibleSample, SingularMetric
+from .jets import _compiled
 
 DEGENERACY_TOL = 1e-12
 
@@ -74,10 +75,10 @@ class CartanTensor:
 def _fiber_partials(m: MetricDefinition, v: TangentSample | SampleBatch,
                     degree: int) -> np.ndarray:
     """The degree-d fiber partials of L at the sample, from one jet of
-    order max(d, 2), with a leading sample axis at a `SampleBatch`."""
+    order d, with a leading sample axis at a `SampleBatch`."""
     _require_admissible(m, v)
     fiber = slice(v.dim, None)
-    return m.jet(v, max(degree, 2)).partials(degree)[(..., *(fiber,) * degree)]
+    return m.jet(v, degree).partials(degree)[(..., *(fiber,) * degree)]
 
 
 def fundamental_tensor(m: MetricDefinition, v: TangentSample | SampleBatch
@@ -91,9 +92,12 @@ def cartan_tensor(m: MetricDefinition, v: TangentSample | SampleBatch) -> Cartan
     return CartanTensor(0.25 * _fiber_partials(m, v, 3), v)
 
 
-def legendre(m: MetricDefinition, v: TangentSample | SampleBatch) -> np.ndarray:
-    """The covector g_v(v, .), computed as half the fiber gradient."""
-    return 0.5 * _fiber_partials(m, v, 1)
+def legendre(m: MetricDefinition, v: TangentSample) -> np.ndarray:
+    """The covector g_v(v, .), computed as half the fiber gradient, after
+    the one domain check, from the one-point order-2 jet: the first fiber
+    partial dL/dy^l is coefficient n - l (`JetSpace.partial_slots`)."""
+    _require_admissible(m, v)
+    return 0.5 * np.array(m._point_jet(m._point(v.x, v.y), 2)[v.dim:0:-1])
 
 
 def inverse_metric(g: FundamentalTensor | np.ndarray) -> np.ndarray:

@@ -4,8 +4,10 @@ objects in the full 2n-variable jet space.
 This is the path the compiled `dsl.Tape` replaced: every variable is seeded
 with `Jet.variable` over all 2n variables, constant subtrees evaluate as
 floats, and each node applies plain `Jet` (or float) arithmetic.  The
-elementary functions are its own copies, so a slip in `jets.taylor` shows
-up as a disagreement.  It is slow and kept only as an oracle for the tape.
+Taylor coefficients of the elementary functions and of a reciprocal are its
+own copies of the formulas (`taylor`), not the lines that `jets` writes, so
+a slip in those shows up as a disagreement.  It is slow and kept only as an
+oracle for the tape.
 """
 
 import math
@@ -17,61 +19,89 @@ from finslab.errors import EvaluationDomainError
 from finslab.jets import Jet, jet_space
 
 
-def _compose(u, derivs):
-    return u._compose(derivs)
+def taylor(name: str, u0: float, order: int, p: float = 0.5) -> list[float]:
+    """Normalized derivatives f^(m)(u0)/m!, m = 0..order, of the elementary
+    function `name` at u0, each from its textbook formula: exp, log, powr
+    (u**p) and sqrt (p = 0.5), sin and cos, reciprocal.  Off the domain,
+    and where a power of u0 over- or underflows, it raises the
+    EvaluationDomainError of `jets.taylor`, with the same text."""
+    try:
+        if name == "exp":
+            e = math.exp(u0)
+            return [e / math.factorial(m) for m in range(order + 1)]
+        if name == "log":
+            if u0 <= 0.0:
+                raise EvaluationDomainError(f"log of non-positive value {u0!r}")
+            return [math.log(u0)] + [(-1.0) ** (m + 1) / (m * u0 ** m)
+                                     for m in range(1, order + 1)]
+        if name in ("powr", "sqrt"):
+            if u0 <= 0.0:
+                raise EvaluationDomainError(f"fractional power of non-positive base {u0!r}")
+            out = [u0 ** p]
+            for m in range(1, order + 1):
+                out.append(out[-1] * (p - m + 1) / (m * u0))
+            return out
+        if name in ("sin", "cos"):
+            if math.isinf(u0):
+                raise EvaluationDomainError(f"{name} of non-finite value {u0!r}")
+            s, c = math.sin(u0), math.cos(u0)
+            cycle = [s, c, -s, -c] if name == "sin" else [c, -s, -c, s]
+            return [cycle[m % 4] / math.factorial(m) for m in range(order + 1)]
+        if name == "reciprocal":
+            if u0 == 0.0:
+                raise EvaluationDomainError("division by a jet with zero value part")
+            return [(-1.0) ** m / u0 ** (m + 1) for m in range(order + 1)]
+    except (OverflowError, ZeroDivisionError):
+        raise EvaluationDomainError(f"{name} overflows at {u0!r}") from None
+    raise ValueError(f"unknown elementary function {name!r}")
+
+
+def _compose(u, name, p=0.5):
+    """f(u) of a jet, from the normalized derivatives of `taylor`."""
+    return u._compose(taylor(name, u.value, u.order, p))
 
 
 def _exp(u):
+    if isinstance(u, Jet):
+        return _compose(u, "exp")
     try:
-        e = math.exp(u.value if isinstance(u, Jet) else u)
+        return math.exp(u)
     except OverflowError:
         raise EvaluationDomainError(f"exp overflows at {u!r}") from None
-    if not isinstance(u, Jet):
-        return e
-    return _compose(u, [e / math.factorial(m) for m in range(u.order + 1)])
 
 
 def _log(u):
-    u0 = u.value if isinstance(u, Jet) else u
-    if u0 <= 0.0:
-        raise EvaluationDomainError(f"log of non-positive value {u0!r}")
-    if not isinstance(u, Jet):
-        return math.log(u)
-    return _compose(u, [math.log(u0)] + [(-1.0) ** (m + 1) / (m * u0 ** m)
-                                         for m in range(1, u.order + 1)])
+    if isinstance(u, Jet):
+        return _compose(u, "log")
+    if u <= 0.0:
+        raise EvaluationDomainError(f"log of non-positive value {u!r}")
+    return math.log(u)
 
 
 def _powr(u, p):
-    u0 = u.value if isinstance(u, Jet) else u
-    if u0 <= 0.0:
-        raise EvaluationDomainError(f"fractional power of non-positive base {u0!r}")
-    if not isinstance(u, Jet):
-        return u ** p
-    out = [u0 ** p]
-    for m in range(1, u.order + 1):
-        out.append(out[-1] * (p - m + 1) / (m * u0))
-    return _compose(u, out)
+    if isinstance(u, Jet):
+        return _compose(u, "powr", p)
+    if u <= 0.0:
+        raise EvaluationDomainError(f"fractional power of non-positive base {u!r}")
+    return u ** p
 
 
 def _sqrt(u):
-    if not isinstance(u, Jet):
-        if u <= 0.0:
-            raise EvaluationDomainError(f"sqrt of non-positive value {u!r}")
-        return math.sqrt(u)
-    return _powr(u, 0.5)
+    if isinstance(u, Jet):
+        return _compose(u, "powr", 0.5)
+    if u <= 0.0:
+        raise EvaluationDomainError(f"sqrt of non-positive value {u!r}")
+    return math.sqrt(u)
 
 
-def _trig(cycle_of):
-    def f(u):
-        if not isinstance(u, Jet):
-            return cycle_of(u)[0]
-        cycle = cycle_of(u.value)
-        return _compose(u, [cycle[m % 4] / math.factorial(m) for m in range(u.order + 1)])
-    return f
+def _sin(u):
+    return _compose(u, "sin") if isinstance(u, Jet) else math.sin(u)
 
 
-_sin = _trig(lambda u0: [math.sin(u0), math.cos(u0), -math.sin(u0), -math.cos(u0)])
-_cos = _trig(lambda u0: [math.cos(u0), -math.sin(u0), -math.cos(u0), math.sin(u0)])
+def _cos(u):
+    return _compose(u, "cos") if isinstance(u, Jet) else math.cos(u)
+
+
 FUNCTIONS = {"exp": _exp, "log": _log, "sqrt": _sqrt, "sin": _sin, "cos": _cos}
 
 
@@ -79,7 +109,7 @@ def _int_pow(u, p):
     """u^p by repeated multiplication, not the library's repeated squaring."""
     if p == 0:
         return Jet.constant(u.space, 1.0)
-    base = u if p > 0 else u.reciprocal()
+    base = u if p > 0 else _compose(u, "reciprocal")
     out = base
     for _ in range(abs(p) - 1):
         out = out * base
@@ -102,7 +132,9 @@ def evaluate(node, xs, ys):
         return evaluate(node.a, xs, ys) * evaluate(node.b, xs, ys)
     if isinstance(node, dsl.Div):
         den = evaluate(node.b, xs, ys)
-        if not isinstance(den, Jet) and den == 0.0:
+        if isinstance(den, Jet):
+            return evaluate(node.a, xs, ys) * _compose(den, "reciprocal")
+        if den == 0.0:
             raise EvaluationDomainError("division by zero")
         return evaluate(node.a, xs, ys) / den
     if isinstance(node, dsl.Pow):

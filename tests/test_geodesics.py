@@ -6,7 +6,7 @@ import collections
 import numpy as np
 import pytest
 
-from finslab import conformal, dsl, experiments, geodesics
+from finslab import conformal, connection, dsl, experiments, geodesics, jets, tensors
 from finslab.errors import (DomainExit, EvaluationDomainError, FinslabError,
                             NoConvergence, PositivityFailure, TransversalityFailure)
 import sphere_reference
@@ -198,6 +198,39 @@ def test_projection_transversality_guard(minkowski3):
     # w with g(v, w) = 0: w = (1, 1, 0) since g(v,w) = -1 + 1 = 0
     with pytest.raises(TransversalityFailure):
         geodesics.project_to_lightcone(minkowski3, v, [1.0, 1.0, 0.0])
+
+
+def test_no_one_point_path_calls_taylor(einstein, bogoslovsky, monkeypatch):
+    """The RK stages of an einstein-static geodesic, a bogoslovsky2
+    projection, and the spray and the Legendre covector at one sample run
+    their elementary functions as written lines: at admissible points they
+    make no call of `jets.taylor`.  A jet over a `SampleBatch`, whose row
+    program does call it, shows that the counter counts."""
+    calls = []
+    plain = jets.taylor
+
+    def counting(*args):
+        calls.append(args)
+        return plain(*args)
+
+    # fresh definitions, whose kernels are written and compiled under the patch
+    monkeypatch.setattr(jets, "taylor", counting)
+    monkeypatch.setattr(dsl, "_KERNELS", {})
+    monkeypatch.setattr(dsl, "_FLOAT_KERNELS", {})
+    einstein, bogoslovsky = (
+        dsl.MetricDefinition(m.name, m.dim, m.degree, m.body, m.domain, m.sample_box)
+        for m in (einstein, bogoslovsky))
+    curve = geodesics.integrate_geodesic(einstein, [0, np.pi / 2, 0], [1, 0.2, 0.9],
+                                         (0, 0.5), 0.05)
+    assert curve.grid.size == 11
+    v = dsl.TangentSample([0, 0], [2.0, 1.9])
+    out = geodesics.project_to_lightcone(bogoslovsky, v, [1.0, 0.0])
+    connection.spray_coefficients(einstein, dsl.TangentSample(curve.positions[3],
+                                                              curve.velocities[3]))
+    tensors.legendre(bogoslovsky, out)
+    assert calls == []
+    bogoslovsky.jet(dsl.SampleBatch([out.x], [out.y]), 2)
+    assert len(calls) == 2          # pow(y0 - y1, 1.3) and pow(y0 + y1, 0.7)
 
 
 def test_projection_fails_on_a_metric_without_zeros():

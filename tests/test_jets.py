@@ -1,12 +1,16 @@
 """Jet arithmetic: variables, extraction, exactness, and the finite-difference
 cross-check oracle."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from finslab import dsl, jets
+from finslab.errors import EvaluationDomainError
+import expr_reference
 import finitediff
 
 
@@ -258,3 +262,86 @@ def test_product_over_subsets_of_the_variables_matches_the_full_product(left, ri
         full = jets.product(lift(a, left, every)[:-1], lift(b, right, every)[:-1],
                             space.product_plan())
         assert got.tobytes() == full.tobytes()
+
+
+# Every elementary function, and powr at exponents below, between and above
+# the orders' factors (and nan), at the edges of the float range (signed
+# zeros, a subnormal, exp's overflow and underflow, infinities, nan,
+# negatives) and at random values of every magnitude.
+ELEMENTARY = [("exp", 0.5), ("log", 0.5), ("sqrt", 0.5), ("sin", 0.5), ("cos", 0.5),
+              ("reciprocal", 0.5)] + [("powr", p) for p in (1.3, 0.7, -0.7, 0.5, 2.5, 1e-3,
+                                                             math.nan)]
+
+
+def _arguments() -> list[float]:
+    rng = np.random.default_rng(11)
+    edges = [0.0, -0.0, 1e-320, -1e-320, 1e-300, -1e-300, 1e300, -1e300, 709.8, 710.0,
+             -745.0, -746.0, math.inf, -math.inf, math.nan, -0.5, -2.0, -3e10, 1.0,
+             0.5, math.pi, 1.2e154, 1e-160]
+    magnitudes = 10.0 ** rng.uniform(-320, 308, 200) * rng.choice([-1.0, 1.0], 200)
+    return edges + (magnitudes.tolist() + rng.uniform(-10, 10, 200).tolist()
+                    + rng.uniform(-800, 800, 200).tolist())
+
+
+ARGUMENTS = _arguments()
+
+
+def _taylor_outcome(fn):
+    """The bits of a list of floats, or the type and text of the error."""
+    try:
+        return np.array(fn(), dtype=float).tobytes()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("name, p", ELEMENTARY)
+def test_the_written_taylor_lines_match_the_formulas(name, p):
+    """`jets.taylor`, which runs the lines of `jets.taylor_source`, gives the
+    textbook formulas of tests/expr_reference.py bit for bit at orders 0-4,
+    and where they fail, an error of the same type and text."""
+    mismatches = [
+        (order, u) for order in range(5) for u in ARGUMENTS
+        if _taylor_outcome(lambda: jets.taylor(name, u, order, p))
+        != _taylor_outcome(lambda: expr_reference.taylor(name, u, order, p))]
+    assert not mismatches, mismatches[:5]
+
+
+def test_a_taylor_function_compiles_once():
+    """`jets.taylor` compiles one function per (name, order, exponent):
+    calling it again, with a nan exponent too, compiles nothing more."""
+    for p in (1.3, float("nan"), float("nan")):
+        jets.taylor("powr", 2.0, 3, p)
+    compiled = jets._taylor_function.cache_info().currsize
+    for p in (1.3, float("nan"), float("nan"), 0.5):
+        jets.taylor("powr", 2.0, 3, p)
+        jets.taylor("sin", 2.0, 3, p)
+    assert jets._taylor_function.cache_info().currsize <= compiled + 2
+
+
+def _reference_value(name: str, u: float, p: float) -> list[float]:
+    """The float of a function in the float program: the order-0 formula,
+    or the float sqrt; a value that is not finite fails as `Tape.floats`
+    does."""
+    if name == "sqrt":
+        v = expr_reference.FUNCTIONS["sqrt"](u)
+    else:
+        v = expr_reference.taylor(name, u, 0, p)[0]
+    if not math.isfinite(v):
+        raise EvaluationDomainError(f"value {v!r} is not finite")
+    return [v]
+
+
+@pytest.mark.parametrize("name, p", [(name, p) for name, p in ELEMENTARY
+                                     if name != "reciprocal" and math.isfinite(p)])
+def test_the_written_float_lines_match_the_formulas(name, p):
+    """The float program of f(x0), written inline by `dsl._float_source`,
+    gives the order-0 formula (or the float sqrt) bit for bit, and where it
+    fails, an error of the same type and text.  (A tape has no reciprocal
+    operation, and refuses a non-finite exponent when it is built.)"""
+    x0 = dsl.Var("x", 0)
+    tree = dsl.Pow(x0, p) if name == "powr" else dsl.Func(name, x0)
+    tape = dsl.Tape((tree,), 1)
+    mismatches = [u for u in ARGUMENTS
+                  if _taylor_outcome(lambda: tape.floats([u, 1.0]))
+                  != _taylor_outcome(lambda: _reference_value(name, u, p))]
+    assert not mismatches, mismatches[:5]

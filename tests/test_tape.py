@@ -240,11 +240,21 @@ def test_one_kernel_per_program_and_order(monkeypatch):
     assert len(sources) == 2 * len(ORDERS)
 
 
+# the fixed names and keywords of the lines that `jets.taylor_source` writes
+TAYLOR_LINE_NAMES = {"if", "raise", "try", "except", "from", "None", "OverflowError",
+                     "ZeroDivisionError", "isinf", "refused", "overflows", "exp", "log",
+                     "sin", "cos"}
+# the strings of those lines: the names of the elementary functions
+TAYLOR_LINE_STRINGS = set(dsl._FUNCTIONS) | {"powr", "reciprocal"}
+
+
 def test_no_metric_text_reaches_a_kernel_source(monkeypatch, tmp_path):
-    """A kernel's source holds local names, indices, float constants and the
-    names of the fixed function set, never text of the metric: not a
-    name= header with quotes and Python code in it, nor a name with
-    newlines given to the parser."""
+    """A kernel's source holds local names, indices, float constants, the
+    fixed names of the written elementary functions and the strings of the
+    fixed function set, never text of the metric: not a name= header with
+    quotes and Python code in it, nor a name with newlines given to the
+    parser.  A metric named like one of the fixed names (sin) writes the
+    source that the same text under another name writes."""
     sources = _counting_compiles(monkeypatch)
     header = """__import__('os').system("echo x") # ''' \"\"\" \\n"""
     path = tmp_path / "evil.metric"
@@ -253,12 +263,18 @@ def test_no_metric_text_reaches_a_kernel_source(monkeypatch, tmp_path):
              dsl.parse_metric("pow(y0, 2.5) / y1", 2, name="a\nb'\"c\nimport sys",
                               domain=("y0", "y1"))]
     assert named[0].name == header.strip()
+    text = "dim=2\nlog(x0 + 2) * y0^2 + cos(x1) * sin(y1)^2 * y1^2\n"
+    fixed = dsl.parse_metric_file(f"name=sin\n{text}")
+    plain = dsl.parse_metric_file(f"name=plain\n{text}")
     v = dsl.TangentSample([0.3, 0.1], [1.0, 0.5])
-    for m in named:
+    for m in named + [fixed]:
         for order in ORDERS:
             m.jet(v, order)
-    assert len(sources) == 2 * len(ORDERS)
-    allowed = {"def", "kernel", "p", "return", "taylor", "inf", "nan"}
+    assert len(sources) == 3 * len(ORDERS)
+    for order in ORDERS:
+        assert (dsl._KernelWriter(fixed._body, order).source()
+                == dsl._KernelWriter(plain._body, order).source())
+    allowed = {"def", "kernel", "p", "return", "inf", "nan"} | TAYLOR_LINE_NAMES
     layout = {tokenize.NUMBER, tokenize.OP, tokenize.NEWLINE, tokenize.NL,
               tokenize.INDENT, tokenize.DEDENT, tokenize.ENDMARKER}
     for source in sources:
@@ -268,7 +284,7 @@ def test_no_metric_text_reaches_a_kernel_source(monkeypatch, tmp_path):
             if tok.type == tokenize.NAME:
                 assert tok.string in allowed or re.fullmatch(r"t\d+", tok.string), tok
             elif tok.type == tokenize.STRING:
-                assert ast.literal_eval(tok.string) in dsl._TAYLOR_NAMES, tok
+                assert ast.literal_eval(tok.string) in TAYLOR_LINE_STRINGS, tok
             else:
                 assert tok.type in layout, tok
 
@@ -338,9 +354,11 @@ def test_one_float_kernel_per_program(monkeypatch):
 
 def test_no_metric_text_reaches_a_float_or_solve_source(monkeypatch, tmp_path):
     """The float kernels hold local names, indices, float constants, the
-    names of `dsl._FLOAT_NAMES` and the names of the fixed function set,
-    never text of the metric; the written solvers and sprays hold only the
-    names of their locals and of `tensors._ELIMINATION_NAMES`."""
+    names of `dsl._FLOAT_NAMES`, the keywords of the written elementary
+    functions and the strings of the fixed function set, never text of the
+    metric, and a metric named like a fixed name (sqrt) writes the source of
+    the same text under another name; the written solvers and sprays hold
+    only the names of their locals and of `tensors._ELIMINATION_NAMES`."""
     sources = _float_sources(monkeypatch)
     header = """__import__('os').system("echo x") # \'\'\' \"\"\" \\n"""
     path = tmp_path / "evil.metric"
@@ -349,16 +367,22 @@ def test_no_metric_text_reaches_a_float_or_solve_source(monkeypatch, tmp_path):
     named = [dsl.load_metric_file(path),
              dsl.parse_metric("pow(y0, 2.5) / y1", 2, name="a\nb'\"c\nimport sys",
                               domain=("y0", "y1", "1 / y0 - 1e300", "pow(y0, 3) + 2 / x0"))]
+    text = "dim=2\ndomain=sqrt(x0 + 2)\nlog(x0 + 2) * y0^2 + cos(x1) * pow(y1, 4)\n"
+    fixed = dsl.parse_metric_file(f"name=sqrt\n{text}")
+    plain = dsl.parse_metric_file(f"name=plain\n{text}")
     v = dsl.TangentSample([0.3, 0.1], [1.0, 0.5])
-    for m in named:
+    for m in named + [fixed]:
         m.value_at(v)
         m.admissible(v)
-    assert len(sources) == 2 * 2
-    float_names = set(dsl._FLOAT_NAMES) | {"def", "floats", "p", "return"}
+    assert len(sources) == 3 * 2
+    for tape, twin in ((fixed._body, plain._body), (fixed._domain, plain._domain)):
+        assert dsl._float_source(tape) == dsl._float_source(twin)
+    float_names = set(dsl._FLOAT_NAMES) | TAYLOR_LINE_NAMES | {
+        "def", "floats", "p", "return", "else"}
     for source in sources:
         for m in named:
             assert m.name not in source
-        _check_tokens(source, float_names, r"t\d+", dsl._TAYLOR_NAMES)
+        _check_tokens(source, float_names, r"t\d+", TAYLOR_LINE_STRINGS)
     solve_names = set(tensors._ELIMINATION_NAMES) | {
         "def", "solve", "spray", "g", "r", "c", "y", "return", "None", "if", "elif",
         "not", "and", "else", "raise", "abs", "max", "scale", "s", "det", "p", "big", "f"}
