@@ -13,7 +13,7 @@ from .curves import DiscreteCurve, Reparametrization
 from .dsl import (MetricDefinition, SampleBatch, TangentSample,
                   builtin_metric, builtin_names, load_metric_file,
                   parse_expression, parse_metric, pretty, sample_admissible)
-from .errors import (ConfigError, DomainExit, EvaluationDomainError,
+from .errors import (ConfigError, CurveCheckFailure, DomainExit, EvaluationDomainError,
                      ExpressionError, FinslabError, InadmissibleSample,
                      IncompatiblePair, NoAdmissibleSample, NoConvergence,
                      PositivityFailure, SingularMetric, TransversalityFailure)

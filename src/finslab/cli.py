@@ -32,8 +32,8 @@ from .experiments import great_circle_patch
 from .geodesics import (integrate_geodesic, pregeodesic_residual,
                         probe_vector, project_to_lightcone,
                         reparametrize_conformal)
-from .tensors import (FundamentalTensor, cartan_tensor, fundamental_tensor,
-                      inverse_metric)
+from .tensors import (FundamentalTensor, _require_nondegenerate, cartan_tensor,
+                      fundamental_tensor)
 from .variational import (CurveGeometry, SubmanifoldPatch, VariationField,
                           energy_derivative_fd, find_focal_points,
                           first_variation, second_variation,
@@ -294,7 +294,7 @@ def _tensors_at(m: MetricDefinition, batch: SampleBatch) -> tuple[np.ndarray, ..
     over samples."""
     twice = SampleBatch(batch.x, 2.0 * batch.y)
     g = fundamental_tensor(m, batch).matrix
-    inverse_metric(g)   # SingularMetric on a degenerate metric
+    _require_nondegenerate(g)   # SingularMetric on a degenerate metric
     return (g, m.value_at(batch), fundamental_tensor(m, twice).matrix,
             cartan_tensor(m, batch).array, cartan_tensor(m, twice).array)
 
@@ -331,7 +331,7 @@ def run_conformal_pregeodesic(cfg: Config, seed: int, report: Report) -> None:
     x0, v0, t1, h = _curve_inputs(cfg, m, step=1e-3, t0=t0)
     tol = _tolerance(cfg, 1e-6)
     start = _lightlike_start(m, x0, v0)
-    scaled, _ = scale_metric(m, lam, sample_budget=8, seed=seed)
+    scaled = scale_metric(m, lam, sample_budget=8, seed=seed)
     curve = integrate_geodesic(scaled, start.x, start.y, (t0, t1), h)
     report.check("scaled-geodesic-base-residual",
                  pregeodesic_residual(curve, m, lam), tol)
@@ -354,7 +354,7 @@ def run_variation(cfg: Config, seed: int, report: Report) -> None:
     start = _lightlike_start(m, x0, v0)
     metric_for_curve = m
     if lam is not None:
-        metric_for_curve, _ = scale_metric(m, lam, sample_budget=8, seed=seed)
+        metric_for_curve = scale_metric(m, lam, sample_budget=8, seed=seed)
     curve = integrate_geodesic(metric_for_curve, start.x, start.y, (0.0, t1), h)
     if curve.grid.size < MIN_VARIATION_NODES:
         raise ConfigError(f"{cfg.path}: the curve has {curve.grid.size} nodes; a "
@@ -391,7 +391,10 @@ def _patch_from_config(cfg: Config, x0, v0) -> SubmanifoldPatch:
     raise ConfigError(f"unknown patch spec {patch_kind!r} (use point or circle:<rho>)")
 
 
-def _parse_expected(cfg: Config) -> list[tuple[float, int]]:
+def _parse_expected(cfg: Config, t1: float, n: int) -> list[tuple[float, int]]:
+    """The [run] expected entries param:mult; a focal point that a curve on
+    (0, t1] of an n-dimensional metric can have needs a finite param in
+    (0, t1] and a mult in [1, n]."""
     raw = cfg.get("run", "expected", default="")
     out = []
     for item in raw.split(","):
@@ -400,9 +403,13 @@ def _parse_expected(cfg: Config) -> list[tuple[float, int]]:
             continue
         try:
             param, mult = item.split(":")
-            out.append((float(param), int(mult)))
+            param, mult = float(param), int(mult)
         except ValueError:
             raise ConfigError(f"bad expected focal entry {item!r} (want param:mult)")
+        if not (0.0 < param <= t1 and 1 <= mult <= n):
+            raise ConfigError(f"{cfg.path}: expected focal entry {item!r} needs a "
+                              f"parameter in (0, {t1!r}] and a multiplicity in [1, {n}]")
+        out.append((param, mult))
     return out
 
 
@@ -413,7 +420,7 @@ def run_focal(cfg: Config, seed: int, report: Report) -> None:
     curve = integrate_geodesic(m, x0, v0, (0.0, t1), h)
     patch = _patch_from_config(cfg, x0, v0)
     found = find_focal_points(curve, patch, m)
-    expected = _parse_expected(cfg)
+    expected = _parse_expected(cfg, t1, m.dim)
     report.check("focal-count", len(found) - len(expected), 0.5,
                  passed=len(found) == len(expected))
     for k, ((param, mult), fp) in enumerate(zip(expected, found)):
@@ -429,7 +436,7 @@ def run_focal_correspondence(cfg: Config, seed: int, report: Report) -> None:
     x0, v0, t1, h = _curve_inputs(cfg, m, step=5e-3)
     tol = _tolerance(cfg, 1e-4)
     start = _lightlike_start(m, x0, v0)
-    scaled, _ = scale_metric(m, lam, sample_budget=8, seed=seed)
+    scaled = scale_metric(m, lam, sample_budget=8, seed=seed)
     v_scaled = start.y / lam.value_at(start)
     curve = integrate_geodesic(scaled, start.x, v_scaled, (0.0, t1), h)
     patch = _patch_from_config(cfg, start.x, start.y)

@@ -7,8 +7,9 @@ plain quotient L2/L1 away from the cone; on the cone, where the quotient is
 is well defined for any probe w transversal to the cone.
 
 `lightcones_coincide` takes one sample at a time: its probe vector, its
-projection onto the source cone, then the values and the factor at the
-projected sample.
+projection onto the source cone, then the other metric's value at the
+projected sample.  `scale_metric` forms the product factor * metric and
+checks the factor's sign at sampled points.
 """
 
 from __future__ import annotations
@@ -21,10 +22,10 @@ from .dsl import Div, MetricDefinition, Mul, Num, TangentSample, pretty, sample_
 from .errors import (IncompatiblePair, NoConvergence, PositivityFailure,
                      TransversalityFailure)
 from .geodesics import LIGHTLIKE_TOL, probe_vector, project_to_lightcone
-from .tensors import _require_admissible, fundamental_tensor, legendre
+from .tensors import _require_admissible, legendre
 
 __all__ = [
-    "ConformalPair", "CoincidenceReport", "ScaleReport",
+    "ConformalPair", "CoincidenceReport",
     "lightcones_coincide", "anisotropy_factor", "scale_metric",
     "inverse_factor",
 ]
@@ -50,23 +51,12 @@ class ConformalPair:
 
 
 @dataclass
-class ConeSampleRecord:
-    sample: np.ndarray          # projected fiber vector on the source cone
-    L1: float
-    L2: float
-    mu: float | None            # pairing-ratio factor, when the probe pairs
-    w_used: np.ndarray
-    violation: float
-
-
-@dataclass
 class CoincidenceReport:
     verdict: bool
     max_violation: float
     samples: int
     projection_failures: int
     empty_cones: list[str] = field(default_factory=list)
-    records: list[ConeSampleRecord] = field(default_factory=list)
 
 
 def lightcones_coincide(pair: ConformalPair, tol: float = COINCIDENCE_TOL
@@ -82,8 +72,7 @@ def lightcones_coincide(pair: ConformalPair, tol: float = COINCIDENCE_TOL
     used = 0
     failures = 0
     empty = []
-    records = []
-    for source in (pair.L1, pair.L2):
+    for source, other in ((pair.L1, pair.L2), (pair.L2, pair.L1)):
         hits = 0
         for v in sample_admissible(source, rng, count=pair.sample_budget):
             try:
@@ -94,23 +83,14 @@ def lightcones_coincide(pair: ConformalPair, tol: float = COINCIDENCE_TOL
                 continue
             hits += 1
             used += 1
-            l1, l2 = pair.L1.value_at(vstar), pair.L2.value_at(vstar)
             # the other metric's value on the cone of source
-            violation = (abs(l2 if source is pair.L1 else l1)
-                         / max(1.0, float(vstar.y @ vstar.y)))
+            violation = abs(other.value_at(vstar)) / max(1.0, float(vstar.y @ vstar.y))
             worst = max(worst, violation)
-            try:
-                mu = anisotropy_factor(pair, vstar, w=w)
-            except TransversalityFailure:
-                mu = None
-            records.append(ConeSampleRecord(sample=vstar.y, L1=l1, L2=l2, mu=mu, w_used=w,
-                                            violation=violation))
         if hits == 0:
             empty.append(source.name)
     verdict = not empty and worst <= tol
     return CoincidenceReport(verdict=verdict, max_violation=worst, samples=used,
-                             projection_failures=failures, empty_cones=empty,
-                             records=records)
+                             projection_failures=failures, empty_cones=empty)
 
 
 def anisotropy_factor(pair: ConformalPair, v: TangentSample, w="auto") -> float:
@@ -147,23 +127,14 @@ def inverse_factor(lam: MetricDefinition) -> MetricDefinition:
         sample_box=lam.sample_box)
 
 
-@dataclass
-class ScaleReport:
-    min_abs_det: float
-    samples: int
-    nondegenerate: bool
-    min_factor: float
-
-
 def scale_metric(m: MetricDefinition, lam: MetricDefinition,
-                 sample_budget: int = 64, seed: int = 0
-                 ) -> tuple[MetricDefinition, ScaleReport]:
-    """Product definition factor * metric, with a nondegeneracy survey.
+                 sample_budget: int = 64, seed: int = 0) -> MetricDefinition:
+    """Product definition factor * metric.
 
     Raises IncompatiblePair unless m has degree 2 and lam degree 0 in the
     same dimension, and PositivityFailure if the factor is not strictly
-    positive on the sampled domain.  The report flags (without raising)
-    samples where the scaled fundamental tensor gets close to degenerate.
+    positive at sample_budget admissible samples of the product, drawn from
+    seed.
     """
     if m.degree != 2:
         raise IncompatiblePair(f"{m.name!r} is declared with degree {m.degree}, expected 2")
@@ -181,17 +152,9 @@ def scale_metric(m: MetricDefinition, lam: MetricDefinition,
         domain=m.domain + extra,
         sample_box=m.sample_box,
     )
-    rng = np.random.default_rng(seed)
-    min_det = np.inf
-    min_factor = np.inf
-    for v in sample_admissible(scaled, rng, count=sample_budget):
+    for v in sample_admissible(scaled, np.random.default_rng(seed), count=sample_budget):
         fac = lam.value_at(v)
-        min_factor = min(min_factor, fac)
         if fac <= 0.0:
             raise PositivityFailure(
                 f"factor {lam.name!r} is {fac!r} at {v!r}")
-        min_det = min(min_det, abs(fundamental_tensor(scaled, v).det))
-    report = ScaleReport(min_abs_det=float(min_det), samples=sample_budget,
-                         nondegenerate=bool(min_det >= 1e-10),
-                         min_factor=float(min_factor))
-    return scaled, report
+    return scaled

@@ -66,5 +66,10 @@ class IncompatiblePair(FinslabError, ValueError):
     degrees 2 and 0."""
 
 
+class CurveCheckFailure(FinslabError, ValueError):
+    """A curve given to a curve operation is not lightlike, or not a
+    geodesic, of the metric the operation needs it to be."""
+
+
 class ConfigError(FinslabError):
     """Bad experiment configuration (missing file, unknown key, bad value)."""

@@ -26,9 +26,9 @@ import numpy as np
 from .connection import _curve_points, _scalar_partials_along, _spray, _sprays_along
 from .curves import DiscreteCurve, Reparametrization
 from .dsl import MetricDefinition, TangentSample
-from .errors import (DomainExit, EvaluationDomainError, FinslabError,
-                     InadmissibleSample, NoConvergence, PositivityFailure,
-                     TransversalityFailure)
+from .errors import (CurveCheckFailure, DomainExit, EvaluationDomainError,
+                     FinslabError, InadmissibleSample, NoConvergence,
+                     PositivityFailure, TransversalityFailure)
 from .numerics import cumulative_simpson, simpson
 from .tensors import _inadmissible, legendre
 
@@ -253,10 +253,11 @@ def lightlike_defect(curve: DiscreteCurve, m: MetricDefinition) -> float:
 
 
 def check_lightlike(curve: DiscreteCurve, m: MetricDefinition) -> None:
-    """ValueError unless the lightlike defect stays within LIGHTLIKE_TOL."""
+    """CurveCheckFailure unless the lightlike defect stays within
+    LIGHTLIKE_TOL."""
     defect = lightlike_defect(curve, m)
     if defect > LIGHTLIKE_TOL:
-        raise ValueError(f"curve is not lightlike: normalized |L| reaches {defect:.3e}")
+        raise CurveCheckFailure(f"curve is not lightlike: normalized |L| reaches {defect:.3e}")
 
 
 # --------------------------------------------------------------------------
@@ -311,8 +312,11 @@ def reparametrize_conformal(curve: DiscreteCurve, lam, m: MetricDefinition
     1/factor is a cumulative Simpson sum over the base curve's nodes, which
     the reparametrized curve keeps, with velocities and accelerations from
     the exact node data by the chain rule.  PositivityFailure, naming the
-    curve time, if the factor is not finite and positive at a node, and
-    FinslabError if it varies too fast for the step, so that the map stalls.
+    curve time, if the factor is not finite and positive at a node;
+    FinslabError, naming the first such curve time, if the map or the
+    rescaled node data is not finite there (a factor so small or so large
+    that 1/factor or a rescaled velocity overflows), or if the factor varies
+    too fast for the step, so that the map stalls.
     """
     check_lightlike(curve, m)
     phidots = factor_values(lam, curve)
@@ -322,13 +326,25 @@ def reparametrize_conformal(curve: DiscreteCurve, lam, m: MetricDefinition
         raise PositivityFailure(f"the conformal factor is {value!r} at t={t!r}, "
                                 f"not finite and positive")
     mus = curve.t0 + cumulative_simpson(1.0 / phidots, curve.grid)
+    _require_finite_nodes(curve, mus[:, None])
     # a Simpson step turns negative where 1/factor changes ~9-fold per step
-    stalls = np.flatnonzero(np.diff(mus) <= 0)
+    stalls = np.flatnonzero(~(np.diff(mus) > 0))
     if stalls.size:
         raise FinslabError(f"the conformal factor varies too fast for the curve's step "
                            f"near t={float(curve.grid[stalls[0]])!r}: the map stalls")
-    vel, acc = curve.velocities, curve.accelerations
+    vel = curve.velocities
     phiddots = factor_rate(lam, curve) * phidots
-    out = DiscreteCurve(mus, curve.positions, phidots[:, None] * vel,
-                        phiddots[:, None] * vel + (phidots ** 2)[:, None] * acc)
+    new_vel = phidots[:, None] * vel
+    new_acc = phiddots[:, None] * vel + (phidots ** 2)[:, None] * curve.accelerations
+    _require_finite_nodes(curve, new_vel, new_acc)
+    out = DiscreteCurve(mus, curve.positions, new_vel, new_acc)
     return Reparametrization(mus, curve.grid, phidots), out
+
+
+def _require_finite_nodes(curve: DiscreteCurve, *rows: np.ndarray) -> None:
+    """FinslabError naming the first curve time whose row, one row per node
+    across the arrays, is not finite."""
+    bad = np.flatnonzero(~np.isfinite(np.hstack(rows)).all(axis=1))
+    if bad.size:
+        raise FinslabError(f"the conformal reparametrization is not finite at "
+                           f"t={float(curve.grid[bad[0]])!r}")

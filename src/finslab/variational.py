@@ -31,7 +31,7 @@ import numpy as np
 from .connection import ConnectionFrame, _frame_tables, _scalar_partials_along
 from .curves import DiscreteCurve, Reparametrization, spline_derivative
 from .dsl import MetricDefinition, Tape, TangentSample, parse_expression
-from .errors import EvaluationDomainError, FinslabError, GridMismatch
+from .errors import CurveCheckFailure, EvaluationDomainError, FinslabError, GridMismatch
 from .geodesics import (_pregeodesic_defects, check_lightlike, energy, factor_rate,
                         factor_values, reparametrize_conformal, rk4_step)
 from .jets import jet_space
@@ -485,7 +485,7 @@ def _geodesic_spot_check(curve: DiscreteCurve, m: MetricDefinition,
     for k, dv in zip(idx, _pregeodesic_defects(curve, m, None, idx)):
         scale = max(1.0, float(curve.velocities[k] @ curve.velocities[k]))
         if np.linalg.norm(dv) > tol * scale:
-            raise ValueError(
+            raise CurveCheckFailure(
                 f"curve is not a geodesic of {m.name!r}: residual "
                 f"{np.linalg.norm(dv):.3e} at t={curve.grid[k]!r}")
 

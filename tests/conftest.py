@@ -76,10 +76,7 @@ def theta_weight():
 
 @pytest.fixture(scope="session")
 def scaled_einstein(einstein, theta_weight):
-    scaled, report = finslab.scale_metric(einstein, theta_weight,
-                                          sample_budget=16, seed=0)
-    assert report.nondegenerate
-    return scaled
+    return finslab.scale_metric(einstein, theta_weight, sample_budget=16, seed=0)
 
 
 @dataclass

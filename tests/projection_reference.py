@@ -5,19 +5,17 @@ time, drawn with `rng.uniform` and normalized with `np.linalg.norm`, one
 `MetricDefinition.admissible` per backtracking candidate.  Tests compare
 `dsl.sample_admissible` (which draws on Python floats), the float loop of
 `geodesics.project_to_lightcone` (which stops a stalled sample early) and
-`conformal.lightcones_coincide` (which checks the domain in
-`anisotropy_factor` first) against these loops, outcome by outcome."""
+`conformal.lightcones_coincide` against these loops, outcome by outcome."""
 
 import math
 
 import numpy as np
 
 from finslab import dsl
-from finslab.conformal import ConeSampleRecord, CoincidenceReport
+from finslab.conformal import CoincidenceReport
 from finslab.dsl import TangentSample
 from finslab.errors import (InadmissibleSample, NoAdmissibleSample, NoConvergence,
                             TransversalityFailure)
-from finslab.geodesics import LIGHTLIKE_TOL
 from finslab.tensors import legendre
 
 
@@ -106,18 +104,16 @@ def project_to_lightcone(m, v, w, tol=1e-12):
     raise NoConvergence("lightcone projection did not converge in 50 iterations")
 
 
-def anisotropy_factor(pair, v, w):
-    l1 = pair.L1.value_at(v)
-    scale = max(1.0, float(v.y @ v.y))
-    if abs(l1) > LIGHTLIKE_TOL * scale:
-        return pair.L2.value_at(v) / l1
-    w = np.asarray(w, dtype=float)
-    p1 = float(legendre(pair.L1, v) @ w)
-    if abs(p1) <= 1e-12 * scale:
-        raise TransversalityFailure(
-            "probe vector pairs to zero with the sample; the factor is 0/0 along it")
-    p2 = float(legendre(pair.L2, v) @ w)
-    return p2 / p1
+def cone_points(source, rng, count):
+    """(projected sample, probe) for each of count samples of the source
+    metric, projected one at a time, or None where the probe is not
+    transversal or the projection does not converge."""
+    for v in sample_admissible(source, rng, count=count):
+        try:
+            w = probe_vector(source, v)
+            yield project_to_lightcone(source, v, w, tol=1e-13), w
+        except (NoConvergence, TransversalityFailure):
+            yield None
 
 
 def lightcones_coincide(pair, tol=1e-8):
@@ -127,31 +123,19 @@ def lightcones_coincide(pair, tol=1e-8):
     used = 0
     failures = 0
     empty = []
-    records = []
     for source, target in ((pair.L1, pair.L2), (pair.L2, pair.L1)):
         hits = 0
-        for v in sample_admissible(source, rng, count=pair.sample_budget):
-            try:
-                w = probe_vector(source, v)
-                vstar = project_to_lightcone(source, v, w, tol=1e-13)
-            except (NoConvergence, TransversalityFailure):
+        for point in cone_points(source, rng, pair.sample_budget):
+            if point is None:
                 failures += 1
                 continue
+            vstar = point[0]
             hits += 1
             used += 1
             violation = abs(target.value_at(vstar)) / max(1.0, float(vstar.y @ vstar.y))
             worst = max(worst, violation)
-            try:
-                mu = anisotropy_factor(pair, vstar, w=w)
-            except TransversalityFailure:
-                mu = None
-            records.append(ConeSampleRecord(
-                sample=vstar.y, L1=pair.L1.value_at(vstar),
-                L2=pair.L2.value_at(vstar), mu=mu, w_used=w,
-                violation=violation))
         if hits == 0:
             empty.append(source.name)
     verdict = not empty and worst <= tol
     return CoincidenceReport(verdict=verdict, max_violation=worst, samples=used,
-                             projection_failures=failures, empty_cones=empty,
-                             records=records)
+                             projection_failures=failures, empty_cones=empty)

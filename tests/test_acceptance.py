@@ -144,7 +144,7 @@ def test_variation_formulas():
         start = lightlike_start(m, x0, v0)
         metric_for_curve = m
         if factor is not None:
-            metric_for_curve, _ = conformal.scale_metric(m, factor, sample_budget=8, seed=1)
+            metric_for_curve = conformal.scale_metric(m, factor, sample_budget=8, seed=1)
         curve = geodesics.integrate_geodesic(metric_for_curve, start.x, start.y,
                                              (0.0, 1.0), 2e-3)
         geom = variational.CurveGeometry(curve, m, factor)

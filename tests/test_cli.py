@@ -332,6 +332,40 @@ def test_exit_code_two_on_a_factor_of_the_wrong_degree(tmp_path, capsys):
     assert_single_error_line(capsys, "'einstein-static'", "degree 2, expected 0")
 
 
+@pytest.mark.parametrize("body,fragment", [
+    ("exp(-740 + 0*y0)", "the conformal reparametrization is not finite at t=0.001"),
+    ("exp(368 + 0*y0)", "curve is not lightlike: normalized |L| reaches 7.842e+145")],
+    ids=["tiny", "huge"])
+def test_exit_code_two_on_an_extreme_conformal_factor(tmp_path, capsys, body, fragment):
+    """A constant factor of about 5e-322 makes 1/factor overflow, so the
+    parameter map is not finite; one of about 1e160 scales the lightlike
+    defect of the scaled geodesic past the tolerance.  Both ended in a
+    ValueError traceback and exit 1."""
+    shipped = Path(__file__).resolve().parent.parent / "configs" / "conformal-pregeodesic.ini"
+    text = shipped.read_text()
+    assert "lambda = theta-weight" in text
+    (tmp_path / "extreme.metric").write_text(f"dim=3\ndegree=0\n{body}\n")
+    cfg = write_config(tmp_path, text.replace("lambda = theta-weight",
+                                              "lambda = extreme.metric"))
+    assert cli.main(["conformal-pregeodesic", "--config", cfg]) == 2
+    assert_single_error_line(capsys, fragment)
+
+
+@pytest.mark.parametrize("entry", ["nan:1", "inf:1", "-1:1", "0.5:0", "0.5:-1"])
+def test_exit_code_two_on_an_expected_focal_entry_that_cannot_match(tmp_path, capsys,
+                                                                   entry):
+    """No focal point of the shipped focal run, on (0, 0.75] of a
+    3-dimensional metric, has these parameters or multiplicities; each
+    exited 1 as a failed assertion."""
+    shipped = Path(__file__).resolve().parent.parent / "configs" / "focal.ini"
+    text = shipped.read_text()
+    assert "expected = 0.5:1" in text
+    cfg = write_config(tmp_path, text.replace("expected = 0.5:1", f"expected = {entry}"))
+    assert cli.main(["focal", "--config", cfg]) == 2
+    assert_single_error_line(capsys, f"expected focal entry {entry!r}",
+                             "parameter in (0, 0.75]", "multiplicity in [1, 3]")
+
+
 @pytest.mark.parametrize("experiment,old,new,key", [
     ("geodesic", "metric = einstein-static", "metric = theta-weight", "metric"),
     ("tensors", "metric = bogoslovsky2", "metric = theta-weight", "metric"),

@@ -452,7 +452,7 @@ def _metrics_with_frames():
     `scale_metric` forms from the builtins."""
     builtins = [dsl.builtin_metric(name) for name in dsl.builtin_names()]
     metrics = [m for m in builtins if m.degree == 2]
-    return metrics + [finslab.scale_metric(m, lam, sample_budget=1)[0]
+    return metrics + [finslab.scale_metric(m, lam, sample_budget=1)
                       for lam in builtins if lam.degree == 0
                       for m in metrics if m.dim == lam.dim]
 
@@ -761,7 +761,7 @@ def test_frame_arrays_keep_their_bits(key):
     factor, name, seed = key
     m = dsl.builtin_metric(name)
     if factor is not None:
-        m = conformal.scale_metric(m, dsl.builtin_metric(factor), sample_budget=1)[0]
+        m = conformal.scale_metric(m, dsl.builtin_metric(factor), sample_budget=1)
     rng = np.random.default_rng(seed)
     samples = dsl.sample_admissible(m, rng, count=connection.CHUNK + 1)
     x = np.array([v.x for v in samples])

@@ -79,7 +79,9 @@ PAPER_API = (
     "conformal_jacobi_residual",
     # the focal endpoint conditions: test_transferred_field_satisfies_the_endpoint_conditions
     "boundary_residual",
-    # the directional conformal factor: test_shared_lightcone_factor (closed form)
+    # the directional conformal factor: test_shared_lightcone_factor (closed form),
+    # and at projected cone samples
+    # test_anisotropy_factor_is_the_closed_form_at_projected_cone_samples
     "anisotropy_factor",
     # the normal SFF by extension: test_normal_sff_extension_route_matches_frame_route
     "normal_second_fundamental_form",

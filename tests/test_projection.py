@@ -26,7 +26,7 @@ CONE_METRICS = ([dsl.builtin_metric(name) for name in
 
 _EINSTEIN = dsl.builtin_metric("einstein-static")
 PROJECTED_METRICS = CONE_METRICS + [_EINSTEIN, conformal.scale_metric(
-    _EINSTEIN, dsl.builtin_metric("theta-weight"), sample_budget=1)[0]]
+    _EINSTEIN, dsl.builtin_metric("theta-weight"), sample_budget=1)]
 
 # a probe along no basis vector: on the three-dimensional metrics the
 # slope dL_v(w), a numpy dot product, rounds apart from a float sum
@@ -68,7 +68,7 @@ def _sampled_metrics():
     """Every builtin metric and factor, and every factor * metric product
     that `scale_metric` forms from them."""
     builtins = [dsl.builtin_metric(name) for name in dsl.builtin_names()]
-    return builtins + [conformal.scale_metric(m, lam, sample_budget=1)[0]
+    return builtins + [conformal.scale_metric(m, lam, sample_budget=1)
                        for lam in builtins if lam.degree == 0
                        for m in builtins if m.degree == 2 and m.dim == lam.dim]
 
@@ -326,11 +326,6 @@ def _same_report(got, ref):
     assert (got.verdict, got.max_violation, got.samples, got.projection_failures,
             got.empty_cones) == (ref.verdict, ref.max_violation, ref.samples,
                                  ref.projection_failures, ref.empty_cones)
-    assert len(got.records) == len(ref.records)
-    for g, r in zip(got.records, ref.records):
-        assert g.sample.tobytes() == r.sample.tobytes()
-        assert g.w_used.tobytes() == r.w_used.tobytes()
-        assert (g.L1, g.L2, g.mu, g.violation) == (r.L1, r.L2, r.mu, r.violation)
 
 
 @pytest.mark.parametrize("m2", CONE_METRICS[1:], ids=lambda m: m.pretty())
@@ -356,18 +351,31 @@ def test_sampling_and_cone_sampling_take_one_sample_at_a_time(monkeypatch):
     samples = dsl.sample_admissible(_EINSTEIN, np.random.default_rng(1), count=20)
     got = conformal.lightcones_coincide(pair)
     _same_report(got, ref)
-    assert len(samples) == 20 and all(r.mu is not None for r in got.records)
+    assert len(samples) == 20 and got.samples
     assert not batches and 2 not in rows
 
 
-def test_cone_sampling_records_pairing_ratios_on_the_cone(einstein, theta_weight):
-    """On einstein-static and its theta-weighted scaling every projected
-    sample is on the cone of both, so each factor is a pairing ratio."""
-    scaled, _ = conformal.scale_metric(einstein, theta_weight, sample_budget=4)
+def test_anisotropy_factor_is_the_closed_form_at_projected_cone_samples(einstein,
+                                                                        theta_weight):
+    """At the cone samples of einstein-static and its theta-weighted scaling,
+    projected as the serial loop projects them, each sample is on the cone of
+    both metrics, so `anisotropy_factor` takes the pairing ratio along the
+    probe, and it is theta-weight's closed form 1 + 0.1 y1^2 / |y|^2."""
+    scaled = conformal.scale_metric(einstein, theta_weight, sample_budget=4)
     pair = conformal.ConformalPair(einstein, scaled, sample_budget=6, seed=3)
     got = conformal.lightcones_coincide(pair)
     _same_report(got, reference.lightcones_coincide(pair))
-    assert got.records and all(r.mu is not None for r in got.records)
+    rng = np.random.default_rng(pair.seed)
+    checked = 0
+    for source in (einstein, scaled):
+        for vstar, w in filter(None, reference.cone_points(source, rng, pair.sample_budget)):
+            y = vstar.y
+            scale = max(1.0, float(y @ y))
+            assert abs(einstein.value_at(vstar)) <= geodesics.LIGHTLIKE_TOL * scale
+            closed = 1.0 + 0.1 * y[1] ** 2 / float(y @ y)
+            assert abs(conformal.anisotropy_factor(pair, vstar, w=w) - closed) <= 1e-12
+            checked += 1
+    assert checked == got.samples > 0
 
 
 def test_a_later_non_finite_jet_raises_after_earlier_failures():

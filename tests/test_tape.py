@@ -30,7 +30,7 @@ def _definitions():
     builtins = [dsl.builtin_metric(name) for name in dsl.builtin_names()]
     factors = [lam for lam in builtins if lam.degree == 0]
     inverses = [conformal.inverse_factor(lam) for lam in factors]
-    products = [conformal.scale_metric(m, lam, sample_budget=1)[0]
+    products = [conformal.scale_metric(m, lam, sample_budget=1)
                 for lam in factors + inverses
                 for m in builtins if m.degree == 2 and m.dim == lam.dim]
     return builtins + inverses + products
@@ -233,7 +233,7 @@ def test_one_kernel_per_program_and_order(monkeypatch):
     sources.clear()
     cone, lam = dsl.builtin_metric("minkowski2-cone"), dsl.builtin_metric("bogoslovsky-factor")
     for _ in range(2):
-        for m in (conformal.scale_metric(cone, lam, sample_budget=1)[0],
+        for m in (conformal.scale_metric(cone, lam, sample_budget=1),
                   conformal.inverse_factor(lam)):
             for order in ORDERS:
                 m.jet(v, order)
@@ -345,7 +345,7 @@ def test_one_float_kernel_per_program(monkeypatch):
     sources.clear()
     cone, lam = dsl.builtin_metric("minkowski2-cone"), dsl.builtin_metric("bogoslovsky-factor")
     for _ in range(2):
-        for m in (conformal.scale_metric(cone, lam, sample_budget=1)[0],
+        for m in (conformal.scale_metric(cone, lam, sample_budget=1),
                   conformal.inverse_factor(lam)):
             m.value_at(v)
             m.admissible(v)

@@ -163,7 +163,7 @@ def test_variation_formulas_match_energy_differentiation(einstein, factor):
     lam = dsl.builtin_metric(factor) if factor else None
     metric_for_curve = einstein
     if lam is not None:
-        metric_for_curve, _ = conformal.scale_metric(einstein, lam, sample_budget=8, seed=0)
+        metric_for_curve = conformal.scale_metric(einstein, lam, sample_budget=8, seed=0)
     start = lightlike_start(einstein, np.array([0.0, np.pi / 2, 0.0]),
                             np.array([1.0, 0.25, 1.0]))
     curve = geodesics.integrate_geodesic(metric_for_curve, start.x, start.y, (0, 1.0), 2e-3)
@@ -617,7 +617,7 @@ def test_constant_factor_scales_focal_parameters(einstein):
     are untouched."""
     c = 0.5
     half = dsl.parse_metric("0.5", 3, degree=0, name="half")
-    scaled, _ = conformal.scale_metric(einstein, half, sample_budget=8, seed=0)
+    scaled = conformal.scale_metric(einstein, half, sample_budget=8, seed=0)
     x0 = np.array([0.0, np.pi / 2, 0.0])
     curve = geodesics.integrate_geodesic(scaled, x0, [1.0, 0.0, 1.0], (0.0, 3.3), 5e-3)
     patch = variational.SubmanifoldPatch.from_point(x0)
