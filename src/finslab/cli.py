@@ -83,9 +83,9 @@ class Report:
 
 
 def emit_report(report: Report, out_dir) -> list[Path]:
-    """Write report.txt plus CSV curve dumps; returns the written paths."""
+    """Write report.txt plus CSV curve dumps into the directory out_dir,
+    which `main` makes before the experiment runs; returns the written paths."""
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     written = []
     report_path = out / "report.txt"
     report_path.write_text(report.records())
@@ -507,17 +507,19 @@ def main(argv=None) -> int:
         if args.tol is not None:
             _check_tolerance(args.tol, "--tol")
         cfg = load_config(args.config)
+        if args.out:
+            Path(args.out).mkdir(parents=True, exist_ok=True)
         # a metric jet that overflows is reported once, as the typed error
         # raised by the non-finite guards, not also as numpy warnings
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             report = run_experiment(args.experiment, cfg, seed=args.seed,
                                     overrides={"step": args.step, "tol": args.tol})
+        if args.out:
+            emit_report(report, args.out)
     except (FinslabError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     sys.stdout.write(report.records())
-    if args.out:
-        emit_report(report, args.out)
     return 0 if report.passed else 1
 
 

@@ -10,9 +10,9 @@ differences anywhere on this path).
 
 A `ConnectionFrame` holds these jets as arrays of normalized coefficients
 (the last axis runs over one `JetSpace`) for S samples at once (the first
-axis).  It takes the partials of the metric jet with `Jet.partial_jets`, as
-every scalar jet's partials are taken, and those of the arrays it derives
-with `JetSpace.partial_jets`; it multiplies them with `JetSpace.mul`.  It
+axis).  It takes the partials of the metric jet with `Jet.partial_jets`, one
+gather per degree, and those of the arrays it derives with
+`JetSpace.partial_jets`; it multiplies them with `JetSpace.mul`.  It
 inverts g only at value level, g0^{-1} = `tensors.inverse_metric` of the
 value of g, and solves g z = r in jets on the right-hand side r by the
 series z = sum_j (-g0^{-1} gh)^j g0^{-1} r, where gh is the rest of g: n^2
@@ -69,23 +69,6 @@ CHUNK = 16
 # the per-sample evaluation frame
 # --------------------------------------------------------------------------
 
-def _cached(method):
-    """Compute a frame quantity on first access, with its leading sample
-    axis, and keep it for the frame's lifetime.  A frame of one
-    `TangentSample` hands it out without that axis; the frame's own
-    arithmetic reads it with the axis, through `_rows`."""
-    name = method.__name__
-
-    @functools.wraps(method)
-    def cached(self):
-        val = self._cache.get(name)
-        if val is None:
-            val = self._cache[name] = method(self)
-        return val if self.batched else val[0]
-
-    return cached
-
-
 class ConnectionFrame:
     """All connection data derived from one jet of the metric at each of S
     samples.
@@ -93,37 +76,51 @@ class ConnectionFrame:
     `v` is one `TangentSample` (S = 1) or a `SampleBatch`; every array
     carries a leading sample axis, and the arithmetic is the same for any S,
     so row k of a batch equals the frame of sample k alone, to the bit.
-    Lazy: each derived quantity is computed on first access and cached for
-    the lifetime of the frame.  Jet-valued quantities are coefficient arrays
-    whose last axis runs over one jet space over the 2n chart and fiber
-    variables: g and g^{-1} of shape (S, n, n, size) and G of shape
-    (S, n, size) at order k-2, N of shape (S, n, n, size) and Gamma of shape
-    (S, n, n, n, size) at order k-3.  `ginv` is the value of g^{-1}; G and
-    the jets of g^{-1} are solves of g in jets (`_solve`), and only
-    curvature reads the jets of g^{-1}.  A frame of one `TangentSample` hands
-    out every quantity without the sample axis.  Along a curve,
-    `_frame_tables` builds one frame per chunk of samples and keeps only the
-    values its consumers read.
+    Construction computes what every caller reads: the jets of g, the value
+    of g^{-1}, and the jets of G and N.  Gamma, its jets, the jets of
+    g^{-1}, the Jacobi operator and curvature are computed from them on each
+    call.  Jet-valued quantities are coefficient arrays whose last axis runs
+    over one jet space over the 2n chart and fiber variables: g and g^{-1}
+    of shape (S, n, n, size) and G of shape (S, n, size) at order k-2, N of
+    shape (S, n, n, size) and Gamma of shape (S, n, n, n, size) at order
+    k-3.  `ginv` is the value of g^{-1}; G and the jets of g^{-1} are solves
+    of g in jets (`_solve`), and only curvature reads the jets of g^{-1}.  A
+    frame of one `TangentSample` hands out every quantity without the sample
+    axis.  Along a curve, `_frame_tables` builds one frame per chunk of
+    samples and keeps only the values its consumers read.
     """
 
     def __init__(self, m: MetricDefinition, v: TangentSample | SampleBatch,
                  order: int = 4):
+        if order < 3:
+            raise ValueError("Christoffel symbols need a frame of order >= 3")
         self.batched = isinstance(v, SampleBatch)
         _require_admissible(m, v)
         self.metric = m
         self.sample = v
-        self.n = v.dim
+        n = self.n = v.dim
         self.order = order
         c = m.jet(v, order).c
         self.c = c if self.batched else c[None]     # (S, size)
         self.y = v.y if self.batched else v.y[None]
-        self._cache: dict[str, np.ndarray] = {}
+        hess = self._partial_jets(2)
+        self._g = 0.5 * hess[:, n:, n:]
+        self._ginv = inverse_metric(self._g[..., 0])
+        # G^i = (1/4) g^il ( d2L/dy^l dx^k y^k - dL/dx^l ), as jets
+        space = self._space(2)
+        yvars = np.zeros((len(self.c), n, space.size))
+        yvars[:, :, 0] = self.y
+        yvars[:, :, space.partial_slots(1)[0][n:, 0]] = np.eye(n)
+        rhs = (_contract(space, hess[:, n:, :n], yvars)
+               - self._partial_jets(1)[:, :n, :space.size])
+        del hess    # not held through the solve, whose temporaries set peak memory
+        self._G = 0.25 * self._solve(rhs)
+        self._N = space.partial_jets(self._G, 1)[:, :, n:]
 
-    def _rows(self, name: str) -> np.ndarray:
-        """A cached quantity with its sample axis."""
-        if name not in self._cache:
-            getattr(self, name)()
-        return self._cache[name]
+    def _out(self, rows: np.ndarray) -> np.ndarray:
+        """A quantity as handed out: without its sample axis at a frame of
+        one `TangentSample`."""
+        return rows if self.batched else rows[0]
 
     def _space(self, drop: int):
         return jet_space(2 * self.n, self.order - drop)
@@ -131,82 +128,67 @@ class ConnectionFrame:
     def _partial_jets(self, degree: int) -> np.ndarray:
         return Jet(self._space(0), self.c).partial_jets(degree)
 
-    @_cached
     def g_jets(self) -> np.ndarray:
-        n = self.n
-        return 0.5 * self._partial_jets(2)[:, n:, n:]
+        return self._out(self._g)
 
     def g(self) -> np.ndarray:
-        return self.g_jets()[..., 0]
+        return self._out(self._g[..., 0])
 
-    @_cached
     def ginv(self) -> np.ndarray:
-        return inverse_metric(self._rows("g_jets")[..., 0])
+        return self._out(self._ginv)
 
-    @_cached
     def ginv_jets(self) -> np.ndarray:
         """g^{-1} as jets, the solve of the identity jets (read by curvature)."""
-        rhs = np.zeros(self._rows("g_jets").shape)
-        rhs[..., 0] = np.eye(self.n)
-        return self._solve(self._space(2), rhs)
+        return self._out(self._ginv_jets())
 
-    def _solve(self, space, rhs: np.ndarray) -> np.ndarray:
-        """g^{-1} rhs as jets, by Horner on the right-hand side: z = w + M(w
-        + M(... w)) with w = g0^{-1} rhs, M = -g0^{-1} gh and `space.order`
+    def _ginv_jets(self) -> np.ndarray:
+        rhs = np.zeros(self._g.shape)
+        rhs[..., 0] = np.eye(self.n)
+        return self._solve(rhs)
+
+    def _solve(self, rhs: np.ndarray) -> np.ndarray:
+        """g^{-1} rhs as order-(k-2) jets, by Horner on the right-hand side:
+        z = w + M(w + M(... w)) with w = g0^{-1} rhs, M = -g0^{-1} gh and k-2
         products by M, which is nilpotent at truncation order."""
-        g0inv = self._rows("ginv")
-        step = -np.einsum("sil,sljk->sijk", g0inv, self._rows("g_jets"))
+        space = self._space(2)
+        step = -np.einsum("sil,sljk->sijk", self._ginv, self._g)
         step[..., 0] = 0.0
-        w = z = np.einsum("sil,sl...->si...", g0inv, rhs)
+        w = z = np.einsum("sil,sl...->si...", self._ginv, rhs)
         for _ in range(space.order):
             z = w + _contract(space, step, z)
         return z
 
-    @_cached
     def spray_jets(self) -> np.ndarray:
-        """G^i = (1/4) g^il ( d2L/dy^l dx^k y^k - dL/dx^l ), as jets."""
-        n = self.n
-        space = self._space(2)
-        yvars = np.zeros((len(self.c), n, space.size))
-        yvars[:, :, 0] = self.y
-        if space.order >= 1:
-            yvars[:, :, space.partial_slots(1)[0][n:, 0]] = np.eye(n)
-        rhs = (_contract(space, self._partial_jets(2)[:, n:, :n], yvars)
-               - self._partial_jets(1)[:, :n, :space.size])
-        return 0.25 * self._solve(space, rhs)
+        return self._out(self._G)
 
-    @_cached
     def nonlinear_jets(self) -> np.ndarray:
-        n = self.n
-        return self._space(2).partial_jets(self._rows("spray_jets"), 1)[:, :, n:]
+        return self._out(self._N)
 
     def nonlinear(self) -> np.ndarray:
-        return self.nonlinear_jets()[..., 0]
+        return self._out(self._N[..., 0])
 
-    @_cached
     def christoffel(self) -> np.ndarray:
         """Gamma^k_ij = (1/2) g^kl (delta_i g_lj + delta_j g_il - delta_l g_ij)
         with delta_k = d/dx^k - N^m_k d/dy^m, at value level."""
-        if self.order < 3:
-            raise ValueError("Christoffel symbols need a frame of order >= 3")
+        return self._out(self._christoffel())
+
+    def _christoffel(self) -> np.ndarray:
         n = self.n
         dg = 0.5 * self._partial_jets(3)[:, n:, n:, :, 0]  # [s, i, j, a] = d g_ij / dz^a
-        N = self._rows("nonlinear_jets")[..., 0]
-        delta = dg[..., :n] - np.einsum("sijm,smk->sijk", dg[..., n:], N)
-        return 0.5 * np.einsum("skl,slij->skij", self._rows("ginv"),
-                               _lowered_christoffel(delta))
+        delta = dg[..., :n] - np.einsum("sijm,smk->sijk", dg[..., n:], self._N[..., 0])
+        return 0.5 * np.einsum("skl,slij->skij", self._ginv, _lowered_christoffel(delta))
 
-    @_cached
     def christoffel_jets(self) -> np.ndarray:
+        return self._out(self._christoffel_jets())
+
+    def _christoffel_jets(self) -> np.ndarray:
         n = self.n
         space = self._space(3)
         dg = 0.5 * self._partial_jets(3)[:, n:, n:]   # [s, i, j, a, beta]
-        N = self._rows("nonlinear_jets")
-        delta = dg[:, :, :, :n] - _contract(space, dg[:, :, :, n:], N)
-        ginv = self._rows("ginv_jets")[..., :space.size]
+        delta = dg[:, :, :, :n] - _contract(space, dg[:, :, :, n:], self._N)
+        ginv = self._ginv_jets()[..., :space.size]
         return 0.5 * _contract(space, ginv, _lowered_christoffel(delta))
 
-    @_cached
     def jacobi_matrix(self) -> np.ndarray:
         """Matrix A with D^2 J = A J along geodesics through this sample.
 
@@ -216,7 +198,7 @@ class ConnectionFrame:
         if self.order < 4:
             raise ValueError("the Jacobi operator needs a frame of order 4")
         n = self.n
-        G = self._rows("spray_jets")        # order 2 at a full-order frame
+        G = self._G                         # order 2 at a full-order frame
         space = self._space(2)
         dG = space.partial_jets(G, 1)[..., 0]           # [s, i, a]
         d2G = space.partial_jets(G, 2)[..., 0]          # [s, i, a, b]
@@ -224,20 +206,20 @@ class ConnectionFrame:
              - np.einsum("sj,sijk->sik", self.y, d2G[:, :, :n, n:])
              + 2.0 * np.einsum("sj,sijk->sik", G[:, :, 0], d2G[:, :, n:, n:])
              - dG[:, :, n:] @ dG[:, :, n:])
-        return -R
+        return self._out(-R)
 
-    @_cached
     def curvature_components(self) -> np.ndarray:
         """R^l_{kij} from horizontal derivatives of the Christoffel symbols."""
         n = self.n
-        gamma = self._rows("christoffel")
-        dgamma = self._space(3).partial_jets(self._rows("christoffel_jets"), 1)[..., 0]
+        gamma = self._christoffel()
+        dgamma = self._space(3).partial_jets(self._christoffel_jets(), 1)[..., 0]
         # [s, l, j, k, i] = delta_i Gamma^l_{jk}
         dgamma = dgamma[..., :n] - np.einsum("sljkm,smi->sljki", dgamma[..., n:],
-                                             self._rows("nonlinear_jets")[..., 0])
-        return (np.einsum("sljki->slkij", dgamma) - np.einsum("slikj->slkij", dgamma)
-                + np.einsum("slim,smjk->slkij", gamma, gamma)
-                - np.einsum("sljm,smik->slkij", gamma, gamma))
+                                             self._N[..., 0])
+        return self._out(
+            np.einsum("sljki->slkij", dgamma) - np.einsum("slikj->slkij", dgamma)
+            + np.einsum("slim,smjk->slkij", gamma, gamma)
+            - np.einsum("sljm,smik->slkij", gamma, gamma))
 
 
 def _contract(space, a: np.ndarray, b: np.ndarray) -> np.ndarray:

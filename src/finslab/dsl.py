@@ -530,17 +530,12 @@ class Tape:
             raise EvaluationDomainError(self.failure)
         return self._point_kernel(order)(point)
 
-    def jet(self, point, order: int) -> np.ndarray:
+    def jet(self, point: np.ndarray, order: int) -> np.ndarray:
         """Coefficients over jet_space(2n, order) of the first expression at
-        a point, a list of 2n floats; the caller checks that they are
-        finite.  The program runs as one compiled kernel per order.
-
-        A point given as a (2n, S) array holds S points, one per column; the
-        row program runs once over all of them on arrays with a trailing
-        sample axis, and column s of the result equals the coefficients at
-        point s alone, to the bit."""
-        if not (isinstance(point, np.ndarray) and point.ndim == 2):
-            return np.array(self.point_jet(point, order))
+        S points, given as a (2n, S) array with one point per column; the
+        caller checks that they are finite.  The row program runs once over
+        all of them on arrays with a trailing sample axis, and column s of
+        the result equals `point_jet` at point s alone, to the bit."""
         if self.failure is not None:
             raise EvaluationDomainError(self.failure)
         ops, size, final = self._jet_program(order)

@@ -102,9 +102,7 @@ def _rhs(m: MetricDefinition, point, t: float) -> list[float]:
     if not all(map(math.isfinite, point)):
         raise EvaluationDomainError(f"the integration state is not finite at t={t!r}")
     y = point[m.dim:]
-    if not any(y):
-        raise ValueError("fiber vector must be nonzero")
-    if not m._point_admissible(point):
+    if not (any(y) and m._point_admissible(point)):     # a zero y is in no conic domain
         raise DomainExit(t)
     return [-2.0 * a for a in _spray(m._point_jet(point, 2), y)]
 
@@ -118,8 +116,8 @@ def integrate_geodesic(m: MetricDefinition, x0, v0, t_span: tuple[float, float],
     `rk4_step` combines it as it would a numpy array, to the bit.  The step
     is shrunk minimally so that it divides the span exactly.  Raises
     EvaluationDomainError if an RK stage state is not finite, DomainExit if
-    a stage leaves the conic domain, SingularMetric if the fundamental tensor
-    degenerates along the way.
+    a stage leaves the conic domain or its fiber vector is zero,
+    SingularMetric if the fundamental tensor degenerates along the way.
     """
     if h <= 0:
         raise ValueError("step must be positive")

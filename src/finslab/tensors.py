@@ -110,38 +110,28 @@ def inverse_metric(g: FundamentalTensor | np.ndarray) -> np.ndarray:
 
 def _require_nondegenerate(mat: np.ndarray) -> None:
     """The one degeneracy test, of one matrix or a stack (leading sample
-    axes), through `_nondegenerate_solve` of each matrix in turn, so the
-    first failing matrix of a stack names the error."""
+    axes), through `_solver` of each matrix in turn on a zero right-hand
+    side, so the first failing matrix of a stack names the error."""
     n = mat.shape[-1]
     for entries in mat.reshape(-1, n * n).tolist():
-        _nondegenerate_solve(entries, n)
+        _solver(n)(entries, [0.0] * n)
 
 
-def _nondegenerate_solve(g: list[float], n: int, r: list[float] | None = None):
-    """The degeneracy test of one n x n matrix g, given as its n*n entries
-    row by row in a list of Python floats, and with a right-hand side r the
-    solution z of g z = r, from one Gaussian elimination with partial
-    pivoting of g / scale, where scale = max|g_ij| (Golub & Van Loan,
-    *Matrix Computations*, 4th ed., 2013, sec. 3.4).
+@functools.lru_cache(maxsize=None)
+def _solver(n: int):
+    """`solve(g, r)`, compiled from `_solver_source`: the degeneracy test of
+    one n x n matrix g, given as its n*n entries row by row in a list of
+    Python floats, and the solution z of g z = r, a list, from one Gaussian
+    elimination with partial pivoting of g / scale, where scale = max|g_ij|
+    (Golub & Van Loan, *Matrix Computations*, 4th ed., 2013, sec. 3.4).
 
     A non-finite entry is an EvaluationDomainError.  Each step swaps in the
     row of the first largest |entry| of its column, and a zero multiplier
     leaves its row as it is.  det(g / scale) is the signed product of the
     pivots; it cannot overflow, and |det| <= DEGENERACY_TOL, or a zero
     pivot, is SingularMetric.  r is scaled with g, so z solves (g / scale) z
-    = r / scale by back substitution.  Without r (the degeneracy test
-    alone) the elimination runs on a zero right-hand side and returns None;
-    the r column never feeds a pivot or the determinant, so the verdict does
-    not depend on r.  The elimination runs as the straight-line function of
-    `_solver`."""
-    z = _solver(n)(g, [0.0] * n if r is None else r)
-    return None if r is None else z
-
-
-@functools.lru_cache(maxsize=None)
-def _solver(n: int):
-    """`solve(g, r)`: `_nondegenerate_solve` of n x n matrices, compiled
-    from `_solver_source`."""
+    = r / scale by back substitution.  The r column never feeds a pivot or
+    the determinant, so the verdict does not depend on r."""
     return _compiled(_solver_source(n), _ELIMINATION_NAMES)
 
 
@@ -161,7 +151,7 @@ def _source(head: str, body: list[str]) -> str:
 
 
 def _elimination(n: int) -> list[str]:
-    """The lines of `_nondegenerate_solve` for n x n matrices as straight-line
+    """The lines of `_solver` for n x n matrices as straight-line
     code (Griewank & Walther, *Evaluating Derivatives*, 2nd ed., SIAM 2008,
     ch. 6): the entries of g are the locals g{i}_{j}, those of r r{i}, and
     the solution is left in the locals z{i}.

@@ -6,10 +6,10 @@ scaled metric never needs its own connection.  Along a fixed curve all
 pointwise geometry (fundamental tensor, Christoffel symbols, Jacobi operator,
 factor gradients) is read from tables built by `connection._frame_tables`,
 one frame per chunk of samples.  A `CurveGeometry` carries one curve, its
-base metric and its factor, and holds the table at the nodes; it is also
-where the covariant derivative along the curve (`cov`) and the horizontal
-and vertical gradients of the factor (`grad_h`, `grad_v`) are computed.  The
-variation fields, the first and second variation, the index form, the
+base metric and its factor; it builds the table at the nodes and the
+horizontal and vertical gradients of the factor (`grad_h`, `grad_v`) when
+it is made, and computes the covariant derivative along the curve (`cov`).
+The variation fields, the first and second variation, the index form, the
 transfer and its residuals all take it as their first argument and read
 curve, metric and factor from it.  The Jacobi integrator builds its own table at the RK stage
 times, and the focal search reads its initial data from row 0 of that table.
@@ -88,7 +88,7 @@ class SubmanifoldPatch:
 
         def jet(u):
             point = np.atleast_1d(np.asarray(u, dtype=float)).tolist() * 2
-            c = np.array([tape.jet(point, 2) for tape in tapes])
+            c = np.array([tape.point_jet(point, 2) for tape in tapes])
             if not np.isfinite(c).all():
                 raise EvaluationDomainError(
                     f"the jet of patch {name!r} is not finite at u={point[:d]!r}")
@@ -155,10 +155,13 @@ class CurveGeometry:
     """One curve with its base metric m and factor lam (None for the unit
     factor): the argument of every formula along that curve.
 
-    The geometry of m is referenced at the curve velocity.  One table from
-    `connection._frame_tables` at the nodes, built on first use, holds the
-    fundamental tensor, Christoffel symbols and Jacobi operator; the
-    factor's values, rate and gradients are read on first use as well.
+    The geometry of m is referenced at the curve velocity.  Construction
+    builds one table from `connection._frame_tables` at the nodes, which
+    gives the fundamental tensor `g`, the Christoffel symbols `gamma` and the
+    Jacobi operator `jacobi`, and from it and the factor's partials the
+    horizontal and vertical gradients `grad_h` and `grad_v` of the factor; a
+    failing node raises here.  The factor's values and rate are read on
+    first use.
     """
 
     def __init__(self, curve: DiscreteCurve, m: MetricDefinition, lam=None):
@@ -168,6 +171,16 @@ class CurveGeometry:
         self.npts = curve.grid.size
         self.n = curve.dim
         self._lightlike = False
+        self.g, ginv, N, self.gamma, self.jacobi = _frame_tables(
+            m, curve.grid, curve.positions, curve.velocities)
+        if lam is None:
+            self.grad_h, self.grad_v = np.zeros((2, self.npts, self.n))
+        else:
+            dx, dy = _scalar_partials_along(lam, curve.positions, curve.velocities)
+            # stacked matmuls round as the products node by node do; einsum does not
+            dh = dx - (N.transpose(0, 2, 1) @ dy[..., None])[..., 0]
+            self.grad_h = (ginv @ dh[..., None])[..., 0]
+            self.grad_v = (ginv @ dy[..., None])[..., 0]
 
     def require_lightlike(self) -> None:
         """`geodesics.check_lightlike` of the curve under m.  A passed check
@@ -178,48 +191,12 @@ class CurveGeometry:
             self._lightlike = True
 
     @cached_property
-    def _table(self) -> tuple[np.ndarray, ...]:
-        c = self.curve
-        return _frame_tables(self.m, c.grid, c.positions, c.velocities)
-
-    @property
-    def g(self) -> np.ndarray:
-        return self._table[0]
-
-    @property
-    def gamma(self) -> np.ndarray:
-        return self._table[3]
-
-    @property
-    def jacobi(self) -> np.ndarray:
-        return self._table[4]
-
-    @cached_property
     def lam_values(self) -> np.ndarray:
         return factor_values(self.lam, self.curve)
 
     @cached_property
     def lam_rate(self) -> np.ndarray:
         return factor_rate(self.lam, self.curve)
-
-    @cached_property
-    def _gradients(self) -> tuple[np.ndarray, np.ndarray]:
-        if self.lam is None:
-            return np.zeros((self.npts, self.n)), np.zeros((self.npts, self.n))
-        _, ginv, N, _, _ = self._table
-        c = self.curve
-        dx, dy = _scalar_partials_along(self.lam, c.positions, c.velocities)
-        # stacked matmuls round as the products node by node do; einsum does not
-        dh = dx - (N.transpose(0, 2, 1) @ dy[..., None])[..., 0]
-        return (ginv @ dh[..., None])[..., 0], (ginv @ dy[..., None])[..., 0]
-
-    @property
-    def grad_h(self) -> np.ndarray:
-        return self._gradients[0]
-
-    @property
-    def grad_v(self) -> np.ndarray:
-        return self._gradients[1]
 
     # -- field calculus ------------------------------------------------------
 

@@ -16,7 +16,9 @@ from finslab.errors import EvaluationDomainError
 
 
 def nondegenerate_solve(g: list, n: int, r: list | None = None):
-    """`tensors._nondegenerate_solve` as a loop over the rows of [g | r]."""
+    """`tensors._solver(n)(g, r)` as a loop over the rows of [g | r]; without
+    r, the degeneracy test of `tensors._require_nondegenerate`, which
+    returns None."""
     if not all(map(math.isfinite, g)):
         raise EvaluationDomainError(tensors._NON_FINITE)
     scale = max(map(abs, g))

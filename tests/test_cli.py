@@ -525,6 +525,29 @@ def test_exit_code_two_on_a_non_finite_integration_state(tmp_path, capsys):
     assert_single_error_line(capsys, "state is not finite at t=0.005")
 
 
+def test_exit_code_two_on_an_rk_stage_with_a_zero_fiber_vector(tmp_path, capsys):
+    """L = exp(2*x0)*y0^2 has the spray G = y^2/2, so one step of 2 from y = 1
+    reaches the stage state y = 1 - 0.5*2*1 = 0 at t = 1, which lies in no
+    conic domain."""
+    (tmp_path / "expo.metric").write_text("name=expo\ndim=1\ndegree=2\nexp(2*x0)*y0^2\n")
+    cfg = write_config(tmp_path, "[metric]\nmetric = expo.metric\nx0 = 0\nv0 = 1\n"
+                                 "[run]\nt1 = 2\nstep = 2\n")
+    assert cli.main(["geodesic", "--config", cfg]) == 2
+    assert_single_error_line(capsys, "left the metric domain near t=1.0")
+
+
+@pytest.mark.parametrize("below", ["", "sub"], ids=["a-file", "below-a-file"])
+def test_exit_code_two_on_an_out_path_that_cannot_be_a_directory(tmp_path, capsys, below):
+    """--out naming an existing file, or a path below one: the output
+    directory is made before the experiment runs, so the run prints no
+    records and ends in one error line."""
+    cfg = write_config(tmp_path, TENSORS_CFG)
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    assert cli.main(["tensors", "--config", cfg, "--out", str(afile / below)]) == 2
+    assert_single_error_line(capsys, str(afile))
+
+
 def test_exit_code_two_on_sin_of_an_infinite_argument(tmp_path, capsys):
     (tmp_path / "wobble.metric").write_text(
         "dim=2\ndomain=y0 - y1; y0 + y1\n"

@@ -5,6 +5,7 @@ Each quantity is read where the library computes it: G from
 `ConnectionFrame`, and along a curve the covariant derivative and the
 gradients of a scalar from a `variational.CurveGeometry`."""
 
+import collections
 import hashlib
 
 import numpy as np
@@ -423,6 +424,30 @@ def test_the_spray_solve_is_exact_at_truncation_order(order, scaled_einstein):
             product = space.mul(g, z[None]).sum(axis=1)
             scale = np.abs(g).max() * np.abs(z).max()
             assert np.abs(product - rhs).max() <= 1e-13 * scale
+
+
+@pytest.mark.parametrize("order", [3, 4])
+@pytest.mark.parametrize("batched", [False, True], ids=["sample", "batch"])
+def test_a_frame_takes_its_jet_and_solves_for_the_spray_on_construction(
+        order, batched, einstein, monkeypatch):
+    """Building a frame takes one metric jet and runs one jet solve, for G;
+    reading g, g^{-1}, G, N, Gamma and the Jacobi operator afterwards takes
+    no further jet and runs no further solve."""
+    samples = dsl.sample_admissible(einstein, np.random.default_rng(5), count=3)
+    v = (dsl.SampleBatch(np.array([s.x for s in samples]), np.array([s.y for s in samples]))
+         if batched else samples[0])
+    calls = collections.Counter()
+    plain_jet, plain_solve = dsl.MetricDefinition.jet, connection.ConnectionFrame._solve
+    monkeypatch.setattr(dsl.MetricDefinition, "jet", lambda self, *args: calls.update(
+        ["jet"]) or plain_jet(self, *args))
+    monkeypatch.setattr(connection.ConnectionFrame, "_solve", lambda self, *args: calls.update(
+        ["solve"]) or plain_solve(self, *args))
+    frame = connection.ConnectionFrame(einstein, v, order=order)
+    assert calls == {"jet": 1, "solve": 1}
+    frame.g(), frame.ginv(), frame.spray_jets(), frame.nonlinear(), frame.christoffel()
+    if order == 4:
+        frame.jacobi_matrix()
+    assert calls == {"jet": 1, "solve": 1}
 
 
 def test_curve_tables_take_no_jet_inverse(monkeypatch, scaled_einstein):

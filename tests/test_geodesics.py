@@ -87,6 +87,15 @@ def test_domain_exit_is_detected_mid_trajectory():
     assert err.value.t == pytest.approx(0.5, abs=2e-2)
 
 
+def test_a_zero_fiber_vector_at_an_rk_stage_is_a_domain_exit():
+    """G = y^2/2 for exp(2*x0)*y0^2: the second stage of one step of 2 from
+    y = 1 has y = 0 at t = 1, which lies in no conic domain."""
+    m = dsl.parse_metric("exp(2*x0)*y0^2", 1, name="expo")
+    with pytest.raises(DomainExit) as err:
+        geodesics.integrate_geodesic(m, [0.0], [1.0], (0.0, 2.0), 2.0)
+    assert err.value.t == 1.0
+
+
 def test_singular_metric_stops_the_integrator():
     from finslab.errors import SingularMetric
 

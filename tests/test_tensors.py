@@ -236,17 +236,17 @@ def _bound(n: int) -> float:
 
 def _backward_error_ratios(solve) -> list[float]:
     """Each case's backward error over its bound; solve takes the entries of
-    g row by row, n and r, as `_nondegenerate_solve` does."""
+    g row by row, n and r."""
     return [_backward_error(g, solve(g.ravel().tolist(), len(g), r.tolist()), r)
             / _bound(len(g)) for g, r in _solve_cases()]
 
 
 def test_the_float_solve_is_backward_stable_as_lapack_is():
-    """The elimination with partial pivoting of `_nondegenerate_solve`
-    meets the backward-error bound of Gaussian elimination on random,
-    Lorentzian and near-degenerate 2x2 and 3x3 systems, as
-    `np.linalg.solve` (LAPACK ?gesv) does on the same systems."""
-    ours = _backward_error_ratios(tensors._nondegenerate_solve)
+    """The elimination with partial pivoting of `_solver` meets the
+    backward-error bound of Gaussian elimination on random, Lorentzian and
+    near-degenerate 2x2 and 3x3 systems, as `np.linalg.solve` (LAPACK
+    ?gesv) does on the same systems."""
+    ours = _backward_error_ratios(lambda g, n, r: tensors._solver(n)(g, r))
     lapack = _backward_error_ratios(
         lambda g, n, r: np.linalg.solve(np.reshape(g, (n, n)), r).tolist())
     assert len(ours) > 2200
@@ -306,10 +306,11 @@ def _outcome(fn):
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_the_written_elimination_equals_the_loop(n):
-    """`_nondegenerate_solve` runs the straight-line elimination of
-    `_solver`; on every kind of matrix it gives the loop's solution to the
-    bit, its verdict and its error text, with and without a right-hand
-    side (tests/solve_reference.py)."""
+    """`_solver` runs the straight-line elimination; on every kind of
+    matrix it gives the loop's solution to the bit, its verdict and its
+    error text, and the degeneracy test alone (`_require_nondegenerate`,
+    no right-hand side) gives the loop's verdict and error text
+    (tests/solve_reference.py)."""
     rng = np.random.default_rng(100 + n)
     kinds = set()
     for g in _matrices(n, rng):
@@ -318,7 +319,8 @@ def test_the_written_elimination_equals_the_loop(n):
         signed_zeros = (-rng.integers(-1, 2, n).astype(float)).tolist()
         for rhs in (None, r, signed_zeros):
             want = _outcome(lambda: solve_reference.nondegenerate_solve(entries, n, rhs))
-            got = _outcome(lambda: tensors._nondegenerate_solve(entries, n, rhs))
+            got = _outcome(lambda: tensors._require_nondegenerate(g) if rhs is None
+                           else tensors._solver(n)(entries, rhs))
             assert repr(got) == repr(want), (g, rhs)
             kinds.add(want[0] if isinstance(want, tuple) else type(want))
     assert kinds == {type(None), list, EvaluationDomainError, SingularMetric}

@@ -1,6 +1,7 @@
 """Energy variations, index form, second fundamental forms, Jacobi fields,
 focal detection, and the conformal transfer of Jacobi data."""
 
+import collections
 import weakref
 
 import numpy as np
@@ -690,6 +691,28 @@ def test_one_connection_frame_per_distinct_sample(einstein, monkeypatch):
     plain = variational.VariationField.affine(variational.CurveGeometry(curve, einstein),
                                               shape)
     assert np.array_equal(W.values, plain.values) and np.array_equal(W.accel, plain.accel)
+
+
+def test_a_curve_geometry_builds_its_table_and_gradients_once(tilted_transfer,
+                                                            monkeypatch):
+    """Building a geometry with a factor takes the node table and the
+    factor's partials once each; the variations, the index form and the
+    conformal Jacobi residual on it take neither again."""
+    b = tilted_transfer
+    calls = collections.Counter()
+    for name in ("_frame_tables", "_scalar_partials_along"):
+        plain = getattr(variational, name)
+        monkeypatch.setattr(variational, name, lambda *args, plain=plain, name=name:
+                            calls.update([name]) or plain(*args))
+    geom = variational.CurveGeometry(b.curve, b.base, b.factor)
+    once = {"_frame_tables": 1, "_scalar_partials_along": 1}
+    assert calls == once
+    W = variational.VariationField.affine(geom, lambda t: [0.0, np.sin(t), t])
+    variational.first_variation(geom, W)
+    variational.second_variation(geom, W)
+    variational.index_form(geom, W, W, None, None)
+    variational.conformal_jacobi_residual(geom, b.jacobi_hat)
+    assert calls == once
 
 
 def _focal_search_samples(einstein, monkeypatch, patch_of):
