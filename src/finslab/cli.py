@@ -82,22 +82,20 @@ class Report:
         return "\n".join(lines) + "\n"
 
 
-def emit_report(report: Report, out_dir) -> list[Path]:
+def emit_report(report: Report, out_dir) -> None:
     """Write report.txt plus CSV curve dumps into the directory out_dir,
-    which `main` makes before the experiment runs; returns the written paths."""
+    which `main` makes before the experiment runs.  The CSVs of an earlier
+    run in curves/ are removed first, so that the directory describes this
+    run alone; no other file is touched."""
     out = Path(out_dir)
-    written = []
-    report_path = out / "report.txt"
-    report_path.write_text(report.records())
-    written.append(report_path)
+    (out / "report.txt").write_text(report.records())
+    curve_dir = out / "curves"
+    for stale in curve_dir.glob("*.csv"):
+        stale.unlink()
     if report.curves:
-        curve_dir = out / "curves"
         curve_dir.mkdir(exist_ok=True)
         for name, curve in sorted(report.curves.items()):
-            path = curve_dir / f"{name}.csv"
-            curve.to_csv(path)
-            written.append(path)
-    return written
+            curve.to_csv(curve_dir / f"{name}.csv")
 
 
 # --------------------------------------------------------------------------

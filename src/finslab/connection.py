@@ -24,19 +24,21 @@ differentiation (ibid.): the tape and the frame arithmetic run once per
 chunk of samples instead of once per sample.
 
 Conventions: the geodesic equation is xdd^i = -2 G^i(x, xd), with G from
-`spray_coefficients` and N = dG/dy from `ConnectionFrame.nonlinear`; the
-Christoffel symbols are referenced at an admissible field U (the fiber
+`spray_coefficients`, dG from `ConnectionFrame.spray_gradient` and N = dG/dy;
+the Christoffel symbols are referenced at an admissible field U (the fiber
 vector of the sample); `ConnectionFrame.jacobi_matrix()` is the matrix A of
 the Jacobi equation D^2 J = R_v(v, J)v = A J, normalized so that the flat
 case gives zero and a unit round sphere gives -J for unit transverse J.
-Along a curve every consumer (`variational.CurveGeometry` and the Jacobi
-integrator) reads connection data from the arrays of `_frame_tables`, which
-evaluates the curve's samples in near-equal chunks of at most `CHUNK`, one
-frame per chunk.  Row k of a chunk equals the frame of sample k alone, to
-the bit, and a failing chunk raises the error of its first failing sample,
-as a loop over samples would.  Sprays and the factor's partials along a
-curve need no frame: they run node by node on the one-point jet and the
-spray kernel that an RK stage runs (`_sprays_along`,
+Along a geodesic, Jacobi fields also solve the linearized spray Jdd = -2 dG
+(J, Jd) with DJ = Jd + N J (Shen, *Differential Geometry of Spray and
+Finsler Spaces*, Kluwer 2001), which an order-3 frame gives.  Along a curve
+the Jacobi integrator and `variational.CurveGeometry` read the arrays of
+`_frame_tables`, which evaluates the curve's samples in near-equal chunks of
+at most `CHUNK`, one frame per chunk.  Row k of a chunk equals the frame of
+sample k alone, to the bit, and a failing chunk raises the error of its
+first failing sample, as a loop over samples would.  Sprays and the factor's
+partials along a curve need no frame: they run node by node on the one-point
+jet and the spray kernel that an RK stage runs (`_sprays_along`,
 `_scalar_partials_along`).
 
 All functions here are pure and stateless.
@@ -77,17 +79,18 @@ class ConnectionFrame:
     carries a leading sample axis, and the arithmetic is the same for any S,
     so row k of a batch equals the frame of sample k alone, to the bit.
     Construction computes what every caller reads: the jets of g, the value
-    of g^{-1}, and the jets of G and N.  Gamma, its jets, the jets of
-    g^{-1}, the Jacobi operator and curvature are computed from them on each
-    call.  Jet-valued quantities are coefficient arrays whose last axis runs
-    over one jet space over the 2n chart and fiber variables: g and g^{-1}
-    of shape (S, n, n, size) and G of shape (S, n, size) at order k-2, N of
-    shape (S, n, n, size) and Gamma of shape (S, n, n, n, size) at order
-    k-3.  `ginv` is the value of g^{-1}; G and the jets of g^{-1} are solves
-    of g in jets (`_solve`), and only curvature reads the jets of g^{-1}.  A
-    frame of one `TangentSample` hands out every quantity without the sample
-    axis.  Along a curve, `_frame_tables` builds one frame per chunk of
-    samples and keeps only the values its consumers read.
+    of g^{-1}, and the jets of G, dG and N = dG/dy.  Gamma, its jets, the
+    jets of g^{-1}, the Jacobi operator and curvature are computed from them
+    on each call.  Jet-valued quantities
+    are coefficient arrays whose last axis runs over one jet space over the
+    2n chart and fiber variables: g and g^{-1} of shape (S, n, n, size) and
+    G of shape (S, n, size) at order k-2, dG of shape (S, n, 2n, size) and
+    Gamma of shape (S, n, n, n, size) at order k-3.  `ginv` is the value of
+    g^{-1}; G and the jets of g^{-1} are solves of g in jets (`_solve`), and
+    only curvature reads the jets of g^{-1}.  A frame of one `TangentSample`
+    hands out every quantity without the sample axis.  Along a curve,
+    `_frame_tables` builds one frame per chunk of samples and keeps only the
+    values its consumers read.
     """
 
     def __init__(self, m: MetricDefinition, v: TangentSample | SampleBatch,
@@ -115,7 +118,8 @@ class ConnectionFrame:
                - self._partial_jets(1)[:, :n, :space.size])
         del hess    # not held through the solve, whose temporaries set peak memory
         self._G = 0.25 * self._solve(rhs)
-        self._N = space.partial_jets(self._G, 1)[:, :, n:]
+        self._dG = space.partial_jets(self._G, 1)
+        self._N = self._dG[:, :, n:]
 
     def _out(self, rows: np.ndarray) -> np.ndarray:
         """A quantity as handed out: without its sample axis at a frame of
@@ -161,6 +165,10 @@ class ConnectionFrame:
     def spray_jets(self) -> np.ndarray:
         return self._out(self._G)
 
+    def spray_gradient(self) -> np.ndarray:
+        """dG^i/dz^a, [i, a] over z = (x, y), at value level; N = dG/dy."""
+        return self._out(self._dG[..., 0])
+
     def nonlinear_jets(self) -> np.ndarray:
         return self._out(self._N)
 
@@ -198,13 +206,11 @@ class ConnectionFrame:
         if self.order < 4:
             raise ValueError("the Jacobi operator needs a frame of order 4")
         n = self.n
-        G = self._G                         # order 2 at a full-order frame
-        space = self._space(2)
-        dG = space.partial_jets(G, 1)[..., 0]           # [s, i, a]
-        d2G = space.partial_jets(G, 2)[..., 0]          # [s, i, a, b]
+        dG = self._dG[..., 0]                                   # [s, i, a]
+        d2G = self._space(3).partial_jets(self._dG, 1)[..., 0]  # [s, i, a, b]
         R = (2.0 * dG[:, :, :n]
              - np.einsum("sj,sijk->sik", self.y, d2G[:, :, :n, n:])
-             + 2.0 * np.einsum("sj,sijk->sik", G[:, :, 0], d2G[:, :, n:, n:])
+             + 2.0 * np.einsum("sj,sijk->sik", self._G[:, :, 0], d2G[:, :, n:, n:])
              - dG[:, :, n:] @ dG[:, :, n:])
         return self._out(-R)
 
@@ -332,28 +338,30 @@ def chern_curvature(m: MetricDefinition, v: TangentSample, X, Y, Z) -> np.ndarra
                      np.asarray(X, float), np.asarray(Y, float), np.asarray(Z, float))
 
 
-def _frame_tables(m: MetricDefinition, times: np.ndarray, positions: np.ndarray,
-                  references: np.ndarray) -> tuple[np.ndarray, ...]:
-    """Connection data along a curve at the samples (x_k, U_k): g, g^{-1},
-    N, Gamma and the Jacobi operator A as arrays with a leading sample axis.
-
-    The samples are evaluated in near-equal chunks of at most `CHUNK`, one
-    order-4 frame per chunk; each frame's values are copied out and the
-    frame dropped, so memory holds the tables and one chunk.  Errors are those of a loop over
-    samples (see `_in_order`); a sample outside the domain raises
-    `InadmissibleSample` naming the curve time."""
-    s, n = positions.shape
-    g, ginv, N, A = (np.empty((s, n, n)) for _ in range(4))
-    gamma = np.empty((s, n, n, n))
-    for rows in _chunks(s):
-        g[rows], ginv[rows], N[rows], gamma[rows], A[rows] = _in_order(
-            _frame_values, m, positions[rows], references[rows], times[rows])
-    return g, ginv, N, gamma, A
-
-
 def _frame_values(m: MetricDefinition, batch: SampleBatch) -> tuple[np.ndarray, ...]:
     fr = ConnectionFrame(m, batch, order=4)
     return fr.g(), fr.ginv(), fr.nonlinear(), fr.christoffel(), fr.jacobi_matrix()
+
+
+def _frame_tables(m: MetricDefinition, times: np.ndarray, positions: np.ndarray,
+                  references: np.ndarray, values=_frame_values) -> list[np.ndarray]:
+    """Connection data along a curve at the samples (x_k, U_k), as arrays
+    with a leading sample axis: by default g, g^{-1}, N, Gamma and the
+    Jacobi operator A of order-4 frames, else the arrays that
+    `values(m, batch)` reads from a frame of its own.
+
+    The samples are evaluated in near-equal chunks of at most `CHUNK`, one
+    frame per chunk; each frame's values are copied out and the frame
+    dropped, so memory holds the tables and one chunk.  Errors are those of
+    a loop over samples (see `_in_order`); a sample outside the domain
+    raises `InadmissibleSample` naming the curve time."""
+    tables = None
+    for rows in _chunks(len(positions)):
+        chunk = _in_order(values, m, positions[rows], references[rows], times[rows])
+        tables = tables or [np.empty((len(positions),) + a.shape[1:]) for a in chunk]
+        for table, a in zip(tables, chunk):
+            table[rows] = a
+    return tables
 
 
 def _chunks(s: int) -> list[slice]:

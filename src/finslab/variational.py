@@ -11,8 +11,9 @@ horizontal and vertical gradients of the factor (`grad_h`, `grad_v`) when
 it is made, and computes the covariant derivative along the curve (`cov`).
 The variation fields, the first and second variation, the index form, the
 transfer and its residuals all take it as their first argument and read
-curve, metric and factor from it.  The Jacobi integrator builds its own table at the RK stage
-times, and the focal search reads its initial data from row 0 of that table.
+curve, metric and factor from it.  The Jacobi integrator solves the
+linearized spray on its own table of order-3 frames at the RK stage times,
+and the focal search reads g and Gamma at the curve start from its first frame.
 Geodesic checks read the spray, as Gamma(v)(v, v) = 2G(x, v).
 
 Curvature terms of the form g(R(vel, V)W, vel) are evaluated through the
@@ -469,66 +470,65 @@ def _geodesic_spot_check(curve: DiscreteCurve, m: MetricDefinition,
 
 def _stage_table(curve: DiscreteCurve, m: MetricDefinition) -> tuple[np.ndarray, ...]:
     """The curve, spot-checked to be a geodesic of m, and one
-    `connection._frame_tables` table at its distinct RK stage times (the
-    nodes, the step midpoints and t + h): (times, ys, g, Gamma, A) with ys
-    the velocities there.  Row 0 is the curve start."""
+    `connection._frame_tables` table of order-3 frames at its distinct RK
+    stage times (the nodes, the step midpoints and t + h): (times, dG, g0,
+    Gamma0), with the spray gradient dG at each and g and Gamma at the curve
+    start, row 0, from the first frame."""
     _geodesic_spot_check(curve, m)
     grid = curve.grid
     # the stage times exactly as rk4_step forms them; t + h may differ from
     # the next node in the last bit, and np.unique merges the equal ones
     h = grid[1:] - grid[:-1]
     times = np.unique(np.concatenate([grid, grid[:-1] + 0.5 * h, grid[:-1] + h]))
-    ys = curve.velocity(times)
-    g, _, _, gamma, A = _frame_tables(m, times, curve.position(times), ys)
-    return times, ys, g, gamma, A
+    start = []
+
+    def values(m, batch):
+        frame = ConnectionFrame(m, batch, order=3)
+        if not start:
+            start[:] = frame.g()[0], frame.christoffel()[0]
+        return frame.spray_gradient(),
+
+    dG, = _frame_tables(m, times, curve.position(times), curve.velocity(times), values)
+    return times, dG, *start
 
 
 def _integrate_on_stages(curve: DiscreteCurve, table, J0: np.ndarray,
-                         K0: np.ndarray) -> list[JacobiSolution]:
-    """RK4 steps of D^2 J = A J over the curve grid, reading Gamma(y) y and A
-    at every stage from a `_stage_table`."""
-    times, ys, _, gamma, A = table
+                         K0: np.ndarray) -> tuple[np.ndarray, ...]:
+    """RK4 steps of Jdd = -2 dG (J, Jd) over the curve grid, reading dG at
+    every stage from a `_stage_table`, from J0 and Jd = K0 - N J0: (J, K,
+    Jd) at the nodes, each (npts, n, nfields), where K = Jd + N J, with
+    N = dG/dy, is DJ."""
+    times, dG = table[:2]
     grid = curve.grid
     n = curve.dim
-    h = grid[1:] - grid[:-1]
-    gamma_y = np.einsum("skij,sj->ski", gamma, ys)
-    J = np.asarray(J0, dtype=float).reshape(n, -1)
-    K = np.asarray(K0, dtype=float).reshape(n, -1)
-    nf = J.shape[1]
-    npts = grid.size
-    Js = np.empty((npts, n, nf))
-    Ks = np.empty((npts, n, nf))
-    Jdots = np.empty((npts, n, nf))
+    N = dG[..., n:]
 
-    def rhs(t, S):   # S = (J, K)
-        J, K = S
-        k = np.searchsorted(times, t)
-        return np.array([K - gamma_y[k] @ J, A[k] @ J - gamma_y[k] @ K])
+    def rhs(t, S):   # S = (J, Jd)
+        return np.array([S[1], -2.0 * (dG[np.searchsorted(times, t)] @ S.reshape(2 * n, -1))])
 
-    S = np.array([J, K])
-    dS = rhs(grid[0], S)
-    Js[0], Ks[0] = S
-    Jdots[0] = dS[0]
-    for idx in range(npts - 1):
-        S = rk4_step(rhs, grid[idx], S, h[idx], k1=dS)
-        dS = rhs(grid[idx + 1], S)
-        Js[idx + 1], Ks[idx + 1] = S
-        Jdots[idx + 1] = dS[0]
-    return [JacobiSolution(grid, Js[:, :, f], Ks[:, :, f], Jdots[:, :, f])
-            for f in range(nf)]
+    J, K = (np.asarray(a, dtype=float).reshape(n, -1) for a in (J0, K0))
+    S = np.array([J, K - N[0] @ J])
+    states = [S]
+    for t, h in zip(grid[:-1], grid[1:] - grid[:-1]):
+        S = rk4_step(rhs, t, S, h, k1=rhs(t, S))
+        states.append(S)
+    Js, Jdots = np.array(states).transpose(1, 0, 2, 3)
+    return Js, Jdots + N[np.searchsorted(times, grid)] @ Js, Jdots
 
 
 def integrate_jacobi_basis(curve: DiscreteCurve, m: MetricDefinition,
                            J0: np.ndarray, K0: np.ndarray) -> list[JacobiSolution]:
-    """RK4 integration of D^2 J = A J for several initial pairs at once.
+    """RK4 integration of Jacobi fields for several initial pairs at once.
 
-    J0, K0 are (n, nfields).  The equation is linear along the fixed curve,
-    so one `connection._frame_tables` table at the distinct RK stage times
-    (the nodes, the step midpoints and t + h) holds every Gamma(y) y and A it
-    needs before the first step; all fields share it.  The curve is first
+    J0, K0 are (n, nfields), J and DJ at the curve start.  Jacobi fields solve
+    the linearized geodesic equation Jdd = -2 (dG/dx) J - 2 (dG/dy) Jd, linear
+    along the fixed curve: one order-3 `_stage_table` holds every dG it needs
+    before the first step, and all fields share it.  The curve is first
     spot-checked to be a geodesic.  Returns one solution record per column.
     """
-    return _integrate_on_stages(curve, _stage_table(curve, m), J0, K0)
+    fields = _integrate_on_stages(curve, _stage_table(curve, m), J0, K0)
+    return [JacobiSolution(curve.grid, *(a[:, :, f] for a in fields))
+            for f in range(fields[0].shape[2])]
 
 
 # --------------------------------------------------------------------------
@@ -549,11 +549,11 @@ def _require_patch_start(curve: DiscreteCurve, P: SubmanifoldPatch) -> None:
 
 def _focal_initial_data(curve: DiscreteCurve, P: SubmanifoldPatch, table
                         ) -> tuple[np.ndarray, np.ndarray]:
-    """Initial data of the focal family, with g and the Christoffel symbols
-    at the curve start (x0, N0) read from row 0 of its `_stage_table`."""
+    """Initial data (J0, DJ0) of the focal family, with g and the
+    Christoffel symbols at the curve start (x0, N0) from its `_stage_table`."""
     n = curve.dim
     N0 = curve.velocities[0]
-    g, gamma = table[2][0], table[3][0]
+    g, gamma = table[2:]
     basis = P.tangent_basis()
     d = basis.shape[1]
     J0 = np.zeros((n, n))
@@ -578,18 +578,16 @@ def find_focal_points(curve: DiscreteCurve, P: SubmanifoldPatch,
     d fields starting on the tangent basis with derivative matching the
     normal second fundamental form, and n-d fields vanishing initially with
     derivatives spanning a metric-orthogonal complement.  g and the
-    Christoffel symbols at the curve start are row 0 of the integration's
-    stage table.  Focal parameters are bracketed by sign changes of det M(t)
-    at grid resolution and refined by bisection on the dense output to a
-    bracket of width 1e-8; multiplicity is the count of singular values
-    below 1e-7 times the largest.
+    Christoffel symbols at the curve start come from the first frame of the
+    integration's order-3 stage table.  Focal parameters are bracketed by
+    sign changes of det M(t) at grid resolution and refined by bisection on
+    the dense output to a bracket of width 1e-8; multiplicity is the count
+    of singular values below 1e-7 times the largest.
     """
     _require_patch_start(curve, P)
     table = _stage_table(curve, m)
-    sols = _integrate_on_stages(curve, table, *_focal_initial_data(curve, P, table))
+    M, _, Mdot = _integrate_on_stages(curve, table, *_focal_initial_data(curve, P, table))
     npts = curve.grid.size
-    M = np.stack([sol.J for sol in sols], axis=2)
-    Mdot = np.stack([sol.J_dot for sol in sols], axis=2)
     spline = HermiteSpline(curve.grid, M, Mdot)
     dets = np.linalg.det(M)
     out: list[FocalPoint] = []
@@ -761,19 +759,15 @@ def verify_focal_correspondence(curve: DiscreteCurve, P: SubmanifoldPatch,
     all_ok = True
     for fp in base_focal:
         target = float(rep(fp.parameter))
-        best = None
-        for cand in available:
-            err = abs(cand.parameter - target)
-            if best is None or err < best[1]:
-                best = (cand, err)
+        best = min(((cand, abs(cand.parameter - target)) for cand in available),
+                   key=lambda pair: pair[1], default=None)
         if best is not None and best[1] <= tolerance:
             cand, err = best
             available.remove(cand)
-            ok = cand.multiplicity == fp.multiplicity
             report.pairs.append(CorrespondencePair(
                 fp.parameter, fp.multiplicity, cand.parameter,
                 cand.multiplicity, err))
-            all_ok = all_ok and ok
+            all_ok = all_ok and cand.multiplicity == fp.multiplicity
         else:
             report.pairs.append(CorrespondencePair(
                 fp.parameter, fp.multiplicity, None, None, None))

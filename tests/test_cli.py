@@ -130,6 +130,25 @@ def test_curve_dump_header(tmp_path):
     assert header == "t,x0,x1,x2,y0,y1,y2"
 
 
+def test_a_reused_out_directory_describes_the_last_run(tmp_path):
+    """The curves of an earlier run leave a reused --out directory; a
+    re-run of the same experiment writes them again, and files that are
+    not curve CSVs stay."""
+    geodesic, tensors = (write_config(tmp_path, text, name) for text, name in
+                         ((GEODESIC_CFG, "g.ini"), (TENSORS_CFG, "t.ini")))
+    out = tmp_path / "out"
+    keep = [out / "notes.txt", out / "curves" / "notes.txt"]
+    assert cli.main(["geodesic", "--config", geodesic, "--out", str(out)]) == 0
+    for path in keep:
+        path.write_text("kept")
+    assert cli.main(["geodesic", "--config", geodesic, "--out", str(out)]) == 0
+    assert sorted(p.name for p in (out / "curves").glob("*.csv")) == ["geodesic.csv"]
+    assert cli.main(["tensors", "--config", tensors, "--out", str(out)]) == 0
+    assert (out / "report.txt").read_text().startswith("experiment=tensors")
+    assert list((out / "curves").glob("*.csv")) == []
+    assert all(path.read_text() == "kept" for path in keep)
+
+
 def test_entry_point_is_installed():
     proc = subprocess.run([sys.executable, "-m", "finslab.cli", "--help"],
                           capture_output=True, text=True)

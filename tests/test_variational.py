@@ -14,7 +14,7 @@ from finslab.errors import (EvaluationDomainError, FinslabError, GridMismatch,
                             InadmissibleSample)
 from conftest import jacobi_field, lightlike_start
 import finitediff
-from jacobi_reference import integrate_jacobi_per_stage
+from jacobi_reference import integrate_jacobi_per_stage, integrate_linearized_per_stage
 import sphere_reference
 
 
@@ -743,6 +743,40 @@ def test_focal_search_from_a_circle_tabulates_only_the_stage_samples(
     assert len(tabulated) == len(set(tabulated)) == stages
 
 
+def test_the_jacobi_path_builds_no_order_4_frame(einstein, monkeypatch):
+    """The focal search from a circle patch and the Jacobi basis read the
+    spray gradient, g and the Christoffel symbols from order-3 frames: no
+    order-4 frame and no Jacobi operator."""
+    orders = collections.Counter()
+    plain_init = connection.ConnectionFrame.__init__
+
+    def init(self, m, v, order=4):
+        plain_init(self, m, v, order)
+        orders.update([order])
+
+    monkeypatch.setattr(connection.ConnectionFrame, "__init__", init)
+    monkeypatch.setattr(connection.ConnectionFrame, "jacobi_matrix",
+                        lambda self: orders.update(["jacobi_matrix"]))
+    x0, v0 = np.array([0.0, np.pi / 2, 0.0]), np.array([1.0, 0.0, 1.0])
+    curve = geodesics.integrate_geodesic(einstein, x0, v0, (0, 0.5), 0.05)
+    patch = experiments.great_circle_patch(x0, v0, np.pi / 4)
+    assert variational.find_focal_points(curve, patch, einstein) == []
+    variational.integrate_jacobi_basis(curve, einstein, np.eye(3), np.eye(3))
+    # two tables of 21 stage samples, each in two chunks
+    assert orders == {3: 4}
+
+
+def test_jacobi_k_is_the_covariant_derivative_along_the_curve(tilted_transfer):
+    """K - J_dot of a Jacobi solution is Gamma(vel)(J, vel), with the
+    Christoffel symbols of `CurveGeometry` at the nodes: K is the DJ that
+    `transfer_jacobi` and `boundary_residual` read."""
+    b = tilted_transfer
+    sol = b.jacobi_tilde
+    gamma = variational.CurveGeometry(b.tilde, b.base).gamma
+    connection_term = np.einsum("kaij,ki,kj->ka", gamma, sol.J, b.tilde.velocities)
+    assert np.abs(sol.K - sol.J_dot - connection_term).max() <= 1e-14 * np.abs(sol.K).max()
+
+
 def test_jacobi_integration_keeps_only_the_current_step_frames(einstein, monkeypatch):
     """The stage table is built one chunk of samples at a time, and a
     chunk's frame is dropped before the next one is built."""
@@ -769,11 +803,11 @@ def test_jacobi_integration_keeps_only_the_current_step_frames(einstein, monkeyp
 
 def test_table_driven_jacobi_integration_matches_the_per_stage_path(
         einstein, theta_weight, scaled_einstein):
-    """The stage table reproduces one frame per RK stage bit for bit: on a
-    uniform grid from 0, from t0 = 0.37 with a step that does not divide
-    the span, on the uneven grid of a reparametrization, and on a grid where
-    t + h misses the next node in the last bit, so both times are tabulated
-    and their frames differ."""
+    """The stage table reproduces one order-3 frame per RK stage of the
+    linearized spray bit for bit: on a uniform grid from 0, from t0 = 0.37
+    with a step that does not divide the span, on the uneven grid of a
+    reparametrization, and on a grid where t + h misses the next node in
+    the last bit, so both times are tabulated and their frames differ."""
     x0 = np.array([0.0, np.pi / 2, 0.0])
     xt, vt = sphere_reference.tilted_null_data(np.pi / 2 - 0.6)
     scaled_curve = geodesics.integrate_geodesic(
@@ -797,11 +831,35 @@ def test_table_driven_jacobi_integration_matches_the_per_stage_path(
     K0 = np.array([[0.0, 0.0, 1.0], [0.0, 1.0, 0.0], [0.0, 0.5, 0.2]])
     for curve in curves:
         sols = variational.integrate_jacobi_basis(curve, einstein, J0, K0)
-        Js, Ks, Jdots = integrate_jacobi_per_stage(curve, einstein, J0, K0)
+        Js, Ks, Jdots = integrate_linearized_per_stage(curve, einstein, J0, K0)
         for f, sol in enumerate(sols):
             assert np.array_equal(sol.J, Js[:, :, f])
             assert np.array_equal(sol.K, Ks[:, :, f])
             assert np.array_equal(sol.J_dot, Jdots[:, :, f])
+
+
+@pytest.mark.parametrize("metric", ["einstein", "scaled_einstein"])
+def test_jacobi_fields_converge_at_fourth_order_to_the_jacobi_operator_path(
+        metric, theta_weight, request):
+    """The linearized spray and D^2 J = A J on (J, DJ), with A from order-4
+    frames, are two formulations of one equation: on the same curve their
+    RK4 solutions differ by the truncation error alone, which falls about
+    16-fold per halving of h (at least 12-fold here), to below 2e-9 of
+    max|J| at h = 0.0125."""
+    m = request.getfixturevalue(metric)
+    x0, v0 = sphere_reference.tilted_null_data(np.pi / 2 - 0.6)
+    J0 = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.3, 0.0]])
+    K0 = np.array([[0.0, 0.0, 1.0], [0.0, 1.0, 0.0], [0.0, 0.5, 0.2]])
+    gaps = []
+    for h in (0.05, 0.025, 0.0125):
+        curve = geodesics.integrate_geodesic(m, x0, v0 / theta_weight.value(x0, v0),
+                                             (0.0, 1.0), h)
+        sols = variational.integrate_jacobi_basis(curve, m, J0, K0)
+        J = np.stack([sol.J for sol in sols], axis=2)
+        oracle = integrate_jacobi_per_stage(curve, m, J0, K0)[0]
+        gaps.append(np.abs(J - oracle).max() / np.abs(oracle).max())
+    assert gaps[0] >= 12 * gaps[1] and gaps[1] >= 12 * gaps[2]
+    assert gaps[2] <= 2e-9
 
 
 def test_domain_exit_along_a_curve_reports_the_curve_time():
