@@ -44,6 +44,7 @@ import math
 import operator
 import re
 from dataclasses import dataclass
+from functools import partial
 from itertools import count
 from pathlib import Path
 
@@ -412,20 +413,22 @@ class Tape:
     # float program ----------------------------------------------------------
 
     def floats(self, point) -> list[float]:
-        """Values of the expressions at a point; each must be finite.  The
-        program runs as one compiled function, written by `_float_source`
-        on first use and shared through `_FLOAT_KERNELS` by every tape with
-        the same program."""
-        if self.failure is not None:
-            raise EvaluationDomainError(self.failure)
+        """Values of the expressions at a point; each must be finite."""
+        return (self._float_kernel or self.float_kernel())(point)
+
+    def float_kernel(self):
+        """The function that `floats` runs: the compiled program, written by
+        `_float_source` on first use and shared through `_FLOAT_KERNELS` by
+        every tape with the same program; for a tape whose constant failed,
+        `_raise` of the failure."""
         kernel = self._float_kernel
         if kernel is None:
             key = (self.dim, tuple(map(_key, self._ops)), _key(self.outputs))
-            kernel = _FLOAT_KERNELS.get(key)
+            kernel = partial(_raise, self.failure) if self.failure else _FLOAT_KERNELS.get(key)
             if kernel is None:
                 kernel = _FLOAT_KERNELS[key] = _compiled(_float_source(self), _FLOAT_NAMES)
             self._float_kernel = kernel
-        return kernel(point)
+        return kernel
 
     # jet program ----------------------------------------------------------
 
@@ -509,14 +512,15 @@ class Tape:
             program = self._jet_programs[order] = (ops, size, final)
         return program
 
-    def _point_kernel(self, order: int):
-        """The compiled one-point jet of this program at this order, shared
-        through `_KERNELS` by every tape with the same program."""
+    def point_kernel(self, order: int):
+        """The function that `point_jet` runs at this order: the compiled
+        one-point jet, shared through `_KERNELS` by every tape with the same
+        program; for a tape whose constant failed, `_raise` of the failure."""
         kernel = self._kernels.get(order)
         if kernel is None:
             key = (self.dim, order, tuple(map(_key, self._ops)), tuple(self._support),
                    _key(self.outputs))
-            kernel = _KERNELS.get(key)
+            kernel = partial(_raise, self.failure) if self.failure else _KERNELS.get(key)
             if kernel is None:
                 kernel = _KERNELS[key] = _compile_kernel(_KernelWriter(self, order).source())
             self._kernels[order] = kernel
@@ -526,9 +530,7 @@ class Tape:
         """`jet` at one point, a sequence of 2n floats, as the compiled
         kernel's list of coefficients; the caller checks that they are
         finite."""
-        if self.failure is not None:
-            raise EvaluationDomainError(self.failure)
-        return self._point_kernel(order)(point)
+        return self.point_kernel(order)(point)
 
     def jet(self, point: np.ndarray, order: int) -> np.ndarray:
         """Coefficients over jet_space(2n, order) of the first expression at
@@ -712,7 +714,8 @@ class _KernelWriter:
         return self.compose(r[a], name, exponent, own)
 
 
-def _raise(message: str):
+def _raise(message: str, *_):
+    """EvaluationDomainError(message), whatever point it is called at."""
     raise EvaluationDomainError(message)
 
 

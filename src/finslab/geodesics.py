@@ -4,7 +4,10 @@ reparametrization of lightlike geodesics.
 The integrator is classical fixed-step RK4 on the first-order system
 (x, y) -> (y, -2G(x, y)); every stage state is checked to be finite and
 inside the conic domain, so fractional-power metrics fail loudly instead of
-producing NaNs mid-step.
+producing NaNs mid-step.  A stage runs the metric's domain program, its
+order-2 one-point jet kernel and the spray kernel, bound once per curve,
+and a step is one straight-line function written per number of state
+components, which `rk4_step` runs on one array.
 
 Lightcone projection runs Newton's method on one sample, on Python floats:
 one compiled order-2 jet per Newton evaluation and one one-point domain
@@ -18,19 +21,20 @@ the 1-D `@` does.
 
 from __future__ import annotations
 
+import functools
 import math
-import operator
 
 import numpy as np
 
-from .connection import _curve_points, _scalar_partials_along, _spray, _sprays_along
+from .connection import _curve_points, _scalar_partials_along, _spray_kernel, _sprays_along
 from .curves import DiscreteCurve, Reparametrization
 from .dsl import MetricDefinition, TangentSample
 from .errors import (CurveCheckFailure, DomainExit, EvaluationDomainError,
                      FinslabError, InadmissibleSample, NoConvergence,
                      PositivityFailure, TransversalityFailure)
+from .jets import _compiled
 from .numerics import cumulative_simpson, simpson
-from .tensors import _inadmissible, legendre
+from .tensors import _inadmissible, _source, legendre
 
 __all__ = [
     "LIGHTLIKE_TOL", "rk4_step", "integrate_geodesic", "probe_vector",
@@ -74,50 +78,68 @@ def factor_rate(lam, curve: DiscreteCurve) -> np.ndarray:
 # --------------------------------------------------------------------------
 
 def rk4_step(f, t: float, s, h: float, k1):
-    """One classical RK4 step of s' = f(t, s) from k1 = f(t, s)."""
-    k2 = f(t + 0.5 * h, s + 0.5 * h * k1)
-    k3 = f(t + 0.5 * h, s + 0.5 * h * k2)
-    k4 = f(t + h, s + h * k3)
-    return s + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+    """One classical RK4 step of s' = f(t, s) from k1 = f(t, s), for a state
+    of one array: the written step of one component (`_rk4_kernel`)."""
+    return _rk4_kernel(1)(lambda t, s: [f(t, *s)], t, [s], h, [k1])[0]
 
 
-class _Floats(tuple):
-    """An RK state or rate as a tuple of Python floats, with the elementwise
-    sum and the scalar multiple that `rk4_step` applies; each rounds as on
-    a numpy array, so `rk4_step` performs the same float operations on
-    either."""
+@functools.lru_cache(maxsize=None)
+def _rk4_kernel(size: int):
+    """`step(f, t, s, h, k1)`: one classical RK4 step of s' = f(t, s) from
+    k1 = f(t, s), written as straight-line code for states and rates of
+    `size` components, floats or arrays; each component takes the float
+    operations of one array, in their order, and the step returns a list."""
+    def row(form: str) -> str:
+        return f"[{', '.join(form.format(i) for i in range(size))}]"
 
-    __slots__ = ()
+    def unpack(name: str) -> str:
+        return "".join(f"{name}{i}, " for i in range(size))
+    return _compiled(_source("step(f, t, s, h, k1)", [
+        f"{unpack('s')}= s", f"{unpack('a')}= k1", "c = 0.5 * h",
+        f"{unpack('b')}= f(t + c, {row('s{0} + c * a{0}')})",
+        f"{unpack('d')}= f(t + c, {row('s{0} + c * b{0}')})",
+        f"{unpack('e')}= f(t + h, {row('s{0} + h * d{0}')})",
+        "w = h / 6.0", f"return {row('s{0} + w * (a{0} + 2 * b{0} + 2 * d{0} + e{0})')}"]), {})
 
-    def __add__(self, other):
-        return _Floats(map(operator.add, self, other))
 
-    def __rmul__(self, a):
-        return _Floats([a * v for v in self])
+def _rates(m: MetricDefinition):
+    """f(t, s): the rate y + (-2G(x, y)) of the RK stage state s = x + y,
+    2n floats, at curve time t, by m's domain program, order-2 jet kernel
+    and the spray kernel, bound once, with the checks and errors of
+    `_point_admissible` and `_point_jet` and a finite check of s."""
+    n = m.dim
+    domain, jet, spray = m._domain.float_kernel(), m._body.point_kernel(2), _spray_kernel(n)
 
-
-def _rhs(m: MetricDefinition, point, t: float) -> list[float]:
-    """The acceleration -2G(x, y) of the RK stage at curve time t, from one
-    domain check and one order-2 jet at the point x + y (2n floats)."""
-    if not all(map(math.isfinite, point)):
-        raise EvaluationDomainError(f"the integration state is not finite at t={t!r}")
-    y = point[m.dim:]
-    if not (any(y) and m._point_admissible(point)):     # a zero y is in no conic domain
-        raise DomainExit(t)
-    return [-2.0 * a for a in _spray(m._point_jet(point, 2), y)]
+    def f(t, s):
+        if not all(map(math.isfinite, s)):
+            raise EvaluationDomainError(f"the integration state is not finite at t={t!r}")
+        y = s[n:]
+        try:                    # a zero y is in no conic domain
+            inside = any(y) and all(v > 0.0 for v in domain(s))
+        except EvaluationDomainError:
+            inside = False
+        if not inside:
+            raise DomainExit(t)
+        c = jet(s)
+        if not all(map(math.isfinite, c)):
+            raise m._not_finite(TangentSample(s[:n], y))
+        return [*y, *[-2.0 * a for a in spray(c, y)]]
+    return f
 
 
 def integrate_geodesic(m: MetricDefinition, x0, v0, t_span: tuple[float, float],
                        h: float) -> DiscreteCurve:
     """Fixed-step RK4 integration of xdd = -2G(x, xd).
 
-    The state (x, y) is held as one tuple of 2n Python floats, the point
-    that the stage's domain check, jet kernel and float spray kernel read;
-    `rk4_step` combines it as it would a numpy array, to the bit.  The step
-    is shrunk minimally so that it divides the span exactly.  Raises
-    EvaluationDomainError if an RK stage state is not finite, DomainExit if
-    a stage leaves the conic domain or its fiber vector is zero,
-    SingularMetric if the fundamental tensor degenerates along the way.
+    The state (x, y) is held as one list of 2n Python floats, the point
+    that m's domain program, order-2 jet kernel and spray kernel read; they
+    are bound once per call (`_rates`), and each step is the written step
+    of 2n components (`_rk4_kernel`), which takes the float operations of
+    `rk4_step` on an array, to the bit.  The step is shrunk minimally so
+    that it divides the span exactly.  Raises EvaluationDomainError if an
+    RK stage state or its jet is not finite, DomainExit if a stage leaves
+    the conic domain or its fiber vector is zero, SingularMetric if the
+    fundamental tensor degenerates along the way.
     """
     if h <= 0:
         raise ValueError("step must be positive")
@@ -130,15 +152,12 @@ def integrate_geodesic(m: MetricDefinition, x0, v0, t_span: tuple[float, float],
     if not m.admissible(start):
         raise InadmissibleSample("initial data is outside the metric domain")
     n = start.dim
-
-    def f(t, s):   # s = x + y, and f = y + (-2G)
-        return _Floats((*s[n:], *_rhs(m, s, t)))
-
-    states = [_Floats(start.x.tolist() + start.y.tolist())]
+    f, step = _rates(m), _rk4_kernel(2 * n)
+    states = [start.x.tolist() + start.y.tolist()]
     rates = [f(t0, states[0])]
     for k in range(steps):
         t = t0 + k * h
-        states.append(rk4_step(f, t, states[k], h, rates[k]))
+        states.append(step(f, t, states[k], h, rates[k]))
         rates.append(f(t + h, states[k + 1]))
     grid = t0 + h * np.arange(steps + 1)
     grid[-1] = t1

@@ -495,21 +495,22 @@ def _stage_table(curve: DiscreteCurve, m: MetricDefinition) -> tuple[np.ndarray,
 def _integrate_on_stages(curve: DiscreteCurve, table, J0: np.ndarray,
                          K0: np.ndarray) -> tuple[np.ndarray, ...]:
     """RK4 steps of Jdd = -2 dG (J, Jd) over the curve grid, reading dG at
-    every stage from a `_stage_table`, from J0 and Jd = K0 - N J0: (J, K,
-    Jd) at the nodes, each (npts, n, nfields), where K = Jd + N J, with
-    N = dG/dy, is DJ."""
+    every stage from a `_stage_table` by its stage time, from J0 and
+    Jd = K0 - N J0: (J, K, Jd) at the nodes, each (npts, n, nfields), where
+    K = Jd + N J, with N = dG/dy, is DJ."""
     times, dG = table[:2]
     grid = curve.grid
     n = curve.dim
     N = dG[..., n:]
+    at = dict(zip(times.tolist(), dG))      # the row of each distinct stage time
 
     def rhs(t, S):   # S = (J, Jd)
-        return np.array([S[1], -2.0 * (dG[np.searchsorted(times, t)] @ S.reshape(2 * n, -1))])
+        return np.array([S[1], -2.0 * (at[t] @ S.reshape(2 * n, -1))])
 
     J, K = (np.asarray(a, dtype=float).reshape(n, -1) for a in (J0, K0))
     S = np.array([J, K - N[0] @ J])
     states = [S]
-    for t, h in zip(grid[:-1], grid[1:] - grid[:-1]):
+    for t, h in zip(grid[:-1].tolist(), (grid[1:] - grid[:-1]).tolist()):
         S = rk4_step(rhs, t, S, h, k1=rhs(t, S))
         states.append(S)
     Js, Jdots = np.array(states).transpose(1, 0, 2, 3)

@@ -8,7 +8,8 @@ import pytest
 
 from finslab import conformal, connection, dsl, experiments, geodesics, jets, tensors
 from finslab.errors import (DomainExit, EvaluationDomainError, FinslabError,
-                            NoConvergence, PositivityFailure, TransversalityFailure)
+                            InadmissibleSample, NoConvergence, PositivityFailure,
+                            TransversalityFailure)
 import sphere_reference
 from conftest import lightlike_start
 
@@ -120,7 +121,7 @@ def test_a_non_finite_stage_state_is_named_by_its_curve_time():
 
 @pytest.mark.parametrize("name", ["einstein", "scaled_einstein", "bogoslovsky"])
 def test_the_float_state_takes_the_steps_of_an_array_state_to_the_bit(name, request):
-    """`integrate_geodesic` holds (x, y) as one tuple of Python floats.  A
+    """`integrate_geodesic` holds (x, y) as one list of Python floats.  A
     loop of `rk4_step` over numpy arrays, holding the state as a (2, n)
     array with the same float spray per stage, gives the same curve to the
     bit: the float state performs `rk4_step`'s operations in its order."""
@@ -129,9 +130,10 @@ def test_the_float_state_takes_the_steps_of_an_array_state_to_the_bit(name, requ
     t0, t1, steps = 0.25, 0.85, 60
     curve = geodesics.integrate_geodesic(m, x0, v0, (t0, t1), 1e-2)
     h = (t1 - t0) / steps                # the step the integrator takes
+    stage = geodesics._rates(m)
 
     def f(t, s):
-        return np.array([s[1], geodesics._rhs(m, s[0].tolist() + s[1].tolist(), t)])
+        return np.array([s[1], stage(t, s[0].tolist() + s[1].tolist())[m.dim:]])
 
     states = [np.array([x0, v0], dtype=float)]
     rates = [f(t0, states[0])]
@@ -144,6 +146,116 @@ def test_the_float_state_takes_the_steps_of_an_array_state_to_the_bit(name, requ
                       (curve.velocities, [s[1] for s in states]),
                       (curve.accelerations, [r[1] for r in rates])):
         assert np.array(want).tobytes() == got.tobytes()
+
+
+def _stage_outcome(stage, t, point):
+    try:
+        return stage(t, point)
+    except Exception as exc:       # noqa: BLE001 - the outcome is compared
+        return type(exc), str(exc)
+
+
+def _stage_by_methods(m):
+    """An RK stage as a chain of m's one-point methods: the finite check,
+    `_point_admissible`, `_point_jet` and `connection._spray`."""
+    def stage(t, point):
+        if not all(map(np.isfinite, point)):
+            raise EvaluationDomainError(f"the integration state is not finite at t={t!r}")
+        y = point[m.dim:]
+        if not (any(y) and m._point_admissible(point)):
+            raise DomainExit(t)
+        return [*y, *(-2.0 * a for a in connection._spray(m._point_jet(point, 2), y))]
+    return stage
+
+
+_STAGE_CASES = {
+    # metric text, domain, and points x + y of a 2-D metric
+    "body constant fails": ("-y0^2 + y1^2 + (1/0)*x0*y1^2", (),
+                            [[0.1, 0.2, 1.0, 2.0], [0.1, 0.2, 0.0, 0.0]]),
+    "domain constant fails": ("-y0^2 + y1^2", ("y0 + log(0)",), [[0.1, 0.2, 1.0, 2.0]]),
+    "domain program raises": ("-y0^2 + y1^2", ("log(x0)",),
+                              [[-1.0, 0.2, 1.0, 2.0], [0.5, 0.2, 1.0, 2.0]]),
+    "domain miss": ("-y0^2 + y1^2", ("x0", "y1"),
+                    [[0.5, 0.2, 1.0, -2.0], [0.5, 0.2, 1.0, 2.0]]),
+    "zero fiber vector": ("-y0^2 + y1^2", (), [[0.5, 0.2, 0.0, 0.0]]),
+    "state not finite": ("-y0^2 + y1^2", (), [[np.inf, 0.2, 1.0, 2.0],
+                                              [0.5, 0.2, np.nan, 2.0]]),
+    "jet not finite": ("-y0^2 + y1^2 + 1e300*x0*y0*y1", (), [[1e10, 0.2, 1.0, 2.0]]),
+    "singular": ("y0^2 + 0*y1", (), [[0.5, 0.2, 1.0, 2.0]]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_STAGE_CASES))
+def test_an_rk_stage_keeps_the_checks_of_the_one_point_methods(case):
+    """An RK stage with m's compiled programs bound (`_rates`) gives, at
+    each point, the rate or the error type and text of the chain of
+    one-point methods, in the same order: a state that is not finite, a
+    zero fiber vector, a domain miss or a domain program that raises, a
+    tape whose constant failed, a jet that is not finite, a singular g."""
+    text, domain, points = _STAGE_CASES[case]
+    m = dsl.parse_metric(text, 2, domain=domain, name=case)
+    outcomes = []
+    for point in points:
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = _stage_outcome(_stage_by_methods(m), 0.375, point)
+            outcomes.append(_stage_outcome(geodesics._rates(m), 0.375, point))
+        assert repr(outcomes[-1]) == repr(want)
+    assert isinstance(outcomes[0], tuple)      # the first point of each case fails
+
+
+def test_a_shared_kernel_names_the_definition_that_runs_it():
+    """Two definitions of one text share the jet and domain kernels through
+    `dsl._KERNELS` and `dsl._FLOAT_KERNELS`; a stage whose jet is not
+    finite names the definition it runs for, so no kernel carries a name."""
+    first, second = (dsl.parse_metric("-y0^2 + y1^2 + 1e300*x0*y0*y1", 2, domain=("y1",),
+                                      name=name) for name in ("first", "second"))
+    assert first._body.point_kernel(2) is second._body.point_kernel(2)
+    assert first._domain.float_kernel() is second._domain.float_kernel()
+    for m in (first, second, first):
+        with np.errstate(over="ignore"), pytest.raises(EvaluationDomainError) as err:
+            geodesics.integrate_geodesic(m, [1e10, 0.0], [1.0, 2.0], (0, 1), 0.1)
+        assert str(err.value) == f"the jet of {m.name!r} is not finite at " \
+                                 f"{dsl.TangentSample([1e10, 0.0], [1.0, 2.0])!r}"
+
+
+def test_a_failed_constant_raises_at_the_first_stage():
+    """A body whose constant fails passes the start check and raises its
+    failure at the first RK stage; a domain whose constant fails admits no
+    start."""
+    body = dsl.parse_metric("-y0^2 + y1^2 + (1/0)*x0*y1^2", 2, name="body")
+    with pytest.raises(EvaluationDomainError) as err:
+        geodesics.integrate_geodesic(body, [0.1, 0.2], [1.0, 2.0], (0, 1), 0.1)
+    assert str(err.value) == body._body.failure
+    domain = dsl.parse_metric("-y0^2 + y1^2", 2, domain=("y0 + log(0)",), name="domain")
+    with pytest.raises(InadmissibleSample):
+        geodesics.integrate_geodesic(domain, [0.1, 0.2], [1.0, 2.0], (0, 1), 0.1)
+
+
+def test_an_rk_stage_calls_no_one_point_method(einstein, bogoslovsky, monkeypatch):
+    """The RK stages of `integrate_geodesic` run m's bound programs: no
+    `_point_admissible`, `_point_jet`, `Tape.floats` or `connection._spray`
+    beyond the one domain check of the start, whatever the step count; the
+    step is written once per state length, and `rk4_step` on an array is
+    the step of one component."""
+    calls = collections.Counter()
+    for owner, name in ((dsl.MetricDefinition, "_point_admissible"),
+                        (dsl.MetricDefinition, "_point_jet"), (dsl.Tape, "floats"),
+                        (connection, "_spray")):
+        monkeypatch.setattr(owner, name, lambda *args, _plain=getattr(owner, name),
+                            _name=name: calls.update([_name]) or _plain(*args))
+    sources, plain_compiled = [], geodesics._compiled
+    monkeypatch.setattr(geodesics, "_compiled", lambda source, names: sources.append(
+        source) or plain_compiled(source, names))
+    geodesics._rk4_kernel.cache_clear()
+    for m, x0, v0 in ((einstein, [0, np.pi / 2, 0], [1, 0.3, 0.9]),
+                      (bogoslovsky, [0.0, 0.0], [2.0, 1.0])):
+        for h in (0.1, 0.01):
+            geodesics.integrate_geodesic(m, x0, v0, (0, 0.4), h)
+    assert calls == {"_point_admissible": 4, "floats": 4}
+    s = np.array([[1.0, 2.0], [3.0, 4.0]])
+    geodesics.rk4_step(lambda t, s: t * s, 0.5, s, 0.25, 0.5 * s)
+    assert [source.splitlines()[1].strip() for source in sources] == [
+        "s0, s1, s2, s3, s4, s5, = s", "s0, s1, s2, s3, = s", "s0, = s"]
 
 
 def test_dense_output_matches_nodes_exactly(minkowski3):
