@@ -30,8 +30,7 @@ from .dsl import MetricDefinition, SampleBatch, TangentSample
 from .errors import ConfigError, FinslabError
 from .experiments import great_circle_patch
 from .geodesics import (integrate_geodesic, pregeodesic_residual,
-                        probe_vector, project_to_lightcone,
-                        reparametrize_conformal)
+                        project_to_lightcone, reparametrize_conformal)
 from .tensors import (FundamentalTensor, _require_nondegenerate, cartan_tensor,
                       fundamental_tensor)
 from .variational import (CurveGeometry, SubmanifoldPatch, VariationField,
@@ -258,8 +257,7 @@ def _sample_count(cfg: Config, default: int) -> int:
 
 
 def _lightlike_start(m: MetricDefinition, x0, v0) -> TangentSample:
-    sample = TangentSample(x0, v0)
-    return project_to_lightcone(m, sample, probe_vector(m, sample))
+    return project_to_lightcone(m, TangentSample(x0, v0))
 
 
 # --------------------------------------------------------------------------

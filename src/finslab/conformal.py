@@ -6,10 +6,10 @@ plain quotient L2/L1 away from the cone; on the cone, where the quotient is
 0/0, it is the ratio of the Legendre pairings g2_v(v, w) / g1_v(v, w), which
 is well defined for any probe w transversal to the cone.
 
-`lightcones_coincide` takes one sample at a time: its probe vector, its
-projection onto the source cone, then the other metric's value at the
-projected sample.  `scale_metric` forms the product factor * metric and
-checks the factor's sign at sampled points.
+`lightcones_coincide` takes one sample at a time: its projection onto the
+source cone, along the probe read off the projection's first jet, then the
+other metric's value there.  `scale_metric` forms the product factor *
+metric and checks the factor's sign at sampled points.
 """
 
 from __future__ import annotations
@@ -76,8 +76,7 @@ def lightcones_coincide(pair: ConformalPair, tol: float = COINCIDENCE_TOL
         hits = 0
         for v in sample_admissible(source, rng, count=pair.sample_budget):
             try:
-                w = probe_vector(source, v)
-                vstar = project_to_lightcone(source, v, w, tol=1e-13)
+                vstar = project_to_lightcone(source, v, tol=1e-13)
             except (NoConvergence, TransversalityFailure):
                 failures += 1
                 continue

@@ -210,14 +210,16 @@ _FLOAT_SOURCES = {
 }
 
 
-def _float_source(tape: "Tape") -> str:
+def _float_source(tape: "Tape", positive: bool = False) -> str:
     """The source of `floats(p)`, a tape's float program at one point p of
     2n floats as straight-line code: each slot is a local t{k}, written as
     `_FLOAT_SOURCES` gives it, or, for an elementary function or a
     fractional power, as the order-0 lines of `jets.taylor_source`; the
-    outputs are checked finite by `_finite`.  The source holds only local
-    names, indices, float constants, the names of `_FLOAT_NAMES` and the
-    names of the elementary functions as strings."""
+    outputs are checked finite by `_finite`.  With `positive` it is the
+    domain check `positive(p)`: whether every output is in (0, inf), and
+    False where a line raises EvaluationDomainError.  The source holds only
+    local names, indices, float constants, the names of `_FLOAT_NAMES` and
+    the names of the elementary functions as strings."""
     lines = ["def floats(p):"]
     names: list[str] = []         # the local of each slot
     numbers = count(1)
@@ -240,9 +242,12 @@ def _float_source(tape: "Tape") -> str:
             expr = _FLOAT_SOURCES[kind].format(a=names[a], b=b)
         names.append(fresh())
         lines.append(f"    {names[-1]} = {expr}")
-    out = ", ".join(_literal(o) if isinstance(o, float) else names[o] for o in tape.outputs)
-    lines.append(f"    return _finite([{out}])")
-    return "\n".join(lines) + "\n"
+    out = [_literal(o) if isinstance(o, float) else names[o] for o in tape.outputs]
+    if not positive:
+        return "\n".join([*lines, f"    return _finite([{', '.join(out)}])"]) + "\n"
+    inside = " and ".join(f"0.0 < {o} < inf" for o in out) or "True"
+    return "\n    ".join(["def positive(p):", "try:", *lines[1:], f"    return {inside}",
+                          "except EvaluationDomainError:", "    return False"]) + "\n"
 
 
 def _finite(values: list[float]) -> list[float]:
@@ -291,9 +296,10 @@ class Tape:
     functions and fractional powers, as the order-0 lines of
     `jets.taylor_source`; division and integer powers call `_divide` and
     `_int_power`, and sqrt checks its argument inline, so each value is
-    the float of plain arithmetic with its checks.  Values and domain
-    checks at many points run it point by point; only the jet keeps a row
-    program, where one numpy pass over S points is faster.
+    the float of plain arithmetic with its checks.  A domain check runs its
+    `positive_kernel` form.  Values and domain checks at many points run it
+    point by point; only the jet keeps a row program, where one numpy pass
+    over S points is faster.
 
     Operations keep the order and the checks of plain arithmetic: integer
     powers are `**` on floats and repeated products on jets, an elementary
@@ -314,7 +320,7 @@ class Tape:
         self.outputs = [self._emit(e) for e in exprs]
         del self._slot_of
         self.variables = tuple(sorted(op[1] for op in self._ops if op[0] == "var"))
-        self._float_kernel = None
+        self._float_kernel = self._positive_kernel = None
         self._jet_programs: dict[int, tuple] = {}
         self._kernels: dict[int, object] = {}
 
@@ -428,6 +434,19 @@ class Tape:
             if kernel is None:
                 kernel = _FLOAT_KERNELS[key] = _compiled(_float_source(self), _FLOAT_NAMES)
             self._float_kernel = kernel
+        return kernel
+
+    def positive_kernel(self):
+        """The domain check at one point (`_float_source` with `positive`),
+        shared as `float_kernel` is; where a constant failed, no point
+        passes."""
+        kernel = self._positive_kernel
+        if kernel is None:
+            key = (True, self.dim, tuple(map(_key, self._ops)), _key(self.outputs))
+            kernel = (lambda point: False) if self.failure else _FLOAT_KERNELS.get(key)
+            if kernel is None:
+                kernel = _FLOAT_KERNELS[key] = _compiled(_float_source(self, True), _FLOAT_NAMES)
+            self._positive_kernel = kernel
         return kernel
 
     # jet program ----------------------------------------------------------
@@ -562,7 +581,8 @@ def _key(values) -> tuple:
 # operations (constants keyed by value and sign) and outputs share one.
 _FLOAT_KERNELS: dict[tuple, object] = {}
 _FLOAT_NAMES = {**jets.TAYLOR_GLOBALS, "_divide": _divide, "_int_power": _int_power,
-                "_function": _function, "_finite": _finite, "sqrt": math.sqrt}
+                "_function": _function, "_finite": _finite, "sqrt": math.sqrt,
+                "EvaluationDomainError": EvaluationDomainError}
 
 # The one-point jet kernel of each (program, order).  Tapes with the same
 # dimension, operations (constants keyed by value and sign), supports and
@@ -1097,18 +1117,14 @@ class MetricDefinition:
             if sample.dim != self.dim:
                 return np.zeros(len(sample), dtype=bool)
             points = np.hstack((sample.x, sample.y)).tolist()
-            return np.array([self._point_admissible(p) for p in points], dtype=bool)
+            return np.array(list(map(self._domain.positive_kernel(), points)), dtype=bool)
         if sample.dim != self.dim:
             return False
         return self._point_admissible(sample.x.tolist() + sample.y.tolist())
 
     def _point_admissible(self, point) -> bool:
         """`admissible` at one point x + y, given as a sequence of 2n floats."""
-        try:
-            values = self._domain.floats(point)
-        except EvaluationDomainError:
-            return False
-        return all(v > 0.0 for v in values)
+        return self._domain.positive_kernel()(point)
 
     def box(self) -> np.ndarray:
         if self.sample_box is not None:
@@ -1155,6 +1171,7 @@ def sample_admissible(m: MetricDefinition, rng: np.random.Generator,
         raise NoAdmissibleSample(
             f"the domain of {m.name!r} is empty: a predicate is constant and not positive")
     low, span = (a.tolist() for a in _sampling_box(m))
+    inside = domain.positive_kernel()
     out: list[TangentSample] = []
     rejects = 0
     while len(out) < count:
@@ -1169,7 +1186,7 @@ def sample_admissible(m: MetricDefinition, rng: np.random.Generator,
             continue
         scale = math.exp(_LOG_HALF + (_LOG_TWO - _LOG_HALF) * rng.random())
         y = [c / norm * scale for c in y.tolist()]
-        if m._point_admissible(x + y):
+        if inside(x + y):
             out.append(TangentSample(x, y))
         else:
             rejects += 1

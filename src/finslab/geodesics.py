@@ -9,10 +9,11 @@ order-2 one-point jet kernel and the spray kernel, bound once per curve,
 and a step is one straight-line function written per number of state
 components, which `rk4_step` runs on one array.
 
-Lightcone projection runs Newton's method on one sample, on Python floats:
-one compiled order-2 jet per Newton evaluation and one one-point domain
-check per backtracking candidate; a sample whose step no longer moves it
-fails at once with the failure the remaining iterations would give it.
+Lightcone projection runs Newton's method on one sample, on Python floats,
+by the metric's jet kernel and domain check, bound once: one order-2 jet
+per Newton evaluation, the first of which also picks the probe, and one
+domain check per backtracking candidate; a sample whose step no longer
+moves it fails at once with the failure the remaining iterations would give it.
 Along a curve, values (`lightlike_defect`, `factor_values`, `energy`),
 sprays and factor partials run node by node on the one-point programs that
 an RK stage runs; row-wise dot products are stacked matmuls, which round as
@@ -23,6 +24,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 
 import numpy as np
 
@@ -108,17 +110,13 @@ def _rates(m: MetricDefinition):
     and the spray kernel, bound once, with the checks and errors of
     `_point_admissible` and `_point_jet` and a finite check of s."""
     n = m.dim
-    domain, jet, spray = m._domain.float_kernel(), m._body.point_kernel(2), _spray_kernel(n)
+    inside, jet, spray = m._domain.positive_kernel(), m._body.point_kernel(2), _spray_kernel(n)
 
     def f(t, s):
         if not all(map(math.isfinite, s)):
             raise EvaluationDomainError(f"the integration state is not finite at t={t!r}")
         y = s[n:]
-        try:                    # a zero y is in no conic domain
-            inside = any(y) and all(v > 0.0 for v in domain(s))
-        except EvaluationDomainError:
-            inside = False
-        if not inside:
+        if not (any(y) and inside(s)):      # a zero y is in no conic domain
             raise DomainExit(t)
         c = jet(s)
         if not all(map(math.isfinite, c)):
@@ -175,19 +173,33 @@ def integrate_geodesic(m: MetricDefinition, x0, v0, t_span: tuple[float, float],
 def probe_vector(m: MetricDefinition, v: TangentSample) -> np.ndarray:
     """Basis vector with the largest Legendre pairing |g_v(v, e_i)|: the
     transversal direction along which the cone is reached."""
-    ell = legendre(m, v)
-    i = int(np.argmax(np.abs(ell)))
-    if abs(ell[i]) <= 1e-12 * max(1.0, float(v.y @ v.y)):
+    return np.eye(v.dim)[_probe_index(legendre(m, v).tolist(), v.y.tolist())]
+
+
+def _probe_index(ell: list, y: list) -> int:
+    """The first index of the largest |ell_i|, or TransversalityFailure
+    where that is within 1e-12 max(1, |y|^2) of zero."""
+    pairing = [abs(a) for a in ell]
+    i = pairing.index(max(pairing))
+    if _within(pairing[i], 1e-12, y):
         raise TransversalityFailure("no basis vector pairs with the sample")
-    w = np.zeros(v.dim)
-    w[i] = 1.0
-    return w
+    return i
+
+
+def _within(value: float, tol: float, y: list) -> bool:
+    """|value| <= tol max(1, y @ y), the numpy dot taken only where the test
+    can pass: it and the float sum s of the squares lie within 2n u of |y|^2
+    (Higham, *Accuracy and Stability of Numerical Algorithms*, 2nd ed.,
+    SIAM 2002, section 3.1), far inside the margin 1e-13 at n <= MAX_DIM."""
+    if abs(value) > tol * max(1.0, sum(map(operator.mul, y, y)) * (1.0 + 1e-13)):
+        return False
+    return abs(value) <= tol * max(1.0, float(np.array(y) @ y))
 
 
 _NOT_CONVERGED = "lightcone projection did not converge in 50 iterations"
 
 
-def project_to_lightcone(m: MetricDefinition, v: TangentSample, w,
+def project_to_lightcone(m: MetricDefinition, v: TangentSample, w="auto",
                          tol: float = CONE_PROJECTION_TOL) -> TangentSample:
     """Newton solve of L(v + delta*w) = 0 along a transversal direction w, in
     at most 50 iterations.
@@ -198,32 +210,52 @@ def project_to_lightcone(m: MetricDefinition, v: TangentSample, w,
     lightlike.  A sample whose step no longer moves delta would stay where it
     is to the 50th iteration, and fails at once.
 
-    The sample is projected on Python floats: one compiled order-2 jet at
-    the point x + y per Newton evaluation (`_point_jet`, which checks that
-    every coefficient is finite) and one one-point domain check per halving
-    candidate.  The slope dL_v(w) and the scale |y|^2 that the tolerances
-    multiply are numpy dot products, which round as those of a loop over
-    `TangentSample` arrays do.  A probe w of another shape than the fiber
-    vector is a ValueError, raised before any work.
+    The sample is projected on Python floats by m's order-2 jet kernel and
+    domain check, bound once: one jet at x + y per Newton evaluation, whose
+    coefficients must be finite, and one domain check per halving
+    candidate.  w="auto" is `probe_vector`'s basis vector, read off the
+    first jet.  Along a basis vector the slope dL_v(w) is one jet
+    coefficient, and every decision is that of a loop over `TangentSample`
+    arrays, to the bit.  A probe w of another shape than the fiber vector
+    is a ValueError, raised before any work.
     """
-    w = np.asarray(w, dtype=float)
-    if w.shape != v.y.shape:
+    auto = isinstance(w, str) and w == "auto"
+    w = None if auto else np.asarray(w, dtype=float)
+    if not auto and w.shape != v.y.shape:
         raise ValueError(f"probe array of shape {w.shape} for fiber vectors "
                          f"of shape {v.y.shape}")
-    x, y0 = v.x.tolist(), v.y.tolist()
-    if v.dim != m.dim or not m._point_admissible(x + y0):
+    n, x, y0 = m.dim, v.x.tolist(), v.y.tolist()
+    inside = m._domain.positive_kernel()
+    if v.dim != n or not inside(x + y0):
         raise _inadmissible(m, v)
+    jet = m._body.point_kernel(2)
+
+    def coefficients(y: list) -> list:
+        c = jet(x + y)
+        if not all(map(math.isfinite, c)):
+            raise m._not_finite(TangentSample(x, y))
+        return c
+
+    c = coefficients(y0)
+    if auto:
+        w = np.eye(n)[_probe_index([0.5 * a for a in c[n:0:-1]], y0)]
     probe = w.tolist()
-    y = y0
-    value, slope = _newton_values(m, x, y, w)
-    scale = _scale(y)
+    # the slope along e_i is coefficient k = n - i (`JetSpace.partial_slots`),
+    # as the dot's other terms are +-0 and numpy sums from +0.0 (-0.0 reads
+    # +0.0); k = 0 for any other w
+    k = n - probe.index(1.0) if probe.count(0.0) == n - 1 and 1.0 in probe else 0
+
+    def values(c: list) -> tuple[float, float]:
+        return c[0], (c[k] + 0.0 if k else float(np.array(c[n:0:-1]) @ w))
+
+    value, slope = values(c)
     # transversality: g_v(v, w) = (1/2) dL_v(w)
-    if abs(slope) <= 1e-12 * scale:
+    if _within(slope, 1e-12, y0):
         raise TransversalityFailure(
             f"probe vector pairs to {slope / 2:.3e} with the base vector")
-    delta = 0.0
+    delta, y = 0.0, y0
     for _ in range(50):
-        if abs(value) <= tol * scale:
+        if _within(value, tol, y):
             return TangentSample(x, y)
         if slope == 0.0:
             raise NoConvergence("lightcone projection hit a critical point")
@@ -231,7 +263,7 @@ def project_to_lightcone(m: MetricDefinition, v: TangentSample, w,
         for _ in range(60):
             moved = delta + step
             y = [a + moved * b for a, b in zip(y0, probe)]
-            if any(y) and m._point_admissible(x + y):
+            if any(y) and inside(x + y):
                 break
             step *= 0.5
         else:
@@ -241,24 +273,8 @@ def project_to_lightcone(m: MetricDefinition, v: TangentSample, w,
         if moved == delta:
             raise NoConvergence(_NOT_CONVERGED)
         delta = moved
-        value, slope = _newton_values(m, x, y, w)
-        scale = _scale(y)
+        value, slope = values(coefficients(y))
     raise NoConvergence(_NOT_CONVERGED)
-
-
-def _newton_values(m: MetricDefinition, x: list, y: list, w: np.ndarray
-                   ) -> tuple[float, float]:
-    """L at the sample x + y and its derivative dL_v(w) along w, from one
-    order-2 jet; the first fiber partial dL/dy^l is coefficient n - l
-    (`JetSpace.partial_slots`)."""
-    c = m._point_jet(x + y, 2)
-    return c[0], float(np.array(c[len(y):0:-1]) @ w)
-
-
-def _scale(y: list) -> float:
-    """max(1, |y|^2), the factor of the lightcone tolerances."""
-    y = np.array(y)
-    return max(1.0, float(y @ y))
 
 
 def lightlike_defect(curve: DiscreteCurve, m: MetricDefinition) -> float:

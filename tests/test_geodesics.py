@@ -211,6 +211,7 @@ def test_a_shared_kernel_names_the_definition_that_runs_it():
                                       name=name) for name in ("first", "second"))
     assert first._body.point_kernel(2) is second._body.point_kernel(2)
     assert first._domain.float_kernel() is second._domain.float_kernel()
+    assert first._domain.positive_kernel() is second._domain.positive_kernel()
     for m in (first, second, first):
         with np.errstate(over="ignore"), pytest.raises(EvaluationDomainError) as err:
             geodesics.integrate_geodesic(m, [1e10, 0.0], [1.0, 2.0], (0, 1), 0.1)
@@ -234,9 +235,10 @@ def test_a_failed_constant_raises_at_the_first_stage():
 def test_an_rk_stage_calls_no_one_point_method(einstein, bogoslovsky, monkeypatch):
     """The RK stages of `integrate_geodesic` run m's bound programs: no
     `_point_admissible`, `_point_jet`, `Tape.floats` or `connection._spray`
-    beyond the one domain check of the start, whatever the step count; the
-    step is written once per state length, and `rk4_step` on an array is
-    the step of one component."""
+    beyond the one domain check of the start, which runs the bound check
+    and no `Tape.floats`, whatever the step count; the step is written once
+    per state length, and `rk4_step` on an array is the step of one
+    component."""
     calls = collections.Counter()
     for owner, name in ((dsl.MetricDefinition, "_point_admissible"),
                         (dsl.MetricDefinition, "_point_jet"), (dsl.Tape, "floats"),
@@ -251,7 +253,7 @@ def test_an_rk_stage_calls_no_one_point_method(einstein, bogoslovsky, monkeypatc
                       (bogoslovsky, [0.0, 0.0], [2.0, 1.0])):
         for h in (0.1, 0.01):
             geodesics.integrate_geodesic(m, x0, v0, (0, 0.4), h)
-    assert calls == {"_point_admissible": 4, "floats": 4}
+    assert calls == {"_point_admissible": 4}
     s = np.array([[1.0, 2.0], [3.0, 4.0]])
     geodesics.rk4_step(lambda t, s: t * s, 0.5, s, 0.25, 0.5 * s)
     assert [source.splitlines()[1].strip() for source in sources] == [
@@ -574,6 +576,10 @@ def test_curve_consumers_run_one_point_programs_only(einstein, theta_weight, mon
     monkeypatch.setattr(dsl.MetricDefinition, "_point_jet", point_jet)
     monkeypatch.setattr(dsl.Tape, "floats", lambda self, point: floats.update(
         [self]) or plain_floats(self, point))
+    # a domain check runs the float program inside the bound check
+    plain_check = dsl.Tape.positive_kernel
+    monkeypatch.setattr(dsl.Tape, "positive_kernel", lambda self: lambda point, _check=(
+        plain_check(self)): floats.update([self]) or _check(point))
     geodesics.pregeodesic_residual(curve, einstein, theta_weight)
     assert jets == {("einstein-static", 2): size - 2, ("theta-weight", 2): size}
     assert floats == {einstein._domain: size - 2, theta_weight._body: size}

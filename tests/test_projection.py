@@ -4,6 +4,8 @@ vector to the bit, or fails with the same exception type and text, and the
 generator ends in the same state."""
 
 import collections
+import math
+import operator
 
 import numpy as np
 import pytest
@@ -168,17 +170,130 @@ def test_a_sample_returns_or_raises_as_the_serial_loop(m):
             _assert_same_outcomes([got], [ref])
 
 
+def _outcome(project):
+    try:
+        return project()
+    except Exception as exc:       # noqa: BLE001 - the outcome is compared
+        return exc
+
+
+@pytest.mark.parametrize("m", CONE_METRICS, ids=lambda m: m.name)
+def test_the_auto_probe_is_the_probe_vector(m):
+    """`project_to_lightcone(m, v)` reads `probe_vector`'s basis vector off
+    its first jet: every outcome is that of the projection along
+    `probe_vector(m, v)`, to the bit, and a sample along which no basis
+    vector pairs fails with `probe_vector`'s error."""
+    samples = dsl.sample_admissible(m, np.random.default_rng(9), count=32)
+    flat = dsl.parse_metric("pow(y0 - y1, 3) + 0*x0", 2, name="flat")
+    cases = [(m, v) for v in samples] + [(flat, dsl.TangentSample([0.0, 0.0], [1.0, 1.0]))]
+    for tol in (1e-12, 1e-13):
+        got = [_outcome(lambda: geodesics.project_to_lightcone(mk, v, tol=tol))
+               for mk, v in cases]
+        want = [_outcome(lambda: geodesics.project_to_lightcone(
+            mk, v, geodesics.probe_vector(mk, v), tol=tol)) for mk, v in cases]
+        _assert_same_outcomes(got, want)
+        assert str(got[-1]) == "no basis vector pairs with the sample"
+        assert sum(isinstance(g, dsl.TangentSample) for g in got) >= 8
+
+
+def _ulps(x: float, k: int) -> float:
+    """x moved k units in the last place (down for k < 0)."""
+    for _ in range(abs(k)):
+        x = math.nextafter(x, math.copysign(math.inf, k))
+    return x
+
+
+@pytest.mark.parametrize("n", range(1, dsl.MAX_DIM + 1))
+def test_the_squared_norm_bound_decides_as_the_numpy_dot(n):
+    """At |value| within 3 ulp of tol max(1, y @ y), with |y|^2 just below
+    1, at 1 and far above it, `_within` decides as the numpy dot does; the
+    data hold values that a bound without the margin 1e-13 would refuse
+    although the dot admits them (the float sum of the squares rounds below
+    the dot)."""
+    rng = np.random.default_rng(400 + n)
+    refused_without_margin = 0
+    for size in (1.0 - 1e-12, 1.0, 1e6):
+        for _ in range(40):
+            y = rng.standard_normal(n)
+            y = (y * math.sqrt(size / float(y @ y))).tolist()
+            dot = float(np.array(y) @ np.array(y))
+            for tol in (1e-12, 1e-13, 1e-8):
+                edge = tol * max(1.0, dot)
+                floor = tol * max(1.0, sum(map(operator.mul, y, y)))
+                for k in range(-3, 4):
+                    value = _ulps(edge, k)
+                    refused_without_margin += floor < value <= edge
+                    for signed in (value, -value):
+                        assert geodesics._within(signed, tol, y) is (value <= edge), (y, k)
+    assert n == 1 or refused_without_margin
+
+
+class _CountingNumpy:
+    """numpy, with the arrays that `np.array` makes counted."""
+
+    def __init__(self):
+        self.arrays = 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def array(self, *args, **kwargs):
+        self.arrays += 1
+        return np.array(*args, **kwargs)
+
+
+def test_a_basis_probe_takes_no_slope_dot_and_the_norm_dot_only_where_it_can_pass(
+        monkeypatch):
+    """Along a basis probe, auto or given, no Newton evaluation makes a numpy
+    array for the slope: every array is the |y|^2 of a tolerance test, and a
+    test takes one exactly where tol max(1, s (1 + 1e-13)), from the float
+    sum s of the squares, does not already fail it.  Along a skew probe the
+    slope is the numpy dot, one array per Newton evaluation."""
+    m = dsl.builtin_metric("bogoslovsky2")
+    samples = dsl.sample_admissible(m, np.random.default_rng(3), count=32)
+    counting, plain, tests = _CountingNumpy(), geodesics._within, []
+
+    def spy(value, tol, y):
+        before = counting.arrays
+        verdict = plain(value, tol, y)
+        bound = tol * max(1.0, sum(map(operator.mul, y, y)) * (1.0 + 1e-13))
+        tests.append((abs(value) <= bound, counting.arrays - before))
+        return verdict
+
+    jets = _count_point_jets(monkeypatch)
+    monkeypatch.setattr(geodesics, "np", counting)
+    monkeypatch.setattr(geodesics, "_within", spy)
+    for w in ("auto", [0.0, 1.0], [0.6, 0.8]):
+        tests.clear()
+        jets.clear()
+        start = counting.arrays
+        for v in samples:
+            _outcome(lambda: geodesics.project_to_lightcone(m, v, w, tol=1e-13))
+        taken = sum(arrays for _, arrays in tests)
+        assert all(arrays == can_pass for can_pass, arrays in tests)
+        assert 0 < taken < len(tests)
+        if w == [0.6, 0.8]:
+            assert counting.arrays - start == taken + sum(jets.values())
+        else:
+            assert counting.arrays - start == taken
+
+
 def _count_point_jets(monkeypatch) -> collections.Counter:
     """From now on, the one-point jets taken of any definition, counted by
-    the chart point x of the sample x + y."""
+    the chart point x of the sample x + y: each run of a jet kernel that
+    `Tape.point_kernel` hands out, bound or through the method layers."""
     jets = collections.Counter()
-    plain = dsl.MetricDefinition._point_jet
+    plain = dsl.Tape.point_kernel
 
-    def spy(self, point, order):
-        jets[tuple(point[:self.dim])] += 1
-        return plain(self, point, order)
+    def spy(self, order):
+        kernel = plain(self, order)
 
-    monkeypatch.setattr(dsl.MetricDefinition, "_point_jet", spy)
+        def counted(point):
+            jets[tuple(point[:self.dim])] += 1
+            return kernel(point)
+        return counted
+
+    monkeypatch.setattr(dsl.Tape, "point_kernel", spy)
     return jets
 
 
@@ -202,14 +317,15 @@ def test_stalled_samples_stop_before_the_last_iteration(monkeypatch):
 
 
 def test_projection_runs_one_point_programs_only(monkeypatch):
-    """32 bogoslovsky2 samples are projected without a row program (no tape
-    jet at a 2-D point array), with exactly as many one-point jets, sample
-    by sample, as the serial loop takes, except that a sample that stalls
-    stops early."""
+    """32 bogoslovsky2 samples are projected along the probe that the
+    projection picks, without a row program (no tape jet at a 2-D point
+    array), with one one-point jet fewer, sample by sample, than
+    `probe_vector` and the serial loop take (the probe's jet is the first
+    Newton jet), except that a sample that stalls stops early."""
     m = dsl.builtin_metric("bogoslovsky2")
     samples = dsl.sample_admissible(m, np.random.default_rng(4), count=32)
-    probes = np.array([geodesics.probe_vector(m, v) for v in samples])
     serial_jets = _count_point_jets(monkeypatch)
+    probes = [geodesics.probe_vector(m, v) for v in samples]
     ref = _serial(m, samples, probes, 1e-13)
     monkeypatch.undo()
     rows = []
@@ -217,16 +333,17 @@ def test_projection_runs_one_point_programs_only(monkeypatch):
     monkeypatch.setattr(dsl.Tape, "jet", lambda self, point, order: rows.append(
         np.ndim(point)) or plain_jet(self, point, order))
     jets = _count_point_jets(monkeypatch)
-    got = _projected(m, samples, probes, 1e-13)
+    got = _outcomes(lambda m, v, w, tol: geodesics.project_to_lightcone(m, v, tol=tol),
+                    m, samples, probes, 1e-13)
     _assert_same_outcomes(got, ref)
     assert 2 not in rows
     assert len(jets) == len(serial_jets) == 32
     for v, r in zip(samples, ref):
         x = tuple(v.x.tolist())
         if str(r) == "lightcone projection did not converge in 50 iterations":
-            assert jets[x] < serial_jets[x] == 51
+            assert jets[x] < serial_jets[x] - 1 == 51
         else:
-            assert jets[x] == serial_jets[x]
+            assert jets[x] == serial_jets[x] - 1
 
 
 @pytest.mark.parametrize("shape", [(1, 2), (2, 2), (3,), ()])
@@ -258,6 +375,18 @@ def test_transversality_and_convergence_failures_match_the_serial_loop():
     assert kinds == {TransversalityFailure, NoConvergence}
 
 
+def test_a_negative_zero_slope_reads_as_the_dot_reads_it():
+    """At x0 = 0 the slope of -(x0 y1) - y0^2 along e1 is the jet
+    coefficient -0.0; the serial loop's numpy dot sums it from +0.0 to +0.0,
+    and the projection's transversality failure prints the same zero."""
+    m = dsl.parse_metric("-(x0*y1) - y0^2", 2)
+    samples = [dsl.TangentSample([0.0, 0.0], [1.0, 1.0])]
+    probes = np.array([[0.0, 1.0]])
+    ref = _serial(m, samples, probes)
+    _assert_same_outcomes(_projected(m, samples, probes), ref)
+    assert str(ref[0]) == "probe vector pairs to 0.000e+00 with the base vector"
+
+
 def test_a_sample_that_exhausts_its_halvings_fails():
     """From y = (1, 1) a Newton step of about -1e19 along y0 leaves the
     domain y0 > 0 at all 60 halvings; from y = (1, 0), stepping along y1,
@@ -280,17 +409,17 @@ def test_the_sixtieth_halving_is_still_tried():
     samples = [dsl.TangentSample([0.0, 0.0], [1.0, 1.0])]
     probes = np.array([[1.0, 0.0]])
     checks = []
-    plain = dsl.MetricDefinition._point_admissible
+    plain = dsl.Tape.positive_kernel
 
-    def spy(self, point):
-        checks.append(plain(self, point))
-        return checks[-1]
+    def spy(self):
+        check = plain(self)
+        return lambda point: checks.append(check(point)) or checks[-1]
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(dsl.MetricDefinition, "_point_admissible", spy)
+        patch.setattr(dsl.Tape, "positive_kernel", spy)
         got = _projected(m, samples, probes)
-    # the start, then the 60 candidates of the first step: 61 one-point
-    # domain checks up to the first admissible candidate
+    # the start, then the 60 candidates of the first step: 61 runs of the
+    # bound domain check up to the first admissible candidate
     assert checks.index(True, 1) == 60
     assert checks[:61] == [True] + [False] * 59 + [True]
     _assert_same_outcomes(got, _serial(m, samples, probes))

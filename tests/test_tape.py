@@ -290,13 +290,14 @@ def test_no_metric_text_reaches_a_kernel_source(monkeypatch, tmp_path):
 
 
 def _float_sources(monkeypatch):
-    """The source of every float kernel compiled from now on."""
+    """The source of every float kernel and domain check compiled from now
+    on."""
     sources = []
     monkeypatch.setattr(dsl, "_FLOAT_KERNELS", {})
     plain = dsl._float_source
 
-    def writing(tape):
-        sources.append(plain(tape))
+    def writing(tape, *positive):
+        sources.append(plain(tape, *positive))
         return sources[-1]
 
     monkeypatch.setattr(dsl, "_float_source", writing)
@@ -329,11 +330,27 @@ def test_the_written_float_program_equals_the_closure_program_on_random_trees(tr
     assert repr(_floats_outcome(lambda: tape.floats(point))) == repr(want)
 
 
+@given(_trees(), st.lists(st.one_of(
+    st.floats(min_value=-1.5, max_value=1.5), st.sampled_from([0.0, -0.0, 1e200])),
+    min_size=4, max_size=4))
+@settings(max_examples=200, deadline=None, derandomize=True)
+def test_the_written_domain_check_is_the_rule_on_the_float_program(tree, point):
+    """`Tape.positive_kernel` admits a point exactly where every value of
+    the closure program is > 0, and no point where the program raises
+    EvaluationDomainError (a value that is not finite among them)."""
+    for outputs in ((), (tree,), (tree, dsl.Num(2.5)), (dsl.Num(-0.0), tree),
+                    (dsl.Add(tree, dsl.Num(1.0)), dsl.Sub(dsl.Num(1.0), tree))):
+        tape = dsl.Tape(outputs, 2)
+        values = _floats_outcome(lambda: solve_reference.floats(tape, point))
+        want = not isinstance(values, str) and all(v > 0.0 for v in values)
+        assert tape.positive_kernel()(point) is want
+
+
 def test_one_float_kernel_per_program(monkeypatch):
     """A metric text parsed twice, and a `scale_metric` or `inverse_factor`
-    product formed twice, write one float kernel for the body and one for
-    the domain; a program that differs only in the sign of a zero constant
-    gets its own."""
+    product formed twice, write one float kernel for the body and one
+    domain check for the domain; a program that differs only in the sign of
+    a zero constant gets its own."""
     sources = _float_sources(monkeypatch)
     v = dsl.TangentSample([0.3, 0.1], [1.0, 0.5])
     for c in ("0.5", "0.5", "0.0", "-0.0"):
@@ -353,9 +370,10 @@ def test_one_float_kernel_per_program(monkeypatch):
 
 
 def test_no_metric_text_reaches_a_float_or_solve_source(monkeypatch, tmp_path):
-    """The float kernels hold local names, indices, float constants, the
-    names of `dsl._FLOAT_NAMES`, the keywords of the written elementary
-    functions and the strings of the fixed function set, never text of the
+    """The float kernels and domain checks hold local names, indices, float
+    constants, the names of `dsl._FLOAT_NAMES`, the keywords of the written
+    elementary functions and of the check, and the strings of the fixed
+    function set, never text of the
     metric, and a metric named like a fixed name (sqrt) writes the source of
     the same text under another name; the written solvers and sprays hold
     only the names of their locals and of `tensors._ELIMINATION_NAMES`."""
@@ -378,7 +396,7 @@ def test_no_metric_text_reaches_a_float_or_solve_source(monkeypatch, tmp_path):
     for tape, twin in ((fixed._body, plain._body), (fixed._domain, plain._domain)):
         assert dsl._float_source(tape) == dsl._float_source(twin)
     float_names = set(dsl._FLOAT_NAMES) | TAYLOR_LINE_NAMES | {
-        "def", "floats", "p", "return", "else"}
+        "def", "floats", "positive", "p", "return", "else", "and", "True", "False"}
     for source in sources:
         for m in named:
             assert m.name not in source
@@ -549,8 +567,8 @@ def test_a_batch_domain_check_runs_one_point_program_per_sample(monkeypatch):
     want = [m.admissible(v) for v in batch]
     assert want == [k != 3 for k in range(8)]
     programs = []
-    plain = dsl.Tape.floats
-    monkeypatch.setattr(dsl.Tape, "floats", lambda self, point: programs.append(
-        self) or plain(self, point))
+    plain = dsl.Tape.positive_kernel
+    monkeypatch.setattr(dsl.Tape, "positive_kernel", lambda self: lambda point, _check=plain(
+        self): programs.append(self) or _check(point))
     assert m.admissible(batch).tolist() == want
     assert len(programs) == len(batch) and all(t is m._domain for t in programs)
