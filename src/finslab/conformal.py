@@ -21,7 +21,7 @@ import numpy as np
 from .dsl import Div, MetricDefinition, Mul, Num, TangentSample, pretty, sample_admissible
 from .errors import (IncompatiblePair, NoConvergence, PositivityFailure,
                      TransversalityFailure)
-from .geodesics import LIGHTLIKE_TOL, probe_vector, project_to_lightcone
+from .geodesics import LIGHTLIKE_TOL, covector_probe, project_to_lightcone
 from .tensors import _require_admissible, legendre
 
 __all__ = [
@@ -106,10 +106,11 @@ def anisotropy_factor(pair: ConformalPair, v: TangentSample, w="auto") -> float:
     scale = max(1.0, float(v.y @ v.y))
     if abs(l1) > LIGHTLIKE_TOL * scale:
         return pair.L2.value_at(v) / l1
+    ell1 = legendre(pair.L1, v)
     if isinstance(w, str) and w == "auto":
-        w = probe_vector(pair.L1, v)
+        w = covector_probe(ell1.tolist(), v.y.tolist())
     w = np.asarray(w, dtype=float)
-    p1 = float(legendre(pair.L1, v) @ w)
+    p1 = float(ell1 @ w)
     if abs(p1) <= 1e-12 * scale:
         raise TransversalityFailure(
             "probe vector pairs to zero with the sample; the factor is 0/0 along it")

@@ -33,12 +33,14 @@ Along a geodesic, Jacobi fields also solve the linearized spray Jdd = -2 dG
 (J, Jd) with DJ = Jd + N J (Shen, *Differential Geometry of Spray and
 Finsler Spaces*, Kluwer 2001), which an order-3 frame gives.  Along a curve
 the Jacobi integrator and `variational.CurveGeometry` read the arrays of
-`_frame_tables`, which evaluates the curve's samples in near-equal chunks of
-at most `CHUNK`, one frame per chunk.  Row k of a chunk equals the frame of
-sample k alone, to the bit, and a failing chunk raises the error of its
-first failing sample, as a loop over samples would.  Sprays and the factor's
-partials along a curve need no frame: they run node by node on the one-point
-jet and the spray kernel that an RK stage runs (`_sprays_along`,
+`_frame_tables`, which evaluates the curve's samples in near-equal chunks,
+one frame per chunk: `CHUNK` samples of an order-4 frame, or of an order-3
+frame as many as hold the coefficients of `CHUNK` order-4 jets at the same
+n (`_per_frame`: 40 at n = 3, 32 at n = 2).  Row k of a chunk equals the
+frame of sample k alone, to the bit, and a failing chunk raises the error of
+its first failing sample, as a loop over samples would.  Sprays and the
+factor's partials along a curve need no frame: they run node by node on the
+one-point jet and the spray kernel that an RK stage runs (`_sprays_along`,
 `_scalar_partials_along`).
 
 All functions here are pure and stateless.
@@ -59,11 +61,13 @@ from .tensors import (_ELIMINATION_NAMES, _elimination, _inadmissible, _require_
 __all__ = ["ConnectionFrame", "spray_coefficients", "chern_curvature"]
 
 
-# Most samples per frame along a curve: large enough that the tape and the
-# frame arithmetic run over many samples per numpy call, small enough that
-# one chunk's temporaries stay within a cache-sized working set and peak
-# memory within noise of one frame per sample (see BENCH_8.json).  A curve
-# is split into chunks of near-equal size (`_chunks`).
+# Most samples per order-4 frame along a curve: large enough that the tape
+# and the frame arithmetic run over many samples per numpy call, small
+# enough that one chunk's temporaries stay within a cache-sized working set
+# and peak memory within noise of one frame per sample (see BENCH_8.json).
+# A frame of lower order takes as many samples as the jets of CHUNK order-4
+# samples hold coefficients (`_per_frame`; BENCH_30.json).  A curve is split
+# into chunks of near-equal size (`_chunks`).
 CHUNK = 16
 
 
@@ -338,25 +342,29 @@ def chern_curvature(m: MetricDefinition, v: TangentSample, X, Y, Z) -> np.ndarra
                      np.asarray(X, float), np.asarray(Y, float), np.asarray(Z, float))
 
 
-def _frame_values(m: MetricDefinition, batch: SampleBatch) -> tuple[np.ndarray, ...]:
-    fr = ConnectionFrame(m, batch, order=4)
+def _frame_values(fr: ConnectionFrame) -> tuple[np.ndarray, ...]:
     return fr.g(), fr.ginv(), fr.nonlinear(), fr.christoffel(), fr.jacobi_matrix()
 
 
 def _frame_tables(m: MetricDefinition, times: np.ndarray, positions: np.ndarray,
-                  references: np.ndarray, values=_frame_values) -> list[np.ndarray]:
+                  references: np.ndarray, read=_frame_values,
+                  order: int = 4) -> list[np.ndarray]:
     """Connection data along a curve at the samples (x_k, U_k), as arrays
-    with a leading sample axis: by default g, g^{-1}, N, Gamma and the
-    Jacobi operator A of order-4 frames, else the arrays that
-    `values(m, batch)` reads from a frame of its own.
+    with a leading sample axis: the arrays that `read(frame)` takes from
+    frames of the given order, by default g, g^{-1}, N, Gamma and the
+    Jacobi operator A of order-4 frames.
 
-    The samples are evaluated in near-equal chunks of at most `CHUNK`, one
-    frame per chunk; each frame's values are copied out and the frame
-    dropped, so memory holds the tables and one chunk.  Errors are those of
-    a loop over samples (see `_in_order`); a sample outside the domain
-    raises `InadmissibleSample` naming the curve time."""
+    The samples are evaluated in near-equal chunks of at most
+    `_per_frame(n, order)` samples (`_chunks`), one frame per chunk; each
+    frame's values are copied out and the frame dropped, so memory holds the
+    tables and one chunk.  Errors are those of a loop over samples (see
+    `_in_order`); a sample outside the domain raises `InadmissibleSample`
+    naming the curve time."""
+    def values(m, batch):
+        return read(ConnectionFrame(m, batch, order))
+
     tables = None
-    for rows in _chunks(len(positions)):
+    for rows in _chunks(len(positions), _per_frame(m.dim, order)):
         chunk = _in_order(values, m, positions[rows], references[rows], times[rows])
         tables = tables or [np.empty((len(positions),) + a.shape[1:]) for a in chunk]
         for table, a in zip(tables, chunk):
@@ -364,10 +372,17 @@ def _frame_tables(m: MetricDefinition, times: np.ndarray, positions: np.ndarray,
     return tables
 
 
-def _chunks(s: int) -> list[slice]:
-    """ceil(s / CHUNK) consecutive slices of near-equal size covering s
+def _per_frame(n: int, order: int) -> int:
+    """Most samples per frame of this order over n coordinates: `CHUNK` at
+    order 4, else as many as the jets of `CHUNK` order-4 samples hold
+    coefficients, so no chunk's jet is larger than an order-4 chunk's."""
+    return CHUNK * jet_space(2 * n, 4).size // jet_space(2 * n, order).size
+
+
+def _chunks(s: int, per_frame: int) -> list[slice]:
+    """ceil(s / per_frame) consecutive slices of near-equal size covering s
     samples, so that no curve ends in a chunk much smaller than the rest."""
-    count = -(-s // CHUNK)
+    count = -(-s // per_frame)
     return [slice(s * i // count, s * (i + 1) // count) for i in range(count)]
 
 

@@ -40,7 +40,7 @@ from .tensors import _inadmissible, _source, legendre
 
 __all__ = [
     "LIGHTLIKE_TOL", "rk4_step", "integrate_geodesic", "probe_vector",
-    "project_to_lightcone", "energy", "reparametrize_conformal",
+    "covector_probe", "project_to_lightcone", "energy", "reparametrize_conformal",
     "pregeodesic_residual", "lightlike_defect", "check_lightlike",
     "factor_values", "factor_rate",
 ]
@@ -173,17 +173,18 @@ def integrate_geodesic(m: MetricDefinition, x0, v0, t_span: tuple[float, float],
 def probe_vector(m: MetricDefinition, v: TangentSample) -> np.ndarray:
     """Basis vector with the largest Legendre pairing |g_v(v, e_i)|: the
     transversal direction along which the cone is reached."""
-    return np.eye(v.dim)[_probe_index(legendre(m, v).tolist(), v.y.tolist())]
+    return covector_probe(legendre(m, v).tolist(), v.y.tolist())
 
 
-def _probe_index(ell: list, y: list) -> int:
-    """The first index of the largest |ell_i|, or TransversalityFailure
-    where that is within 1e-12 max(1, |y|^2) of zero."""
+def covector_probe(ell: list, y: list) -> np.ndarray:
+    """The basis vector e_i at the first index of the largest |ell_i| for the
+    Legendre covector ell of the sample y, or TransversalityFailure where
+    that is within 1e-12 max(1, |y|^2) of zero."""
     pairing = [abs(a) for a in ell]
     i = pairing.index(max(pairing))
     if _within(pairing[i], 1e-12, y):
         raise TransversalityFailure("no basis vector pairs with the sample")
-    return i
+    return np.eye(len(y))[i]
 
 
 def _within(value: float, tol: float, y: list) -> bool:
@@ -238,7 +239,7 @@ def project_to_lightcone(m: MetricDefinition, v: TangentSample, w="auto",
 
     c = coefficients(y0)
     if auto:
-        w = np.eye(n)[_probe_index([0.5 * a for a in c[n:0:-1]], y0)]
+        w = covector_probe([0.5 * a for a in c[n:0:-1]], y0)
     probe = w.tolist()
     # the slope along e_i is coefficient k = n - i (`JetSpace.partial_slots`),
     # as the dot's other terms are +-0 and numpy sums from +0.0 (-0.0 reads

@@ -482,13 +482,13 @@ def _stage_table(curve: DiscreteCurve, m: MetricDefinition) -> tuple[np.ndarray,
     times = np.unique(np.concatenate([grid, grid[:-1] + 0.5 * h, grid[:-1] + h]))
     start = []
 
-    def values(m, batch):
-        frame = ConnectionFrame(m, batch, order=3)
+    def read(frame):
         if not start:
             start[:] = frame.g()[0], frame.christoffel()[0]
         return frame.spray_gradient(),
 
-    dG, = _frame_tables(m, times, curve.position(times), curve.velocity(times), values)
+    dG, = _frame_tables(m, times, curve.position(times), curve.velocity(times), read,
+                        order=3)
     return times, dG, *start
 
 

@@ -53,12 +53,32 @@ def test_cone_sampling_evaluates_no_factor(cone_pair, monkeypatch):
     probe from its own first jet."""
     counts = collections.Counter()
     _counted(monkeypatch, counts, conformal, "anisotropy_factor")
-    for module in (conformal, geodesics):
-        for name in ("legendre", "probe_vector"):
-            _counted(monkeypatch, counts, module, name)
+    for module, name in ((conformal, "legendre"), (geodesics, "legendre"),
+                         (geodesics, "probe_vector")):
+        _counted(monkeypatch, counts, module, name)
     report = conformal.lightcones_coincide(cone_pair)
     assert report.verdict and report.samples > 0
     assert not counts
+
+
+def test_the_factor_on_the_cone_takes_each_covector_once(cone_pair, monkeypatch):
+    """With the default probe, the factor at a projected cone sample takes
+    one Legendre covector of each metric: the probe is read off L1's, which
+    the pairing reuses.  The factor equals the ratio of pairings along
+    `probe_vector`'s basis vector, to the bit."""
+    L1, L2 = cone_pair.L1, cone_pair.L2
+    rng = np.random.default_rng(11)
+    v = dsl.sample_admissible(L1, rng, count=1)[0]
+    star = geodesics.project_to_lightcone(L1, v)
+    w = geodesics.probe_vector(L1, star)
+    want = float(tensors.legendre(L2, star) @ w) / float(tensors.legendre(L1, star) @ w)
+    taken = collections.Counter()
+    for module in (conformal, geodesics, tensors):
+        plain = module.legendre
+        monkeypatch.setattr(module, "legendre", lambda m, v, plain=plain:
+                            taken.update([m.name]) or plain(m, v))
+    assert conformal.anisotropy_factor(cone_pair, star) == want
+    assert taken == {L1.name: 1, L2.name: 1}
 
 
 def test_scale_metric_takes_no_metric_jet(einstein, theta_weight, monkeypatch):

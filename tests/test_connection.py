@@ -482,34 +482,44 @@ def _metrics_with_frames():
                       for m in metrics if m.dim == lam.dim]
 
 
-FRAME_QUANTITIES = ("g_jets", "ginv_jets", "spray_jets", "nonlinear_jets",
-                    "christoffel", "christoffel_jets", "jacobi_matrix",
-                    "curvature_components")
+# The quantities compared row by row, per frame order: every quantity of an
+# order-4 frame, and what the Jacobi stage table reads from order-3 frames.
+FRAME_QUANTITIES = {
+    4: ("g_jets", "ginv_jets", "spray_jets", "nonlinear_jets", "christoffel",
+        "christoffel_jets", "jacobi_matrix", "curvature_components"),
+    3: ("spray_gradient", "g", "christoffel"),
+}
+TABLE_QUANTITIES = {4: ("g", "ginv", "nonlinear", "christoffel", "jacobi_matrix"),
+                    3: FRAME_QUANTITIES[3]}
 
 
+@pytest.mark.parametrize("order", [3, 4])
 @pytest.mark.parametrize("m", _metrics_with_frames(), ids=lambda m: m.name)
-def test_a_batched_frame_and_table_equal_single_sample_frames(m):
+def test_a_batched_frame_and_table_equal_single_sample_frames(m, order):
     """Row k of a frame over a `SampleBatch`, and of `_frame_tables`, equals
-    the frame of sample k alone, to the bit, for one sample, a chunk and a
-    chunk plus one."""
+    the frame of sample k alone, to the bit, for one sample, a full chunk of
+    frames of this order and a chunk plus one (two chunks)."""
     rng = np.random.default_rng(len(m.name))
-    for count in (1, connection.CHUNK, connection.CHUNK + 1):
+    chunk = connection._per_frame(m.dim, order)
+    for count in (1, chunk, chunk + 1):
         samples = dsl.sample_admissible(m, rng, count=count)
         X = np.array([v.x for v in samples])
         Y = np.array([v.y for v in samples])
-        singles = [connection.ConnectionFrame(m, v, order=4) for v in samples]
-        batch = connection.ConnectionFrame(m, dsl.SampleBatch(X, Y), order=4)
-        for name in FRAME_QUANTITIES:
+        singles = [connection.ConnectionFrame(m, v, order=order) for v in samples]
+        batch = connection.ConnectionFrame(m, dsl.SampleBatch(X, Y), order=order)
+        for name in FRAME_QUANTITIES[order]:
             rows = getattr(batch, name)()
             assert len(rows) == count
             for row, single in zip(rows, singles):
                 assert np.array_equal(row, getattr(single, name)()), name
-        tables = connection._frame_tables(m, np.arange(count, dtype=float), X, Y)
+        names = TABLE_QUANTITIES[order]
+        tables = connection._frame_tables(
+            m, np.arange(count, dtype=float), X, Y, order=order,
+            read=lambda frame: [getattr(frame, name)() for name in names])
+        assert len(tables) == len(names)
         for k, single in enumerate(singles):
-            want = (single.g(), single.ginv(), single.nonlinear(),
-                    single.christoffel(), single.jacobi_matrix())
-            for table, value in zip(tables, want):
-                assert np.array_equal(table[k], value)
+            for table, name in zip(tables, names):
+                assert np.array_equal(table[k], getattr(single, name)()), name
         # the spray kernel along a curve, node by node
         sprays = [connection.spray_coefficients(m, v) for v in samples]
         along = connection._sprays_along(m, np.arange(count, dtype=float), X, Y)
@@ -700,16 +710,32 @@ def _check_first_failure(first, later, at, along, evaluate):
         assert message.endswith(f"t={times[k]!r}")
 
 
-@pytest.mark.parametrize("count", [1, 15, 16, 17, 33, 48, 100])
-def test_a_curve_splits_into_chunks_of_near_equal_size(count):
-    """ceil(count / CHUNK) chunks whose sizes differ by at most one, so no
-    curve ends in a one-sample chunk after full ones."""
-    chunks = connection._chunks(count)
+@pytest.mark.parametrize("n,order,per_frame", [(2, 3, 32), (2, 4, 16), (3, 3, 40),
+                                               (3, 4, 16)])
+@pytest.mark.parametrize("count", [1, 15, 16, 17, 32, 33, 40, 41, 97, 149])
+def test_a_curve_splits_into_chunks_of_near_equal_size(count, n, order, per_frame):
+    """ceil(count / k) chunks of at most k samples, the most whose jets of
+    this order hold no more coefficients than `CHUNK` order-4 jets, with
+    sizes that differ by at most one, so no curve ends in a one-sample chunk
+    after full ones."""
+    assert connection._per_frame(n, order) == per_frame
+    chunks = connection._chunks(count, per_frame)
     sizes = [c.stop - c.start for c in chunks]
-    assert len(chunks) == -(-count // connection.CHUNK)
+    assert len(chunks) == -(-count // per_frame)
     assert sum(sizes) == count and chunks[0].start == 0 and chunks[-1].stop == count
     assert all(a.stop == b.start for a, b in zip(chunks, chunks[1:]))
-    assert max(sizes) <= connection.CHUNK and max(sizes) - min(sizes) <= 1
+    assert max(sizes) - min(sizes) <= 1
+    budget = connection.CHUNK * jets.jet_space(2 * n, 4).size
+    assert max(sizes) * jets.jet_space(2 * n, order).size <= budget
+
+
+@pytest.mark.parametrize("n", range(1, dsl.MAX_DIM + 1))
+def test_order_4_frames_take_chunk_samples_at_every_dimension(n):
+    """An order-4 frame takes `CHUNK` = 16 samples at every n up to
+    `MAX_DIM`, and an order-3 frame no fewer."""
+    assert connection.CHUNK == 16
+    assert connection._per_frame(n, 4) == 16
+    assert connection._per_frame(n, 3) >= 16
 
 
 def test_a_frame_checks_its_batch_in_one_row_wise_run(einstein, monkeypatch):

@@ -433,7 +433,11 @@ def test_an_overflowing_jet_raises_the_not_finite_error():
         assert str(err.value) == f"the jet of 'overflow' is not finite at {v!r}"
 
 
-SAMPLE_COUNTS = (1, connection.CHUNK, connection.CHUNK + 1)
+def _sample_counts(m):
+    """One sample, the largest chunk of frames along a curve of m (order 3,
+    the most samples per frame) and one more."""
+    chunk = connection._per_frame(m.dim, 3)
+    return 1, chunk, chunk + 1
 
 
 @pytest.mark.parametrize("m", _definitions(), ids=lambda m: m.name)
@@ -442,7 +446,7 @@ def test_a_sample_batch_gives_the_jets_of_its_samples(m):
     the bit, at every order, whether the batch holds one sample, a chunk of
     them or one more."""
     rng = np.random.default_rng(len(m.name) + 7)
-    for count in SAMPLE_COUNTS:
+    for count in _sample_counts(m):
         samples = dsl.sample_admissible(m, rng, count=count)
         batch = dsl.SampleBatch([v.x for v in samples], [v.y for v in samples])
         for order in ORDERS:

@@ -762,8 +762,8 @@ def test_the_jacobi_path_builds_no_order_4_frame(einstein, monkeypatch):
     patch = experiments.great_circle_patch(x0, v0, np.pi / 4)
     assert variational.find_focal_points(curve, patch, einstein) == []
     variational.integrate_jacobi_basis(curve, einstein, np.eye(3), np.eye(3))
-    # two tables of 21 stage samples, each in two chunks
-    assert orders == {3: 4}
+    # two tables of 21 stage samples, each within one order-3 chunk
+    assert orders == {3: 2}
 
 
 def test_jacobi_k_is_the_covariant_derivative_along_the_curve(tilted_transfer):
@@ -793,11 +793,11 @@ def test_jacobi_integration_keeps_only_the_current_step_frames(einstein, monkeyp
 
     monkeypatch.setattr(connection.ConnectionFrame, "__init__", init)
     curve = geodesics.integrate_geodesic(
-        einstein, [0, np.pi / 2, 0], [1, 0.2, 0.9], (0, 0.5), 0.05)
+        einstein, [0, np.pi / 2, 0], [1, 0.2, 0.9], (0, 1.0), 0.025)
     jacobi_field(curve, einstein, np.zeros(3), [0, 1, 0])
-    # 21 stage samples in chunks, never more than one chunk's frame alive
-    assert sum(sizes) == 21 and max(sizes) <= connection.CHUNK
-    assert len(sizes) == -(-21 // connection.CHUNK)
+    # 81 stage samples in three chunks of at most 40 order-3 samples (84
+    # coefficients each), never more than one chunk's frame alive
+    assert sizes == [27, 27, 27]
     assert max(peak) == 1
 
 
