@@ -38,10 +38,8 @@ one frame per chunk: `CHUNK` samples of an order-4 frame, or of an order-3
 frame as many as hold the coefficients of `CHUNK` order-4 jets at the same
 n (`_per_frame`: 40 at n = 3, 32 at n = 2).  Row k of a chunk equals the
 frame of sample k alone, to the bit, and a failing chunk raises the error of
-its first failing sample, as a loop over samples would.  Sprays and the
-factor's partials along a curve need no frame: they run node by node on the
-one-point jet and the spray kernel that an RK stage runs (`_sprays_along`,
-`_scalar_partials_along`).
+its first failing sample, as a loop over samples would.  Sprays along a
+curve need no frame: `dsl._along` reads them as an RK stage does.
 
 All functions here are pure and stateless.
 """
@@ -52,11 +50,11 @@ import functools
 
 import numpy as np
 
-from .dsl import MetricDefinition, SampleBatch, TangentSample
+from .dsl import MetricDefinition, SampleBatch, TangentSample, _inadmissible
 from .errors import InadmissibleSample
 from .jets import Jet, _compiled, jet_space
-from .tensors import (_ELIMINATION_NAMES, _elimination, _inadmissible, _require_admissible,
-                      _source, inverse_metric)
+from .tensors import (_ELIMINATION_NAMES, _elimination, _require_admissible, _source,
+                      inverse_metric)
 
 __all__ = ["ConnectionFrame", "spray_coefficients", "chern_curvature"]
 
@@ -306,35 +304,6 @@ def _spray_slots(n: int) -> tuple[list, list, list]:
     return first, mixed, fiber
 
 
-def _sprays_along(m: MetricDefinition, times: np.ndarray, positions: np.ndarray,
-                  velocities: np.ndarray) -> np.ndarray:
-    """Spray values at the nodes (x_k, y_k) of a curve, each as an RK stage
-    takes it: the one-point domain check, one one-point order-2 jet and the
-    spray kernel, node by node in curve order (see `_curve_points`)."""
-    n = positions.shape[1]
-    spray = _spray_kernel(n)
-    out = [spray(m._point_jet(point, 2), point[n:])
-           for point in _curve_points(m, positions, velocities, times)]
-    return np.array(out).reshape(positions.shape)
-
-
-def _curve_points(m: MetricDefinition, positions: np.ndarray, velocities: np.ndarray,
-                  times=None):
-    """The nodes (x_k, y_k) of a curve as points x_k + y_k, lists of 2n
-    floats, one at a time in curve order, each checked as a sample alone
-    is: a zero fiber vector is a ValueError.  With curve times given, each
-    node then passes the one-point domain check, and a node outside the
-    domain, or of another dimension than m, raises `_inadmissible` naming
-    its time, an element of `times`."""
-    n = positions.shape[1]
-    for k, point in enumerate(np.hstack((positions, velocities)).tolist()):
-        if not any(point[n:]):
-            raise ValueError("fiber vector must be nonzero")
-        if times is not None and not (n == m.dim and m._point_admissible(point)):
-            raise _inadmissible(m, None, times[k])
-        yield point
-
-
 def chern_curvature(m: MetricDefinition, v: TangentSample, X, Y, Z) -> np.ndarray:
     """Full curvature R_v(X, Y)Z assembled from Christoffel derivatives."""
     R = ConnectionFrame(m, v, order=4).curvature_components()
@@ -402,18 +371,3 @@ def _in_order(fn, m: MetricDefinition, x: np.ndarray, y: np.ndarray, times=None)
                     raise
                 raise _inadmissible(m, None, times[k]) from None
         raise
-
-
-def _scalar_partials_along(f: MetricDefinition, positions: np.ndarray,
-                           velocities: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(d/dx, d/dy) of the scalar f at the nodes (x_k, y_k) of a curve, as
-    two (S, n) arrays, read from one one-point order-2 jet per node at the
-    first-partial slots (`JetSpace.partial_slots`)."""
-    n = f.dim
-    if len(positions):
-        f._point(positions[0], velocities[0])           # the shape check
-    slots = jet_space(2 * n, 2).partial_slots(1)[0][:, 0].tolist()
-    grads = [[c[i] for i in slots] for c in (
-        f._point_jet(point, 2) for point in _curve_points(f, positions, velocities))]
-    grad = np.array(grads).reshape(len(positions), 2 * n)
-    return grad[:, :n].copy(), grad[:, n:].copy()

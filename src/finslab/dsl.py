@@ -51,7 +51,8 @@ from pathlib import Path
 import numpy as np
 
 from . import jets
-from .errors import ConfigError, EvaluationDomainError, ExpressionError, NoAdmissibleSample
+from .errors import (ConfigError, EvaluationDomainError, ExpressionError, InadmissibleSample,
+                     NoAdmissibleSample)
 from .jets import _compiled, _literal
 
 __all__ = [
@@ -1062,15 +1063,13 @@ class MetricDefinition:
         return x.tolist() + y.tolist()
 
     def value(self, x, y):
-        """The definition at chart point x and fiber vector y.  At (S, n)
-        arrays of chart points and fiber vectors, the array of the S values
-        of `_point_value`, sample by sample; the first failing sample
-        raises."""
+        """The definition at chart point x and fiber vector y; at (S, n)
+        arrays, the array of the S values from one walk (`_along`), where
+        the first failing sample raises."""
         if getattr(x, "ndim", 1) == 2:
-            x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
-            if len(x):
-                self._point(x[0], y[0])                  # the shape check
-            return np.array([self._point_value(p) for p in np.hstack((x, y)).tolist()])
+            (values,) = _along(np.asarray(x, dtype=float), np.asarray(y, dtype=float),
+                               None, (self, "value"))
+            return np.array(values)
         return self._point_value(self._point(x, y))
 
     def _point_value(self, point) -> float:
@@ -1133,6 +1132,63 @@ class MetricDefinition:
 
     def pretty(self) -> str:
         return pretty(self.body)
+
+
+def _inadmissible(m: MetricDefinition, v: TangentSample | None, t=None
+                  ) -> InadmissibleSample:
+    """The error of a sample v outside m's domain, or of a curve at time t."""
+    if t is None:
+        return InadmissibleSample(f"sample {v!r} is outside the domain of {m.name!r}")
+    return InadmissibleSample(f"curve leaves the domain of {m.name!r} at t={t!r}")
+
+
+def _along(positions: np.ndarray, velocities: np.ndarray, times, *reads) -> list[list]:
+    """One walk over the nodes of a curve, the rows of two (S, n) arrays, as
+    points x + y.  Each read (f, what) binds one program of f once: "inside",
+    its domain check, which names the node's time in `times` where it fails;
+    "value", its value; a function what(c, y) of its order-2 jet
+    coefficients c, checked finite, and the fiber vector y.  A check or a jet
+    refuses a zero fiber vector, and a value or a jet of another dimension
+    than f raises at node 0.  At node k the reads run in order, all before
+    node k + 1, so the first failing node decides the error.  Returns one
+    list per read."""
+    shape = (positions.shape[1], velocities.shape[1])
+    outs = [[] for _ in reads]
+    steps = [(_read(f, what, shape, times), out.append) for (f, what), out in zip(reads, outs)]
+    for k, point in enumerate(np.hstack((positions, velocities)).tolist()):
+        for step, append in steps:
+            append(step(k, point))
+    return outs
+
+
+def _read(f: MetricDefinition, what, shape: tuple[int, int], times):
+    """step(k, point): the read (f, what) of `_along` at node k."""
+    n = shape[0]
+    if what == "inside":
+        inside = f._domain.positive_kernel()
+
+        def step(k, point):
+            if not any(point[n:]):
+                raise ValueError("fiber vector must be nonzero")
+            if not (n == f.dim and inside(point)):
+                raise _inadmissible(f, None, times[k])
+        return step
+    if shape != (f.dim, f.dim):
+        return lambda k, point: f._point(point[:n], point[n:])      # raises
+    if what == "value":
+        floats = f._body.float_kernel()
+        return lambda k, point: floats(point)[0]
+    jet = f._body.point_kernel(2)
+
+    def step(k, point):
+        y = point[n:]
+        if not any(y):
+            raise ValueError("fiber vector must be nonzero")
+        c = jet(point)
+        if not all(map(math.isfinite, c)):
+            raise f._not_finite(TangentSample(point[:n], y))
+        return what(c, y)
+    return step
 
 
 def parse_metric(source: str, n: int, degree: int = 2,

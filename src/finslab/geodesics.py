@@ -14,10 +14,9 @@ by the metric's jet kernel and domain check, bound once: one order-2 jet
 per Newton evaluation, the first of which also picks the probe, and one
 domain check per backtracking candidate; a sample whose step no longer
 moves it fails at once with the failure the remaining iterations would give it.
-Along a curve, values (`lightlike_defect`, `factor_values`, `energy`),
-sprays and factor partials run node by node on the one-point programs that
-an RK stage runs; row-wise dot products are stacked matmuls, which round as
-the 1-D `@` does.
+Along a curve, values, the factor's partials and sprays come from one walk
+over the nodes on bound programs (`dsl._along`), as an RK stage takes them;
+row-wise dot products are stacked matmuls, which round as the 1-D `@` does.
 """
 
 from __future__ import annotations
@@ -28,15 +27,15 @@ import operator
 
 import numpy as np
 
-from .connection import _curve_points, _scalar_partials_along, _spray_kernel, _sprays_along
+from .connection import _spray_kernel
 from .curves import DiscreteCurve, Reparametrization
-from .dsl import MetricDefinition, TangentSample
+from .dsl import MetricDefinition, TangentSample, _along, _inadmissible
 from .errors import (CurveCheckFailure, DomainExit, EvaluationDomainError,
                      FinslabError, InadmissibleSample, NoConvergence,
                      PositivityFailure, TransversalityFailure)
-from .jets import _compiled
+from .jets import _compiled, jet_space
 from .numerics import cumulative_simpson, simpson
-from .tensors import _inadmissible, _source, legendre
+from .tensors import _source, legendre
 
 __all__ = [
     "LIGHTLIKE_TOL", "rk4_step", "integrate_geodesic", "probe_vector",
@@ -67,12 +66,23 @@ def _row_dots(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def factor_rate(lam, curve: DiscreteCurve) -> np.ndarray:
-    """d/dt of the factor along the curve, by the chain rule through the
+    """d/dt of the factor along the curve (see `_factor_along`)."""
+    return np.zeros(curve.grid.size) if lam is None else _factor_along(lam, curve, value=False)[3]
+
+
+def _factor_along(lam, curve: DiscreteCurve, value: bool = True):
+    """From one walk over the nodes: the factor's values (None without
+    `value`), its partials d/dx and d/dy at the first-partial slots of one
+    order-2 jet per node, and its rate d/dt by the chain rule through the
     stored accelerations (exact given the node data)."""
-    if lam is None:
-        return np.zeros(curve.grid.size)
-    dx, dy = _scalar_partials_along(lam, curve.positions, curve.velocities)
-    return _row_dots(dx, curve.velocities) + _row_dots(dy, curve.accelerations)
+    size, n = curve.positions.shape
+    slots = operator.itemgetter(*jet_space(2 * n, 2).partial_slots(1)[0][:, 0].tolist())
+    reads = [(lam, "value")] * value + [(lam, lambda c, y: slots(c))]
+    *values, grad = _along(curve.positions, curve.velocities, None, *reads)
+    grad = np.array(grad).reshape(size, 2 * n)
+    dx, dy = grad[:, :n].copy(), grad[:, n:].copy()
+    rate = _row_dots(dx, curve.velocities) + _row_dots(dy, curve.accelerations)
+    return (np.array(values[0]) if value else None), dx, dy, rate
 
 
 # --------------------------------------------------------------------------
@@ -299,16 +309,11 @@ def check_lightlike(curve: DiscreteCurve, m: MetricDefinition) -> None:
 # --------------------------------------------------------------------------
 
 def energy(curve: DiscreteCurve, m: MetricDefinition, lam=None) -> float:
-    """(1/2) integral of factor(velocity) * L(velocity) over the curve, from
-    one domain check and the one-point values of the factor and of L at
-    each node (see `_curve_points`)."""
-    n = m.dim
-    vals = []
-    for p in _curve_points(m, curve.positions, curve.velocities, curve.grid):
-        if lam is not None and not vals:
-            lam._point(p[:n], p[n:])             # the shape check, after node 0's domain check
-        vals.append(0.5 * (1.0 if lam is None else lam._point_value(p)) * m._point_value(p))
-    return float(simpson(np.array(vals), curve.grid))
+    """(1/2) integral of factor(velocity) * L(velocity) over the curve; at
+    each node m's domain check, the factor's value, then m's value."""
+    _, *vals = _along(curve.positions, curve.velocities, curve.grid, (m, "inside"),
+                      *[(lam, "value")] * (lam is not None), (m, "value"))
+    return float(simpson(functools.reduce(operator.mul, map(np.array, vals), 0.5), curve.grid))
 
 
 def _pregeodesic_defects(curve: DiscreteCurve, m: MetricDefinition, lam, nodes):
@@ -318,12 +323,13 @@ def _pregeodesic_defects(curve: DiscreteCurve, m: MetricDefinition, lam, nodes):
     Along the curve's own velocity Gamma(v)(v, v) = 2G(x, v), so the defect
     is factor_rate * v + factor * (a + 2G(x, v)) and needs no frame.  The
     first failing node in curve order raises, an inadmissible one with its
-    curve time."""
+    curve time, m's before the factor's values and those before its jets."""
     ys = curve.velocities[nodes]
-    G = _sprays_along(m, curve.grid[nodes], curve.positions[nodes], ys)
+    _, G = _along(curve.positions[nodes], ys, curve.grid[nodes],
+                  (m, "inside"), (m, _spray_kernel(m.dim)))
     lam_vals = factor_values(lam, curve)[nodes, None]
     lam_rate = factor_rate(lam, curve)[nodes, None]
-    return lam_rate * ys + lam_vals * (curve.accelerations[nodes] + 2.0 * G)
+    return lam_rate * ys + lam_vals * (curve.accelerations[nodes] + 2.0 * np.reshape(G, ys.shape))
 
 
 def pregeodesic_residual(curve: DiscreteCurve, m: MetricDefinition, lam=None) -> float:

@@ -22,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dsl import MetricDefinition, SampleBatch, TangentSample
-from .errors import EvaluationDomainError, InadmissibleSample, SingularMetric
+from .dsl import MetricDefinition, SampleBatch, TangentSample, _inadmissible
+from .errors import EvaluationDomainError, SingularMetric
 from .jets import _compiled
 
 DEGENERACY_TOL = 1e-12
@@ -42,15 +42,6 @@ def _require_admissible(m: MetricDefinition, v: TangentSample | SampleBatch,
     elif m.admissible(v):
         return
     raise _inadmissible(m, v, t)
-
-
-def _inadmissible(m: MetricDefinition, v: TangentSample | None, t=None
-                  ) -> InadmissibleSample:
-    """The error of `_require_admissible`: it names the sample v, or the
-    curve time t when one is given."""
-    if t is None:
-        return InadmissibleSample(f"sample {v!r} is outside the domain of {m.name!r}")
-    return InadmissibleSample(f"curve leaves the domain of {m.name!r} at t={t!r}")
 
 
 @dataclass(frozen=True)

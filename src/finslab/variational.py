@@ -25,16 +25,15 @@ with A the operator of D^2 J = A J; the full curvature tensor route exists in
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
-from .connection import ConnectionFrame, _frame_tables, _scalar_partials_along
+from .connection import ConnectionFrame, _frame_tables
 from .curves import DiscreteCurve, Reparametrization, spline_derivative
 from .dsl import MetricDefinition, Tape, TangentSample, parse_expression
 from .errors import CurveCheckFailure, EvaluationDomainError, FinslabError, GridMismatch
-from .geodesics import (_pregeodesic_defects, check_lightlike, energy, factor_rate,
-                        factor_values, reparametrize_conformal, rk4_step)
+from .geodesics import (_factor_along, _pregeodesic_defects, check_lightlike, energy,
+                        reparametrize_conformal, rk4_step)
 from .jets import jet_space
 from .numerics import HermiteSpline, cumulative_simpson, null_space, simpson
 
@@ -159,10 +158,10 @@ class CurveGeometry:
     The geometry of m is referenced at the curve velocity.  Construction
     builds one table from `connection._frame_tables` at the nodes, which
     gives the fundamental tensor `g`, the Christoffel symbols `gamma` and the
-    Jacobi operator `jacobi`, and from it and the factor's partials the
-    horizontal and vertical gradients `grad_h` and `grad_v` of the factor; a
-    failing node raises here.  The factor's values and rate are read on
-    first use.
+    Jacobi operator `jacobi`, and the factor's values `lam_values`, rate
+    `lam_rate` and partials in one walk, from which, with the table, come
+    its horizontal and vertical gradients `grad_h` and `grad_v`; a failing
+    node raises here.
     """
 
     def __init__(self, curve: DiscreteCurve, m: MetricDefinition, lam=None):
@@ -175,9 +174,10 @@ class CurveGeometry:
         self.g, ginv, N, self.gamma, self.jacobi = _frame_tables(
             m, curve.grid, curve.positions, curve.velocities)
         if lam is None:
+            self.lam_values, self.lam_rate = np.ones(self.npts), np.zeros(self.npts)
             self.grad_h, self.grad_v = np.zeros((2, self.npts, self.n))
         else:
-            dx, dy = _scalar_partials_along(lam, curve.positions, curve.velocities)
+            self.lam_values, dx, dy, self.lam_rate = _factor_along(lam, curve)
             # stacked matmuls round as the products node by node do; einsum does not
             dh = dx - (N.transpose(0, 2, 1) @ dy[..., None])[..., 0]
             self.grad_h = (ginv @ dh[..., None])[..., 0]
@@ -190,14 +190,6 @@ class CurveGeometry:
         if not self._lightlike:
             check_lightlike(self.curve, self.m)
             self._lightlike = True
-
-    @cached_property
-    def lam_values(self) -> np.ndarray:
-        return factor_values(self.lam, self.curve)
-
-    @cached_property
-    def lam_rate(self) -> np.ndarray:
-        return factor_rate(self.lam, self.curve)
 
     # -- field calculus ------------------------------------------------------
 

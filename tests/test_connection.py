@@ -520,9 +520,10 @@ def test_a_batched_frame_and_table_equal_single_sample_frames(m, order):
         for k, single in enumerate(singles):
             for table, name in zip(tables, names):
                 assert np.array_equal(table[k], getattr(single, name)()), name
-        # the spray kernel along a curve, node by node
+        # the spray kernel along a curve, in the walk over its nodes
         sprays = [connection.spray_coefficients(m, v) for v in samples]
-        along = connection._sprays_along(m, np.arange(count, dtype=float), X, Y)
+        _, along = dsl._along(X, Y, np.arange(count, dtype=float),
+                              (m, "inside"), (m, connection._spray_kernel(m.dim)))
         for k, spray in enumerate(sprays):
             assert np.array_equal(along[k], spray)
 
@@ -616,8 +617,8 @@ def test_one_written_spray_and_solver_per_dimension(monkeypatch):
             for v in samples:
                 connection.spray_coefficients(m, v)
                 tensors.inverse_metric(tensors.fundamental_tensor(m, v))
-            connection._sprays_along(m, np.arange(5.0), np.array([v.x for v in samples]),
-                                     np.array([v.y for v in samples]))
+            dsl._along(np.array([v.x for v in samples]), np.array([v.y for v in samples]),
+                       np.arange(5.0), (m, "inside"), (m, connection._spray_kernel(m.dim)))
         assert sorted(written) == [("_solver_source", 2), ("_solver_source", 3),
                                    ("_spray_source", 2), ("_spray_source", 3)]
     finally:

@@ -483,6 +483,24 @@ def test_a_vanishing_factor_is_a_positivity_failure():
         geodesics.reparametrize_conformal(_lightlike_line(2.0, 9), ramp, lightlike)
 
 
+def test_the_factor_values_are_checked_before_its_jets_are_taken():
+    """The map reads the factor's values at every node, and checks them,
+    before it takes the factor's jets: a factor that vanishes at t = 4 is a
+    PositivityFailure although the jets would refuse the zero fiber vector
+    at t = 1 first."""
+    lightlike = dsl.parse_metric("y0^2 - y1^2", 2)
+    ramp = dsl.parse_metric("1 - x0", 2, degree=0, name="ramp")
+    line = _lightlike_line(1.25, 6)
+    velocities = line.velocities.copy()
+    velocities[1] = 0.0
+    curve = geodesics.DiscreteCurve(line.grid, line.positions, velocities,
+                                    line.accelerations)
+    with pytest.raises(PositivityFailure, match=r"is 0\.0 at t=1\.0"):
+        geodesics.reparametrize_conformal(curve, ramp, lightlike)
+    with pytest.raises(ValueError, match="fiber vector must be nonzero"):
+        geodesics.factor_rate(ramp, curve)
+
+
 def test_a_factor_too_steep_for_the_step_is_a_typed_error():
     """exp(250 x0) grows about 12-fold per step of 0.01, and from about
     9-fold a Simpson step of 1/factor is negative, so the map would not
@@ -554,45 +572,105 @@ def test_curve_values_equal_the_values_node_by_node(einstein, theta_weight):
         [0.0] + [abs(einstein.value(x, y)) / max(1.0, float(y @ y)) for x, y in nodes])
 
 
+def _count_programs(monkeypatch) -> collections.Counter:
+    """From now on, the runs of the programs that a tape hands out, counted
+    by (tape, program): "inside" for its domain check
+    (`Tape.positive_kernel`), "value" for its float program
+    (`Tape.float_kernel`, and `Tape.floats`, which runs it) and the order for
+    its one-point jet kernel (`Tape.point_kernel`), bound or through the
+    method layers."""
+    runs = collections.Counter()
+    for getter, program in (("positive_kernel", "inside"), ("float_kernel", "value"),
+                            ("point_kernel", None)):
+        def spy(self, *order, _plain=getattr(dsl.Tape, getter), _program=program):
+            kernel, key = _plain(self, *order), (self, *order) if order else (self, _program)
+            return lambda point: runs.update([key]) or kernel(point)
+        monkeypatch.setattr(dsl.Tape, getter, spy)
+    monkeypatch.setattr(dsl.Tape, "floats", lambda self, point: self.float_kernel()(point))
+    return runs
+
+
 def test_curve_consumers_run_one_point_programs_only(einstein, theta_weight, monkeypatch):
     """Along an einstein-static curve with the theta-weight factor, the
-    pregeodesic residual, the energy, the factor rate and the lightlike
-    defect run no tape jet at a 2-D point array: the spray and the factor
-    partials take one one-point jet per node, and the values one float
-    program per node."""
+    pregeodesic residual, the conformal reparametrization, the energy, the
+    factor's values and rate and the lightlike defect run no tape jet at a
+    2-D point array, and at most one domain check, one float value and one
+    order-2 one-point jet per node and definition: the spray and the factor
+    partials take one jet per node, and the values one float program per
+    node."""
     x0, v0 = sphere_reference.tilted_null_data(np.pi / 2 - 0.6)
     curve = geodesics.integrate_geodesic(einstein, x0, v0, (0, 0.4), 0.02)
     size = curve.grid.size
-    rows, jets, floats = [], collections.Counter(), collections.Counter()
-    plain_jet, plain_point, plain_floats = (
-        dsl.Tape.jet, dsl.MetricDefinition._point_jet, dsl.Tape.floats)
+    rows = []
+    plain_jet = dsl.Tape.jet
     monkeypatch.setattr(dsl.Tape, "jet", lambda self, point, order: rows.append(
         np.ndim(point)) or plain_jet(self, point, order))
-
-    def point_jet(self, point, order):
-        jets[self.name, order] += 1
-        return plain_point(self, point, order)
-
-    monkeypatch.setattr(dsl.MetricDefinition, "_point_jet", point_jet)
-    monkeypatch.setattr(dsl.Tape, "floats", lambda self, point: floats.update(
-        [self]) or plain_floats(self, point))
-    # a domain check runs the float program inside the bound check
-    plain_check = dsl.Tape.positive_kernel
-    monkeypatch.setattr(dsl.Tape, "positive_kernel", lambda self: lambda point, _check=(
-        plain_check(self)): floats.update([self]) or _check(point))
-    geodesics.pregeodesic_residual(curve, einstein, theta_weight)
-    assert jets == {("einstein-static", 2): size - 2, ("theta-weight", 2): size}
-    assert floats == {einstein._domain: size - 2, theta_weight._body: size}
-    jets.clear(), floats.clear()
-    geodesics.factor_rate(theta_weight, curve)
-    assert jets == {("theta-weight", 2): size} and not floats
-    jets.clear()
-    geodesics.energy(curve, einstein, theta_weight)
-    geodesics.lightlike_defect(curve, einstein)
-    assert not jets
-    assert floats == {einstein._domain: size, theta_weight._body: size,
-                      einstein._body: 2 * size}
+    runs = _count_programs(monkeypatch)
+    domain, body, factor = einstein._domain, einstein._body, theta_weight._body
+    for run, want in (
+            (lambda: geodesics.pregeodesic_residual(curve, einstein, theta_weight),
+             {(domain, "inside"): size - 2, (body, 2): size - 2, (factor, "value"): size,
+              (factor, 2): size}),
+            (lambda: geodesics.reparametrize_conformal(curve, theta_weight, einstein),
+             {(body, "value"): size, (factor, "value"): size, (factor, 2): size}),
+            (lambda: geodesics.factor_rate(theta_weight, curve), {(factor, 2): size}),
+            (lambda: geodesics.factor_values(theta_weight, curve), {(factor, "value"): size}),
+            (lambda: geodesics.energy(curve, einstein, theta_weight),
+             {(domain, "inside"): size, (factor, "value"): size, (body, "value"): size}),
+            (lambda: geodesics.lightlike_defect(curve, einstein), {(body, "value"): size})):
+        runs.clear()
+        run()
+        assert runs == want
     assert 2 not in rows
+
+
+# The energy's node chain fails in three ways, chosen by the node: x0 = 6
+# leaves the metric's domain, x1 = -1 fails the factor's value (log) and
+# x0 = -2 fails the metric's value (sqrt).
+ENERGY_METRIC = dsl.parse_metric("-y0^2 + y1^2 + 0*sqrt(x0 + 1)", 2, domain=("5 - x0",),
+                                 name="bounded")
+ENERGY_FACTOR = dsl.parse_metric("2 + log(x1)", 2, degree=0, name="log-factor")
+ENERGY_PLANTS = {"outside": (0, 6.0), "factor": (1, -1.0), "metric": (0, -2.0)}
+
+
+def _energy_by_loop(times, X, Y):
+    """The error of a loop over the nodes in curve order that checks the
+    metric's domain, then takes the factor's value and then the metric's."""
+    for t, x, y in zip(times, X, Y):
+        if not ENERGY_METRIC.admissible(dsl.TangentSample(x, y)):
+            return InadmissibleSample, f"curve leaves the domain of 'bounded' at t={t!r}"
+        for f in (ENERGY_FACTOR, ENERGY_METRIC):
+            try:
+                f.value(x, y)
+            except EvaluationDomainError as exc:
+                return EvaluationDomainError, str(exc)
+    return None
+
+
+@pytest.mark.parametrize("plants", [
+    {3: ["outside"], 6: ["factor"]}, {3: ["factor"], 6: ["outside"]},
+    {3: ["factor"], 6: ["metric"]}, {3: ["metric"], 6: ["factor"]},
+    {4: ["outside", "factor"]}, {4: ["factor", "metric"]}], ids=repr)
+def test_the_energy_checks_each_node_before_the_next(plants):
+    """At node k the energy checks m's domain, then takes the factor's value,
+    then m's value, all before node k + 1: a factor failure and a domain
+    exit (or m's own failure) at two nodes raise the earlier node's error in
+    either order, and at one node the first in that chain."""
+    times = 0.25 * np.arange(10)
+    X = np.column_stack([1.0 + 0.1 * np.arange(10), np.ones(10)])
+    Y = np.tile([1.0, 1.0], (10, 1))
+    for k, kinds in plants.items():
+        for kind in kinds:
+            column, value = ENERGY_PLANTS[kind]
+            X[k, column] = value
+    error, message = _energy_by_loop(times, X, Y)
+    curve = geodesics.DiscreteCurve(times, X, Y, np.zeros_like(Y))
+    with pytest.raises(error) as caught:
+        geodesics.energy(curve, ENERGY_METRIC, ENERGY_FACTOR)
+    assert str(caught.value) == message
+    first = plants[min(plants)][0]
+    assert ("log" in message, "sqrt" in message, "domain" in message) == (
+        first == "factor", first == "metric", first == "outside")
 
 
 def test_a_curve_value_raises_at_the_first_failing_node():

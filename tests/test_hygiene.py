@@ -65,6 +65,39 @@ def test_every_method_is_referenced():
     assert not dead, f"methods that nothing calls: {dead}"
 
 
+# The one-sample method layers of a definition, and the only functions of
+# src/ that may call them: the definition's own one-sample methods,
+# `spray_coefficients` and `legendre`.  Along a curve, every node is read by
+# the one walk, `dsl._along`, on programs bound once per call.
+POINT_METHODS = ("_point_value", "_point_jet", "_point_admissible")
+ONE_SAMPLE_CALLERS = {
+    ("dsl.py", "MetricDefinition.value"), ("dsl.py", "MetricDefinition.jet"),
+    ("dsl.py", "MetricDefinition.admissible"),
+    ("connection.py", "spray_coefficients"), ("tensors.py", "legendre"),
+}
+
+
+def test_only_one_sample_paths_call_the_point_methods():
+    """Each function or method of src/ that names `_point_value`,
+    `_point_jet` or `_point_admissible`, by its dotted scope (a nested
+    function counts as itself), is one of `ONE_SAMPLE_CALLERS`: a loop over
+    a curve's nodes through the method layers fails here."""
+    callers = set()
+
+    def visit(module: str, node: ast.AST, scope: tuple) -> None:
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(module, child, scope + (child.name,))
+                continue
+            if isinstance(child, ast.Attribute) and child.attr in POINT_METHODS:
+                callers.add((module, ".".join(scope)))
+            visit(module, child, scope)
+
+    for path in sorted(PACKAGE.glob("*.py")):
+        visit(path.name, ast.parse(path.read_text()), ())
+    assert callers == ONE_SAMPLE_CALLERS
+
+
 # Public names that no code in src/ or perfbench/ calls: quantities of the
 # paper that the library exports for its users, each checked against an
 # independent oracle by the test named after it.

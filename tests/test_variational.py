@@ -695,23 +695,30 @@ def test_one_connection_frame_per_distinct_sample(einstein, monkeypatch):
 
 def test_a_curve_geometry_builds_its_table_and_gradients_once(tilted_transfer,
                                                             monkeypatch):
-    """Building a geometry with a factor takes the node table and the
-    factor's partials once each; the variations, the index form and the
-    conformal Jacobi residual on it take neither again."""
+    """Building a geometry with a factor takes the node table once and one
+    order-2 jet of the factor per node, counted at the bound jet kernel;
+    the variations, the index form, the conformal Jacobi residual and the
+    transfer, which reads the factor's rate, take neither again."""
     b = tilted_transfer
     calls = collections.Counter()
-    for name in ("_frame_tables", "_scalar_partials_along"):
-        plain = getattr(variational, name)
-        monkeypatch.setattr(variational, name, lambda *args, plain=plain, name=name:
-                            calls.update([name]) or plain(*args))
+    plain_tables, plain_kernel = variational._frame_tables, dsl.Tape.point_kernel
+    monkeypatch.setattr(variational, "_frame_tables", lambda *args: calls.update(
+        ["_frame_tables"]) or plain_tables(*args))
+
+    def point_kernel(self, order):
+        kernel = plain_kernel(self, order)
+        return lambda point: calls.update([(self, order)]) or kernel(point)
+
+    monkeypatch.setattr(dsl.Tape, "point_kernel", point_kernel)
     geom = variational.CurveGeometry(b.curve, b.base, b.factor)
-    once = {"_frame_tables": 1, "_scalar_partials_along": 1}
+    once = {"_frame_tables": 1, (b.factor._body, 2): b.curve.grid.size}
     assert calls == once
     W = variational.VariationField.affine(geom, lambda t: [0.0, np.sin(t), t])
     variational.first_variation(geom, W)
     variational.second_variation(geom, W)
     variational.index_form(geom, W, W, None, None)
     variational.conformal_jacobi_residual(geom, b.jacobi_hat)
+    variational.transfer_jacobi(geom, b.jacobi_tilde, b.rep)
     assert calls == once
 
 
