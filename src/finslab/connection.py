@@ -81,7 +81,8 @@ class ConnectionFrame:
     carries a leading sample axis, and the arithmetic is the same for any S,
     so row k of a batch equals the frame of sample k alone, to the bit.
     Construction computes what every caller reads: the jets of g, the value
-    of g^{-1}, and the jets of G, dG and N = dG/dy.  Gamma, its jets, the
+    of g^{-1}, and the jets of G, dG and N = dG/dy (`_g`, `_ginv`, `_G`,
+    `_dG` and `_N`, each with its sample axis).  Gamma, its jets, the
     jets of g^{-1}, the Jacobi operator and curvature are computed from them
     on each call.  Jet-valued quantities
     are coefficient arrays whose last axis runs over one jet space over the
@@ -134,9 +135,6 @@ class ConnectionFrame:
     def _partial_jets(self, degree: int) -> np.ndarray:
         return Jet(self._space(0), self.c).partial_jets(degree)
 
-    def g_jets(self) -> np.ndarray:
-        return self._out(self._g)
-
     def g(self) -> np.ndarray:
         return self._out(self._g[..., 0])
 
@@ -164,15 +162,9 @@ class ConnectionFrame:
             z = w + _contract(space, step, z)
         return z
 
-    def spray_jets(self) -> np.ndarray:
-        return self._out(self._G)
-
     def spray_gradient(self) -> np.ndarray:
         """dG^i/dz^a, [i, a] over z = (x, y), at value level; N = dG/dy."""
         return self._out(self._dG[..., 0])
-
-    def nonlinear_jets(self) -> np.ndarray:
-        return self._out(self._N)
 
     def nonlinear(self) -> np.ndarray:
         return self._out(self._N[..., 0])
@@ -187,9 +179,6 @@ class ConnectionFrame:
         dg = 0.5 * self._partial_jets(3)[:, n:, n:, :, 0]  # [s, i, j, a] = d g_ij / dz^a
         delta = dg[..., :n] - np.einsum("sijm,smk->sijk", dg[..., n:], self._N[..., 0])
         return 0.5 * np.einsum("skl,slij->skij", self._ginv, _lowered_christoffel(delta))
-
-    def christoffel_jets(self) -> np.ndarray:
-        return self._out(self._christoffel_jets())
 
     def _christoffel_jets(self) -> np.ndarray:
         n = self.n

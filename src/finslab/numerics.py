@@ -15,8 +15,6 @@ tests/test_numerics.py compares each one with the reference.
 
 from __future__ import annotations
 
-from bisect import bisect_right
-
 import numpy as np
 
 __all__ = ["HermiteSpline", "not_a_knot_slopes", "simpson", "cumulative_simpson",
@@ -35,10 +33,8 @@ class HermiteSpline:
     along axis 0), extrapolated from the end intervals.
 
     On interval i, with s = t - x[i], the value c3 + c2 s + c1 s^2 + c0 s^3
-    is summed from 0.0 in that order.  A float argument (the focal
-    bisection, or one focal parameter through a `Reparametrization`) takes
-    a scalar path in Python floats over the same coefficients: the array
-    path's bits, at about a quarter of its cost per call.
+    is summed from 0.0 in that order.  A float and an array of points take
+    one path; a float gives the value with no leading axis.
     """
 
     def __init__(self, x, y, dydx):
@@ -51,10 +47,8 @@ class HermiteSpline:
         t = (dydx[:-1] + dydx[1:] - 2 * slope) / dxr
         c = np.stack((t / dxr, (slope - dydx[:-1]) / dxr - t, dydx[:-1], y[:-1]))
         self._x = x
-        self._nodes = x.tolist()
         self._tail = y.shape[1:]
         self._c = c.reshape(4, x.size - 1, -1)     # (c0, c1, c2, c3) over flat data
-        self._rows: list = [None] * (x.size - 1)   # `floats`' tuples, per interval
 
     def _locate(self, t):
         """Each point's (c0, c1, c2, c3) and its offset s from its node."""
@@ -65,25 +59,9 @@ class HermiteSpline:
         return np.take(self._c, i, axis=1), s, t.shape
 
     def __call__(self, t):
-        if isinstance(t, float):
-            return np.array(self.floats(t)).reshape(self._tail)
         (c0, c1, c2, c3), s, shape = self._locate(t)
         value = 0.0 + c3 + c2 * s + c1 * (s * s) + c0 * (s * s * s)
         return value.reshape(shape + self._tail)
-
-    def floats(self, t: float) -> list[float]:
-        """The value at one float t as a flat list of Python floats.  Each
-        interval's (c0, c1, c2, c3) tuples are read from the coefficient
-        array once, on the interval's first call."""
-        nodes = self._nodes
-        i = bisect_right(nodes, t, 1, len(nodes) - 1) - 1
-        rows = self._rows[i]
-        if rows is None:
-            rows = self._rows[i] = list(zip(*self._c[:, i].tolist()))
-        s = float(t) - nodes[i]
-        ss = s * s
-        sss = ss * s
-        return [0.0 + c3 + c2 * s + c1 * ss + c0 * sss for c0, c1, c2, c3 in rows]
 
     def derivative(self, t):
         """First derivative: c2 + 2 c1 s + 3 c0 s^2, summed from 0.0."""

@@ -572,42 +572,44 @@ def find_focal_points(curve: DiscreteCurve, P: SubmanifoldPatch,
     normal second fundamental form, and n-d fields vanishing initially with
     derivatives spanning a metric-orthogonal complement.  g and the
     Christoffel symbols at the curve start come from the first frame of the
-    integration's order-3 stage table.  Focal parameters are bracketed by
-    sign changes of det M(t) at grid resolution and refined by bisection on
-    the dense output to a bracket of width 1e-8; multiplicity is the count
-    of singular values below 1e-7 times the largest.
+    integration's order-3 stage table.
+
+    A focal parameter is a zero of sigma(t), the smallest singular value of
+    the matrix M(t) of the fields: with u, v its singular vectors, sigma =
+    u^T M v, and its slope is u^T Mdot v.  One SVD of M at the nodes after
+    the first gives each node its Newton target t - sigma/slope; a node is a
+    candidate when the target lies within half a step of it, so a focal
+    point of any multiplicity is refined from the node nearest to it, the
+    last node included.  Newton steps on the dense output, kept between the
+    candidate's neighbouring nodes, refine it until a step is at most 5e-9,
+    in at most 50 steps; the multiplicity is the count of singular values at
+    most 1e-7 times the largest there, and a candidate with none is dropped.
     """
     _require_patch_start(curve, P)
     table = _stage_table(curve, m)
     M, _, Mdot = _integrate_on_stages(curve, table, *_focal_initial_data(curve, P, table))
-    npts = curve.grid.size
-    spline = HermiteSpline(curve.grid, M, Mdot)
-    dets = np.linalg.det(M)
+    grid = curve.grid
+    spline = HermiteSpline(grid, M, Mdot)
+    U, sv, Vh = np.linalg.svd(M[1:])
+    sigma = sv[:, -1]
+    slope = np.einsum("ki,kij,kj->k", U[..., -1], Mdot[1:], Vh[:, -1])
+    # half the step on the target's side: below the node where sigma rises
+    h = np.diff(grid)
+    reach = 0.5 * np.where(slope > 0.0, h, np.append(h[1:], h[-1]))
     out: list[FocalPoint] = []
-    for k in range(1, npts - 1):
-        a, b = dets[k], dets[k + 1]
-        if a == 0.0:
-            t_star = float(curve.grid[k])
-        elif a * b < 0.0:
-            lo, hi = float(curve.grid[k]), float(curve.grid[k + 1])
-            flo = a
-            while hi - lo > 1e-8:
-                mid = 0.5 * (lo + hi)
-                fmid = float(np.linalg.det(spline(mid)))
-                if fmid == 0.0:
-                    lo = hi = mid
-                    break
-                if flo * fmid < 0.0:
-                    hi = mid
-                else:
-                    lo, flo = mid, fmid
-            t_star = 0.5 * (lo + hi)
-        else:
-            continue
-        sv = np.linalg.svd(spline(t_star), compute_uv=False)
+    for k in np.flatnonzero(sigma <= reach * np.abs(slope)) + 1:
+        lo, hi = float(grid[k - 1]), float(grid[min(k + 1, grid.size - 1)])
+        t, s, rate = float(grid[k]), sigma[k - 1], slope[k - 1]
+        for _ in range(50):
+            t, last = float(min(max(t - s / rate, lo), hi)), t
+            if abs(t - last) <= 5e-9:
+                break
+            U, sv, Vh = np.linalg.svd(spline(t))
+            s, rate = sv[-1], U[:, -1] @ spline.derivative(t) @ Vh[-1]
+        sv = np.linalg.svd(spline(t), compute_uv=False)
         multiplicity = int(np.sum(sv <= 1e-7 * sv[0]))
         if multiplicity > 0:
-            out.append(FocalPoint(parameter=t_star, multiplicity=multiplicity))
+            out.append(FocalPoint(parameter=t, multiplicity=multiplicity))
     return out
 
 

@@ -7,11 +7,13 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from finslab import cli, dsl
+import sphere_reference
 
 
 def write_config(tmp_path, text, name="exp.ini"):
@@ -219,6 +221,72 @@ step = 5e-3
     out = capsys.readouterr().out
     assert "focal-pairing-0" in out
     assert "overall pass=True" in out
+
+
+def test_a_focal_point_in_the_last_grid_interval_is_found(tmp_path):
+    """The shipped focal run cut 1.5e-3 after its focal point at 0.5: the
+    point lies in the last, short grid interval and is still found."""
+    shipped = Path(__file__).resolve().parent.parent / "configs" / "focal.ini"
+    text = shipped.read_text()
+    assert "t1 = 0.75" in text
+    cfg = write_config(tmp_path, text.replace("t1 = 0.75", "t1 = 0.5015"))
+    assert cli.main(["focal", "--config", cfg]) == 0
+
+
+def _product_sphere_start(tmp_path, v0):
+    """The [metric] lines of a point patch on R x S^3, whose null geodesics
+    refocus after spatial arc pi with multiplicity 2, and its metric file."""
+    body, domain = sphere_reference.PRODUCT_SPHERES[4]
+    (tmp_path / "r-s3.metric").write_text(f"dim=4\ndomain={domain}\n{body}\n")
+    return f"""
+[metric]
+metric = r-s3.metric
+x0 = 0, 1.5707963267948966, 1.5707963267948966, 0
+v0 = {v0}
+patch = point
+"""
+
+
+def test_focal_finds_a_focal_point_of_multiplicity_2(tmp_path):
+    """det M keeps its sign across a focal point of even multiplicity; the
+    run finds it at pi, with multiplicity 2, from the singular values."""
+    cfg = write_config(tmp_path, _product_sphere_start(tmp_path, "1, 0, 0, 1") + """
+[run]
+seed = 3
+t1 = 3.5
+step = 5e-3
+expected = 3.141592653589793:2
+""")
+    assert cli.main(["focal", "--config", cfg]) == 0
+
+
+@pytest.mark.parametrize("v0", ["1, 0, 0, 1", "1, 0, 0.6, 0.8"],
+                         ids=["equator", "tilted"])
+def test_focal_correspondence_pairs_multiplicity_2_through_the_map(tmp_path, monkeypatch,
+                                                                  v0):
+    """Under the anisotropic factor 1 + 0.1 y3^2/|y|^2 the focal point of
+    multiplicity 2 on R x S^3 pairs with multiplicity 2 on both sides,
+    through a parameter map that is not the identity.  Along the equator the
+    factor is 1.05 at every node, so the map scales the parameter; along
+    the tilted great circle the factor runs from 1.032 to 1.061."""
+    (tmp_path / "y3-weight.metric").write_text(
+        "dim=4\ndegree=0\n1 + 0.1*y3^2/(y0^2 + y1^2 + y2^2 + y3^2)\n")
+    cfg = write_config(tmp_path, _product_sphere_start(tmp_path, v0) + """lambda = y3-weight.metric
+
+[run]
+seed = 3
+t1 = 3.5
+step = 5e-3
+""")
+    reports = []
+    plain = cli.verify_focal_correspondence
+    monkeypatch.setattr(cli, "verify_focal_correspondence",
+                        lambda *args, **kw: reports.append(plain(*args, **kw)) or reports[-1])
+    assert cli.main(["focal-correspondence", "--config", cfg]) == 0
+    pair, = reports[0].pairs
+    assert pair.base_multiplicity == pair.scaled_multiplicity == 2
+    assert abs(pair.base_parameter - np.pi) <= 1e-8
+    assert pair.scaled_parameter - pair.base_parameter > 0.1
 
 
 def test_focal_correspondence_without_focal_points_fails(tmp_path, capsys):

@@ -377,10 +377,10 @@ def test_array_frame_matches_the_jet_list_reference(name, scaled_einstein):
         frame = connection.ConnectionFrame(m, v, order=4)
         ref = ReferenceFrame(m, v, order=4)
         pairs = {
-            "g": (frame.g_jets(), _coefficients(ref.g)),
+            "g": (frame._g[0], _coefficients(ref.g)),
             "ginv": (frame.ginv_jets(), _coefficients(ref.ginv)),
-            "spray": (frame.spray_jets(), np.array([jet.c for jet in ref.G])),
-            "nonlinear": (frame.nonlinear_jets(), _coefficients(ref.N)),
+            "spray": (frame._G[0], np.array([jet.c for jet in ref.G])),
+            "nonlinear": (frame._N[0], _coefficients(ref.N)),
             "christoffel": (frame.christoffel(), ref.christoffel()),
             "jacobi": (frame.jacobi_matrix(), ref.jacobi_matrix()),
         }
@@ -397,7 +397,7 @@ def test_neumann_inverse_is_exact_at_truncation_order(order, scaled_einstein):
     for m in (scaled_einstein, dsl.builtin_metric("bogoslovsky2-warped")):
         for v in dsl.sample_admissible(m, rng, count=10):
             frame = connection.ConnectionFrame(m, v, order=order)
-            g, ginv = frame.g_jets(), frame.ginv_jets()
+            g, ginv = frame._g[0], frame.ginv_jets()
             space = jets.jet_space(2 * v.dim, order - 2)
             product = space.mul(g[:, :, None], ginv[None]).sum(axis=1)
             identity = np.zeros_like(product)
@@ -415,7 +415,7 @@ def test_the_spray_solve_is_exact_at_truncation_order(order, scaled_einstein):
         for v in dsl.sample_admissible(m, rng, count=10):
             n = v.dim
             frame = connection.ConnectionFrame(m, v, order=order)
-            g, z = frame.g_jets(), 4.0 * frame.spray_jets()
+            g, z = frame._g[0], 4.0 * frame._G[0]
             space = jets.jet_space(2 * n, order - 2)
             L = m.jet(v, order)
             y = [jets.Jet.variable(space, n + k, v.y[k]) for k in range(n)]
@@ -444,7 +444,7 @@ def test_a_frame_takes_its_jet_and_solves_for_the_spray_on_construction(
         ["solve"]) or plain_solve(self, *args))
     frame = connection.ConnectionFrame(einstein, v, order=order)
     assert calls == {"jet": 1, "solve": 1}
-    frame.g(), frame.ginv(), frame.spray_jets(), frame.nonlinear(), frame.christoffel()
+    frame.g(), frame.ginv(), frame._G, frame.nonlinear(), frame.christoffel()
     if order == 4:
         frame.jacobi_matrix()
     assert calls == {"jet": 1, "solve": 1}
@@ -484,11 +484,20 @@ def _metrics_with_frames():
 
 # The quantities compared row by row, per frame order: every quantity of an
 # order-4 frame, and what the Jacobi stage table reads from order-3 frames.
+# A name with a leading underscore is a frame array or method whose rows
+# keep the sample axis also at one sample.
 FRAME_QUANTITIES = {
-    4: ("g_jets", "ginv_jets", "spray_jets", "nonlinear_jets", "christoffel",
-        "christoffel_jets", "jacobi_matrix", "curvature_components"),
+    4: ("_g", "ginv_jets", "_G", "_N", "christoffel", "_christoffel_jets",
+        "jacobi_matrix", "curvature_components"),
     3: ("spray_gradient", "g", "christoffel"),
 }
+def _rows(frame, name):
+    """A quantity of FRAME_QUANTITIES with its sample axis."""
+    rows = getattr(frame, name)
+    rows = rows() if callable(rows) else rows
+    return rows if frame.batched or name.startswith("_") else rows[None]
+
+
 TABLE_QUANTITIES = {4: ("g", "ginv", "nonlinear", "christoffel", "jacobi_matrix"),
                     3: FRAME_QUANTITIES[3]}
 
@@ -508,10 +517,10 @@ def test_a_batched_frame_and_table_equal_single_sample_frames(m, order):
         singles = [connection.ConnectionFrame(m, v, order=order) for v in samples]
         batch = connection.ConnectionFrame(m, dsl.SampleBatch(X, Y), order=order)
         for name in FRAME_QUANTITIES[order]:
-            rows = getattr(batch, name)()
+            rows = _rows(batch, name)
             assert len(rows) == count
             for row, single in zip(rows, singles):
-                assert np.array_equal(row, getattr(single, name)()), name
+                assert np.array_equal(row, _rows(single, name)[0]), name
         names = TABLE_QUANTITIES[order]
         tables = connection._frame_tables(
             m, np.arange(count, dtype=float), X, Y, order=order,

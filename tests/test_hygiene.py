@@ -187,7 +187,7 @@ def test_runs_load_no_scipy(tmp_path):
     - `variation`: `simpson` (energy and the variation integrals), the
       Hermite spline (dense output) and `not_a_knot_slopes`;
     - `focal-correspondence`: `cumulative_simpson` (the reparametrization),
-      the spline's scalar path (the focal bisection, and a focal parameter
+      the spline at one float (the focal Newton steps, and a focal parameter
       mapped through the reparametrization) and its (N, n, n) data (the
       focal search);
     - `focal` on the circle patch of `configs/focal.ini`: `null_space`

@@ -3,11 +3,12 @@ focal detection, and the conformal transfer of Jacobi data."""
 
 import collections
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from finslab import (conformal, connection, dsl, experiments, geodesics,
+from finslab import (cli, conformal, connection, dsl, experiments, geodesics,
                      tensors, variational)
 from finslab.curves import DiscreteCurve
 from finslab.errors import (EvaluationDomainError, FinslabError, GridMismatch,
@@ -16,6 +17,8 @@ from conftest import jacobi_field, lightlike_start
 import finitediff
 from jacobi_reference import integrate_jacobi_per_stage, integrate_linearized_per_stage
 import sphere_reference
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def straight_null_line(n=3, v0=(1.0, 1.0, 0.0), span=1.0, h=1e-2):
@@ -433,6 +436,42 @@ def test_flat_focal_list_is_empty(minkowski3):
     assert variational.find_focal_points(curve, patch, minkowski3) == []
 
 
+@pytest.mark.parametrize("n", [4, 5])
+def test_null_geodesics_from_a_point_focus_at_arc_pi_with_multiplicity_n_minus_2(n):
+    """On R x S^(n-1) the null geodesics from a point refocus after spatial
+    arc pi with multiplicity n - 2.  At n = 4 the multiplicity is even, so
+    det M keeps its sign across the focal point and only the singular
+    values of M find it."""
+    m = sphere_reference.product_sphere(n)
+    x0, v0 = sphere_reference.equatorial_null_start(n)
+    curve = geodesics.integrate_geodesic(m, x0, v0, (0.0, 3.5), 5e-3)
+    patch = variational.SubmanifoldPatch.from_point(x0)
+    focal = variational.find_focal_points(curve, patch, m)
+    assert [fp.multiplicity for fp in focal] == [n - 2]
+    assert abs(focal[0].parameter - np.pi) <= 1e-8
+
+
+def test_the_focal_search_takes_one_svd_at_the_nodes_and_few_per_point(
+        minkowski3, monkeypatch):
+    """One batched SVD of M at the nodes finds every candidate, so the flat
+    search takes no other.  Refining a focal point and counting its
+    multiplicity take a few more: at most 6 per focal point on
+    configs/focal.ini, with the SVD of the circle patch's initial data."""
+    calls = []
+    plain = np.linalg.svd
+    monkeypatch.setattr(variational.np.linalg, "svd",
+                        lambda *args, **kw: calls.append(1) or plain(*args, **kw))
+    curve = geodesics.integrate_geodesic(minkowski3, [0, 0, 0], [1, 1, 0], (0, 2), 1e-2)
+    patch = variational.SubmanifoldPatch.from_point([0, 0, 0])
+    assert variational.find_focal_points(curve, patch, minkowski3) == []
+    assert len(calls) <= 1
+    calls.clear()
+    # the run passes only if it finds the one expected focal point
+    report = cli.run_experiment("focal", cli.load_config(CONFIGS / "focal.ini"))
+    assert report.passed
+    assert 0 < len(calls) <= 6
+
+
 def test_equatorial_conjugate_point(equatorial_conjugate):
     focal = equatorial_conjugate.focal
     assert len(focal) == 1
@@ -449,8 +488,8 @@ def test_latitude_circle_focal_point(latitude_focal):
 
 def test_circle_focal_parameter_is_within_1e_8_of_the_radius(latitude_focal, einstein):
     """With exact patch derivatives the focal parameter of a circle patch
-    is its radius to within the 1e-8 bisection bracket, on the equator and
-    on two tilted great circles."""
+    is its radius to within 1e-8, on the equator and on two tilted great
+    circles."""
     found = [(latitude_focal.focal, np.pi / 4)]
     for theta_c, rho in ((np.pi / 2 - 0.6, 0.5), (np.pi / 2 + 0.4, 1.3)):
         x0, v0 = sphere_reference.tilted_null_data(theta_c)
