@@ -89,9 +89,11 @@ def _factor_along(lam, curve: DiscreteCurve, value: bool = True):
 # integration
 # --------------------------------------------------------------------------
 
-def rk4_step(f, t: float, s, h: float, k1):
+def rk4_step(f, t, s, h, k1):
     """One classical RK4 step of s' = f(t, s) from k1 = f(t, s), for a state
-    of one array: the written step of one component (`_rk4_kernel`)."""
+    of one array: the written step of one component (`_rk4_kernel`).  t and
+    h may be arrays that broadcast against the state, so one call takes
+    several independent steps, each with the float operations of its own."""
     return _rk4_kernel(1)(lambda t, s: [f(t, *s)], t, [s], h, [k1])[0]
 
 

@@ -449,6 +449,12 @@ def _check_endpoint_tangency(patch, *vectors) -> None:
 # Jacobi field integration
 # --------------------------------------------------------------------------
 
+# Most RK4 steps whose propagators one `rk4_step` call forms: enough that
+# numpy takes many steps per call, few enough that the (BLOCK, 2n, 2n) stage
+# arrays stay small beside the stage table on a long curve (BENCH_33.json).
+BLOCK = 128
+
+
 def _geodesic_spot_check(curve: DiscreteCurve, m: MetricDefinition,
                          tol: float = 1e-4) -> None:
     idx = np.linspace(0, curve.grid.size - 1, 5).astype(int)
@@ -486,26 +492,36 @@ def _stage_table(curve: DiscreteCurve, m: MetricDefinition) -> tuple[np.ndarray,
 
 def _integrate_on_stages(curve: DiscreteCurve, table, J0: np.ndarray,
                          K0: np.ndarray) -> tuple[np.ndarray, ...]:
-    """RK4 steps of Jdd = -2 dG (J, Jd) over the curve grid, reading dG at
-    every stage from a `_stage_table` by its stage time, from J0 and
-    Jd = K0 - N J0: (J, K, Jd) at the nodes, each (npts, n, nfields), where
-    K = Jd + N J, with N = dG/dy, is DJ."""
+    """RK4 on S = (J, Jd) under Jdd = -2 dG (J, Jd), from Jd = K0 - N J0:
+    (J, K, Jd) at the nodes, each (npts, n, nfields), where K = Jd + N J,
+    with N = dG/dy, is DJ.  S' = A S with A = [[0, I], -2 dG] is linear, so
+    a step is the 2n x 2n matrix P_k that `rk4_step` makes of the identity,
+    for `BLOCK` steps per call, with dG read from a `_stage_table` at the
+    exact stage times (KeyError if one is missing); then S_k+1 = P_k S_k."""
     times, dG = table[:2]
     grid = curve.grid
     n = curve.dim
     N = dG[..., n:]
-    at = dict(zip(times.tolist(), dG))      # the row of each distinct stage time
 
-    def rhs(t, S):   # S = (J, Jd)
-        return np.array([S[1], -2.0 * (at[t] @ S.reshape(2 * n, -1))])
+    def rhs(t, S):   # one A per stage time, t a (K, 1, 1) array
+        t = t.ravel()
+        rows = np.searchsorted(times, t)
+        missed = np.take(times, rows, mode="clip") != t
+        if missed.any():
+            raise KeyError(f"no stage table row at t={t[missed].tolist()!r}")
+        top = np.broadcast_to(np.eye(n, 2 * n, n), (rows.size, n, 2 * n))
+        return np.concatenate([top, -2.0 * dG[rows]], axis=1) @ S
 
     J, K = (np.asarray(a, dtype=float).reshape(n, -1) for a in (J0, K0))
-    S = np.array([J, K - N[0] @ J])
-    states = [S]
-    for t, h in zip(grid[:-1].tolist(), (grid[1:] - grid[:-1]).tolist()):
-        S = rk4_step(rhs, t, S, h, k1=rhs(t, S))
-        states.append(S)
-    Js, Jdots = np.array(states).transpose(1, 0, 2, 3)
+    states = [np.concatenate([J, K - N[0] @ J])]
+    for k in range(0, grid.size - 1, BLOCK):
+        t = grid[k:k + BLOCK + 1, None, None]
+        t, h = t[:-1], t[1:] - t[:-1]
+        eye = np.tile(np.eye(2 * n), (h.shape[0], 1, 1))
+        for P in rk4_step(rhs, t, eye, h, rhs(t, eye)):
+            states.append(P @ states[-1])
+    states = np.array(states)
+    Js, Jdots = states[:, :n], states[:, n:]
     return Js, Jdots + N[np.searchsorted(times, grid)] @ Js, Jdots
 
 
@@ -516,8 +532,10 @@ def integrate_jacobi_basis(curve: DiscreteCurve, m: MetricDefinition,
     J0, K0 are (n, nfields), J and DJ at the curve start.  Jacobi fields solve
     the linearized geodesic equation Jdd = -2 (dG/dx) J - 2 (dG/dy) Jd, linear
     along the fixed curve: one order-3 `_stage_table` holds every dG it needs
-    before the first step, and all fields share it.  The curve is first
-    spot-checked to be a geodesic.  Returns one solution record per column.
+    before the first step, each RK4 step is one 2n x 2n propagator, formed
+    for a block of steps at once, and all fields share them.  The curve is
+    first spot-checked to be a geodesic.  Returns one solution record per
+    column.
     """
     fields = _integrate_on_stages(curve, _stage_table(curve, m), J0, K0)
     return [JacobiSolution(curve.grid, *(a[:, :, f] for a in fields))

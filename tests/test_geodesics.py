@@ -148,6 +148,27 @@ def test_the_float_state_takes_the_steps_of_an_array_state_to_the_bit(name, requ
         assert np.array(want).tobytes() == got.tobytes()
 
 
+def test_a_stacked_rk4_step_equals_one_call_per_matrix_to_the_bit():
+    """`rk4_step` on a (K, 2n, 2n) stack, with t and h (K, 1, 1) arrays,
+    takes K independent steps: each equals the step of its own matrix with
+    scalar t and h, bit for bit, as the Jacobi propagators rely on."""
+    rng = np.random.default_rng(7)
+    B = rng.normal(size=(6, 6))
+
+    def f(t, s):
+        return (np.cos(t) * B + np.sin(3.0 * t) * B.T) @ s
+
+    t = np.cumsum(rng.uniform(0.01, 0.1, size=9))
+    h = np.diff(t)[:, None, None]
+    t = t[:-1, None, None]
+    s = rng.normal(size=(8, 6, 6))
+    stacked = geodesics.rk4_step(f, t, s, h, f(t, s))
+    for k in range(8):
+        tk, hk = t[k, 0, 0], h[k, 0, 0]
+        one = geodesics.rk4_step(f, tk, s[k], hk, f(tk, s[k]))
+        assert one.tobytes() == stacked[k].tobytes()
+
+
 def _stage_outcome(stage, t, point):
     try:
         return stage(t, point)

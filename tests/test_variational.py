@@ -15,7 +15,8 @@ from finslab.errors import (EvaluationDomainError, FinslabError, GridMismatch,
                             InadmissibleSample)
 from conftest import jacobi_field, lightlike_start
 import finitediff
-from jacobi_reference import integrate_jacobi_per_stage, integrate_linearized_per_stage
+from jacobi_reference import (integrate_jacobi_per_stage, integrate_linearized_per_stage,
+                              integrate_propagated_per_stage)
 import sphere_reference
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -847,13 +848,16 @@ def test_jacobi_integration_keeps_only_the_current_step_frames(einstein, monkeyp
     assert max(peak) == 1
 
 
-def test_table_driven_jacobi_integration_matches_the_per_stage_path(
-        einstein, theta_weight, scaled_einstein):
-    """The stage table reproduces one order-3 frame per RK stage of the
-    linearized spray bit for bit: on a uniform grid from 0, from t0 = 0.37
-    with a step that does not divide the span, on the uneven grid of a
-    reparametrization, and on a grid where t + h misses the next node in
-    the last bit, so both times are tabulated and their frames differ."""
+JACOBI_J0 = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.3, 0.0]])
+JACOBI_K0 = np.array([[0.0, 0.0, 1.0], [0.0, 1.0, 0.0], [0.0, 0.5, 0.2]])
+
+
+@pytest.fixture(scope="module")
+def stage_curves(einstein, theta_weight, scaled_einstein):
+    """A uniform grid from 0, one from t0 = 0.37 with a step that does not
+    divide the span, the uneven grid of a reparametrization, and a grid
+    where t + h misses the next node in the last bit, so both times are
+    tabulated and their frames differ."""
     x0 = np.array([0.0, np.pi / 2, 0.0])
     xt, vt = sphere_reference.tilted_null_data(np.pi / 2 - 0.6)
     scaled_curve = geodesics.integrate_geodesic(
@@ -868,20 +872,64 @@ def test_table_driven_jacobi_integration_matches_the_per_stage_path(
     acc = np.array([-2.0 * connection.spray_coefficients(einstein, dsl.TangentSample(x, y))
                     for x, y in zip(pos, vel)])
     missed = DiscreteCurve(grid, pos, vel, acc)
-    curves = [
+    assert np.ptp(np.diff(tilde.grid)) > 1e-4      # genuinely uneven
+    return [
         geodesics.integrate_geodesic(einstein, x0, [1, 0.2, 0.9], (0.0, 0.5), 0.05),
         geodesics.integrate_geodesic(einstein, x0, [1, 0.1, 0.95], (0.37, 1.1), 0.07),
         tilde, missed]
-    assert np.ptp(np.diff(tilde.grid)) > 1e-4      # genuinely uneven
-    J0 = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.0, 0.3, 0.0]])
-    K0 = np.array([[0.0, 0.0, 1.0], [0.0, 1.0, 0.0], [0.0, 0.5, 0.2]])
-    for curve in curves:
-        sols = variational.integrate_jacobi_basis(curve, einstein, J0, K0)
-        Js, Ks, Jdots = integrate_linearized_per_stage(curve, einstein, J0, K0)
-        for f, sol in enumerate(sols):
-            assert np.array_equal(sol.J, Js[:, :, f])
-            assert np.array_equal(sol.K, Ks[:, :, f])
-            assert np.array_equal(sol.J_dot, Jdots[:, :, f])
+
+
+def _assert_matches_propagated_per_stage(curve, m):
+    sols = variational.integrate_jacobi_basis(curve, m, JACOBI_J0, JACOBI_K0)
+    Js, Ks, Jdots = integrate_propagated_per_stage(curve, m, JACOBI_J0, JACOBI_K0)
+    for f, sol in enumerate(sols):
+        assert np.array_equal(sol.J, Js[:, :, f])
+        assert np.array_equal(sol.K, Ks[:, :, f])
+        assert np.array_equal(sol.J_dot, Jdots[:, :, f])
+
+
+def test_table_driven_jacobi_integration_matches_the_per_stage_path(einstein, stage_curves):
+    """The stage table and the batched propagators reproduce, bit for bit,
+    one order-3 frame per RK stage and one RK4 step of the identity per
+    step, applied to the state (see `stage_curves` for the four grids)."""
+    for curve in stage_curves:
+        _assert_matches_propagated_per_stage(curve, einstein)
+
+
+def test_jacobi_propagators_differ_from_stepping_the_state_by_rounding(
+        einstein, stage_curves):
+    """P_k S_k and an RK4 step of S_k are one formula in two orders of
+    float operations: on the four grids they differ by at most 1e-14 of
+    the largest entry."""
+    for curve in stage_curves:
+        sols = variational.integrate_jacobi_basis(curve, einstein, JACOBI_J0, JACOBI_K0)
+        stepped = integrate_linearized_per_stage(curve, einstein, JACOBI_J0, JACOBI_K0)
+        for name, ref in zip(("J", "K", "J_dot"), stepped):
+            ours = np.stack([getattr(sol, name) for sol in sols], axis=2)
+            assert np.abs(ours - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
+def test_a_jacobi_curve_of_more_steps_than_one_block_matches_the_per_stage_path(einstein):
+    """Propagators are formed `BLOCK` steps at a time; a curve of 150 steps
+    spans two blocks and still reproduces the per-stage oracle bit for bit."""
+    assert variational.BLOCK == 128
+    curve = geodesics.integrate_geodesic(
+        einstein, [0.0, np.pi / 2, 0.0], [1, 0.2, 0.9], (0.0, 1.5), 0.01)
+    assert curve.grid.size - 1 == 150
+    _assert_matches_propagated_per_stage(curve, einstein)
+
+
+def test_a_stage_time_missing_from_the_table_raises(einstein, stage_curves):
+    """A stage time is read from the table exactly: with one step midpoint
+    removed, the integrator raises instead of reading a neighbouring row."""
+    curve = stage_curves[0]
+    times, dG, *start = variational._stage_table(curve, einstein)
+    mid = curve.grid[2] + 0.5 * (curve.grid[3] - curve.grid[2])
+    keep = times != mid
+    assert keep.sum() == times.size - 1
+    with pytest.raises(KeyError, match="no stage table row"):
+        variational._integrate_on_stages(curve, (times[keep], dG[keep], *start),
+                                         JACOBI_J0, JACOBI_K0)
 
 
 @pytest.mark.parametrize("metric", ["einstein", "scaled_einstein"])
