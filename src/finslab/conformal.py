@@ -6,10 +6,11 @@ plain quotient L2/L1 away from the cone; on the cone, where the quotient is
 0/0, it is the ratio of the Legendre pairings g2_v(v, w) / g1_v(v, w), which
 is well defined for any probe w transversal to the cone.
 
-`lightcones_coincide` takes one sample at a time: its projection onto the
-source cone, along the probe read off the projection's first jet, then the
-other metric's value there.  `scale_metric` forms the product factor *
-metric and checks the factor's sign at sampled points.
+`lightcones_coincide` takes one sample at a time, as Python floats from
+draw to verdict (`dsl._draws`, `geodesics._cone_point`): its projection
+onto the source cone, then the other metric's float program there.
+`scale_metric` forms factor * metric and checks the factor's sign, by its
+float program, at drawn points.
 """
 
 from __future__ import annotations
@@ -18,10 +19,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dsl import Div, MetricDefinition, Mul, Num, TangentSample, pretty, sample_admissible
+from .dsl import Div, MetricDefinition, Mul, Num, TangentSample, _draws, pretty
 from .errors import (IncompatiblePair, NoConvergence, PositivityFailure,
                      TransversalityFailure)
-from .geodesics import LIGHTLIKE_TOL, covector_probe, project_to_lightcone
+from .geodesics import LIGHTLIKE_TOL, _cone_point, covector_probe
 from .tensors import _require_admissible, legendre
 
 __all__ = [
@@ -63,9 +64,9 @@ def lightcones_coincide(pair: ConformalPair, tol: float = COINCIDENCE_TOL
                         ) -> CoincidenceReport:
     """Sample each metric's lightcone and measure the other metric there.
 
-    Violations are |L_other| at projected cone points, normalized by the
-    squared fiber norm.  A metric whose cone cannot be reached from any
-    sample is reported as having an empty cone on the sampled component.
+    Violations are |L_other| at projected cone points, divided by
+    max(1, |y|^2).  A metric whose cone cannot be reached from any sample
+    is reported as having an empty cone on the sampled component.
     """
     rng = np.random.default_rng(pair.seed)
     worst = 0.0
@@ -74,16 +75,17 @@ def lightcones_coincide(pair: ConformalPair, tol: float = COINCIDENCE_TOL
     empty = []
     for source, other in ((pair.L1, pair.L2), (pair.L2, pair.L1)):
         hits = 0
-        for v in sample_admissible(source, rng, count=pair.sample_budget):
+        value = other._body.float_kernel()
+        for x, y in _draws(source, rng, pair.sample_budget):
             try:
-                vstar = project_to_lightcone(source, v, tol=1e-13)
+                y = _cone_point(source, x, y, None, 1e-13)
             except (NoConvergence, TransversalityFailure):
                 failures += 1
                 continue
             hits += 1
             used += 1
             # the other metric's value on the cone of source
-            violation = abs(other.value_at(vstar)) / max(1.0, float(vstar.y @ vstar.y))
+            violation = abs(value(x + y)[0]) / max(1.0, float(np.array(y) @ y))
             worst = max(worst, violation)
         if hits == 0:
             empty.append(source.name)
@@ -152,9 +154,10 @@ def scale_metric(m: MetricDefinition, lam: MetricDefinition,
         domain=m.domain + extra,
         sample_box=m.sample_box,
     )
-    for v in sample_admissible(scaled, np.random.default_rng(seed), count=sample_budget):
-        fac = lam.value_at(v)
+    factor = lam._body.float_kernel()
+    for x, y in _draws(scaled, np.random.default_rng(seed), sample_budget):
+        fac = factor(x + y)[0]
         if fac <= 0.0:
             raise PositivityFailure(
-                f"factor {lam.name!r} is {fac!r} at {v!r}")
+                f"factor {lam.name!r} is {fac!r} at {TangentSample(x, y)!r}")
     return scaled

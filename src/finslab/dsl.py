@@ -1214,12 +1214,17 @@ def sample_admissible(m: MetricDefinition, rng: np.random.Generator,
     """Random admissible samples: x uniform in the metric's box, y uniform on
     the unit sphere then rescaled by a random factor in [0.5, 2].
 
-    One candidate is drawn at a time, on Python floats: x as
+    One candidate is drawn at a time, on Python floats (`_draws`): x as
     `low + span * u` with u from `rng.random(n)` (the form `rng.uniform`
     takes), then y from `rng.standard_normal(n)` and, unless y is zero, the
     log of its scale factor from `rng.random()`.  A candidate is kept if it
     is admissible; NoAdmissibleSample is raised after MAX_REJECTIONS
     rejected candidates."""
+    return [TangentSample(x, y) for x, y in _draws(m, rng, count)]
+
+
+def _draws(m: MetricDefinition, rng: np.random.Generator, count: int) -> list:
+    """The samples of `sample_admissible` as (x, y) pairs of Python float lists."""
     domain = m._domain
     if domain.failure is not None or any(
             isinstance(p, float) and not (math.isfinite(p) and p > 0.0)
@@ -1228,7 +1233,7 @@ def sample_admissible(m: MetricDefinition, rng: np.random.Generator,
             f"the domain of {m.name!r} is empty: a predicate is constant and not positive")
     low, span = (a.tolist() for a in _sampling_box(m))
     inside = domain.positive_kernel()
-    out: list[TangentSample] = []
+    out = []
     rejects = 0
     while len(out) < count:
         if rejects >= MAX_REJECTIONS:
@@ -1243,7 +1248,7 @@ def sample_admissible(m: MetricDefinition, rng: np.random.Generator,
         scale = math.exp(_LOG_HALF + (_LOG_TWO - _LOG_HALF) * rng.random())
         y = [c / norm * scale for c in y.tolist()]
         if inside(x + y):
-            out.append(TangentSample(x, y))
+            out.append((x, y))
         else:
             rejects += 1
     return out

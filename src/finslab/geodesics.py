@@ -9,11 +9,11 @@ order-2 one-point jet kernel and the spray kernel, bound once per curve,
 and a step is one straight-line function written per number of state
 components, which `rk4_step` runs on one array.
 
-Lightcone projection runs Newton's method on one sample, on Python floats,
-by the metric's jet kernel and domain check, bound once: one order-2 jet
-per Newton evaluation, the first of which also picks the probe, and one
-domain check per backtracking candidate; a sample whose step no longer
-moves it fails at once with the failure the remaining iterations would give it.
+Lightcone projection runs Newton's method on one sample as Python floats
+(`_cone_point`; cone sampling calls it on its draws), by the metric's jet
+kernel and domain check, bound once: one order-2 jet per Newton evaluation,
+the first of which also picks the probe, and one domain check per halving
+candidate; a stalled sample fails at once, as at the 50th iteration.
 Along a curve, values, the factor's partials and sprays come from one walk
 over the nodes on bound programs (`dsl._along`), as an RK stage takes them;
 row-wise dot products are stacked matmuls, which round as the 1-D `@` does.
@@ -223,56 +223,51 @@ def project_to_lightcone(m: MetricDefinition, v: TangentSample, w="auto",
     lightlike.  A sample whose step no longer moves delta would stay where it
     is to the 50th iteration, and fails at once.
 
-    The sample is projected on Python floats by m's order-2 jet kernel and
-    domain check, bound once: one jet at x + y per Newton evaluation, whose
-    coefficients must be finite, and one domain check per halving
-    candidate.  w="auto" is `probe_vector`'s basis vector, read off the
-    first jet.  Along a basis vector the slope dL_v(w) is one jet
-    coefficient, and every decision is that of a loop over `TangentSample`
-    arrays, to the bit.  A probe w of another shape than the fiber vector
-    is a ValueError, raised before any work.
+    The loop runs on Python floats (`_cone_point`); w="auto" is
+    `probe_vector`'s basis vector, read off the first jet.  A probe w of
+    another shape than the fiber vector is a ValueError, raised first.
     """
     auto = isinstance(w, str) and w == "auto"
     w = None if auto else np.asarray(w, dtype=float)
     if not auto and w.shape != v.y.shape:
         raise ValueError(f"probe array of shape {w.shape} for fiber vectors "
                          f"of shape {v.y.shape}")
-    n, x, y0 = m.dim, v.x.tolist(), v.y.tolist()
+    return TangentSample(v.x, _cone_point(m, v.x.tolist(), v.y.tolist(), w, tol))
+
+
+def _cone_point(m: MetricDefinition, x: list, y0: list, w, tol: float) -> list:
+    """The fiber vector of `project_to_lightcone` from x + y0 along the array
+    w (None: the auto probe), all lists of Python floats.  m's jet kernel and
+    domain check are bound once: one jet per Newton evaluation, checked
+    finite, and one check per halving candidate.  Along a basis vector the
+    slope is one jet coefficient; every decision is a sample loop's, to the bit."""
+    n = m.dim
     inside = m._domain.positive_kernel()
-    if v.dim != n or not inside(x + y0):
-        raise _inadmissible(m, v)
+    if len(x) != n or not inside(x + y0):
+        raise _inadmissible(m, TangentSample(x, y0))
     jet = m._body.point_kernel(2)
-
-    def coefficients(y: list) -> list:
-        c = jet(x + y)
-        if not all(map(math.isfinite, c)):
-            raise m._not_finite(TangentSample(x, y))
-        return c
-
-    c = coefficients(y0)
-    if auto:
+    c = jet(x + y0)
+    if not all(map(math.isfinite, c)):
+        raise m._not_finite(TangentSample(x, y0))
+    if w is None:
         w = covector_probe([0.5 * a for a in c[n:0:-1]], y0)
     probe = w.tolist()
     # the slope along e_i is coefficient k = n - i (`JetSpace.partial_slots`),
     # as the dot's other terms are +-0 and numpy sums from +0.0 (-0.0 reads
     # +0.0); k = 0 for any other w
     k = n - probe.index(1.0) if probe.count(0.0) == n - 1 and 1.0 in probe else 0
-
-    def values(c: list) -> tuple[float, float]:
-        return c[0], (c[k] + 0.0 if k else float(np.array(c[n:0:-1]) @ w))
-
-    value, slope = values(c)
+    slope = c[k] + 0.0 if k else float(np.array(c[n:0:-1]) @ w)
     # transversality: g_v(v, w) = (1/2) dL_v(w)
     if _within(slope, 1e-12, y0):
         raise TransversalityFailure(
             f"probe vector pairs to {slope / 2:.3e} with the base vector")
     delta, y = 0.0, y0
     for _ in range(50):
-        if _within(value, tol, y):
-            return TangentSample(x, y)
+        if _within(c[0], tol, y):
+            return y
         if slope == 0.0:
             raise NoConvergence("lightcone projection hit a critical point")
-        step = -value / slope
+        step = -c[0] / slope
         for _ in range(60):
             moved = delta + step
             y = [a + moved * b for a, b in zip(y0, probe)]
@@ -281,12 +276,15 @@ def project_to_lightcone(m: MetricDefinition, v: TangentSample, w="auto",
             step *= 0.5
         else:
             raise NoConvergence("lightcone projection could not stay inside the domain")
-        # a step that no longer moves delta leaves y, value and slope as they
+        # a step that no longer moves delta leaves y, c and slope as they
         # are, so every later iteration would repeat this one to the 50th
         if moved == delta:
             raise NoConvergence(_NOT_CONVERGED)
         delta = moved
-        value, slope = values(coefficients(y))
+        c = jet(x + y)
+        if not all(map(math.isfinite, c)):
+            raise m._not_finite(TangentSample(x, y))
+        slope = c[k] + 0.0 if k else float(np.array(c[n:0:-1]) @ w)
     raise NoConvergence(_NOT_CONVERGED)
 
 

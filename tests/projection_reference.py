@@ -3,9 +3,10 @@ lightcone projection and cone sampling: one candidate and one sample at a
 time, drawn with `rng.uniform` and normalized with `np.linalg.norm`, one
 `MetricDefinition.jet` per Newton iteration and one
 `MetricDefinition.admissible` per backtracking candidate.  Tests compare
-`dsl.sample_admissible` (which draws on Python floats), the float loop of
-`geodesics.project_to_lightcone` (which stops a stalled sample early) and
-`conformal.lightcones_coincide` against these loops, outcome by outcome."""
+`dsl.sample_admissible` and `dsl._draws` (which draw on Python floats),
+the float loop of `geodesics.project_to_lightcone` (which stops a stalled
+sample early) and `conformal.lightcones_coincide` against these loops,
+outcome by outcome."""
 
 import math
 

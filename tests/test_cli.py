@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from finslab import cli, dsl
+from finslab.tensors import FundamentalTensor
 import sphere_reference
 
 
@@ -167,6 +168,52 @@ def test_seed_override_changes_the_report(tmp_path):
     b = (out2 / "report.txt").read_text()
     assert a != b
     assert "seed=99" in b
+
+
+def _serial_tensors(cfg, seed, report):
+    """`run_tensors` as a loop over `TangentSample`s: the batched tensors of
+    the shipped runner, then the pairing check and the Cartan contraction
+    one sample at a time."""
+    m = cli._metric(cfg)
+    vs = dsl.sample_admissible(m, np.random.default_rng(seed),
+                               count=cli._sample_count(cfg, 100))
+    g, L, g2, C, C2 = cli._in_order(cli._tensors_at, m, np.array([v.x for v in vs]),
+                                    np.array([v.y for v in vs]))
+    worst_gvv = worst_cartan_v = 0.0
+    for v, gk, Lk, Ck in zip(vs, g, L.tolist(), C):
+        worst_gvv = max(worst_gvv, abs(FundamentalTensor(gk, v).pair(v.y, v.y) - Lk)
+                        / max(1.0, abs(Lk)))
+        worst_cartan_v = max(worst_cartan_v,
+                             float(np.abs(np.einsum("ijk,i->jk", Ck, v.y)).max()))
+    report.check("metric-pairing-identity", worst_gvv, 1e-9)
+    report.check("metric-scale-invariance", max(0.0, float(np.abs(g2 - g).max())), 1e-10)
+    report.check("cartan-radial-contraction", worst_cartan_v, 1e-10)
+    report.check("cartan-inverse-scaling",
+                 max(0.0, float(np.abs(2.0 * C2 - C).max())), 1e-10)
+
+
+def _tensors_records(run, cfg, seed):
+    """The records of run(cfg, seed, report), or its exception type and text."""
+    report = cli.Report(experiment="tensors", seed=seed)
+    try:
+        run(cfg, seed, report)
+    except Exception as exc:       # noqa: BLE001 - the outcome is compared
+        return type(exc), str(exc)
+    return report.records()
+
+
+@pytest.mark.parametrize("name", [name for name in dsl.builtin_names()
+                                  if dsl.builtin_metric(name).degree == 2])
+def test_tensors_records_are_the_sample_loops(tmp_path, name):
+    """The four `tensors` records of every degree-2 builtin, at 1 and 100
+    samples and seeds 0-4, are the serial loop's, value for value to the
+    bit (one sample shows a vectorized max that drops the last sample)."""
+    for samples in (1, 100):
+        cfg = cli.load_config(write_config(
+            tmp_path, f"[metric]\nmetric = {name}\n[run]\nsamples = {samples}\n"))
+        for seed in range(5):
+            got = _tensors_records(cli.run_tensors, cfg, seed)
+            assert got == _tensors_records(_serial_tensors, cfg, seed), (samples, seed)
 
 
 def test_variation_experiment_round_trip(tmp_path):

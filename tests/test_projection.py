@@ -75,15 +75,31 @@ def _sampled_metrics():
                        for m in builtins if m.degree == 2 and m.dim == lam.dim]
 
 
-def _draw_both(m, seed, count):
-    """The shipped sampler's and the serial loop's draws from one seed: each
-    outcome (the samples as bytes, or the exception type and text) and the
-    generator state it leaves."""
+def _shipped(m, rng, count):
+    return [(v.x, v.y) for v in dsl.sample_admissible(m, rng, count=count)]
+
+
+def _serial_draws(m, rng, count):
+    return [(v.x, v.y) for v in reference.sample_admissible(m, rng, count=count)]
+
+
+def _float_draws(m, rng, count):
+    """`dsl._draws`, each of whose coordinates must be a Python float."""
+    draws = dsl._draws(m, rng, count)
+    assert all(type(a) is float for x, y in draws for a in x + y)
+    return draws
+
+
+def _draw_both(m, seed, count, sample=_shipped):
+    """The sampler's (by default the shipped sampler's) and the serial loop's
+    draws from one seed: each outcome (the samples as bytes, or the
+    exception type and text) and the generator state it leaves."""
     draws = []
-    for sample in (dsl.sample_admissible, reference.sample_admissible):
+    for draw in (sample, _serial_draws):
         rng = np.random.default_rng(seed)
         try:
-            got = [(v.x.tobytes(), v.y.tobytes()) for v in sample(m, rng, count=count)]
+            got = [(np.array(x).tobytes(), np.array(y).tobytes())
+                   for x, y in draw(m, rng, count)]
         except Exception as exc:
             got = (type(exc), str(exc))
         draws.append((got, rng.bit_generator.state))
@@ -127,6 +143,28 @@ def test_no_admissible_sample_is_raised_as_the_loop_raises_it(monkeypatch):
     m = dsl.parse_metric("y0^2", 1, domain=("-(y0*y0)",), name="empty")
     got, ref = _draw_both(m, 5, 3)
     assert got == ref and ref[0][0] is NoAdmissibleSample
+
+
+@pytest.mark.parametrize("name", ["minkowski2-cone", "bogoslovsky2", "einstein-static",
+                                  "theta-weight"])
+def test_float_draws_are_the_serial_loops_floats(monkeypatch, name):
+    """`dsl._draws` yields the serial loop's samples as Python floats, to
+    the bit, and leaves the generator where the loop leaves it, also on
+    minkowski2-cone, whose domain rejects about 3 of 4 candidates, and when
+    MAX_REJECTIONS runs out."""
+    m = dsl.builtin_metric(name)
+    for seed in (0, 1, 2, 11):
+        for count in (1, 17, 100):
+            got, ref = _draw_both(m, seed, count, _float_draws)
+            assert len(ref[0]) == count
+            assert got == ref, (seed, count)
+    for budget in (0, 7, 30):
+        monkeypatch.setattr(dsl, "MAX_REJECTIONS", budget)
+        for seed in range(3):
+            got, ref = _draw_both(m, seed, 100, _float_draws)
+            assert got == ref, (budget, seed)
+            if budget == 0 or name == "minkowski2-cone":
+                assert ref[0][0] is NoAdmissibleSample
 
 
 @pytest.mark.parametrize("box,error", [(((0.0, 1.0), (1.0, 0.0)), ValueError),
@@ -482,6 +520,23 @@ def test_sampling_and_cone_sampling_take_one_sample_at_a_time(monkeypatch):
     _same_report(got, ref)
     assert len(samples) == 20 and got.samples
     assert not batches and 2 not in rows
+
+
+def test_cone_sampling_builds_no_tangent_sample(monkeypatch):
+    """Cone sampling and the factor's sign check keep every sample as Python
+    floats: no `TangentSample` is built on a pair whose projections all
+    converge, and the report is still the serial loop's."""
+    cone = dsl.builtin_metric("minkowski2-cone")
+    lam = dsl.parse_metric("1 + 0.5*x0^2", 2, degree=0, name="x0-weight")
+    built = []
+    plain = dsl.TangentSample.__init__
+    monkeypatch.setattr(dsl.TangentSample, "__init__", lambda self, x, y: built.append(
+        1) or plain(self, x, y))
+    pair = conformal.ConformalPair(cone, conformal.scale_metric(cone, lam), sample_budget=32)
+    got = conformal.lightcones_coincide(pair)
+    assert not built
+    _same_report(got, reference.lightcones_coincide(pair))
+    assert got.samples == 64 and got.projection_failures == 0
 
 
 def test_anisotropy_factor_is_the_closed_form_at_projected_cone_samples(einstein,
